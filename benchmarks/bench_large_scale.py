@@ -20,13 +20,13 @@ backbones of growing size:
   estimator drift is the max relative L2 difference between dense- and
   sparse-backend estimates on Europe).
 
-The PR 6 tier benchmarks **hierarchical region-sharded estimation** at
-continental scale (default N=500, opt-in N=1000 via ``BENCH_PR6_NS``):
-sharded tomogravity against the flat sparse path — wall time, tracemalloc
+The PR 6 tier measures **hierarchical region-sharded estimation** at
+continental scale (default N=500, opt-in N=1000 via ``BENCH_PR6_NS``)
+next to flat tomogravity on the sparse backend: wall time, tracemalloc
 peaks proving neither path materialises a dense ``(links, pairs)`` or
-``(pairs, pairs)`` array, sharded-vs-flat accuracy (MRE against the
-synthetic truth), and the csgraph-vs-python batched routing build.  The
-results land in ``BENCH_PR6.json``.
+``(pairs, pairs)`` array, accuracy (MRE against the synthetic truth), and
+the csgraph-vs-python batched routing build.  The results land in
+``BENCH_PR6.json``.
 
 Run directly (CI uses a single small N and a relaxed speedup floor for
 shared runners)::
@@ -34,8 +34,7 @@ shared runners)::
     PYTHONPATH=src python benchmarks/bench_large_scale.py
     PYTHONPATH=src BENCH_PR5_NS=50 BENCH_PR5_MIN_ROUTING_SPEEDUP=3.0 \
         python benchmarks/bench_large_scale.py
-    PYTHONPATH=src BENCH_PR6_ONLY=1 BENCH_PR6_MIN_SPEEDUP=2.0 \
-        python benchmarks/bench_large_scale.py
+    PYTHONPATH=src BENCH_PR6_ONLY=1 python benchmarks/bench_large_scale.py
 """
 
 from __future__ import annotations
@@ -115,16 +114,10 @@ def estimator_benchmark(n_nodes: int, guard_memory: bool) -> dict:
     scenario = large_scenario(n_nodes, seed=SEED)
     problem = scenario.snapshot_problem()
     num_pairs = scenario.routing.num_pairs
-    dense_bytes = float(scenario.routing.num_links * num_pairs * 8)
-    # Below the Gram limit the exact solvers build dense (P, P) normal
-    # equations by design; only above it must every intermediate stay
-    # under the dense routing footprint (the sign of a densified R).
-    from repro.estimation.bayesian import _GRAM_PAIR_LIMIT
-
-    if num_pairs <= _GRAM_PAIR_LIMIT:
-        memory_allowance = dense_bytes + 6.0 * num_pairs * num_pairs * 8
-    else:
-        memory_allowance = dense_bytes
+    # Every snapshot solve works in link space or with operator products,
+    # so no intermediate may reach the dense routing footprint (the sign of
+    # a densified R) at any N.
+    memory_allowance = dense_bytes = float(scenario.routing.num_links * num_pairs * 8)
     timings: dict[str, float] = {}
     peak_bytes = 0.0
     for name in ESTIMATORS:
@@ -312,7 +305,7 @@ def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
     )
 
     if run_flat:
-        print(f"[sharded] N={n_nodes}: flat tomogravity baseline ...")
+        print(f"[sharded] N={n_nodes}: flat tomogravity ...")
         flat = get_estimator("tomogravity")
         flat_seconds, flat_peak, flat_vector = _timed_estimate(flat, problem)
         assert flat_peak < allowance, (
@@ -324,52 +317,30 @@ def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
             flat_seconds=flat_seconds,
             flat_peak_bytes=flat_peak,
             flat_mre=_mre(flat_vector, truth),
-            speedup=flat_seconds / sharded_seconds,
             sharded_vs_flat_relative_l2=float(
                 np.linalg.norm(sharded_vector - flat_vector) / scale
             ),
         )
         print(
             f"[sharded] N={n_nodes}: flat {flat_seconds:6.2f}s "
-            f"(peak {flat_peak / 1e6:.0f} MB, MRE {record['flat_mre']:.3f})  "
-            f"speedup {record['speedup']:5.1f}x"
+            f"(peak {flat_peak / 1e6:.0f} MB, MRE {record['flat_mre']:.3f})"
         )
     return record
 
 
 def main_pr6() -> dict:
     ns = parse_pr6_ns()
-    minimum_speedup = float(os.environ.get("BENCH_PR6_MIN_SPEEDUP", "5.0"))
     run_flat = not os.environ.get("BENCH_PR6_SKIP_FLAT")
     records = [sharded_benchmark(n_nodes, run_flat) for n_nodes in ns]
-    headline = records[0]
     payload = {
         "seed": SEED,
         "ns": list(ns),
         "records": records,
-        "minimum_speedup": minimum_speedup,
         "cpu_count": os.cpu_count(),
         "no_dense_materialisation": True,
     }
-    if run_flat:
-        payload["headline_speedup"] = headline["speedup"]
     merge_record(PR6_RECORD_PATH, "hierarchical_sharding", payload)
-
-    if run_flat:
-        assert headline["speedup"] >= minimum_speedup, (
-            f"sharded speedup {headline['speedup']:.1f}x at N={headline['num_nodes']} "
-            f"below the required {minimum_speedup:.1f}x"
-        )
-        assert headline["sharded_peak_bytes"] <= 1.1 * headline["flat_peak_bytes"], (
-            f"sharded peak {headline['sharded_peak_bytes'] / 1e6:.1f} MB above the "
-            f"flat baseline's {headline['flat_peak_bytes'] / 1e6:.1f} MB"
-        )
-        print(
-            f"[sharded] OK (>= {minimum_speedup:.1f}x at N={headline['num_nodes']} at "
-            f"equal-or-better memory), recorded in {PR6_RECORD_PATH.name}"
-        )
-    else:
-        print(f"[sharded] OK (flat baseline skipped), recorded in {PR6_RECORD_PATH.name}")
+    print(f"[sharded] OK (no dense materialisation), recorded in {PR6_RECORD_PATH.name}")
     return payload
 
 

@@ -15,7 +15,7 @@ three ways out of the collected trace:
    object per span, for ad-hoc analysis.
 
 It also prints the metrics registry: solver iterations (counted at the
-``budget_tick`` call sites inside the entropy/FISTA/IPF loops), IPF
+``budget_tick`` call sites inside the dual-Newton/QP/IPF loops), IPF
 sweeps, workspace cache hits and the pool queue-wait/execute histograms.
 
 Run with::

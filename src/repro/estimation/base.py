@@ -529,7 +529,7 @@ class Estimator(abc.ABC):
         Estimators exposing a ``set_warm_start(vector)`` method receive the
         previous snapshot's solution before each subsequent snapshot:
         consecutive snapshots are highly correlated, so iterative solvers
-        (the Vardi QP, the entropy Newton refinement) converge in a
+        (the Vardi QP, the entropy/Bayesian dual Newton solve) converge in a
         fraction of their cold-start iterations without changing the
         minimiser they converge to.
         """

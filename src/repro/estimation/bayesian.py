@@ -14,11 +14,10 @@ The *regularisation parameter* swept in the paper's Figure 13/15 is
 measurements and only use the prior to select among the solutions of
 ``R s = t``.
 
-The problem is a non-negative least-squares fit of the stacked system
-
-    ``[ R ; sigma^{-1} I ] s  ~  [ t ; sigma^{-1} s^(p) ]``
-
-which :class:`BayesianEstimator` hands to :func:`repro.optimize.nnls.nnls`.
+The program is strictly convex.  A snapshot is solved exactly through its
+link-space dual (:func:`repro.optimize.dual.solve_dual`); a whole series
+with a shared normal-equations factorisation
+(:func:`repro.optimize.nnls.nnls_normal_equations_batch`).
 """
 
 from __future__ import annotations
@@ -37,14 +36,14 @@ from repro.estimation.base import (
 from repro.estimation.gravity import gravity_vector_series
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import register
-from repro.optimize.nnls import nnls, nnls_normal_equations_batch
-from repro.resilience.budget import budget_tick
+from repro.optimize.dual import L2Map, solve_dual
+from repro.optimize.nnls import nnls_normal_equations_batch
 
 __all__ = ["BayesianEstimator"]
 
-#: Above this many pairs the dense ``(P, P)`` Gram/normal-equations paths
-#: (quadratic memory, cubic factorisation) give way to the matrix-free
-#: projected-gradient solver, which only needs operator products.
+#: Above this many pairs the factor-once series path (a dense ``(P, P)``
+#: Gram: quadratic memory, cubic factorisation) gives way to the generic
+#: loop of warm-started link-space dual solves.
 _GRAM_PAIR_LIMIT = 3000
 
 
@@ -61,14 +60,6 @@ class BayesianEstimator(Estimator):
         Either an explicit prior vector or the name of a prior constructor
         understood by :func:`repro.estimation.priors.make_prior`
         (``"gravity"``, ``"wcb"``, ``"uniform"``).
-    solver:
-        NNLS solver preference (``"auto"``, ``"active-set"``,
-        ``"projected-gradient"``).  On dense backends it is forwarded to
-        :func:`repro.optimize.nnls.nnls`; on sparse backends
-        ``"active-set"`` selects the exact normal-equations pivoting
-        (a direct solve — the ``iterations`` diagnostic reports 0) and
-        ``"projected-gradient"`` the matrix-free FISTA path, neither of
-        which densifies the routing matrix.
     """
 
     name = "bayesian"
@@ -77,22 +68,19 @@ class BayesianEstimator(Estimator):
         self,
         regularization: float = 1000.0,
         prior: str | np.ndarray = "gravity",
-        solver: str = "auto",
     ) -> None:
         if regularization <= 0:
             raise EstimationError("regularization (sigma^2) must be positive")
         self.regularization = float(regularization)
         self.prior = prior
-        self.solver = solver
         self._warm_start: Optional[np.ndarray] = None
 
     def set_warm_start(self, vector: np.ndarray) -> None:
         """Use ``vector`` as the next solve's starting point (one-shot).
 
-        Only the matrix-free projected-gradient path (large sparse
-        problems) consumes it; the exact solvers are start-independent.
-        The program is strictly convex, so the warm start cannot change
-        the minimiser.
+        The dual solve starts from it when it is a better dual point than
+        the cold start.  The program is strictly convex, so the warm start
+        can change the number of Newton steps but not the minimiser.
         """
         self._warm_start = np.asarray(vector, dtype=float).copy()
 
@@ -112,143 +100,34 @@ class BayesianEstimator(Estimator):
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
         """Solve the regularised non-negative least-squares problem.
 
-        Three solver paths, all minimising the same strictly convex
-        program:
-
-        * dense routing backend — the stacked-system NNLS exactly as
-          before (byte-compatible with the historical behaviour);
-        * sparse backend, ``P <= _GRAM_PAIR_LIMIT`` (or
-          ``solver="active-set"``) — exact normal-equations solve on the
-          cached dense Gram (never builds the ``(L + P, P)`` stacked
-          matrix);
-        * sparse backend, large ``P`` (or ``solver="projected-gradient"``)
-          — matrix-free accelerated projected gradient using only
-          ``matvec``/``rmatvec``, so memory stays ``O(nnz + P)``.
+        Newton steps on the link-space dual
+        (:func:`repro.optimize.dual.solve_dual` with an
+        :class:`~repro.optimize.dual.L2Map`): one multiplier per link, the
+        minimiser ``s = max(0, p - R'y / (2 sigma^{-2}))``, the same exact
+        solver on dense and sparse backends, and the duality gap as the
+        convergence certificate.
         """
         prior = self._prior_vector(problem)
-        snapshot = problem.snapshot
         warm_start = self._warm_start
         self._warm_start = None
-        weight_sq = 1.0 / self.regularization
-
-        if problem.routing.backend_kind == "sparse":
-            # Honour an explicit solver preference without densifying:
-            # "active-set" maps to the exact normal-equations pivoting,
-            # "projected-gradient" to the matrix-free FISTA path; "auto"
-            # picks by problem size.
-            if self.solver == "projected-gradient":
-                use_exact = False
-            elif self.solver == "active-set":
-                use_exact = True
-            else:
-                use_exact = problem.num_pairs <= _GRAM_PAIR_LIMIT
-            if use_exact:
-                gram = problem.routing.gram() + weight_sq * np.eye(problem.num_pairs)
-                rhs = problem.routing.rmatvec(snapshot) + weight_sq * prior
-                values, converged_flags = nnls_normal_equations_batch(gram, rhs)
-                iterations = 0
-                converged = bool(np.all(converged_flags))
-            else:
-                values, iterations, converged = self._projected_gradient(
-                    problem, snapshot, prior, weight_sq, warm_start
-                )
-            return self._result(
-                problem,
-                values,
-                regularization=self.regularization,
-                prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-                residual_norm=float(
-                    np.linalg.norm(problem.routing.matvec(values) - snapshot)
-                ),
-                prior_distance=float(np.linalg.norm(values - prior)),
-                iterations=int(iterations),
-                converged=bool(converged),
-            )
-
-        routing = problem.routing.matrix
-        weight = np.sqrt(weight_sq)
-        stacked_matrix = np.vstack([routing, weight * np.eye(problem.num_pairs)])
-        stacked_rhs = np.concatenate([snapshot, weight * prior])
-        solution = nnls(stacked_matrix, stacked_rhs, prefer=self.solver)
-        values = solution.x
+        solution = solve_dual(
+            problem.routing.backend,
+            problem.snapshot,
+            L2Map(prior, 1.0 / self.regularization),
+            start=warm_start,
+        )
+        values = solution.demands
         return self._result(
             problem,
             values,
             regularization=self.regularization,
             prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-            residual_norm=float(np.linalg.norm(routing @ values - snapshot)),
+            residual_norm=float(np.linalg.norm(problem.routing.matvec(values) - problem.snapshot)),
             prior_distance=float(np.linalg.norm(values - prior)),
             iterations=solution.iterations,
             converged=solution.converged,
+            duality_gap=solution.duality_gap,
         )
-
-    # ------------------------------------------------------------------
-    # matrix-free path for large sparse problems
-    # ------------------------------------------------------------------
-    def _lipschitz(self, problem: EstimationProblem, weight_sq: float) -> float:
-        """``2 * (lambda_max(R'R) + sigma^{-2})``.
-
-        The spectral radius comes from
-        :meth:`~repro.routing.routing_matrix.RoutingMatrix.gram_spectral_radius`,
-        cached on the routing matrix itself — which every ``at_snapshot``
-        sub-problem of a series shares — so the power iteration runs once
-        per routing, not once per snapshot.
-        """
-        return 2.0 * (problem.routing.gram_spectral_radius() + weight_sq)
-
-    def _projected_gradient(
-        self,
-        problem: EstimationProblem,
-        snapshot: np.ndarray,
-        prior: np.ndarray,
-        weight_sq: float,
-        warm_start: Optional[np.ndarray],
-        max_iterations: int = 5000,
-        tolerance: float = 1e-10,
-    ) -> tuple[np.ndarray, int, bool]:
-        """FISTA on ``||R x - t||^2 + sigma^{-2} ||x - p||^2`` over ``x >= 0``.
-
-        Every iteration costs one ``matvec`` + one ``rmatvec`` (``O(nnz)``)
-        and vector arithmetic; no ``(L, P)`` or ``(P, P)`` array is ever
-        formed.  Strong convexity (the ``sigma^{-2} I`` term) gives linear
-        convergence, and the prior — or the previous snapshot's solution,
-        via :meth:`set_warm_start` — is an excellent starting point.
-        """
-        routing = problem.routing
-        lipschitz = self._lipschitz(problem, weight_sq)
-        if lipschitz <= 0:
-            return np.maximum(prior, 0.0), 0, True
-        step = 1.0 / lipschitz
-
-        def objective(x: np.ndarray) -> float:
-            residual = routing.matvec(x) - snapshot
-            offset = x - prior
-            return float(residual @ residual) + weight_sq * float(offset @ offset)
-
-        if warm_start is not None and warm_start.shape == prior.shape:
-            x = np.maximum(warm_start, 0.0)
-        else:
-            x = np.maximum(prior, 0.0).copy()
-        y = x.copy()
-        momentum = 1.0
-        previous_objective = objective(x)
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            budget_tick()
-            residual = routing.matvec(y) - snapshot
-            gradient = 2.0 * routing.rmatvec(residual) + 2.0 * weight_sq * (y - prior)
-            x_next = np.maximum(y - step * gradient, 0.0)
-            momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-            y = x_next + (momentum - 1.0) / momentum_next * (x_next - x)
-            x, momentum = x_next, momentum_next
-            current_objective = objective(x)
-            denominator = max(abs(previous_objective), 1e-12)
-            if abs(previous_objective - current_objective) / denominator < tolerance:
-                converged = True
-                break
-            previous_objective = current_objective
-        return x, iterations, converged
 
     # ------------------------------------------------------------------
     # batched path
@@ -286,13 +165,14 @@ class BayesianEstimator(Estimator):
         one factorisation serves all ``K`` right-hand sides:
         :func:`repro.optimize.nnls.nnls_normal_equations_batch` inverts it
         once and enforces non-negativity per snapshot with warm-started
-        block principal pivoting.  Results match the per-snapshot NNLS loop
-        (both solve the same strictly convex program exactly).
+        block principal pivoting.  Results match the per-snapshot
+        :meth:`estimate` loop (both solve the same strictly convex program
+        exactly).
         """
         if problem.num_pairs > _GRAM_PAIR_LIMIT:
             # The factor-once path needs a dense (P, P) Gram; above the
-            # limit the generic loop with matrix-free warm-started solves
-            # is both faster and O(nnz + P) in memory.
+            # limit the generic loop of warm-started dual solves is both
+            # faster and O(nnz + L^2) in memory.
             return super().estimate_series(problem)
         priors = self._prior_series(problem)
         if priors is None:
@@ -306,12 +186,8 @@ class BayesianEstimator(Estimator):
         solutions, converged = nnls_normal_equations_batch(gram, rhs)
         estimates = solutions.T
         fallback = np.flatnonzero(~converged)
-        if fallback.size:  # pragma: no cover - PD gram, pivoting always converges
-            weight = np.sqrt(weight_sq)
-            stacked_matrix = np.vstack([routing.matrix, weight * np.eye(num_pairs)])
-            for index in fallback:
-                stacked_rhs = np.concatenate([series[index], weight * priors[index]])
-                estimates[index] = nnls(stacked_matrix, stacked_rhs, prefer=self.solver).x
+        for index in fallback:  # pragma: no cover - PD gram, pivoting always converges
+            estimates[index] = self.estimate(problem.at_snapshot(index)).vector
         return self._series_result(
             problem,
             estimates,

@@ -13,11 +13,13 @@ linear system is inconsistent, and the parameter ``sigma^2`` tunes how much
 the link measurements are trusted — it is the regularisation parameter swept
 in the paper's Figure 13.
 
-The objective is smooth and convex on the positive orthant; the estimator
-minimises it with SciPy's L-BFGS-B using analytic gradients and a tiny
-positive lower bound to keep the logarithm defined.  Demands whose prior is
-zero are pinned to zero, matching the KL convention that they must stay
-zero.
+The objective is strictly convex on the support of the prior.  The
+estimator solves it through its link-space dual
+(:func:`repro.optimize.dual.solve_dual` with a :class:`~repro.optimize.dual.KLMap`):
+Newton steps on one multiplier per link, whose minimiser
+``s = p exp(-R'y / c)`` keeps demands with a zero prior at exactly zero, as
+the KL convention requires.  The result carries the duality gap as its
+convergence certificate.
 """
 
 from __future__ import annotations
@@ -25,30 +27,15 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from repro.errors import EstimationError
-from repro.estimation.base import (
-    EstimationProblem,
-    EstimationResult,
-    Estimator,
-    SeriesEstimationResult,
-)
+from repro.estimation.base import EstimationProblem, EstimationResult, Estimator
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import register
+from repro.optimize.dual import KLMap, solve_dual
 from repro.optimize.ipf import kl_divergence
-from repro.resilience.budget import budget_tick
-from repro.routing.backends import RoutingBackend
 
 __all__ = ["EntropyEstimator"]
-
-_POSITIVE_FLOOR = 1e-9
-
-#: Above this many pairs the damped-Newton series path (which builds and
-#: factorises a dense free-by-free Hessian) is slower than warm-started
-#: quasi-Newton, so the series estimation falls back to the generic
-#: warm-started per-snapshot loop.
-_NEWTON_FREE_LIMIT = 1200
 
 
 @register()
@@ -64,7 +51,7 @@ class EntropyEstimator(Estimator):
         Explicit prior vector or a prior name understood by
         :func:`repro.estimation.priors.make_prior`.
     max_iterations:
-        Iteration cap handed to L-BFGS-B.
+        Cap on the dual solver's Newton steps.
     scale_invariant:
         When ``True`` (default) the KL term is computed on demands scaled by
         the total prior traffic, which keeps the trade-off between the two
@@ -78,7 +65,7 @@ class EntropyEstimator(Estimator):
         self,
         regularization: float = 1000.0,
         prior: str | np.ndarray = "gravity",
-        max_iterations: int = 2000,
+        max_iterations: int = 100,
         scale_invariant: bool = True,
     ) -> None:
         if regularization <= 0:
@@ -97,8 +84,8 @@ class EntropyEstimator(Estimator):
         Called by the generic :meth:`~repro.estimation.base.Estimator.estimate_series`
         loop with the previous snapshot's solution.  The objective is
         strictly convex on its support, so the warm start only changes how
-        fast L-BFGS-B reaches the minimiser, not which minimiser it reaches.
-        One-shot: it applies to the next :meth:`estimate` call only.
+        many Newton steps the dual solve takes, not which minimiser it
+        reaches.  One-shot: it applies to the next :meth:`estimate` call only.
         """
         self._warm_start = np.asarray(vector, dtype=float).copy()
 
@@ -115,234 +102,33 @@ class EntropyEstimator(Estimator):
             raise EstimationError("prior demands must be non-negative")
         return prior
 
-    @staticmethod
-    def _reduced_backend(problem: EstimationProblem, free: np.ndarray) -> RoutingBackend:
-        """The routing backend restricted to the free columns (same kind).
-
-        Column selection happens on the backend, never through the dense
-        view, so sparse problems stay CSR end to end.  The reduced backend
-        is cached in the problem's shared workspace keyed by the free mask:
-        sweeps running several prior-sharing methods — and the Newton
-        series path iterating snapshots with a stable support — reuse one
-        column slice and one cached reduced Gram instead of rebuilding
-        them per call.
-        """
-        full = bool(free.all())
-        key = ("entropy_reduced", None if full else free.tobytes())
-        return problem.shared(
-            key,
-            lambda: problem.routing.backend
-            if full
-            else problem.routing.select_pairs(np.flatnonzero(free)),
-        )
-
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Minimise the regularised objective with projected quasi-Newton steps."""
+        """Minimise the regularised objective by Newton steps on its link-space dual."""
         prior = self._prior_vector(problem)
-        snapshot = problem.snapshot
         warm_start = self._warm_start
         self._warm_start = None
-
-        free = prior > 0
-        if not np.any(free):
+        if not np.any(prior > 0):
             # A zero prior forces a zero estimate (KL keeps zeros at zero).
             return self._result(problem, np.zeros(problem.num_pairs), prior_kind="zero")
-        reduced = self._reduced_backend(problem, free)
-        reduced_prior = prior[free]
 
         # Optional scale normalisation keeps sigma^2 dimensionless.
         scale = float(prior.sum()) if self.scale_invariant else 1.0
-        if scale <= 0:
-            scale = 1.0
-        weight = 1.0 / self.regularization
-
-        def objective_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
-            budget_tick()
-            residual = reduced.matvec(x) - snapshot
-            fit_term = float(residual @ residual)
-            ratio = np.maximum(x, _POSITIVE_FLOOR) / reduced_prior
-            kl_term = float(np.sum(x * np.log(ratio) - x + reduced_prior))
-            value = fit_term + weight * scale * kl_term
-            gradient = 2.0 * reduced.rmatvec(residual) + weight * scale * np.log(ratio)
-            return value, gradient
-
-        if warm_start is not None and warm_start.shape == (problem.num_pairs,):
-            start = np.maximum(warm_start[free], _POSITIVE_FLOOR)
-        else:
-            start = reduced_prior.copy()
-        bounds = [(_POSITIVE_FLOOR, None)] * int(free.sum())
-        outcome = scipy.optimize.minimize(
-            objective_and_gradient,
-            x0=start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": self.max_iterations, "ftol": 1e-12, "gtol": 1e-10},
+        solution = solve_dual(
+            problem.routing.backend,
+            problem.snapshot,
+            KLMap(prior, scale / self.regularization),
+            start=warm_start,
+            max_iterations=self.max_iterations,
         )
-        values = np.zeros(problem.num_pairs)
-        values[free] = np.maximum(outcome.x, 0.0)
+        values = solution.demands
         return self._result(
             problem,
             values,
             regularization=self.regularization,
             prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-            residual_norm=float(
-                np.linalg.norm(problem.routing.matvec(values) - snapshot)
-            ),
-            kl_to_prior=kl_divergence(values[free], prior[free]),
-            iterations=int(outcome.nit),
-            converged=bool(outcome.success),
-        )
-
-    # ------------------------------------------------------------------
-    # batched series path
-    # ------------------------------------------------------------------
-    def _newton_solve(
-        self,
-        reduced: RoutingBackend,
-        snapshot: np.ndarray,
-        reduced_prior: np.ndarray,
-        kl_weight: float,
-        start: np.ndarray,
-        max_iterations: int = 60,
-        gradient_tolerance: float = 1e-10,
-    ) -> tuple[Optional[np.ndarray], int]:
-        """Damped Newton minimisation of the entropy objective.
-
-        The objective is strictly convex on the open positive orthant and
-        its gradient diverges to ``-inf`` at zero, so the minimiser is
-        interior and an unconstrained Newton step with a
-        fraction-to-the-boundary cap plus Armijo backtracking converges to
-        the same point L-BFGS-B finds — typically in under a dozen
-        iterations when started from the previous snapshot's solution.
-        Returns ``(None, iterations)`` when it fails to converge so the
-        caller can fall back to the quasi-Newton path.  ``reduced`` is the
-        routing backend restricted to the free columns; its cached Gram is
-        shared across the snapshots of a series.
-        """
-        gram2 = 2.0 * reduced.gram()
-        linear2 = 2.0 * reduced.rmatvec(snapshot)
-
-        def objective(x: np.ndarray) -> float:
-            residual = reduced.matvec(x) - snapshot
-            ratio = np.maximum(x, _POSITIVE_FLOOR) / reduced_prior
-            return float(residual @ residual) + kl_weight * float(
-                np.sum(x * np.log(ratio) - x + reduced_prior)
-            )
-
-        x = np.maximum(start, _POSITIVE_FLOOR)
-        value = objective(x)
-        gradient_scale = max(1.0, kl_weight)
-        for iteration in range(1, max_iterations + 1):
-            budget_tick()
-            safe_x = np.maximum(x, _POSITIVE_FLOOR)
-            gradient = gram2 @ x - linear2 + kl_weight * np.log(safe_x / reduced_prior)
-            if float(np.abs(gradient).max(initial=0.0)) <= gradient_tolerance * gradient_scale:
-                return x, iteration
-            hessian = gram2 + np.diag(kl_weight / safe_x)
-            try:
-                step = np.linalg.solve(hessian, -gradient)
-            except np.linalg.LinAlgError:
-                return None, iteration
-            negative = step < 0
-            step_size = 1.0
-            if negative.any():
-                step_size = min(1.0, 0.995 * float(np.min(-x[negative] / step[negative])))
-            directional = float(gradient @ step)
-            if abs(directional) <= 1e-12 * max(1.0, abs(value)):
-                # Newton decrement at the floating-point floor of the
-                # objective: the point is converged even if the raw
-                # gradient cannot cancel below the absolute tolerance.
-                return x, iteration
-            if directional > 0:
-                # A near-singular Hessian solve produced an ascent
-                # direction; hand the snapshot to the exact fallback
-                # rather than accepting uphill steps.
-                return None, iteration
-            accepted = False
-            for _ in range(40):
-                candidate = x + step_size * step
-                candidate_value = objective(candidate)
-                if candidate_value <= value + 1e-4 * step_size * directional:
-                    accepted = True
-                    break
-                step_size *= 0.5
-            if not accepted:
-                # The quadratic model stopped improving; the point is as
-                # converged as floating point allows.
-                return x, iteration
-            x, value = candidate, candidate_value
-        return None, max_iterations
-
-    def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
-        """Per-snapshot estimates, warm-started from the previous snapshot.
-
-        Consecutive snapshots differ little, so each snapshot's solve
-        starts from the previous solution and refines it with damped
-        Newton steps on the same objective ``estimate`` minimises — the
-        unique interior optimum guarantees both solvers agree (up to
-        convergence tolerance), while the warm start plus second-order
-        convergence replaces hundreds of L-BFGS-B iterations with a few.
-        Snapshots where Newton does not converge fall back to the exact
-        per-snapshot path.  Problems with more than ``_NEWTON_FREE_LIMIT``
-        pairs skip the dense free-by-free Hessian entirely and run the
-        warm-started quasi-Newton loop instead (same minimiser, no large
-        dense intermediate) — the path large sparse backbones take.  (The
-        gate uses the pair count, not the prior's support: building a
-        prior just to count positives would pay the full prior cost — two
-        LPs per pair for ``"wcb"`` — on a throwaway sub-problem.)
-        """
-        series = problem.series
-        if problem.num_pairs > _NEWTON_FREE_LIMIT:
-            return super().estimate_series(problem)
-        estimates = np.empty((series.shape[0], problem.num_pairs))
-        previous: Optional[np.ndarray] = None
-        newton_snapshots = 0
-        fallback_snapshots = 0
-        total_iterations = 0
-        for index in range(series.shape[0]):
-            sub_problem = problem.at_snapshot(index)
-            prior = self._prior_vector(sub_problem)
-            free = prior > 0
-            solution: Optional[np.ndarray] = None
-            if np.any(free):
-                reduced_prior = prior[free]
-                scale = float(prior.sum()) if self.scale_invariant else 1.0
-                kl_weight = (scale if scale > 0 else 1.0) / self.regularization
-                start = reduced_prior if previous is None else np.maximum(
-                    previous[free], _POSITIVE_FLOOR
-                )
-                # Key the reduced slice on the *series* problem so every
-                # snapshot with the same support shares one column slice
-                # and one cached Gram.
-                reduced, iterations = self._newton_solve(
-                    self._reduced_backend(problem, free),
-                    sub_problem.snapshot,
-                    reduced_prior,
-                    kl_weight,
-                    start,
-                )
-                total_iterations += iterations
-                if reduced is not None:
-                    solution = np.zeros(problem.num_pairs)
-                    solution[free] = np.maximum(reduced, 0.0)
-                    newton_snapshots += 1
-            else:
-                solution = np.zeros(problem.num_pairs)
-            if solution is None:
-                solution = self.estimate(sub_problem).vector
-                fallback_snapshots += 1
-            estimates[index] = solution
-            previous = solution
-        return self._series_result(
-            problem,
-            estimates,
-            batched=True,
-            warm_started=True,
-            regularization=self.regularization,
-            newton_snapshots=newton_snapshots,
-            fallback_snapshots=fallback_snapshots,
-            mean_newton_iterations=(
-                total_iterations / max(1, newton_snapshots + fallback_snapshots)
-            ),
+            residual_norm=float(np.linalg.norm(problem.routing.matvec(values) - problem.snapshot)),
+            kl_to_prior=kl_divergence(values, prior),
+            iterations=solution.iterations,
+            converged=solution.converged,
+            duality_gap=solution.duality_gap,
         )

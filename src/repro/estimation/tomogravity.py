@@ -83,8 +83,8 @@ class TomogravityEstimator(Estimator):
         """Delegate to the inner estimator's batched path.
 
         With the ``"bayesian"`` flavour this inherits the factor-once
-        Cholesky solve; the entropy flavour currently falls back to the
-        generic per-snapshot loop of its inner estimator.
+        Cholesky solve; the entropy flavour runs the generic loop of
+        warm-started dual solves.
         """
         result = self._inner.estimate_series(problem)
         diagnostics = dict(result.diagnostics)

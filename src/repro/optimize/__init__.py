@@ -2,6 +2,8 @@
 
 These solvers back the estimation methods:
 
+* :mod:`~repro.optimize.dual` — the link-space dual Newton solver behind
+  the entropy and Bayesian estimators;
 * :mod:`~repro.optimize.nnls` — non-negative least squares (active set and
   accelerated projected gradient);
 * :mod:`~repro.optimize.qp` — equality-constrained least squares with and
@@ -12,6 +14,7 @@ These solvers back the estimation methods:
   generalised iterative scaling / KL projection.
 """
 
+from repro.optimize.dual import DualResult, KLMap, L2Map, solve_dual
 from repro.optimize.ipf import (
     IPFResult,
     generalized_iterative_scaling,
@@ -37,6 +40,10 @@ from repro.optimize.qp import (
 )
 
 __all__ = [
+    "DualResult",
+    "KLMap",
+    "L2Map",
+    "solve_dual",
     "NNLSResult",
     "nnls",
     "nnls_active_set",

@@ -89,6 +89,10 @@ class RoutingOperator(Protocol):
         """The dense Gram matrix ``R.T @ R``."""
         ...
 
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        """The dense link-space matrix ``R @ diag(weights) @ R.T``."""
+        ...
+
     def column_select(self, indices: np.ndarray) -> "RoutingOperator":
         """A new operator restricted to the given pair columns."""
         ...
@@ -160,6 +164,10 @@ class RoutingBackend(abc.ABC):
         """The dense Gram matrix ``R.T @ R`` (cached)."""
 
     @abc.abstractmethod
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        """The dense ``(num_links, num_links)`` matrix ``R @ diag(weights) @ R.T``."""
+
+    @abc.abstractmethod
     def toarray(self) -> np.ndarray:
         """Dense ndarray view (cached; do not mutate)."""
 
@@ -221,6 +229,9 @@ class DenseBackend(RoutingBackend):
         if self._gram is None:
             self._gram = self._matrix.T @ self._matrix
         return self._gram
+
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        return (self._matrix * weights) @ self._matrix.T
 
     def toarray(self) -> np.ndarray:
         return self._matrix
@@ -285,6 +296,11 @@ class SparseBackend(RoutingBackend):
         if self._gram is None:
             self._gram = np.asarray((self._matrix.T @ self._matrix).todense())
         return self._gram
+
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        scaled = self._matrix.copy()
+        scaled.data *= weights[scaled.indices]
+        return (scaled @ self._matrix.T).toarray()
 
     def toarray(self) -> np.ndarray:
         if self._dense is None:

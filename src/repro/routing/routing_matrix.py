@@ -77,7 +77,6 @@ class RoutingMatrix:
         self._link_index = {name: idx for idx, name in enumerate(self.link_names)}
         self._rank: Optional[int] = None
         self._path_lengths: Optional[np.ndarray] = None
-        self._spectral_radius: Optional[float] = None
 
     # ------------------------------------------------------------------
     # backend / storage
@@ -247,39 +246,6 @@ class RoutingMatrix:
     def is_underdetermined(self) -> bool:
         """Whether ``R s = t`` has infinitely many non-negative candidates."""
         return self.rank() < self.num_pairs
-
-    def gram_spectral_radius(self) -> float:
-        """``lambda_max(R'R)`` by operator power iteration (computed once).
-
-        Uses only ``matvec``/``rmatvec`` products — no Gram matrix is
-        formed — with a deterministic start (the path-length direction,
-        which has a non-zero component on the dominant eigenvector of the
-        non-negative ``R'R``) and a 1 % safety inflation so step sizes
-        derived as ``1/L`` stay valid if the iteration stops marginally
-        low.  Cached on the routing matrix, which is shared across every
-        snapshot sub-problem of a series, unlike per-problem caches.
-        """
-        if self._spectral_radius is None:
-            vector = self.path_lengths().astype(float).copy()
-            norm = float(np.linalg.norm(vector))
-            if norm == 0.0:
-                self._spectral_radius = 0.0
-                return self._spectral_radius
-            vector /= norm
-            eigenvalue = 0.0
-            for _ in range(200):
-                product = self.rmatvec(self.matvec(vector))
-                next_eigenvalue = float(np.linalg.norm(product))
-                if next_eigenvalue == 0.0:
-                    self._spectral_radius = 0.0
-                    return self._spectral_radius
-                vector = product / next_eigenvalue
-                if abs(next_eigenvalue - eigenvalue) <= 1e-6 * max(next_eigenvalue, 1e-30):
-                    eigenvalue = next_eigenvalue
-                    break
-                eigenvalue = next_eigenvalue
-            self._spectral_radius = 1.01 * eigenvalue
-        return self._spectral_radius
 
     def path_lengths(self) -> np.ndarray:
         """Per-pair path lengths (column sums; cached, read-only)."""

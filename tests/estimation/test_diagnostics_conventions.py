@@ -19,14 +19,19 @@ import warnings
 import pytest
 
 from repro.estimation.registry import available_estimators, get_estimator
+from repro.optimize.dual import GAP_TOLERANCE
 
 FORBIDDEN_ALIASES = ("solver_iterations", "solver_converged", "link_residual")
 
+#: Keys of the estimators solved by the link-space dual kernel, whose
+#: ``converged`` flag is derived from the duality-gap certificate.
+CERTIFIED = {"iterations", "converged", "residual_norm", "duality_gap"}
+
 #: name -> (constructor params, problem kind, required canonical keys)
 CONVENTIONS = {
-    "bayesian": ({}, "snapshot", {"iterations", "converged", "residual_norm"}),
+    "bayesian": ({}, "snapshot", CERTIFIED),
     "cao": ({}, "series", {"iterations"}),
-    "entropy": ({}, "snapshot", {"iterations", "converged", "residual_norm"}),
+    "entropy": ({}, "snapshot", CERTIFIED),
     "fanout": ({}, "series", {"residual_norm"}),
     "generalized-gravity": ({"peering_nodes": set()}, "snapshot", set()),
     "gravity": ({}, "snapshot", set()),
@@ -38,7 +43,7 @@ CONVENTIONS = {
         "snapshot",
         {"iterations", "converged", "residual_norm"},
     ),
-    "tomogravity": ({}, "snapshot", {"iterations", "converged", "residual_norm"}),
+    "tomogravity": ({}, "snapshot", CERTIFIED),
     "vardi": ({}, "series", {"iterations", "converged"}),
     "worst-case-bounds": ({}, "snapshot", set()),
 }
@@ -72,3 +77,8 @@ def test_canonical_diagnostics_keys(name, small_scenario_session):
         assert isinstance(diagnostics["converged"], bool)
     if "iterations" in diagnostics:
         assert float(diagnostics["iterations"]) == int(diagnostics["iterations"])
+    if "duality_gap" in diagnostics:
+        # converged is derived from the certificate, which must hold here.
+        gap = diagnostics["duality_gap"]
+        assert diagnostics["converged"] is (0.0 <= gap <= GAP_TOLERANCE)
+        assert diagnostics["converged"]

@@ -37,6 +37,13 @@ def america_problem():
 
 
 @pytest.fixture(scope="module")
+def abilene_problem():
+    from repro.datasets import abilene_scenario
+
+    return abilene_scenario().snapshot_problem()
+
+
+@pytest.fixture(scope="module")
 def large_problem():
     from repro.datasets import large_scenario
 
@@ -57,7 +64,7 @@ def supervisor_start(problem, seed=0):
 
 
 class TestBayesianMatchesActiveSet:
-    @pytest.mark.parametrize("name", ["europe_problem", "america_problem"])
+    @pytest.mark.parametrize("name", ["europe_problem", "america_problem", "abilene_problem"])
     @pytest.mark.parametrize("regularization", [1e-8, 1.0, 1e3, 1e6])
     def test_equals_stacked_lawson_hanson(self, request, name, regularization):
         problem = request.getfixturevalue(name)
@@ -84,9 +91,10 @@ class TestBayesianMatchesActiveSet:
 
 
 class TestEntropyCertificate:
+    @pytest.mark.parametrize("name", ["europe_problem", "abilene_problem"])
     @pytest.mark.parametrize("regularization", [1.0, 1e3, 1e6])
-    def test_no_worse_than_tight_quasi_newton(self, europe_problem, regularization):
-        problem = europe_problem
+    def test_no_worse_than_tight_quasi_newton(self, request, name, regularization):
+        problem = request.getfixturevalue(name)
         prior = make_prior(problem, "gravity")
         matrix = problem.routing.matrix
         kl_weight = prior.sum() / regularization

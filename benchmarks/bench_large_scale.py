@@ -20,7 +20,7 @@ backbones of growing size:
   estimator drift is the max relative L2 difference between dense- and
   sparse-backend estimates on Europe).
 
-The PR 6 tier measures **hierarchical region-sharded estimation** at
+The sharding tier measures **hierarchical region-sharded estimation** at
 continental scale (default N=500, opt-in N=1000 via ``BENCH_PR6_NS``)
 next to flat tomogravity on the sparse backend: wall time, tracemalloc
 peaks proving neither path materialises a dense ``(links, pairs)`` or

@@ -20,13 +20,15 @@ backbones of growing size:
   estimator drift is the max relative L2 difference between dense- and
   sparse-backend estimates on Europe).
 
-The sharding tier measures **hierarchical region-sharded estimation** at
-continental scale (default N=500, opt-in N=1000 via ``BENCH_PR6_NS``)
-next to flat tomogravity on the sparse backend: wall time, tracemalloc
-peaks proving neither path materialises a dense ``(links, pairs)`` or
-``(pairs, pairs)`` array, accuracy (MRE against the synthetic truth), and
-the csgraph-vs-python batched routing build.  The results land in
-``BENCH_PR6.json``.
+The continental-scale tier (default N=500; N=1000 via ``BENCH_PR6_NS``
+needs ~5 GB RSS) times the scenario build, checks the csgraph routing
+engine route-for-route against the python sweep (exact digests), and
+runs flat tomogravity on the sparse backend: wall time, a tracemalloc
+peak that must stay under the dense ``(links, pairs)`` routing footprint,
+MRE against the synthetic truth, and the duality-gap certificate, which
+must be within ``repro.optimize.dual.GAP_TOLERANCE``.  The results land
+in ``BENCH_PR6.json``.  The telemetry tier measures the disabled-telemetry
+overhead and exports the Chrome trace of a pooled method comparison.
 
 Run directly (CI uses a single small N and a relaxed speedup floor for
 shared runners)::
@@ -35,6 +37,7 @@ shared runners)::
     PYTHONPATH=src BENCH_PR5_NS=50 BENCH_PR5_MIN_ROUTING_SPEEDUP=3.0 \
         python benchmarks/bench_large_scale.py
     PYTHONPATH=src BENCH_PR6_ONLY=1 python benchmarks/bench_large_scale.py
+    PYTHONPATH=src BENCH_PR9_ONLY=1 python benchmarks/bench_large_scale.py
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def named_scenario_drift() -> dict:
 
 
 # ----------------------------------------------------------------------
-# PR 6: hierarchical region-sharded estimation at continental scale
+# Continental-scale tier: flat tomogravity at N=500
 # ----------------------------------------------------------------------
 
 
@@ -215,29 +218,19 @@ def _route_digest(paths) -> str:
     return digest.hexdigest()
 
 
-def _timed_estimate(estimator, problem) -> tuple[float, float, np.ndarray]:
-    """``(seconds, tracemalloc peak bytes, estimate vector)`` for one run."""
-    tracemalloc.start()
-    start = time.perf_counter()
-    vector = estimator.estimate(problem).vector
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return seconds, float(peak), vector
-
-
 def _mre(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Mean relative error over the top-quartile demands (the paper's focus)."""
     mask = truth > np.percentile(truth, 75)
     return float(np.mean(np.abs(estimate[mask] - truth[mask]) / truth[mask]))
 
 
-def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
+def continental_benchmark(n_nodes: int) -> dict:
     from repro.datasets import large_scenario
     from repro.estimation.registry import get_estimator
+    from repro.optimize.dual import GAP_TOLERANCE
     from repro.routing.shortest_path import ShortestPathRouter
 
-    print(f"[sharded] N={n_nodes}: building scenario ...")
+    print(f"[continental] N={n_nodes}: building scenario ...")
     start = time.perf_counter()
     scenario = large_scenario(n_nodes, seed=SEED)
     build_seconds = time.perf_counter() - start
@@ -267,12 +260,17 @@ def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
     gc.collect()
     assert csgraph_digest == python_digest, "csgraph routes diverged from python sweep"
 
-    # Memory allowances: neither path may materialise a dense routing-sized
-    # (links, pairs) array nor any (pairs, pairs) array.
-    dense_routing_bytes = float(num_links * num_pairs * 8)
-    pairs_sq_bytes = float(num_pairs) * float(num_pairs) * 8.0
-    allowance = min(dense_routing_bytes, pairs_sq_bytes)
-
+    # The flat solve works in link space, so no intermediate may reach the
+    # dense (links, pairs) routing footprint.
+    allowance = float(num_links * num_pairs * 8)
+    print(f"[continental] N={n_nodes}: flat tomogravity ...")
+    tracemalloc.start()
+    start = time.perf_counter()
+    result = get_estimator("tomogravity").estimate(problem)
+    seconds = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    diagnostics = result.diagnostics
     record = {
         "num_nodes": n_nodes,
         "num_links": num_links,
@@ -282,65 +280,44 @@ def sharded_benchmark(n_nodes: int, run_flat: bool) -> dict:
         "routing_python_seconds": routing_python_seconds,
         "routing_csgraph_seconds": routing_csgraph_seconds,
         "routing_csgraph_paths_identical": True,
-        "dense_routing_bytes": dense_routing_bytes,
-        "pairs_sq_bytes": pairs_sq_bytes,
-        "memory_allowance_bytes": allowance,
+        "dense_routing_bytes": allowance,
+        "tomogravity_seconds": seconds,
+        "tomogravity_peak_bytes": float(peak),
+        "tomogravity_mre": _mre(result.vector, truth),
+        "tomogravity_iterations": int(diagnostics["iterations"]),
+        "tomogravity_duality_gap": float(diagnostics["duality_gap"]),
+        "tomogravity_converged": bool(diagnostics["converged"]),
     }
-
-    print(f"[sharded] N={n_nodes}: sharded tomogravity ...")
-    sharded = get_estimator("sharded", base="tomogravity")
-    sharded_seconds, sharded_peak, sharded_vector = _timed_estimate(sharded, problem)
-    assert sharded_peak < allowance, (
-        f"sharded path allocated {sharded_peak / 1e6:.1f} MB at N={n_nodes}, above "
-        f"the dense-array allowance {allowance / 1e6:.1f} MB"
-    )
-    record.update(
-        sharded_seconds=sharded_seconds,
-        sharded_peak_bytes=sharded_peak,
-        sharded_mre=_mre(sharded_vector, truth),
-    )
     print(
-        f"[sharded] N={n_nodes}: sharded {sharded_seconds:6.2f}s "
-        f"(peak {sharded_peak / 1e6:.0f} MB, MRE {record['sharded_mre']:.3f})"
+        f"[continental] N={n_nodes}: flat tomogravity {seconds:6.2f}s "
+        f"(peak {peak / 1e6:.0f} MB, MRE {record['tomogravity_mre']:.3f}, "
+        f"gap {record['tomogravity_duality_gap']:.1e})"
     )
-
-    if run_flat:
-        print(f"[sharded] N={n_nodes}: flat tomogravity ...")
-        flat = get_estimator("tomogravity")
-        flat_seconds, flat_peak, flat_vector = _timed_estimate(flat, problem)
-        assert flat_peak < allowance, (
-            f"flat path allocated {flat_peak / 1e6:.1f} MB at N={n_nodes}, above "
-            f"the dense-array allowance {allowance / 1e6:.1f} MB"
-        )
-        scale = max(float(np.linalg.norm(flat_vector)), 1e-12)
-        record.update(
-            flat_seconds=flat_seconds,
-            flat_peak_bytes=flat_peak,
-            flat_mre=_mre(flat_vector, truth),
-            sharded_vs_flat_relative_l2=float(
-                np.linalg.norm(sharded_vector - flat_vector) / scale
-            ),
-        )
-        print(
-            f"[sharded] N={n_nodes}: flat {flat_seconds:6.2f}s "
-            f"(peak {flat_peak / 1e6:.0f} MB, MRE {record['flat_mre']:.3f})"
-        )
+    assert peak < allowance, (
+        f"flat tomogravity allocated {peak / 1e6:.1f} MB at N={n_nodes}, above "
+        f"the dense routing footprint {allowance / 1e6:.1f} MB"
+    )
+    assert (
+        record["tomogravity_converged"]
+        and record["tomogravity_duality_gap"] <= GAP_TOLERANCE
+    ), (
+        f"flat tomogravity at N={n_nodes} is uncertified: duality gap "
+        f"{record['tomogravity_duality_gap']:.2e} (tolerance {GAP_TOLERANCE:.0e})"
+    )
     return record
 
 
 def main_pr6() -> dict:
     ns = parse_pr6_ns()
-    run_flat = not os.environ.get("BENCH_PR6_SKIP_FLAT")
-    records = [sharded_benchmark(n_nodes, run_flat) for n_nodes in ns]
+    records = [continental_benchmark(n_nodes) for n_nodes in ns]
     payload = {
         "seed": SEED,
         "ns": list(ns),
         "records": records,
         "cpu_count": os.cpu_count(),
-        "no_dense_materialisation": True,
     }
-    merge_record(PR6_RECORD_PATH, "hierarchical_sharding", payload)
-    print(f"[sharded] OK (no dense materialisation), recorded in {PR6_RECORD_PATH.name}")
+    merge_record(PR6_RECORD_PATH, "continental_scale", payload)
+    print(f"[continental] OK (certified, no densification), recorded in {PR6_RECORD_PATH.name}")
     return payload
 
 
@@ -480,27 +457,25 @@ def telemetry_overhead_benchmark(n_nodes: int, repeats: int) -> dict:
 
 
 def telemetry_trace_benchmark(n_nodes: int, trace_path: Path) -> dict:
-    """Export a Chrome trace of a sharded N-node run (telemetry enabled)."""
+    """Export a Chrome trace of a pooled N-node method comparison (telemetry enabled)."""
     from repro import telemetry
     from repro.datasets import large_scenario
     from repro.evaluation.experiments import MethodSpec, method_comparison
 
     scenario = large_scenario(n_nodes, seed=SEED)
-    # effective_jobs() clamps the shard fan-out to the CPU count; pin it
+    specs = [
+        MethodSpec(label="Gravity", estimator="gravity"),
+        MethodSpec(label="Tomogravity", estimator="tomogravity"),
+        MethodSpec(label="Kruithof", estimator="kruithof"),
+    ]
+    # effective_jobs() clamps the spec fan-out to the CPU count; pin it
     # so the exported trace crosses the pool even on single-CPU runners.
     real_cpu_count = os.cpu_count
     os.cpu_count = lambda: max(2, real_cpu_count() or 1)
     telemetry.enable()
     try:
-        specs = [
-            MethodSpec(
-                label="Sharded tomogravity",
-                estimator="sharded",
-                params={"base": "tomogravity", "num_regions": 4, "n_jobs": 2},
-            )
-        ]
         start = time.perf_counter()
-        records = method_comparison(scenario, specs=specs, n_jobs=1)
+        records = method_comparison(scenario, specs=specs, n_jobs=2)
         enabled_seconds = time.perf_counter() - start
         spans = telemetry.drain_spans()
         metrics = telemetry.metrics_snapshot()
@@ -510,13 +485,16 @@ def telemetry_trace_benchmark(n_nodes: int, trace_path: Path) -> dict:
         os.cpu_count = real_cpu_count
 
     telemetry.export_chrome_trace(str(trace_path), spans)
+    pool_runs = {s.span_id for s in spans if s.name == "pool.run"}
     worker_tasks = [s for s in spans if s.name == "pool.task"]
     return {
         "num_nodes": n_nodes,
-        "mre": records[0].mre,
+        "num_specs": len(specs),
+        "mre": {record.method: record.mre for record in records},
         "enabled_seconds": enabled_seconds,
         "num_spans": len(spans),
         "num_pool_tasks": len(worker_tasks),
+        "num_reparented_tasks": sum(task.parent_id in pool_runs for task in worker_tasks),
         "worker_pids": sorted({s.process for s in worker_tasks}),
         "solver_iterations": metrics["counters"].get("solver.iterations", 0.0),
         "trace_file": trace_path.name,
@@ -542,7 +520,7 @@ def main_pr9() -> dict:
         f"counter_inc() {overhead['disabled_counter_ns_per_call']:.0f} ns/call"
     )
 
-    print(f"[telemetry] N={n_nodes}: sharded trace export (telemetry enabled) ...")
+    print(f"[telemetry] N={n_nodes}: pooled method-comparison trace (telemetry enabled) ...")
     trace = telemetry_trace_benchmark(n_nodes, trace_path)
     print(
         f"[telemetry]     {trace['num_spans']} spans "
@@ -563,7 +541,10 @@ def main_pr9() -> dict:
         f"disabled-telemetry overhead {overhead['max_overhead_ratio'] * 100:.2f}% "
         f"above the required {max_overhead * 100:.1f}%"
     )
-    assert trace["num_pool_tasks"] >= 1, "trace contains no cross-pool task spans"
+    assert trace["num_reparented_tasks"] == trace["num_pool_tasks"] == trace["num_specs"], (
+        f"trace holds {trace['num_pool_tasks']} pool tasks "
+        f"({trace['num_reparented_tasks']} re-parented) for {trace['num_specs']} specs"
+    )
     print(
         f"[telemetry] OK (disabled overhead <= {max_overhead * 100:.1f}%), "
         f"recorded in {PR9_RECORD_PATH.name}"

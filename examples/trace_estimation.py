@@ -1,9 +1,9 @@
 """Tracing an estimation run with repro.telemetry.
 
-This example turns telemetry on, runs the hierarchical sharded estimator
-over a mid-size synthetic backbone (fanning the region shards over a
-process pool when more than one CPU is available), and then shows the
-three ways out of the collected trace:
+This example turns telemetry on, runs a method comparison (gravity,
+tomogravity and Kruithof) over a mid-size synthetic backbone (fanning the
+methods over a process pool when more than one CPU is available), and
+then shows the three ways out of the collected trace:
 
 1. the per-stage summary rollup (``format_summary``) — count, total,
    mean, max and *self* time per stage, straight to the terminal;
@@ -29,27 +29,27 @@ import os
 
 from repro import telemetry
 from repro.datasets import large_scenario
-from repro.estimation import get_estimator
+from repro.evaluation.experiments import MethodSpec, method_comparison
+
+SPECS = (
+    MethodSpec(label="Gravity", estimator="gravity"),
+    MethodSpec(label="Tomogravity", estimator="tomogravity"),
+    MethodSpec(label="Kruithof", estimator="kruithof"),
+)
 
 
 def main() -> None:
-    n_jobs = min(4, os.cpu_count() or 1)
+    n_jobs = min(2, os.cpu_count() or 1)
     print("Building a 60-PoP synthetic backbone (3540 demands)...")
     scenario = large_scenario(num_nodes=60, seed=1, busy_length=8, num_samples=16)
-    problem = scenario.snapshot_problem()
 
-    print(f"Tracing a sharded tomogravity estimate (n_jobs={n_jobs})...")
+    print(f"Tracing a method comparison over {len(SPECS)} methods (n_jobs={n_jobs})...")
     telemetry.enable()
-    estimator = get_estimator(
-        "sharded", base="tomogravity", num_regions=4, n_jobs=n_jobs
-    )
-    result = estimator.estimate(problem)
+    records = method_comparison(scenario, specs=SPECS, n_jobs=n_jobs)
     telemetry.disable()
 
-    print(
-        f"  estimate done: {result.diagnostics['num_shards']} shards over "
-        f"{result.diagnostics['num_regions']} regions"
-    )
+    for record in records:
+        print(f"  {record.method:<12} MRE {record.mre:.3f}")
 
     print("\nWhere did the seconds go?\n")
     print(telemetry.format_summary())

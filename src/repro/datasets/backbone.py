@@ -189,7 +189,6 @@ def large_scenario(
     num_samples: int = 48,
     avg_degree: float = 3.0,
     total_traffic_mbps: Optional[float] = None,
-    num_regions: Optional[int] = None,
 ) -> Scenario:
     """Build a large random-backbone scenario for scaling studies.
 
@@ -223,17 +222,9 @@ def large_scenario(
     total_traffic_mbps:
         Total busy-hour traffic; defaults to 600 Mbit/s per PoP, keeping
         per-link utilisation in a realistic band as the mesh grows.
-    num_regions:
-        Stamp the topology with this many automatically partitioned region
-        labels (for hierarchical estimation); ``None`` leaves the nodes
-        unlabelled — the sharded estimator then partitions on the fly.
     """
     network = random_backbone(
-        num_nodes,
-        avg_degree=avg_degree,
-        seed=seed,
-        name=f"large-{num_nodes}",
-        num_regions=num_regions,
+        num_nodes, avg_degree=avg_degree, seed=seed, name=f"large-{num_nodes}"
     )
     if total_traffic_mbps is None:
         total_traffic_mbps = 600.0 * num_nodes

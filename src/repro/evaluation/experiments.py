@@ -86,7 +86,7 @@ class ExperimentRecord:
         only populated under ``skip_errors``.
     degradation:
         The :class:`~repro.resilience.report.DegradationReport` dict the
-        estimator attached to its diagnostics (supervised/sharded methods),
+        estimator attached to its diagnostics (supervised methods),
         ``None`` for a clean run.
     """
 
@@ -234,7 +234,7 @@ class _SpecOutcome:
 
     ``vector`` is ``None`` exactly when ``failure`` is set; ``degradation``
     carries the estimator's own degradation-report dict when the method ran
-    but had to fall back internally (supervised/sharded estimators).
+    but had to fall back internally (supervised estimators).
     """
 
     vector: Optional[np.ndarray]
@@ -334,7 +334,7 @@ class SpecEstimate:
         when the spec ran.
     degradation:
         The degradation-report dict the estimator attached to its
-        diagnostics (supervised/sharded methods), ``None`` for a clean run.
+        diagnostics (supervised methods), ``None`` for a clean run.
     """
 
     spec: MethodSpec
@@ -663,7 +663,7 @@ class RobustnessRecord:
         Structured skip reason (``None`` when the method ran).
     degradation:
         Degradation-report dict from the method's diagnostics
-        (supervised/sharded methods), ``None`` for a clean run.
+        (supervised methods), ``None`` for a clean run.
     """
 
     scenario: str

@@ -17,7 +17,7 @@ __all__ = ["FailureReason", "DegradationEvent", "DegradationReport"]
 
 @dataclass(frozen=True)
 class FailureReason:
-    """Why one attempt (a spec, a shard, a fallback step) failed.
+    """Why one attempt (a spec or a fallback step) failed.
 
     Attributes
     ----------
@@ -27,11 +27,11 @@ class FailureReason:
     message:
         ``str(exc)`` of the failure.
     spec:
-        Human-readable identifier of what failed: a method-spec repr, a
-        shard's region pair, a fallback step name.
+        Human-readable identifier of what failed: a method-spec label or a
+        fallback step name.
     stage:
         Pipeline stage that observed the failure (``"construct"``,
-        ``"estimate"``, ``"shard"``, ``"budget"`` ...).
+        ``"estimate"``, ``"budget"`` ...).
     """
 
     exception: str

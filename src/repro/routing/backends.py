@@ -93,10 +93,6 @@ class RoutingOperator(Protocol):
         """The dense link-space matrix ``R @ diag(weights) @ R.T``."""
         ...
 
-    def column_select(self, indices: np.ndarray) -> "RoutingOperator":
-        """A new operator restricted to the given pair columns."""
-        ...
-
 
 class RoutingBackend(abc.ABC):
     """Operator-style storage of a ``(num_links, num_pairs)`` matrix."""
@@ -144,16 +140,6 @@ class RoutingBackend(abc.ABC):
     @abc.abstractmethod
     def column(self, index: int) -> np.ndarray:
         """Dense copy of one column."""
-
-    @abc.abstractmethod
-    def column_select(self, indices: np.ndarray) -> "RoutingBackend":
-        """A new backend of the same kind holding only the given columns.
-
-        This is the sparse-safe replacement for ``toarray()[:, indices]``:
-        estimators that restrict the problem to a demand subset (entropy's
-        free set, partial-measurement reductions) stay in CSR on sparse
-        backends instead of materialising the dense view.
-        """
 
     @abc.abstractmethod
     def column_sums(self) -> np.ndarray:
@@ -219,9 +205,6 @@ class DenseBackend(RoutingBackend):
     def column(self, index: int) -> np.ndarray:
         return self._matrix[:, index]
 
-    def column_select(self, indices: np.ndarray) -> "DenseBackend":
-        return DenseBackend(self._matrix[:, np.asarray(indices)])
-
     def column_sums(self) -> np.ndarray:
         return self._matrix.sum(axis=0)
 
@@ -285,9 +268,6 @@ class SparseBackend(RoutingBackend):
 
     def column(self, index: int) -> np.ndarray:
         return self._matrix.getcol(index).toarray().ravel()
-
-    def column_select(self, indices: np.ndarray) -> "SparseBackend":
-        return SparseBackend(self._matrix[:, np.asarray(indices)])
 
     def column_sums(self) -> np.ndarray:
         return np.asarray(self._matrix.sum(axis=0)).ravel()

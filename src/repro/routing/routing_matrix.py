@@ -113,15 +113,6 @@ class RoutingMatrix:
             return self._backend.raw
         return self._backend.toarray()
 
-    def select_pairs(self, indices: np.ndarray) -> RoutingBackend:
-        """Backend restricted to the given pair columns (same storage kind).
-
-        The sparse-safe replacement for ``matrix[:, indices]``: estimators
-        that reduce the problem to a demand subset keep CSR storage on
-        sparse backends.
-        """
-        return self._backend.column_select(indices)
-
     def with_backend(self, backend: str) -> "RoutingMatrix":
         """Return a copy of this routing matrix using the given backend."""
         return RoutingMatrix(

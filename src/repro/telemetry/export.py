@@ -6,9 +6,9 @@ Three ways out of the in-memory trace:
   every :class:`~repro.telemetry.spans.SpanRecord`; the archival format.
 * :func:`export_chrome_trace` — the Chrome trace-event format (complete
   ``"ph": "X"`` events), loadable in Perfetto / ``chrome://tracing``.
-  Spans from pool workers keep their real ``pid``, so a sharded run
-  renders as one parent track plus one track per worker process on a
-  shared wall-clock timeline.
+  Spans from pool workers keep their real ``pid``, so a pooled
+  experiment run renders as one parent track plus one track per worker
+  process on a shared wall-clock timeline.
 * :func:`summary_table` / :func:`format_summary` — per-stage rollup
   (count, total, mean, max, self-time) keyed by the span label
   (``name[method]``), for a quick "where did the seconds go" answer

@@ -67,7 +67,7 @@ def record_iterations(count: int = 1) -> None:
 
     Besides the global ``solver.iterations`` counter, the ticks are
     attributed to the innermost open span so a trace shows how many
-    iterations each ``estimate`` (or shard task) burned.
+    iterations each ``estimate`` (or pool task) burned.
     """
     if not _STATE.enabled:
         return

@@ -10,9 +10,7 @@ This package provides the data model every other subsystem builds on:
 * :mod:`~repro.topology.generators` — synthetic backbones matching the
   paper's European (12 PoPs / 72 links) and American (25 PoPs / 284 links)
   subnetworks;
-* :mod:`~repro.topology.regions` — region extraction, PoP aggregation and
-  the automatic region partitioner behind hierarchical (sharded)
-  estimation.
+* :mod:`~repro.topology.regions` — region extraction and PoP aggregation.
 """
 
 from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole
@@ -31,11 +29,7 @@ from repro.topology.network import Network
 from repro.topology.regions import (
     aggregate_demands_to_pops,
     aggregate_to_pops,
-    aggregate_to_regions,
-    assign_regions,
-    default_num_regions,
     extract_region,
-    partition_regions,
 )
 
 __all__ = [
@@ -57,8 +51,4 @@ __all__ = [
     "extract_region",
     "aggregate_to_pops",
     "aggregate_demands_to_pops",
-    "partition_regions",
-    "assign_regions",
-    "aggregate_to_regions",
-    "default_num_regions",
 ]

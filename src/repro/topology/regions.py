@@ -1,4 +1,4 @@
-"""Region extraction, PoP aggregation and automatic region partitioning.
+"""Region extraction and PoP aggregation.
 
 The paper works on *PoP-to-PoP* traffic matrices: "core routers located in
 the same city were aggregated to form a point of presence (PoP)" and the
@@ -15,47 +15,18 @@ topologies:
   mirrors how the dominant path would be chosen);
 * :func:`aggregate_demands_to_pops` — the matching aggregation for a
   router-level demand mapping.
-
-The hierarchical estimation layer (:mod:`repro.estimation.sharded`) adds
-two requirements the hand-built paper networks never had: generated
-topologies carry no region labels, and the collapsed inter-region graph
-must be buildable from an arbitrary node-to-region assignment.  Hence:
-
-* :func:`partition_regions` — a deterministic metric-space partitioner
-  (farthest-point seeding + multi-source Dijkstra Voronoi cells over the
-  IGP metrics, with a connectivity repair pass) that synthesises a region
-  assignment for any strongly connected backbone;
-* :func:`assign_regions` — stamp an assignment onto the (immutable) nodes,
-  making :func:`extract_region` work on generated topologies;
-* :func:`aggregate_to_regions` — collapse every region to one super-node,
-  the inter-region graph the sharded estimator solves its coarse problem
-  on.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from collections import defaultdict
-from typing import Mapping, Optional
-
-import numpy as np
-import scipy.sparse
-from scipy.sparse import csgraph
+from typing import Mapping
 
 from repro.errors import TopologyError
 from repro.topology.elements import Link, Node, NodePair, NodeRole
 from repro.topology.network import Network
 
-__all__ = [
-    "extract_region",
-    "aggregate_to_pops",
-    "aggregate_demands_to_pops",
-    "partition_regions",
-    "assign_regions",
-    "aggregate_to_regions",
-    "default_num_regions",
-]
+__all__ = ["extract_region", "aggregate_to_pops", "aggregate_demands_to_pops"]
 
 
 def extract_region(network: Network, region: str, name: str | None = None) -> Network:
@@ -81,73 +52,6 @@ def extract_region(network: Network, region: str, name: str | None = None) -> Ne
     return network.subnetwork(name or region, selected)
 
 
-def _strongest_role(members: list[Node]) -> NodeRole:
-    """Strongest role present among ``members`` (peering > access > transit)."""
-    roles = {member.role for member in members}
-    if NodeRole.PEERING in roles:
-        return NodeRole.PEERING
-    if NodeRole.ACCESS in roles:
-        return NodeRole.ACCESS
-    return NodeRole.TRANSIT
-
-
-def _aggregate_by(
-    network: Network,
-    group_of: Mapping[str, str],
-    name: str,
-    group_order: list[str],
-    region_of_group: Mapping[str, Optional[str]],
-) -> Network:
-    """Collapse node groups into super-nodes with merged inter-group links.
-
-    Shared engine of :func:`aggregate_to_pops` and
-    :func:`aggregate_to_regions`: intra-group links disappear, parallel
-    inter-group links merge into one link whose capacity is the sum of the
-    parallel capacities and whose metric is the minimum (the paper's
-    decision to route the aggregated demand along the path of the largest
-    original demand).
-    """
-    members_of: dict[str, list[Node]] = defaultdict(list)
-    for node in network.nodes:
-        members_of[group_of[node.name]].append(node)
-
-    aggregated = Network(name)
-    for group in group_order:
-        members = members_of[group]
-        aggregated.add_node(
-            Node(
-                name=group,
-                role=_strongest_role(members),
-                region=region_of_group[group],
-                population=sum(member.population for member in members),
-                city=group,
-            )
-        )
-
-    merged: dict[tuple[str, str], dict[str, float]] = {}
-    kinds: dict[tuple[str, str], Link] = {}
-    for link in network.links:
-        src_group, dst_group = group_of[link.source], group_of[link.target]
-        if src_group == dst_group:
-            continue  # intra-group links disappear in the aggregation
-        key = (src_group, dst_group)
-        entry = merged.setdefault(key, {"capacity": 0.0, "metric": float("inf")})
-        entry["capacity"] += link.capacity_mbps
-        entry["metric"] = min(entry["metric"], link.metric)
-        kinds.setdefault(key, link)
-    for (src_group, dst_group), entry in merged.items():
-        aggregated.add_link(
-            Link(
-                source=src_group,
-                target=dst_group,
-                capacity_mbps=entry["capacity"],
-                metric=entry["metric"],
-                kind=kinds[(src_group, dst_group)].kind,
-            )
-        )
-    return aggregated
-
-
 def aggregate_to_pops(network: Network, name: str | None = None) -> Network:
     """Aggregate routers sharing a city into PoP-level nodes.
 
@@ -165,16 +69,53 @@ def aggregate_to_pops(network: Network, name: str | None = None) -> Network:
     the paper's decision to route the aggregated demand along the path of
     the largest original demand.
     """
-    group_of = {node.name: node.pop_name for node in network.nodes}
-    group_order: list[str] = []
-    region_of_group: dict[str, Optional[str]] = {}
+    pops: dict[str, list[Node]] = defaultdict(list)
     for node in network.nodes:
-        if node.pop_name not in region_of_group:
-            group_order.append(node.pop_name)
-            region_of_group[node.pop_name] = node.region
-    return _aggregate_by(
-        network, group_of, name or f"{network.name}-pops", group_order, region_of_group
-    )
+        pops[node.pop_name].append(node)
+
+    def strongest_role(members: list[Node]) -> NodeRole:
+        roles = {member.role for member in members}
+        if NodeRole.PEERING in roles:
+            return NodeRole.PEERING
+        if NodeRole.ACCESS in roles:
+            return NodeRole.ACCESS
+        return NodeRole.TRANSIT
+
+    aggregated = Network(name or f"{network.name}-pops")
+    for pop_name, members in pops.items():
+        aggregated.add_node(
+            Node(
+                name=pop_name,
+                role=strongest_role(members),
+                region=members[0].region,
+                population=sum(member.population for member in members),
+                city=pop_name,
+            )
+        )
+
+    pop_of = {node.name: node.pop_name for node in network.nodes}
+    merged: dict[tuple[str, str], dict[str, float]] = {}
+    kinds: dict[tuple[str, str], Link] = {}
+    for link in network.links:
+        src_pop, dst_pop = pop_of[link.source], pop_of[link.target]
+        if src_pop == dst_pop:
+            continue  # intra-PoP links disappear in the aggregation
+        key = (src_pop, dst_pop)
+        entry = merged.setdefault(key, {"capacity": 0.0, "metric": float("inf")})
+        entry["capacity"] += link.capacity_mbps
+        entry["metric"] = min(entry["metric"], link.metric)
+        kinds.setdefault(key, link)
+    for (src_pop, dst_pop), entry in merged.items():
+        aggregated.add_link(
+            Link(
+                source=src_pop,
+                target=dst_pop,
+                capacity_mbps=entry["capacity"],
+                metric=entry["metric"],
+                kind=kinds[(src_pop, dst_pop)].kind,
+            )
+        )
+    return aggregated
 
 
 def aggregate_demands_to_pops(
@@ -210,282 +151,3 @@ def aggregate_demands_to_pops(
             continue
         aggregated[NodePair(src_pop, dst_pop)] += float(volume)
     return dict(aggregated)
-
-
-# ----------------------------------------------------------------------
-# automatic region partitioning
-# ----------------------------------------------------------------------
-
-
-def default_num_regions(num_nodes: int) -> int:
-    """Heuristic region count for an ``num_nodes``-node backbone.
-
-    Roughly ``sqrt(N / 8)``: with ``k`` regions of ``N / k`` nodes the
-    per-region solves together handle ``~N^2 / k`` pairs, so this choice
-    shrinks the shard workload by an order of magnitude at N=500 while
-    keeping regions large enough that most traffic stays intra-region
-    (the inter-region coarse problem is the approximate part).
-    """
-    if num_nodes < 2:
-        raise TopologyError("cannot partition a network with fewer than two nodes")
-    return max(2, min(num_nodes, round(math.sqrt(num_nodes / 8.0))))
-
-
-def _metric_distance_matrix(network: Network) -> tuple[scipy.sparse.csr_matrix, list[str]]:
-    """Symmetric IGP-metric adjacency (CSR) over the network's nodes."""
-    names = list(network.node_names)
-    index = {name: position for position, name in enumerate(names)}
-    weight: dict[tuple[int, int], float] = {}
-    for link in network.links:
-        a, b = index[link.source], index[link.target]
-        key = (a, b) if a < b else (b, a)
-        current = weight.get(key)
-        if current is None or link.metric < current:
-            weight[key] = link.metric
-    if weight:
-        rows, cols, data = zip(*((a, b, value) for (a, b), value in weight.items()))
-    else:
-        rows, cols, data = (), (), ()
-    matrix = scipy.sparse.coo_matrix(
-        (data, (rows, cols)), shape=(len(names), len(names))
-    ).tocsr()
-    return matrix, names
-
-
-def partition_regions(
-    network: Network,
-    num_regions: Optional[int] = None,
-    seed: int = 0,
-) -> dict[str, str]:
-    """Deterministic partition of a backbone into connected regions.
-
-    A METIS-style geometric partition over the IGP metric space:
-
-    1. the first seed node is drawn population-weighted from ``seed`` (a
-       fixed seed fixes the whole partition), the remaining seeds by
-       farthest-point traversal — each new seed maximises its metric
-       distance to the seeds already chosen;
-    2. every node joins the region of its nearest seed (multi-source
-       Dijkstra Voronoi cells; ties break towards the earlier seed), which
-       aligns region boundaries with routing locality — shortest paths
-       between nodes of one region rarely leave it;
-    3. a repair pass reattaches any disconnected cell fragments to the
-       neighbouring region they share the most links with, so every region
-       induces a connected subnetwork;
-    4. a balancing pass peels boundary nodes off oversized regions (cells
-       of central seeds can swallow far more than ``N / k`` nodes) into
-       their smallest adjacent region, never breaking connectivity, until
-       every region is within ~30 % of the ideal size or no safe move
-       remains.  Balanced shards matter because the largest region
-       dominates the per-region solve time.
-
-    Returns a mapping ``{node_name: region_label}`` with labels ``"R00"``,
-    ``"R01"``, ... in seed order.  The result is deterministic for a fixed
-    ``(network, num_regions, seed)``.
-    """
-    num_nodes = network.num_nodes
-    if num_regions is None:
-        num_regions = default_num_regions(num_nodes)
-    if not 1 <= num_regions <= num_nodes:
-        raise TopologyError(
-            f"cannot split {num_nodes} nodes into {num_regions} regions"
-        )
-    matrix, names = _metric_distance_matrix(network)
-    if num_regions == 1:
-        return {name: "R00" for name in names}
-
-    rng = np.random.default_rng(seed)
-    populations = np.array([node.population for node in network.nodes], dtype=float)
-    weights = populations.clip(min=0.0)
-    if weights.sum() <= 0:
-        weights = np.ones(num_nodes)
-    seeds = [int(rng.choice(num_nodes, p=weights / weights.sum()))]
-    # Farthest-point traversal: each next seed maximises the metric
-    # distance to the chosen set (ties -> lowest node index, so the
-    # traversal is deterministic given the first seed).
-    distances = csgraph.dijkstra(matrix, directed=False, indices=seeds[0])
-    while len(seeds) < num_regions:
-        candidate = int(np.argmax(np.where(np.isinf(distances), -1.0, distances)))
-        if candidate in seeds:  # pragma: no cover - only on degenerate graphs
-            remaining = [i for i in range(num_nodes) if i not in seeds]
-            candidate = remaining[0]
-        seeds.append(candidate)
-        distances = np.minimum(
-            distances, csgraph.dijkstra(matrix, directed=False, indices=candidate)
-        )
-
-    seed_distances = csgraph.dijkstra(matrix, directed=False, indices=seeds)
-    # Nearest seed wins; np.argmin's first-match rule breaks ties towards
-    # the earlier seed.
-    assignment = np.argmin(np.where(np.isinf(seed_distances), np.inf, seed_distances), axis=0)
-
-    # Repair pass: a Voronoi cell of a graph metric is usually connected,
-    # but tie-breaking can strand fragments.  Reattach every fragment that
-    # does not contain its seed to the neighbouring region it shares the
-    # most links with.
-    undirected: dict[int, set[int]] = defaultdict(set)
-    coo = matrix.tocoo()
-    for a, b in zip(coo.row, coo.col):
-        undirected[int(a)].add(int(b))
-        undirected[int(b)].add(int(a))
-
-    def components(region: int) -> list[set[int]]:
-        member_set = {i for i in range(num_nodes) if assignment[i] == region}
-        found: list[set[int]] = []
-        unseen = set(member_set)
-        while unseen:
-            start = min(unseen)
-            stack, component = [start], {start}
-            while stack:
-                node = stack.pop()
-                for neighbour in undirected[node]:
-                    if neighbour in member_set and neighbour not in component:
-                        component.add(neighbour)
-                        stack.append(neighbour)
-            found.append(component)
-            unseen -= component
-        return found
-
-    for _ in range(num_nodes):  # each pass strictly shrinks some fragment
-        moved = False
-        for region, seed_node in enumerate(seeds):
-            for component in components(region):
-                if seed_node in component:
-                    continue
-                # Count boundary links into each neighbouring region.
-                contact: dict[int, int] = defaultdict(int)
-                for node in component:
-                    for neighbour in undirected[node]:
-                        target = int(assignment[neighbour])
-                        if target != region:
-                            contact[target] += 1
-                if not contact:  # pragma: no cover - disconnected input
-                    continue
-                best = max(sorted(contact), key=lambda r: contact[r])
-                for node in component:
-                    assignment[node] = best
-                moved = True
-        if not moved:
-            break
-
-    # Balancing pass: move boundary nodes of oversized regions into their
-    # smallest adjacent region.  A move is allowed only when the donor
-    # stays connected without the node and strictly reduces the size gap,
-    # so the loop terminates and regions remain connected.
-    cap = math.ceil(1.3 * num_nodes / num_regions)
-
-    def region_connected_without(region: int, removed: int) -> bool:
-        members = {i for i in range(num_nodes) if assignment[i] == region and i != removed}
-        if not members:
-            return False
-        start = min(members)
-        stack, seen = [start], {start}
-        while stack:
-            node = stack.pop()
-            for neighbour in undirected[node]:
-                if neighbour in members and neighbour not in seen:
-                    seen.add(neighbour)
-                    stack.append(neighbour)
-        return seen == members
-
-    for _ in range(4 * num_nodes):
-        sizes: dict[int, int] = defaultdict(int)
-        for region in assignment:
-            sizes[int(region)] += 1
-        oversized = [region for region, size in sizes.items() if size > cap]
-        if not oversized:
-            break
-        big = max(sorted(oversized), key=lambda region: sizes[region])
-        big_row = seed_distances[big]
-        boundary = sorted(
-            (node for node in range(num_nodes) if assignment[node] == big),
-            key=lambda node: (-big_row[node] if np.isfinite(big_row[node]) else 0.0, node),
-        )
-        moved = False
-        for node in boundary:
-            adjacent = sorted(
-                {
-                    int(assignment[neighbour])
-                    for neighbour in undirected[node]
-                    if int(assignment[neighbour]) != big
-                }
-            )
-            adjacent = [
-                region for region in adjacent if sizes[region] + 1 < sizes[big]
-            ]
-            if not adjacent or not region_connected_without(big, node):
-                continue
-            assignment[node] = min(adjacent, key=lambda region: (sizes[region], region))
-            moved = True
-            break
-        if not moved:
-            break
-
-    used = sorted({int(region) for region in assignment})
-    relabel = {region: f"R{position:02d}" for position, region in enumerate(used)}
-    return {names[i]: relabel[int(assignment[i])] for i in range(num_nodes)}
-
-
-def assign_regions(
-    network: Network, assignment: Mapping[str, str], name: str | None = None
-) -> Network:
-    """Return a copy of ``network`` whose nodes carry the given region labels.
-
-    Makes :func:`extract_region` and the sharded estimator work on
-    generated topologies, whose nodes have no region attribute: partition
-    with :func:`partition_regions`, stamp with this function.
-
-    Raises
-    ------
-    TopologyError
-        If the assignment misses any node of the network.
-    """
-    missing = [node.name for node in network.nodes if node.name not in assignment]
-    if missing:
-        raise TopologyError(f"region assignment missing nodes: {missing[:5]}")
-    stamped = Network(name or network.name)
-    for node in network.nodes:
-        stamped.add_node(dataclasses.replace(node, region=assignment[node.name]))
-    for link in network.links:
-        stamped.add_link(link)
-    return stamped
-
-
-def aggregate_to_regions(
-    network: Network,
-    assignment: Optional[Mapping[str, str]] = None,
-    name: str | None = None,
-) -> Network:
-    """Collapse every region into one super-node (the inter-region graph).
-
-    The counterpart of :func:`aggregate_to_pops` for region granularity:
-    each region becomes a node named after its label, intra-region links
-    disappear, and parallel inter-region links merge (capacity sum, metric
-    minimum).  ``assignment`` defaults to the nodes' own region labels,
-    which must then all be present.
-    """
-    if assignment is None:
-        missing = [node.name for node in network.nodes if node.region is None]
-        if missing:
-            raise TopologyError(
-                f"nodes without region labels: {missing[:5]}; "
-                "pass an explicit assignment or run partition_regions first"
-            )
-        assignment = {node.name: node.region for node in network.nodes}
-    else:
-        unknown = [name_ for name_ in (node.name for node in network.nodes) if name_ not in assignment]
-        if unknown:
-            raise TopologyError(f"region assignment missing nodes: {unknown[:5]}")
-    group_order: list[str] = []
-    for node in network.nodes:
-        label = assignment[node.name]
-        if label not in group_order:
-            group_order.append(label)
-    region_of_group = {label: label for label in group_order}
-    return _aggregate_by(
-        network,
-        {node.name: assignment[node.name] for node in network.nodes},
-        name or f"{network.name}-regions",
-        group_order,
-        region_of_group,
-    )

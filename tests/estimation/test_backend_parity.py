@@ -1,7 +1,7 @@
 """Dense-vs-sparse estimator parity for every registered method.
 
-The sparse fast paths (CSR operator products, column selection on the
-backend, matrix-free solvers) must be performance knobs, not different
+The sparse fast paths (CSR operator products, link-space Gram matrices,
+matrix-free solvers) must be performance knobs, not different
 methods: on the same observables, every registered estimator has to
 produce the same estimate on a sparse routing backend as on a dense one —
 both through ``estimate`` and through the batched ``estimate_series``.
@@ -32,7 +32,6 @@ METHOD_RTOL = {
     "kl-projection": 1e-4,
     "vardi": 1e-3,
     "cao": 1e-4,
-    "sharded": 2e-3,
     "supervised": 1e-3,  # default primary is tomogravity
 }
 DEFAULT_RTOL = 1e-9

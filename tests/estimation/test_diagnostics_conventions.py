@@ -37,7 +37,6 @@ CONVENTIONS = {
     "gravity": ({}, "snapshot", set()),
     "kl-projection": ({}, "snapshot", {"iterations", "converged"}),
     "kruithof": ({}, "snapshot", {"iterations", "converged"}),
-    "sharded": ({"base": "gravity", "num_regions": 2}, "snapshot", set()),
     "supervised": (
         {"primary": "tomogravity"},
         "snapshot",

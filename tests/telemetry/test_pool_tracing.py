@@ -108,53 +108,48 @@ class TestRecordIdentity:
 
 
 @pytest.mark.slow
-def test_sharded_method_comparison_trace_covers_every_shard(
+def test_pooled_method_comparison_trace_has_a_task_per_spec(
     tmp_path, telemetry_on, monkeypatch
 ):
-    """Acceptance pin: the exported Chrome trace of a sharded N=200 run
-    contains re-parented worker spans for every shard task."""
+    """Acceptance pin: the exported Chrome trace of a pooled N=200 method
+    comparison holds one re-parented worker task per spec, each carrying
+    its spec span and the worker-side estimate beneath it."""
     import json
 
     from repro.datasets import large_scenario
 
-    # effective_jobs() clamps to the CPU count; pin it so the shard
-    # fan-out actually crosses the pool even on a single-CPU runner
+    # effective_jobs() clamps to the CPU count; pin it so the specs
+    # actually cross the pool even on a single-CPU runner
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     scenario = large_scenario(num_nodes=200, seed=3, busy_length=4, num_samples=8)
-    specs = [
-        MethodSpec(
-            label="Sharded gravity",
-            estimator="sharded",
-            params={"base": "gravity", "num_regions": 4, "n_jobs": 2},
-        )
-    ]
-    records = method_comparison(scenario, specs=specs, n_jobs=1)
-    assert len(records) == 1 and records[0].failure is None
-
-    spans = telemetry.drain_spans()
-    (shards_stage,) = spans_named(spans, "sharded.shards")
-    num_shards = shards_stage.attributes["num_shards"]
-    assert num_shards >= 2
+    records = method_comparison(scenario, specs=SPECS, n_jobs=2)
+    assert [r.method for r in records] == [spec.label for spec in SPECS]
+    assert all(r.failure is None for r in records)
 
     trace_path = tmp_path / "trace.json"
-    telemetry.export_chrome_trace(str(trace_path), spans)
+    telemetry.export_chrome_trace(str(trace_path), telemetry.drain_spans())
     events = json.loads(trace_path.read_text())["traceEvents"]
-    pool_runs = [e for e in events if e["name"] == "pool.run"]
-    assert pool_runs, "shard fan-out did not open a pool.run span"
-    pool_ids = {e["args"]["span_id"] for e in pool_runs}
+    (pool_run,) = [e for e in events if e["name"] == "pool.run"]
     task_events = [e for e in events if e["name"] == "pool.task"]
-    # every shard task's worker span came home, re-parented under pool.run
-    assert len(task_events) == num_shards
+    assert len(task_events) == len(SPECS)
     parent_pid = os.getpid()
     for event in task_events:
-        assert event["args"]["parent_id"] in pool_ids
+        assert event["args"]["parent_id"] == pool_run["args"]["span_id"]
         assert event["pid"] != parent_pid
-    # and each carries the worker-side estimate span beneath it
     task_ids = {e["args"]["span_id"] for e in task_events}
+    spec_events = [
+        e
+        for e in events
+        if e["name"] == "experiment.spec" and e["args"]["parent_id"] in task_ids
+    ]
+    assert sorted(e["args"]["spec"] for e in spec_events) == sorted(
+        spec.label for spec in SPECS
+    )
+    spec_ids = {e["args"]["span_id"] for e in spec_events}
     worker_estimates = [
         e
         for e in events
-        if e["name"].startswith("estimate[") and e["args"].get("parent_id") in task_ids
+        if e["name"].startswith("estimate[") and e["args"].get("parent_id") in spec_ids
     ]
-    assert len(worker_estimates) == num_shards
+    assert len(worker_estimates) == len(SPECS)

@@ -8,7 +8,7 @@ every engine skips pool creation entirely when the resolved count is 1 —
 which these tests assert directly by making pool construction an error.
 
 The shared-payload helpers (``share_payload`` / ``resolve_payload`` /
-``payload_executor``) are how the sweep and shard engines stop pickling
+``payload_executor``) are how the experiment and sweep engines stop pickling
 the routing matrix into every worker task: the payload registers once in
 the parent, workers inherit it by fork (or receive it once per worker
 under spawn) and tasks carry only a tiny :class:`PayloadRef` token.

@@ -38,7 +38,7 @@ class TestSparseSafety:
         found = lint(
             """
             def leak(problem):
-                sub = problem.routing.select_pairs([0, 1])
+                sub = problem.routing.with_backend("dense")
                 dense = sub.toarray()
                 return dense
             """

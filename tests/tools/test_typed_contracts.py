@@ -1,9 +1,9 @@
 """The typed operator contract: RoutingOperator protocol + mypy config.
 
 ``RoutingOperator`` (``repro.routing.backends``) is the structural
-interface solvers may assume of a routing matrix — products and column
-selection, deliberately *without* ``toarray`` so protocol-typed code
-cannot densify.  mypy enforces it in the CI lint job; these tests pin the
+interface solvers may assume of a routing matrix — operator products,
+deliberately *without* ``toarray`` so protocol-typed code cannot
+densify.  mypy enforces it in the CI lint job; these tests pin the
 runtime side (the protocol is ``runtime_checkable``) and the config, and
 run mypy itself when it is installed locally.
 """
@@ -39,9 +39,6 @@ class TestRoutingOperatorProtocol:
         np.testing.assert_allclose(dense.matvec(vector), sparse.matvec(vector))
         np.testing.assert_allclose(dense.rmatvec(loads), sparse.rmatvec(loads))
         np.testing.assert_allclose(dense.gram(), sparse.gram())
-        sub_dense = dense.column_select(np.array([0, 2]))
-        sub_sparse = sparse.column_select(np.array([0, 2]))
-        assert sub_dense.shape == sub_sparse.shape == (2, 2)
 
     def test_non_operators_do_not_conform(self):
         assert not isinstance(np.zeros((2, 2)), RoutingOperator)

@@ -32,16 +32,18 @@ def global_network() -> Network:
     for name, city, region, role in specs:
         network.add_node(Node(name=name, city=city, region=region, role=role, population=1.0))
     links = [
-        ("LON-cr1", "LON-cr2", 10_000.0),
-        ("LON-cr1", "FRA-cr1", 10_000.0),
-        ("LON-cr2", "FRA-cr1", 2_500.0),
-        ("NYC-cr1", "NYC-cr2", 10_000.0),
-        ("NYC-cr2", "CHI-cr1", 10_000.0),
-        ("NYC-cr1", "CHI-cr1", 2_500.0),
-        ("LON-cr2", "NYC-cr1", 10_000.0),  # transatlantic
+        ("LON-cr1", "LON-cr2", 10_000.0, 1.0),
+        ("LON-cr1", "FRA-cr1", 10_000.0, 7.0),
+        ("LON-cr2", "FRA-cr1", 2_500.0, 3.0),  # parallel LON-FRA, cheaper metric
+        ("NYC-cr1", "NYC-cr2", 10_000.0, 1.0),
+        ("NYC-cr2", "CHI-cr1", 10_000.0, 1.0),
+        ("NYC-cr1", "CHI-cr1", 2_500.0, 1.0),
+        ("LON-cr2", "NYC-cr1", 10_000.0, 1.0),  # transatlantic
     ]
-    for a, b, capacity in links:
-        network.add_bidirectional_link(Link(source=a, target=b, capacity_mbps=capacity))
+    for a, b, capacity, metric in links:
+        network.add_bidirectional_link(
+            Link(source=a, target=b, capacity_mbps=capacity, metric=metric)
+        )
     return network
 
 
@@ -79,6 +81,7 @@ class TestAggregateToPops:
         pops = aggregate_to_pops(global_network)
         merged = pops.find_link("LON", "FRA")
         assert merged.capacity_mbps == pytest.approx(12_500.0)
+        assert merged.metric == pytest.approx(3.0)
 
     def test_strongest_role_wins(self, global_network):
         pops = aggregate_to_pops(global_network)

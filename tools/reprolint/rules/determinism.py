@@ -1,11 +1,10 @@
 """``determinism``: every random draw must be traceable to a seed.
 
 The repository's records are only comparable because runs are
-reproducible: the region partitioner must emit identical partitions for
-identical seeds (PR 6's serial==parallel shard records), generators must
-rebuild bit-identical topologies (``large_scenario(n, seed)`` backs the
-BENCH_PR5/PR6 timings), and benchmark MRE numbers are pinned in committed
-JSON records.  One unseeded ``default_rng()`` in any of those paths turns
+reproducible: generators must rebuild bit-identical topologies
+(``large_scenario(n, seed)`` backs the BENCH_PR5/PR6 timings), serial and
+parallel experiment runs must produce identical records, and benchmark
+MRE numbers are pinned in committed JSON records.  One unseeded ``default_rng()`` in any of those paths turns
 a regression signal into noise.
 
 The rule flags, in every checked file:

@@ -3,7 +3,7 @@
 PR 5/6 bought their scale wins (BENCH_PR5.json, BENCH_PR6.json) by keeping
 the ``(links x pairs)`` routing matrix in CSR end to end: the N=200 tier
 runs in an 18 MB tracemalloc peak where the dense path needs 191 MB, and
-the N=500 sharded tier in 52 MB against a 2.99 GB dense allowance.  A
+flat tomogravity at N=500 in ~65 MB against a 2.99 GB dense allowance.  A
 single careless ``.toarray()`` — or an ``np.asarray`` / ``np.linalg``
 call, which silently densifies operator objects — on a hot path reverts
 that.  The tracemalloc guards in the benchmarks only catch the regression
@@ -16,8 +16,7 @@ The rule runs a light per-scope taint analysis: expressions are
   (the conventional homes of :class:`RoutingMatrix` / backend objects),
 * constructor or factory calls (``RoutingMatrix``, ``make_backend``,
   ``build_routing_matrix``, ``DenseBackend``, ``SparseBackend``, ...),
-* operator-preserving methods (``select_pairs`` / ``column_select`` /
-  ``with_backend``), or
+* the operator-preserving ``with_backend`` method, or
 * parameters annotated with a routing type,
 
 and assignments propagate the taint.  On a routing-typed expression the
@@ -53,7 +52,7 @@ ROUTING_FACTORIES = {
 }
 
 #: Methods that return another routing operator (taint-preserving).
-ROUTING_METHODS = {"select_pairs", "column_select", "with_backend"}
+ROUTING_METHODS = {"with_backend"}
 
 #: Annotation identifiers marking a parameter as routing-typed.
 ROUTING_ANNOTATIONS = {
@@ -85,7 +84,7 @@ class _SparseSafetyRule:
 
         Two passes over the scope's assignments reach a fixpoint for the
         chains this codebase actually writes (``a = problem.routing``
-        followed by ``b = a.select_pairs(...)``).
+        followed by ``b = a.with_backend(...)``).
         """
         tainted: set[str] = set()
         args = scope.args
@@ -141,8 +140,7 @@ class _SparseSafetyRule:
                 context,
                 node,
                 f"dense materialisation: {self._describe(func.value)}.toarray() — use the "
-                "operator products (matvec/rmatvec/gram) or column_select, or allowlist "
-                "this site",
+                "operator products (matvec/rmatvec/gram) or allowlist this site",
             )
             return
         name = dotted_name(func)

@@ -35,6 +35,17 @@ class TestLargeScenario:
             first.day_series.as_array(), other.day_series.as_array()
         )
 
+    def test_topology_deterministic_for_seed(self):
+        first = large_scenario(16, seed=5, num_samples=4, busy_length=2).network
+        second = large_scenario(16, seed=5, num_samples=4, busy_length=2).network
+        assert first.link_names == second.link_names
+        assert [link.capacity_mbps for link in first.links] == [
+            link.capacity_mbps for link in second.links
+        ]
+        assert [link.metric for link in first.links] == [
+            link.metric for link in second.links
+        ]
+
     def test_consistent_problems_and_sweep(self, scenario):
         problem = scenario.series_problem()
         assert problem.series.shape == (8, scenario.network.num_links)

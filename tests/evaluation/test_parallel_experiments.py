@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.datasets import small_scenario
+from repro.datasets import large_scenario, small_scenario
 from repro.errors import EstimationError
 from repro.evaluation.experiments import (
     MethodSpec,
@@ -91,6 +91,22 @@ class TestRunMethodSpecsParallel:
             vardi_table(scenario, window_length=8),
             vardi_table(scenario, window_length=8, n_jobs=2),
         )
+
+
+    def test_pooled_comparison_on_generated_backbone(self):
+        # The traced workload of the telemetry tier and the trace example:
+        # gravity, tomogravity and Kruithof over a generated backbone.
+        backbone = large_scenario(30, seed=4, busy_length=4, num_samples=8)
+        specs = [
+            MethodSpec(label="Gravity", estimator="gravity"),
+            MethodSpec(label="Tomogravity", estimator="tomogravity"),
+            MethodSpec(label="Kruithof", estimator="kruithof"),
+        ]
+        serial = method_comparison(backbone, specs=specs)
+        parallel = method_comparison(backbone, specs=specs, n_jobs=2)
+        assert_records_equal(serial, parallel)
+        assert [record.method for record in parallel] == [spec.label for spec in specs]
+        assert all(math.isfinite(record.mre) for record in parallel)
 
 
 class TestRobustnessSweepParallel:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +100,43 @@ class TestSummary:
         assert "estimate[entropy]" in text
         assert "routing.build_matrix" in text
         assert telemetry.format_summary({}) == "(no spans recorded)"
+
+
+class TestTraceExample:
+    def test_example_writes_a_trace_of_every_method(self, tmp_path):
+        """``examples/trace_estimation.py`` end to end: both export files
+        land in the working directory and the Chrome trace holds an
+        estimate span for every compared method, with one pooled task per
+        method re-parented under ``pool.run`` when the comparison crossed
+        the pool."""
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(repo, "src")
+        result = subprocess.run(
+            [sys.executable, os.path.join(repo, "examples", "trace_estimation.py")],
+            env=env,
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        for label in ("Gravity", "Tomogravity", "Kruithof"):
+            assert f"{label:<12} MRE" in result.stdout
+        events = json.loads((tmp_path / "trace_estimation.json").read_text())["traceEvents"]
+        estimates = {e["name"] for e in events if e["name"].startswith("estimate[")}
+        assert {
+            "estimate[gravity]",
+            "estimate[kruithof]",
+            "estimate[tomogravity]",
+        } <= estimates
+        pool_runs = [e for e in events if e["name"] == "pool.run"]
+        tasks = [e for e in events if e["name"] == "pool.task"]
+        if pool_runs:
+            (pool_run,) = pool_runs
+            assert len(tasks) == 3
+            assert all(
+                e["args"]["parent_id"] == pool_run["args"]["span_id"] for e in tasks
+            )
+        lines = (tmp_path / "trace_estimation_spans.jsonl").read_text().splitlines()
+        assert len(lines) == len(events)

@@ -13,6 +13,7 @@ import pytest
 
 from repro import telemetry
 from repro.estimation.registry import get_estimator
+from repro.optimize.dual import GAP_TOLERANCE
 
 
 def spans_named(records, name):
@@ -40,6 +41,22 @@ class TestEstimatorAutoSpans:
         get_estimator("fanout").estimate_series(problem)
         records = telemetry.drain_spans()
         assert spans_named(records, "estimate_series")
+
+    @pytest.mark.parametrize("method", ["bayesian", "entropy", "tomogravity"])
+    def test_certificate_rides_on_the_span(
+        self, telemetry_on, small_snapshot_problem, method
+    ):
+        # The trace alone must say how far to trust a dual-kernel estimate.
+        result = get_estimator(method).estimate(small_snapshot_problem)
+        (record,) = [
+            s
+            for s in spans_named(telemetry.drain_spans(), "estimate")
+            if s.attributes["method"] == method
+        ]
+        assert record.attributes["duality_gap"] == result.diagnostics["duality_gap"]
+        assert record.attributes["duality_gap"] <= GAP_TOLERANCE
+        assert record.attributes["converged"] is True
+        assert record.attributes["iterations"] == result.diagnostics["iterations"]
 
     def test_disabled_estimate_records_nothing(self, small_snapshot_problem):
         get_estimator("tomogravity").estimate(small_snapshot_problem)

@@ -9,8 +9,10 @@ from repro.topology import (
     AMERICAN_CITIES,
     EUROPEAN_CITIES,
     CitySpec,
+    aggregate_to_pops,
     american_backbone,
     european_backbone,
+    extract_region,
     great_circle_km,
     random_backbone,
 )
@@ -103,3 +105,21 @@ class TestRandomBackbone:
     def test_region_label_applied(self):
         network = random_backbone(4, seed=0, region="lab")
         assert all(node.region == "lab" for node in network.nodes)
+
+    def test_nodes_are_unlabelled_by_default(self):
+        network = random_backbone(6, seed=2)
+        assert all(node.region is None for node in network.nodes)
+
+    def test_region_label_extracts_the_whole_network(self):
+        network = random_backbone(10, seed=4, region="lab")
+        extracted = extract_region(network, "lab")
+        assert extracted.node_names == network.node_names
+        assert set(extracted.link_names) == set(network.link_names)
+
+    def test_every_node_is_its_own_pop(self):
+        network = random_backbone(12, avg_degree=3.5, seed=5)
+        pops = aggregate_to_pops(network)
+        assert pops.node_names == network.node_names
+        assert {
+            link.name: (link.capacity_mbps, link.metric) for link in pops.links
+        } == {link.name: (link.capacity_mbps, link.metric) for link in network.links}

@@ -179,14 +179,7 @@ class Scenario:
         access links in both modes), vectorised from the demand array.
         """
         demands = series.as_array()  # (K, P)
-        origins = tuple(dict.fromkeys(pair.origin for pair in series.pairs))
-        destinations = tuple(dict.fromkeys(pair.destination for pair in series.pairs))
-        origin_index = {name: idx for idx, name in enumerate(origins)}
-        destination_index = {name: idx for idx, name in enumerate(destinations)}
-        origin_cols = np.array([origin_index[pair.origin] for pair in series.pairs])
-        destination_cols = np.array(
-            [destination_index[pair.destination] for pair in series.pairs]
-        )
+        origins, destinations, origin_cols, destination_cols = series.pairs.codes()
         origin_series = np.zeros((len(series), len(origins)))
         np.add.at(origin_series.T, origin_cols, demands.T)
         destination_series = np.zeros((len(series), len(destinations)))

@@ -35,7 +35,7 @@ import scipy.sparse
 from repro import telemetry
 from repro.errors import EstimationError
 from repro.routing.routing_matrix import RoutingMatrix
-from repro.topology.elements import NodePair
+from repro.topology.elements import PairIndex
 from repro.traffic.matrix import TrafficMatrix
 
 __all__ = [
@@ -143,8 +143,8 @@ class EstimationProblem:
 
     # ------------------------------------------------------------------
     @property
-    def pairs(self) -> tuple[NodePair, ...]:
-        """The origin-destination pairs being estimated."""
+    def pairs(self) -> PairIndex:
+        """The origin-destination pairs being estimated (the routing's index)."""
         return self.routing.pairs
 
     @property
@@ -201,11 +201,11 @@ class EstimationProblem:
 
         ``sweep()`` and ``method_comparison`` hand the *same* problem object
         to K methods, most of which redo identical setup — the gravity
-        prior, pair-position index arrays, per-snapshot prior series.  This
-        cache lets that setup run once per problem instead of once per
-        method: the first caller pays ``builder()``, later callers get the
-        cached value.  Cached arrays are returned as-is, so treat them as
-        read-only (the prior helpers mark theirs immutable).
+        prior, per-snapshot prior series.  This cache lets that setup run
+        once per problem instead of once per method: the first caller pays
+        ``builder()``, later callers get the cached value.  Cached arrays
+        are returned as-is, so treat them as read-only (the prior helpers
+        mark theirs immutable).
         """
         cache = self._shared_cache
         if key in cache:
@@ -221,41 +221,27 @@ class EstimationProblem:
         ``origin_cols[p]`` / ``destination_cols[p]`` are the indices of pair
         ``p``'s origin and destination within the first-appearance label
         orders — the index arrays every vectorised totals/gravity/Kruithof
-        path needs, built once per problem.
+        path needs.  They are the routing's shared
+        :meth:`~repro.topology.elements.PairIndex.codes`, so every problem
+        on one routing returns the same read-only object.
         """
-
-        def build() -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-            origins = self.origin_order()
-            destinations = self.destination_order()
-            origin_index = {name: idx for idx, name in enumerate(origins)}
-            destination_index = {name: idx for idx, name in enumerate(destinations)}
-            origin_cols = np.array([origin_index[pair.origin] for pair in self.pairs])
-            destination_cols = np.array(
-                [destination_index[pair.destination] for pair in self.pairs]
-            )
-            origin_cols.setflags(write=False)
-            destination_cols.setflags(write=False)
-            return origins, destinations, origin_cols, destination_cols
-
-        return self.shared(("pair_positions",), build)
+        return self.routing.pairs.codes()
 
     # ------------------------------------------------------------------
     # edge-total incidence structure
     # ------------------------------------------------------------------
     def origin_order(self) -> tuple[str, ...]:
         """Origins in first-appearance pair order (the canonical row order)."""
-        return tuple(dict.fromkeys(pair.origin for pair in self.pairs))
+        return self.pair_positions()[0]
 
     def destination_order(self) -> tuple[str, ...]:
         """Destinations in first-appearance pair order."""
-        return tuple(dict.fromkeys(pair.destination for pair in self.pairs))
+        return self.pair_positions()[1]
 
-    def _incidence_block(self, labels: tuple[str, ...], attribute: str) -> np.ndarray:
+    def _incidence_block(self, num_labels: int, codes: np.ndarray) -> np.ndarray:
         """0/1 block mapping pairs to their origin (or destination) row."""
-        index = {name: row for row, name in enumerate(labels)}
-        block = np.zeros((len(labels), self.num_pairs))
-        rows = [index[getattr(pair, attribute)] for pair in self.pairs]
-        block[rows, np.arange(self.num_pairs)] = 1.0
+        block = np.zeros((num_labels, self.num_pairs))
+        block[codes, np.arange(self.num_pairs)] = 1.0
         return block
 
     def augmented_system(
@@ -287,13 +273,12 @@ class EstimationProblem:
             self.routing.backend.raw if sparse else self.routing.matrix
         ]
         rhs = [self.snapshot]
+        origins, destinations, origin_codes, destination_codes = self.pair_positions()
         if include_origin_totals and self.origin_totals is not None:
-            origins = self.origin_order()
-            rows.append(self._incidence_block(origins, "origin"))
+            rows.append(self._incidence_block(len(origins), origin_codes))
             rhs.append(np.array([self.origin_totals.get(origin, 0.0) for origin in origins]))
         if include_destination_totals and self.destination_totals is not None:
-            destinations = self.destination_order()
-            rows.append(self._incidence_block(destinations, "destination"))
+            rows.append(self._incidence_block(len(destinations), destination_codes))
             rhs.append(
                 np.array([self.destination_totals.get(dest, 0.0) for dest in destinations])
             )
@@ -405,7 +390,7 @@ class SeriesEstimationResult:
     """
 
     estimates: np.ndarray
-    pairs: tuple[NodePair, ...]
+    pairs: PairIndex
     method: str
     diagnostics: dict[str, Any] = field(default_factory=dict)
 

@@ -23,7 +23,7 @@ quantity the paper plots in Figure 10).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class FanoutEstimator(Estimator):
 
     # ------------------------------------------------------------------
     def _origin_totals_series(
-        self, problem: EstimationProblem, num_snapshots: int, origins: list[str]
+        self, problem: EstimationProblem, num_snapshots: int, origins: Sequence[str]
     ) -> np.ndarray:
         """Per-snapshot ingress totals per origin, shape ``(K, N_origins)``."""
         if problem.origin_totals_series is not None:
@@ -101,14 +101,11 @@ class FanoutEstimator(Estimator):
             num_snapshots = self.window_length
             series = series[:num_snapshots]
 
-        pairs = problem.pairs
-        origins = list(dict.fromkeys(pair.origin for pair in pairs))
-        origin_index = {origin: idx for idx, origin in enumerate(origins)}
+        origins, _, pair_origin_col, _ = problem.pair_positions()
         ingress = self._origin_totals_series(problem, num_snapshots, origins)
 
         routing = problem.routing.matrix
         num_links, num_pairs = routing.shape
-        pair_origin_col = np.array([origin_index[pair.origin] for pair in pairs])
 
         # Stack R * diag(t_e(origin(p))[k]) for every snapshot in the window.
         blocks = np.empty((num_snapshots * num_links, num_pairs))
@@ -120,8 +117,7 @@ class FanoutEstimator(Estimator):
 
         # One equality row per origin: its fanouts sum to one.
         equality = np.zeros((len(origins), num_pairs))
-        for col, pair in enumerate(pairs):
-            equality[origin_index[pair.origin], col] = 1.0
+        equality[pair_origin_col, np.arange(num_pairs)] = 1.0
         targets = np.ones(len(origins))
 
         scale = float(np.abs(blocks).max(initial=1.0))
@@ -155,10 +151,7 @@ class FanoutEstimator(Estimator):
         """
         result = self.estimate(problem)
         fanouts = np.asarray(result.diagnostics["fanouts"], dtype=float)
-        pairs = problem.pairs
-        origins = list(dict.fromkeys(pair.origin for pair in pairs))
-        origin_index = {origin: idx for idx, origin in enumerate(origins)}
-        pair_origin_col = np.array([origin_index[pair.origin] for pair in pairs])
+        origins, _, pair_origin_col, _ = problem.pair_positions()
         num_snapshots = problem.series.shape[0]
         ingress = self._origin_totals_series(problem, num_snapshots, origins)
         estimates = fanouts[None, :] * ingress[:, pair_origin_col]

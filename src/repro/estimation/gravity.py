@@ -52,10 +52,9 @@ def _edge_totals(problem: EstimationProblem) -> tuple[dict[str, float], dict[str
             "gravity estimation requires origin_totals and destination_totals "
             "(the edge-link measurements t_e(n) and t_x(m))"
         )
-    origins = {pair.origin for pair in problem.pairs}
-    destinations = {pair.destination for pair in problem.pairs}
-    missing_origins = origins - set(problem.origin_totals)
-    missing_destinations = destinations - set(problem.destination_totals)
+    origins, destinations, _, _ = problem.pair_positions()
+    missing_origins = set(origins) - set(problem.origin_totals)
+    missing_destinations = set(destinations) - set(problem.destination_totals)
     if missing_origins:
         raise EstimationError(f"origin totals missing for {sorted(missing_origins)}")
     if missing_destinations:
@@ -148,6 +147,7 @@ def _gravity_series_uncached(problem: EstimationProblem, excluded_pairs: set) ->
     num_snapshots = problem.series.shape[0]
     pairs = problem.pairs
     excluded_pairs = excluded_pairs or set()
+    origins, destinations, origin_codes, destination_codes = problem.pair_positions()
 
     def totals_matrix(kind: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-snapshot totals aligned to pairs: ``(K, P)`` plus row sums ``(K,)``."""
@@ -157,30 +157,30 @@ def _gravity_series_uncached(problem: EstimationProblem, excluded_pairs: set) ->
                 problem.origin_names,
                 problem.origin_totals,
             )
-            labels = [pair.origin for pair in pairs]
+            labels, codes = origins, origin_codes
         else:
             series, names, fallback = (
                 problem.destination_totals_series,
                 problem.destination_names,
                 problem.destination_totals,
             )
-            labels = [pair.destination for pair in pairs]
+            labels, codes = destinations, destination_codes
         if series is not None:
             index = {name: col for col, name in enumerate(names)}
-            missing = sorted({label for label in labels if label not in index})
+            missing = sorted(label for label in labels if label not in index)
             if missing:
                 raise EstimationError(f"{kind} totals missing for {missing}")
-            columns = np.array([index[label] for label in labels])
+            columns = np.array([index[label] for label in labels], dtype=np.intp)[codes]
             return series[:, columns], series.sum(axis=1)
         if fallback is None:
             raise EstimationError(
                 "gravity estimation requires origin_totals and destination_totals "
                 "(the edge-link measurements t_e(n) and t_x(m))"
             )
-        missing = sorted({label for label in labels if label not in fallback})
+        missing = sorted(label for label in labels if label not in fallback)
         if missing:
             raise EstimationError(f"{kind} totals missing for {missing}")
-        row = np.array([fallback[label] for label in labels])
+        row = np.array([fallback[label] for label in labels])[codes]
         total = float(sum(fallback.values()))
         return np.tile(row, (num_snapshots, 1)), np.full(num_snapshots, total)
 

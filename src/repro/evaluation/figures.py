@@ -101,13 +101,12 @@ def fanout_stability(scenario: Scenario, num_sources: int = 4) -> dict[str, np.n
 
     array = series.as_array()
     fanouts = series.fanout_series()
-    pair_index = {pair: idx for idx, pair in enumerate(series.pairs)}
 
     demand_tracks, fanout_tracks, track_labels = [], [], []
     for origin in largest_origins:
         pairs_from_origin = [pair for pair in series.pairs if pair.origin == origin]
         largest_pair = max(pairs_from_origin, key=mean_matrix.demand)
-        idx = pair_index[largest_pair]
+        idx = series.pairs.position(largest_pair)
         demand_tracks.append(array[:, idx])
         fanout_tracks.append(fanouts[:, idx])
         track_labels.append(str(largest_pair))

@@ -35,8 +35,19 @@ __all__ = [
 
 
 def _check_alignment(estimate: TrafficMatrix, truth: TrafficMatrix) -> None:
-    if estimate.pairs != truth.pairs:
+    if estimate.pairs is not truth.pairs and estimate.pairs != truth.pairs:
         raise EstimationError("estimate and truth use different pair orderings")
+
+
+def _relative_error_vector(
+    estimate: TrafficMatrix, truth: TrafficMatrix, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the demands above ``threshold`` and their relative errors."""
+    _check_alignment(estimate, truth)
+    true_values = truth.vector
+    positions = np.flatnonzero(~((true_values <= threshold) | (true_values <= 0)))
+    kept = true_values[positions]
+    return positions, np.abs(estimate.vector[positions] - kept) / kept
 
 
 def top_demand_threshold(truth: TrafficMatrix, traffic_fraction: float = 0.9) -> float:
@@ -60,13 +71,9 @@ def relative_errors(
     Demands whose true value is zero are skipped (their relative error is
     undefined), matching the paper's restriction to large demands.
     """
-    _check_alignment(estimate, truth)
-    errors: dict[NodePair, float] = {}
-    for pair, true_value in truth:
-        if true_value <= threshold or true_value <= 0:
-            continue
-        errors[pair] = abs(estimate.demand(pair) - true_value) / true_value
-    return errors
+    positions, errors = _relative_error_vector(estimate, truth, threshold)
+    pairs = truth.pairs
+    return {pairs[position]: error for position, error in zip(positions.tolist(), errors.tolist())}
 
 
 def mean_relative_error(
@@ -92,17 +99,16 @@ def mean_relative_error(
     EstimationError
         If no demand exceeds the threshold.
     """
-    _check_alignment(estimate, truth)
     if threshold is None:
         threshold = top_demand_threshold(truth, traffic_fraction)
         # The threshold value itself belongs to the retained set ("larger
         # than s_T" in the paper includes the demand defining the 90% mark),
         # so move it just below.
         threshold = float(np.nextafter(threshold, 0.0))
-    errors = relative_errors(estimate, truth, threshold=threshold)
-    if not errors:
+    _, errors = _relative_error_vector(estimate, truth, threshold)
+    if not errors.size:
         raise EstimationError("no demands exceed the MRE threshold")
-    return float(np.mean(list(errors.values())))
+    return float(np.mean(errors))
 
 
 def root_mean_square_error(estimate: TrafficMatrix, truth: TrafficMatrix) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from repro.datasets.scenarios import Scenario
 from repro.errors import ReproError
 from repro.routing.routing_matrix import RoutingMatrix
-from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole
+from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
 from repro.topology.network import Network
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
@@ -130,8 +130,8 @@ def _pairs_to_list(pairs) -> list[list[str]]:
     return [[pair.origin, pair.destination] for pair in pairs]
 
 
-def _pairs_from_list(entries) -> tuple[NodePair, ...]:
-    return tuple(NodePair(origin, destination) for origin, destination in entries)
+def _pairs_from_list(entries) -> PairIndex:
+    return PairIndex(NodePair(origin, destination) for origin, destination in entries)
 
 
 def traffic_matrix_to_dict(matrix: TrafficMatrix) -> dict[str, Any]:

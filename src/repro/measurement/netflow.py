@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import MeasurementError
-from repro.topology.elements import NodePair
+from repro.topology.elements import NodePair, PairIndex
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
 __all__ = [
@@ -147,9 +147,8 @@ class NetFlowAggregator:
     def __init__(self, pairs: Sequence[NodePair], interval_seconds: float = 300.0) -> None:
         if interval_seconds <= 0:
             raise MeasurementError("interval_seconds must be positive")
-        self.pairs = tuple(pairs)
+        self.pairs = PairIndex.of(pairs)
         self.interval_seconds = float(interval_seconds)
-        self._pair_index = {pair: idx for idx, pair in enumerate(self.pairs)}
 
     def aggregate(
         self,
@@ -166,9 +165,10 @@ class NetFlowAggregator:
             raise MeasurementError("num_intervals must be positive")
         volumes = np.zeros((num_intervals, len(self.pairs)))
         for flow in flows:
-            if flow.pair not in self._pair_index:
-                raise MeasurementError(f"flow references unknown pair {flow.pair}")
-            col = self._pair_index[flow.pair]
+            try:
+                col = self.pairs.position(flow.pair)
+            except KeyError as exc:
+                raise MeasurementError(f"flow references unknown pair {flow.pair}") from exc
             for k in range(num_intervals):
                 window_start = start_time + k * self.interval_seconds
                 window_end = window_start + self.interval_seconds

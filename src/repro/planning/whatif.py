@@ -34,7 +34,7 @@ from repro.planning.projection import LoadProjection, project_load
 from repro.routing.incremental import IncrementalRerouter, RerouteResult
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.routing.shortest_path import ShortestPathRouter
-from repro.topology.elements import NodePair
+from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
 from repro.traffic.matrix import TrafficMatrix
 
@@ -185,7 +185,7 @@ def full_rebuild_routing(
     work than the incremental path — kept as the ground truth the parity
     tests and the acceptance benchmark compare against.
     """
-    pairs = tuple(pairs) if pairs is not None else network.node_pairs()
+    pairs = PairIndex.of(pairs) if pairs is not None else network.node_pairs()
     survivor = surviving_network(network, case)
     router = ShortestPathRouter(survivor)
     rows: list[int] = []

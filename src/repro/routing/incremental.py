@@ -135,7 +135,6 @@ class IncrementalRerouter:
         )
 
         # Inverted indexes: which pairs does each link / node carry?
-        self._pair_position = {pair: idx for idx, pair in enumerate(self.pairs)}
         self._pairs_by_link: dict[str, list[NodePair]] = {}
         self._pairs_by_node: dict[str, list[NodePair]] = {}
         for pair in self.pairs:
@@ -233,7 +232,7 @@ class IncrementalRerouter:
             touched.update(self._pairs_by_link.get(name, ()))
         for name in banned_nodes:
             touched.update(self._pairs_by_node.get(name, ()))
-        return tuple(sorted(touched, key=self._pair_position.__getitem__))
+        return tuple(sorted(touched, key=self.pairs.position))
 
     def _shortest_path_excluding(
         self,
@@ -329,7 +328,7 @@ class IncrementalRerouter:
                     available[link.name] -= bandwidth
             paths[pair] = path
 
-        infeasible.sort(key=self._pair_position.__getitem__)
+        infeasible.sort(key=self.pairs.position)
         return RerouteResult(
             failed_links=tuple(sorted(set(failed_links))),
             failed_nodes=tuple(sorted(set(failed_nodes))),
@@ -360,7 +359,7 @@ class IncrementalRerouter:
             return matrix, result
 
         affected_cols = np.asarray(
-            [self._pair_position[pair] for pair in result.rerouted], dtype=np.int64
+            [self.pairs.position(pair) for pair in result.rerouted], dtype=np.int64
         )
         keep = ~np.isin(self._base_cols, affected_cols)
         new_rows: list[int] = []
@@ -369,7 +368,7 @@ class IncrementalRerouter:
             path = result.paths[pair]
             if path is None:
                 continue
-            col = self._pair_position[pair]
+            col = self.pairs.position(pair)
             for link in path.links:
                 new_rows.append(self.network.link_index(link.name))
                 new_cols.append(col)

@@ -19,6 +19,7 @@ cached.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.errors import RoutingError
 from repro.routing.backends import RoutingBackend, make_backend
 from repro.routing.cspf import CSPFRouter
 from repro.routing.shortest_path import Path, ShortestPathRouter
-from repro.topology.elements import NodePair
+from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
 
 __all__ = ["RoutingMatrix", "build_routing_matrix", "build_ecmp_routing_matrix"]
@@ -47,7 +48,8 @@ class RoutingMatrix:
     link_names:
         Row labels (canonical link order of the network).
     pairs:
-        Column labels (canonical origin-destination pair order).
+        Column labels (canonical origin-destination pair order); adopted as
+        is when already a :class:`~repro.topology.elements.PairIndex`.
     network:
         The network the matrix was built from (kept for convenience).
     backend:
@@ -71,12 +73,12 @@ class RoutingMatrix:
             )
         self._backend.validate_entries()
         self.link_names = tuple(link_names)
-        self.pairs = tuple(pairs)
+        self.pairs = PairIndex.of(pairs)
         self.network = network
-        self._pair_index = {pair: idx for idx, pair in enumerate(self.pairs)}
         self._link_index = {name: idx for idx, name in enumerate(self.link_names)}
         self._rank: Optional[int] = None
         self._path_lengths: Optional[np.ndarray] = None
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # backend / storage
@@ -149,7 +151,7 @@ class RoutingMatrix:
     def pair_index(self, pair: NodePair) -> int:
         """Column index of ``pair``."""
         try:
-            return self._pair_index[pair]
+            return self.pairs.position(pair)
         except KeyError as exc:
             raise RoutingError(f"pair {pair} not present in routing matrix") from exc
 
@@ -250,6 +252,34 @@ class RoutingMatrix:
         """Number of links (possibly fractional for ECMP) used by ``pair``."""
         return float(self.path_lengths()[self.pair_index(pair)])
 
+    def fingerprint(self) -> str:
+        """Backend-independent content hash (computed once, then cached).
+
+        The matrix is canonicalised to CSR (a dense backend is converted,
+        never the reverse, so sparse backends are not densified) and hashed
+        together with the link and pair orderings.  Identical routing state
+        yields the same fingerprint whether it lives on the dense or sparse
+        backend, which is what lets a streaming checkpoint restore across
+        backend choices.
+        """
+        if self._fingerprint is None:
+            native = self.native
+            if scipy.sparse.issparse(native):
+                csr = native.tocsr().copy()
+            else:
+                csr = scipy.sparse.csr_matrix(np.asarray(native))
+            csr.sum_duplicates()
+            csr.sort_indices()
+            digest = hashlib.sha256()
+            digest.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
+            digest.update(csr.indptr.astype(np.int64).tobytes())
+            digest.update(csr.indices.astype(np.int64).tobytes())
+            digest.update(csr.data.astype(np.float64).tobytes())
+            digest.update("\x00".join(self.link_names).encode())
+            digest.update("\x00".join(str(pair) for pair in self.pairs).encode())
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RoutingMatrix(links={self.num_links}, pairs={self.num_pairs}, "
@@ -293,7 +323,7 @@ def build_routing_matrix(
 
 def _assemble_routing_matrix(
     network: Network,
-    pairs: tuple[NodePair, ...],
+    pairs: PairIndex,
     paths: Optional[Mapping[NodePair, Path]],
     use_cspf: bool,
     bandwidths: Optional[Mapping[NodePair, float]],

@@ -21,12 +21,10 @@ wrong state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from repro.errors import StreamingError
 from repro.routing.routing_matrix import RoutingMatrix
@@ -61,27 +59,13 @@ _STATE_FIELDS = (
 def routing_fingerprint(routing: RoutingMatrix) -> str:
     """Backend-independent content hash of a routing matrix.
 
-    The matrix is canonicalised to CSR (a dense backend is converted,
-    never the reverse, so sparse backends are not densified) and hashed
-    together with the link and pair orderings.  Identical routing state
-    yields the same fingerprint whether it lives on the dense or sparse
-    backend, so a checkpoint restores across backend choices.
+    The matrix is canonicalised to CSR and hashed together with the link
+    and pair orderings (see :meth:`RoutingMatrix.fingerprint`, which
+    computes it once per matrix).  Identical routing state yields the same
+    fingerprint whether it lives on the dense or sparse backend, so a
+    checkpoint restores across backend choices.
     """
-    native = routing.native
-    if scipy.sparse.issparse(native):
-        csr = native.tocsr().copy()
-    else:
-        csr = scipy.sparse.csr_matrix(np.asarray(native))
-    csr.sum_duplicates()
-    csr.sort_indices()
-    digest = hashlib.sha256()
-    digest.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
-    digest.update(csr.indptr.astype(np.int64).tobytes())
-    digest.update(csr.indices.astype(np.int64).tobytes())
-    digest.update(csr.data.astype(np.float64).tobytes())
-    digest.update("\x00".join(routing.link_names).encode())
-    digest.update("\x00".join(str(pair) for pair in routing.pairs).encode())
-    return digest.hexdigest()
+    return routing.fingerprint()
 
 
 def save_checkpoint(daemon: "StreamingEstimator", path: str) -> None:

@@ -238,17 +238,6 @@ class StreamingEstimator:
         self._rerouter: Optional[IncrementalRerouter] = None
         self._perm_cache: Optional[tuple[tuple[str, ...], np.ndarray]] = None
 
-        # Totals scatter structure (pair -> origin/destination rows).
-        pairs = routing.pairs
-        self._origins = tuple(dict.fromkeys(pair.origin for pair in pairs))
-        self._destinations = tuple(dict.fromkeys(pair.destination for pair in pairs))
-        origin_index = {name: idx for idx, name in enumerate(self._origins)}
-        destination_index = {name: idx for idx, name in enumerate(self._destinations)}
-        self._origin_cols = np.array([origin_index[pair.origin] for pair in pairs])
-        self._destination_cols = np.array(
-            [destination_index[pair.destination] for pair in pairs]
-        )
-
         # Mutable daemon state (everything below is checkpointed).
         self.rounds_seen = 0
         self.sequence = 0
@@ -366,14 +355,14 @@ class StreamingEstimator:
         new_routing, result = self._get_rerouter().reroute_matrix(
             sorted(self.failed_links), sorted(self.failed_nodes)
         )
-        if new_routing.pairs != self.routing.pairs or new_routing.num_links != len(
-            self.link_names
-        ):
+        pairs = self.routing.pairs
+        if (
+            new_routing.pairs is not pairs and new_routing.pairs != pairs
+        ) or new_routing.num_links != len(self.link_names):
             raise StreamingError("rerouted matrix does not match the streamed mesh")
         affected = np.zeros(self.routing.num_pairs, dtype=bool)
-        pair_position = {pair: idx for idx, pair in enumerate(self.routing.pairs)}
         for pair in result.rerouted:
-            affected[pair_position[pair]] = True
+            affected[pairs.position(pair)] = True
         self.routing = new_routing
         self.epoch += 1
         self.pending_invalid |= affected
@@ -395,12 +384,13 @@ class StreamingEstimator:
     ) -> EstimationProblem:
         origin_totals = destination_totals = None
         if lsp_rates is not None:
-            origin_vec = np.zeros(len(self._origins))
-            destination_vec = np.zeros(len(self._destinations))
-            np.add.at(origin_vec, self._origin_cols, lsp_rates)
-            np.add.at(destination_vec, self._destination_cols, lsp_rates)
-            origin_totals = dict(zip(self._origins, origin_vec.tolist()))
-            destination_totals = dict(zip(self._destinations, destination_vec.tolist()))
+            origins, destinations, origin_codes, destination_codes = self.routing.pairs.codes()
+            origin_vec = np.bincount(origin_codes, weights=lsp_rates, minlength=len(origins))
+            destination_vec = np.bincount(
+                destination_codes, weights=lsp_rates, minlength=len(destinations)
+            )
+            origin_totals = dict(zip(origins, origin_vec.tolist()))
+            destination_totals = dict(zip(destinations, destination_vec.tolist()))
         return EstimationProblem(
             routing=self.routing,
             link_loads=link_rates,

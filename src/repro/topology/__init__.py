@@ -5,6 +5,8 @@ This package provides the data model every other subsystem builds on:
 * :class:`~repro.topology.elements.Node`,
   :class:`~repro.topology.elements.Link` and
   :class:`~repro.topology.elements.NodePair` — immutable value objects;
+* :class:`~repro.topology.elements.PairIndex` — the shared, immutable pair
+  ordering every pair-indexed object reads;
 * :class:`~repro.topology.network.Network` — the ordered container defining
   canonical link and origin-destination-pair indices;
 * :mod:`~repro.topology.generators` — synthetic backbones matching the
@@ -13,7 +15,7 @@ This package provides the data model every other subsystem builds on:
 * :mod:`~repro.topology.regions` — region extraction and PoP aggregation.
 """
 
-from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole
+from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
 from repro.topology.generators import (
     ABILENE_CITIES,
     AMERICAN_CITIES,
@@ -38,6 +40,7 @@ __all__ = [
     "Link",
     "LinkKind",
     "NodePair",
+    "PairIndex",
     "Network",
     "CitySpec",
     "EUROPEAN_CITIES",

@@ -16,6 +16,9 @@ presence (PoP).  The data model therefore distinguishes three concepts:
   ``x(m)`` links).
 * :class:`NodePair` — an ordered origin-destination pair, the unit at which
   demands are expressed.
+* :class:`PairIndex` — an immutable, duplicate-free ordering of node pairs
+  that every pair-indexed object (routing matrix, traffic matrices,
+  estimation problems and results) shares.
 
 All elements are immutable value objects; the mutable container that ties
 them together is :class:`repro.topology.network.Network`.
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.errors import TopologyError
 
@@ -35,6 +40,7 @@ __all__ = [
     "Node",
     "Link",
     "NodePair",
+    "PairIndex",
 ]
 
 
@@ -212,3 +218,77 @@ class NodePair:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.origin}->{self.destination}"
+
+
+class PairIndex(tuple[NodePair, ...]):
+    """An immutable, duplicate-free ordering of :class:`NodePair` objects.
+
+    The index is a ``tuple`` subclass, so it iterates, indexes, measures and
+    compares exactly like the tuple of pairs it holds.  On top of that it
+    caches the two lookups every pair-indexed object needs —
+    :meth:`position` (pair to vector position) and :meth:`codes` (integer
+    origin/destination codes per pair) — so objects that share one index
+    never rebuild them.  :meth:`repro.topology.network.Network.node_pairs`
+    caches one index per network; the routing matrix, traffic matrices,
+    estimation problems and results built from that network all share it,
+    which makes wrapping a demand vector O(1).
+
+    Duplicates are rejected once, when the index is built.  ``tuple(index)``
+    copies the pairs into a plain tuple and drops the caches; use
+    :meth:`of` to adopt an existing index.  Pickling carries only the pairs.
+    """
+
+    _codes: tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]
+    _positions: Optional[dict[NodePair, int]]
+
+    def __new__(cls, pairs: Iterable[NodePair] = ()) -> "PairIndex":
+        self = super().__new__(cls, pairs)
+        origin_of: dict[str, int] = {}
+        destination_of: dict[str, int] = {}
+        origin_codes = np.fromiter(
+            (origin_of.setdefault(pair.origin, len(origin_of)) for pair in self),
+            dtype=np.intp,
+            count=len(self),
+        )
+        destination_codes = np.fromiter(
+            (destination_of.setdefault(pair.destination, len(destination_of)) for pair in self),
+            dtype=np.intp,
+            count=len(self),
+        )
+        # A pair is its (origin, destination), so equal code pairs are duplicates.
+        keys = origin_codes * len(destination_of) + destination_codes
+        if np.unique(keys).size != len(self):
+            raise TopologyError("duplicate origin-destination pairs")
+        origin_codes.setflags(write=False)
+        destination_codes.setflags(write=False)
+        self._codes = (tuple(origin_of), tuple(destination_of), origin_codes, destination_codes)
+        self._positions = None
+        return self
+
+    @classmethod
+    def of(cls, pairs: Iterable[NodePair]) -> "PairIndex":
+        """Return ``pairs`` itself if it is an index, else a new index over it."""
+        return pairs if isinstance(pairs, PairIndex) else cls(pairs)
+
+    def codes(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+        """``(origins, destinations, origin_codes, destination_codes)``.
+
+        ``origins`` / ``destinations`` list the labels in first-appearance
+        pair order; ``origin_codes[p]`` / ``destination_codes[p]`` are the
+        positions of pair ``p``'s endpoints in them (read-only integer
+        arrays).
+        """
+        return self._codes
+
+    def position(self, pair: NodePair) -> int:
+        """Vector position of ``pair``, raising ``KeyError`` if it is absent."""
+        return self.positions()[pair]
+
+    def positions(self) -> dict[NodePair, int]:
+        """The cached ``pair -> position`` mapping (built on first use; do not mutate)."""
+        if self._positions is None:
+            self._positions = {pair: idx for idx, pair in enumerate(self)}
+        return self._positions
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[NodePair, ...]]]:
+        return (PairIndex, (tuple(self),))

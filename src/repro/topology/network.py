@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import networkx as nx
 
 from repro.errors import TopologyError
-from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole
+from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
 
 __all__ = ["Network"]
 
@@ -62,6 +62,7 @@ class Network:
         self._link_index: dict[str, int] = {}
         self._adjacency: dict[str, list[Link]] = {}
         self._graph: Optional[nx.DiGraph] = None
+        self._pairs: Optional[PairIndex] = None
         for node in nodes:
             self.add_node(node)
         for link in links:
@@ -77,6 +78,7 @@ class Network:
         self._nodes[node.name] = node
         self._adjacency.setdefault(node.name, [])
         self._graph = None
+        self._pairs = None
 
     def add_link(self, link: Link) -> None:
         """Add a directed link whose endpoints must already exist."""
@@ -212,24 +214,30 @@ class Network:
         n_edge = len(self.edge_nodes)
         return n_edge * (n_edge - 1)
 
-    def node_pairs(self) -> tuple[NodePair, ...]:
+    def node_pairs(self) -> PairIndex:
         """Canonical enumeration of origin-destination pairs.
 
         Pairs are ordered by origin (node insertion order) and then by
         destination, skipping the diagonal.  Only edge nodes (access or
         peering) appear; transit nodes never source or sink demands.
+
+        The index is built once and cached (:meth:`add_node` resets it), so
+        every routing matrix, traffic matrix and estimation problem built
+        from this network shares one :class:`PairIndex`.
         """
-        edge_names = [node.name for node in self.edge_nodes]
-        pairs = []
-        for origin in edge_names:
-            for destination in edge_names:
-                if origin != destination:
-                    pairs.append(NodePair(origin, destination))
-        return tuple(pairs)
+        if self._pairs is None:
+            edge_names = [node.name for node in self.edge_nodes]
+            self._pairs = PairIndex(
+                NodePair(origin, destination)
+                for origin in edge_names
+                for destination in edge_names
+                if origin != destination
+            )
+        return self._pairs
 
     def pair_index(self) -> dict[NodePair, int]:
         """Return the mapping from node pair to its canonical vector index."""
-        return {pair: idx for idx, pair in enumerate(self.node_pairs())}
+        return dict(self.node_pairs().positions())
 
     # ------------------------------------------------------------------
     # validation and views

@@ -19,12 +19,12 @@ analysis sections rely on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from repro.errors import TrafficError
-from repro.topology.elements import NodePair
+from repro.errors import TopologyError, TrafficError
+from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
 
 __all__ = ["TrafficMatrix", "TrafficMatrixSeries"]
@@ -37,14 +37,23 @@ class TrafficMatrix:
     ----------
     pairs:
         Origin-destination pairs, in the order the values refer to.  This is
-        normally the canonical order of the owning network.
+        normally the canonical order of the owning network.  A
+        :class:`~repro.topology.elements.PairIndex` is shared as is, which
+        makes wrapping a demand vector O(1); any other sequence is indexed
+        (and checked for duplicates) first.
     values:
-        Demand volumes (e.g. Mbit/s), one per pair, all non-negative.
+        Demand volumes (e.g. Mbit/s), one per pair, all non-negative.  The
+        matrix keeps its own read-only copy.
     """
 
-    def __init__(self, pairs: Sequence[NodePair], values: Iterable[float]) -> None:
-        self.pairs = tuple(pairs)
-        vector = np.asarray(list(values), dtype=float)
+    def __init__(
+        self, pairs: Sequence[NodePair], values: Union[Sequence[float], np.ndarray]
+    ) -> None:
+        try:
+            self.pairs = PairIndex.of(pairs)
+        except TopologyError as exc:
+            raise TrafficError(str(exc)) from exc
+        vector = np.array(values, dtype=float)
         if vector.ndim != 1:
             raise TrafficError("traffic matrix values must form a one-dimensional vector")
         if len(vector) != len(self.pairs):
@@ -53,11 +62,8 @@ class TrafficMatrix:
             )
         if np.any(vector < 0):
             raise TrafficError("traffic matrix values must be non-negative")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise TrafficError("duplicate origin-destination pairs")
+        vector.setflags(write=False)
         self._values = vector
-        self._values.setflags(write=False)
-        self._index = {pair: idx for idx, pair in enumerate(self.pairs)}
 
     # ------------------------------------------------------------------
     # constructors
@@ -101,7 +107,7 @@ class TrafficMatrix:
     def demand(self, pair: NodePair) -> float:
         """Demand of a single pair."""
         try:
-            return float(self._values[self._index[pair]])
+            return float(self._values[self.pairs.position(pair)])
         except KeyError as exc:
             raise TrafficError(f"pair {pair} not in traffic matrix") from exc
 
@@ -128,31 +134,25 @@ class TrafficMatrix:
 
     def origin_names(self) -> tuple[str, ...]:
         """Origins appearing in the pair ordering, in first-seen order."""
-        seen: dict[str, None] = {}
-        for pair in self.pairs:
-            seen.setdefault(pair.origin, None)
-        return tuple(seen)
+        return self.pairs.codes()[0]
 
     def destination_names(self) -> tuple[str, ...]:
         """Destinations appearing in the pair ordering, in first-seen order."""
-        seen: dict[str, None] = {}
-        for pair in self.pairs:
-            seen.setdefault(pair.destination, None)
-        return tuple(seen)
+        return self.pairs.codes()[1]
+
+    def _totals(self, labels: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+        # bincount adds the weights in pair order, exactly like a loop would.
+        return np.bincount(codes, weights=self._values, minlength=len(labels))
 
     def origin_totals(self) -> dict[str, float]:
         """Total traffic entering the network at each origin (``t_e(n)``)."""
-        totals: dict[str, float] = {name: 0.0 for name in self.origin_names()}
-        for pair, value in zip(self.pairs, self._values):
-            totals[pair.origin] += float(value)
-        return totals
+        origins, _, origin_codes, _ = self.pairs.codes()
+        return dict(zip(origins, self._totals(origins, origin_codes).tolist()))
 
     def destination_totals(self) -> dict[str, float]:
         """Total traffic exiting the network at each destination (``t_x(m)``)."""
-        totals: dict[str, float] = {name: 0.0 for name in self.destination_names()}
-        for pair, value in zip(self.pairs, self._values):
-            totals[pair.destination] += float(value)
-        return totals
+        _, destinations, _, destination_codes = self.pairs.codes()
+        return dict(zip(destinations, self._totals(destinations, destination_codes).tolist()))
 
     def to_dense(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Return ``(node_names, matrix)`` with a dense N x N array.
@@ -160,15 +160,15 @@ class TrafficMatrix:
         The diagonal is zero; node order is origins-first-seen, extended by
         destinations not already present.
         """
-        names = list(self.origin_names())
-        for name in self.destination_names():
-            if name not in names:
-                names.append(name)
+        origins, destinations, origin_codes, destination_codes = self.pairs.codes()
+        known = set(origins)
+        names = origins + tuple(name for name in destinations if name not in known)
         index = {name: i for i, name in enumerate(names)}
+        rows = np.array([index[name] for name in origins], dtype=np.intp)
+        cols = np.array([index[name] for name in destinations], dtype=np.intp)
         dense = np.zeros((len(names), len(names)))
-        for pair, value in zip(self.pairs, self._values):
-            dense[index[pair.origin], index[pair.destination]] = value
-        return tuple(names), dense
+        dense[rows[origin_codes], cols[destination_codes]] = self._values
+        return names, dense
 
     # ------------------------------------------------------------------
     # normalised views (paper Section 3.2)
@@ -193,23 +193,16 @@ class TrafficMatrix:
         destinations, which keeps every per-origin fanout vector a proper
         probability distribution.
         """
-        origin_totals = self.origin_totals()
-        destinations_per_origin: dict[str, int] = {}
-        for pair in self.pairs:
-            destinations_per_origin[pair.origin] = destinations_per_origin.get(pair.origin, 0) + 1
-        fanouts: dict[NodePair, float] = {}
-        for pair, value in zip(self.pairs, self._values):
-            total = origin_totals[pair.origin]
-            if total > 0:
-                fanouts[pair] = float(value) / total
-            else:
-                fanouts[pair] = 1.0 / destinations_per_origin[pair.origin]
-        return fanouts
+        return dict(zip(self.pairs, self.fanout_vector().tolist()))
 
     def fanout_vector(self) -> np.ndarray:
-        """Fanouts in canonical pair order, as a vector."""
-        fanouts = self.fanouts()
-        return np.array([fanouts[pair] for pair in self.pairs])
+        """Fanouts in canonical pair order, as a vector (see :meth:`fanouts`)."""
+        origins, _, origin_codes, _ = self.pairs.codes()
+        pair_totals = self._totals(origins, origin_codes)[origin_codes]
+        destinations_per_origin = np.bincount(origin_codes, minlength=len(origins))
+        fanouts = 1.0 / destinations_per_origin[origin_codes]
+        np.divide(self._values, pair_totals, out=fanouts, where=pair_totals > 0)
+        return fanouts
 
     # ------------------------------------------------------------------
     # demand ranking helpers (used by the MRE threshold rule)
@@ -271,14 +264,14 @@ class TrafficMatrix:
             raise TrafficError("scaling factor must be non-negative")
         return TrafficMatrix(self.pairs, self._values * factor)
 
-    def with_values(self, values: Iterable[float]) -> "TrafficMatrix":
+    def with_values(self, values: Union[Sequence[float], np.ndarray]) -> "TrafficMatrix":
         """Return a matrix over the same pairs with new values."""
         return TrafficMatrix(self.pairs, values)
 
     def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
         if not isinstance(other, TrafficMatrix):
             return NotImplemented
-        if self.pairs != other.pairs:
+        if self.pairs is not other.pairs and self.pairs != other.pairs:
             raise TrafficError("cannot add traffic matrices over different pair orderings")
         return TrafficMatrix(self.pairs, self._values + other._values)
 
@@ -312,7 +305,7 @@ class TrafficMatrixSeries:
             raise TrafficError("interval_seconds must be positive")
         first = snapshots[0]
         for snap in snapshots[1:]:
-            if snap.pairs != first.pairs:
+            if snap.pairs is not first.pairs and snap.pairs != first.pairs:
                 raise TrafficError("all snapshots must share the same pair ordering")
         self.snapshots = tuple(snapshots)
         self.interval_seconds = float(interval_seconds)

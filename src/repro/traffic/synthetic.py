@@ -172,9 +172,10 @@ def base_demand_matrix(
     if not pairs:
         raise TrafficError(f"network {network.name!r} has no origin-destination pairs")
     populations = {node.name: node.population for node in network.nodes}
-    gravity = np.array(
-        [populations[pair.origin] * populations[pair.destination] for pair in pairs]
-    )
+    origins, destinations, origin_codes, destination_codes = pairs.codes()
+    origin_populations = np.array([populations[name] for name in origins], dtype=float)
+    destination_populations = np.array([populations[name] for name in destinations], dtype=float)
+    gravity = origin_populations[origin_codes] * destination_populations[destination_codes]
     affinity = rng.lognormal(mean=0.0, sigma=config.gravity_distortion, size=len(pairs))
     raw = gravity * affinity
     concentrated = _apply_concentration(raw, config.top_fraction, config.top_share)
@@ -216,7 +217,10 @@ class SyntheticTrafficModel:
             raise TrafficError("base matrix pair ordering does not match the network")
         self.base_matrix = base_matrix
         self._rng = np.random.default_rng(seed)
-        origins = sorted({pair.origin for pair in pairs})
+        labels, _, origin_codes, _ = pairs.codes()
+        # Sorted, not first-appearance, order: it fixes the order of the
+        # per-origin phase draws below.
+        origins = sorted(labels)
         spread = self.config.origin_phase_spread_hours
         self._origin_phase = {
             origin: float(self._rng.uniform(-spread, spread)) for origin in origins
@@ -232,9 +236,9 @@ class SyntheticTrafficModel:
         # what makes day generation tractable on large meshes.
         self._phase_seconds = np.array([self._origin_phase[origin] * 3600.0 for origin in origins])
         origin_pos = {name: idx for idx, name in enumerate(origins)}
-        self._pair_origin_index = np.fromiter(
-            (origin_pos[pair.origin] for pair in pairs), dtype=np.intp, count=len(pairs)
-        )
+        self._pair_origin_index = np.array(
+            [origin_pos[name] for name in labels], dtype=np.intp
+        )[origin_codes]
 
     # ------------------------------------------------------------------
     def mean_at(self, time_seconds: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import small_scenario
+from repro.datasets import large_scenario, small_scenario
 from repro.routing import build_routing_matrix
 from repro.topology import Link, LinkKind, Network, Node, NodePair, NodeRole
 from repro.traffic import TrafficMatrix
@@ -91,3 +91,10 @@ def small_snapshot_problem(small_scenario_session):
 def small_truth(small_scenario_session) -> TrafficMatrix:
     """Ground-truth busy-period mean matrix of the small scenario."""
     return small_scenario_session.busy_mean_matrix()
+
+
+@pytest.fixture(scope="session")
+def large_scenario_60():
+    """A 60-PoP generated backbone (3,540 demands); tests must not mutate it."""
+    return large_scenario(60, seed=3)
+

@@ -97,3 +97,22 @@ class TestReferenceScenarios:
     def test_underdetermined_estimation_problem(self):
         scenario = europe_scenario()
         assert scenario.routing.is_underdetermined()
+
+
+@pytest.fixture(scope="module")
+def america():
+    return america_scenario()
+
+
+class TestSharedPairIndex:
+    @pytest.mark.parametrize("scenario_name", ["america", "large_scenario_60"])
+    def test_one_index_across_the_scenario(self, request, scenario_name):
+        scenario = request.getfixturevalue(scenario_name)
+        pairs = scenario.network.node_pairs()
+        assert scenario.routing.pairs is pairs
+        assert scenario.day_series.pairs is pairs
+        assert all(snapshot.pairs is pairs for snapshot in scenario.day_series)
+        assert scenario.busy_mean_matrix().pairs is pairs
+        assert scenario.snapshot_problem().pairs is pairs
+        assert scenario.series_problem(window_length=4).pairs is pairs
+

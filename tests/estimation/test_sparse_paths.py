@@ -119,6 +119,10 @@ class TestSharedWorkspace:
     def test_pair_positions_cached(self, scenario):
         problem = scenario.snapshot_problem()
         assert problem.pair_positions() is problem.pair_positions()
+        # One object per routing: a series problem on the same routing
+        # reads the same shared index, nothing is rebuilt per problem.
+        series_problem = scenario.series_problem(window_length=4)
+        assert series_problem.pair_positions() is problem.pair_positions()
         origins, destinations, origin_cols, destination_cols = problem.pair_positions()
         assert origins == problem.origin_order()
         assert destinations == problem.destination_order()

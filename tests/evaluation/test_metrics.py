@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets import america_scenario
 from repro.errors import EstimationError
+from repro.estimation import get_estimator
 from repro.evaluation import (
     demand_ranking_correlation,
     mean_relative_error,
@@ -128,3 +130,39 @@ class TestOtherMetrics:
             root_mean_square_error(other, truth)
         with pytest.raises(EstimationError):
             demand_ranking_correlation(other, truth)
+
+
+def loop_relative_errors(estimate, truth, threshold):
+    """Reference: the per-pair loop the vectorised metrics replaced."""
+    errors = {}
+    for pair, true_value in truth:
+        if true_value <= threshold or true_value <= 0:
+            continue
+        errors[pair] = abs(estimate.demand(pair) - true_value) / true_value
+    return errors
+
+
+def loop_mean_relative_error(estimate, truth, traffic_fraction=0.9):
+    threshold = float(np.nextafter(top_demand_threshold(truth, traffic_fraction), 0.0))
+    return float(np.mean(list(loop_relative_errors(estimate, truth, threshold).values())))
+
+
+@pytest.fixture(scope="module")
+def america():
+    return america_scenario()
+
+
+class TestVectorisedMetricsMatchTheLoop:
+    @pytest.mark.parametrize("scenario_name", ["america", "large_scenario_60"])
+    @pytest.mark.parametrize("method", ["gravity", "tomogravity", "bayesian"])
+    def test_bit_identical_to_the_loop(self, request, scenario_name, method):
+        scenario = request.getfixturevalue(scenario_name)
+        truth = scenario.busy_mean_matrix()
+        estimate = get_estimator(method).estimate(scenario.snapshot_problem()).estimate
+        assert estimate.pairs is truth.pairs
+        assert mean_relative_error(estimate, truth) == loop_mean_relative_error(estimate, truth)
+        threshold = top_demand_threshold(truth, 0.5)
+        assert relative_errors(estimate, truth, threshold) == loop_relative_errors(
+            estimate, truth, threshold
+        )
+

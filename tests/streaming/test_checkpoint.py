@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from repro.errors import StreamingError
+from repro.routing import routing_matrix as routing_matrix_module
+from repro.routing.incremental import IncrementalRerouter
 from repro.resilience.faults import (
     ClockSkew,
     CollectorOutage,
@@ -195,8 +199,6 @@ class TestCheckpointValidation:
     ):
         path = tmp_path / "fingerprint.ckpt"
         self._checkpoint(stream_scenario, collector_factory, path)
-        from repro.routing.incremental import IncrementalRerouter
-
         other, _ = IncrementalRerouter(stream_scenario.network).reroute_matrix(
             failed_links=[stream_scenario.routing.link_names[0]]
         )
@@ -213,6 +215,63 @@ class TestCheckpointValidation:
         routing = stream_scenario.routing
         sparse = routing.with_backend("sparse")
         assert routing_fingerprint(routing) == routing_fingerprint(sparse)
+
+
+def format_1_fingerprint(routing) -> str:
+    """Reference: the fingerprint formula of checkpoint format version 1."""
+    native = routing.native
+    if scipy.sparse.issparse(native):
+        csr = native.tocsr().copy()
+    else:
+        csr = scipy.sparse.csr_matrix(np.asarray(native))
+    csr.sum_duplicates()
+    csr.sort_indices()
+    digest = hashlib.sha256()
+    digest.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
+    digest.update(csr.indptr.astype(np.int64).tobytes())
+    digest.update(csr.indices.astype(np.int64).tobytes())
+    digest.update(csr.data.astype(np.float64).tobytes())
+    digest.update("\x00".join(routing.link_names).encode())
+    digest.update("\x00".join(str(pair) for pair in routing.pairs).encode())
+    return digest.hexdigest()
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_matches_format_1(self, stream_scenario, backend):
+        routing = stream_scenario.routing.with_backend(backend)
+        assert routing.backend_kind == backend
+        assert CHECKPOINT_VERSION == 1
+        assert routing_fingerprint(routing) == format_1_fingerprint(routing)
+
+    def test_computed_once_per_routing_matrix(self, stream_scenario, monkeypatch):
+        calls = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256():
+                calls.append(1)
+                return hashlib.sha256()
+
+        monkeypatch.setattr(routing_matrix_module, "hashlib", CountingHashlib)
+        routing = stream_scenario.routing.with_backend("sparse")
+        first = routing_fingerprint(routing)
+        assert routing_fingerprint(routing) == first
+        assert len(calls) == 1
+        routing_fingerprint(routing.with_backend("dense"))
+        assert len(calls) == 2
+
+    def test_rerouted_matrix_gets_its_own_fingerprint(self, stream_scenario):
+        base = stream_scenario.routing
+        base_fingerprint = routing_fingerprint(base)
+        rerouted, result = IncrementalRerouter(stream_scenario.network).reroute_matrix(
+            failed_links=[base.link_names[0]]
+        )
+        assert result.rerouted
+        assert rerouted.pairs is base.pairs
+        assert routing_fingerprint(rerouted) == format_1_fingerprint(rerouted)
+        assert routing_fingerprint(rerouted) != base_fingerprint
+        assert routing_fingerprint(base) == format_1_fingerprint(base)
 
 
 class TestKillDashNine:

@@ -8,7 +8,7 @@ import pytest
 from repro import io
 from repro.errors import ReproError
 from repro.routing import build_routing_matrix
-from repro.topology import LinkKind, NodeRole
+from repro.topology import LinkKind, NodeRole, PairIndex
 from repro.traffic import TrafficMatrixSeries
 
 
@@ -58,6 +58,14 @@ class TestTrafficRoundTrip:
         assert rebuilt.interval_seconds == 300.0
         assert rebuilt.start_time_seconds == 600.0
         assert np.allclose(rebuilt.as_array(), series.as_array())
+
+    def test_series_snapshots_share_one_index(self, triangle_traffic):
+        series = TrafficMatrixSeries([triangle_traffic.scaled(k) for k in (1.0, 2.0, 3.0)])
+        rebuilt = io.series_from_dict(io.series_to_dict(series))
+        assert isinstance(rebuilt.pairs, PairIndex)
+        assert rebuilt.pairs == series.pairs
+        assert all(snapshot.pairs is rebuilt.pairs for snapshot in rebuilt)
+        assert rebuilt.mean_matrix().pairs is rebuilt.pairs
 
     def test_wrong_format_rejected(self, triangle_traffic):
         data = io.traffic_matrix_to_dict(triangle_traffic)

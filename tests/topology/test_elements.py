@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Link, LinkKind, Node, NodePair, NodeRole
+from repro.topology import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
 
 
 class TestNode:
@@ -102,3 +105,67 @@ class TestNodePair:
     def test_pairs_are_hashable(self):
         pairs = {NodePair("A", "B"), NodePair("B", "A"), NodePair("A", "B")}
         assert len(pairs) == 2
+
+
+PAIRS = (
+    NodePair("A", "B"),
+    NodePair("A", "C"),
+    NodePair("C", "B"),
+    NodePair("B", "A"),
+    NodePair("C", "A"),
+)
+
+
+class TestPairIndex:
+    def test_behaves_as_the_tuple_of_its_pairs(self):
+        index = PairIndex(PAIRS)
+        assert isinstance(index, tuple)
+        assert index == PAIRS
+        assert list(index) == list(PAIRS)
+        assert len(index) == len(PAIRS)
+        assert index[2] == NodePair("C", "B")
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(TopologyError):
+            PairIndex(PAIRS + (NodePair("C", "B"),))
+
+    def test_codes_follow_first_appearance(self):
+        origins, destinations, origin_codes, destination_codes = PairIndex(PAIRS).codes()
+        assert origins == ("A", "C", "B")
+        assert destinations == ("B", "C", "A")
+        for position, pair in enumerate(PAIRS):
+            assert origins[origin_codes[position]] == pair.origin
+            assert destinations[destination_codes[position]] == pair.destination
+        for codes in (origin_codes, destination_codes):
+            assert np.issubdtype(codes.dtype, np.integer)
+            assert not codes.flags.writeable
+
+    def test_codes_are_cached(self):
+        index = PairIndex(PAIRS)
+        assert index.codes() is index.codes()
+
+    def test_position_lookup(self):
+        index = PairIndex(PAIRS)
+        assert [index.position(pair) for pair in PAIRS] == list(range(len(PAIRS)))
+        with pytest.raises(KeyError):
+            index.position(NodePair("B", "C"))
+
+    def test_of_adopts_an_index_and_builds_from_other_sequences(self):
+        index = PairIndex(PAIRS)
+        assert PairIndex.of(index) is index
+        rebuilt = PairIndex.of(list(PAIRS))
+        assert isinstance(rebuilt, PairIndex)
+        assert rebuilt == index
+        assert type(tuple(index)) is tuple
+
+    def test_pickle_carries_no_cache(self):
+        index = PairIndex(PAIRS)
+        index.position(PAIRS[0])  # fill the lazy position cache
+        assert index.__reduce__() == (PairIndex, (PAIRS,))
+        payload = pickle.dumps(index)
+        assert len(payload) < len(pickle.dumps(PAIRS)) + 64
+        restored = pickle.loads(payload)
+        assert isinstance(restored, PairIndex)
+        assert restored == index
+        assert restored.position(PAIRS[3]) == 3
+

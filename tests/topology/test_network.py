@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Link, LinkKind, Network, Node, NodePair, NodeRole
+from repro.topology import Link, LinkKind, Network, Node, NodePair, NodeRole, PairIndex
 
 
 def build_square() -> Network:
@@ -110,6 +110,19 @@ class TestPairs:
         index = network.pair_index()
         for position, pair in enumerate(network.node_pairs()):
             assert index[pair] == position
+
+    def test_node_pairs_cached_until_a_node_is_added(self):
+        network = build_square()
+        pairs = network.node_pairs()
+        assert isinstance(pairs, PairIndex)
+        assert network.node_pairs() is pairs
+        network.add_link(Link(source="A", target="C"))
+        assert network.node_pairs() is pairs
+        network.add_node(Node(name="E"))
+        grown = network.node_pairs()
+        assert grown is not pairs
+        assert len(grown) == 20
+        assert NodePair("E", "A") in grown
 
 
 class TestValidationAndViews:

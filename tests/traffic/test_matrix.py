@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrafficError
-from repro.topology import NodePair
+from repro.topology import Link, Network, Node, NodePair
 from repro.traffic import TrafficMatrix, TrafficMatrixSeries
 
 
@@ -69,6 +69,114 @@ class TestConstruction:
         tm = matrix([1, 2, 3, 4, 5, 6])
         rebuilt = TrafficMatrix.from_mapping(PAIRS, tm.to_mapping())
         assert np.allclose(rebuilt.vector, tm.vector)
+
+    def test_ndarray_argument_is_copied(self):
+        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        tm = matrix(values)
+        values[0] = 99.0
+        assert tm.vector[0] == 1.0
+        assert not np.shares_memory(tm.vector, values)
+        frozen = tm.vector
+        assert matrix(frozen).vector is not frozen
+
+
+class TestSharedPairIndex:
+    @staticmethod
+    def network() -> Network:
+        network = Network("ring")
+        names = [f"N{i}" for i in range(8)]
+        for name in names:
+            network.add_node(Node(name=name))
+        for a, b in zip(names, names[1:] + names[:1]):
+            network.add_bidirectional_link(Link(source=a, target=b))
+        return network
+
+    def test_wrapping_over_a_shared_index_hashes_no_pair(self, monkeypatch):
+        pairs = self.network().node_pairs()
+        calls = {"count": 0}
+        original = NodePair.__hash__
+
+        def counting(self):
+            calls["count"] += 1
+            return original(self)
+
+        monkeypatch.setattr(NodePair, "__hash__", counting)
+        vectors = np.random.default_rng(0).random((1000, len(pairs)))
+        for vector in vectors:
+            wrapped = TrafficMatrix(pairs, vector)
+            assert wrapped.pairs is pairs
+        assert calls["count"] == 0
+        set(pairs)  # the counter does see hashing when it happens
+        assert calls["count"] == len(pairs)
+
+    def test_derived_matrices_and_series_share_the_index(self):
+        pairs = self.network().node_pairs()
+        first = TrafficMatrix(pairs, np.ones(len(pairs)))
+        series = TrafficMatrixSeries([first, first.scaled(2.0), first + first])
+        assert series.pairs is pairs
+        assert all(snapshot.pairs is pairs for snapshot in series)
+        assert series.mean_matrix().pairs is pairs
+        assert series.window(1, 2).pairs is pairs
+
+    def test_series_accepts_equal_pairs_from_distinct_indexes(self):
+        series = TrafficMatrixSeries([matrix([1] * 6), matrix([2] * 6)])
+        assert series[0].pairs is not series[1].pairs
+        assert series.pairs == PAIRS
+
+
+def loop_totals(tm: TrafficMatrix, attribute: str) -> dict[str, float]:
+    """Reference: per-label totals added pair by pair."""
+    totals: dict[str, float] = {}
+    for pair, value in tm:
+        name = getattr(pair, attribute)
+        totals[name] = totals.get(name, 0.0) + float(value)
+    return totals
+
+
+def loop_fanouts(tm: TrafficMatrix) -> dict[NodePair, float]:
+    """Reference: fanouts computed pair by pair from the loop totals."""
+    origin_totals = loop_totals(tm, "origin")
+    counts: dict[str, int] = {}
+    for pair in tm.pairs:
+        counts[pair.origin] = counts.get(pair.origin, 0) + 1
+    return {
+        pair: float(value) / origin_totals[pair.origin]
+        if origin_totals[pair.origin] > 0
+        else 1.0 / counts[pair.origin]
+        for pair, value in tm
+    }
+
+
+class TestVectorisedAggregatesMatchTheLoop:
+    @pytest.fixture(scope="class")
+    def matrices(self, large_scenario_60):
+        day = large_scenario_60.day_series
+        zeroed = day[0].vector.copy()
+        origins, _, origin_codes, _ = day.pairs.codes()
+        zeroed[origin_codes == 0] = 0.0  # one origin with no traffic
+        return [large_scenario_60.busy_mean_matrix(), day[0], day[-1], day[0].with_values(zeroed)]
+
+    def test_totals_bit_identical(self, matrices):
+        for tm in matrices:
+            assert tm.origin_totals() == loop_totals(tm, "origin")
+            assert tm.destination_totals() == loop_totals(tm, "destination")
+            assert list(tm.origin_totals()) == list(loop_totals(tm, "origin"))
+
+    def test_fanouts_bit_identical(self, matrices):
+        for tm in matrices:
+            reference = loop_fanouts(tm)
+            assert tm.fanouts() == reference
+            np.testing.assert_array_equal(
+                tm.fanout_vector(), [reference[pair] for pair in tm.pairs]
+            )
+
+    def test_dense_view_matches_pairs(self, matrices):
+        tm = matrices[0]
+        names, dense = tm.to_dense()
+        index = {name: i for i, name in enumerate(names)}
+        for pair, value in tm:
+            assert dense[index[pair.origin], index[pair.destination]] == value
+        assert np.count_nonzero(dense) == np.count_nonzero(tm.vector)
 
 
 class TestAggregates:

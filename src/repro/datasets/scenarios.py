@@ -34,7 +34,7 @@ Two data modes feed the estimators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -177,7 +177,11 @@ class Scenario:
         passes the link counters collected by the SNMP pipeline.  Edge
         totals are derived from ``series`` (they are observable from the
         access links in both modes), vectorised from the demand array.
+        The series must share the routing's pair order: the totals are
+        vectors in that order and carry no names to re-align by.
         """
+        if series.pairs is not self.routing.pairs and series.pairs != self.routing.pairs:
+            raise TrafficError("routing matrix and traffic series use different pair orderings")
         demands = series.as_array()  # (K, P)
         origins, destinations, origin_cols, destination_cols = series.pairs.codes()
         origin_series = np.zeros((len(series), len(origins)))
@@ -193,9 +197,7 @@ class Scenario:
             origin_totals=origin_totals,
             destination_totals=destination_totals,
             origin_totals_series=origin_series,
-            origin_names=origins,
             destination_totals_series=destination_series,
-            destination_names=destinations,
         )
 
     def series_problem(

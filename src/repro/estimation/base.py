@@ -46,9 +46,40 @@ __all__ = [
 ]
 
 
+def _edge_totals(
+    values: Any, labels: tuple[str, ...], shape: tuple[int, ...], name: str
+) -> Optional[np.ndarray]:
+    """``values`` as a read-only float array of ``shape``, labels on the last axis.
+
+    ``values`` is ``None``, an array already in label order or, for the
+    one-dimensional snapshot totals only, a mapping covering every label
+    (extra keys are ignored).
+    """
+    if values is None:
+        return None
+    if isinstance(values, Mapping):
+        if len(shape) != 1:
+            raise EstimationError(f"{name} must be an array in label order, not a mapping")
+        missing = [label for label in labels if label not in values]
+        if missing:
+            raise EstimationError(f"{name} missing for {missing}")
+        values = [values[label] for label in labels]
+    array = np.array(values, dtype=float)
+    if array.shape != shape:
+        raise EstimationError(f"{name} has shape {array.shape}, expected {shape}")
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Observable inputs to a traffic-matrix estimation method.
+
+    Edge totals are plain vectors over the labels of the routing's shared
+    pair index: the origins (destinations) of ``routing.pairs.codes()`` in
+    first-appearance order.  A ``name -> total`` mapping, such as
+    :meth:`TrafficMatrix.origin_totals`, is converted once here; every
+    estimator then reads arrays.
 
     Attributes
     ----------
@@ -65,37 +96,30 @@ class EstimationProblem:
         series mean.
     origin_totals:
         Optional per-origin total ingress traffic ``t_e(n)`` for the
-        snapshot.  Gravity models and Kruithof need these; they are
-        observable from the access links of each PoP.
+        snapshot, shape ``(N_origins,)``.  Gravity models and Kruithof need
+        these; they are observable from the access links of each PoP.  A
+        mapping must cover every origin (extra keys are ignored).
     destination_totals:
-        Optional per-destination total egress traffic ``t_x(m)``.
+        Optional per-destination total egress traffic ``t_x(m)``, shape
+        ``(N_destinations,)``; a mapping is converted like ``origin_totals``.
     origin_totals_series:
-        Optional time series of per-origin totals, shape ``(K, N_origins)``,
-        with origins ordered as in ``origin_names``; used by fanout
+        Optional time series of per-origin totals, shape ``(K, N_origins)``
+        with ``K`` the rows of ``link_load_series``; used by fanout
         estimation and by the batched gravity/Kruithof paths.
-    origin_names:
-        Origin ordering for ``origin_totals_series``.
     destination_totals_series:
         Optional time series of per-destination totals, shape
         ``(K, N_destinations)``; used by the batched gravity/Kruithof paths.
-    destination_names:
-        Destination ordering for ``destination_totals_series``.
     """
 
     routing: RoutingMatrix
     link_loads: Optional[np.ndarray] = None
     link_load_series: Optional[np.ndarray] = None
-    origin_totals: Optional[Mapping[str, float]] = None
-    destination_totals: Optional[Mapping[str, float]] = None
+    origin_totals: Optional[np.ndarray] = None
+    destination_totals: Optional[np.ndarray] = None
     origin_totals_series: Optional[np.ndarray] = None
-    origin_names: Optional[tuple[str, ...]] = None
     destination_totals_series: Optional[np.ndarray] = None
-    destination_names: Optional[tuple[str, ...]] = None
-    # Lazy per-problem caches (excluded from init/repr/eq; the frozen
-    # dataclass machinery still initialises them via object.__setattr__).
-    _augmented_cache: dict[tuple[bool, bool], tuple[Any, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # Lazy per-problem cache (excluded from init/repr/eq; the frozen
+    # dataclass machinery still initialises it via object.__setattr__).
     _shared_cache: dict[tuple, Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -122,24 +146,20 @@ class EstimationProblem:
             object.__setattr__(self, "link_load_series", np.maximum(series, 0.0))
         if self.link_loads is None and self.link_load_series is None:
             raise EstimationError("an estimation problem needs link loads or a series of them")
-        if self.origin_totals_series is not None:
-            if self.origin_names is None:
-                raise EstimationError("origin_totals_series requires origin_names")
-            series = np.asarray(self.origin_totals_series, dtype=float)
-            if series.ndim != 2 or series.shape[1] != len(self.origin_names):
-                raise EstimationError(
-                    "origin_totals_series must have one column per origin name"
-                )
-            object.__setattr__(self, "origin_totals_series", series)
-        if self.destination_totals_series is not None:
-            if self.destination_names is None:
-                raise EstimationError("destination_totals_series requires destination_names")
-            series = np.asarray(self.destination_totals_series, dtype=float)
-            if series.ndim != 2 or series.shape[1] != len(self.destination_names):
-                raise EstimationError(
-                    "destination_totals_series must have one column per destination name"
-                )
-            object.__setattr__(self, "destination_totals_series", series)
+        if self.link_load_series is None and (
+            self.origin_totals_series is not None or self.destination_totals_series is not None
+        ):
+            raise EstimationError("edge-total series require a link_load_series")
+        origins, destinations, _, _ = self.pair_positions()
+        for name, labels, shape in (
+            ("origin_totals", origins, (len(origins),)),
+            ("destination_totals", destinations, (len(destinations),)),
+            ("origin_totals_series", origins, (self.num_snapshots, len(origins))),
+            ("destination_totals_series", destinations, (self.num_snapshots, len(destinations))),
+        ):
+            object.__setattr__(
+                self, name, _edge_totals(getattr(self, name), labels, shape, name)
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -175,6 +195,13 @@ class EstimationProblem:
             return 1
         return self.link_load_series.shape[0]
 
+    def _mean_path_length(self) -> float:
+        path_lengths = self.routing.path_lengths()
+        mean_length = float(path_lengths.mean()) if len(path_lengths) else 1.0
+        if mean_length <= 0:
+            raise EstimationError("routing matrix has empty paths; cannot infer total traffic")
+        return mean_length
+
     def total_traffic(self) -> float:
         """Total network traffic for the snapshot.
 
@@ -185,13 +212,44 @@ class EstimationProblem:
         approximation otherwise.
         """
         if self.origin_totals is not None:
-            return float(sum(self.origin_totals.values()))
-        snapshot = self.snapshot
-        path_lengths = self.routing.path_lengths()
-        mean_length = float(path_lengths.mean()) if len(path_lengths) else 1.0
-        if mean_length <= 0:
-            raise EstimationError("routing matrix has empty paths; cannot infer total traffic")
-        return float(snapshot.sum() / mean_length)
+            # Left-to-right like a loop over the totals (np.sum adds pairwise).
+            return float(sum(self.origin_totals.tolist()))
+        return float(self.snapshot.sum() / self._mean_path_length())
+
+    def total_traffic_series(self) -> np.ndarray:
+        """Per-snapshot total traffic ``(K,)`` for the series.
+
+        The row sums of the origin totals series when given, else
+        :meth:`total_traffic` for every snapshot when origin totals are
+        given, else each snapshot's ``sum(t) / mean path length``.
+        """
+        series = self.series
+        if self.origin_totals_series is not None:
+            return self.origin_totals_series.sum(axis=1)
+        if self.origin_totals is not None:
+            return np.full(series.shape[0], self.total_traffic())
+        return series.sum(axis=1) / self._mean_path_length()
+
+    def totals_by_snapshot(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Per-snapshot ``(K, N)`` origin and destination totals.
+
+        Row ``k`` holds the totals :meth:`at_snapshot` gives snapshot ``k``:
+        the totals series row when a series is given, else the snapshot
+        totals; ``None`` when neither is known.
+        """
+        num_snapshots = self.series.shape[0]
+
+        def rows(
+            series: Optional[np.ndarray], totals: Optional[np.ndarray]
+        ) -> Optional[np.ndarray]:
+            if series is not None or totals is None:
+                return series
+            return np.tile(totals, (num_snapshots, 1))
+
+        return (
+            rows(self.origin_totals_series, self.origin_totals),
+            rows(self.destination_totals_series, self.destination_totals),
+        )
 
     # ------------------------------------------------------------------
     # shared per-problem workspace
@@ -221,23 +279,15 @@ class EstimationProblem:
         ``origin_cols[p]`` / ``destination_cols[p]`` are the indices of pair
         ``p``'s origin and destination within the first-appearance label
         orders — the index arrays every vectorised totals/gravity/Kruithof
-        path needs.  They are the routing's shared
-        :meth:`~repro.topology.elements.PairIndex.codes`, so every problem
-        on one routing returns the same read-only object.
+        path needs, and the order of the edge-total vectors.  They are the
+        routing's shared :meth:`~repro.topology.elements.PairIndex.codes`,
+        so every problem on one routing returns the same read-only object.
         """
         return self.routing.pairs.codes()
 
     # ------------------------------------------------------------------
     # edge-total incidence structure
     # ------------------------------------------------------------------
-    def origin_order(self) -> tuple[str, ...]:
-        """Origins in first-appearance pair order (the canonical row order)."""
-        return self.pair_positions()[0]
-
-    def destination_order(self) -> tuple[str, ...]:
-        """Destinations in first-appearance pair order."""
-        return self.pair_positions()[1]
-
     def _incidence_block(self, num_labels: int, codes: np.ndarray) -> np.ndarray:
         """0/1 block mapping pairs to their origin (or destination) row."""
         block = np.zeros((num_labels, self.num_pairs))
@@ -262,12 +312,18 @@ class EstimationProblem:
         and the requested total rows and ``rhs`` stacks the link-load
         snapshot and the totals.  The matrix is dense for a dense routing
         backend and a CSR sparse matrix for a sparse one; results are cached
-        per flag combination, so treat them as read-only.
+        in the shared workspace per flag combination, so treat them as
+        read-only.
         """
-        key = (bool(include_origin_totals), bool(include_destination_totals))
-        cached = self._augmented_cache.get(key)
-        if cached is not None:
-            return cached
+        key = ("augmented_system", bool(include_origin_totals), bool(include_destination_totals))
+        return self.shared(
+            key, lambda: self._stack_totals(include_origin_totals, include_destination_totals)
+        )
+
+    def _stack_totals(
+        self, include_origin_totals: bool, include_destination_totals: bool
+    ) -> tuple[Union[np.ndarray, scipy.sparse.spmatrix], np.ndarray]:
+        """:meth:`augmented_system` without the cache."""
         sparse = self.routing.backend_kind == "sparse"
         rows: list[Any] = [
             self.routing.backend.raw if sparse else self.routing.matrix
@@ -276,44 +332,26 @@ class EstimationProblem:
         origins, destinations, origin_codes, destination_codes = self.pair_positions()
         if include_origin_totals and self.origin_totals is not None:
             rows.append(self._incidence_block(len(origins), origin_codes))
-            rhs.append(np.array([self.origin_totals.get(origin, 0.0) for origin in origins]))
+            rhs.append(self.origin_totals)
         if include_destination_totals and self.destination_totals is not None:
             rows.append(self._incidence_block(len(destinations), destination_codes))
-            rhs.append(
-                np.array([self.destination_totals.get(dest, 0.0) for dest in destinations])
-            )
+            rhs.append(self.destination_totals)
         if sparse:
             matrix: Union[np.ndarray, scipy.sparse.spmatrix] = scipy.sparse.vstack(
                 [scipy.sparse.csr_matrix(block) for block in rows], format="csr"
             )
         else:
             matrix = np.vstack(rows)
-        result = (matrix, np.concatenate(rhs))
-        self._augmented_cache[key] = result
-        return result
+        return matrix, np.concatenate(rhs)
 
     # ------------------------------------------------------------------
     # derived problems
     # ------------------------------------------------------------------
-    def with_snapshot(self, link_loads: np.ndarray) -> "EstimationProblem":
-        """Return a copy of the problem with a different load snapshot."""
-        return EstimationProblem(
-            routing=self.routing,
-            link_loads=np.asarray(link_loads, dtype=float),
-            link_load_series=self.link_load_series,
-            origin_totals=self.origin_totals,
-            destination_totals=self.destination_totals,
-            origin_totals_series=self.origin_totals_series,
-            origin_names=self.origin_names,
-            destination_totals_series=self.destination_totals_series,
-            destination_names=self.destination_names,
-        )
-
     def at_snapshot(self, index: int) -> "EstimationProblem":
         """Single-snapshot sub-problem for series index ``index``.
 
         The link loads are the series row ``index``; per-snapshot edge
-        totals are taken from the totals series when available (falling back
+        totals are the totals series rows when available (falling back
         to the problem-level totals otherwise).  This is what the generic
         :meth:`Estimator.estimate_series` loop feeds to ``estimate``, and
         what the vectorised overrides must match.
@@ -324,17 +362,10 @@ class EstimationProblem:
             raise EstimationError(f"snapshot index {index} out of range for {num} snapshots")
         origin_totals = self.origin_totals
         if self.origin_totals_series is not None:
-            # __post_init__ guarantees the names accompany the series.
-            assert self.origin_names is not None
-            origin_totals = dict(
-                zip(self.origin_names, self.origin_totals_series[index].tolist())
-            )
+            origin_totals = self.origin_totals_series[index]
         destination_totals = self.destination_totals
         if self.destination_totals_series is not None:
-            assert self.destination_names is not None
-            destination_totals = dict(
-                zip(self.destination_names, self.destination_totals_series[index].tolist())
-            )
+            destination_totals = self.destination_totals_series[index]
         return EstimationProblem(
             routing=self.routing,
             link_loads=series[index],

@@ -143,17 +143,7 @@ class BayesianEstimator(Estimator):
         if kind == "gravity":
             return gravity_vector_series(problem)
         if kind == "uniform":
-            if problem.origin_totals_series is not None:
-                totals = problem.origin_totals_series.sum(axis=1)
-            elif problem.origin_totals is not None:
-                totals = np.full(num_snapshots, float(sum(problem.origin_totals.values())))
-            else:
-                mean_length = float(problem.routing.path_lengths().mean())
-                if mean_length <= 0:
-                    raise EstimationError(
-                        "routing matrix has empty paths; cannot infer total traffic"
-                    )
-                totals = problem.series.sum(axis=1) / mean_length
+            totals = problem.total_traffic_series()
             return np.repeat(totals[:, None] / problem.num_pairs, problem.num_pairs, axis=1)
         return None
 

@@ -23,7 +23,7 @@ quantity the paper plots in Figure 10).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -61,30 +61,16 @@ class FanoutEstimator(Estimator):
         self.window_length = window_length
         self.solver = solver
 
-    # ------------------------------------------------------------------
-    def _origin_totals_series(
-        self, problem: EstimationProblem, num_snapshots: int, origins: Sequence[str]
-    ) -> np.ndarray:
+    @staticmethod
+    def _ingress(problem: EstimationProblem) -> np.ndarray:
         """Per-snapshot ingress totals per origin, shape ``(K, N_origins)``."""
-        if problem.origin_totals_series is not None:
-            series = np.asarray(problem.origin_totals_series, dtype=float)
-            if series.shape[0] < num_snapshots:
-                raise EstimationError(
-                    "origin_totals_series has fewer snapshots than the link-load series"
-                )
-            name_to_col = {name: i for i, name in enumerate(problem.origin_names)}
-            missing = [origin for origin in origins if origin not in name_to_col]
-            if missing:
-                raise EstimationError(f"origin totals series missing origins {missing}")
-            columns = [name_to_col[origin] for origin in origins]
-            return series[:num_snapshots, columns]
-        if problem.origin_totals is not None:
-            row = np.array([problem.origin_totals.get(origin, 0.0) for origin in origins])
-            return np.tile(row, (num_snapshots, 1))
-        raise EstimationError(
-            "fanout estimation needs origin ingress totals "
-            "(origin_totals_series or origin_totals)"
-        )
+        ingress, _ = problem.totals_by_snapshot()
+        if ingress is None:
+            raise EstimationError(
+                "fanout estimation needs origin ingress totals "
+                "(origin_totals_series or origin_totals)"
+            )
+        return ingress
 
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
         """Fit a single fanout vector to the measurement window."""
@@ -101,8 +87,8 @@ class FanoutEstimator(Estimator):
             num_snapshots = self.window_length
             series = series[:num_snapshots]
 
+        ingress = self._ingress(problem)[:num_snapshots]
         origins, _, pair_origin_col, _ = problem.pair_positions()
-        ingress = self._origin_totals_series(problem, num_snapshots, origins)
 
         routing = problem.routing.matrix
         num_links, num_pairs = routing.shape
@@ -151,10 +137,8 @@ class FanoutEstimator(Estimator):
         """
         result = self.estimate(problem)
         fanouts = np.asarray(result.diagnostics["fanouts"], dtype=float)
-        origins, _, pair_origin_col, _ = problem.pair_positions()
-        num_snapshots = problem.series.shape[0]
-        ingress = self._origin_totals_series(problem, num_snapshots, origins)
-        estimates = fanouts[None, :] * ingress[:, pair_origin_col]
+        _, _, pair_origin_col, _ = problem.pair_positions()
+        estimates = fanouts[None, :] * self._ingress(problem)[:, pair_origin_col]
         return self._series_result(
             problem,
             estimates,

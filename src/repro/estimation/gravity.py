@@ -22,7 +22,7 @@ regularised estimators (tomogravity).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,21 +45,10 @@ __all__ = [
 ]
 
 
-def _edge_totals(problem: EstimationProblem) -> tuple[dict[str, float], dict[str, float]]:
-    """Origin and destination totals, which the gravity model requires."""
-    if problem.origin_totals is None or problem.destination_totals is None:
-        raise EstimationError(
-            "gravity estimation requires origin_totals and destination_totals "
-            "(the edge-link measurements t_e(n) and t_x(m))"
-        )
-    origins, destinations, _, _ = problem.pair_positions()
-    missing_origins = set(origins) - set(problem.origin_totals)
-    missing_destinations = set(destinations) - set(problem.destination_totals)
-    if missing_origins:
-        raise EstimationError(f"origin totals missing for {sorted(missing_origins)}")
-    if missing_destinations:
-        raise EstimationError(f"destination totals missing for {sorted(missing_destinations)}")
-    return dict(problem.origin_totals), dict(problem.destination_totals)
+_REQUIRES_TOTALS = (
+    "gravity estimation requires origin_totals and destination_totals "
+    "(the edge-link measurements t_e(n) and t_x(m))"
+)
 
 
 def gravity_vector(
@@ -83,11 +72,12 @@ def gravity_vector(
     """
 
     def compute() -> np.ndarray:
-        origin_totals, destination_totals = _edge_totals(problem)
-        origins, destinations, origin_cols, destination_cols = problem.pair_positions()
-        origin_values = np.array([origin_totals[name] for name in origins])
-        destination_values = np.array([destination_totals[name] for name in destinations])
-        values = origin_values[origin_cols] * destination_values[destination_cols]
+        if problem.origin_totals is None or problem.destination_totals is None:
+            raise EstimationError(_REQUIRES_TOTALS)
+        _, _, origin_cols, destination_cols = problem.pair_positions()
+        values = (
+            problem.origin_totals[origin_cols] * problem.destination_totals[destination_cols]
+        )
         if excluded_pairs:
             mask = np.fromiter(
                 (pair in excluded_pairs for pair in problem.pairs),
@@ -96,7 +86,7 @@ def gravity_vector(
             )
             values[mask] = 0.0
         total = values.sum()
-        measured_total = float(sum(origin_totals.values()))
+        measured_total = problem.total_traffic()
         if total <= 0:
             if measured_total > 0:
                 raise EstimationError(
@@ -144,54 +134,16 @@ def gravity_vector_series(
 
 
 def _gravity_series_uncached(problem: EstimationProblem, excluded_pairs: set) -> np.ndarray:
-    num_snapshots = problem.series.shape[0]
-    pairs = problem.pairs
-    excluded_pairs = excluded_pairs or set()
-    origins, destinations, origin_codes, destination_codes = problem.pair_positions()
-
-    def totals_matrix(kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """Per-snapshot totals aligned to pairs: ``(K, P)`` plus row sums ``(K,)``."""
-        if kind == "origin":
-            series, names, fallback = (
-                problem.origin_totals_series,
-                problem.origin_names,
-                problem.origin_totals,
-            )
-            labels, codes = origins, origin_codes
-        else:
-            series, names, fallback = (
-                problem.destination_totals_series,
-                problem.destination_names,
-                problem.destination_totals,
-            )
-            labels, codes = destinations, destination_codes
-        if series is not None:
-            index = {name: col for col, name in enumerate(names)}
-            missing = sorted(label for label in labels if label not in index)
-            if missing:
-                raise EstimationError(f"{kind} totals missing for {missing}")
-            columns = np.array([index[label] for label in labels], dtype=np.intp)[codes]
-            return series[:, columns], series.sum(axis=1)
-        if fallback is None:
-            raise EstimationError(
-                "gravity estimation requires origin_totals and destination_totals "
-                "(the edge-link measurements t_e(n) and t_x(m))"
-            )
-        missing = sorted(label for label in labels if label not in fallback)
-        if missing:
-            raise EstimationError(f"{kind} totals missing for {missing}")
-        row = np.array([fallback[label] for label in labels])[codes]
-        total = float(sum(fallback.values()))
-        return np.tile(row, (num_snapshots, 1)), np.full(num_snapshots, total)
-
-    origin_values, origin_row_sums = totals_matrix("origin")
-    destination_values, _ = totals_matrix("destination")
-    values = origin_values * destination_values
+    origin_totals, destination_totals = problem.totals_by_snapshot()
+    if origin_totals is None or destination_totals is None:
+        raise EstimationError(_REQUIRES_TOTALS)
+    _, _, origin_codes, destination_codes = problem.pair_positions()
+    values = origin_totals[:, origin_codes] * destination_totals[:, destination_codes]
     if excluded_pairs:
-        mask = np.array([pair in excluded_pairs for pair in pairs])
+        mask = np.array([pair in excluded_pairs for pair in problem.pairs])
         values[:, mask] = 0.0
     totals = values.sum(axis=1)
-    measured = origin_row_sums
+    measured = problem.total_traffic_series()
     bad = (totals <= 0) & (measured > 0)
     if np.any(bad):
         raise EstimationError("gravity model produced a zero matrix for non-zero traffic")

@@ -121,14 +121,10 @@ class KruithofEstimator(Estimator):
         ):
             initial = np.zeros_like(prior_matrix)
             initial[origin_cols, destination_cols] = warm
-        row_targets = np.array([problem.origin_totals.get(name, 0.0) for name in origins])
-        column_targets = np.array(
-            [problem.destination_totals.get(name, 0.0) for name in destinations]
-        )
         fit = kruithof_scaling(
             prior_matrix,
-            row_targets,
-            column_targets,
+            problem.origin_totals,
+            problem.destination_totals,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             initial=initial,
@@ -153,50 +149,18 @@ class KruithofEstimator(Estimator):
             return np.tile(_resolve_prior(problem, self.prior), (num_snapshots, 1))
         kind = self.prior.lower()
         if kind == "uniform":
-            if problem.origin_totals_series is not None:
-                totals = problem.origin_totals_series.sum(axis=1)
-            elif problem.origin_totals is not None:
-                totals = np.full(num_snapshots, float(sum(problem.origin_totals.values())))
-            else:
+            if problem.origin_totals_series is None and problem.origin_totals is None:
                 return None
+            totals = problem.total_traffic_series()
             return np.repeat(totals[:, None] / problem.num_pairs, problem.num_pairs, axis=1)
         if kind == "gravity":
             return gravity_vector_series(problem)
         return None
 
-    def _totals_series(self, problem: EstimationProblem, kind: str) -> np.ndarray:
-        """Per-snapshot edge totals ``(K, N)`` in first-appearance label order."""
-        num_snapshots = problem.series.shape[0]
-        if kind == "origin":
-            labels, series, names, fallback = (
-                problem.origin_order(),
-                problem.origin_totals_series,
-                problem.origin_names,
-                problem.origin_totals,
-            )
-        else:
-            labels, series, names, fallback = (
-                problem.destination_order(),
-                problem.destination_totals_series,
-                problem.destination_names,
-                problem.destination_totals,
-            )
-        if series is not None:
-            index = {name: col for col, name in enumerate(names)}
-            columns = [index.get(label) for label in labels]
-            totals = np.zeros((num_snapshots, len(labels)))
-            for position, column in enumerate(columns):
-                if column is not None:
-                    totals[:, position] = series[:, column]
-            return totals
-        row = np.array([fallback.get(label, 0.0) for label in labels])
-        return np.tile(row, (num_snapshots, 1))
-
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
         """Batched biproportional fit: every snapshot iterated as one stack."""
-        if problem.origin_totals is None and problem.origin_totals_series is None:
-            raise EstimationError("Kruithof's method needs origin_totals and destination_totals")
-        if problem.destination_totals is None and problem.destination_totals_series is None:
+        row_targets, column_targets = problem.totals_by_snapshot()
+        if row_targets is None or column_targets is None:
             raise EstimationError("Kruithof's method needs origin_totals and destination_totals")
         priors = self._prior_series(problem)
         if priors is None:
@@ -208,8 +172,8 @@ class KruithofEstimator(Estimator):
         prior_stack[:, row_positions, column_positions] = priors
         fit = kruithof_scaling_batch(
             prior_stack,
-            self._totals_series(problem, "origin"),
-            self._totals_series(problem, "destination"),
+            row_targets,
+            column_targets,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
         )

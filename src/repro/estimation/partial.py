@@ -40,6 +40,21 @@ __all__ = [
 ]
 
 
+def _measured_positions(
+    problem: EstimationProblem, measured: Mapping[NodePair, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the measured pairs in ``problem.pairs`` and their values."""
+    positions = problem.pairs.positions()
+    unknown = [pair for pair in measured if pair not in positions]
+    if unknown:
+        raise EstimationError(f"measured pairs not in the problem: {sorted(map(str, unknown))}")
+    for pair, value in measured.items():
+        if value < 0:
+            raise EstimationError(f"measured demand for {pair} is negative")
+    index = np.array([positions[pair] for pair in measured], dtype=np.intp)
+    return index, np.array(list(measured.values()), dtype=float)
+
+
 def reduce_problem(
     problem: EstimationProblem, measured: Mapping[NodePair, float]
 ) -> EstimationProblem:
@@ -47,29 +62,26 @@ def reduce_problem(
 
     The measured demands' contribution ``R_measured @ s_measured`` is
     subtracted from the link loads (snapshot and series) and from the edge
-    totals, and the corresponding columns are dropped from the routing
-    matrix.  The returned problem estimates only the remaining pairs.
+    totals (snapshot and series), and the corresponding columns are dropped
+    from the routing matrix, in its native storage.  The returned problem
+    estimates only the remaining pairs.
     """
     if not measured:
         return problem
-    unknown = set(measured) - set(problem.pairs)
-    if unknown:
-        raise EstimationError(f"measured pairs not in the problem: {sorted(map(str, unknown))}")
-    for pair, value in measured.items():
-        if value < 0:
-            raise EstimationError(f"measured demand for {pair} is negative")
-
+    index, values = _measured_positions(problem, measured)
     routing = problem.routing
-    keep_indices = [i for i, pair in enumerate(problem.pairs) if pair not in measured]
-    drop_indices = [i for i, pair in enumerate(problem.pairs) if pair in measured]
-    measured_vector = np.array([measured[problem.pairs[i]] for i in drop_indices])
-    measured_columns = routing.matrix[:, drop_indices]
-    measured_loads = measured_columns @ measured_vector
-
-    reduced_matrix = routing.matrix[:, keep_indices]
-    reduced_pairs = tuple(problem.pairs[i] for i in keep_indices)
+    demands = np.zeros(problem.num_pairs)
+    demands[index] = values
+    measured_loads = routing.matvec(demands)
+    keep = np.ones(problem.num_pairs, dtype=bool)
+    keep[index] = False
+    kept = np.flatnonzero(keep)
     reduced_routing = RoutingMatrix(
-        reduced_matrix, routing.link_names, reduced_pairs, network=routing.network
+        routing.native[:, kept],
+        routing.link_names,
+        [problem.pairs[i] for i in kept],
+        network=routing.network,
+        backend=routing.backend_kind,
     )
 
     link_loads = None
@@ -79,31 +91,35 @@ def reduce_problem(
     if problem.link_load_series is not None:
         series = np.maximum(problem.link_load_series - measured_loads[None, :], 0.0)
 
-    origin_totals = None
-    if problem.origin_totals is not None:
-        origin_totals = dict(problem.origin_totals)
-        for pair, value in measured.items():
-            if pair.origin in origin_totals:
-                origin_totals[pair.origin] = max(0.0, origin_totals[pair.origin] - value)
-    destination_totals = None
-    if problem.destination_totals is not None:
-        destination_totals = dict(problem.destination_totals)
-        for pair, value in measured.items():
-            if pair.destination in destination_totals:
-                destination_totals[pair.destination] = max(
-                    0.0, destination_totals[pair.destination] - value
-                )
+    _, _, origin_codes, destination_codes = problem.pair_positions()
+    reduced_origins, reduced_destinations, kept_origin_codes, kept_destination_codes = (
+        reduced_routing.pairs.codes()
+    )
 
+    def reduce_totals(
+        totals: Optional[np.ndarray], codes: np.ndarray, num_labels: int, kept_codes: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Totals (labels on the last axis) less the measured demands, on the reduced labels."""
+        if totals is None:
+            return None
+        lowered = totals - np.bincount(codes[index], weights=values, minlength=totals.shape[-1])
+        # Reduced label c is the original label of the kept pairs coded c.
+        columns = np.empty(num_labels, dtype=np.intp)
+        columns[kept_codes] = codes[kept]
+        return np.maximum(lowered, 0.0)[..., columns]
+
+    origin_args = (origin_codes, len(reduced_origins), kept_origin_codes)
+    destination_args = (destination_codes, len(reduced_destinations), kept_destination_codes)
     return EstimationProblem(
         routing=reduced_routing,
         link_loads=link_loads,
         link_load_series=series,
-        origin_totals=origin_totals,
-        destination_totals=destination_totals,
-        origin_totals_series=problem.origin_totals_series,
-        origin_names=problem.origin_names,
-        destination_totals_series=problem.destination_totals_series,
-        destination_names=problem.destination_names,
+        origin_totals=reduce_totals(problem.origin_totals, *origin_args),
+        destination_totals=reduce_totals(problem.destination_totals, *destination_args),
+        origin_totals_series=reduce_totals(problem.origin_totals_series, *origin_args),
+        destination_totals_series=reduce_totals(
+            problem.destination_totals_series, *destination_args
+        ),
     )
 
 
@@ -125,18 +141,16 @@ class DirectMeasurementCombiner(Estimator):
 
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
         """Estimate the unmeasured demands and splice the measured ones back in."""
+        index, measured_values = _measured_positions(problem, self.measured)
+        values = np.zeros(problem.num_pairs)
+        values[index] = measured_values
         reduced = reduce_problem(problem, self.measured)
         if reduced.num_pairs == 0:
-            values = np.array([self.measured[pair] for pair in problem.pairs])
             return self._result(problem, values, measured_pairs=len(self.measured))
         partial_result = self.base_estimator.estimate(reduced)
-        partial = dict(zip(reduced.pairs, partial_result.vector))
-        values = np.array(
-            [
-                self.measured[pair] if pair in self.measured else partial[pair]
-                for pair in problem.pairs
-            ]
-        )
+        unmeasured = np.ones(problem.num_pairs, dtype=bool)
+        unmeasured[index] = False
+        values[unmeasured] = partial_result.vector
         return self._result(
             problem,
             values,

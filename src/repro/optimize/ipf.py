@@ -20,6 +20,7 @@ extended it to general linear constraints.  Both forms are needed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse

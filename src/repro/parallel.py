@@ -380,7 +380,8 @@ def run_supervised_tasks(
     whole batch:
 
     * a task exceeding ``timeout`` seconds (``None`` disables the check),
-    * a worker process dying (``BrokenProcessPool``).
+    * a worker process dying (``BrokenProcessPool``), also while tasks are
+      still being submitted.
 
     Affected tasks are resubmitted to a fresh pool up to
     ``max_resubmissions`` times; whatever still fails is re-executed
@@ -449,20 +450,35 @@ def run_supervised_tasks(
                 )
             pool = payload_executor(min(jobs, len(pending)))
             futures = {}
-            for index in pending:
+            unsubmitted: list[int] = []
+            for position, index in enumerate(pending):
                 if with_telemetry:
                     submit_walls[index] = telemetry.clock()
-                futures[index] = pool.submit(
-                    _run_supervised_task,
-                    worker,
-                    index,
-                    round_number,
-                    task_args[index],
-                    with_telemetry,
-                )
+                try:
+                    futures[index] = pool.submit(
+                        _run_supervised_task,
+                        worker,
+                        index,
+                        round_number,
+                        task_args[index],
+                        with_telemetry,
+                    )
+                except BrokenProcessPool as exc:
+                    # A worker died before every task was submitted: the
+                    # rest fail here and take the resubmit/serial path.
+                    unsubmitted = pending[position:]
+                    events.append(
+                        PoolTaskEvent(
+                            kind="broken-pool",
+                            round_number=round_number,
+                            task_indices=tuple(unsubmitted),
+                            detail=str(exc) or "worker process died",
+                        )
+                    )
+                    break
             failed: list[int] = []
             pool_broken = False
-            for index in pending:
+            for index in futures:
                 if pool_broken:
                     # After a pool break every unfinished future fails fast;
                     # harvest the ones that completed before the crash.
@@ -497,6 +513,7 @@ def run_supervised_tasks(
                             detail=str(exc) or "worker process died",
                         )
                     )
+            failed.extend(unsubmitted)
             if failed or pool_broken:
                 _abandon_pool(pool)
             else:

@@ -385,12 +385,10 @@ class StreamingEstimator:
         origin_totals = destination_totals = None
         if lsp_rates is not None:
             origins, destinations, origin_codes, destination_codes = self.routing.pairs.codes()
-            origin_vec = np.bincount(origin_codes, weights=lsp_rates, minlength=len(origins))
-            destination_vec = np.bincount(
+            origin_totals = np.bincount(origin_codes, weights=lsp_rates, minlength=len(origins))
+            destination_totals = np.bincount(
                 destination_codes, weights=lsp_rates, minlength=len(destinations)
             )
-            origin_totals = dict(zip(origins, origin_vec.tolist()))
-            destination_totals = dict(zip(destinations, destination_vec.tolist()))
         return EstimationProblem(
             routing=self.routing,
             link_loads=link_rates,

@@ -14,6 +14,8 @@ import pytest
 from repro.datasets import MeasuredScenario, Scenario
 from repro.errors import TrafficError
 from repro.estimation.registry import available_estimators
+from repro.measurement.linkloads import link_load_series
+from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +89,27 @@ class TestMeasuredProblems:
             rtol=1e-5,
             atol=1e-3,
         )
-        assert measured.origin_names == consistent.origin_names
-        assert measured.destination_names == consistent.destination_names
+        assert np.allclose(
+            measured.destination_totals_series,
+            consistent.destination_totals_series,
+            rtol=1e-5,
+            atol=1e-3,
+        )
+        # The totals carry no names: the measured series must be in the
+        # routing's pair order for its columns to line up.
+        assert noise_free.measured_busy_series().pairs == small_scenario_session.routing.pairs
+
+    def test_series_in_another_pair_order_is_rejected(self, small_scenario_session):
+        series = small_scenario_session.busy_series().window(0, 3)
+        reordered = TrafficMatrixSeries(
+            [
+                TrafficMatrix(tuple(reversed(snap.pairs)), snap.vector[::-1])
+                for snap in series
+            ]
+        )
+        loads = link_load_series(small_scenario_session.routing, series)
+        with pytest.raises(TrafficError, match="different pair orderings"):
+            small_scenario_session._series_problem_from(reordered, loads)
 
     def test_noise_free_snapshot_problem_matches_consistent(
         self, small_scenario_session, noise_free
@@ -96,10 +117,8 @@ class TestMeasuredProblems:
         consistent = small_scenario_session.snapshot_problem()
         measured = noise_free.snapshot_problem()
         assert np.allclose(measured.link_loads, consistent.link_loads, rtol=1e-5, atol=1e-3)
-        for name in consistent.origin_totals:
-            assert measured.origin_totals[name] == pytest.approx(
-                consistent.origin_totals[name], rel=1e-5
-            )
+        for position, total in enumerate(consistent.origin_totals):
+            assert measured.origin_totals[position] == pytest.approx(total, rel=1e-5)
 
     def test_explicit_matrix_falls_back_to_consistent(self, noise_free, small_truth):
         problem = noise_free.snapshot_problem(small_truth)

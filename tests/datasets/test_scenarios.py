@@ -34,14 +34,16 @@ class TestSmallScenario:
         assert np.allclose(
             problem.routing.link_loads(small_truth.vector), problem.link_loads
         )
-        assert problem.origin_totals == small_truth.origin_totals()
-        assert problem.destination_totals == small_truth.destination_totals()
+        assert problem.origin_totals.tolist() == list(small_truth.origin_totals().values())
+        assert problem.destination_totals.tolist() == list(
+            small_truth.destination_totals().values()
+        )
 
     def test_series_problem_shapes(self, small_scenario_session):
         problem = small_scenario_session.series_problem(window_length=5)
         assert problem.link_load_series.shape == (5, small_scenario_session.routing.num_links)
         assert problem.origin_totals_series.shape[0] == 5
-        assert len(problem.origin_names) == len(set(p.origin for p in problem.pairs))
+        assert problem.origin_totals_series.shape[1] == len(set(p.origin for p in problem.pairs))
 
     def test_total_traffic_profile_normalised(self, small_scenario_session):
         _, normalized = small_scenario_session.total_traffic_profile()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EstimationError
-from repro.estimation import EstimationProblem, Estimator
+from repro.estimation import EstimationProblem, Estimator, get_estimator
 from repro.routing import build_routing_matrix
 from repro.topology import NodePair
 from repro.traffic import TrafficMatrix
@@ -88,13 +88,93 @@ class TestEstimationProblem:
         # The augmented system must be consistent with the true demands.
         assert np.allclose(matrix @ traffic.vector, rhs)
 
-    def test_with_snapshot_replaces_loads(self, triangle_routing):
-        problem = EstimationProblem(
-            routing=triangle_routing, link_loads=np.ones(triangle_routing.num_links)
+
+class TestEdgeTotals:
+    """Edge totals are vectors in the label order of the routing's pair index."""
+
+    @pytest.mark.parametrize("kind", ["origin", "destination"])
+    def test_mapping_missing_a_label_is_rejected_at_construction(
+        self, line_network, kind
+    ):
+        routing = build_routing_matrix(line_network)
+        traffic = TrafficMatrix.from_network(
+            line_network, {NodePair("A", "D"): 10.0, NodePair("D", "A"): 4.0}
         )
-        replaced = problem.with_snapshot(2 * np.ones(triangle_routing.num_links))
-        assert np.allclose(replaced.snapshot, 2.0)
-        assert np.allclose(problem.snapshot, 1.0)
+        totals = dict(getattr(traffic, f"{kind}_totals")())
+        del totals["A"]
+        with pytest.raises(EstimationError, match=rf"{kind}_totals missing for \['A'\]"):
+            EstimationProblem(
+                routing=routing,
+                link_loads=routing.link_loads(traffic.vector),
+                **{f"{kind}_totals": totals},
+            )
+
+    def test_vector_and_series_shapes_are_checked(self, triangle_routing):
+        loads = np.ones(triangle_routing.num_links)
+        with pytest.raises(EstimationError, match="origin_totals has shape"):
+            EstimationProblem(routing=triangle_routing, link_loads=loads, origin_totals=[1.0])
+        with pytest.raises(EstimationError, match="require a link_load_series"):
+            EstimationProblem(
+                routing=triangle_routing,
+                link_loads=loads,
+                destination_totals_series=np.ones((1, 3)),
+            )
+        with pytest.raises(EstimationError, match="destination_totals_series has shape"):
+            EstimationProblem(
+                routing=triangle_routing,
+                link_load_series=np.ones((2, triangle_routing.num_links)),
+                destination_totals_series=np.ones((3, 3)),
+            )
+        with pytest.raises(EstimationError, match="origin_totals_series must be an array"):
+            EstimationProblem(
+                routing=triangle_routing,
+                link_load_series=np.ones((3, triangle_routing.num_links)),
+                origin_totals_series={"A": [1.0, 2.0, 3.0]},
+            )
+
+    def test_totals_are_read_only(self, small_scenario_session):
+        problem = small_scenario_session.series_problem(window_length=3)
+        for totals in (problem.origin_totals, problem.origin_totals_series):
+            with pytest.raises(ValueError):
+                totals[0] = 1.0
+
+    def test_mapping_and_vector_inputs_are_identical(self, small_scenario_session, small_truth):
+        series_problem = small_scenario_session.series_problem(window_length=4)
+        origins, destinations, _, _ = series_problem.pair_positions()
+        # Key order does not matter: the boundary reads a mapping by label.
+        origin_map = dict(reversed(list(small_truth.origin_totals().items())))
+        destination_map = small_truth.destination_totals()
+        common = dict(
+            routing=series_problem.routing,
+            link_loads=series_problem.routing.link_loads(small_truth.vector),
+            link_load_series=series_problem.link_load_series,
+            origin_totals_series=series_problem.origin_totals_series,
+            destination_totals_series=series_problem.destination_totals_series,
+        )
+        from_mapping = EstimationProblem(
+            origin_totals=origin_map, destination_totals=destination_map, **common
+        )
+        from_vector = EstimationProblem(
+            origin_totals=np.array([origin_map[name] for name in origins]),
+            destination_totals=[destination_map[name] for name in destinations],
+            **common,
+        )
+        for name in (
+            "link_loads",
+            "link_load_series",
+            "origin_totals",
+            "destination_totals",
+            "origin_totals_series",
+            "destination_totals_series",
+        ):
+            assert np.array_equal(
+                getattr(from_mapping, name), getattr(from_vector, name)
+            ), name
+        assert from_mapping.total_traffic() == from_vector.total_traffic()
+        for method in ("gravity", "kruithof", "fanout", "worst-case-bounds"):
+            mapped = get_estimator(method).estimate(from_mapping).vector
+            vectored = get_estimator(method).estimate(from_vector).vector
+            assert np.array_equal(mapped, vectored), method
 
 
 class _ConstantEstimator(Estimator):

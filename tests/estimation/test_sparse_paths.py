@@ -82,6 +82,18 @@ class TestNoDensification:
         result = get_estimator(method).estimate_series(series_problem)
         assert result.estimates.shape == (5, series_problem.num_pairs)
 
+    def test_direct_measurement_combiner_stays_sparse(self, scenario, guarded_problems):
+        from repro.estimation.partial import DirectMeasurementCombiner
+        from repro.topology import NodePair
+
+        snapshot_problem, _ = guarded_problems
+        pair = NodePair("AMS", "LON")
+        measured = {pair: scenario.busy_mean_matrix().demand(pair)}
+        combiner = DirectMeasurementCombiner(get_estimator("entropy"), measured)
+        sparse = combiner.estimate(snapshot_problem).vector
+        dense = combiner.estimate(scenario.snapshot_problem()).vector
+        np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-9)
+
     def test_guard_actually_guards(self, guarded_problems):
         snapshot_problem, _ = guarded_problems
         with pytest.raises(AssertionError, match="densified"):
@@ -124,8 +136,12 @@ class TestSharedWorkspace:
         series_problem = scenario.series_problem(window_length=4)
         assert series_problem.pair_positions() is problem.pair_positions()
         origins, destinations, origin_cols, destination_cols = problem.pair_positions()
-        assert origins == problem.origin_order()
-        assert destinations == problem.destination_order()
+        # The edge totals are ordered by the same labels.
+        truth = scenario.busy_mean_matrix()
+        assert problem.origin_totals.tolist() == [truth.origin_totals()[o] for o in origins]
+        assert problem.destination_totals.tolist() == [
+            truth.destination_totals()[d] for d in destinations
+        ]
         for position, pair in enumerate(problem.pairs):
             assert origins[origin_cols[position]] == pair.origin
             assert destinations[destination_cols[position]] == pair.destination

@@ -148,7 +148,6 @@ class TestFanout:
             routing=routing,
             link_load_series=loads,
             origin_totals_series=totals,
-            origin_names=origins,
         )
 
     def test_fanouts_sum_to_one_per_origin(self, stable_fanout_setup):

@@ -11,6 +11,7 @@ from repro.estimation import (
     DirectMeasurementCombiner,
     EntropyEstimator,
     EstimationProblem,
+    FanoutEstimator,
     SimpleGravityEstimator,
     WorstCaseBoundsEstimator,
     greedy_measurement_selection,
@@ -191,11 +192,13 @@ class TestReduceProblem:
         truth, problem = line_setup
         pair = NodePair("A", "D")
         reduced = reduce_problem(problem, {pair: truth.demand(pair)})
-        assert reduced.origin_totals["A"] == pytest.approx(
-            problem.origin_totals["A"] - truth.demand(pair)
+        origins, destinations, _, _ = problem.pair_positions()
+        reduced_origins, reduced_destinations, _, _ = reduced.pair_positions()
+        assert reduced.origin_totals[reduced_origins.index("A")] == pytest.approx(
+            problem.origin_totals[origins.index("A")] - truth.demand(pair)
         )
-        assert reduced.destination_totals["D"] == pytest.approx(
-            problem.destination_totals["D"] - truth.demand(pair)
+        assert reduced.destination_totals[reduced_destinations.index("D")] == pytest.approx(
+            problem.destination_totals[destinations.index("D")] - truth.demand(pair)
         )
 
     def test_empty_measurement_returns_same_problem(self, line_setup):
@@ -242,6 +245,22 @@ class TestDirectMeasurementCombiner:
         assert len(history) == 2
         assert history[0][1] <= baseline + 1e-9
         assert history[1][1] <= history[0][1] + 1e-9
+
+    def test_fanout_counts_a_measured_demand_once(self):
+        # The measured demand leaves the totals series too, so the fanout
+        # fit spreads only the unmeasured ingress over the origin's pairs.
+        from repro.datasets import europe_scenario
+
+        scenario = europe_scenario()
+        problem = scenario.series_problem(window_length=6)
+        pair = NodePair("AMS", "LON")
+        measured = {pair: scenario.busy_series().window(0, 6).mean_matrix().demand(pair)}
+        result = DirectMeasurementCombiner(FanoutEstimator(), measured).estimate(problem)
+        origins, _, origin_codes, _ = problem.pair_positions()
+        origin = origins.index("AMS")
+        ingress = result.vector[origin_codes == origin].sum()
+        window_mean = problem.origin_totals_series[:, origin].mean()
+        assert ingress == pytest.approx(window_mean, rel=1e-6)
 
     def test_largest_demand_selection_returns_history(self, line_setup):
         truth, problem = line_setup

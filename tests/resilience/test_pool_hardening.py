@@ -13,6 +13,7 @@ unchanged.  Pool incidents surface as ``RuntimeWarning``s and
 from __future__ import annotations
 
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -76,6 +77,39 @@ def test_persistent_crash_falls_back_to_serial_rerun():
         )
     assert results == EXPECTED
     assert any(event.kind == "serial-rerun" for event in report.events)
+
+
+def test_pool_broken_during_submission_falls_back(monkeypatch):
+    # The worker dies while tasks are still being submitted, so the pool's
+    # third submit raises instead of returning a future.
+    import repro.parallel as parallel
+
+    real_executor = parallel.payload_executor
+    pools = []
+
+    def breaking_executor(max_workers):
+        pool = real_executor(max_workers)
+        if not pools:
+            real_submit = pool.submit
+            calls = []
+
+            def submit(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise BrokenProcessPool("worker died during submission")
+                return real_submit(*args, **kwargs)
+
+            pool.submit = submit
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(parallel, "payload_executor", breaking_executor)
+    with pytest.warns(RuntimeWarning, match="pool degradation"):
+        results, report = run_supervised_tasks(square, TASKS, jobs=2)
+    assert results == [square(*args) for args in TASKS]
+    kinds = [event.kind for event in report.events]
+    assert "broken-pool" in kinds
+    assert "resubmitted" in kinds or "serial-rerun" in kinds
 
 
 def test_hung_task_is_cut_off_by_the_timeout():

@@ -35,9 +35,7 @@ def batch_problem(routing, collector):
         routing=routing,
         link_load_series=loads,
         origin_totals_series=origin_totals,
-        origin_names=origins,
         destination_totals_series=destination_totals,
-        destination_names=destinations,
     )
 
 

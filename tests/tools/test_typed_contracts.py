@@ -11,8 +11,12 @@ run mypy itself when it is installed locally.
 from __future__ import annotations
 
 import configparser
+import importlib
+import inspect
+import pkgutil
 import shutil
 import subprocess
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +84,58 @@ class TestCIWiring:
         assert "lint:" in workflow
         assert "python -m reprolint src benchmarks examples" in workflow
         assert "mypy --config-file mypy.ini" in workflow
+
+
+def _repro_modules() -> list:
+    import repro
+
+    names = sorted(
+        info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    )
+    return [repro] + [importlib.import_module(name) for name in names]
+
+
+def _functions_of(module) -> list:
+    """Functions and methods defined in ``module`` (not imported into it)."""
+    found = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found.append(obj)
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                if isinstance(attr, (staticmethod, classmethod)):
+                    attr = attr.__func__
+                elif isinstance(attr, property):
+                    attr = attr.fget
+                if inspect.isfunction(attr):
+                    found.append(attr)
+    return found
+
+
+class TestAnnotationsResolve:
+    def test_every_repro_annotation_resolves(self):
+        # ``from __future__ import annotations`` defers every hint, so a
+        # name the module never imports only fails once something resolves
+        # the hints; mypy does not see it outside its package scope.
+        # Names imported only under TYPE_CHECKING are supplied from the
+        # objects repro defines; typing names must come from the module.
+        modules = _repro_modules()
+        defined = {}
+        for module in modules:
+            for name, obj in vars(module).items():
+                if getattr(obj, "__module__", "").startswith("repro"):
+                    defined.setdefault(name, obj)
+        failures = []
+        checked = 0
+        for module in modules:
+            for function in _functions_of(module):
+                namespace = {**defined, **inspect.unwrap(function).__globals__}
+                try:
+                    typing.get_type_hints(function, localns=namespace)
+                except NameError as exc:
+                    failures.append(f"{function.__module__}.{function.__qualname__}: {exc}")
+                checked += 1
+        assert checked > 500
+        assert not failures, "\n".join(failures)

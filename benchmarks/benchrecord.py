@@ -1,8 +1,8 @@
 """Shared helper for the acceptance-benchmark record files.
 
-The acceptance benchmarks (``bench_worstcase_bounds.py``,
-``bench_experiment_engine.py``, ``bench_failure_sweep.py``) each append a
-payload under their own key to a ``BENCH_PR<n>.json`` record at the
+The acceptance benchmarks (``bench_experiment_engine.py``,
+``bench_failure_sweep.py``, ...) each append a payload under their own
+key to a ``BENCH_PR<n>.json`` record at the
 repository root; CI uploads the records as artifacts.  This module keeps
 the merge logic in one place so record handling cannot drift between
 benchmarks: existing keys written by other benchmarks are preserved, and a

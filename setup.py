@@ -1,11 +1,27 @@
-"""Setuptools shim for environments without PEP 517 editable-install support.
+"""Package metadata for ``repro``.
 
-The project metadata lives in ``pyproject.toml``; this file only exists so
-that ``pip install -e . --no-use-pep517`` works on machines whose setuptools
-cannot build editable wheels (e.g. offline hosts without the ``wheel``
-package).
+The library lives under ``src/``; ``pip install -e .`` installs it with its
+two runtime dependencies.  The tests run from the source tree with
+``PYTHONPATH=src`` and need no install.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Traffic-matrix estimation on a large IP backbone",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

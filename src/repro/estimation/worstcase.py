@@ -13,19 +13,20 @@ of each bound pair is a surprisingly good estimate, good enough to serve as
 the prior of the regularised methods (its "WCB prior", Figures 9 and 15).
 
 Two LPs per pair is the computational cost the paper warns about.  The
-heavy lifting now happens in
+heavy lifting happens in
 :func:`repro.optimize.linear_program.bound_variables_batch`: the constraint
-model is built once, rank-pinned and combinatorially tight pairs are
-resolved without any LP, and the surviving LPs run on an incremental HiGHS
-model (optionally fanned out over a process pool via ``n_jobs``).  The
-paper's own mitigation — bounding only the large demands — is available
-through :func:`select_large_pairs` and the estimator's ``max_pairs`` /
+model is built once, pinned pairs are resolved without any LP, earlier LP
+solutions stand in for later LPs, and the rest run on an incremental HiGHS
+model.  Every bound comes with a certificate.  The paper's own mitigation —
+bounding only the large demands — is available through
+:func:`select_large_pairs` and the estimator's ``max_pairs`` /
 ``top_fraction`` parameters; pairs left unbounded fall back to an even
 split of the residual traffic.
 
 :class:`WorstCaseBoundsEstimator` computes the bounds and uses the midpoints
 as its point estimate; the bounds themselves are returned in the result
-diagnostics under ``"lower_bounds"`` and ``"upper_bounds"``.
+diagnostics under ``"lower_bounds"`` and ``"upper_bounds"``, next to the
+LP count (``iterations``) and the worst certificate gap (``bound_gap``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ import numpy as np
 from repro.errors import EstimationError, SolverError
 from repro.estimation.base import EstimationProblem, EstimationResult, Estimator
 from repro.estimation.registry import register
-from repro.optimize.linear_program import bound_variables_batch, presolve_variable_bounds
+from repro.optimize.linear_program import (
+    BatchBoundsResult,
+    bound_variables_batch,
+    presolve_variable_bounds,
+)
 from repro.topology.elements import NodePair
 
 __all__ = [
@@ -96,14 +101,13 @@ def worst_case_bounds(
     problem: EstimationProblem,
     pairs: Optional[Sequence[NodePair]] = None,
     use_edge_totals: bool = True,
-    n_jobs: Optional[int] = 1,
 ) -> list[DemandBounds]:
     """Compute the per-demand LP bounds for ``pairs`` (default: all pairs).
 
     The bounds come from the batched engine
     (:func:`repro.optimize.linear_program.bound_variables_batch`): one
-    constraint model, structural presolve, and incremental LP re-solves for
-    whatever survives — restricting ``pairs`` to the large demands (see
+    constraint model, pinning, witness reuse and incremental LP re-solves
+    for whatever is left — restricting ``pairs`` to the large demands (see
     :func:`select_large_pairs`) remains the paper's standard mitigation on
     top of that.
 
@@ -112,23 +116,22 @@ def worst_case_bounds(
     the paper's network view where access and peering links are measured
     like any other link; without them the bounds come from interior links
     only and are considerably looser.
-
-    Parameters
-    ----------
-    problem, pairs, use_edge_totals:
-        As before.
-    n_jobs:
-        Worker processes for the surviving LPs (``1`` in-process,
-        ``None`` = all cores); forwarded to the batch engine.
     """
+    return _bound_pairs(problem, pairs, use_edge_totals)[0]
+
+
+def _bound_pairs(
+    problem: EstimationProblem,
+    pairs: Optional[Sequence[NodePair]],
+    use_edge_totals: bool,
+) -> tuple[list[DemandBounds], BatchBoundsResult]:
+    """The bounds of ``pairs`` and the batch that computed and certified them."""
     routing = problem.routing
     constraint_matrix, constraint_rhs = _constraint_system(problem, use_edge_totals)
     target_pairs = list(pairs) if pairs is not None else list(problem.pairs)
     indices = [routing.pair_index(pair) for pair in target_pairs]
     try:
-        batch = bound_variables_batch(
-            indices, constraint_matrix, constraint_rhs, n_jobs=n_jobs
-        )
+        batch = bound_variables_batch(indices, constraint_matrix, constraint_rhs)
     except SolverError as exc:
         raise EstimationError(f"worst-case bound LPs failed: {exc}") from exc
     bounds: list[DemandBounds] = []
@@ -136,7 +139,7 @@ def worst_case_bounds(
         lower = max(0.0, float(lower))
         upper = max(lower, float(upper))
         bounds.append(DemandBounds(pair=pair, lower=lower, upper=upper))
-    return bounds
+    return bounds, batch
 
 
 def select_large_pairs(
@@ -192,15 +195,17 @@ class WorstCaseBoundsEstimator(Estimator):
     use_edge_totals:
         Include the per-node ingress/egress totals in the constraint set
         (default ``True``; see :func:`worst_case_bounds`).
-    n_jobs:
-        Worker processes for the LP batch (``1`` in-process, ``None`` =
-        all cores).
 
     Pairs left outside the bounded subset fall back to an even split of
     the residual traffic (total traffic minus the bounded midpoints) —
     cheap, and only used for the small demands the subset excludes.  Their
     entries in the ``lower_bounds`` / ``upper_bounds`` diagnostics stay
     ``0`` / ``NaN`` since no bound was computed for them.
+
+    The diagnostics report ``iterations`` (LPs solved), ``bound_gap`` (the
+    worst relative certificate gap over the bounded pairs) and
+    ``converged``, which holds when that gap is within the engine's
+    tolerance.
     """
 
     name = "worst-case-bounds"
@@ -211,7 +216,6 @@ class WorstCaseBoundsEstimator(Estimator):
         use_edge_totals: bool = True,
         max_pairs: Optional[int] = None,
         top_fraction: Optional[float] = None,
-        n_jobs: Optional[int] = 1,
     ) -> None:
         self.pairs = tuple(pairs) if pairs is not None else None
         self.use_edge_totals = bool(use_edge_totals)
@@ -221,7 +225,6 @@ class WorstCaseBoundsEstimator(Estimator):
             raise EstimationError("top_fraction must lie in (0, 1]")
         self.max_pairs = max_pairs
         self.top_fraction = top_fraction
-        self.n_jobs = n_jobs
 
     def _target_pairs(self, problem: EstimationProblem) -> list[NodePair]:
         if self.pairs is not None:
@@ -243,12 +246,7 @@ class WorstCaseBoundsEstimator(Estimator):
         clipped at zero.
         """
         target_pairs = self._target_pairs(problem)
-        bounds = worst_case_bounds(
-            problem,
-            target_pairs,
-            use_edge_totals=self.use_edge_totals,
-            n_jobs=self.n_jobs,
-        )
+        bounds, batch = _bound_pairs(problem, target_pairs, self.use_edge_totals)
         by_pair = {b.pair: b for b in bounds}
         values = np.zeros(problem.num_pairs)
         lower_bounds = np.zeros(problem.num_pairs)
@@ -277,4 +275,7 @@ class WorstCaseBoundsEstimator(Estimator):
             num_fallback=len(unbounded),
             fallback_share=fallback_share,
             mean_width=float(np.mean([b.width for b in bounds])) if bounds else 0.0,
+            iterations=batch.num_lps_solved,
+            bound_gap=batch.max_gap,
+            converged=batch.certified,
         )

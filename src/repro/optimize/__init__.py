@@ -8,8 +8,8 @@ These solvers back the estimation methods:
   accelerated projected gradient);
 * :mod:`~repro.optimize.qp` — equality-constrained least squares with and
   without non-negativity (fanout estimation);
-* :mod:`~repro.optimize.linear_program` — LP wrapper used by the worst-case
-  bounds;
+* :mod:`~repro.optimize.linear_program` — LP wrapper and the certified
+  worst-case-bound engine;
 * :mod:`~repro.optimize.ipf` — Kruithof's biproportional fitting and the
   generalised iterative scaling / KL projection.
 """
@@ -24,7 +24,6 @@ from repro.optimize.ipf import (
 from repro.optimize.linear_program import (
     BatchBoundsResult,
     LPResult,
-    bound_variable,
     bound_variables_batch,
     presolve_variable_bounds,
     solve_linear_program,
@@ -57,7 +56,6 @@ __all__ = [
     "LPResult",
     "BatchBoundsResult",
     "solve_linear_program",
-    "bound_variable",
     "bound_variables_batch",
     "presolve_variable_bounds",
     "IPFResult",

@@ -1,39 +1,39 @@
-"""Linear programming wrappers and the batched worst-case-bound engine.
+"""Linear programming wrappers and the certified worst-case-bound engine.
 
 The worst-case bounds of the paper (Section 4.3.1) solve, for every
 origin-destination pair ``p``, the two linear programs
 
-    maximise / minimise ``s_p``  subject to ``R s = t``, ``s >= 0``.
+    maximise / minimise ``s_p``  subject to  ``A s = b``, ``s >= 0``.
 
 Solved naively this is two cold-start LPs per pair — the computational
-bottleneck the paper itself warns about.  This module provides three layers:
+bottleneck the paper itself warns about.  This module provides two layers:
 
 * :func:`solve_linear_program` — one LP through SciPy's HiGHS interface,
   with infeasibility / unboundedness normalised into
   :class:`~repro.errors.SolverError`;
-* :func:`bound_variable` — the lower/upper bound pair of one coordinate
-  (now a thin wrapper over the batched engine);
 * :func:`bound_variables_batch` — the batched engine: the sparse constraint
-  model is built **once**, a structural presolve removes every pair whose
-  bounds follow without an LP (rank-pinned coordinates of the equality
-  system, and combinatorially tight intervals), and the surviving LPs are
-  solved either on an incremental HiGHS model that is re-solved from the
-  previous optimal basis (objective changes only), or fanned out in chunks
-  across a process pool when ``n_jobs`` asks for it.
+  model is built **once**, pairs the equality system pins are resolved
+  without an LP, and the rest run on one incremental HiGHS model re-solved
+  by the primal simplex from the previous optimal basis (objective changes
+  only).
 
-The presolve reductions are exact:
+Its reductions are exact:
 
-* **rank pinning** — coordinates on which the null space of ``A`` vanishes
-  take the same value at every solution of ``A x = b``; that value is read
-  off the minimum-norm solution, no LP needed;
-* **combinatorial bounds** — ``a_ip x_p <= b_i`` gives the upper bound
-  ``min_i b_i / a_ip`` over the rows traversed, and subtracting every
-  competitor's upper bound from a row's right-hand side gives a lower
-  bound; both always *contain* the LP bounds, so an interval that is
-  already tight lets the pair skip both LPs;
-* **zero witnesses** — every LP solution is a feasible point, so any
-  coordinate at zero in one certifies that the minimum of that coordinate
-  is exactly zero, letting later minimisation LPs be skipped.
+* **leverage pinning** — a coordinate takes the same value at every
+  solution of ``A x = b`` exactly when its leverage score
+  ``a_pᵀ (A Aᵀ)⁺ a_p`` is one; the value ``bᵀ (A Aᵀ)⁺ a_p`` needs no LP;
+* **witness reuse** — every LP solution is a feasible point.  Once one
+  reaches a pair's outer bound ``min_i b_i / a_ip`` (valid for non-negative
+  ``A``), that bound is the maximum and its LP is skipped; any coordinate at
+  zero in one has a minimum of exactly zero.
+
+Every bound carries a certificate, checked in O(nnz) as it is found
+(Boyd & Vandenberghe, *Convex Optimization*, ch. 5): a witness
+``x >= 0`` with ``A x = b`` that attains the bound, and a dual ``y`` with
+``bᵀ y`` equal to the bound and ``Aᵀ y >= e_p`` (``<= e_p`` for a lower
+bound), which by weak duality no feasible point can beat.  The duals are the
+LP's row duals, ``e_i / a_ip`` for a witness-resolved upper bound, ``0``
+for a zero-witness lower bound and ``(A Aᵀ)⁺ a_p`` for a pinned pair.
 """
 
 from __future__ import annotations
@@ -46,25 +46,30 @@ import scipy.optimize
 import scipy.sparse
 
 from repro.errors import SolverError
-from repro.parallel import effective_jobs
+from repro.routing.backends import gram_rank
 
 __all__ = [
     "LPResult",
     "BatchBoundsResult",
     "solve_linear_program",
-    "bound_variable",
     "bound_variables_batch",
     "presolve_variable_bounds",
 ]
 
-#: Relative tolerance deciding that a presolved interval is already tight.
+#: Relative certificate gap within which a bound counts as proved, and a
+#: witness as attaining an outer bound.
 _TIGHT_TOLERANCE = 1e-9
 
-#: Null-space magnitude below which a coordinate counts as rank-pinned.
+#: A coordinate is pinned when its leverage score is within this of one.
 _PIN_TOLERANCE = 1e-10
 
 #: Solution values below this certify "this coordinate can be zero".
 _ZERO_WITNESS_TOLERANCE = 1e-11
+
+#: HiGHS ``simplex_strategy`` for the primal simplex.  An objective change
+#: keeps the last basis primal feasible, so the primal simplex re-solves
+#: warm; the default dual simplex restarts from a dual-infeasible basis.
+_PRIMAL_SIMPLEX = 4
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,15 @@ class LPResult:
         results are reported as the maximum, not its negation).
     status:
         Human-readable solver status.
+    duals:
+        Multipliers of the equality rows, in the original sense:
+        ``equality_rhs @ duals == objective`` (empty without equalities).
     """
 
     x: np.ndarray
     objective: float
     status: str
+    duals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,28 +107,34 @@ class BatchBoundsResult:
     lower, upper:
         Bound arrays aligned with ``indices``.
     num_pinned:
-        Coordinates resolved by rank pinning (no LP).
-    num_tight:
-        Coordinates whose combinatorial interval was already tight (no LP).
-    num_lps_solved:
-        Linear programs actually handed to the solver.
+        Coordinates resolved by leverage pinning (no LP).
+    num_upper_skipped:
+        Maximisation LPs skipped because a witness reached the outer bound.
     num_lower_skipped:
         Minimisation LPs skipped thanks to a zero witness.
+    num_lps_solved:
+        Linear programs actually handed to the solver.
+    max_gap:
+        Worst relative certificate gap over every bound (see
+        :func:`bound_variables_batch`).
     engine:
         ``"highs-incremental"``, ``"linprog"`` or ``"presolve-only"``.
-    n_jobs:
-        Number of worker processes used (1 = in-process).
     """
 
     indices: tuple[int, ...]
     lower: np.ndarray
     upper: np.ndarray
     num_pinned: int = 0
-    num_tight: int = 0
-    num_lps_solved: int = 0
+    num_upper_skipped: int = 0
     num_lower_skipped: int = 0
+    num_lps_solved: int = 0
+    max_gap: float = 0.0
     engine: str = "presolve-only"
-    n_jobs: int = 1
+
+    @property
+    def certified(self) -> bool:
+        """Whether every bound is proved to within ``_TIGHT_TOLERANCE``."""
+        return bool(self.max_gap <= _TIGHT_TOLERANCE)
 
     def pairs(self) -> list[tuple[float, float]]:
         """The ``(lower, upper)`` tuples in request order."""
@@ -185,7 +200,13 @@ def solve_linear_program(
     )
     if not outcome.success:
         raise SolverError(f"linear program failed: {outcome.message}")
-    return LPResult(x=np.asarray(outcome.x), objective=float(sign * outcome.fun), status=outcome.message)
+    duals = np.zeros(0) if equality_matrix is None else sign * np.asarray(outcome.eqlin.marginals)
+    return LPResult(
+        x=np.asarray(outcome.x),
+        objective=float(sign * outcome.fun),
+        status=outcome.message,
+        duals=duals,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +216,16 @@ def _as_csr(matrix: Union[np.ndarray, scipy.sparse.spmatrix]) -> scipy.sparse.cs
     if scipy.sparse.issparse(matrix):
         return matrix.tocsr()
     return scipy.sparse.csr_matrix(np.asarray(matrix, dtype=float))
+
+
+def _checked_system(
+    matrix: Union[np.ndarray, scipy.sparse.spmatrix], rhs: np.ndarray
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    csr = _as_csr(matrix)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (csr.shape[0],):
+        raise SolverError(f"rhs has shape {rhs.shape}, expected ({csr.shape[0]},)")
+    return csr, rhs
 
 
 def presolve_variable_bounds(
@@ -212,23 +243,28 @@ def presolve_variable_bounds(
     * ``lower[p]`` from interval propagation: a row's load minus the upper
       bounds of every competing variable on that row, iterated
       ``propagation_rounds`` times;
-    * ``pinned`` marks coordinates on which the null space of ``A``
-      vanishes; for those, ``lower == upper`` equals the unique value the
-      equality system allows.
+    * ``pinned`` marks coordinates whose leverage score is one; for those,
+      ``lower == upper`` equals the unique value the equality system allows.
 
     These intervals always **contain** the exact LP bounds, and they are
     valid for any feasible system; infeasibility is *not* detected here.
     """
-    csr = _as_csr(matrix)
-    rhs = np.asarray(rhs, dtype=float)
-    num_rows, num_vars = csr.shape
-    if rhs.shape != (num_rows,):
-        raise SolverError(f"rhs has shape {rhs.shape}, expected ({num_rows},)")
+    csr, rhs = _checked_system(matrix, rhs)
+    lower, upper = _combinatorial_bounds(csr, rhs, propagation_rounds)
+    pinned, duals = _leverage_pins(csr)
+    lower[pinned] = upper[pinned] = np.maximum(duals @ rhs, 0.0)
+    return lower, upper, pinned
 
+
+def _combinatorial_bounds(
+    csr: scipy.sparse.csr_matrix, rhs: np.ndarray, propagation_rounds: int = 3
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row-by-row ``(lower, upper)`` of :func:`presolve_variable_bounds`."""
+    num_rows, num_vars = csr.shape
     coo = csr.tocoo()
     # The combinatorial reasoning below assumes non-negative coefficients
     # (true for routing systems); with mixed signs fall back to the trivial
-    # intervals and let the rank analysis do what it can.
+    # intervals and let the pinning do what it can.
     combinatorial = not np.any(coo.data < 0)
     positive = coo.data > 0
     rows, cols, vals = coo.row[positive], coo.col[positive], coo.data[positive]
@@ -267,48 +303,84 @@ def presolve_variable_bounds(
             lower = new_lower
         lower = np.minimum(lower, np.where(np.isfinite(upper), upper, lower))
         lower[~covered] = 0.0
-
-    pinned = _rank_pinned_values(csr, rhs, num_vars)
-    if pinned is not None:
-        pinned_mask, pinned_values = pinned
-        lower = np.where(pinned_mask, pinned_values, lower)
-        upper = np.where(pinned_mask, pinned_values, upper)
-        return lower, upper, pinned_mask
-    return lower, upper, np.zeros(num_vars, dtype=bool)
+    return lower, upper
 
 
-def _rank_pinned_values(
-    csr: scipy.sparse.csr_matrix, rhs: np.ndarray, num_vars: int
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Coordinates fixed by the equality system alone, and their values.
+def _leverage_pins(csr: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates fixed by the equality system alone, and their duals.
 
-    A coordinate whose component vanishes on the whole null space of ``A``
-    takes the same value at *every* solution of ``A x = b``; the value is
-    read off the minimum-norm solution.  Returns ``None`` when the dense
-    decomposition would be unreasonably large.
+    Column ``p`` is pinned exactly when ``e_p`` lies in the row space of
+    ``A``, i.e. when its leverage score ``a_pᵀ (A Aᵀ)⁺ a_p`` is one.  Then
+    ``y_p = (A Aᵀ)⁺ a_p`` has ``Aᵀ y_p = e_p``, so every solution of
+    ``A x = b`` has ``x_p = bᵀ y_p``.  The pseudo-inverse comes from the
+    eigendecomposition of the ``(rows, rows)`` Gram, built from CSR products.
+
+    Returns ``(pinned, duals)``: the mask, and one dual row per pinned
+    coordinate in index order.
     """
-    num_rows = csr.shape[0]
-    # The SVD is O(min(m,n)^2 * max(m,n)) on the dense matrix; routing
-    # systems are small on the row side, so this stays far below one LP.
-    if num_rows * num_vars > 4_000_000:
-        return None
-    dense = csr.toarray()
-    try:
-        _, singular, vt = np.linalg.svd(dense, full_matrices=True)
-    except np.linalg.LinAlgError:
-        return None
-    tol = (singular.max(initial=0.0)) * max(dense.shape) * np.finfo(float).eps
-    rank = int((singular > tol).sum())
-    if rank >= num_vars:
-        pinned_mask = np.ones(num_vars, dtype=bool)
-    else:
-        null_basis = vt[rank:]
-        pinned_mask = np.abs(null_basis).max(axis=0) < _PIN_TOLERANCE
-    if not pinned_mask.any():
-        return pinned_mask, np.zeros(num_vars)
-    min_norm, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
-    values = np.where(pinned_mask, np.maximum(min_norm, 0.0), 0.0)
-    return pinned_mask, values
+    gram = (csr @ csr.T).toarray()
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    rank = gram_rank(eigenvalues)
+    kept = slice(len(eigenvalues) - rank, None)
+    # (A Aᵀ)⁺ = W Wᵀ with W the kept eigenvectors over sqrt(eigenvalues).
+    whitened = eigenvectors[:, kept] / np.sqrt(eigenvalues[kept])
+    projected = np.asarray(csr.T @ whitened)  # row p: Wᵀ a_p
+    leverage = np.einsum("ij,ij->i", projected, projected)
+    pinned = leverage >= 1.0 - _PIN_TOLERANCE
+    duals = projected[pinned] @ whitened.T
+    # The Gram squares A's condition number; one step of iterative
+    # refinement on A Aᵀ y = a_p brings |Aᵀ y - e_p| back to rounding level.
+    residual = csr[:, pinned].T.toarray() - np.asarray(csr @ (csr.T @ duals.T)).T
+    duals += (residual @ whitened) @ whitened.T
+    return pinned, duals
+
+
+# ----------------------------------------------------------------------
+# certificates
+# ----------------------------------------------------------------------
+class _Certifier:
+    """Witness extremes and the worst certificate gap of one bound batch.
+
+    Every absorbed LP solution is checked for feasibility, then kept through
+    the per-coordinate maximum and minimum over all of them: each entry of
+    ``high`` / ``low`` is attained by a checked feasible point.  Residuals
+    are relative: loads to ``scale``, dual constraints to the unit
+    objective coefficient.
+    """
+
+    def __init__(self, csr: scipy.sparse.csr_matrix, rhs: np.ndarray, scale: float) -> None:
+        self.csr = csr
+        self.transposed = csr.T.tocsr()
+        self.rhs = rhs
+        self.scale = scale
+        self.high = np.full(csr.shape[1], -np.inf)
+        self.low = np.full(csr.shape[1], np.inf)
+        self.gap = 0.0
+
+    def absorb(self, witness: np.ndarray) -> None:
+        """Check a claimed point of ``{x >= 0 : A x = b}`` and keep it."""
+        self._widen(np.abs(self.csr @ witness - self.rhs).max(initial=0.0) / self.scale)
+        self._widen(-witness.min(initial=0.0) / self.scale)
+        np.maximum(self.high, witness, out=self.high)
+        np.minimum(self.low, witness, out=self.low)
+
+    def prove(self, index: int, bound: float, dual: np.ndarray, maximise: bool) -> None:
+        """Check one bound: a witness attains it, ``dual`` proves it.
+
+        A maximum needs ``Aᵀ y >= e_p`` (a minimum ``<= e_p``) and
+        ``bᵀ y == bound``.
+        """
+        attained = self.high[index] if maximise else self.low[index]
+        self._widen(abs(attained - bound) / self.scale)
+        slack = self.transposed @ dual
+        slack[index] -= 1.0
+        self._widen((-slack if maximise else slack).max(initial=0.0))
+        self._widen(abs(float(self.rhs @ dual) - bound) / self.scale)
+
+    def _widen(self, gap: float) -> None:
+        # A NaN gap sticks, so an unreadable certificate never passes.
+        if np.isnan(gap) or gap > self.gap:
+            self.gap = float(gap)
 
 
 # ----------------------------------------------------------------------
@@ -342,9 +414,9 @@ class _IncrementalBoundSolver:
     """One HiGHS model, re-solved per coordinate with a warm basis.
 
     The constraint matrix and right-hand side are loaded once; bounding a
-    coordinate is then two objective flips (`changeColCost` +
-    `changeObjectiveSense`), each re-solved by HiGHS from the basis of the
-    previous solve — orders of magnitude cheaper than cold-start LPs.
+    coordinate is then an objective flip (`changeColCost` +
+    `changeObjectiveSense`), re-solved by the primal simplex from the basis
+    of the previous solve — orders of magnitude cheaper than cold-start LPs.
     """
 
     def __init__(self, csc: scipy.sparse.csc_matrix, rhs: np.ndarray) -> None:
@@ -368,12 +440,13 @@ class _IncrementalBoundSolver:
         lp.a_matrix_.value_ = csc.data.astype(float)
         self._highs = highs_cls()
         self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
         status = self._highs.passModel(lp)
         if status not in (core.HighsStatus.kOk, core.HighsStatus.kWarning):
             raise SolverError(f"HiGHS rejected the bounds model: {status}")
 
-    def solve(self, index: int, maximise: bool) -> tuple[float, np.ndarray]:
-        """Optimal value and solution of ``min/max x_index``."""
+    def solve(self, index: int, maximise: bool) -> tuple[float, np.ndarray, np.ndarray]:
+        """Optimal value, solution and row duals of ``min/max x_index``."""
         core = self._core
         highs = self._highs
         highs.changeColCost(index, 1.0)
@@ -387,9 +460,13 @@ class _IncrementalBoundSolver:
                 f"linear program failed: {highs.modelStatusToString(model_status)}"
             )
         objective = float(highs.getObjectiveValue())
-        solution = np.asarray(highs.getSolution().col_value, dtype=float)
+        solution = highs.getSolution()
         highs.changeColCost(index, 0.0)
-        return objective, solution
+        return (
+            objective,
+            np.asarray(solution.col_value, dtype=float),
+            np.asarray(solution.row_dual, dtype=float),
+        )
 
 
 class _LinprogBoundSolver:
@@ -400,11 +477,11 @@ class _LinprogBoundSolver:
         self._rhs = np.asarray(rhs, dtype=float)
         self._num_vars = csc.shape[1]
 
-    def solve(self, index: int, maximise: bool) -> tuple[float, np.ndarray]:
+    def solve(self, index: int, maximise: bool) -> tuple[float, np.ndarray, np.ndarray]:
         cost = np.zeros(self._num_vars)
         cost[index] = 1.0
         result = solve_linear_program(cost, self._matrix, self._rhs, maximise=maximise)
-        return result.objective, result.x
+        return result.objective, result.x, result.duals
 
 
 def _make_bound_solver(csc: scipy.sparse.csc_matrix, rhs: np.ndarray):
@@ -417,80 +494,43 @@ def _make_bound_solver(csc: scipy.sparse.csc_matrix, rhs: np.ndarray):
         return _LinprogBoundSolver(csc, rhs), "linprog"
 
 
-def _solve_bound_chunk(
-    csc: scipy.sparse.csc_matrix,
-    rhs: np.ndarray,
-    indices: Sequence[int],
-    presolve_lower: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, int, str]:
-    """Bound ``indices`` on one solver instance, sharing zero witnesses.
+def _outer_bound_dual(csc: scipy.sparse.csc_matrix, rhs: np.ndarray, index: int) -> np.ndarray:
+    """``e_i / a_ip`` for the row ``i`` attaining ``min_i b_i / a_ip``.
 
-    Returns ``(lower, upper, num_lps, num_lower_skipped, engine)`` with the
-    bound arrays aligned to ``indices``.  The maximisation LP runs first:
-    its solution is a feasible point, and every coordinate at zero in a
-    feasible point has an exact lower bound of zero — so later minimisation
-    LPs whose propagated lower bound is already zero can be skipped.
+    With ``A >= 0``, ``Aᵀ y`` is row ``i`` over ``a_ip``: one on ``p``, and
+    non-negative elsewhere, so ``y`` proves the outer upper bound.
     """
-    solver, engine = _make_bound_solver(csc, rhs)
-    zero_witness = np.zeros(csc.shape[1], dtype=bool)
-    lower = np.empty(len(indices))
-    upper = np.empty(len(indices))
-    num_lps = 0
-    num_skipped = 0
-    for out, index in enumerate(indices):
-        up, solution = solver.solve(index, maximise=True)
-        num_lps += 1
-        zero_witness |= solution <= _ZERO_WITNESS_TOLERANCE
-        if presolve_lower[index] <= _ZERO_WITNESS_TOLERANCE and zero_witness[index]:
-            lo = 0.0
-            num_skipped += 1
-        else:
-            lo, solution = solver.solve(index, maximise=False)
-            num_lps += 1
-            zero_witness |= solution <= _ZERO_WITNESS_TOLERANCE
-        lower[out] = lo
-        upper[out] = up
-    return lower, upper, num_lps, num_skipped, engine
-
-
-# ----------------------------------------------------------------------
-# process-pool fan-out
-# ----------------------------------------------------------------------
-_POOL_MODEL: dict = {}
-
-
-def _pool_initializer(csc_parts, rhs, presolve_lower) -> None:
-    indptr, indices, data, shape = csc_parts
-    _POOL_MODEL["csc"] = scipy.sparse.csc_matrix((data, indices, indptr), shape=shape)
-    _POOL_MODEL["rhs"] = rhs
-    _POOL_MODEL["presolve_lower"] = presolve_lower
-
-
-def _pool_solve_chunk(chunk: Sequence[int]):
-    return _solve_bound_chunk(
-        _POOL_MODEL["csc"],
-        _POOL_MODEL["rhs"],
-        chunk,
-        _POOL_MODEL["presolve_lower"],
-    )
+    start, stop = csc.indptr[index], csc.indptr[index + 1]
+    rows, values = csc.indices[start:stop], csc.data[start:stop]
+    positive = values > 0
+    rows, values = rows[positive], values[positive]
+    best = int(np.argmin(rhs[rows] / values))
+    dual = np.zeros(len(rhs))
+    dual[rows[best]] = 1.0 / values[best]
+    return dual
 
 
 def bound_variables_batch(
     indices: Sequence[int],
     equality_matrix: Union[np.ndarray, scipy.sparse.spmatrix],
     equality_rhs: np.ndarray,
-    n_jobs: Optional[int] = 1,
     presolve: bool = True,
-    chunk_size: Optional[int] = None,
 ) -> BatchBoundsResult:
     """Lower and upper bounds of many coordinates over ``{x >= 0 : A x = b}``.
 
-    The batched replacement for per-coordinate :func:`bound_variable` calls:
-    the sparse constraint model is built once, the structural presolve
-    (see :func:`presolve_variable_bounds`) resolves rank-pinned and
-    combinatorially tight coordinates without any LP, and the surviving LPs
-    run on an incremental HiGHS model re-solved from the previous basis —
-    in-process for ``n_jobs=1``, or chunked across a process pool.
+    The sparse constraint model is built once; pinned coordinates (see
+    :func:`presolve_variable_bounds`) need no LP, and the rest are visited
+    in stable descending order of their outer bound ``min_i b_i / a_ip`` on
+    one incremental HiGHS model.  A maximum is skipped when an earlier LP
+    solution already reaches the outer bound, a minimum when one has the
+    coordinate at zero.
+
+    Every bound is certified by a witness and a dual (module docstring);
+    ``max_gap`` is the worst of their relative residuals: the witnesses'
+    ``|A x - b|`` and negativity and the distance of their coordinate from
+    the bound, both over ``max(1, |b|)``, and each dual's violation of
+    ``Aᵀ y >= e_p`` (``<=`` for a minimum) and the distance of ``bᵀ y`` from
+    the bound.
 
     Parameters
     ----------
@@ -498,26 +538,18 @@ def bound_variables_batch(
         Variable indices to bound (request order is preserved).
     equality_matrix, equality_rhs:
         The constraint system; dense or SciPy sparse.
-    n_jobs:
-        Worker processes for the surviving LPs.  ``1`` (default) solves
-        in-process; ``None`` uses ``os.cpu_count()``.  Each worker builds
-        its model once from shared arrays and solves a contiguous chunk.
     presolve:
-        Disable to force every requested coordinate through the LPs
-        (used by the parity tests).
-    chunk_size:
-        Pairs per pool task (default: survivors split evenly per worker).
+        Disable to force every requested coordinate through the LPs (used
+        by the parity tests): no pinning and no outer bounds; zero
+        witnesses still skip minimisations.
 
     Raises
     ------
     SolverError
-        On invalid input, or when any surviving LP is infeasible/unbounded.
+        On invalid input, or when any LP is infeasible/unbounded.
     """
-    csr = _as_csr(equality_matrix)
-    rhs = np.asarray(equality_rhs, dtype=float)
+    csr, rhs = _checked_system(equality_matrix, equality_rhs)
     num_rows, num_vars = csr.shape
-    if rhs.shape != (num_rows,):
-        raise SolverError(f"rhs has shape {rhs.shape}, expected ({num_rows},)")
     index_list = [int(i) for i in indices]
     for index in index_list:
         if not 0 <= index < num_vars:
@@ -525,112 +557,75 @@ def bound_variables_batch(
     if not index_list:
         return BatchBoundsResult(indices=(), lower=np.empty(0), upper=np.empty(0))
 
+    requested = np.asarray(index_list)
     lower = np.empty(len(index_list))
     upper = np.empty(len(index_list))
-    num_pinned = 0
-    num_tight = 0
-    surviving: list[int] = []  # positions into index_list
     if presolve:
-        pre_lower, pre_upper, pinned = presolve_variable_bounds(csr, rhs)
-        scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-        for pos, index in enumerate(index_list):
-            if pinned[index]:
-                lower[pos] = upper[pos] = pre_lower[index]
-                num_pinned += 1
-            elif (
-                np.isfinite(pre_upper[index])
-                and pre_upper[index] - pre_lower[index] <= _TIGHT_TOLERANCE * scale
-            ):
-                lower[pos] = pre_lower[index]
-                upper[pos] = pre_upper[index]
-                num_tight += 1
-            else:
-                surviving.append(pos)
+        outer_lower, outer_upper = _combinatorial_bounds(csr, rhs)
+        pinned, pin_duals = _leverage_pins(csr)
     else:
-        pre_lower = np.zeros(num_vars)
-        surviving = list(range(len(index_list)))
+        outer_lower, outer_upper = np.zeros(num_vars), np.full(num_vars, np.inf)
+        pinned, pin_duals = np.zeros(num_vars, dtype=bool), np.empty((0, num_rows))
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    certifier = _Certifier(csr, rhs, scale)
 
     engine = "presolve-only"
-    num_lps = 0
-    num_skipped = 0
-    jobs = effective_jobs(n_jobs, len(surviving), error=SolverError)
-    if not surviving and presolve:
-        # Every requested coordinate was resolved structurally, so no LP ran
-        # to certify feasibility; presolve on an infeasible system produces
-        # garbage silently.  One zero-objective LP settles it.
-        solve_linear_program(np.zeros(num_vars), csr, rhs)
-    if surviving:
+    num_lps = num_upper_skipped = num_lower_skipped = 0
+    surviving = np.flatnonzero(~pinned[requested])
+    if surviving.size:
         csc = csr.tocsc()
-        surviving_indices = [index_list[pos] for pos in surviving]
-        if jobs == 1:
-            chunk_results = [_solve_bound_chunk(csc, rhs, surviving_indices, pre_lower)]
-            chunks = [surviving]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
+        solver, engine = _make_bound_solver(csc, rhs)
 
-            if chunk_size is None:
-                chunk_size = max(1, -(-len(surviving) // jobs))
-            chunks = [
-                surviving[start : start + chunk_size]
-                for start in range(0, len(surviving), chunk_size)
-            ]
-            csc_parts = (csc.indptr, csc.indices, csc.data, csc.shape)
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_pool_initializer,
-                initargs=(csc_parts, rhs, pre_lower),
-            ) as pool:
-                chunk_results = list(
-                    pool.map(
-                        _pool_solve_chunk,
-                        [[index_list[pos] for pos in chunk] for chunk in chunks],
-                    )
-                )
-        for chunk, (chunk_lower, chunk_upper, lps, skipped, chunk_engine) in zip(
-            chunks, chunk_results
-        ):
-            for offset, pos in enumerate(chunk):
-                lower[pos] = chunk_lower[offset]
-                upper[pos] = chunk_upper[offset]
-            num_lps += lps
-            num_skipped += skipped
-            engine = chunk_engine
+        def solve(index: int, maximise: bool) -> float:
+            value, witness, dual = solver.solve(index, maximise)
+            certifier.absorb(witness)
+            certifier.prove(index, value, dual, maximise)
+            return value
+
+        order = surviving[np.argsort(-outer_upper[requested[surviving]], kind="stable")]
+        for pos in order:
+            index = index_list[pos]
+            if certifier.high[index] >= outer_upper[index] - _TIGHT_TOLERANCE * scale:
+                upper[pos] = outer_upper[index]
+                dual = _outer_bound_dual(csc, rhs, index)
+                certifier.prove(index, upper[pos], dual, maximise=True)
+                num_upper_skipped += 1
+            else:
+                upper[pos] = solve(index, maximise=True)
+                num_lps += 1
+            if (
+                outer_lower[index] <= _ZERO_WITNESS_TOLERANCE
+                and certifier.low[index] <= _ZERO_WITNESS_TOLERANCE
+            ):
+                lower[pos] = 0.0
+                certifier.prove(index, 0.0, np.zeros(num_rows), maximise=False)
+                num_lower_skipped += 1
+            else:
+                lower[pos] = solve(index, maximise=False)
+                num_lps += 1
+    else:
+        # Every requested coordinate is pinned, so no LP ran to certify
+        # feasibility (pinning on an infeasible system produces garbage
+        # silently) or to supply a witness.  One zero-objective LP does both.
+        certifier.absorb(solve_linear_program(np.zeros(num_vars), csr, rhs).x)
+
+    pinned_positions = np.flatnonzero(pinned[requested])
+    dual_row = np.cumsum(pinned) - 1
+    for pos in pinned_positions:
+        index = index_list[pos]
+        dual = pin_duals[dual_row[index]]
+        lower[pos] = upper[pos] = max(float(rhs @ dual), 0.0)
+        certifier.prove(index, lower[pos], dual, maximise=True)
+        certifier.prove(index, lower[pos], dual, maximise=False)
 
     return BatchBoundsResult(
         indices=tuple(index_list),
         lower=lower,
         upper=upper,
-        num_pinned=num_pinned,
-        num_tight=num_tight,
+        num_pinned=len(pinned_positions),
+        num_upper_skipped=num_upper_skipped,
+        num_lower_skipped=num_lower_skipped,
         num_lps_solved=num_lps,
-        num_lower_skipped=num_skipped,
+        max_gap=certifier.gap,
         engine=engine,
-        n_jobs=jobs,
     )
-
-
-def bound_variable(
-    index: int,
-    equality_matrix: np.ndarray,
-    equality_rhs: np.ndarray,
-    num_variables: Optional[int] = None,
-) -> tuple[float, float]:
-    """Lower and upper bound of coordinate ``index`` over ``{x >= 0 : A x = b}``.
-
-    Returns ``(lower, upper)``.  This is exactly the per-demand bound pair
-    of the paper's worst-case-bound method, kept as a thin wrapper over
-    :func:`bound_variables_batch` — callers bounding more than one
-    coordinate should use the batch API directly.
-    """
-    if num_variables is not None:
-        matrix_cols = (
-            equality_matrix.shape[1]
-            if scipy.sparse.issparse(equality_matrix)
-            else np.asarray(equality_matrix, dtype=float).shape[1]
-        )
-        if matrix_cols != num_variables:
-            raise SolverError(
-                f"equality matrix has {matrix_cols} columns, expected {num_variables}"
-            )
-    result = bound_variables_batch([index], equality_matrix, equality_rhs, n_jobs=1)
-    return float(result.lower[0]), float(result.upper[0])

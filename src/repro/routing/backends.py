@@ -39,6 +39,7 @@ __all__ = [
     "DenseBackend",
     "SparseBackend",
     "make_backend",
+    "gram_rank",
     "SPARSE_SIZE_THRESHOLD",
     "SPARSE_DENSITY_THRESHOLD",
 ]
@@ -50,6 +51,20 @@ SPARSE_SIZE_THRESHOLD = 50_000
 #: Above this fill fraction the dense representation is used regardless of
 #: size (CSR products beat BLAS only on genuinely sparse data).
 SPARSE_DENSITY_THRESHOLD = 0.25
+
+
+def gram_rank(eigenvalues: np.ndarray) -> int:
+    """Numerical rank of ``M`` from the eigenvalues of its Gram ``M @ M.T``.
+
+    An eigenvalue counts when it exceeds ``max * size * eps``, the tolerance
+    ``np.linalg.matrix_rank`` would apply to the Gram itself.  The Gram
+    squares ``M``'s singular values, so singular values below about
+    ``1e-7`` of the largest are not resolved; routing systems (0/1 or
+    ECMP-fraction entries) keep theirs far above that.
+    """
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    tolerance = eigenvalues.max(initial=0.0) * eigenvalues.size * np.finfo(float).eps
+    return int(np.count_nonzero(eigenvalues > tolerance))
 
 
 @runtime_checkable

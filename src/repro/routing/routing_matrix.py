@@ -27,7 +27,7 @@ import scipy.sparse
 
 from repro import telemetry
 from repro.errors import RoutingError
-from repro.routing.backends import RoutingBackend, make_backend
+from repro.routing.backends import RoutingBackend, gram_rank, make_backend
 from repro.routing.cspf import CSPFRouter
 from repro.routing.shortest_path import Path, ShortestPathRouter
 from repro.topology.elements import NodePair, PairIndex
@@ -226,10 +226,14 @@ class RoutingMatrix:
 
         The estimation problem is under-determined whenever the rank is
         smaller than the number of pairs, which is the normal situation in
-        backbones (many more pairs than links).
+        backbones (many more pairs than links).  The rank is read from the
+        eigenvalues of the ``(num_links, num_links)`` link Gram ``R @ R.T``
+        (see :func:`~repro.routing.backends.gram_rank`), so a sparse
+        backend is never densified.
         """
         if self._rank is None:
-            self._rank = int(np.linalg.matrix_rank(self._backend.toarray()))
+            link_gram = self._backend.link_gram(np.ones(self.num_pairs))
+            self._rank = gram_rank(np.linalg.eigvalsh(link_gram))
         return self._rank
 
     def nullity(self) -> int:

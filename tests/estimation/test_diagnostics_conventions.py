@@ -20,6 +20,7 @@ import pytest
 
 from repro.estimation.registry import available_estimators, get_estimator
 from repro.optimize.dual import GAP_TOLERANCE
+from repro.optimize.linear_program import _TIGHT_TOLERANCE
 
 FORBIDDEN_ALIASES = ("solver_iterations", "solver_converged", "link_residual")
 
@@ -44,7 +45,7 @@ CONVENTIONS = {
     ),
     "tomogravity": ({}, "snapshot", CERTIFIED),
     "vardi": ({}, "series", {"iterations", "converged"}),
-    "worst-case-bounds": ({}, "snapshot", set()),
+    "worst-case-bounds": ({}, "snapshot", {"iterations", "converged", "bound_gap"}),
 }
 
 
@@ -80,4 +81,9 @@ def test_canonical_diagnostics_keys(name, small_scenario_session):
         # converged is derived from the certificate, which must hold here.
         gap = diagnostics["duality_gap"]
         assert diagnostics["converged"] is (0.0 <= gap <= GAP_TOLERANCE)
+        assert diagnostics["converged"]
+    if "bound_gap" in diagnostics:
+        # The worst-case bounds certify each bound by a witness and a dual.
+        gap = diagnostics["bound_gap"]
+        assert diagnostics["converged"] is (0.0 <= gap <= _TIGHT_TOLERANCE)
         assert diagnostics["converged"]

@@ -94,6 +94,11 @@ class TestNoDensification:
         dense = combiner.estimate(scenario.snapshot_problem()).vector
         np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-9)
 
+    def test_rank_stays_sparse(self, scenario, guarded_problems):
+        snapshot_problem, _ = guarded_problems
+        expected = np.linalg.matrix_rank(scenario.routing.matrix)
+        assert snapshot_problem.routing.rank() == expected
+
     def test_guard_actually_guards(self, guarded_problems):
         snapshot_problem, _ = guarded_problems
         with pytest.raises(AssertionError, match="densified"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.optimize import bound_variable, solve_linear_program
+from repro.optimize import bound_variables_batch, solve_linear_program
 
 
 class TestSolveLP:
@@ -17,6 +17,9 @@ class TestSolveLP:
         result = solve_linear_program(cost, A, b)
         assert result.objective == pytest.approx(1.0)
         assert result.x[0] == pytest.approx(1.0)
+        # The equality duals prove the minimum: b @ y == min, A.T @ y <= cost.
+        assert b @ result.duals == pytest.approx(1.0)
+        assert np.all(A.T @ result.duals <= cost + 1e-12)
 
     def test_maximisation_on_simplex(self):
         cost = np.array([1.0, 2.0, 3.0])
@@ -25,6 +28,9 @@ class TestSolveLP:
         result = solve_linear_program(cost, A, b, maximise=True)
         assert result.objective == pytest.approx(3.0)
         assert result.x[2] == pytest.approx(1.0)
+        # Duals in the original sense: b @ y == max, A.T @ y >= cost.
+        assert b @ result.duals == pytest.approx(3.0)
+        assert np.all(A.T @ result.duals >= cost - 1e-12)
 
     def test_upper_bounds_respected(self):
         cost = np.array([1.0, 1.0])
@@ -61,21 +67,24 @@ class TestSolveLP:
 
 
 class TestBoundVariable:
+    """One coordinate's bounds: a batch of one index."""
+
     def test_bounds_on_identified_variable(self):
         # x0 + x1 = 10 and x0 = 4 exactly identifies both variables.
         A = np.array([[1.0, 1.0], [1.0, 0.0]])
         b = np.array([10.0, 4.0])
-        lower, upper = bound_variable(0, A, b)
-        assert lower == pytest.approx(4.0)
-        assert upper == pytest.approx(4.0)
+        for index, value in ((0, 4.0), (1, 6.0)):
+            result = bound_variables_batch([index], A, b)
+            assert result.pairs() == [pytest.approx((value, value))]
+            assert result.certified
 
     def test_bounds_on_free_variable(self):
         A = np.array([[1.0, 1.0]])
         b = np.array([10.0])
-        lower, upper = bound_variable(0, A, b)
-        assert lower == pytest.approx(0.0)
-        assert upper == pytest.approx(10.0)
+        result = bound_variables_batch([0], A, b)
+        assert result.pairs() == [pytest.approx((0.0, 10.0))]
+        assert result.certified
 
     def test_index_out_of_range_rejected(self):
         with pytest.raises(SolverError):
-            bound_variable(5, np.ones((1, 2)), np.ones(1))
+            bound_variables_batch([5], np.ones((1, 2)), np.ones(1))

@@ -79,6 +79,21 @@ class TestRoutingMatrixObject:
             RoutingMatrix(np.full((2, 2), 2.0), ["a", "b"], pairs[:2])
 
 
+@pytest.mark.parametrize(
+    "builder", ["europe_scenario", "america_scenario", "abilene_scenario", "large_scenario"]
+)
+def test_gram_rank_matches_dense_matrix_rank(builder):
+    """The link-Gram eigenvalue rank equals the dense SVD rank."""
+    import repro.datasets as datasets
+
+    if builder == "large_scenario":
+        scenario = datasets.large_scenario(100, seed=2004)
+    else:
+        scenario = getattr(datasets, builder)(seed=2004)
+    routing = scenario.routing
+    assert routing.rank() == np.linalg.matrix_rank(routing.matrix)
+
+
 class TestBuilders:
     def test_missing_path_rejected(self, triangle_network):
         router = ShortestPathRouter(triangle_network)

@@ -153,15 +153,14 @@ class TestNoPoolSpawn:
         assert records
 
     def test_bounds_batch_tiny_batch(self, forbid_pools):
-        # A single-variable batch resolves to one worker regardless of
-        # n_jobs or core count: no pool may be spawned for it.
+        # The bounds engine runs in-process: no pool may be spawned for it.
         import numpy as np
 
         from repro.optimize.linear_program import bound_variables_batch
 
         matrix = np.array([[1.0, 1.0]])
         rhs = np.array([2.0])
-        result = bound_variables_batch([0], matrix, rhs, n_jobs=4)
+        result = bound_variables_batch([0], matrix, rhs)
         assert result.lower[0] == pytest.approx(0.0, abs=1e-8)
         assert result.upper[0] == pytest.approx(2.0, abs=1e-8)
 

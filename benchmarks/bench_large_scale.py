@@ -4,8 +4,8 @@ The estimation problem is quadratic in node count (``P = N (N - 1)``
 pairs), yet until this engine the hot paths assumed the paper's <= 25-node
 scale: ``route_all`` ran one truncated Dijkstra **per pair**, and the
 regularised estimators pulled the dense ``(links, pairs)`` routing view
-even on CSR backends.  This benchmark measures the fast path on random
-backbones of growing size:
+even though the matrix was stored in CSR.  This benchmark measures the
+fast path on random backbones of growing size:
 
 * **routing build** — batched single-source ``route_all`` + vectorized COO
   assembly against the legacy per-pair loop (``route_all_pairwise``) with
@@ -15,15 +15,16 @@ backbones of growing size:
 * **memory** — a tracemalloc guard proving the sparse paths never
   materialise a dense routing-sized array (peak allocation stays under the
   dense ``(L, P)`` footprint);
-* **drift** — batched routing and sparse estimator paths pinned to the
-  legacy results on the named scenarios (routing paths must be identical;
-  estimator drift is the max relative L2 difference between dense- and
-  sparse-backend estimates on Europe).
+* **routing parity** — batched routing pinned path for path to the legacy
+  per-pair sweep on the named scenarios.  The routing matrix has one
+  storage format, CSR, so there is no dense-vs-sparse estimate to compare;
+  ``tests/estimation/test_link_order.py`` and the Europe/Abilene estimator
+  tests run every method on the CSR path instead.
 
 The continental-scale tier (default N=500; N=1000 via ``BENCH_PR6_NS``
 needs ~5 GB RSS) times the scenario build, checks the csgraph routing
 engine route-for-route against the python sweep (exact digests), and
-runs flat tomogravity on the sparse backend: wall time, a tracemalloc
+runs flat tomogravity on the CSR routing matrix: wall time, a tracemalloc
 peak that must stay under the dense ``(links, pairs)`` routing footprint,
 MRE against the synthetic truth, and the duality-gap certificate, which
 must be within ``repro.optimize.dual.GAP_TOLERANCE``.  The results land
@@ -60,8 +61,6 @@ PR6_RECORD_PATH = REPO_ROOT / "BENCH_PR6.json"
 
 SEED = 2004
 ESTIMATORS = ("gravity", "kruithof", "tomogravity", "entropy", "bayesian")
-#: Methods compared dense-vs-sparse for the drift pin (Europe scale).
-DRIFT_METHODS = ("gravity", "kruithof", "bayesian", "entropy", "tomogravity")
 
 
 def parse_ns() -> tuple[int, ...]:
@@ -101,7 +100,6 @@ def routing_benchmark(n_nodes: int) -> dict:
         "num_nodes": n_nodes,
         "num_links": network.num_links,
         "num_pairs": network.num_pairs,
-        "backend": matrix.backend_kind,
         "density": matrix.density,
         "legacy_seconds": legacy_seconds,
         "batched_seconds": batched_seconds,
@@ -140,7 +138,6 @@ def estimator_benchmark(n_nodes: int, guard_memory: bool) -> dict:
             )
     payload = {
         "num_pairs": scenario.routing.num_pairs,
-        "backend": scenario.routing.backend_kind,
         "estimate_seconds": timings,
     }
     if guard_memory:
@@ -151,48 +148,21 @@ def estimator_benchmark(n_nodes: int, guard_memory: bool) -> dict:
     return payload
 
 
-def named_scenario_drift() -> dict:
-    """Pin batched routing + sparse estimators to the legacy results."""
+def named_scenario_routing_parity() -> list[str]:
+    """Pin batched routing to the legacy per-pair sweep on the named scenarios."""
     from repro.datasets import abilene_scenario, america_scenario, europe_scenario
-    from repro.estimation.base import EstimationProblem
-    from repro.estimation.registry import get_estimator
     from repro.routing.shortest_path import ShortestPathRouter
 
-    drift = 0.0
-    routing_checked = []
-    scenarios = {
-        "europe": europe_scenario(),
-        "america": america_scenario(),
-        "abilene": abilene_scenario(),
-    }
-    for name, scenario in scenarios.items():
-        router = ShortestPathRouter(scenario.network)
+    checked = []
+    for name, builder in (
+        ("europe", europe_scenario),
+        ("america", america_scenario),
+        ("abilene", abilene_scenario),
+    ):
+        router = ShortestPathRouter(builder().network)
         assert_paths_equal(router.route_all(), router.route_all_pairwise())
-        routing_checked.append(name)
-
-    europe = scenarios["europe"]
-    truth = europe.busy_mean_matrix()
-    loads = europe.routing.with_backend("dense").link_loads(truth.vector)
-
-    def problem(backend: str) -> EstimationProblem:
-        return EstimationProblem(
-            routing=europe.routing.with_backend(backend),
-            link_loads=loads,
-            origin_totals=truth.origin_totals(),
-            destination_totals=truth.destination_totals(),
-        )
-
-    dense_problem, sparse_problem = problem("dense"), problem("sparse")
-    for method in DRIFT_METHODS:
-        dense_vec = get_estimator(method).estimate(dense_problem).vector
-        sparse_vec = get_estimator(method).estimate(sparse_problem).vector
-        scale = max(float(np.linalg.norm(dense_vec)), 1e-12)
-        drift = max(drift, float(np.linalg.norm(dense_vec - sparse_vec)) / scale)
-    return {
-        "routing_paths_identical_on": routing_checked,
-        "estimator_methods": list(DRIFT_METHODS),
-        "max_relative_drift": drift,
-    }
+        checked.append(name)
+    return checked
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +245,6 @@ def continental_benchmark(n_nodes: int) -> dict:
         "num_nodes": n_nodes,
         "num_links": num_links,
         "num_pairs": num_pairs,
-        "backend": problem.routing.backend_kind,
         "scenario_build_seconds": build_seconds,
         "routing_python_seconds": routing_python_seconds,
         "routing_csgraph_seconds": routing_csgraph_seconds,
@@ -337,16 +306,16 @@ def main() -> dict:
             f"batched {record['batched_seconds']:6.2f}s  "
             f"speedup {record['speedup']:6.1f}x"
         )
-        print(f"[large scale] N={n_nodes}: estimators on the {record['backend']} backend ...")
+        print(f"[large scale] N={n_nodes}: estimators ...")
         estimator_records[str(n_nodes)] = estimator_benchmark(
             n_nodes, guard_memory=n_nodes == max_n
         )
         for method, seconds in estimator_records[str(n_nodes)]["estimate_seconds"].items():
             print(f"[large scale]     {method:12s} {seconds:6.2f}s")
 
-    print("[large scale] drift pins on the named scenarios ...")
-    drift = named_scenario_drift()
-    print(f"[large scale] max relative estimator drift {drift['max_relative_drift']:.2e}")
+    print("[large scale] routing parity on the named scenarios ...")
+    routing_checked = named_scenario_routing_parity()
+    print(f"[large scale] batched routes identical on {', '.join(routing_checked)}")
 
     headline = routing_records[-1]
     payload = {
@@ -354,7 +323,7 @@ def main() -> dict:
         "ns": list(ns),
         "routing_build": routing_records,
         "estimators": estimator_records,
-        "drift": drift,
+        "routing_paths_identical_on": routing_checked,
         "minimum_routing_speedup": minimum_speedup,
         "headline_routing_speedup": headline["speedup"],
         "cpu_count": os.cpu_count(),
@@ -364,9 +333,6 @@ def main() -> dict:
     assert headline["speedup"] >= minimum_speedup, (
         f"routing build speedup {headline['speedup']:.1f}x at N={headline['num_nodes']} "
         f"below the required {minimum_speedup:.1f}x"
-    )
-    assert drift["max_relative_drift"] < 1e-3, (
-        f"estimator drift {drift['max_relative_drift']:.2e} above 1e-3"
     )
     print(
         f"[large scale] OK (>= {minimum_speedup:.1f}x at N={headline['num_nodes']}), "

@@ -203,9 +203,10 @@ def large_scenario(
     * the day series covers the hours around the evening peak at a
       five-minute resolution (``num_samples`` snapshots, default four
       hours) rather than a full 288-sample day;
-    * the routing matrix is auto-selected to the sparse CSR backend (a
-      backbone's density falls like ``mean path length / num_links``, well
-      under 2 % at this scale).
+    * the routing matrix is CSR like every routing matrix, and a
+      backbone's density falls like ``mean path length / num_links`` —
+      well under 2 % at this scale — so its dense view is never built on
+      the estimators' hot paths.
 
     Parameters
     ----------

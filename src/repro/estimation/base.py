@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 import scipy.sparse
@@ -288,17 +288,18 @@ class EstimationProblem:
     # ------------------------------------------------------------------
     # edge-total incidence structure
     # ------------------------------------------------------------------
-    def _incidence_block(self, num_labels: int, codes: np.ndarray) -> np.ndarray:
-        """0/1 block mapping pairs to their origin (or destination) row."""
-        block = np.zeros((num_labels, self.num_pairs))
-        block[codes, np.arange(self.num_pairs)] = 1.0
-        return block
+    def _incidence_block(self, num_labels: int, codes: np.ndarray) -> scipy.sparse.csr_matrix:
+        """0/1 CSR block mapping pairs to their origin (or destination) row."""
+        columns = np.arange(self.num_pairs)
+        return scipy.sparse.csr_matrix(
+            (np.ones(self.num_pairs), (codes, columns)), shape=(num_labels, self.num_pairs)
+        )
 
     def augmented_system(
         self,
         include_origin_totals: bool = True,
         include_destination_totals: bool = True,
-    ) -> tuple[Union[np.ndarray, scipy.sparse.spmatrix], np.ndarray]:
+    ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """Routing constraints augmented with edge-total rows.
 
         The paper's network view includes the access/peering links over
@@ -308,12 +309,10 @@ class EstimationProblem:
         at) the node equals the measured total.  The worst-case-bound
         estimator uses this augmented system; other methods may opt in.
 
-        Returns ``(matrix, rhs)`` where ``matrix`` stacks the routing matrix
-        and the requested total rows and ``rhs`` stacks the link-load
-        snapshot and the totals.  The matrix is dense for a dense routing
-        backend and a CSR sparse matrix for a sparse one; results are cached
-        in the shared workspace per flag combination, so treat them as
-        read-only.
+        Returns ``(matrix, rhs)`` where ``matrix`` is the CSR stack of the
+        routing matrix and the requested total rows and ``rhs`` stacks the
+        link-load snapshot and the totals.  Results are cached in the shared
+        workspace per flag combination, so treat them as read-only.
         """
         key = ("augmented_system", bool(include_origin_totals), bool(include_destination_totals))
         return self.shared(
@@ -322,12 +321,9 @@ class EstimationProblem:
 
     def _stack_totals(
         self, include_origin_totals: bool, include_destination_totals: bool
-    ) -> tuple[Union[np.ndarray, scipy.sparse.spmatrix], np.ndarray]:
+    ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """:meth:`augmented_system` without the cache."""
-        sparse = self.routing.backend_kind == "sparse"
-        rows: list[Any] = [
-            self.routing.backend.raw if sparse else self.routing.matrix
-        ]
+        rows = [self.routing.native]
         rhs = [self.snapshot]
         origins, destinations, origin_codes, destination_codes = self.pair_positions()
         if include_origin_totals and self.origin_totals is not None:
@@ -336,13 +332,7 @@ class EstimationProblem:
         if include_destination_totals and self.destination_totals is not None:
             rows.append(self._incidence_block(len(destinations), destination_codes))
             rhs.append(self.destination_totals)
-        if sparse:
-            matrix: Union[np.ndarray, scipy.sparse.spmatrix] = scipy.sparse.vstack(
-                [scipy.sparse.csr_matrix(block) for block in rows], format="csr"
-            )
-        else:
-            matrix = np.vstack(rows)
-        return matrix, np.concatenate(rhs)
+        return scipy.sparse.vstack(rows, format="csr"), np.concatenate(rhs)
 
     # ------------------------------------------------------------------
     # derived problems

@@ -103,15 +103,14 @@ class BayesianEstimator(Estimator):
         Newton steps on the link-space dual
         (:func:`repro.optimize.dual.solve_dual` with an
         :class:`~repro.optimize.dual.L2Map`): one multiplier per link, the
-        minimiser ``s = max(0, p - R'y / (2 sigma^{-2}))``, the same exact
-        solver on dense and sparse backends, and the duality gap as the
-        convergence certificate.
+        minimiser ``s = max(0, p - R'y / (2 sigma^{-2}))``, CSR products
+        throughout, and the duality gap as the convergence certificate.
         """
         prior = self._prior_vector(problem)
         warm_start = self._warm_start
         self._warm_start = None
         solution = solve_dual(
-            problem.routing.backend,
+            problem.routing,
             problem.snapshot,
             L2Map(prior, 1.0 / self.regularization),
             start=warm_start,

@@ -114,7 +114,7 @@ class EntropyEstimator(Estimator):
         # Optional scale normalisation keeps sigma^2 dimensionless.
         scale = float(prior.sum()) if self.scale_invariant else 1.0
         solution = solve_dual(
-            problem.routing.backend,
+            problem.routing,
             problem.snapshot,
             KLMap(prior, scale / self.regularization),
             start=warm_start,

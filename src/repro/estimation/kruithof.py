@@ -217,8 +217,8 @@ class KLProjectionEstimator(Estimator):
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
         """Project the prior onto the link-load constraints."""
         prior = _resolve_prior(problem, self.prior)
-        # ``native`` hands iterative scaling the CSR matrix on sparse
-        # backends, so the projection never densifies the routing matrix.
+        # ``native`` hands iterative scaling the CSR matrix, so the
+        # projection never densifies the routing matrix.
         fit = generalized_iterative_scaling(
             prior,
             problem.routing.native,

@@ -63,7 +63,7 @@ def reduce_problem(
     The measured demands' contribution ``R_measured @ s_measured`` is
     subtracted from the link loads (snapshot and series) and from the edge
     totals (snapshot and series), and the corresponding columns are dropped
-    from the routing matrix, in its native storage.  The returned problem
+    from the routing matrix's CSR storage.  The returned problem
     estimates only the remaining pairs.
     """
     if not measured:
@@ -81,7 +81,6 @@ def reduce_problem(
         routing.link_names,
         [problem.pairs[i] for i in kept],
         network=routing.network,
-        backend=routing.backend_kind,
     )
 
     link_loads = None

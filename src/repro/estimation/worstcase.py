@@ -89,12 +89,9 @@ class DemandBounds:
 
 def _constraint_system(problem: EstimationProblem, use_edge_totals: bool):
     """The (matrix, rhs) pair the bounds are computed over."""
-    routing = problem.routing
     if use_edge_totals:
         return problem.augmented_system()
-    if routing.backend_kind == "sparse":
-        return routing.backend.raw, problem.snapshot
-    return routing.matrix, problem.snapshot
+    return problem.routing.native, problem.snapshot
 
 
 def worst_case_bounds(

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+import scipy.sparse
 
 from repro.datasets.scenarios import Scenario
 from repro.errors import ReproError
@@ -179,15 +180,19 @@ def routing_matrix_to_dict(routing: RoutingMatrix) -> dict[str, Any]:
     """Serialise a routing matrix with its row/column labelling.
 
     The matrix itself is stored sparsely (row, column, value triplets) since
-    backbone routing matrices are mostly zeros.
+    backbone routing matrices are mostly zeros.  The triplets are read from
+    the canonical CSR, row by row with sorted columns, so the dense view is
+    never built.
     """
-    rows, cols = np.nonzero(routing.matrix)
+    csr = routing.native
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
     return {
         "format": _FORMAT_ROUTING,
         "link_names": list(routing.link_names),
         "pairs": _pairs_to_list(routing.pairs),
         "entries": [
-            [int(r), int(c), float(routing.matrix[r, c])] for r, c in zip(rows, cols)
+            [row, col, value]
+            for row, col, value in zip(rows.tolist(), csr.indices.tolist(), csr.data.tolist())
         ],
     }
 
@@ -197,10 +202,12 @@ def routing_matrix_from_dict(data: dict[str, Any], network: Network | None = Non
     _require_format(data, _FORMAT_ROUTING)
     link_names = data["link_names"]
     pairs = _pairs_from_list(data["pairs"])
-    matrix = np.zeros((len(link_names), len(pairs)))
-    for row, col, value in data["entries"]:
-        matrix[int(row), int(col)] = float(value)
-    return RoutingMatrix(matrix, link_names, pairs, network=network)
+    entries = np.asarray(data["entries"], dtype=float).reshape(-1, 3)
+    coo = scipy.sparse.coo_matrix(
+        (entries[:, 2], (entries[:, 0].astype(np.intp), entries[:, 1].astype(np.intp))),
+        shape=(len(link_names), len(pairs)),
+    )
+    return RoutingMatrix(coo, link_names, pairs, network=network)
 
 
 # ----------------------------------------------------------------------

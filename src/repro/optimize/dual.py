@@ -158,7 +158,7 @@ def solve_dual(
     ----------
     routing:
         The routing operator ``R``; only ``matvec``, ``rmatvec`` and
-        ``link_gram`` are used, so sparse backends stay sparse.
+        ``link_gram`` are used, so a CSR routing matrix stays sparse.
     loads:
         The link loads ``t``.
     link_map:

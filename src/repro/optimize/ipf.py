@@ -276,7 +276,7 @@ def generalized_iterative_scaling(
     routing_matrix:
         Matrix with entries in [0, 1]; a SciPy sparse matrix is accepted
         and used as-is (the iteration only needs products and column sums),
-        so sparse routing backends never have to densify.
+        so a CSR routing matrix never has to densify.
     link_loads:
         Target loads ``t``.
     """

@@ -11,23 +11,18 @@ provides:
   RSVP-style bandwidth bookkeeping;
 * :class:`~repro.routing.cspf.CSPFRouter` — constraint-based routing of the
   mesh;
-* :class:`~repro.routing.routing_matrix.RoutingMatrix` and the builders
-  :func:`~repro.routing.routing_matrix.build_routing_matrix` /
+* :class:`~repro.routing.routing_matrix.RoutingMatrix` — ``R`` in one CSR
+  matrix with its link/pair labelling and the operator products — and the
+  builders :func:`~repro.routing.routing_matrix.build_routing_matrix` /
   :func:`~repro.routing.routing_matrix.build_ecmp_routing_matrix`;
 * :class:`~repro.routing.incremental.IncrementalRerouter` — failure-case
   re-routing that re-signals only the affected demands and rebuilds the
   routing matrix incrementally (the planning subsystem's fast path);
-* the pluggable storage backends of :mod:`repro.routing.backends`
-  (dense ndarray / SciPy CSR, auto-selected by size and density).
+* :class:`~repro.routing.backends.RoutingOperator` — the typed operator
+  contract solvers assume of a routing matrix.
 """
 
-from repro.routing.backends import (
-    DenseBackend,
-    RoutingBackend,
-    RoutingOperator,
-    SparseBackend,
-    make_backend,
-)
+from repro.routing.backends import RoutingOperator
 from repro.routing.cspf import CSPFRouter
 from repro.routing.incremental import IncrementalRerouter, RerouteResult
 from repro.routing.lsp import LSP, LSPMesh, ReservationState
@@ -55,9 +50,5 @@ __all__ = [
     "RoutingMatrix",
     "build_routing_matrix",
     "build_ecmp_routing_matrix",
-    "RoutingBackend",
     "RoutingOperator",
-    "DenseBackend",
-    "SparseBackend",
-    "make_backend",
 ]

@@ -341,7 +341,6 @@ class IncrementalRerouter:
         self,
         failed_links: Iterable[str] = (),
         failed_nodes: Iterable[str] = (),
-        backend: str = "auto",
     ) -> tuple[RoutingMatrix, RerouteResult]:
         """Post-failure routing matrix, rebuilt incrementally.
 
@@ -353,10 +352,7 @@ class IncrementalRerouter:
         """
         result = self.reroute(failed_links, failed_nodes)
         if not result.rerouted:
-            matrix = (
-                self.base_matrix if backend == "auto" else self.base_matrix.with_backend(backend)
-            )
-            return matrix, result
+            return self.base_matrix, result
 
         affected_cols = np.asarray(
             [self.pairs.position(pair) for pair in result.rerouted], dtype=np.int64
@@ -378,7 +374,5 @@ class IncrementalRerouter:
             (np.ones(len(rows)), (rows, cols)),
             shape=(self.network.num_links, len(self.pairs)),
         )
-        matrix = RoutingMatrix(
-            coo, self.network.link_names, self.pairs, network=self.network, backend=backend
-        )
+        matrix = RoutingMatrix(coo, self.network.link_names, self.pairs, network=self.network)
         return matrix, result

@@ -6,15 +6,18 @@ column per origin-destination pair; entry ``r_lp`` is 1 when the demand of
 pair ``p`` traverses link ``l`` (or the traversed fraction for multi-path
 routing).
 
-:class:`RoutingMatrix` bundles the storage backend (dense ndarray or SciPy
-CSR, auto-selected by size and density — see :mod:`repro.routing.backends`)
-with the link and pair orderings it was built from, so downstream code never
-has to guess which row or column corresponds to which network element.
-Consumers should prefer the operator-style products (:meth:`link_loads` /
-:meth:`matvec`, :meth:`rmatvec`, :meth:`matmat`, :meth:`gram`) over the
-dense :attr:`matrix` view; expensive derived quantities (numerical rank,
-path lengths, the Gram matrix, the dense view itself) are computed once and
-cached.
+:class:`RoutingMatrix` stores ``R`` as one canonical CSR matrix — a demand
+crosses a handful of links, so even the paper's American network is under
+1 % full — together with the link and pair orderings it was built from, so
+downstream code never has to guess which row or column corresponds to
+which network element.  It implements the
+:class:`~repro.routing.backends.RoutingOperator` products itself
+(:meth:`link_loads` / :meth:`matvec`, :meth:`rmatvec`, :meth:`matmat`,
+:meth:`rmatmat`, :meth:`gram`, :meth:`link_gram`); :attr:`native` hands
+the CSR to sparse-aware consumers, and :attr:`matrix` is the one dense
+view, for the few algorithms that need one.  Expensive derived quantities
+(numerical rank, path lengths, the Gram matrix, the dense view itself) are
+computed once and cached.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ import scipy.sparse
 
 from repro import telemetry
 from repro.errors import RoutingError
-from repro.routing.backends import RoutingBackend, gram_rank, make_backend
+from repro.routing.backends import gram_rank
 from repro.routing.cspf import CSPFRouter
 from repro.routing.shortest_path import Path, ShortestPathRouter
 from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
 
 __all__ = ["RoutingMatrix", "build_routing_matrix", "build_ecmp_routing_matrix"]
+
+#: Slack allowed around the [0, 1] entry range.
+_ENTRY_TOLERANCE = 1e-12
 
 
 class RoutingMatrix:
@@ -43,8 +49,9 @@ class RoutingMatrix:
     ----------
     matrix:
         Array-like or SciPy sparse matrix of shape ``(num_links,
-        num_pairs)`` with entries in [0, 1]; an existing
-        :class:`~repro.routing.backends.RoutingBackend` is also accepted.
+        num_pairs)`` with entries in [0, 1].  It is stored as canonical
+        CSR: duplicate entries summed, explicit zeros dropped and column
+        indices sorted within each row.
     link_names:
         Row labels (canonical link order of the network).
     pairs:
@@ -52,83 +59,72 @@ class RoutingMatrix:
         is when already a :class:`~repro.topology.elements.PairIndex`.
     network:
         The network the matrix was built from (kept for convenience).
-    backend:
-        Storage backend: ``"auto"`` (default — sparse CSR for large sparse
-        matrices, dense otherwise), ``"dense"`` or ``"sparse"``.
     """
 
     def __init__(
         self,
-        matrix: Union[np.ndarray, scipy.sparse.spmatrix, RoutingBackend],
+        matrix: Union[np.ndarray, scipy.sparse.spmatrix],
         link_names: Sequence[str],
         pairs: Sequence[NodePair],
         network: Optional[Network] = None,
-        backend: str = "auto",
     ) -> None:
-        self._backend = make_backend(matrix, backend=backend)
-        if self._backend.shape != (len(link_names), len(pairs)):
+        if not scipy.sparse.issparse(matrix) and np.ndim(matrix) != 2:
+            raise RoutingError("routing matrix must be two-dimensional")
+        csr = scipy.sparse.csr_matrix(matrix, dtype=float, copy=True)
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        if csr.shape != (len(link_names), len(pairs)):
             raise RoutingError(
-                f"routing matrix shape {self._backend.shape} does not match "
+                f"routing matrix shape {csr.shape} does not match "
                 f"{len(link_names)} links x {len(pairs)} pairs"
             )
-        self._backend.validate_entries()
+        data = csr.data
+        if data.size and (
+            data.min() < -_ENTRY_TOLERANCE or data.max() > 1 + _ENTRY_TOLERANCE
+        ):
+            raise RoutingError("routing matrix entries must lie in [0, 1]")
+        self._csr = csr
         self.link_names = tuple(link_names)
         self.pairs = PairIndex.of(pairs)
         self.network = network
         self._link_index = {name: idx for idx, name in enumerate(self.link_names)}
+        self._dense: Optional[np.ndarray] = None
+        self._gram: Optional[np.ndarray] = None
         self._rank: Optional[int] = None
         self._path_lengths: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # backend / storage
+    # storage
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> RoutingBackend:
-        """The storage backend in use."""
-        return self._backend
+    def native(self) -> scipy.sparse.csr_matrix:
+        """The canonical CSR storage (shared; do not mutate).
 
-    @property
-    def backend_kind(self) -> str:
-        """``"dense"`` or ``"sparse"``."""
-        return self._backend.kind
+        For sparse-aware consumers (LP assembly, iterative scaling, column
+        slicing) — unlike :attr:`matrix`, this never materialises a dense
+        copy.
+        """
+        return self._csr
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense ndarray view of the routing matrix (cached; do not mutate).
 
         Prefer the operator-style products below; this view exists for the
-        few algorithms (active-set NNLS, LP constraint assembly, column
-        slicing) that genuinely need a dense array.
+        few algorithms (fanout's stacked NNLS, Vardi, Cao) that genuinely
+        need a dense array.
         """
-        return self._backend.toarray()
-
-    @property
-    def native(self) -> Union[np.ndarray, scipy.sparse.csr_matrix]:
-        """The matrix in its native storage: CSR when sparse, ndarray when dense.
-
-        For consumers (LP assembly, iterative scaling) that can work with
-        either representation directly — unlike :attr:`matrix`, this never
-        materialises a dense copy on a sparse backend.
-        """
-        if self._backend.kind == "sparse":
-            return self._backend.raw
-        return self._backend.toarray()
-
-    def with_backend(self, backend: str) -> "RoutingMatrix":
-        """Return a copy of this routing matrix using the given backend."""
-        return RoutingMatrix(
-            self._backend.toarray(),
-            self.link_names,
-            self.pairs,
-            network=self.network,
-            backend=backend,
-        )
+        if self._dense is None:
+            self._dense = self._csr.toarray()
+        return self._dense
 
     @property
     def density(self) -> float:
-        """Fraction of non-zero entries."""
-        return self._backend.density
+        """Fraction of non-zero entries (0 for an empty matrix)."""
+        rows, cols = self.shape
+        size = rows * cols
+        return self._csr.nnz / size if size else 0.0
 
     # ------------------------------------------------------------------
     # shape and labelling
@@ -136,17 +132,17 @@ class RoutingMatrix:
     @property
     def num_links(self) -> int:
         """Number of rows (directed links)."""
-        return self._backend.shape[0]
+        return self._csr.shape[0]
 
     @property
     def num_pairs(self) -> int:
         """Number of columns (origin-destination pairs)."""
-        return self._backend.shape[1]
+        return self._csr.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
         """``(num_links, num_pairs)``."""
-        return self._backend.shape
+        return self._csr.shape
 
     def pair_index(self, pair: NodePair) -> int:
         """Column index of ``pair``."""
@@ -156,15 +152,16 @@ class RoutingMatrix:
             raise RoutingError(f"pair {pair} not present in routing matrix") from exc
 
     def link_row(self, link_name: str) -> np.ndarray:
-        """Row of the matrix for ``link_name``."""
+        """Row of the matrix for ``link_name`` (a dense copy)."""
         try:
-            return self._backend.row(self._link_index[link_name])
+            index = self._link_index[link_name]
         except KeyError as exc:
             raise RoutingError(f"link {link_name!r} not present in routing matrix") from exc
+        return self._csr.getrow(index).toarray().ravel()
 
     def pair_column(self, pair: NodePair) -> np.ndarray:
         """Column of the matrix for ``pair`` (the links it traverses)."""
-        return self._backend.column(self.pair_index(pair))
+        return self._csr.getcol(self.pair_index(pair)).toarray().ravel()
 
     # ------------------------------------------------------------------
     # operator-style products
@@ -181,7 +178,7 @@ class RoutingMatrix:
             raise RoutingError(
                 f"demand vector has shape {demands.shape}, expected ({self.num_pairs},)"
             )
-        return self._backend.matvec(demands)
+        return self._csr @ demands
 
     def matvec(self, demands: np.ndarray) -> np.ndarray:
         """``R @ demands`` (alias of :meth:`link_loads`)."""
@@ -194,7 +191,7 @@ class RoutingMatrix:
             raise RoutingError(
                 f"load vector has shape {loads.shape}, expected ({self.num_links},)"
             )
-        return self._backend.rmatvec(loads)
+        return self._csr.T @ loads
 
     def matmat(self, demands: np.ndarray) -> np.ndarray:
         """``R @ demands`` for a dense ``(num_pairs, k)`` matrix of demand columns."""
@@ -203,7 +200,7 @@ class RoutingMatrix:
             raise RoutingError(
                 f"demand matrix has shape {demands.shape}, expected ({self.num_pairs}, k)"
             )
-        return self._backend.matmat(demands)
+        return np.asarray(self._csr @ demands)
 
     def rmatmat(self, loads: np.ndarray) -> np.ndarray:
         """``R.T @ loads`` for a dense ``(num_links, k)`` matrix of load columns."""
@@ -212,11 +209,23 @@ class RoutingMatrix:
             raise RoutingError(
                 f"load matrix has shape {loads.shape}, expected ({self.num_links}, k)"
             )
-        return self._backend.rmatmat(loads)
+        return np.asarray(self._csr.T @ loads)
 
     def gram(self) -> np.ndarray:
-        """The Gram matrix ``R.T @ R`` (dense, cached by the backend)."""
-        return self._backend.gram()
+        """The dense ``(num_pairs, num_pairs)`` Gram matrix ``R.T @ R`` (cached)."""
+        if self._gram is None:
+            self._gram = np.asarray((self._csr.T @ self._csr).todense())
+        return self._gram
+
+    def link_gram(self, weights: np.ndarray) -> np.ndarray:
+        """The dense ``(num_links, num_links)`` matrix ``R @ diag(weights) @ R.T``.
+
+        Built from CSR products (the columns are scaled by ``weights``), so
+        the link-space solvers never touch the dense ``(links, pairs)`` view.
+        """
+        scaled = self._csr.copy()
+        scaled.data *= weights[scaled.indices]
+        return (scaled @ self._csr.T).toarray()
 
     # ------------------------------------------------------------------
     # cached derived quantities
@@ -228,11 +237,11 @@ class RoutingMatrix:
         smaller than the number of pairs, which is the normal situation in
         backbones (many more pairs than links).  The rank is read from the
         eigenvalues of the ``(num_links, num_links)`` link Gram ``R @ R.T``
-        (see :func:`~repro.routing.backends.gram_rank`), so a sparse
-        backend is never densified.
+        (see :func:`~repro.routing.backends.gram_rank`), so the matrix is
+        never densified.
         """
         if self._rank is None:
-            link_gram = self._backend.link_gram(np.ones(self.num_pairs))
+            link_gram = self.link_gram(np.ones(self.num_pairs))
             self._rank = gram_rank(np.linalg.eigvalsh(link_gram))
         return self._rank
 
@@ -247,7 +256,7 @@ class RoutingMatrix:
     def path_lengths(self) -> np.ndarray:
         """Per-pair path lengths (column sums; cached, read-only)."""
         if self._path_lengths is None:
-            lengths = self._backend.column_sums()
+            lengths = np.asarray(self._csr.sum(axis=0)).ravel()
             lengths.setflags(write=False)
             self._path_lengths = lengths
         return self._path_lengths
@@ -257,23 +266,15 @@ class RoutingMatrix:
         return float(self.path_lengths()[self.pair_index(pair)])
 
     def fingerprint(self) -> str:
-        """Backend-independent content hash (computed once, then cached).
+        """Content hash of the routing state (computed once, then cached).
 
-        The matrix is canonicalised to CSR (a dense backend is converted,
-        never the reverse, so sparse backends are not densified) and hashed
-        together with the link and pair orderings.  Identical routing state
-        yields the same fingerprint whether it lives on the dense or sparse
-        backend, which is what lets a streaming checkpoint restore across
-        backend choices.
+        The canonical CSR arrays are hashed together with the link and pair
+        orderings, so identical routing state yields the same fingerprint
+        however the matrix was passed in (dense, COO with duplicates, CSR),
+        which is what lets a streaming checkpoint recognise its routing.
         """
         if self._fingerprint is None:
-            native = self.native
-            if scipy.sparse.issparse(native):
-                csr = native.tocsr().copy()
-            else:
-                csr = scipy.sparse.csr_matrix(np.asarray(native))
-            csr.sum_duplicates()
-            csr.sort_indices()
+            csr = self._csr
             digest = hashlib.sha256()
             digest.update(np.asarray(csr.shape, dtype=np.int64).tobytes())
             digest.update(csr.indptr.astype(np.int64).tobytes())
@@ -287,7 +288,7 @@ class RoutingMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RoutingMatrix(links={self.num_links}, pairs={self.num_pairs}, "
-            f"rank={self.rank()}, backend={self.backend_kind!r})"
+            f"rank={self.rank()}, density={self.density:.4f})"
         )
 
 
@@ -296,7 +297,6 @@ def build_routing_matrix(
     paths: Optional[Mapping[NodePair, Path]] = None,
     use_cspf: bool = False,
     bandwidths: Optional[Mapping[NodePair, float]] = None,
-    backend: str = "auto",
 ) -> RoutingMatrix:
     """Build the 0/1 single-path routing matrix for ``network``.
 
@@ -314,15 +314,12 @@ def build_routing_matrix(
         Dijkstra.
     bandwidths:
         LSP bandwidth values used by CSPF (ignored otherwise).
-    backend:
-        Storage backend passed to :class:`RoutingMatrix` (``"auto"``,
-        ``"dense"`` or ``"sparse"``).
     """
     pairs = network.node_pairs()
     with telemetry.span(
         "routing.build_matrix", links=network.num_links, pairs=len(pairs)
     ):
-        return _assemble_routing_matrix(network, pairs, paths, use_cspf, bandwidths, backend)
+        return _assemble_routing_matrix(network, pairs, paths, use_cspf, bandwidths)
 
 
 def _assemble_routing_matrix(
@@ -331,7 +328,6 @@ def _assemble_routing_matrix(
     paths: Optional[Mapping[NodePair, Path]],
     use_cspf: bool,
     bandwidths: Optional[Mapping[NodePair, float]],
-    backend: str,
 ) -> RoutingMatrix:
     if paths is None:
         if use_cspf:
@@ -360,10 +356,10 @@ def _assemble_routing_matrix(
     coo = scipy.sparse.coo_matrix(
         (np.ones(rows.size), (rows, cols)), shape=(network.num_links, len(pairs))
     )
-    return RoutingMatrix(coo, network.link_names, pairs, network=network, backend=backend)
+    return RoutingMatrix(coo, network.link_names, pairs, network=network)
 
 
-def build_ecmp_routing_matrix(network: Network, backend: str = "auto") -> RoutingMatrix:
+def build_ecmp_routing_matrix(network: Network) -> RoutingMatrix:
     """Build a fractional routing matrix with even ECMP splitting.
 
     Every equal-cost shortest path of a pair carries ``1/k`` of the demand,
@@ -388,4 +384,4 @@ def build_ecmp_routing_matrix(network: Network, backend: str = "auto") -> Routin
         (data, (rows, cols)), shape=(network.num_links, len(pairs))
     )
     # Duplicate (row, col) entries from shared links are summed by COO->CSR.
-    return RoutingMatrix(coo, network.link_names, pairs, network=network, backend=backend)
+    return RoutingMatrix(coo, network.link_names, pairs, network=network)

@@ -57,13 +57,13 @@ _STATE_FIELDS = (
 
 
 def routing_fingerprint(routing: RoutingMatrix) -> str:
-    """Backend-independent content hash of a routing matrix.
+    """Content hash of a routing matrix.
 
-    The matrix is canonicalised to CSR and hashed together with the link
-    and pair orderings (see :meth:`RoutingMatrix.fingerprint`, which
-    computes it once per matrix).  Identical routing state yields the same
-    fingerprint whether it lives on the dense or sparse backend, so a
-    checkpoint restores across backend choices.
+    The canonical CSR arrays are hashed together with the link and pair
+    orderings (see :meth:`RoutingMatrix.fingerprint`, which computes it
+    once per matrix).  Identical routing state yields the same fingerprint
+    however the matrix was built, so a checkpoint restores onto any
+    routing equal to the one it was written against.
     """
     return routing.fingerprint()
 

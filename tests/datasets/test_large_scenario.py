@@ -14,12 +14,10 @@ def scenario():
 
 
 class TestLargeScenario:
-    def test_shape_and_sparse_backend(self, scenario):
+    def test_shape_and_density(self, scenario):
         assert scenario.network.num_nodes == 30
         assert scenario.network.num_pairs == 30 * 29
-        # At this size auto-selection must pick CSR: the matrix crosses the
-        # size threshold and backbone density is a few percent.
-        assert scenario.routing.backend_kind == "sparse"
+        # Backbone density is a few percent.
         assert scenario.routing.density < 0.1
         assert len(scenario.day_series) == 12
         assert scenario.busy_length == 8

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from repro.errors import EstimationError
 from repro.estimation import EstimationProblem, Estimator, get_estimator
@@ -87,6 +90,46 @@ class TestEstimationProblem:
         assert matrix.shape[0] == routing.num_links + num_origins + num_destinations
         # The augmented system must be consistent with the true demands.
         assert np.allclose(matrix @ traffic.vector, rhs)
+
+
+class TestAugmentedSystem:
+    """The edge-total rows are built as CSR straight from the pair codes."""
+
+    def test_equals_the_dense_block_stack_on_america(self):
+        from repro.datasets import america_scenario
+
+        problem = america_scenario().snapshot_problem()
+        matrix, rhs = problem.augmented_system()
+        origins, destinations, origin_codes, destination_codes = problem.pair_positions()
+        blocks = [problem.routing.matrix]
+        for labels, codes in ((origins, origin_codes), (destinations, destination_codes)):
+            block = np.zeros((len(labels), problem.num_pairs))
+            block[codes, np.arange(problem.num_pairs)] = 1.0
+            blocks.append(block)
+        reference = scipy.sparse.csr_matrix(np.vstack(blocks))
+        assert scipy.sparse.isspmatrix_csr(matrix)
+        np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+        np.testing.assert_array_equal(matrix.indices, reference.indices)
+        np.testing.assert_array_equal(matrix.data, reference.data)
+        np.testing.assert_array_equal(
+            rhs,
+            np.concatenate([problem.snapshot, problem.origin_totals, problem.destination_totals]),
+        )
+
+    def test_peak_memory_stays_below_one_dense_block(self):
+        from repro.datasets import large_scenario
+
+        problem = large_scenario(120, seed=2004, num_samples=4, busy_length=2).snapshot_problem()
+        origins, _, _, _ = problem.pair_positions()
+        dense_block_bytes = len(origins) * problem.num_pairs * 8
+        tracemalloc.start()
+        try:
+            matrix, _ = problem.augmented_system()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (problem.routing.num_links + 2 * len(origins), problem.num_pairs)
+        assert peak < dense_block_bytes
 
 
 class TestEdgeTotals:

@@ -10,14 +10,11 @@ solve the right tool at scale:
   gap is within :data:`~repro.optimize.dual.GAP_TOLERANCE`;
 * the tomographic step earns its cost: it removes almost all of the
   gravity prior's link-load misfit;
-* the sparse backend the builder auto-selects gives the dense answer;
 * the batched series path equals the per-snapshot loop;
 * the supervisor serves it without degrading to a fallback.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -56,18 +53,6 @@ def test_tomographic_step_removes_most_of_the_prior_misfit(scenario):
     prior = get_estimator("gravity").estimate(problem).vector
     refined = get_estimator("tomogravity").estimate(problem).vector
     assert link_misfit(problem, refined) <= 0.05 * link_misfit(problem, prior)
-
-
-def test_sparse_and_dense_backends_agree(scenario):
-    problem = scenario.snapshot_problem()
-    results = {
-        backend: get_estimator("tomogravity").estimate(
-            dataclasses.replace(problem, routing=scenario.routing.with_backend(backend))
-        )
-        for backend in ("dense", "sparse")
-    }
-    dense, sparse = results["dense"].vector, results["sparse"].vector
-    np.testing.assert_allclose(sparse, dense, rtol=1e-6, atol=1e-6 * dense.max())
 
 
 def test_series_matches_per_snapshot_loop(scenario):

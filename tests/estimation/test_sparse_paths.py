@@ -3,9 +3,9 @@
 Two guarantees of the large-topology engine:
 
 * the hot estimators (gravity, Kruithof, KL projection, entropy, Bayesian,
-  tomogravity) run on a sparse routing backend without ever materialising
-  the dense ``(links, pairs)`` view — enforced here with a backend whose
-  ``toarray`` raises;
+  tomogravity) run on the CSR routing matrix without ever materialising
+  the dense ``(links, pairs)`` view — enforced here with a
+  ``RoutingMatrix`` whose dense view raises;
 * a problem's expensive setup (the gravity prior, pair-position index
   arrays) is computed once per problem and shared across every method of a
   sweep, not rebuilt per estimator.
@@ -18,12 +18,11 @@ import pytest
 
 from repro.estimation.base import EstimationProblem
 from repro.estimation.registry import get_estimator
-from repro.routing.backends import SparseBackend
 from repro.routing.routing_matrix import RoutingMatrix
 
-#: Methods required to stay CSR end to end on sparse backends.  The
-#: remaining registered methods (vardi, cao, fanout, worst-case-bounds,
-#: generalized-gravity) are permitted to use the dense view.
+#: Methods required to stay CSR end to end.  The remaining registered
+#: methods (vardi, cao, fanout, worst-case-bounds, generalized-gravity) are
+#: permitted to use the dense view.
 NO_DENSIFY_METHODS = (
     "gravity",
     "kruithof",
@@ -34,11 +33,12 @@ NO_DENSIFY_METHODS = (
 )
 
 
-class GuardedSparseBackend(SparseBackend):
-    """A CSR backend that fails the test on any densification."""
+class GuardedRoutingMatrix(RoutingMatrix):
+    """A routing matrix that fails the test on any densification."""
 
-    def toarray(self) -> np.ndarray:
-        raise AssertionError("toarray() called: a sparse hot path densified")
+    @property
+    def matrix(self) -> np.ndarray:
+        raise AssertionError("routing.matrix read: a sparse hot path densified")
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +51,8 @@ def scenario():
 @pytest.fixture(scope="module")
 def guarded_problems(scenario):
     """Snapshot and series problems whose routing cannot densify."""
-    csr = scenario.routing.with_backend("sparse").backend.raw
-    guarded = RoutingMatrix(
-        GuardedSparseBackend(csr),
+    guarded = GuardedRoutingMatrix(
+        scenario.routing.native,
         scenario.routing.link_names,
         scenario.routing.pairs,
         network=scenario.network,

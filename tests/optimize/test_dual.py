@@ -70,7 +70,7 @@ class TestBayesianMatchesActiveSet:
         problem = request.getfixturevalue(name)
         prior = make_prior(problem, "gravity")
         weight = np.sqrt(1.0 / regularization)
-        dense = problem.routing.with_backend("dense").matrix
+        dense = problem.routing.matrix
         reference = nnls_active_set(
             np.vstack([dense, weight * np.eye(problem.num_pairs)]),
             np.concatenate([problem.snapshot, weight * prior]),
@@ -79,15 +79,6 @@ class TestBayesianMatchesActiveSet:
         assert result.diagnostics["converged"] is True
         scale = max(float(reference.max()), 1.0)
         np.testing.assert_allclose(result.vector, reference, rtol=0, atol=1e-8 * scale)
-
-    def test_sparse_and_dense_backends_agree(self, europe_problem):
-        import dataclasses
-
-        sparse = dataclasses.replace(
-            europe_problem, routing=europe_problem.routing.with_backend("sparse")
-        )
-        dense = BayesianEstimator().estimate(europe_problem).vector
-        np.testing.assert_allclose(BayesianEstimator().estimate(sparse).vector, dense, atol=1e-8)
 
 
 class TestEntropyCertificate:
@@ -127,7 +118,7 @@ class TestEntropyCertificate:
         prior = make_prior(problem, "gravity")
         link_map = KLMap(prior, prior.sum() / 1e3)
         # Two Newton steps: far enough from the start, short of the optimum.
-        result = solve_dual(problem.routing.backend, problem.snapshot, link_map, max_iterations=2)
+        result = solve_dual(problem.routing, problem.snapshot, link_map, max_iterations=2)
         y, s = result.multipliers, result.demands
         dual = link_map.weight * float(np.sum(prior - s)) - y @ problem.snapshot - y @ y / 4
         assert result.objective == pytest.approx(
@@ -172,7 +163,7 @@ class TestWarmStarts:
         with SolverBudget(max_iterations=3):
             with pytest.raises(BudgetExceededError):
                 solve_dual(
-                    europe_problem.routing.backend,
+                    europe_problem.routing,
                     europe_problem.snapshot,
                     L2Map(prior, 1e-3),
                 )
@@ -192,19 +183,19 @@ class TestFailures:
         prior = np.ones(europe_problem.num_pairs)
         prior[3] = np.inf
         with pytest.raises(SolverError):
-            solve_dual(europe_problem.routing.backend, europe_problem.snapshot, L2Map(prior, 1.0))
+            solve_dual(europe_problem.routing, europe_problem.snapshot, L2Map(prior, 1.0))
 
     def test_failed_factorisation_raises_solver_error(self, europe_problem):
-        backend = europe_problem.routing.backend
+        routing = europe_problem.routing
 
         class BrokenHessian:
-            shape = backend.shape
-            matvec = staticmethod(backend.matvec)
-            rmatvec = staticmethod(backend.rmatvec)
+            shape = routing.shape
+            matvec = staticmethod(routing.matvec)
+            rmatvec = staticmethod(routing.rmatvec)
 
             @staticmethod
             def link_gram(weights):
-                return np.full((backend.shape[0],) * 2, np.nan)
+                return np.full((routing.num_links,) * 2, np.nan)
 
         prior = make_prior(europe_problem, "gravity")
         with pytest.raises(SolverError, match="factorised"):

@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse
 
 from repro.errors import StreamingError
+from repro.routing import RoutingMatrix
 from repro.routing import routing_matrix as routing_matrix_module
 from repro.routing.incremental import IncrementalRerouter
 from repro.resilience.faults import (
@@ -211,15 +212,21 @@ class TestCheckpointValidation:
         with pytest.raises(StreamingError):
             load_checkpoint(str(path))
 
-    def test_fingerprint_is_backend_independent(self, stream_scenario):
+    def test_fingerprint_is_independent_of_the_input_format(self, stream_scenario):
         routing = stream_scenario.routing
-        sparse = routing.with_backend("sparse")
-        assert routing_fingerprint(routing) == routing_fingerprint(sparse)
+        for source in (routing.matrix, scipy.sparse.coo_matrix(routing.matrix)):
+            rebuilt = RoutingMatrix(source, routing.link_names, routing.pairs)
+            assert routing_fingerprint(rebuilt) == routing_fingerprint(routing)
 
 
-def format_1_fingerprint(routing) -> str:
-    """Reference: the fingerprint formula of checkpoint format version 1."""
-    native = routing.native
+def format_1_fingerprint(routing, storage=None) -> str:
+    """Reference: the fingerprint formula of checkpoint format version 1.
+
+    Format 1 canonicalised the routing's storage (``routing.native`` unless
+    ``storage`` is given): a dense array through ``csr_matrix``, a sparse
+    matrix by copy, duplicate summing and index sorting.
+    """
+    native = routing.native if storage is None else storage
     if scipy.sparse.issparse(native):
         csr = native.tocsr().copy()
     else:
@@ -236,13 +243,27 @@ def format_1_fingerprint(routing) -> str:
     return digest.hexdigest()
 
 
+@pytest.fixture(scope="module", params=["europe", "abilene", "stream-n200"])
+def fingerprint_case(request):
+    """A routing and the storage format 1 hashed it from.
+
+    Europe and Abilene used to be stored dense, so format 1 canonicalised
+    their dense view; the N=200 stream scenario has always been CSR.
+    """
+    import repro.datasets as datasets
+
+    if request.param == "stream-n200":
+        routing = datasets.large_scenario(200, seed=2010, num_samples=2, busy_length=2).routing
+        return routing, routing.native
+    routing = getattr(datasets, f"{request.param}_scenario")().routing
+    return routing, routing.matrix
+
+
 class TestFingerprint:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_matches_format_1(self, stream_scenario, backend):
-        routing = stream_scenario.routing.with_backend(backend)
-        assert routing.backend_kind == backend
+    def test_matches_format_1(self, fingerprint_case):
+        routing, storage = fingerprint_case
         assert CHECKPOINT_VERSION == 1
-        assert routing_fingerprint(routing) == format_1_fingerprint(routing)
+        assert routing_fingerprint(routing) == format_1_fingerprint(routing, storage)
 
     def test_computed_once_per_routing_matrix(self, stream_scenario, monkeypatch):
         calls = []
@@ -254,11 +275,12 @@ class TestFingerprint:
                 return hashlib.sha256()
 
         monkeypatch.setattr(routing_matrix_module, "hashlib", CountingHashlib)
-        routing = stream_scenario.routing.with_backend("sparse")
+        base = stream_scenario.routing
+        routing = RoutingMatrix(base.native, base.link_names, base.pairs)
         first = routing_fingerprint(routing)
         assert routing_fingerprint(routing) == first
         assert len(calls) == 1
-        routing_fingerprint(routing.with_backend("dense"))
+        routing_fingerprint(RoutingMatrix(base.matrix, base.link_names, base.pairs))
         assert len(calls) == 2
 
     def test_rerouted_matrix_gets_its_own_fingerprint(self, stream_scenario):

@@ -87,6 +87,37 @@ class TestRoutingRoundTrip:
         data = io.routing_matrix_to_dict(routing)
         assert len(data["entries"]) == int(np.count_nonzero(routing.matrix))
 
+    @pytest.mark.parametrize("builder", ["europe_scenario", "america_scenario"])
+    def test_dict_equals_the_dense_view_encoding(self, builder):
+        import repro.datasets as datasets
+
+        routing = getattr(datasets, builder)().routing
+        dense = routing.matrix
+        rows, cols = np.nonzero(dense)
+        expected = {
+            "format": "repro.routing-matrix/1",
+            "link_names": list(routing.link_names),
+            "pairs": [[pair.origin, pair.destination] for pair in routing.pairs],
+            "entries": [[int(r), int(c), float(dense[r, c])] for r, c in zip(rows, cols)],
+        }
+        assert io.routing_matrix_to_dict(routing) == expected
+
+    def test_large_round_trip_never_builds_the_dense_view(self, monkeypatch):
+        from repro.datasets import large_scenario
+        from repro.routing import RoutingMatrix
+
+        routing = large_scenario(120, seed=2004, num_samples=4, busy_length=2).routing
+
+        def refuse(self):
+            raise AssertionError("the dense routing view was built")
+
+        monkeypatch.setattr(RoutingMatrix, "matrix", property(refuse))
+        rebuilt = io.routing_matrix_from_dict(io.routing_matrix_to_dict(routing))
+        assert rebuilt.link_names == routing.link_names
+        assert rebuilt.pairs == routing.pairs
+        assert rebuilt.fingerprint() == routing.fingerprint()
+        assert (rebuilt.native != routing.native).nnz == 0
+
 
 class TestFilesAndScenario:
     def test_save_and_load_json(self, tmp_path, triangle_network):

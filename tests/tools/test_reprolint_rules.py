@@ -38,30 +38,31 @@ class TestSparseSafety:
         found = lint(
             """
             def leak(problem):
-                sub = problem.routing.with_backend("dense")
-                dense = sub.toarray()
+                routing = problem.routing
+                alias = routing
+                dense = alias.toarray()
                 return dense
             """
         )
         assert codes(found) == ["REPRO101"]
-        assert found[0].line == 4
+        assert found[0].line == 5
 
     def test_np_linalg_on_routing_object(self, lint):
         found = lint(
             """
             import numpy as np
-            from repro.routing import make_backend
+            from repro.routing import build_routing_matrix
 
-            def rank(matrix):
-                backend = make_backend(matrix)
-                return np.linalg.matrix_rank(backend.toarray())
+            def rank(network):
+                routing = build_routing_matrix(network)
+                return np.linalg.matrix_rank(routing.toarray())
             """
         )
         # Both the np.linalg call and the inner .toarray() are flagged.
         assert codes(found) == ["REPRO101", "REPRO101"]
         assert "np.linalg.matrix_rank" in found[0].message
 
-    def test_np_asarray_on_backend_attribute(self, lint):
+    def test_np_asarray_on_routing_attribute(self, lint):
         found = lint(
             """
             import numpy as np
@@ -71,6 +72,35 @@ class TestSparseSafety:
             """
         )
         assert codes(found) == ["REPRO101"]
+
+    def test_toarray_on_the_csr_handle(self, lint):
+        found = lint(
+            """
+            def leak(problem):
+                return problem.routing.native.toarray()
+
+            class Holder:
+                def dense(self):
+                    return self._csr.toarray()
+            """
+        )
+        assert codes(found) == ["REPRO101", "REPRO101"]
+        assert [d.line for d in found] == [3, 7]
+        assert "problem.routing.native.toarray()" in found[0].message
+
+    def test_csr_handle_taints_assignments(self, lint):
+        found = lint(
+            """
+            import numpy as np
+
+            def leak(problem):
+                csr = problem.routing.native
+                return np.asarray(csr), csr.toarray()
+            """
+        )
+        assert codes(found) == ["REPRO101", "REPRO101"]
+        assert "np.asarray applied to routing operator csr" in found[0].message
+        assert "csr.toarray()" in found[1].message
 
     def test_plain_arrays_are_not_flagged(self, lint):
         assert lint(
@@ -86,10 +116,9 @@ class TestSparseSafety:
     def test_pragma_suppresses(self, lint):
         assert lint(
             """
-            def gated(backend):
-                from repro.routing import make_backend
-                dense_backend = make_backend(backend, backend="dense")
-                return dense_backend.toarray()  # reprolint: allow[sparse-safety]
+            def gated(problem):
+                csr = problem.routing.native
+                return csr.toarray()  # reprolint: allow[sparse-safety]
             """
         ) == []
 
@@ -98,7 +127,7 @@ class TestSparseSafety:
             """
             def gated(routing_matrix):
                 # reprolint: allow[sparse-safety]
-                return routing_matrix.backend.toarray()
+                return routing_matrix.native.toarray()
             """
         ) == []
 
@@ -106,13 +135,13 @@ class TestSparseSafety:
         entry = AllowlistEntry(
             rule="sparse-safety",
             path="snippet.py",
-            fragment="backend.toarray()",
+            fragment="native.toarray()",
             reason="documented dense view",
         )
         assert lint(
             """
             def cached(problem):
-                return problem.backend.toarray()
+                return problem.routing.native.toarray()
             """,
             allowlist=[entry],
         ) == []

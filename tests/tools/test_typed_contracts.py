@@ -2,10 +2,11 @@
 
 ``RoutingOperator`` (``repro.routing.backends``) is the structural
 interface solvers may assume of a routing matrix — operator products,
-deliberately *without* ``toarray`` so protocol-typed code cannot
-densify.  mypy enforces it in the CI lint job; these tests pin the
-runtime side (the protocol is ``runtime_checkable``) and the config, and
-run mypy itself when it is installed locally.
+deliberately *without* a dense view so protocol-typed code cannot
+densify.  ``RoutingMatrix`` implements it, and tests substitute fakes.
+mypy enforces it in the CI lint job; these tests pin the runtime side
+(the protocol is ``runtime_checkable``) and the config, and run mypy
+itself when it is installed locally.
 """
 
 from __future__ import annotations
@@ -22,27 +23,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.routing import DenseBackend, RoutingOperator, SparseBackend, make_backend
+from repro.routing import RoutingMatrix, RoutingOperator
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRoutingOperatorProtocol:
-    def test_backends_conform(self):
-        matrix = np.array([[1.0, 0.0], [1.0, 1.0]])
-        assert isinstance(DenseBackend(matrix), RoutingOperator)
-        assert isinstance(SparseBackend(matrix), RoutingOperator)
-        assert isinstance(make_backend(matrix), RoutingOperator)
+    def test_routing_matrix_conforms(self, triangle_routing):
+        assert isinstance(triangle_routing, RoutingOperator)
 
-    def test_protocol_products_agree_across_backends(self):
+    def test_protocol_products_through_the_contract(self, triangle_network):
         matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        operator: RoutingOperator = RoutingMatrix(
+            matrix, ["a", "b"], triangle_network.node_pairs()[:3]
+        )
         vector = np.array([2.0, 3.0, 5.0])
         loads = np.array([1.0, 4.0])
-        dense: RoutingOperator = DenseBackend(matrix)
-        sparse: RoutingOperator = SparseBackend(matrix)
-        np.testing.assert_allclose(dense.matvec(vector), sparse.matvec(vector))
-        np.testing.assert_allclose(dense.rmatvec(loads), sparse.rmatvec(loads))
-        np.testing.assert_allclose(dense.gram(), sparse.gram())
+        weights = np.array([1.0, 2.0, 3.0])
+        assert operator.shape == (2, 3)
+        np.testing.assert_allclose(operator.matvec(vector), matrix @ vector)
+        np.testing.assert_allclose(operator.rmatvec(loads), matrix.T @ loads)
+        np.testing.assert_allclose(operator.gram(), matrix.T @ matrix)
+        np.testing.assert_allclose(operator.link_gram(weights), (matrix * weights) @ matrix.T)
+
+    def test_the_contract_has_no_dense_view(self):
+        members = set(vars(RoutingOperator))
+        assert {"matvec", "rmatvec", "gram", "link_gram", "shape"} <= members
+        assert not {"matrix", "native", "toarray"} & members
 
     def test_non_operators_do_not_conform(self):
         assert not isinstance(np.zeros((2, 2)), RoutingOperator)

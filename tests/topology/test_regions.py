@@ -97,7 +97,7 @@ class TestExtractRegion:
         america = extract_region(global_network, "america")
         routing = build_routing_matrix(america)
         assert routing.shape == (america.num_links, america.num_pairs)
-        matrix = routing.with_backend("dense").matrix
+        matrix = routing.matrix
         # Every demand of the region has a path inside the region.
         assert (matrix.sum(axis=0) >= 1).all()
 

@@ -12,20 +12,18 @@ at bench time; this rule catches it at lint time.
 The rule runs a light per-scope taint analysis: expressions are
 *routing-typed* when they come from
 
-* attribute chains ending in ``.routing`` / ``.backend`` / ``._backend``
-  (the conventional homes of :class:`RoutingMatrix` / backend objects),
-* constructor or factory calls (``RoutingMatrix``, ``make_backend``,
-  ``build_routing_matrix``, ``DenseBackend``, ``SparseBackend``, ...),
-* the operator-preserving ``with_backend`` method, or
+* attribute chains ending in ``.routing`` / ``.routing_matrix`` (the
+  conventional homes of :class:`RoutingMatrix` objects) or in ``.native`` /
+  ``._csr`` (its CSR storage, which is just as dense once ``toarray``-ed),
+* constructor or builder calls (``RoutingMatrix``, ``build_routing_matrix``,
+  ``build_ecmp_routing_matrix``), or
 * parameters annotated with a routing type,
 
 and assignments propagate the taint.  On a routing-typed expression the
 rule flags ``.toarray()`` calls, ``np.asarray(...)`` and any
-``np.linalg.*`` call.  Legitimate dense sites — the backend module that
-*implements* the interface, the documented cached dense views on
-``RoutingMatrix``, dense-branch code that is explicitly gated on the
-backend kind — live in the checked-in allowlist or carry an inline
-``# reprolint: allow[sparse-safety]`` pragma.
+``np.linalg.*`` call.  Legitimate dense sites — the one cached dense view,
+``RoutingMatrix.matrix`` — live in the checked-in allowlist or carry an
+inline ``# reprolint: allow[sparse-safety]`` pragma.
 """
 
 from __future__ import annotations
@@ -38,38 +36,22 @@ from reprolint.engine import Diagnostic, FileContext
 
 __all__ = ["RULE"]
 
-#: Attribute names whose access yields a routing operator object.
-ROUTING_ATTRIBUTES = {"routing", "backend", "_backend", "routing_matrix"}
+#: Attribute names whose access yields a routing matrix or its CSR storage.
+ROUTING_ATTRIBUTES = {"routing", "routing_matrix", "native", "_csr"}
 
-#: Constructors / factories returning routing operator objects.
-ROUTING_FACTORIES = {
-    "RoutingMatrix",
-    "make_backend",
-    "build_routing_matrix",
-    "build_ecmp_routing_matrix",
-    "DenseBackend",
-    "SparseBackend",
-}
-
-#: Methods that return another routing operator (taint-preserving).
-ROUTING_METHODS = {"with_backend"}
+#: Constructors / builders returning routing matrices.
+ROUTING_FACTORIES = {"RoutingMatrix", "build_routing_matrix", "build_ecmp_routing_matrix"}
 
 #: Annotation identifiers marking a parameter as routing-typed.
-ROUTING_ANNOTATIONS = {
-    "RoutingMatrix",
-    "RoutingBackend",
-    "RoutingOperator",
-    "DenseBackend",
-    "SparseBackend",
-}
+ROUTING_ANNOTATIONS = {"RoutingMatrix", "RoutingOperator"}
 
 
 class _SparseSafetyRule:
     name = "sparse-safety"
     code = "REPRO101"
     description = (
-        "no .toarray()/np.asarray/np.linalg.* on RoutingMatrix/backend objects "
-        "outside allowlisted sites"
+        "no .toarray()/np.asarray/np.linalg.* on RoutingMatrix objects or their "
+        "CSR storage outside allowlisted sites"
     )
 
     def check(self, context: FileContext) -> Iterator[Diagnostic]:
@@ -84,7 +66,7 @@ class _SparseSafetyRule:
 
         Two passes over the scope's assignments reach a fixpoint for the
         chains this codebase actually writes (``a = problem.routing``
-        followed by ``b = a.with_backend(...)``).
+        followed by ``b = a``).
         """
         tainted: set[str] = set()
         args = scope.args
@@ -118,10 +100,7 @@ class _SparseSafetyRule:
             return node.attr in ROUTING_ATTRIBUTES
         if isinstance(node, ast.Call):
             name = dotted_name(node.func)
-            if name is not None and name.split(".")[-1] in ROUTING_FACTORIES:
-                return True
-            if isinstance(node.func, ast.Attribute) and node.func.attr in ROUTING_METHODS:
-                return True
+            return name is not None and name.split(".")[-1] in ROUTING_FACTORIES
         return False
 
     def _check_expression(

@@ -2,28 +2,30 @@
 
 The estimation problem is quadratic in node count (``P = N (N - 1)``
 pairs), yet until this engine the hot paths assumed the paper's <= 25-node
-scale: ``route_all`` ran one truncated Dijkstra **per pair**, and the
+scale: routing ran one truncated Dijkstra **per pair**, and the
 regularised estimators pulled the dense ``(links, pairs)`` routing view
 even though the matrix was stored in CSR.  This benchmark measures the
 fast path on random backbones of growing size:
 
-* **routing build** — batched single-source ``route_all`` + vectorized COO
-  assembly against the legacy per-pair loop (``route_all_pairwise``) with
-  the per-path assembly, with path-for-path equality asserted;
+* **routing build** — ``build_routing_matrix(network)`` (the csgraph
+  next-hop walk assembled straight to CSR) against a per-pair
+  ``shortest_path`` loop with the per-path assembly, with path-for-path
+  equality of ``route_all`` and an identical routing fingerprint asserted;
 * **estimators** — per-method ``estimate`` wall time on a
   ``large_scenario`` snapshot problem at every ``N``;
 * **memory** — a tracemalloc guard proving the sparse paths never
   materialise a dense routing-sized array (peak allocation stays under the
   dense ``(L, P)`` footprint);
-* **routing parity** — batched routing pinned path for path to the legacy
-  per-pair sweep on the named scenarios.  The routing matrix has one
-  storage format, CSR, so there is no dense-vs-sparse estimate to compare;
-  ``tests/estimation/test_link_order.py`` and the Europe/Abilene estimator
-  tests run every method on the CSR path instead.
+* **routing parity** — batched routing pinned path for path to the
+  per-pair ``shortest_path`` queries on the named scenarios.  The routing
+  matrix has one storage format, CSR, so there is no dense-vs-sparse
+  estimate to compare; ``tests/estimation/test_link_order.py`` and the
+  Europe/Abilene estimator tests run every method on the CSR path instead.
 
 The continental-scale tier (default N=500; N=1000 via ``BENCH_PR6_NS``
 needs ~5 GB RSS) times the scenario build, checks the csgraph routing
-engine route-for-route against the python sweep (exact digests), and
+kernel (``route_all``) route-for-route against per-origin python sweeps
+(``single_source_shortest_paths``; exact digests), and
 runs flat tomogravity on the CSR routing matrix: wall time, a tracemalloc
 peak that must stay under the dense ``(links, pairs)`` routing footprint,
 MRE against the synthetic truth, and the duality-gap certificate, which
@@ -77,6 +79,11 @@ def assert_paths_equal(batched, legacy) -> None:
         assert abs(path.cost - other.cost) <= 1e-9, f"cost drift for {pair}"
 
 
+def per_pair_paths(router, pairs):
+    """The per-pair baseline: one truncated Dijkstra per pair."""
+    return {pair: router.shortest_path(pair) for pair in pairs}
+
+
 def routing_benchmark(n_nodes: int) -> dict:
     from repro.routing.routing_matrix import build_routing_matrix
     from repro.routing.shortest_path import ShortestPathRouter
@@ -84,18 +91,19 @@ def routing_benchmark(n_nodes: int) -> dict:
 
     network = random_backbone(n_nodes, avg_degree=3.0, seed=SEED, name=f"bench-{n_nodes}")
     router = ShortestPathRouter(network)
+    pairs = network.node_pairs()
 
     start = time.perf_counter()
-    legacy_paths = router.route_all_pairwise()
-    build_routing_matrix(network, paths=legacy_paths)
+    legacy_paths = per_pair_paths(router, pairs)
+    legacy_matrix = build_routing_matrix(network, paths=legacy_paths)
     legacy_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched_paths = router.route_all()
-    matrix = build_routing_matrix(network, paths=batched_paths)
+    matrix = build_routing_matrix(network)
     batched_seconds = time.perf_counter() - start
 
-    assert_paths_equal(batched_paths, legacy_paths)
+    assert_paths_equal(router.route_all(), legacy_paths)
+    assert matrix.fingerprint() == legacy_matrix.fingerprint(), "routing matrix drift"
     return {
         "num_nodes": n_nodes,
         "num_links": network.num_links,
@@ -159,8 +167,9 @@ def named_scenario_routing_parity() -> list[str]:
         ("america", america_scenario),
         ("abilene", abilene_scenario),
     ):
-        router = ShortestPathRouter(builder().network)
-        assert_paths_equal(router.route_all(), router.route_all_pairwise())
+        network = builder().network
+        router = ShortestPathRouter(network)
+        assert_paths_equal(router.route_all(), per_pair_paths(router, network.node_pairs()))
         checked.append(name)
     return checked
 
@@ -194,6 +203,22 @@ def _mre(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.abs(estimate[mask] - truth[mask]) / truth[mask]))
 
 
+def sweep_paths(network) -> dict:
+    """Routes from one python sweep per origin (``single_source_shortest_paths``)."""
+    from repro.routing.shortest_path import Path, single_source_shortest_paths
+
+    trees: dict = {}
+    routed = {}
+    for pair in network.node_pairs():
+        if pair.origin not in trees:
+            trees[pair.origin] = single_source_shortest_paths(
+                network, pair.origin, lambda link: link.metric
+            )
+        nodes, links, cost = trees[pair.origin][pair.destination]
+        routed[pair] = Path(pair=pair, nodes=nodes, links=links, cost=cost)
+    return routed
+
+
 def continental_benchmark(n_nodes: int) -> dict:
     from repro.datasets import large_scenario
     from repro.estimation.registry import get_estimator
@@ -209,21 +234,20 @@ def continental_benchmark(n_nodes: int) -> dict:
     num_pairs = problem.num_pairs
     num_links = problem.routing.num_links
 
-    # csgraph-vs-python batched routing on the same topology.  Each engine
-    # is timed on a clean heap — keeping the first run's quarter-million
-    # Path objects alive inflates GC pauses during the second run — so the
-    # parity check compares exact route digests rather than live tables.
-    router_python = ShortestPathRouter(scenario.network, engine="python")
-    router_csgraph = ShortestPathRouter(scenario.network, engine="csgraph")
+    # csgraph kernel vs per-origin python sweeps on the same topology.
+    # Each side is timed on a clean heap — keeping the first run's
+    # quarter-million Path objects alive inflates GC pauses during the
+    # second run — so the parity check compares exact route digests rather
+    # than live tables.
     gc.collect()
     start = time.perf_counter()
-    python_paths = router_python.route_all()
+    python_paths = sweep_paths(scenario.network)
     routing_python_seconds = time.perf_counter() - start
     python_digest = _route_digest(python_paths)
     del python_paths
     gc.collect()
     start = time.perf_counter()
-    csgraph_paths = router_csgraph.route_all()
+    csgraph_paths = ShortestPathRouter(scenario.network).route_all()
     routing_csgraph_seconds = time.perf_counter() - start
     csgraph_digest = _route_digest(csgraph_paths)
     del csgraph_paths

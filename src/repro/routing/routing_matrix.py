@@ -1,4 +1,4 @@
-"""Construction of the routing matrix ``R`` from routed paths.
+"""Construction of the routing matrix ``R`` from routed paths or route tables.
 
 The routing matrix is the central object of the estimation problem
 ``R s = t`` (paper Eq. 1-2): ``R`` has one row per directed link and one
@@ -32,7 +32,7 @@ from repro import telemetry
 from repro.errors import RoutingError
 from repro.routing.backends import gram_rank
 from repro.routing.cspf import CSPFRouter
-from repro.routing.shortest_path import Path, ShortestPathRouter
+from repro.routing.shortest_path import Path, RouteTable, ShortestPathRouter
 from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
 
@@ -306,9 +306,11 @@ def build_routing_matrix(
         The topology.  Its canonical link and pair orderings become the row
         and column orderings of the matrix.
     paths:
-        Pre-computed paths per pair.  When omitted, paths are computed with
-        plain shortest-path routing or, if ``use_cspf`` is set, with the
-        CSPF simulator and the given ``bandwidths``.
+        Pre-computed paths per pair.  When omitted, plain shortest-path
+        routing fills the CSR straight from
+        :meth:`~repro.routing.shortest_path.ShortestPathRouter.route_table`
+        (no per-pair :class:`Path` objects) or, if ``use_cspf`` is set,
+        the CSPF simulator routes with the given ``bandwidths``.
     use_cspf:
         Route with :class:`~repro.routing.cspf.CSPFRouter` instead of plain
         Dijkstra.
@@ -329,34 +331,23 @@ def _assemble_routing_matrix(
     use_cspf: bool,
     bandwidths: Optional[Mapping[NodePair, float]],
 ) -> RoutingMatrix:
+    if paths is None and use_cspf:
+        paths = CSPFRouter(network).route_all(bandwidths=dict(bandwidths or {}))
     if paths is None:
-        if use_cspf:
-            router = CSPFRouter(network)
-            paths = router.route_all(bandwidths=dict(bandwidths or {}))
-        else:
-            paths = ShortestPathRouter(network).route_all(pairs)
-    missing = [pair for pair in pairs if pair not in paths]
-    if missing:
-        raise RoutingError(f"missing paths for pairs: {[str(p) for p in missing[:5]]}")
-
-    # Assemble in coordinate form in one vectorized pass: row indices come
-    # from a single generator sweep over the paths (plain dict lookups, no
-    # per-traversal method calls), column indices from one np.repeat over
-    # the per-pair path lengths.
-    link_index = {name: idx for idx, name in enumerate(network.link_names)}
-    lengths = np.fromiter(
-        (len(paths[pair].links) for pair in pairs), dtype=np.intp, count=len(pairs)
+        table = ShortestPathRouter(network).route_table(pairs)
+    else:
+        missing = [pair for pair in pairs if pair not in paths]
+        if missing:
+            raise RoutingError(f"missing paths for pairs: {[str(p) for p in missing[:5]]}")
+        table = RouteTable.from_links(
+            network, ((paths[pair].links, paths[pair].cost) for pair in pairs)
+        )
+    # The table is R's column structure: pair p's links are column p's rows.
+    csc = scipy.sparse.csc_matrix(
+        (np.ones(table.links.size), table.links, table.offsets),
+        shape=(network.num_links, len(pairs)),
     )
-    rows = np.fromiter(
-        (link_index[link.name] for pair in pairs for link in paths[pair].links),
-        dtype=np.intp,
-        count=int(lengths.sum()),
-    )
-    cols = np.repeat(np.arange(len(pairs)), lengths)
-    coo = scipy.sparse.coo_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(network.num_links, len(pairs))
-    )
-    return RoutingMatrix(coo, network.link_names, pairs, network=network)
+    return RoutingMatrix(csc, network.link_names, pairs, network=network)
 
 
 def build_ecmp_routing_matrix(network: Network) -> RoutingMatrix:

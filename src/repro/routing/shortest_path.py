@@ -11,8 +11,9 @@ module provides both:
   routing-matrix builder.
 
 Paths are represented as :class:`Path` objects carrying both the node
-sequence and the link sequence, which is what the routing-matrix builder
-needs.
+sequence and the link sequence.  Batched routing also comes as a
+:class:`RouteTable` of flat link rows, which the routing-matrix builder
+turns into CSR without per-pair objects.
 """
 
 from __future__ import annotations
@@ -20,24 +21,24 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
+import scipy.sparse
+from scipy.sparse import csgraph
 
 from repro import telemetry
 from repro.errors import RoutingError
-from repro.topology.elements import Link, NodePair
+from repro.topology.elements import Link, NodePair, PairIndex
 from repro.topology.network import Network
 
 __all__ = [
     "Path",
+    "RouteTable",
     "ShortestPathRouter",
     "constrained_dijkstra",
     "single_source_shortest_paths",
 ]
-
-#: Below this many nodes the pure-python sweep wins (no csgraph call
-#: overhead, no reconstruction pass); ``engine="auto"`` only batches
-#: through scipy at or above it.
-_CSGRAPH_MIN_NODES = 64
 
 #: Cost tolerance shared with :func:`_dijkstra_sweep`: paths within this
 #: of the optimum count as equal cost for tie-breaking purposes.
@@ -165,9 +166,8 @@ def constrained_dijkstra(
     :func:`single_source_shortest_paths` runs the same sweep without the
     early exit.  Sharing one implementation (:func:`_dijkstra_sweep`) is
     what makes incremental reroute provably identical to a from-scratch
-    rebuild and batched routing identical to the per-pair loop:
-    tie-breaking — the lexicographically smallest node sequence among
-    equal-cost paths — cannot drift between callers.
+    rebuild: tie-breaking — the lexicographically smallest node sequence
+    among equal-cost paths — cannot drift between callers.
 
     Returns ``None`` when the destination is unreachable over the usable
     links (callers decide whether that is an error, a fallback, or an
@@ -196,12 +196,8 @@ def single_source_shortest_paths(
     than ``origin`` that the usable links reach.  This runs the shared
     :func:`_dijkstra_sweep` with no early-exit target, so the route
     recorded for each destination is exactly what
-    :func:`constrained_dijkstra` would return for it.
-
-    This is the all-pairs fast path: routing ``N`` origins costs ``N`` full
-    Dijkstras instead of the ``N * (N - 1)`` truncated ones of a per-pair
-    loop, which is what makes 200+-node backbones routable in well under a
-    second.
+    :func:`constrained_dijkstra` would return for it.  It serves the
+    python fallback of :meth:`ShortestPathRouter.route_table`.
     """
     best_cost, best_route = _dijkstra_sweep(network, origin, link_cost, usable, None)
     return {
@@ -211,146 +207,202 @@ def single_source_shortest_paths(
     }
 
 
+@dataclass(frozen=True)
+class RouteTable:
+    """The single paths of a pair sequence as flat link rows.
+
+    Pair ``p`` of the routed sequence crosses the links whose canonical row
+    indices (``network.links`` order) are ``links[offsets[p]:offsets[p + 1]]``,
+    in path order, at total cost ``costs[p]``.  This is the column
+    structure of the routing matrix, so the matrix builder needs no
+    per-pair objects.
+    """
+
+    links: np.ndarray
+    offsets: np.ndarray
+    costs: np.ndarray
+
+    @classmethod
+    def from_links(
+        cls, network: Network, routes: Iterable[tuple[Sequence[Link], float]]
+    ) -> "RouteTable":
+        """The table of ``(links, cost)`` routes given pair by pair."""
+        row_of = {name: row for row, name in enumerate(network.link_names)}
+        rows: list[int] = []
+        lengths: list[int] = []
+        costs: list[float] = []
+        for links, cost in routes:
+            rows.extend(row_of[link.name] for link in links)
+            lengths.append(len(links))
+            costs.append(cost)
+        offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(np.array(rows, dtype=np.intp), offsets, np.array(costs, dtype=np.float64))
+
+
+class _Unreconciled(Exception):
+    """csgraph distances that the next-hop walk cannot follow."""
+
+
 def _load_csgraph():
-    """Import hook for :mod:`scipy.sparse.csgraph` (monkeypatchable).
+    """The :mod:`scipy.sparse.csgraph` the kernel calls (monkeypatchable).
 
     Kept as a module-level seam so tests can force the python fallback by
     patching it to raise, and so a scipy build missing the feature degrades
-    gracefully instead of crashing ``route_all``.
+    gracefully instead of crashing ``route_table``.  The module itself is
+    imported with this one, so the first routing call does not pay it.
     """
-    from scipy.sparse import csgraph
-
     if not hasattr(csgraph, "dijkstra"):
         raise ImportError("scipy.sparse.csgraph has no dijkstra")
     return csgraph
 
 
-def _csgraph_trees(
+def _next_hop_routes(
     network: Network,
-    origins: Sequence[str],
+    pairs: Sequence[NodePair],
     link_cost: Callable[[Link], float],
-) -> dict[str, dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]]:
-    """Batched shortest-path trees via one vectorised csgraph Dijkstra.
+) -> RouteTable:
+    """Route every pair at once from one table of next hops per destination.
 
-    Computes all origin rows of the distance matrix in a single
-    ``scipy.sparse.csgraph.dijkstra`` call over the network's adjacency
-    CSR, then reconstructs, per origin, exactly the routes the python
-    sweep would record: among equal-cost paths the lexicographically
-    smallest node sequence, and among parallel equal-cost links the first
-    in insertion order.  Returns ``{origin: {destination: (nodes, links,
-    cost)}}`` in the same shape as :func:`single_source_shortest_paths`.
+    One csgraph Dijkstra over the reversed min-cost adjacency, from the
+    requested destinations, gives ``dist[v, x]``: the cost from ``x`` to
+    ``v``.  A link ``x -> y`` of cost ``w`` starts a shortest ``x -> v``
+    path iff ``|w + dist[v, y] - dist[v, x]| <= _TIE_TOLERANCE``.  The next
+    hop of ``(x, v)`` is the admissible link whose head has the smallest
+    node *name* (not index), the first in ``outgoing_links(x)`` order among
+    parallel links.  This is exactly :func:`_dijkstra_sweep`'s route: the
+    lexicographically smallest node sequence among equal-cost paths is
+    found greedily, since a shortest prefix ending at ``x`` extends by any
+    shortest ``x -> v`` path.  Each pair's cost is summed from the origin
+    in path order, like the sweep's running sums, so it is bit-identical.
 
-    Raises :class:`~repro.errors.RoutingError` when reconstruction cannot
-    reproduce the distances (e.g. a scipy build whose tie handling
-    diverges); callers treat that as "fall back to the python sweep".
+    Raises ``TopologyError`` for an unknown node, ``RoutingError`` for a
+    non-positive cost or an unreachable pair, and ``_Unreconciled`` (the
+    caller falls back to the python sweep) when a finite distance has no
+    admissible next hop or a walk is unfinished after ``N`` rounds.
     """
-    csgraph = _load_csgraph()
-    import numpy as np
-    from scipy import sparse
-
     names = network.node_names
-    index = {name: position for position, name in enumerate(names)}
-    num_nodes = len(names)
-
-    # Incoming-edge lists in link insertion order (drives the
-    # parallel-link tie-break) plus the min-cost adjacency used for the
-    # distance computation.
-    incoming: list[list[tuple[int, Link, float]]] = [[] for _ in range(num_nodes)]
-    best_weight: dict[tuple[int, int], float] = {}
-    for link in network.links:
-        source = index[link.source]
-        target = index[link.target]
-        weight = link_cost(link)
-        if not weight > 0.0:
-            raise RoutingError(
-                f"link {link.name!r} has non-positive cost {weight!r}; "
-                "csgraph routing requires strictly positive costs"
-            )
-        incoming[target].append((source, link, weight))
-        key = (source, target)
-        if key not in best_weight or weight < best_weight[key]:
-            best_weight[key] = weight
-    if best_weight:
-        rows, cols = zip(*best_weight.keys())
-        data = [best_weight[key] for key in best_weight]
-    else:
-        rows, cols, data = (), (), ()
-    adjacency = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), (rows, cols)),
-        shape=(num_nodes, num_nodes),
+    node_index = {name: position for position, name in enumerate(names)}
+    origin_labels, destination_labels, origin_codes, destination_codes = (
+        PairIndex.of(pairs).codes()
     )
 
-    origin_indices = [index[origin] for origin in origins]
-    distances = np.atleast_2d(
-        csgraph.dijkstra(adjacency, directed=True, indices=origin_indices)
+    def label_nodes(labels: Sequence[str]) -> np.ndarray:
+        for label in labels:
+            network.node(label)  # an unknown node raises TopologyError
+        return np.array([node_index[label] for label in labels], dtype=np.intp)
+
+    origins = label_nodes(origin_labels)[origin_codes]
+    # One distance row per distinct destination: the pair index's labels.
+    targets, target_row = label_nodes(destination_labels), destination_codes
+    destinations = targets[target_row]
+
+    links = network.links
+    num_nodes, num_links = len(names), len(links)
+    tail = np.fromiter((node_index[link.source] for link in links), dtype=np.intp, count=num_links)
+    head = np.fromiter((node_index[link.target] for link in links), dtype=np.intp, count=num_links)
+    weight = np.fromiter((link_cost(link) for link in links), dtype=np.float64, count=num_links)
+    positive = weight > 0.0
+    if not positive.all():
+        link = links[int(np.argmin(positive))]
+        raise RoutingError(
+            f"link {link.name!r} has non-positive cost {link_cost(link)!r}; "
+            "shortest-path routing requires strictly positive costs"
+        )
+    dijkstra = _load_csgraph().dijkstra
+
+    # The reversed graph keeps the cheapest of parallel links, so its
+    # Dijkstra rows are the costs *to* each destination.
+    key = tail * num_nodes + head
+    by_key = np.lexsort((weight, key))
+    cheapest = by_key[np.diff(key[by_key], prepend=-1) != 0]
+    reversed_adjacency = scipy.sparse.csr_matrix(
+        (weight[cheapest], (head[cheapest], tail[cheapest])), shape=(num_nodes, num_nodes)
     )
-    return {
-        origin: _reconstruct_tree(names, incoming, index[origin], distances[row])
-        for row, origin in enumerate(origins)
-    }
+    dist = np.atleast_2d(dijkstra(reversed_adjacency, directed=True, indices=targets))
+    unreachable = ~np.isfinite(dist[target_row, origins])
+    if unreachable.any():
+        first = int(np.argmax(unreachable))
+        raise RoutingError(
+            f"no path from {names[origins[first]]!r} to {names[destinations[first]]!r} "
+            f"in network {network.name!r}"
+        )
+
+    # Links sorted by tail, then by head name; lexsort is stable, so
+    # parallel links keep their outgoing_links order.
+    name_rank = np.empty(num_nodes, dtype=np.intp)
+    name_rank[sorted(range(num_nodes), key=names.__getitem__)] = np.arange(num_nodes)
+    order = np.lexsort((name_rank[head], tail))
+    order_tail = tail[order]
+    with np.errstate(invalid="ignore"):  # inf - inf where neither end reaches v
+        slack = weight[order] + dist[:, head[order]] - dist[:, order_tail]
+    admissible_at = np.where(np.abs(slack) <= _TIE_TOLERANCE, np.arange(num_links), num_links)
+    starts = np.flatnonzero(np.diff(order_tail, prepend=-1))
+    first_admissible = np.minimum.reduceat(admissible_at, starts, axis=1)
+    next_link = np.full((targets.size, num_nodes), -1, dtype=np.intp)
+    next_link[:, order_tail[starts]] = np.where(
+        first_admissible < num_links, order[np.minimum(first_admissible, num_links - 1)], -1
+    )
+    return _walk(next_link, target_row, origins, destinations, head, weight)
 
 
-def _reconstruct_tree(
-    names: Sequence[str],
-    incoming: Sequence[Sequence[tuple[int, Link, float]]],
-    origin_index: int,
-    distances,
-) -> dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]:
-    """Rebuild the deterministic route tree from one distance row.
-
-    Nodes are processed in increasing distance order, so every optimal
-    predecessor (``|d[u] + w - d[v]| <= tol`` with ``w > tol``) already has
-    its route when ``v`` is reached; among them the lexicographically
-    smallest full candidate sequence (predecessor route plus ``v``) wins,
-    matching :func:`_dijkstra_sweep` exactly.  The comparison must append
-    ``v`` before comparing — a predecessor route that is a proper prefix
-    of another sorts first on its own but not necessarily once ``v`` is
-    appended.  Costs are re-accumulated link by link along the chosen
-    chain so the floats are bit-identical to the python sweep's running
-    sums.
-    """
-    import numpy as np
-
-    routes: dict[int, tuple[tuple[str, ...], tuple[Link, ...]]] = {
-        origin_index: ((names[origin_index],), ())
-    }
-    costs: dict[int, float] = {origin_index: 0.0}
-    for position in np.argsort(distances, kind="stable"):
-        node = int(position)
-        distance = distances[node]
-        if not np.isfinite(distance):
+def _walk(
+    next_link: np.ndarray,
+    target_row: np.ndarray,
+    origins: np.ndarray,
+    destinations: np.ndarray,
+    head: np.ndarray,
+    weight: np.ndarray,
+) -> RouteTable:
+    """Advance every pair one hop per round along ``next_link[target, node]``."""
+    num_pairs = origins.size
+    at = origins.copy()
+    costs = np.zeros(num_pairs)
+    walking = np.arange(num_pairs)
+    rounds: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(next_link.shape[1]):  # a shortest path has fewer than N hops
+        if not walking.size:
             break
-        if node == origin_index:
-            continue
-        name = names[node]
-        chosen_nodes: Optional[tuple[str, ...]] = None
-        chosen_links: Optional[tuple[Link, ...]] = None
-        chosen_source: Optional[int] = None
-        chosen_weight = 0.0
-        for source, link, weight in incoming[node]:
-            if abs(distances[source] + weight - distance) > _TIE_TOLERANCE:
-                continue
-            route = routes.get(source)
-            if route is None:
-                continue
-            candidate = route[0] + (name,)
-            if chosen_nodes is None or candidate < chosen_nodes:
-                chosen_nodes = candidate
-                chosen_links = route[1] + (link,)
-                chosen_source = source
-                chosen_weight = weight
-        if chosen_nodes is None or chosen_links is None or chosen_source is None:
+        hop = next_link[target_row[walking], at[walking]]
+        if (hop < 0).any():
+            raise _Unreconciled("a finite csgraph distance has no admissible next hop")
+        rounds.append((walking, hop))
+        costs[walking] += weight[hop]
+        at[walking] = head[hop]
+        walking = walking[at[walking] != destinations[walking]]
+    if walking.size:
+        raise _Unreconciled(f"{walking.size} walks are unfinished after N rounds")
+
+    lengths = np.zeros(num_pairs, dtype=np.intp)
+    for stepped, _ in rounds:
+        lengths[stepped] += 1
+    offsets = np.zeros(num_pairs + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    links = np.empty(offsets[-1], dtype=np.intp)
+    for position, (stepped, hop) in enumerate(rounds):
+        links[offsets[stepped] + position] = hop
+    return RouteTable(links=links, offsets=offsets, costs=costs)
+
+
+def _sweep_routes(
+    network: Network,
+    pairs: Sequence[NodePair],
+    link_cost: Callable[[Link], float],
+) -> RouteTable:
+    """The same table from one python :func:`_dijkstra_sweep` per origin."""
+    trees: dict[str, dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]] = {}
+    routes: list[tuple[tuple[Link, ...], float]] = []
+    for pair in pairs:
+        if pair.origin not in trees:
+            trees[pair.origin] = single_source_shortest_paths(network, pair.origin, link_cost)
+        route = trees[pair.origin].get(pair.destination)
+        if route is None:
             raise RoutingError(
-                f"csgraph distance for node {name!r} has no optimal "
-                "predecessor; tie tolerance diverged from the python sweep"
+                f"no path from {pair.origin!r} to {pair.destination!r} "
+                f"in network {network.name!r}"
             )
-        routes[node] = (chosen_nodes, chosen_links)
-        costs[node] = costs[chosen_source] + chosen_weight
-    return {
-        names[node]: (nodes, links, costs[node])
-        for node, (nodes, links) in routes.items()
-        if node != origin_index
-    }
+        routes.append(route[1:])
+    return RouteTable.from_links(network, routes)
 
 
 class ShortestPathRouter:
@@ -363,54 +415,30 @@ class ShortestPathRouter:
     metric_attribute:
         Which link attribute to minimise; ``"metric"`` (default) gives IGP
         routing, ``"hops"`` gives minimum-hop routing.
-    engine:
-        Batched-routing backend for :meth:`route_all`: ``"auto"``
-        (default) uses the vectorised :mod:`scipy.sparse.csgraph` path on
-        networks of :data:`_CSGRAPH_MIN_NODES` or more nodes, ``"csgraph"``
-        forces it, ``"python"`` forces the pure-python sweep.  Whatever the
-        engine, the routes are identical — the csgraph path reconstructs
-        the same tie-breaking and falls back to the python sweep (with a
-        warning) if scipy is missing the feature or its distances cannot
-        be reconciled.
 
     Notes
     -----
     Tie-breaking is deterministic: when two paths have equal cost the one
     whose node sequence is lexicographically smaller wins.  Deterministic
     routing matters because the routing matrix must be reproducible for the
-    estimation benchmarks.
+    estimation benchmarks.  Batched routing (:meth:`route_table`) runs a
+    csgraph kernel with the same tie-breaking; it falls back to the python
+    sweep, with a warning, if scipy lacks the feature or its distances
+    cannot be followed.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        metric_attribute: str = "metric",
-        engine: str = "auto",
-    ) -> None:
+    def __init__(self, network: Network, metric_attribute: str = "metric") -> None:
         if metric_attribute not in ("metric", "hops"):
             raise RoutingError(
                 f"unsupported metric attribute {metric_attribute!r}; "
                 "expected 'metric' or 'hops'"
             )
-        if engine not in ("auto", "csgraph", "python"):
-            raise RoutingError(
-                f"unsupported routing engine {engine!r}; "
-                "expected 'auto', 'csgraph' or 'python'"
-            )
         self.network = network
         self.metric_attribute = metric_attribute
-        self.engine = engine
 
     # ------------------------------------------------------------------
     def _link_cost(self, link: Link) -> float:
         return 1.0 if self.metric_attribute == "hops" else link.metric
-
-    def _use_csgraph(self) -> bool:
-        if self.engine == "python":
-            return False
-        if self.engine == "csgraph":
-            return True
-        return self.network.num_nodes >= _CSGRAPH_MIN_NODES
 
     def shortest_path(self, pair: NodePair) -> Path:
         """Return the single shortest path for ``pair``.
@@ -466,79 +494,46 @@ class ShortestPathRouter:
         paths.sort(key=lambda p: p.nodes)
         return tuple(paths)
 
-    def route_all(self, pairs: Optional[Sequence[NodePair]] = None) -> dict[NodePair, Path]:
-        """Route every pair (default: all pairs of the network).
+    def route_table(self, pairs: Optional[Sequence[NodePair]] = None) -> RouteTable:
+        """Route every pair (default: all pairs of the network) into flat link rows.
 
-        Pairs are grouped by origin and served by one single-source
-        Dijkstra each (:func:`single_source_shortest_paths`), so an
-        ``N``-node all-pairs mesh costs ``N`` shortest-path trees instead
-        of ``N * (N - 1)`` per-pair runs.  The paths — node sequences, link
-        sequences and costs — are identical to calling
-        :meth:`shortest_path` per pair (same relaxation, same
-        tie-breaking), which the parity tests pin on every named scenario.
-
-        Returns a mapping ordered like the canonical pair enumeration so
-        that downstream consumers can build positional structures from it.
+        One csgraph Dijkstra serves every destination and one vectorised
+        walk advances all pairs a hop per round (:func:`_next_hop_routes`),
+        with no per-pair Python.  Entry ``p`` of the table is the route
+        :meth:`shortest_path` gives ``pairs[p]``.  Raises ``TopologyError``
+        for an unknown node and ``RoutingError`` for an unreachable pair.
         """
         if pairs is None:
             pairs = self.network.node_pairs()
         with telemetry.span("routing.route_all", pairs=len(pairs)):
-            return self._route_all_grouped(pairs)
-
-    def _route_all_grouped(self, pairs: Sequence[NodePair]) -> dict[NodePair, Path]:
-        by_origin: dict[str, list[NodePair]] = {}
-        for pair in pairs:
-            self.network.node(pair.origin)
-            self.network.node(pair.destination)
-            by_origin.setdefault(pair.origin, []).append(pair)
-        # Origins serving a single requested destination keep the early
-        # exit of the per-pair search; the full tree only pays off when
-        # one origin amortises it over several destinations.
-        tree_origins = [
-            origin for origin, origin_pairs in by_origin.items() if len(origin_pairs) > 1
-        ]
-        trees: Optional[dict[str, dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]]]
-        trees = None
-        if tree_origins and self._use_csgraph():
             try:
-                trees = _csgraph_trees(self.network, tree_origins, self._link_cost)
-            except (ImportError, AttributeError, RoutingError) as exc:
+                return _next_hop_routes(self.network, pairs, self._link_cost)
+            except (ImportError, _Unreconciled) as exc:
                 warnings.warn(
                     f"csgraph routing unavailable ({exc}); "
                     "falling back to the python Dijkstra sweep",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        if trees is None:
-            trees = {
-                origin: single_source_shortest_paths(self.network, origin, self._link_cost)
-                for origin in tree_origins
-            }
-        routed: dict[NodePair, Path] = {}
-        for pair in pairs:
-            tree = trees.get(pair.origin)
-            if tree is None:
-                routed[pair] = self.shortest_path(pair)
-                continue
-            route = tree.get(pair.destination)
-            if route is None:
-                raise RoutingError(
-                    f"no path from {pair.origin!r} to {pair.destination!r} "
-                    f"in network {self.network.name!r}"
-                )
-            nodes, links, cost = route
-            routed[pair] = Path(pair=pair, nodes=nodes, links=links, cost=cost)
-        return routed
+            return _sweep_routes(self.network, pairs, self._link_cost)
 
-    def route_all_pairwise(
-        self, pairs: Optional[Sequence[NodePair]] = None
-    ) -> dict[NodePair, Path]:
-        """Legacy per-pair routing loop: one truncated Dijkstra per pair.
+    def route_all(self, pairs: Optional[Sequence[NodePair]] = None) -> dict[NodePair, Path]:
+        """Route every pair (default: all pairs of the network) as :class:`Path` objects.
 
-        Kept as the reference baseline the batched :meth:`route_all` is
-        benchmarked and parity-tested against; production code should call
-        :meth:`route_all`.
+        The paths are read off :meth:`route_table`, so node sequences, link
+        sequences and costs equal :meth:`shortest_path` per pair.  Returns a
+        mapping ordered like ``pairs`` so that downstream consumers can
+        build positional structures from it.
         """
         if pairs is None:
             pairs = self.network.node_pairs()
-        return {pair: self.shortest_path(pair) for pair in pairs}
+        table = self.route_table(pairs)
+        links = self.network.links
+        hops = [links[row] for row in table.links.tolist()]
+        offsets = table.offsets.tolist()
+        routed: dict[NodePair, Path] = {}
+        for position, (pair, cost) in enumerate(zip(pairs, table.costs.tolist())):
+            path_links = tuple(hops[offsets[position] : offsets[position + 1]])
+            nodes = (pair.origin,) + tuple(link.target for link in path_links)
+            routed[pair] = Path(pair=pair, nodes=nodes, links=path_links, cost=cost)
+        return routed

@@ -1,12 +1,10 @@
 """Batched all-pairs routing must be path-for-path identical to per-pair.
 
-``route_all`` now serves every origin with one single-source Dijkstra
-(:func:`repro.routing.single_source_shortest_paths`) instead of one
-truncated Dijkstra per pair.  The relaxation and tie-breaking code is
-shared, so the batched result must match the legacy per-pair loop exactly
-— node sequences, link sequences and costs — on every named scenario
-topology, including under the 'hops' metric where equal-cost ties are
-plentiful.
+``route_all`` routes every pair with one csgraph next-hop walk instead of
+one truncated Dijkstra per pair (:meth:`ShortestPathRouter.shortest_path`).
+The batched result must match the per-pair queries exactly — node
+sequences, link sequences and costs — on every named scenario topology,
+including under the 'hops' metric where equal-cost ties are plentiful.
 """
 
 from __future__ import annotations
@@ -17,6 +15,11 @@ from repro.errors import RoutingError
 from repro.routing.shortest_path import ShortestPathRouter, single_source_shortest_paths
 from repro.topology.elements import Link, Node, NodePair
 from repro.topology.network import Network
+
+
+def per_pair(router, pairs=None):
+    pairs = router.network.node_pairs() if pairs is None else pairs
+    return {pair: router.shortest_path(pair) for pair in pairs}
 
 
 def assert_same_paths(batched, legacy):
@@ -47,13 +50,13 @@ def named_network(request):
 class TestBatchedEqualsPairwise:
     def test_metric_routing_identical(self, named_network):
         router = ShortestPathRouter(named_network)
-        assert_same_paths(router.route_all(), router.route_all_pairwise())
+        assert_same_paths(router.route_all(), per_pair(router))
 
     def test_hop_routing_identical(self, named_network):
         # Minimum-hop routing maximises equal-cost ties, stressing the
         # lexicographic tie-break that both code paths must share.
         router = ShortestPathRouter(named_network, metric_attribute="hops")
-        assert_same_paths(router.route_all(), router.route_all_pairwise())
+        assert_same_paths(router.route_all(), per_pair(router))
 
     def test_random_backbones_identical(self):
         from repro.topology.generators import random_backbone
@@ -61,14 +64,14 @@ class TestBatchedEqualsPairwise:
         for seed in (0, 1, 2):
             network = random_backbone(17, avg_degree=3.4, seed=seed)
             router = ShortestPathRouter(network)
-            assert_same_paths(router.route_all(), router.route_all_pairwise())
+            assert_same_paths(router.route_all(), per_pair(router))
 
     def test_pair_subset_only_routes_requested(self, named_network):
         router = ShortestPathRouter(named_network)
         subset = named_network.node_pairs()[:7]
         routed = router.route_all(subset)
         assert tuple(routed) == tuple(subset)
-        assert_same_paths(routed, router.route_all_pairwise(subset))
+        assert_same_paths(routed, per_pair(router, subset))
 
     def test_unknown_node_rejected(self, named_network):
         from repro.errors import TopologyError

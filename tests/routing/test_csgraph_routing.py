@@ -1,18 +1,21 @@
-"""The vectorised csgraph routing engine: parity, thresholds and fallback.
+"""The csgraph next-hop routing kernel: parity, tie-breaks and fallback.
 
-``ShortestPathRouter(engine="csgraph")`` computes all shortest-path trees
-through one batched :func:`scipy.sparse.csgraph.dijkstra` call and then
-reconstructs the deterministic routes.  These tests pin the contract that
-makes the engine a performance knob rather than a different router:
+``ShortestPathRouter.route_table`` (and ``route_all`` / the default
+``build_routing_matrix`` on top of it) routes every pair through one
+batched :func:`scipy.sparse.csgraph.dijkstra` call and a vectorised walk
+over a table of next hops per destination.  These tests pin the contract
+that makes the kernel a faster router rather than a different one:
 
 * route-for-route identity with the pure-python sweep — node sequences,
   link sequences *and* accumulated float costs — on the named scenarios,
-  random backbones and both metric modes (lexicographic and parallel-link
-  tie-breaking included);
-* the ``"auto"`` engine picks csgraph only at batch-worthy sizes;
-* a scipy missing the feature, or distances the reconstruction cannot
-  reconcile, fall back to the python sweep with a warning and identical
-  results.
+  random backbones and both metric modes, including networks where node
+  insertion order differs from node-name order (the tie-break ranks heads
+  by name) and parallel equal-cost links;
+* the routing matrix assembled from the walk equals the per-path assembly
+  of the python routes, CSR arrays and fingerprint alike;
+* a scipy missing the feature, or distances the walk cannot follow, fall
+  back to the python sweep with a warning and identical results, on
+  ``route_all`` and on ``build_routing_matrix``.
 """
 
 from __future__ import annotations
@@ -24,13 +27,20 @@ import pytest
 
 import repro.routing.shortest_path as shortest_path_module
 from repro.errors import RoutingError
-from repro.routing.shortest_path import _CSGRAPH_MIN_NODES, ShortestPathRouter
+from repro.routing.routing_matrix import build_routing_matrix
+from repro.routing.shortest_path import (
+    Path,
+    ShortestPathRouter,
+    single_source_shortest_paths,
+)
+from repro.topology.elements import Link, Node, NodePair, NodeRole
 from repro.topology.generators import (
     abilene_backbone,
     american_backbone,
     european_backbone,
     random_backbone,
 )
+from repro.topology.network import Network
 
 NAMED_BUILDERS = {
     "europe": european_backbone,
@@ -38,9 +48,28 @@ NAMED_BUILDERS = {
     "abilene": abilene_backbone,
 }
 
+FALLBACK_WARNING = "falling back to the python Dijkstra sweep"
+
+
+def sweep_routes(network, metric="metric", pairs=None):
+    """The python reference: one :func:`single_source_shortest_paths` per origin."""
+
+    def cost(link):
+        return 1.0 if metric == "hops" else link.metric
+
+    pairs = network.node_pairs() if pairs is None else pairs
+    trees = {}
+    routes = {}
+    for pair in pairs:
+        if pair.origin not in trees:
+            trees[pair.origin] = single_source_shortest_paths(network, pair.origin, cost)
+        nodes, links, total = trees[pair.origin][pair.destination]
+        routes[pair] = Path(pair=pair, nodes=nodes, links=links, cost=total)
+    return routes
+
 
 def assert_identical_routes(actual, expected):
-    assert set(actual) == set(expected)
+    assert list(actual) == list(expected)
     for pair, path in actual.items():
         other = expected[pair]
         assert path.nodes == other.nodes, pair
@@ -48,78 +77,208 @@ def assert_identical_routes(actual, expected):
         assert path.cost == other.cost, pair
 
 
+def assert_same_matrix(actual, expected):
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(
+            getattr(actual.native, name), getattr(expected.native, name)
+        )
+    assert actual.fingerprint() == expected.fingerprint()
+
+
+def reverse_alphabetical_network():
+    """Nodes inserted in reverse name order, so index order != name order.
+
+    ``A -> D`` costs 2 three ways: via ``C`` (the lower node index), via
+    ``B`` (the smaller name, over either of two parallel equal-cost links)
+    and via the transit node ``T``.  ``D -> F`` costs 2 directly or via
+    ``E``.  ``C -> E`` has a slow and a fast parallel link, the fast one
+    added last.  ``A -> F`` is cheapest through ``T``.
+    """
+    network = Network("reverse-alpha")
+    for name in ("T", "F", "E", "D", "C", "B", "A"):
+        role = NodeRole.TRANSIT if name == "T" else NodeRole.ACCESS
+        network.add_node(Node(name=name, role=role))
+
+    def link(source, target, metric, name):
+        network.add_link(Link(source=source, target=target, metric=metric, name=name))
+        network.add_link(Link(source=target, target=source, metric=metric, name=f"{name}~"))
+
+    link("A", "C", 1.0, "A-C")
+    link("C", "D", 1.0, "C-D")
+    link("A", "B", 1.0, "A-B")
+    link("B", "D", 1.0, "B-D/1")
+    link("B", "D", 1.0, "B-D/2")
+    link("A", "T", 0.5, "A-T")
+    link("T", "D", 1.5, "T-D")
+    link("T", "F", 1.0, "T-F")
+    link("D", "E", 1.0, "D-E")
+    link("E", "F", 1.0, "E-F")
+    link("D", "F", 2.0, "D-F")
+    link("C", "E", 3.0, "C-E/slow")
+    link("C", "E", 1.0, "C-E/fast")
+    return network
+
+
 @pytest.mark.parametrize("metric", ["metric", "hops"])
 @pytest.mark.parametrize("name", sorted(NAMED_BUILDERS))
 def test_csgraph_matches_python_on_named_networks(name, metric):
     network = NAMED_BUILDERS[name]()
-    python = ShortestPathRouter(network, metric, engine="python").route_all()
-    csgraph = ShortestPathRouter(network, metric, engine="csgraph").route_all()
-    assert_identical_routes(csgraph, python)
+    routed = ShortestPathRouter(network, metric).route_all()
+    assert_identical_routes(routed, sweep_routes(network, metric))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_csgraph_matches_python_on_random_backbones(seed):
     network = random_backbone(40, avg_degree=3.0, seed=seed, name=f"rand-{seed}")
     for metric in ("metric", "hops"):
-        python = ShortestPathRouter(network, metric, engine="python").route_all()
-        csgraph = ShortestPathRouter(network, metric, engine="csgraph").route_all()
-        assert_identical_routes(csgraph, python)
+        routed = ShortestPathRouter(network, metric).route_all()
+        assert_identical_routes(routed, sweep_routes(network, metric))
 
 
 def test_csgraph_matches_python_on_pair_subsets():
     network = american_backbone()
     pairs = network.node_pairs()[:40]
-    python = ShortestPathRouter(network, engine="python").route_all(pairs)
-    csgraph = ShortestPathRouter(network, engine="csgraph").route_all(pairs)
-    assert_identical_routes(csgraph, python)
+    routed = ShortestPathRouter(network).route_all(pairs)
+    assert_identical_routes(routed, sweep_routes(network, pairs=pairs))
 
 
-def test_auto_engine_uses_size_threshold():
-    small = european_backbone()
-    assert not ShortestPathRouter(small)._use_csgraph()
-    assert ShortestPathRouter(small, engine="csgraph")._use_csgraph()
-    large = random_backbone(_CSGRAPH_MIN_NODES, avg_degree=3.0, seed=1)
-    assert ShortestPathRouter(large)._use_csgraph()
-    assert not ShortestPathRouter(large, engine="python")._use_csgraph()
+@pytest.mark.parametrize("metric", ["metric", "hops"])
+def test_name_order_tie_break_at_120_nodes(metric):
+    # "P100".."P119" sort between "P10" and "P11": a kernel ranking heads by
+    # node index instead of name would pick different equal-cost routes.
+    network = random_backbone(120, avg_degree=3.0, seed=2004)
+    names = list(network.node_names)
+    assert names != sorted(names)
+    routed = ShortestPathRouter(network, metric).route_all()
+    assert_identical_routes(routed, sweep_routes(network, metric))
 
 
-def test_invalid_engine_rejected():
-    with pytest.raises(RoutingError):
-        ShortestPathRouter(european_backbone(), engine="bogus")
+def test_routing_matrix_matches_per_path_assembly_at_120_nodes():
+    network = random_backbone(120, avg_degree=3.0, seed=2004)
+    assert_same_matrix(
+        build_routing_matrix(network),
+        build_routing_matrix(network, paths=sweep_routes(network)),
+    )
+
+
+class TestReverseAlphabeticalNetwork:
+    @pytest.mark.parametrize("metric", ["metric", "hops"])
+    def test_matches_python_sweep(self, metric):
+        network = reverse_alphabetical_network()
+        routed = ShortestPathRouter(network, metric).route_all()
+        assert_identical_routes(routed, sweep_routes(network, metric))
+
+    def test_tie_breaks_by_name_then_first_parallel_link(self):
+        network = reverse_alphabetical_network()
+        for metric in ("metric", "hops"):
+            routed = ShortestPathRouter(network, metric).route_all()
+            # "B" is the smallest name though the last of B, C, T inserted;
+            # the first of the parallel equal-cost links wins.
+            assert routed[NodePair("A", "D")].link_names() == ("A-B", "B-D/1")
+        routed = ShortestPathRouter(network).route_all()
+        # ("D", "E", "F") < ("D", "F"): the longer equal-cost path wins.
+        assert routed[NodePair("D", "F")].nodes == ("D", "E", "F")
+        assert routed[NodePair("C", "E")].link_names() == ("C-E/fast",)
+        assert routed[NodePair("A", "F")].nodes == ("A", "T", "F")
+
+    def test_routing_matrix_matches_per_path_assembly(self):
+        network = reverse_alphabetical_network()
+        assert_same_matrix(
+            build_routing_matrix(network),
+            build_routing_matrix(network, paths=sweep_routes(network)),
+        )
+
+
+def test_non_positive_cost_raises():
+    network = european_backbone()
+    with pytest.raises(RoutingError, match="non-positive cost"):
+        shortest_path_module._next_hop_routes(
+            network, network.node_pairs(), lambda link: 0.0
+        )
+
+
+def test_unreachable_pair_raises_without_fallback():
+    network = Network("oneway")
+    for name in ("A", "B", "C"):
+        network.add_node(Node(name=name))
+    network.add_link(Link(source="B", target="A", metric=1.0))
+    network.add_link(Link(source="A", target="C", metric=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RoutingError, match="no path from 'A' to 'B'"):
+            ShortestPathRouter(network).route_table([NodePair("B", "C"), NodePair("A", "B")])
+
+
+class _DoubledCsgraph:
+    """Finite distances with no next hop: a shortest-path link's slack is ``-w``."""
+
+    @staticmethod
+    def dijkstra(matrix, directed, indices):
+        from scipy.sparse import csgraph
+
+        return 2.0 * csgraph.dijkstra(matrix, directed=directed, indices=indices)
+
+
+class _ZeroCsgraph:
+    @staticmethod
+    def dijkstra(matrix, directed, indices):
+        # All-zero distances admit no next hop anywhere.
+        return np.zeros((len(indices), matrix.shape[0]))
+
+
+def assert_falls_back(monkeypatch, load_csgraph):
+    """Routes and routing matrix equal the python sweep's, with the warning."""
+    network = european_backbone()
+    expected = sweep_routes(network)
+    monkeypatch.setattr(shortest_path_module, "_load_csgraph", load_csgraph)
+    with pytest.warns(RuntimeWarning, match=FALLBACK_WARNING):
+        routed = ShortestPathRouter(network).route_all()
+    assert_identical_routes(routed, expected)
+    with pytest.warns(RuntimeWarning, match=FALLBACK_WARNING):
+        matrix = build_routing_matrix(network)
+    assert_same_matrix(matrix, build_routing_matrix(network, paths=expected))
 
 
 def test_missing_csgraph_falls_back_with_warning(monkeypatch):
     def broken():
         raise ImportError("forced by test")
 
-    monkeypatch.setattr(shortest_path_module, "_load_csgraph", broken)
-    network = european_backbone()
-    with pytest.warns(RuntimeWarning, match="falling back to the python Dijkstra sweep"):
-        routed = ShortestPathRouter(network, engine="csgraph").route_all()
-    expected = ShortestPathRouter(network, engine="python").route_all()
-    assert_identical_routes(routed, expected)
+    assert_falls_back(monkeypatch, broken)
 
 
 def test_divergent_distances_fall_back_with_warning(monkeypatch):
     """A csgraph whose tie handling drifts must not silently corrupt routes."""
-
-    class _BrokenCsgraph:
-        @staticmethod
-        def dijkstra(matrix, directed, indices):
-            # All-zero distances admit no optimal predecessor for any node,
-            # so the reconstruction must detect the inconsistency.
-            return np.zeros((len(indices), matrix.shape[0]))
-
-    monkeypatch.setattr(shortest_path_module, "_load_csgraph", lambda: _BrokenCsgraph)
-    network = european_backbone()
-    with pytest.warns(RuntimeWarning, match="falling back to the python Dijkstra sweep"):
-        routed = ShortestPathRouter(network, engine="csgraph").route_all()
-    expected = ShortestPathRouter(network, engine="python").route_all()
-    assert_identical_routes(routed, expected)
+    assert_falls_back(monkeypatch, lambda: _ZeroCsgraph)
 
 
-def test_auto_engine_emits_no_warning_on_healthy_scipy():
-    network = random_backbone(_CSGRAPH_MIN_NODES, avg_degree=3.0, seed=3)
+def test_unfollowable_finite_distances_fall_back_with_warning(monkeypatch):
+    assert_falls_back(monkeypatch, lambda: _DoubledCsgraph)
+
+
+def test_cycle_within_tie_tolerance_falls_back_with_warning():
+    # A <-> B costs less than the tie tolerance, so toward C each of A and B
+    # admits the other as its next hop and the walk never arrives.
+    network = Network("tolerance-cycle")
+    for name in ("A", "B", "C"):
+        network.add_node(Node(name=name))
+    for source, target, metric in (
+        ("A", "B", 1e-13),
+        ("B", "A", 1e-13),
+        ("A", "C", 1.0),
+        ("B", "C", 1.0),
+        ("C", "A", 1.0),
+        ("C", "B", 1.0),
+    ):
+        network.add_link(Link(source=source, target=target, metric=metric))
+    with pytest.warns(RuntimeWarning, match=FALLBACK_WARNING):
+        routed = ShortestPathRouter(network).route_all()
+    assert_identical_routes(routed, sweep_routes(network))
+    assert routed[NodePair("A", "C")].nodes == ("A", "B", "C")
+
+
+def test_healthy_scipy_emits_no_warning():
+    network = random_backbone(64, avg_degree=3.0, seed=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ShortestPathRouter(network).route_all()
+        build_routing_matrix(network)

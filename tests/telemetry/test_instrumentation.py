@@ -1,10 +1,12 @@
-"""Telemetry wired through the estimation stack.
+"""Telemetry wired through the routing and estimation stack.
 
-Every estimator's ``estimate``/``estimate_series`` opens a stage span
-automatically (via ``Estimator.__init_subclass__``) and folds its scalar
-diagnostics into the span attributes; the solver loops feed iteration
-counters through their existing ``budget_tick`` call sites.  And all of
-it must collapse to flag checks when telemetry is disabled.
+Building a routing matrix opens ``routing.build_matrix`` with the routing
+kernel's ``routing.route_all`` nested inside.  Every estimator's
+``estimate``/``estimate_series`` opens a stage span automatically (via
+``Estimator.__init_subclass__``) and folds its scalar diagnostics into the
+span attributes; the solver loops feed iteration counters through their
+existing ``budget_tick`` call sites.  And all of it must collapse to flag
+checks when telemetry is disabled.
 """
 
 from __future__ import annotations
@@ -14,10 +16,26 @@ import pytest
 from repro import telemetry
 from repro.estimation.registry import get_estimator
 from repro.optimize.dual import GAP_TOLERANCE
+from repro.routing.routing_matrix import build_routing_matrix
+from repro.topology.generators import random_backbone
 
 
 def spans_named(records, name):
     return [r for r in records if r.name == name]
+
+
+class TestRoutingSpans:
+    def test_build_routing_matrix_nests_route_all(self, telemetry_on):
+        # The benchmark's routing layer metrics read these two spans; if one
+        # vanished its metric would silently read 0.
+        network = random_backbone(30, avg_degree=3.0, seed=7)
+        build_routing_matrix(network)
+        records = telemetry.drain_spans()
+        (build,) = spans_named(records, "routing.build_matrix")
+        (route,) = spans_named(records, "routing.route_all")
+        assert route.parent_id == build.span_id
+        assert route.attributes["pairs"] == build.attributes["pairs"] == network.num_pairs
+        assert 0.0 < route.duration <= build.duration
 
 
 class TestEstimatorAutoSpans:

@@ -1,4 +1,4 @@
-"""Acceptance benchmark: incremental failure sweep vs naive full rebuilds.
+"""Acceptance benchmark: the what-if engine's failure sweep vs naive full rebuilds.
 
 A single-link failure sweep asks, for every directed link of the backbone,
 how every demand re-routes and what the surviving links' utilisations
@@ -8,16 +8,18 @@ surviving topology, re-signal the *entire* mesh from scratch, assemble a
 fresh routing matrix, then project.  The planning subsystem
 (:class:`repro.planning.whatif.WhatIfEngine` inside
 :func:`repro.planning.sweep.failure_sweep`) routes the base mesh once and,
-per case, re-signals only the demands whose path traversed the failed link,
-patching just those columns of the routing matrix — and fans independent
-cases over a process pool.
+per case, routes again only the demands whose path traversed the failed
+link (:func:`repro.routing.reroute`: the batched next-hop kernel with the
+failed link masked out), keeping every other column of the routing
+matrix — and fans independent cases over a process pool.
 
 This benchmark times the naive serial full-rebuild sweep against
 ``failure_sweep(..., n_jobs=4)`` on the full America-like scenario (284
 directed links, 600 demands), verifies that
 
-* the incremental post-failure routing matrices are *identical* to the
-  from-scratch rebuilds on every single-link case,
+* the engine's post-failure routing matrices (``WhatIfEngine.routing_for``)
+  and infeasible pairs are *identical* to the from-scratch rebuilds on
+  every single-link case,
 * serial and parallel sweep records are identical, and
 * the naive and engine sweeps report the same utilisation numbers,
 
@@ -79,8 +81,12 @@ def naive_full_rebuild_sweep(scenario, estimates, cases):
 def main() -> dict:
     from repro.datasets import america_scenario
     from repro.evaluation import MethodSpec, estimate_method_specs
-    from repro.planning import enumerate_failures, failure_sweep, full_rebuild_routing
-    from repro.routing import IncrementalRerouter
+    from repro.planning import (
+        WhatIfEngine,
+        enumerate_failures,
+        failure_sweep,
+        full_rebuild_routing,
+    )
 
     minimum_speedup = float(os.environ.get("BENCH_PR4_MIN_SWEEP_SPEEDUP", "3.0"))
 
@@ -104,14 +110,14 @@ def main() -> dict:
     naive_rows = naive_full_rebuild_sweep(scenario, estimates, cases)
     naive_seconds = time.perf_counter() - start
 
-    print(f"[failure sweep] incremental engine, n_jobs={N_JOBS} ...")
+    print(f"[failure sweep] what-if engine, n_jobs={N_JOBS} ...")
     start = time.perf_counter()
     parallel_records = failure_sweep(
         scenario, cases=cases, estimates=estimates, n_jobs=N_JOBS, include_baseline=False
     )
     parallel_seconds = time.perf_counter() - start
 
-    print("[failure sweep] incremental engine, serial ...")
+    print("[failure sweep] what-if engine, serial ...")
     start = time.perf_counter()
     serial_records = failure_sweep(
         scenario, cases=cases, estimates=estimates, n_jobs=1, include_baseline=False
@@ -133,13 +139,13 @@ def main() -> dict:
         )
     assert worst_drift < 1e-12, f"naive/engine utilisation drift {worst_drift:.2e}"
 
-    # Acceptance: incremental matrices identical to full rebuilds (untimed).
-    print("[failure sweep] verifying incremental == full-rebuild matrices ...")
-    rerouter = IncrementalRerouter(scenario.network)
+    # Acceptance: engine matrices identical to full rebuilds (untimed).
+    print("[failure sweep] verifying engine == full-rebuild matrices ...")
+    engine = WhatIfEngine(scenario.network)
     for case in cases:
-        incremental, result = rerouter.reroute_matrix(case.failed_links)
+        routing, result = engine.routing_for(case)
         full, infeasible = full_rebuild_routing(scenario.network, case)
-        assert np.array_equal(incremental.matrix, full.matrix), case.name
+        assert np.array_equal(routing.matrix, full.matrix), case.name
         assert tuple(result.infeasible) == infeasible, case.name
 
     speedup = naive_seconds / parallel_seconds
@@ -154,7 +160,7 @@ def main() -> dict:
         "speedup": speedup,
         "minimum_speedup": minimum_speedup,
         "parallel_identical_to_serial": True,
-        "incremental_identical_to_full_rebuild": True,
+        "engine_identical_to_full_rebuild": True,
         "max_utilisation_drift_vs_naive": worst_drift,
         "cpu_count": os.cpu_count(),
     }

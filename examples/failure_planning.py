@@ -3,8 +3,9 @@
 A full single-link failure sweep of the Europe-like scenario, the planning
 study the paper's motivation section describes: for every registered method
 the sweep estimates the traffic matrix once, pushes the truth and the
-estimate through each failure's surviving topology (incremental CSPF
-reroute), and compares the utilisation numbers an operator would plan with.
+estimate through each failure's surviving topology (only the demands the
+failure touches are routed again), and compares the utilisation numbers an
+operator would plan with.
 
 The printed table is the planning analogue of the paper's Table 2: instead
 of MRE it reports, per method, the worst-case utilisation forecast across

@@ -9,9 +9,10 @@ tasks:
   (single link, bidirectional link pair, whole node) and the surviving
   topology they leave behind;
 * :mod:`~repro.planning.whatif` — the :class:`~repro.planning.whatif.WhatIfEngine`,
-  which routes the base mesh once and re-signals only the demands each
-  failure actually touches (incremental CSPF reroute with an incrementally
-  rebuilt routing matrix);
+  which routes the base mesh once and, per failure, routes again only the
+  demands the failure touches
+  (:func:`~repro.routing.routing_matrix.reroute`: the batched next-hop
+  kernel with the failed links masked out, the other columns kept);
 * :mod:`~repro.planning.projection` — link loads, utilisations, headroom
   and congestion sets for any traffic matrix pushed through a what-if
   topology, plus the demand-growth scaler;

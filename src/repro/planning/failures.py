@@ -15,9 +15,9 @@ planning cases:
 :func:`surviving_network` derives the post-failure topology as a standalone
 :class:`~repro.topology.network.Network` — built the same way
 :meth:`Network.subnetwork` extracts regions, by dropping failed elements —
-which the full-rebuild reference path and the parity tests use.  The fast
-path never calls it: :class:`~repro.routing.incremental.IncrementalRerouter`
-routes around failures on the base topology directly.
+which the full-rebuild reference path and the parity tests use.  The
+what-if engine does not: :func:`~repro.routing.routing_matrix.reroute`
+masks the failed links out of the base topology instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class FailureCase:
         One of ``"baseline"``, ``"link"``, ``"link-pair"``, ``"node"``.
     failed_links:
         Names of the failed directed links (links incident to failed nodes
-        need not be listed; the rerouter implies them).
+        need not be listed; rerouting implies them).
     failed_nodes:
         Names of the failed nodes.
     """

@@ -144,8 +144,7 @@ def project_load(
     routing:
         The (possibly post-failure) routing matrix.  Infeasible pairs must
         already have all-zero columns, which is what
-        :meth:`~repro.routing.incremental.IncrementalRerouter.reroute_matrix`
-        produces.
+        :func:`~repro.routing.routing_matrix.reroute` produces.
     matrix:
         Traffic matrix over the same pair ordering.
     network:

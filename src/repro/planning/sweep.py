@@ -10,8 +10,7 @@ runner uses) it
 1. estimates the traffic matrix from the scenario's observables (sharing
    problems and fanning specs out in dependency waves, the PR 3 machinery);
 2. pushes both the truth and the estimate through every failure case's
-   surviving topology via the incremental
-   :class:`~repro.planning.whatif.WhatIfEngine`;
+   surviving topology via the :class:`~repro.planning.whatif.WhatIfEngine`;
 3. records, per ``(method, case)``, the utilisation numbers a planner would
    compare: predicted vs true maximum utilisation, per-link utilisation
    error, and the congestion-set confusion counts.

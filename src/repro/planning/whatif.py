@@ -1,13 +1,13 @@
 """The what-if engine: failure cases in, post-failure routing and loads out.
 
 :class:`WhatIfEngine` is the stateful heart of the planning subsystem.  It
-owns one base topology, routes the LSP mesh over it **once** (via the
-incremental rerouter, CSPF when LSP bandwidths are given, IGP shortest path
-otherwise), and then answers failure questions cheaply:
+owns one base topology, routes the LSP mesh over it **once** on IGP
+shortest paths, and then answers failure questions cheaply:
 
-* :meth:`routing_for` — the post-failure routing matrix of a case,
-  rebuilt incrementally (only demands whose path traversed the failed
-  element are re-signalled) and cached per case name;
+* :meth:`routing_for` — the post-failure routing matrix of a case, from
+  :func:`~repro.routing.routing_matrix.reroute` (only the demands whose
+  path crossed a failed element are routed again, by the batched next-hop
+  kernel with the failed links masked out), cached per failed-element set;
 * :meth:`project` — push any traffic matrix through a case's surviving
   topology and get the :class:`~repro.planning.projection.LoadProjection`
   planning quantities (utilisations, headroom, congestion set);
@@ -15,15 +15,15 @@ otherwise), and then answers failure questions cheaply:
   projected maximum utilisation, the number capacity planning actually
   compares against 1.0.
 
-:func:`full_rebuild_routing` is the deliberately naive reference — signal
-the whole mesh from scratch on the surviving topology — used by the parity
-tests and the acceptance benchmark to prove the incremental path returns
-identical matrices (and to measure how much work it avoids).
+:func:`full_rebuild_routing` is the deliberately naive reference — route
+the whole mesh from scratch, pair by pair, on the surviving topology — used
+by the parity tests and the acceptance benchmark to prove the engine
+returns identical matrices (and to measure how much work it avoids).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -31,8 +31,12 @@ import scipy.sparse
 from repro.errors import PlanningError, RoutingError, TopologyError
 from repro.planning.failures import BASELINE, FailureCase, enumerate_failures, surviving_network
 from repro.planning.projection import LoadProjection, project_load
-from repro.routing.incremental import IncrementalRerouter, RerouteResult
-from repro.routing.routing_matrix import RoutingMatrix
+from repro.routing.routing_matrix import (
+    RerouteResult,
+    RoutingMatrix,
+    build_routing_matrix,
+    reroute,
+)
 from repro.routing.shortest_path import ShortestPathRouter
 from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
@@ -47,13 +51,8 @@ class WhatIfEngine:
     Parameters
     ----------
     network:
-        The base topology.
-    bandwidths:
-        Optional per-pair LSP bandwidth values forwarded to the
-        :class:`~repro.routing.incremental.IncrementalRerouter`; omitted
-        means pure IGP routing (the estimation benchmarks' model, and the
-        mode in which incremental reroute is provably identical to a full
-        rebuild).
+        The base topology, routed on IGP shortest paths (the estimation
+        benchmarks' model).
     utilisation_threshold:
         Default congestion threshold of the projections.
     cache_size:
@@ -65,7 +64,6 @@ class WhatIfEngine:
     def __init__(
         self,
         network: Network,
-        bandwidths: Optional[Mapping[NodePair, float]] = None,
         utilisation_threshold: float = 0.9,
         cache_size: int = 1024,
     ) -> None:
@@ -73,7 +71,8 @@ class WhatIfEngine:
             raise PlanningError("cache_size must be at least 1")
         self.network = network
         self.utilisation_threshold = float(utilisation_threshold)
-        self.rerouter = IncrementalRerouter(network, bandwidths=bandwidths)
+        #: Routing matrix of the intact topology.
+        self.base_routing = build_routing_matrix(network)
         self._capacities = np.array(
             [link.capacity_mbps for link in network.links], dtype=float
         )
@@ -85,11 +84,6 @@ class WhatIfEngine:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    @property
-    def base_routing(self) -> RoutingMatrix:
-        """Routing matrix of the intact topology."""
-        return self.rerouter.base_matrix
-
     def cases(
         self, kinds: Sequence[str] = ("link",), include_baseline: bool = False
     ) -> tuple[FailureCase, ...]:
@@ -109,7 +103,7 @@ class WhatIfEngine:
         if cached is not None:
             return cached
         try:
-            result = self.rerouter.reroute_matrix(case.failed_links, case.failed_nodes)
+            result = reroute(self.base_routing, case.failed_links, case.failed_nodes)
         except TopologyError as exc:
             # Same contract as surviving_network: a case naming unknown
             # elements is a planning error, whichever path evaluates it.
@@ -176,14 +170,15 @@ class WhatIfEngine:
 def full_rebuild_routing(
     network: Network, case: FailureCase, pairs: Optional[Sequence[NodePair]] = None
 ) -> tuple[RoutingMatrix, tuple[NodePair, ...]]:
-    """From-scratch mesh re-signal on the surviving topology (reference path).
+    """From-scratch mesh re-route on the surviving topology (reference path).
 
     Builds the surviving network, routes **every** pair over it with the
-    same deterministic Dijkstra the base routing uses, and assembles the
-    matrix in the *base* pair and link order (zero columns for pairs the
-    failure disconnects, zero rows for failed links).  Quadratically more
-    work than the incremental path — kept as the ground truth the parity
-    tests and the acceptance benchmark compare against.
+    per-pair python Dijkstra (the same tie-breaking as the base routing),
+    and assembles the matrix in the *base* pair and link order (zero
+    columns for pairs the failure disconnects, zero rows for failed
+    links).  Far more work than :func:`~repro.routing.routing_matrix.reroute`
+    — kept as the ground truth the parity tests and the acceptance
+    benchmark compare against.
     """
     pairs = PairIndex.of(pairs) if pairs is not None else network.node_pairs()
     survivor = surviving_network(network, case)

@@ -15,21 +15,24 @@ provides:
   matrix with its link/pair labelling and the operator products — and the
   builders :func:`~repro.routing.routing_matrix.build_routing_matrix` /
   :func:`~repro.routing.routing_matrix.build_ecmp_routing_matrix`;
-* :class:`~repro.routing.incremental.IncrementalRerouter` — failure-case
-  re-routing that re-signals only the affected demands and rebuilds the
-  routing matrix incrementally (the planning subsystem's fast path);
+* :func:`~repro.routing.routing_matrix.reroute` — the matrix after link or
+  node failures: the columns that crossed a failed element are re-routed by
+  the same batched next-hop kernel with the failed links masked out, and
+  every other column is kept (the planning and streaming layers' failure
+  path);
 * :class:`~repro.routing.backends.RoutingOperator` — the typed operator
   contract solvers assume of a routing matrix.
 """
 
 from repro.routing.backends import RoutingOperator
 from repro.routing.cspf import CSPFRouter
-from repro.routing.incremental import IncrementalRerouter, RerouteResult
 from repro.routing.lsp import LSP, LSPMesh, ReservationState
 from repro.routing.routing_matrix import (
+    RerouteResult,
     RoutingMatrix,
     build_ecmp_routing_matrix,
     build_routing_matrix,
+    reroute,
 )
 from repro.routing.shortest_path import (
     Path,
@@ -45,10 +48,10 @@ __all__ = [
     "LSPMesh",
     "ReservationState",
     "CSPFRouter",
-    "IncrementalRerouter",
     "RerouteResult",
     "RoutingMatrix",
     "build_routing_matrix",
     "build_ecmp_routing_matrix",
+    "reroute",
     "RoutingOperator",
 ]

@@ -18,12 +18,17 @@ the CSR to sparse-aware consumers, and :attr:`matrix` is the one dense
 view, for the few algorithms that need one.  Expensive derived quantities
 (numerical rank, path lengths, the Gram matrix, the dense view itself) are
 computed once and cached.
+
+:func:`reroute` derives the matrix of a failure case from a base matrix:
+only the columns that cross a failed element are routed again.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse
@@ -32,11 +37,17 @@ from repro import telemetry
 from repro.errors import RoutingError
 from repro.routing.backends import gram_rank
 from repro.routing.cspf import CSPFRouter
-from repro.routing.shortest_path import Path, RouteTable, ShortestPathRouter
+from repro.routing.shortest_path import Path, RouteTable, ShortestPathRouter, _route_pairs
 from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
 
-__all__ = ["RoutingMatrix", "build_routing_matrix", "build_ecmp_routing_matrix"]
+__all__ = [
+    "RoutingMatrix",
+    "RerouteResult",
+    "build_routing_matrix",
+    "build_ecmp_routing_matrix",
+    "reroute",
+]
 
 #: Slack allowed around the [0, 1] entry range.
 _ENTRY_TOLERANCE = 1e-12
@@ -58,7 +69,8 @@ class RoutingMatrix:
         Column labels (canonical origin-destination pair order); adopted as
         is when already a :class:`~repro.topology.elements.PairIndex`.
     network:
-        The network the matrix was built from (kept for convenience).
+        The network the matrix was built from; :func:`reroute` routes over
+        it.
     """
 
     def __init__(
@@ -348,6 +360,110 @@ def _assemble_routing_matrix(
         shape=(network.num_links, len(pairs)),
     )
     return RoutingMatrix(csc, network.link_names, pairs, network=network)
+
+
+@dataclass(frozen=True)
+class RerouteResult:
+    """Outcome of re-routing a routing matrix around failed elements.
+
+    Attributes
+    ----------
+    failed_links, failed_nodes:
+        The failed elements, sorted (links incident to failed nodes are
+        implied, not listed).
+    rerouted:
+        Pairs whose base column crossed a failed link, in pair order; every
+        other column is the base column.
+    infeasible:
+        The subset of ``rerouted`` left without a path: a failed endpoint,
+        or a partition.
+    """
+
+    failed_links: tuple[str, ...]
+    failed_nodes: tuple[str, ...]
+    rerouted: tuple[NodePair, ...]
+    infeasible: tuple[NodePair, ...]
+
+    @property
+    def is_feasible(self) -> bool:
+        """Whether every demand still has a path."""
+        return not self.infeasible
+
+
+def reroute(
+    base: RoutingMatrix,
+    failed_links: Iterable[str] = (),
+    failed_nodes: Iterable[str] = (),
+) -> tuple[RoutingMatrix, RerouteResult]:
+    """The routing matrix ``base`` becomes when links and nodes fail.
+
+    A failed node fails its incident links too.  The pairs whose base
+    column crosses a failed link are re-routed on IGP shortest paths (link
+    metrics, the tie-breaking of :class:`ShortestPathRouter`) over
+    ``base.network`` with the failed links masked out, whatever built
+    ``base``; Dijkstra runs from their destinations only.  Every other
+    column is copied from ``base`` bit for bit.  A pair with a failed
+    endpoint, or one the failure disconnects, is infeasible and gets an
+    empty column.  The result keeps ``base``'s link names and pair index;
+    when no pair is affected it is ``base`` itself.
+
+    Raises ``RoutingError`` when ``base`` carries no network (or one whose
+    links are not its rows) and ``TopologyError`` for an unknown link or
+    node, before any routing.
+    """
+    network = base.network
+    if network is None or network.link_names != base.link_names:
+        raise RoutingError("reroute needs a routing matrix whose rows are its network's links")
+    failed_links = tuple(sorted(set(failed_links)))
+    failed_nodes = tuple(sorted(set(failed_nodes)))
+    failed = np.zeros(network.num_links, dtype=bool)
+    # An unknown link or node raises TopologyError here, before any routing.
+    failed[[network.link_index(name) for name in failed_links]] = True
+    for name in failed_nodes:
+        for link in network.outgoing_links(name) + network.incoming_links(name):
+            failed[network.link_index(link.name)] = True
+
+    csr = base.native
+    rows = np.repeat(np.arange(base.num_links), np.diff(csr.indptr))
+    # Every path through a failed node uses one of its links, so the failed
+    # rows name every affected column.
+    affected = np.unique(csr.indices[failed[rows]])
+    pairs = base.pairs
+    if not affected.size:
+        return base, RerouteResult(failed_links, failed_nodes, (), ())
+    rerouted = tuple(pairs[column] for column in affected.tolist())
+    dead = set(failed_nodes)
+    stranded = np.array(
+        [pair.origin in dead or pair.destination in dead for pair in rerouted], dtype=bool
+    )
+    routed = affected[~stranded]
+    table, reachable = _route_pairs(
+        network, [pairs[column] for column in routed.tolist()], attrgetter("metric"), failed
+    )
+    infeasible = stranded.copy()
+    infeasible[~stranded] = ~reachable
+
+    moved = np.zeros(base.num_pairs, dtype=bool)
+    moved[affected] = True
+    kept = ~moved[csr.indices]
+    coo = scipy.sparse.coo_matrix(
+        (
+            np.concatenate([csr.data[kept], np.ones(table.links.size)]),
+            (
+                np.concatenate([rows[kept], table.links]),
+                np.concatenate([csr.indices[kept], np.repeat(routed, np.diff(table.offsets))]),
+            ),
+        ),
+        shape=base.shape,
+    )
+    matrix = RoutingMatrix(coo, base.link_names, pairs, network=network)
+    result = RerouteResult(
+        failed_links,
+        failed_nodes,
+        rerouted,
+        tuple(pair for pair, lost in zip(rerouted, infeasible.tolist()) if lost),
+    )
+    return matrix, result
 
 
 def build_ecmp_routing_matrix(network: Network) -> RoutingMatrix:

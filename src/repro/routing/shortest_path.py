@@ -158,16 +158,15 @@ def constrained_dijkstra(
 ) -> Optional[Path]:
     """Deterministic Dijkstra with an optional link filter.
 
-    This is the *single* shortest-path implementation of the routing
-    substrate: :class:`ShortestPathRouter` (IGP),
+    This is the per-pair shortest-path implementation of the routing
+    substrate: :meth:`ShortestPathRouter.shortest_path` (IGP) and
     :class:`~repro.routing.cspf.CSPFRouter` (bandwidth admission via
-    ``usable``) and :class:`~repro.routing.incremental.IncrementalRerouter`
-    (failure exclusion via ``usable``) all call it, and
-    :func:`single_source_shortest_paths` runs the same sweep without the
-    early exit.  Sharing one implementation (:func:`_dijkstra_sweep`) is
-    what makes incremental reroute provably identical to a from-scratch
-    rebuild: tie-breaking — the lexicographically smallest node sequence
-    among equal-cost paths — cannot drift between callers.
+    ``usable``) call it, and :func:`single_source_shortest_paths` runs the
+    same sweep without the early exit for the python fallback of the
+    batched kernel (failed links excluded via ``usable``).  Sharing one
+    implementation (:func:`_dijkstra_sweep`) keeps the tie-breaking — the
+    lexicographically smallest node sequence among equal-cost paths — from
+    drifting between callers.
 
     Returns ``None`` when the destination is unreachable over the usable
     links (callers decide whether that is an error, a fallback, or an
@@ -197,7 +196,9 @@ def single_source_shortest_paths(
     :func:`_dijkstra_sweep` with no early-exit target, so the route
     recorded for each destination is exactly what
     :func:`constrained_dijkstra` would return for it.  It serves the
-    python fallback of :meth:`ShortestPathRouter.route_table`.
+    python fallback of the batched kernel behind
+    :meth:`ShortestPathRouter.route_table` and
+    :func:`~repro.routing.routing_matrix.reroute`.
     """
     best_cost, best_route = _dijkstra_sweep(network, origin, link_cost, usable, None)
     return {
@@ -215,7 +216,7 @@ class RouteTable:
     indices (``network.links`` order) are ``links[offsets[p]:offsets[p + 1]]``,
     in path order, at total cost ``costs[p]``.  This is the column
     structure of the routing matrix, so the matrix builder needs no
-    per-pair objects.
+    per-pair objects.  An unreachable pair crosses no links at cost ``inf``.
     """
 
     links: np.ndarray
@@ -261,7 +262,8 @@ def _next_hop_routes(
     network: Network,
     pairs: Sequence[NodePair],
     link_cost: Callable[[Link], float],
-) -> RouteTable:
+    failed: Optional[np.ndarray] = None,
+) -> tuple[RouteTable, np.ndarray]:
     """Route every pair at once from one table of next hops per destination.
 
     One csgraph Dijkstra over the reversed min-cost adjacency, from the
@@ -276,10 +278,15 @@ def _next_hop_routes(
     shortest ``x -> v`` path.  Each pair's cost is summed from the origin
     in path order, like the sweep's running sums, so it is bit-identical.
 
+    ``failed`` (a boolean mask over ``network.links``) masks links out of
+    the graph, so the routes are those of the network without them.
+    Returns the table and a boolean mask of the pairs that have a path;
+    an unreachable pair gets an empty route.
+
     Raises ``TopologyError`` for an unknown node, ``RoutingError`` for a
-    non-positive cost or an unreachable pair, and ``_Unreconciled`` (the
-    caller falls back to the python sweep) when a finite distance has no
-    admissible next hop or a walk is unfinished after ``N`` rounds.
+    non-positive cost, and ``_Unreconciled`` (the caller falls back to the
+    python sweep) when a finite distance has no admissible next hop or a
+    walk is unfinished after ``N`` rounds.
     """
     names = network.node_names
     node_index = {name: position for position, name in enumerate(names)}
@@ -311,39 +318,35 @@ def _next_hop_routes(
         )
     dijkstra = _load_csgraph().dijkstra
 
-    # The reversed graph keeps the cheapest of parallel links, so its
+    # The reversed graph keeps the cheapest of parallel live links, so its
     # Dijkstra rows are the costs *to* each destination.
-    key = tail * num_nodes + head
-    by_key = np.lexsort((weight, key))
-    cheapest = by_key[np.diff(key[by_key], prepend=-1) != 0]
+    live = np.arange(num_links) if failed is None else np.flatnonzero(~failed)
+    key = tail[live] * num_nodes + head[live]
+    by_key = np.lexsort((weight[live], key))
+    cheapest = live[by_key[np.diff(key[by_key], prepend=-1) != 0]]
     reversed_adjacency = scipy.sparse.csr_matrix(
         (weight[cheapest], (head[cheapest], tail[cheapest])), shape=(num_nodes, num_nodes)
     )
     dist = np.atleast_2d(dijkstra(reversed_adjacency, directed=True, indices=targets))
-    unreachable = ~np.isfinite(dist[target_row, origins])
-    if unreachable.any():
-        first = int(np.argmax(unreachable))
-        raise RoutingError(
-            f"no path from {names[origins[first]]!r} to {names[destinations[first]]!r} "
-            f"in network {network.name!r}"
-        )
+    reachable = np.isfinite(dist[target_row, origins])
 
-    # Links sorted by tail, then by head name; lexsort is stable, so
+    # Live links sorted by tail, then by head name; lexsort is stable, so
     # parallel links keep their outgoing_links order.
     name_rank = np.empty(num_nodes, dtype=np.intp)
     name_rank[sorted(range(num_nodes), key=names.__getitem__)] = np.arange(num_nodes)
-    order = np.lexsort((name_rank[head], tail))
+    order = live[np.lexsort((name_rank[head[live]], tail[live]))]
     order_tail = tail[order]
     with np.errstate(invalid="ignore"):  # inf - inf where neither end reaches v
         slack = weight[order] + dist[:, head[order]] - dist[:, order_tail]
-    admissible_at = np.where(np.abs(slack) <= _TIE_TOLERANCE, np.arange(num_links), num_links)
+    admissible_at = np.where(np.abs(slack) <= _TIE_TOLERANCE, np.arange(order.size), order.size)
     starts = np.flatnonzero(np.diff(order_tail, prepend=-1))
     first_admissible = np.minimum.reduceat(admissible_at, starts, axis=1)
     next_link = np.full((targets.size, num_nodes), -1, dtype=np.intp)
     next_link[:, order_tail[starts]] = np.where(
-        first_admissible < num_links, order[np.minimum(first_admissible, num_links - 1)], -1
+        first_admissible < order.size, order[np.minimum(first_admissible, order.size - 1)], -1
     )
-    return _walk(next_link, target_row, origins, destinations, head, weight)
+    table = _walk(next_link, target_row, origins, destinations, head, weight, reachable)
+    return table, reachable
 
 
 def _walk(
@@ -353,12 +356,13 @@ def _walk(
     destinations: np.ndarray,
     head: np.ndarray,
     weight: np.ndarray,
+    reachable: np.ndarray,
 ) -> RouteTable:
-    """Advance every pair one hop per round along ``next_link[target, node]``."""
+    """Advance every reachable pair one hop per round along ``next_link[target, node]``."""
     num_pairs = origins.size
     at = origins.copy()
-    costs = np.zeros(num_pairs)
-    walking = np.arange(num_pairs)
+    costs = np.where(reachable, 0.0, np.inf)
+    walking = np.flatnonzero(reachable)
     rounds: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(next_link.shape[1]):  # a shortest path has fewer than N hops
         if not walking.size:
@@ -388,21 +392,62 @@ def _sweep_routes(
     network: Network,
     pairs: Sequence[NodePair],
     link_cost: Callable[[Link], float],
-) -> RouteTable:
-    """The same table from one python :func:`_dijkstra_sweep` per origin."""
+    failed: Optional[np.ndarray] = None,
+) -> tuple[RouteTable, np.ndarray]:
+    """The same table and mask from one python :func:`_dijkstra_sweep` per origin."""
+    usable: Optional[Callable[[Link], bool]] = None
+    if failed is not None:
+        dead = {link.name for link, gone in zip(network.links, failed.tolist()) if gone}
+
+        def usable(link: Link) -> bool:
+            return link.name not in dead
+
     trees: dict[str, dict[str, tuple[tuple[str, ...], tuple[Link, ...], float]]] = {}
     routes: list[tuple[tuple[Link, ...], float]] = []
-    for pair in pairs:
+    reachable = np.ones(len(pairs), dtype=bool)
+    for position, pair in enumerate(pairs):
         if pair.origin not in trees:
-            trees[pair.origin] = single_source_shortest_paths(network, pair.origin, link_cost)
+            trees[pair.origin] = single_source_shortest_paths(
+                network, pair.origin, link_cost, usable
+            )
         route = trees[pair.origin].get(pair.destination)
         if route is None:
-            raise RoutingError(
-                f"no path from {pair.origin!r} to {pair.destination!r} "
-                f"in network {network.name!r}"
-            )
-        routes.append(route[1:])
-    return RouteTable.from_links(network, routes)
+            reachable[position] = False
+            routes.append(((), np.inf))
+        else:
+            routes.append(route[1:])
+    return RouteTable.from_links(network, routes), reachable
+
+
+def _route_pairs(
+    network: Network,
+    pairs: Sequence[NodePair],
+    link_cost: Callable[[Link], float],
+    failed: Optional[np.ndarray] = None,
+) -> tuple[RouteTable, np.ndarray]:
+    """Route ``pairs`` (``failed`` links masked out) with the next-hop kernel.
+
+    Returns the table and the mask of pairs that have a path, as
+    :func:`_next_hop_routes` does.  A scipy missing the feature, or
+    distances the walk cannot follow, fall back to :func:`_sweep_routes`
+    with a ``RuntimeWarning``.
+    """
+    try:
+        return _next_hop_routes(network, pairs, link_cost, failed)
+    except (ImportError, _Unreconciled) as exc:
+        warnings.warn(
+            f"csgraph routing unavailable ({exc}); "
+            "falling back to the python Dijkstra sweep",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return _sweep_routes(network, pairs, link_cost, failed)
+
+
+def _no_path(network: Network, pair: NodePair) -> RoutingError:
+    return RoutingError(
+        f"no path from {pair.origin!r} to {pair.destination!r} in network {network.name!r}"
+    )
 
 
 class ShortestPathRouter:
@@ -452,10 +497,7 @@ class ShortestPathRouter:
         self.network.node(pair.destination)
         path = constrained_dijkstra(self.network, pair, self._link_cost)
         if path is None:
-            raise RoutingError(
-                f"no path from {pair.origin!r} to {pair.destination!r} "
-                f"in network {self.network.name!r}"
-            )
+            raise _no_path(self.network, pair)
         return path
 
     def all_shortest_paths(self, pair: NodePair, tolerance: float = 1e-9) -> tuple[Path, ...]:
@@ -506,16 +548,10 @@ class ShortestPathRouter:
         if pairs is None:
             pairs = self.network.node_pairs()
         with telemetry.span("routing.route_all", pairs=len(pairs)):
-            try:
-                return _next_hop_routes(self.network, pairs, self._link_cost)
-            except (ImportError, _Unreconciled) as exc:
-                warnings.warn(
-                    f"csgraph routing unavailable ({exc}); "
-                    "falling back to the python Dijkstra sweep",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return _sweep_routes(self.network, pairs, self._link_cost)
+            table, reachable = _route_pairs(self.network, pairs, self._link_cost)
+            if not reachable.all():
+                raise _no_path(self.network, pairs[int(np.argmin(reachable))])
+            return table
 
     def route_all(self, pairs: Optional[Sequence[NodePair]] = None) -> dict[NodePair, Path]:
         """Route every pair (default: all pairs of the network) as :class:`Path` objects.

@@ -124,9 +124,11 @@ def restore_daemon(path: str, routing: RoutingMatrix) -> "StreamingEstimator":
     """Reconstruct a daemon from a checkpoint and the *base* routing matrix.
 
     ``routing`` must be the same base mesh the checkpointing daemon was
-    constructed with; recorded topology failures are re-applied through
-    the incremental rerouter and the resulting matrix is verified against
-    the checkpoint's fingerprint before any state is adopted.
+    constructed with; recorded topology failures are re-applied with
+    :func:`~repro.routing.reroute` and the resulting matrix is verified
+    against the checkpoint's fingerprint before any state is adopted.  A
+    recorded failure set that cannot be replayed (it names an element the
+    routing's network lacks) raises :class:`~repro.errors.StreamingError`.
     """
     from repro.streaming.daemon import StreamingEstimator
 
@@ -138,9 +140,7 @@ def restore_daemon(path: str, routing: RoutingMatrix) -> "StreamingEstimator":
     daemon.failed_links = set(state["failed_links"])
     daemon.failed_nodes = set(state["failed_nodes"])
     if daemon.failed_links or daemon.failed_nodes:
-        daemon.routing, _ = daemon._get_rerouter().reroute_matrix(
-            sorted(daemon.failed_links), sorted(daemon.failed_nodes)
-        )
+        daemon.routing, _ = daemon._reroute(daemon.failed_links, daemon.failed_nodes)
     fingerprint = routing_fingerprint(daemon.routing)
     if fingerprint != meta["routing_fingerprint"]:
         raise StreamingError(

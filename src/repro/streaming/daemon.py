@@ -24,10 +24,12 @@ The daemon is built to *survive* the faults the resilience layer injects:
   :class:`~repro.resilience.SupervisedEstimator` chain and compares; if
   the incremental estimate drifted beyond ``watchdog_threshold`` the full
   re-solve is adopted and the record says so;
-* **routing churn** — :meth:`apply_reroute` re-routes incrementally via
-  :class:`~repro.routing.IncrementalRerouter`, bumps the routing *epoch*
-  tagged on every record, and invalidates exactly the warm-start entries
-  of the pairs the failure actually moved;
+* **routing churn** — :meth:`apply_reroute` re-routes the base routing
+  around the failed elements with :func:`~repro.routing.reroute` (only the
+  columns that crossed them change), bumps the routing *epoch* tagged on
+  every record, and invalidates exactly the warm-start entries of the
+  pairs the failure moved; a failure set that cannot be applied raises
+  :class:`~repro.errors.StreamingError` and changes no state;
 * **crashes** — the whole daemon state checkpoints to one ``.npz`` file
   (see :mod:`repro.streaming.checkpoint`); ``kill -9`` followed by
   :meth:`restore` and resuming the stream reproduces the uninterrupted
@@ -45,13 +47,18 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.errors import EstimationError, SolverError, StreamingError
+from repro.errors import (
+    EstimationError,
+    RoutingError,
+    SolverError,
+    StreamingError,
+    TopologyError,
+)
 from repro.estimation.base import EstimationProblem
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import get_estimator
 from repro.resilience.supervisor import SupervisedEstimator
-from repro.routing.incremental import IncrementalRerouter, RerouteResult
-from repro.routing.routing_matrix import RoutingMatrix
+from repro.routing.routing_matrix import RerouteResult, RoutingMatrix, reroute
 from repro.streaming.stream import PollRound, PollStream, CounterTracker
 
 __all__ = ["StreamRecord", "StreamingEstimator"]
@@ -235,7 +242,6 @@ class StreamingEstimator:
             max_iterations=self.budget_iterations,
             retries=self.retries,
         )
-        self._rerouter: Optional[IncrementalRerouter] = None
         self._perm_cache: Optional[tuple[tuple[str, ...], np.ndarray]] = None
 
         # Mutable daemon state (everything below is checkpointed).
@@ -326,14 +332,19 @@ class StreamingEstimator:
     # ------------------------------------------------------------------
     # routing churn
     # ------------------------------------------------------------------
-    def _get_rerouter(self) -> IncrementalRerouter:
-        if self._rerouter is None:
-            if self.base_routing.network is None:
-                raise StreamingError(
-                    "routing matrix carries no network; cannot apply reroutes"
-                )
-            self._rerouter = IncrementalRerouter(self.base_routing.network)
-        return self._rerouter
+    def _reroute(
+        self, failed_links: Iterable[str], failed_nodes: Iterable[str]
+    ) -> tuple[RoutingMatrix, RerouteResult]:
+        """The base routing re-routed around the failed elements.
+
+        Raises :class:`~repro.errors.StreamingError` naming the problem
+        (an unknown element, or a routing without its network) and leaves
+        the daemon untouched.
+        """
+        try:
+            return reroute(self.base_routing, failed_links, failed_nodes)
+        except (RoutingError, TopologyError) as exc:
+            raise StreamingError(f"cannot apply reroute: {exc}") from exc
 
     def apply_reroute(
         self,
@@ -342,28 +353,25 @@ class StreamingEstimator:
     ) -> RerouteResult:
         """Fold a topology change into the stream mid-flight.
 
-        Failures accumulate: each call re-routes the *base* mesh around the
-        union of every failure reported so far (established paths stay put,
-        exactly like the incremental rerouter's RSVP-TE semantics).  The
-        routing epoch is bumped, the warm-start entries of precisely the
-        pairs whose paths moved are invalidated (they re-seed from the
-        prior at the next update), and the next update is forced through
-        the divergence watchdog.
+        Failures accumulate: each call re-routes the *base* routing around
+        the union of every failure reported so far.  Columns that cross no
+        failed element keep their base routes, whatever built the base;
+        the affected pairs take IGP shortest paths (see
+        :func:`~repro.routing.reroute`).  The routing epoch is bumped, the
+        warm-start entries of precisely the pairs whose paths moved are
+        invalidated (they re-seed from the prior at the next update), and
+        the next update is forced through the divergence watchdog.  A
+        failure set that cannot be applied raises
+        :class:`~repro.errors.StreamingError` before any state changes.
         """
-        self.failed_links |= set(failed_links)
-        self.failed_nodes |= set(failed_nodes)
-        new_routing, result = self._get_rerouter().reroute_matrix(
-            sorted(self.failed_links), sorted(self.failed_nodes)
-        )
+        links = self.failed_links | set(failed_links)
+        nodes = self.failed_nodes | set(failed_nodes)
+        self.routing, result = self._reroute(links, nodes)
+        self.failed_links, self.failed_nodes = links, nodes
         pairs = self.routing.pairs
-        if (
-            new_routing.pairs is not pairs and new_routing.pairs != pairs
-        ) or new_routing.num_links != len(self.link_names):
-            raise StreamingError("rerouted matrix does not match the streamed mesh")
         affected = np.zeros(self.routing.num_pairs, dtype=bool)
         for pair in result.rerouted:
             affected[pairs.position(pair)] = True
-        self.routing = new_routing
         self.epoch += 1
         self.pending_invalid |= affected
         self.watchdog_forced = True

@@ -1,9 +1,10 @@
-"""What-if engine tests: incremental reroute parity, caching, partitions.
+"""What-if engine tests: reroute parity, caching, partitions.
 
-The load-bearing property is *parity*: the incremental rerouter — which
-re-signals only the demands whose path traversed a failed element — must
-produce exactly the routing matrix a from-scratch mesh re-signal of the
-surviving topology produces, for every failure case.  The Europe and
+The load-bearing property is *parity*: :func:`repro.routing.reroute` —
+which routes again only the demands whose path crossed a failed element,
+with the batched next-hop kernel and the failed links masked out — must
+produce exactly the routing matrix a from-scratch, per-pair re-route of
+the surviving topology produces, for every failure case.  The Europe and
 Abilene parity tests below are the acceptance criterion of the planning
 subsystem.
 """
@@ -13,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.routing.shortest_path as shortest_path_module
 from repro.datasets import abilene_scenario, europe_scenario
+from repro.errors import RoutingError, TopologyError
 from repro.planning import (
     BASELINE,
     FailureCase,
@@ -21,19 +24,24 @@ from repro.planning import (
     enumerate_failures,
     full_rebuild_routing,
 )
-from repro.routing import IncrementalRerouter, build_routing_matrix
+from repro.routing import RoutingMatrix, build_routing_matrix, reroute
 from repro.topology.elements import NodePair
 
 
-def assert_parity(network, cases):
-    """Incremental reroute must match the from-scratch rebuild on every case."""
-    rerouter = IncrementalRerouter(network)
-    for case in cases:
-        incremental, result = rerouter.reroute_matrix(case.failed_links, case.failed_nodes)
-        full, infeasible = full_rebuild_routing(network, case)
+def assert_same_csr(actual, expected, message=""):
+    for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(
-            incremental.matrix, full.matrix, err_msg=f"matrix mismatch for {case.name}"
+            getattr(actual.native, name), getattr(expected.native, name), err_msg=message
         )
+
+
+def assert_parity(network, cases):
+    """Reroute must match the from-scratch rebuild on every case."""
+    base = build_routing_matrix(network)
+    for case in cases:
+        matrix, result = reroute(base, case.failed_links, case.failed_nodes)
+        full, infeasible = full_rebuild_routing(network, case)
+        assert_same_csr(matrix, full, f"matrix mismatch for {case.name}")
         assert tuple(result.infeasible) == infeasible, case.name
 
 
@@ -60,23 +68,24 @@ class TestIncrementalParity:
         assert_parity(scenario.network, cases)
 
 
-class TestIncrementalRerouter:
-    def test_base_matrix_matches_builder(self, dumbbell_network):
-        rerouter = IncrementalRerouter(dumbbell_network)
-        built = build_routing_matrix(dumbbell_network)
-        np.testing.assert_array_equal(rerouter.base_matrix.matrix, built.matrix)
-
+class TestReroute:
     def test_only_affected_pairs_rerouted(self, dumbbell_network):
-        rerouter = IncrementalRerouter(dumbbell_network)
-        result = rerouter.reroute(failed_links=("A->B",))
+        base = build_routing_matrix(dumbbell_network)
+        matrix, result = reroute(base, failed_links=("A->B",))
         assert NodePair("A", "B") in result.rerouted
-        # Demands inside the other triangle never touched A->B.
+        # Demands inside the other triangle never touched A->B: their
+        # column is the base column, bit for bit.
         assert NodePair("D", "E") not in result.rerouted
-        assert result.paths[NodePair("D", "E")] is rerouter.base_paths[NodePair("D", "E")]
+        column = base.pair_index(NodePair("D", "E"))
+        np.testing.assert_array_equal(
+            matrix.native[:, [column]].toarray(), base.native[:, [column]].toarray()
+        )
+        assert matrix.pairs is base.pairs
+        assert matrix.link_names is base.link_names
 
     def test_bridge_failure_reports_infeasible_pairs(self, dumbbell_network):
-        rerouter = IncrementalRerouter(dumbbell_network)
-        result = rerouter.reroute(failed_links=("C->D",))
+        base = build_routing_matrix(dumbbell_network)
+        matrix, result = reroute(base, failed_links=("C->D",))
         # Every left->right demand crossed C->D; the reverse direction is fine.
         left, right = {"A", "B", "C"}, {"D", "E", "F"}
         expected = {
@@ -86,69 +95,73 @@ class TestIncrementalRerouter:
         }
         assert set(result.infeasible) == expected
         assert not result.is_feasible
-        assert all(result.paths[pair] is None for pair in expected)
+        assert all(matrix.pair_column(pair).sum() == 0.0 for pair in expected)
 
     def test_failed_endpoint_pairs_infeasible(self, dumbbell_network):
-        rerouter = IncrementalRerouter(dumbbell_network)
-        result = rerouter.reroute(failed_nodes=("A",))
+        base = build_routing_matrix(dumbbell_network)
+        _, result = reroute(base, failed_nodes=("A",))
         assert all(
             "A" in (pair.origin, pair.destination) for pair in result.infeasible
         )
         assert len(result.infeasible) == 2 * (dumbbell_network.num_nodes - 1)
 
     def test_infeasible_pair_has_zero_column(self, dumbbell_network):
-        rerouter = IncrementalRerouter(dumbbell_network)
-        matrix, result = rerouter.reroute_matrix(failed_links=("C->D",))
+        base = build_routing_matrix(dumbbell_network)
+        matrix, result = reroute(base, failed_links=("C->D",))
         for pair in result.infeasible:
             assert matrix.pair_column(pair).sum() == 0.0
 
-    def test_fallback_lsps_hold_no_reservation(self):
-        # Line A-B-C-D: the 90 Mbit/s A->D LSP reserves every link; the
-        # 50 Mbit/s B->C LSP cannot be placed (only 10 left on its only
-        # route) and falls back unreserved.  The rerouter's replayed
-        # reservation state must match the CSPF router's exactly — treating
-        # the fallback as a holder would release phantom capacity on repair.
-        from repro.routing import CSPFRouter, LSPMesh
-        from repro.topology import Link, Network, Node
+    def test_unknown_element_raises_topology_error(self, dumbbell_network, monkeypatch):
+        base = build_routing_matrix(dumbbell_network)
 
-        network = Network("line4")
-        for name in ("A", "B", "C", "D"):
-            network.add_node(Node(name=name))
-        for a, b in (("A", "B"), ("B", "C"), ("C", "D")):
-            network.add_bidirectional_link(
-                Link(source=a, target=b, capacity_mbps=100.0, metric=1.0)
-            )
-        bandwidths = {pair: 0.0 for pair in network.node_pairs()}
-        bandwidths[NodePair("A", "D")] = 90.0
-        bandwidths[NodePair("B", "C")] = 50.0
+        def no_routing(*args, **kwargs):
+            raise AssertionError("routing started before the names were checked")
 
-        rerouter = IncrementalRerouter(network, bandwidths=bandwidths)
-        router = CSPFRouter(network)
-        router.signal_mesh(LSPMesh(network, bandwidths=bandwidths), order="bandwidth")
-        assert rerouter._base_reserved == router.reservations.snapshot()
-        assert NodePair("A", "D") in rerouter._reservation_holders
-        assert NodePair("B", "C") not in rerouter._reservation_holders
+        monkeypatch.setattr(shortest_path_module, "_next_hop_routes", no_routing)
+        with pytest.raises(TopologyError, match="X->Y"):
+            reroute(base, failed_links=("A->B", "X->Y"))
+        with pytest.raises(TopologyError, match="'Q'"):
+            reroute(base, failed_nodes=("Q",))
 
-    def test_cspf_bandwidth_mode_respects_capacity(self):
-        # Two parallel two-hop routes between access nodes; the second LSP
-        # must avoid the link the first one filled.
-        from repro.topology import Link, Network, Node
+    def test_base_without_network_rejected(self, dumbbell_network):
+        base = build_routing_matrix(dumbbell_network)
+        bare = RoutingMatrix(base.native, base.link_names, base.pairs)
+        with pytest.raises(RoutingError):
+            reroute(bare, failed_links=("A->B",))
 
-        network = Network("diamond")
-        for name in ("S", "X", "Y", "T"):
-            network.add_node(Node(name=name))
-        for a, b in (("S", "X"), ("X", "T"), ("S", "Y"), ("Y", "T")):
-            network.add_bidirectional_link(
-                Link(source=a, target=b, capacity_mbps=100.0, metric=1.0)
-            )
-        bandwidths = {pair: 0.0 for pair in network.node_pairs()}
-        bandwidths[NodePair("S", "T")] = 90.0
-        bandwidths[NodePair("X", "Y")] = 90.0
-        rerouter = IncrementalRerouter(network, bandwidths=bandwidths)
-        st_path = rerouter.base_paths[NodePair("S", "T")]
-        xy_path = rerouter.base_paths[NodePair("X", "Y")]
-        # Both demands need 90 of 100 Mbit/s: their paths cannot share a link.
-        assert not (set(st_path.link_names()) & set(xy_path.link_names()))
+    def test_failed_node_fails_its_links(self, dumbbell_network):
+        base = build_routing_matrix(dumbbell_network)
+        by_node, node_result = reroute(base, failed_nodes=("B",))
+        incident = [
+            link.name
+            for link in dumbbell_network.links
+            if "B" in (link.source, link.target)
+        ]
+        by_links, link_result = reroute(base, failed_links=incident)
+        assert node_result.rerouted == link_result.rerouted
+        # The links alone leave B isolated but alive: its demands are
+        # disconnected, not lost to a failed endpoint, and route nowhere.
+        assert node_result.infeasible == link_result.infeasible
+        assert_same_csr(by_node, by_links)
+
+
+class TestCsgraphFallback:
+    def test_fallback_gives_identical_reroutes(self, dumbbell_network, monkeypatch):
+        """Without csgraph every case, the partitioning bridge included, routes the same."""
+        base = build_routing_matrix(dumbbell_network)
+        cases = enumerate_failures(dumbbell_network, kinds=("link", "link-pair", "node"))
+        expected = [reroute(base, case.failed_links, case.failed_nodes) for case in cases]
+
+        def broken():
+            raise ImportError("forced by test")
+
+        monkeypatch.setattr(shortest_path_module, "_load_csgraph", broken)
+        assert any(not result.is_feasible for _, result in expected)
+        for case, (matrix, result) in zip(cases, expected):
+            with pytest.warns(RuntimeWarning, match="falling back to the python Dijkstra sweep"):
+                fallback, fallback_result = reroute(base, case.failed_links, case.failed_nodes)
+            assert_same_csr(fallback, matrix, case.name)
+            assert fallback_result == result, case.name
 
 
 class TestWhatIfEngine:

@@ -15,7 +15,11 @@ that makes the kernel a faster router rather than a different one:
   of the python routes, CSR arrays and fingerprint alike;
 * a scipy missing the feature, or distances the walk cannot follow, fall
   back to the python sweep with a warning and identical results, on
-  ``route_all`` and on ``build_routing_matrix``.
+  ``route_all`` and on ``build_routing_matrix``;
+* with failed links masked out (:func:`~repro.routing.reroute`), the
+  kernel's routes equal the per-pair python routes over the surviving
+  topology (:func:`~repro.planning.full_rebuild_routing`), on the same
+  name-order-sensitive networks.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import pytest
 
 import repro.routing.shortest_path as shortest_path_module
 from repro.errors import RoutingError
-from repro.routing.routing_matrix import build_routing_matrix
+from repro.planning import enumerate_failures, full_rebuild_routing
+from repro.routing.routing_matrix import build_routing_matrix, reroute
 from repro.routing.shortest_path import (
     Path,
     ShortestPathRouter,
@@ -161,7 +166,44 @@ def test_routing_matrix_matches_per_path_assembly_at_120_nodes():
     )
 
 
+def assert_reroute_matches_full_rebuild(network, cases):
+    """Reroute equals the per-pair rebuild on the pairs it routed again.
+
+    The rebuild runs on the rerouted pairs only (per-pair python Dijkstra
+    over the surviving topology is slow at scale); the other columns are
+    the base's, which :func:`test_routing_matrix_matches_per_path_assembly_at_120_nodes`
+    already pins.
+    """
+    base = build_routing_matrix(network)
+    for case in cases:
+        matrix, result = reroute(base, case.failed_links, case.failed_nodes)
+        if not result.rerouted:  # e.g. an unused parallel link
+            assert matrix is base, case.name
+            continue
+        columns = [base.pair_index(pair) for pair in result.rerouted]
+        full, infeasible = full_rebuild_routing(network, case, pairs=result.rerouted)
+        assert result.infeasible == infeasible, case.name
+        assert (matrix.native[:, columns] != full.native).nnz == 0, case.name
+        kept = np.setdiff1d(np.arange(base.num_pairs), columns)
+        assert (matrix.native[:, kept] != base.native[:, kept]).nnz == 0, case.name
+
+
+def test_reroute_matches_full_rebuild_at_120_nodes():
+    network = random_backbone(120, avg_degree=3.0, seed=2004)
+    rng = np.random.default_rng(120)
+    cases = []
+    for kind in ("link", "link-pair", "node"):
+        candidates = enumerate_failures(network, kinds=(kind,))
+        cases += [candidates[i] for i in sorted(rng.choice(len(candidates), 2, replace=False))]
+    assert_reroute_matches_full_rebuild(network, cases)
+
+
 class TestReverseAlphabeticalNetwork:
+    def test_reroute_matches_full_rebuild_on_every_case(self):
+        network = reverse_alphabetical_network()
+        cases = enumerate_failures(network, kinds=("link", "link-pair", "node"))
+        assert_reroute_matches_full_rebuild(network, cases)
+
     @pytest.mark.parametrize("metric", ["metric", "hops"])
     def test_matches_python_sweep(self, metric):
         network = reverse_alphabetical_network()

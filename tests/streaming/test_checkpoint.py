@@ -16,7 +16,7 @@ import scipy.sparse
 from repro.errors import StreamingError
 from repro.routing import RoutingMatrix
 from repro.routing import routing_matrix as routing_matrix_module
-from repro.routing.incremental import IncrementalRerouter
+from repro.routing import reroute
 from repro.resilience.faults import (
     ClockSkew,
     CollectorOutage,
@@ -200,11 +200,23 @@ class TestCheckpointValidation:
     ):
         path = tmp_path / "fingerprint.ckpt"
         self._checkpoint(stream_scenario, collector_factory, path)
-        other, _ = IncrementalRerouter(stream_scenario.network).reroute_matrix(
-            failed_links=[stream_scenario.routing.link_names[0]]
+        other, _ = reroute(
+            stream_scenario.routing, failed_links=[stream_scenario.routing.link_names[0]]
         )
         with pytest.raises(StreamingError):
             StreamingEstimator.restore(str(path), other)
+
+    def test_unreplayable_failure_set_rejected(
+        self, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "unknown-link.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        meta["state"]["failed_links"] = ["no-such-link"]
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(StreamingError, match="no-such-link"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
 
     def test_garbage_file_rejected(self, stream_scenario, tmp_path):
         path = tmp_path / "garbage.ckpt"
@@ -286,9 +298,7 @@ class TestFingerprint:
     def test_rerouted_matrix_gets_its_own_fingerprint(self, stream_scenario):
         base = stream_scenario.routing
         base_fingerprint = routing_fingerprint(base)
-        rerouted, result = IncrementalRerouter(stream_scenario.network).reroute_matrix(
-            failed_links=[base.link_names[0]]
-        )
+        rerouted, result = reroute(base, failed_links=[base.link_names[0]])
         assert result.rerouted
         assert rerouted.pairs is base.pairs
         assert routing_fingerprint(rerouted) == format_1_fingerprint(rerouted)

@@ -257,6 +257,79 @@ class TestEpochChurn:
         np.testing.assert_array_equal(warm[affected], replacement[affected])
         assert daemon.invalidated_total == int(affected.sum())
 
+    def test_unknown_element_changes_no_state(
+        self, stream_scenario, collector_factory, tmp_path
+    ):
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon = StreamingEstimator.from_collector(
+            collector_factory(), method="tomogravity", watchdog_every=0
+        )
+        iterator = daemon.run(stream)
+        for _ in range(3):
+            next(iterator)
+        routing, forced = daemon.routing, daemon.watchdog_forced
+        pending = daemon.pending_invalid.copy()
+        failed = stream_scenario.routing.link_names[0]
+        with pytest.raises(StreamingError, match="no-such-link"):
+            daemon.apply_reroute(failed_links=["no-such-link"])
+        with pytest.raises(StreamingError, match="no-such-node"):
+            daemon.apply_reroute(failed_links=[failed], failed_nodes=["no-such-node"])
+        assert daemon.failed_links == set() and daemon.failed_nodes == set()
+        assert daemon.epoch == 0 and daemon.routing is routing
+        assert daemon.watchdog_forced == forced
+        np.testing.assert_array_equal(daemon.pending_invalid, pending)
+
+        # The daemon still reroutes, checkpoints and restores.
+        result = daemon.apply_reroute(failed_links=[failed])
+        assert result.rerouted and daemon.epoch == 1
+        assert daemon.failed_links == {failed}
+        next(iterator)
+        path = tmp_path / "after-bad-name.ckpt"
+        daemon.checkpoint(str(path))
+        restored = StreamingEstimator.restore(str(path), stream_scenario.routing)
+        assert restored.failed_links == {failed}
+        assert restored.routing.fingerprint() == daemon.routing.fingerprint()
+
+    def test_reroute_keeps_non_igp_base_columns(self):
+        """A CSPF base keeps its columns; only the pairs crossing the failure move."""
+        from repro.routing import build_routing_matrix
+        from repro.topology import Link, Network, Node, NodePair
+
+        network = Network("cspf-diamond")
+        for name in ("S", "X", "Y", "T", "U"):
+            network.add_node(Node(name=name))
+        for a, b in (("S", "X"), ("X", "T"), ("S", "Y"), ("Y", "T"), ("T", "U")):
+            network.add_bidirectional_link(
+                Link(source=a, target=b, capacity_mbps=100.0, metric=1.0)
+            )
+        bandwidths = {NodePair("S", "T"): 90.0, NodePair("S", "X"): 50.0}
+        base = build_routing_matrix(network, use_cspf=True, bandwidths=bandwidths)
+        s_to_x = base.pair_column(NodePair("S", "X"))
+        # S->T fills S->X, so S->X detours around it (IGP would go direct).
+        assert {base.link_names[row] for row in np.flatnonzero(s_to_x)} == {
+            "S->Y",
+            "Y->T",
+            "T->X",
+        }
+
+        daemon = StreamingEstimator(
+            routing=base, link_names=[f"link:{name}" for name in base.link_names]
+        )
+        result = daemon.apply_reroute(failed_links=["T->U"])
+        after = daemon.routing
+        np.testing.assert_array_equal(after.pair_column(NodePair("S", "X")), s_to_x)
+        changed = [
+            pair
+            for pair in base.pairs
+            if not np.array_equal(after.pair_column(pair), base.pair_column(pair))
+        ]
+        assert list(result.rerouted) == changed
+        assert changed and all(pair.destination == "U" for pair in changed)
+        kept = np.setdiff1d(
+            np.arange(base.num_pairs), [base.pair_index(pair) for pair in changed]
+        )
+        assert (after.native[:, kept] != base.native[:, kept]).nnz == 0
+
     def test_reroute_without_network_rejected(self, stream_scenario, collector_factory):
         from repro.routing.routing_matrix import RoutingMatrix
 

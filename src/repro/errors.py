@@ -82,9 +82,9 @@ class StreamingError(ReproError):
 class SolverError(ReproError):
     """Raised by the numerical substrate when an optimisation problem fails.
 
-    This covers infeasible linear programs, iteration limits being exceeded
-    in the projected-gradient solvers, and singular equality constraints in
-    the quadratic-programming solver.
+    This covers infeasible linear programs, a Hessian or Newton system that
+    cannot be Cholesky-factorised (Vardi's moment fit, the dual kernel), and
+    failures reported by SciPy's active-set NNLS.
     """
 
 

@@ -6,11 +6,12 @@ interface and consumes an :class:`~repro.estimation.base.EstimationProblem`:
 * :class:`~repro.estimation.gravity.SimpleGravityEstimator` /
   :class:`~repro.estimation.gravity.GeneralizedGravityEstimator` — gravity
   models (Section 4.1);
-* :class:`~repro.estimation.kruithof.KruithofEstimator` /
-  :class:`~repro.estimation.kruithof.KLProjectionEstimator` — Kruithof's
-  projection and Krupp's generalisation (Section 4.2.1);
+* :class:`~repro.estimation.kruithof.KruithofEstimator` — Kruithof's
+  projection onto the edge totals (Section 4.2.1);
 * :class:`~repro.estimation.entropy.EntropyEstimator` — the
-  entropy-regularised approach of Zhang et al. (Section 4.2.1);
+  entropy-regularised approach of Zhang et al. (Section 4.2.1), and
+  :class:`~repro.estimation.entropy.KLProjectionEstimator`, Krupp's KL
+  projection onto all link loads, on the same dual kernel;
 * :class:`~repro.estimation.bayesian.BayesianEstimator` — regularised
   least squares / MAP estimation (Section 4.2.3);
 * :class:`~repro.estimation.vardi.VardiEstimator` — Poisson moment matching
@@ -24,13 +25,17 @@ interface and consumes an :class:`~repro.estimation.base.EstimationProblem`:
 * :mod:`~repro.estimation.partial` — combining tomography with direct
   demand measurements (Section 5.3.6);
 * :class:`~repro.estimation.tomogravity.TomogravityEstimator` — the
-  gravity-prior + regularised-fit pipeline in one call.
+  entropy estimator with a gravity prior, under its own name.
 
 Every method registers itself by name in :mod:`repro.estimation.registry`
 (``register`` / ``get_estimator`` / ``available_estimators``), so runners
 and sweeps can compose method sets without hardcoding classes, and every
 method supports the batched ``estimate_series`` path (with vectorised or
-factor-once overrides where the mathematics allows).
+factor-once overrides where the mathematics allows).  The methods defined
+by a convex program solve it exactly and report a certificate in their
+diagnostics: the duality gap for the dual-kernel methods, the KKT residual
+for Vardi and fanout, the bound gap for the worst-case bounds.  Cao's
+pseudo-EM has no certificate yet.
 """
 
 from repro.estimation.base import (
@@ -41,7 +46,7 @@ from repro.estimation.base import (
 )
 from repro.estimation.bayesian import BayesianEstimator
 from repro.estimation.cao import CaoEstimator
-from repro.estimation.entropy import EntropyEstimator
+from repro.estimation.entropy import EntropyEstimator, KLProjectionEstimator
 from repro.estimation.fanout import FanoutEstimator
 from repro.estimation.gravity import (
     GeneralizedGravityEstimator,
@@ -49,7 +54,7 @@ from repro.estimation.gravity import (
     gravity_vector,
     gravity_vector_series,
 )
-from repro.estimation.kruithof import KLProjectionEstimator, KruithofEstimator
+from repro.estimation.kruithof import KruithofEstimator
 from repro.estimation.partial import (
     DirectMeasurementCombiner,
     greedy_measurement_selection,
@@ -63,7 +68,7 @@ from repro.estimation.priors import (
     worst_case_bound_prior,
 )
 from repro.estimation.registry import available_estimators, get_estimator, register
-from repro.estimation.tomogravity import TomogravityEstimator, sweep_regularization
+from repro.estimation.tomogravity import TomogravityEstimator
 from repro.estimation.vardi import VardiEstimator, link_load_moments
 from repro.estimation.worstcase import (
     DemandBounds,
@@ -105,7 +110,6 @@ __all__ = [
     "greedy_measurement_selection",
     "largest_demand_selection",
     "TomogravityEstimator",
-    "sweep_regularization",
     "SupervisedEstimator",
     "uniform_prior",
     "gravity_prior",

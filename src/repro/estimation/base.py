@@ -535,9 +535,9 @@ class Estimator(abc.ABC):
         Estimators exposing a ``set_warm_start(vector)`` method receive the
         previous snapshot's solution before each subsequent snapshot:
         consecutive snapshots are highly correlated, so iterative solvers
-        (the Vardi QP, the entropy/Bayesian dual Newton solve) converge in a
-        fraction of their cold-start iterations without changing the
-        minimiser they converge to.
+        (the dual Newton solve of entropy, tomogravity, KL projection and
+        Bayesian; Kruithof's IPF) converge in a fraction of their cold-start
+        iterations without changing the minimiser they converge to.
         """
         series = problem.series
         num_snapshots = series.shape[0]
@@ -560,8 +560,8 @@ class Estimator(abc.ABC):
         the series loop uses internally: ``previous`` (typically the last
         poll's estimate) is handed to :meth:`set_warm_start` when the
         estimator exposes one, then :meth:`estimate` runs on the new
-        snapshot.  For the strictly convex solvers (entropy, Bayesian,
-        Vardi, tomogravity) the warm start changes only the iteration
+        snapshot.  For the strictly convex solvers (entropy, tomogravity,
+        KL projection, Bayesian) the warm start changes only the iteration
         count, never the minimiser — so a stream of ``update`` calls
         converges to exactly what per-snapshot cold solves would produce,
         at a fraction of the cost.  Estimators without warm-start support

@@ -48,7 +48,7 @@ from repro.estimation.base import (
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import register
 from repro.estimation.vardi import link_load_moments
-from repro.optimize.nnls import nnls
+from repro.optimize.nnls import nnls_active_set
 
 __all__ = ["CaoEstimator"]
 
@@ -118,7 +118,7 @@ class CaoEstimator(Estimator):
                 )
         if start is None or not np.any(start > 0):
             # Fall back to the non-negative first-moment fit.
-            start = nnls(problem.routing.matrix, mean_loads).x
+            start = nnls_active_set(problem.routing.matrix, mean_loads).x
         return np.maximum(start, 0.0)
 
     def estimate(self, problem: EstimationProblem) -> EstimationResult:

@@ -20,6 +20,14 @@ Newton steps on one multiplier per link, whose minimiser
 ``s = p exp(-R'y / c)`` keeps demands with a zero prior at exactly zero, as
 the KL convention requires.  The result carries the duality gap as its
 convergence certificate.
+
+The same kernel serves two registered variants:
+
+* :class:`~repro.estimation.tomogravity.TomogravityEstimator` — this
+  estimator with its defaults (gravity prior, ``sigma^2 = 1000``);
+* :class:`KLProjectionEstimator` — Krupp's KL projection of the prior onto
+  ``R s = t``, the ``sigma^2 -> inf`` limit, solved at
+  :data:`KL_PROJECTION_REGULARIZATION`.
 """
 
 from __future__ import annotations
@@ -35,7 +43,13 @@ from repro.estimation.registry import register
 from repro.optimize.dual import KLMap, solve_dual
 from repro.optimize.ipf import kl_divergence
 
-__all__ = ["EntropyEstimator"]
+__all__ = ["EntropyEstimator", "KLProjectionEstimator", "KL_PROJECTION_REGULARIZATION"]
+
+#: ``sigma^2`` at which :class:`KLProjectionEstimator` stands in for the exact
+#: I-projection: the link misfit is then below 1e-6 of the largest load
+#: (at most 4.3e-7 on Europe, Abilene and America), and the dual Newton
+#: solve still takes 4-8 steps.
+KL_PROJECTION_REGULARIZATION = 1e8
 
 
 @register()
@@ -52,11 +66,11 @@ class EntropyEstimator(Estimator):
         :func:`repro.estimation.priors.make_prior`.
     max_iterations:
         Cap on the dual solver's Newton steps.
-    scale_invariant:
-        When ``True`` (default) the KL term is computed on demands scaled by
-        the total prior traffic, which keeps the trade-off between the two
-        objective terms comparable across networks of different absolute
-        traffic volumes (the paper sweeps one dimensionless parameter).
+
+    The KL term is weighted by the total prior traffic over ``sigma^2``,
+    which keeps the trade-off between the two objective terms comparable
+    across networks of different absolute traffic volumes (the paper sweeps
+    one dimensionless parameter).
     """
 
     name = "entropy"
@@ -66,7 +80,6 @@ class EntropyEstimator(Estimator):
         regularization: float = 1000.0,
         prior: str | np.ndarray = "gravity",
         max_iterations: int = 100,
-        scale_invariant: bool = True,
     ) -> None:
         if regularization <= 0:
             raise EstimationError("regularization (sigma^2) must be positive")
@@ -75,7 +88,6 @@ class EntropyEstimator(Estimator):
         self.regularization = float(regularization)
         self.prior = prior
         self.max_iterations = int(max_iterations)
-        self.scale_invariant = bool(scale_invariant)
         self._warm_start: Optional[np.ndarray] = None
 
     def set_warm_start(self, vector: np.ndarray) -> None:
@@ -111,12 +123,11 @@ class EntropyEstimator(Estimator):
             # A zero prior forces a zero estimate (KL keeps zeros at zero).
             return self._result(problem, np.zeros(problem.num_pairs), prior_kind="zero")
 
-        # Optional scale normalisation keeps sigma^2 dimensionless.
-        scale = float(prior.sum()) if self.scale_invariant else 1.0
+        # Weighting by the prior total keeps sigma^2 dimensionless.
         solution = solve_dual(
             problem.routing,
             problem.snapshot,
-            KLMap(prior, scale / self.regularization),
+            KLMap(prior, float(prior.sum()) / self.regularization),
             start=warm_start,
             max_iterations=self.max_iterations,
         )
@@ -132,3 +143,27 @@ class EntropyEstimator(Estimator):
             converged=solution.converged,
             duality_gap=solution.duality_gap,
         )
+
+
+@register()
+class KLProjectionEstimator(EntropyEstimator):
+    """Krupp's generalisation of Kruithof: the KL projection of a prior onto ``R s = t``.
+
+    The I-projection minimises ``D(s || s^(p))`` subject to the link
+    constraints; it is the ``sigma^2 -> inf`` limit of the entropy fit, and
+    is solved as that fit at ``sigma^2 =``
+    :data:`KL_PROJECTION_REGULARIZATION`.  Every estimate has the
+    projection's form ``s = p exp(-R'y / c)``, so ``log(s / p)`` lies in the
+    range of ``R'`` and zero-prior demands stay exactly zero; the result
+    carries the duality gap like the entropy estimator's.
+
+    Parameters
+    ----------
+    prior:
+        Prior vector or prior name (default ``"gravity"``).
+    """
+
+    name = "kl-projection"
+
+    def __init__(self, prior: str | np.ndarray = "gravity") -> None:
+        super().__init__(regularization=KL_PROJECTION_REGULARIZATION, prior=prior)

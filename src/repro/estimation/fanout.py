@@ -16,9 +16,14 @@ overdetermined; the paper's Figure 11 shows the error dropping quickly with
 the first few snapshots and then levelling out.
 
 :class:`FanoutEstimator` solves this constrained least-squares problem with
-:func:`repro.optimize.qp.constrained_nnls` and reports, as its point
+:func:`repro.optimize.nnls.constrained_nnls` and reports, as its point
 estimate, the window-average demands ``mean_k t_e(n)[k] * alpha_nm`` (the
-quantity the paper plots in Figure 10).
+quantity the paper plots in Figure 10).  The fit is certified by its KKT
+residual: with ``g = A'(A alpha - b)`` the gradient of the stacked fit and
+``mu_n = -min g`` over origin ``n``'s fanouts its equality multiplier, the
+minimiser has ``min(alpha, g + mu) = 0`` entrywise.  The gradient is
+divided by the size of ``A'b`` before the ``min``, so the residual, like
+the fanouts, does not depend on the traffic unit.
 """
 
 from __future__ import annotations
@@ -35,9 +40,13 @@ from repro.estimation.base import (
     SeriesEstimationResult,
 )
 from repro.estimation.registry import register
-from repro.optimize.qp import constrained_nnls
+from repro.optimize.nnls import KKT_TOLERANCE, constrained_nnls, kkt_residual
 
 __all__ = ["FanoutEstimator"]
+
+#: Largest violation of "every origin's fanouts sum to one" that counts as
+#: converged.
+EQUALITY_TOLERANCE = 1e-6
 
 
 @register()
@@ -49,17 +58,14 @@ class FanoutEstimator(Estimator):
     window_length:
         Number of snapshots (from the start of the problem's series) to use;
         ``None`` uses the full series.
-    solver:
-        NNLS solver preference forwarded to the constrained solver.
     """
 
     name = "fanout"
 
-    def __init__(self, window_length: Optional[int] = None, solver: str = "auto") -> None:
+    def __init__(self, window_length: Optional[int] = None) -> None:
         if window_length is not None and window_length < 1:
             raise EstimationError("window_length must be at least 1")
         self.window_length = window_length
-        self.solver = solver
 
     @staticmethod
     def _ingress(problem: EstimationProblem) -> np.ndarray:
@@ -107,14 +113,11 @@ class FanoutEstimator(Estimator):
         targets = np.ones(len(origins))
 
         scale = float(np.abs(blocks).max(initial=1.0))
-        solution = constrained_nnls(
-            blocks / scale,
-            rhs / scale,
-            equality,
-            targets,
-            solver=self.solver,
-        )
+        solution = constrained_nnls(blocks / scale, rhs / scale, equality, targets)
         fanouts = np.maximum(solution.x, 0.0)
+        certificate = _kkt_residual(
+            blocks, rhs, fanouts, pair_origin_col, num_links, len(origins)
+        )
 
         # Point estimate: window-average demands implied by the fanouts.
         mean_ingress = ingress.mean(axis=0)
@@ -126,6 +129,11 @@ class FanoutEstimator(Estimator):
             window_length=num_snapshots,
             equality_violation=solution.equality_violation,
             residual_norm=solution.residual_norm,
+            kkt_residual=certificate,
+            converged=bool(
+                certificate <= KKT_TOLERANCE
+                and solution.equality_violation <= EQUALITY_TOLERANCE
+            ),
         )
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
@@ -139,11 +147,33 @@ class FanoutEstimator(Estimator):
         fanouts = np.asarray(result.diagnostics["fanouts"], dtype=float)
         _, _, pair_origin_col, _ = problem.pair_positions()
         estimates = fanouts[None, :] * self._ingress(problem)[:, pair_origin_col]
-        return self._series_result(
-            problem,
-            estimates,
-            batched=True,
-            window_length=result.diagnostics["window_length"],
-            equality_violation=result.diagnostics["equality_violation"],
-            residual_norm=result.diagnostics["residual_norm"],
-        )
+        diagnostics = dict(result.diagnostics)
+        del diagnostics["fanouts"]
+        return self._series_result(problem, estimates, batched=True, **diagnostics)
+
+
+def _kkt_residual(
+    blocks: np.ndarray,
+    rhs: np.ndarray,
+    fanouts: np.ndarray,
+    pair_origin_col: np.ndarray,
+    num_links: int,
+    num_origins: int,
+) -> float:
+    """KKT residual of ``fanouts`` for the stacked fit ``min ||A alpha - b||^2``.
+
+    ``g = A'(A alpha - b)`` is computed once; each origin's multiplier
+    ``mu_n = -min g`` over its fanouts makes ``g + mu >= 0``.  The residual
+    is ``max|min(alpha, (g + mu) / s)|`` with ``s`` the largest
+    ``|d_k o R't_k|``, the per-snapshot terms of ``A'b``: scaling the loads
+    and ingress by ``c`` scales ``g`` and ``s`` by ``c^2`` and leaves the
+    unitless fanouts alone, so the residual is unit-free.
+    """
+    gradient = blocks.T @ (blocks @ fanouts - rhs)
+    lowest = np.full(num_origins, np.inf)
+    np.minimum.at(lowest, pair_origin_col, gradient)
+    per_snapshot = np.einsum(
+        "klp,kl->kp", blocks.reshape(-1, num_links, blocks.shape[1]), rhs.reshape(-1, num_links)
+    )
+    scale = float(np.abs(per_snapshot).max(initial=0.0)) or 1.0
+    return kkt_residual(fanouts, (gradient - lowest[pair_origin_col]) / scale, 1.0)

@@ -7,15 +7,10 @@ Kullback-Leibler distance to the prior subject to those constraints, and
 generalised it to arbitrary linear constraints ``R s = t`` — the direct
 ancestor of today's entropy-regularised estimators.
 
-Two estimators are provided:
-
-* :class:`KruithofEstimator` — the classical biproportional fit of a prior
-  matrix to the measured edge totals ``t_e(n)`` / ``t_x(m)``; it never looks
-  at interior links;
-* :class:`KLProjectionEstimator` — Krupp's generalisation: the I-projection
-  of the prior onto ``{s >= 0 : R s = t}`` using all link measurements,
-  computed by generalised iterative scaling.  This is the ``sigma -> inf``
-  limit of the entropy estimator when the linear system is consistent.
+:class:`KruithofEstimator` is the classical biproportional fit of a prior
+matrix to the measured edge totals ``t_e(n)`` / ``t_x(m)``; it never looks
+at interior links.  Krupp's generalisation, which uses every link
+measurement, is :class:`~repro.estimation.entropy.KLProjectionEstimator`.
 """
 
 from __future__ import annotations
@@ -34,13 +29,9 @@ from repro.estimation.base import (
 from repro.estimation.gravity import gravity_vector_series
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import register
-from repro.optimize.ipf import (
-    generalized_iterative_scaling,
-    kruithof_scaling,
-    kruithof_scaling_batch,
-)
+from repro.optimize.ipf import kruithof_scaling, kruithof_scaling_batch
 
-__all__ = ["KruithofEstimator", "KLProjectionEstimator"]
+__all__ = ["KruithofEstimator"]
 
 
 def _resolve_prior(problem: EstimationProblem, prior: str | np.ndarray) -> np.ndarray:
@@ -182,53 +173,6 @@ class KruithofEstimator(Estimator):
             problem,
             estimates,
             batched=True,
-            iterations=fit.iterations,
-            converged=fit.converged,
-            max_violation=fit.max_violation,
-            prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-        )
-
-
-@register()
-class KLProjectionEstimator(Estimator):
-    """Krupp's generalisation: KL projection of a prior onto ``R s = t``.
-
-    Parameters
-    ----------
-    prior:
-        Prior vector or prior name (default ``"gravity"``).
-    max_iterations, tolerance:
-        Forwarded to
-        :func:`repro.optimize.ipf.generalized_iterative_scaling`.
-    """
-
-    name = "kl-projection"
-
-    def __init__(
-        self,
-        prior: str | np.ndarray = "gravity",
-        max_iterations: int = 2000,
-        tolerance: float = 1e-7,
-    ) -> None:
-        self.prior = prior
-        self.max_iterations = int(max_iterations)
-        self.tolerance = float(tolerance)
-
-    def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Project the prior onto the link-load constraints."""
-        prior = _resolve_prior(problem, self.prior)
-        # ``native`` hands iterative scaling the CSR matrix, so the
-        # projection never densifies the routing matrix.
-        fit = generalized_iterative_scaling(
-            prior,
-            problem.routing.native,
-            problem.snapshot,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-        )
-        return self._result(
-            problem,
-            fit.values,
             iterations=fit.iterations,
             converged=fit.converged,
             max_violation=fit.max_violation,

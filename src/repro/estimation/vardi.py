@@ -16,23 +16,26 @@ minimise the least-squares discrepancy
                + sigma^{-2} || R diag(lambda) R' - Sigma_hat ||_F^2``
     subject to ``lambda >= 0``
 
-where ``sigma^{-2}`` in [0, 1] expresses faith in the Poisson assumption
-(``sigma^{-2} = 1`` trusts it fully, values near zero use only the first
+where ``sigma^{-2}`` in (0, 1] expresses faith in the Poisson assumption
+(``sigma^{-2} = 1`` trusts it fully, values near zero lean on the first
 moment).
 
 Both terms are quadratic in ``lambda``; using ``<r_p r_p', r_q r_q'> =
-(r_p' r_q)^2`` the combined objective reduces to a non-negative quadratic
-program with Hessian ``R'R + w (R'R)^{.2}`` (elementwise square), solved by
-:func:`repro.optimize.qp.nonnegative_quadratic_program`.
+(r_p' r_q)^2`` the combined objective reduces to the non-negative quadratic
+program ``min lambda' H lambda - 2 h' lambda`` with Hessian ``H = R'R + w
+(R'R)^{.2}`` (elementwise square).  ``H`` is positive definite for
+``w > 0``: factored as ``L L'``, the program is the least-squares problem
+``min || L' lambda - L^{-1} h ||^2`` over ``lambda >= 0``, which
+:func:`repro.optimize.nnls.nnls_active_set` (Lawson-Hanson) solves exactly.
+The estimate reports the KKT residual of that solve as its certificate.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
+import scipy.linalg
 
-from repro.errors import EstimationError
+from repro.errors import EstimationError, SolverError
 from repro.estimation.base import (
     EstimationProblem,
     EstimationResult,
@@ -40,7 +43,7 @@ from repro.estimation.base import (
     SeriesEstimationResult,
 )
 from repro.estimation.registry import register
-from repro.optimize.qp import nonnegative_quadratic_program
+from repro.optimize.nnls import KKT_TOLERANCE, kkt_residual, nnls_active_set
 
 __all__ = ["VardiEstimator", "link_load_moments"]
 
@@ -70,69 +73,47 @@ class VardiEstimator(Estimator):
     Parameters
     ----------
     poisson_weight:
-        The paper's ``sigma^{-2}`` in [0, 1]: weight of the second-moment
-        (covariance) matching term relative to the first-moment term.
-    max_iterations, tolerance:
-        Forwarded to the projected-gradient QP solver.
+        The paper's ``sigma^{-2}`` in (0, 1]: weight of the second-moment
+        (covariance) matching term relative to the first-moment term.  At
+        zero the Hessian ``R'R`` is singular and the minimiser not unique,
+        so zero is rejected.
     """
 
     name = "vardi"
 
-    def __init__(
-        self,
-        poisson_weight: float = 1.0,
-        max_iterations: int = 20000,
-        tolerance: float = 1e-12,
-    ) -> None:
-        if not 0 <= poisson_weight <= 1:
-            raise EstimationError("poisson_weight (sigma^-2) must lie in [0, 1]")
+    def __init__(self, poisson_weight: float = 1.0) -> None:
+        if not 0 < poisson_weight <= 1:
+            raise EstimationError("poisson_weight (sigma^-2) must lie in (0, 1]")
         self.poisson_weight = float(poisson_weight)
-        self.max_iterations = int(max_iterations)
-        self.tolerance = float(tolerance)
-        self._warm_start: Optional[np.ndarray] = None
-
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Use ``vector`` as the next QP's starting point.
-
-        Called by the generic :meth:`~repro.estimation.base.Estimator.estimate_series`
-        loop with the previous snapshot's solution; the projected-gradient
-        solver started near the optimum converges in a handful of
-        iterations instead of thousands.  The warm start is one-shot — it
-        applies to the next :meth:`estimate` call only (and only when its
-        dimension matches), so plain repeated calls keep their cold-start
-        behaviour bit for bit.
-        """
-        self._warm_start = np.asarray(vector, dtype=float).copy()
 
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
-        """Match the sample moments of the link-load series."""
+        """Match the sample moments of the link-load series.
+
+        Raises :class:`~repro.errors.SolverError` when the Hessian cannot
+        be Cholesky-factored.
+        """
         series = problem.series
         mean, covariance = link_load_moments(series)
         routing = problem.routing
 
+        # <r_p r_p', r_q r_q'>_F = ((R'R)_pq)^2  and  <r_p r_p', Sigma>_F = (R' Sigma R)_pp
         gram = routing.gram()
-        hessian = gram.copy()
-        linear = routing.rmatvec(mean)
-        if self.poisson_weight > 0:
-            # <r_p r_p', r_q r_q'>_F = ((R'R)_pq)^2  and  <r_p r_p', Sigma>_F = (R' Sigma R)_pp
-            sigma_r = routing.rmatmat(covariance).T  # columns Sigma r_p, shape (L, P)
-            hessian = hessian + self.poisson_weight * gram**2
-            linear = linear + self.poisson_weight * np.einsum(
-                "lp,lp->p", routing.matrix, sigma_r
-            )
-
-        x0 = None
-        if self._warm_start is not None and self._warm_start.shape == linear.shape:
-            x0 = self._warm_start
-        self._warm_start = None
-        solution = nonnegative_quadratic_program(
-            hessian,
-            linear,
-            x0=x0,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
+        sigma_r = routing.rmatmat(covariance).T  # columns Sigma r_p, shape (L, P)
+        hessian = gram + self.poisson_weight * gram**2
+        linear = routing.rmatvec(mean) + self.poisson_weight * np.einsum(
+            "lp,lp->p", routing.matrix, sigma_r
         )
-        values = solution.x
+        try:
+            factor = scipy.linalg.cholesky(hessian, lower=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise SolverError(f"Vardi's Hessian could not be factorised: {exc}") from exc
+        # min ||L' x - L^{-1} h||^2 = x' H x - 2 h' x + const over x >= 0.
+        values = nnls_active_set(
+            factor.T, scipy.linalg.solve_triangular(factor, linear, lower=True)
+        ).x
+        certificate = kkt_residual(
+            values, hessian @ values - linear, float(np.abs(linear).max(initial=0.0))
+        )
         # R diag(values) R' compared against the sample covariance.
         scaled_columns = values[None, :] * routing.matrix
         covariance_model = routing.matmat(scaled_columns.T)
@@ -143,8 +124,8 @@ class VardiEstimator(Estimator):
             num_snapshots=series.shape[0],
             first_moment_residual=float(np.linalg.norm(routing.matvec(values) - mean)),
             second_moment_residual=float(np.linalg.norm(covariance_model - covariance)),
-            iterations=solution.iterations,
-            converged=solution.converged,
+            kkt_residual=certificate,
+            converged=bool(certificate <= KKT_TOLERANCE),
         )
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:

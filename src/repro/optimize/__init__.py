@@ -1,26 +1,20 @@
-"""Numerical substrate: NNLS, constrained least squares, LP, iterative scaling.
+"""Numerical substrate: exact NNLS, the dual Newton kernel, LP, Kruithof scaling.
 
 These solvers back the estimation methods:
 
 * :mod:`~repro.optimize.dual` — the link-space dual Newton solver behind
-  the entropy and Bayesian estimators;
-* :mod:`~repro.optimize.nnls` — non-negative least squares (active set and
-  accelerated projected gradient);
-* :mod:`~repro.optimize.qp` — equality-constrained least squares with and
-  without non-negativity (fanout estimation);
+  the entropy, tomogravity, KL-projection and Bayesian estimators;
+* :mod:`~repro.optimize.nnls` — exact non-negative least squares
+  (Lawson-Hanson, a factor-once batch for many right-hand sides, and the
+  equality-constrained fanout fit) and the KKT residual that certifies it;
 * :mod:`~repro.optimize.linear_program` — LP wrapper and the certified
   worst-case-bound engine;
 * :mod:`~repro.optimize.ipf` — Kruithof's biproportional fitting and the
-  generalised iterative scaling / KL projection.
+  Kullback-Leibler distance.
 """
 
 from repro.optimize.dual import DualResult, KLMap, L2Map, solve_dual
-from repro.optimize.ipf import (
-    IPFResult,
-    generalized_iterative_scaling,
-    kl_divergence,
-    kruithof_scaling,
-)
+from repro.optimize.ipf import IPFResult, kl_divergence, kruithof_scaling
 from repro.optimize.linear_program import (
     BatchBoundsResult,
     LPResult,
@@ -28,14 +22,12 @@ from repro.optimize.linear_program import (
     presolve_variable_bounds,
     solve_linear_program,
 )
-from repro.optimize.nnls import NNLSResult, nnls, nnls_active_set, nnls_projected_gradient
-from repro.optimize.qp import (
+from repro.optimize.nnls import (
     ConstrainedLSResult,
-    QPResult,
+    NNLSResult,
     constrained_nnls,
-    equality_constrained_least_squares,
-    nonnegative_quadratic_program,
-    symmetric_spectral_norm,
+    kkt_residual,
+    nnls_active_set,
 )
 
 __all__ = [
@@ -44,15 +36,10 @@ __all__ = [
     "L2Map",
     "solve_dual",
     "NNLSResult",
-    "nnls",
     "nnls_active_set",
-    "nnls_projected_gradient",
+    "kkt_residual",
     "ConstrainedLSResult",
-    "equality_constrained_least_squares",
     "constrained_nnls",
-    "QPResult",
-    "nonnegative_quadratic_program",
-    "symmetric_spectral_norm",
     "LPResult",
     "BatchBoundsResult",
     "solve_linear_program",
@@ -60,6 +47,5 @@ __all__ = [
     "presolve_variable_bounds",
     "IPFResult",
     "kruithof_scaling",
-    "generalized_iterative_scaling",
     "kl_divergence",
 ]

@@ -1,7 +1,7 @@
 """Link-space dual Newton solver for the regularised estimators.
 
-The entropy (paper Section 4.2.1) and Bayesian (Section 4.2.3) estimators
-both minimise
+The entropy (paper Section 4.2.1) and Bayesian (Section 4.2.3) estimators,
+and the tomogravity and KL-projection variants of entropy, all minimise
 
     ``f(s) = || R s - t ||_2^2 + D(s)``  over  ``s >= 0``
 
@@ -24,7 +24,11 @@ The dual gradient is ``R s(y) - t - y / 2`` and the negated (generalised)
 Hessian ``R diag(d) R' + I / 2`` is an ``L x L`` symmetric positive definite
 matrix (``d = s / c`` for KL, ``1[s > 0] / (2 w)`` for L2), so
 :func:`solve_dual` runs Newton steps with a dense Cholesky factorisation and
-Armijo backtracking; it needs a handful of steps whatever ``P`` is.
+Armijo backtracking; it needs a handful of steps whatever ``P`` is.  When
+the data term dominates (KL projection, ``sigma^2 = 1e8``), a step's
+predicted ascent can drop below the rounding of the dual value before the
+gap meets its tolerance; from there a full step is taken when it shrinks
+the gradient, which is computed without cancellation.
 
 Every ``s(y)`` is primal feasible, and the duality gap ``f(s(y)) - g(y)``
 equals the squared dual gradient ``|| R s(y) - t - y / 2 ||^2`` exactly, so
@@ -54,6 +58,10 @@ GAP_TOLERANCE = 1e-10
 #: Armijo sufficient-ascent constant and backtracking depth.
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 50
+
+#: Predicted ascent, relative to the dual value, below which the value can
+#: no longer rank two points and the line search switches to the gradient.
+_VALUE_FLOOR = 1e-14
 
 
 class KLMap:
@@ -203,17 +211,26 @@ def solve_dual(
     while gap > GAP_TOLERANCE and iterations < max_iterations:
         step = _newton_step(routing, link_map, point)
         slope = float(point.gradient @ step)
-        size = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            trial = evaluate(point.y + size * step)
-            if trial.value >= point.value + _ARMIJO * size * slope:
+        if slope <= _VALUE_FLOOR * abs(point.value):
+            # The predicted ascent is below the dual value's rounding, so
+            # the Armijo test would compare noise.  The gradient (whose
+            # square is the gap) is computed without cancellation: take the
+            # full Newton step if it shrinks it (a NaN does not), else stop.
+            trial = evaluate(point.y + step)
+            if not float(trial.gradient @ trial.gradient) < float(point.gradient @ point.gradient):
                 break
-            size *= 0.5
         else:
-            # No measurable ascent along the Newton direction: the dual
-            # value has reached its floating-point floor.  The certificate
-            # below says how good the point is.
-            break
+            size = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                trial = evaluate(point.y + size * step)
+                if trial.value >= point.value + _ARMIJO * size * slope:
+                    break
+                size *= 0.5
+            else:
+                # No measurable ascent along the Newton direction: the dual
+                # value has reached its floating-point floor.  The
+                # certificate below says how good the point is.
+                break
         point = trial
         iterations += 1
         objective, gap = _certificate(point, link_map)

@@ -1,20 +1,19 @@
-"""Iterative proportional fitting (Kruithof's projection) and KL projections.
+"""Iterative proportional fitting (Kruithof's projection) and the KL distance.
 
 Kruithof's 1937 method adjusts a prior traffic matrix so that its row and
 column sums match measured totals of incoming and outgoing traffic; Krupp
 showed the iteration converges to the matrix that minimises the
-Kullback-Leibler distance to the prior subject to those constraints, and
-extended it to general linear constraints.  Both forms are needed here:
+Kullback-Leibler distance to the prior subject to those constraints.
 
-* :func:`kruithof_scaling` — the classical biproportional (row/column sum)
-  fit, used to make a gravity prior consistent with edge-node totals;
-* :func:`generalized_iterative_scaling` — the Darroch-Ratcliff style
-  multiplicative update that computes the I-projection of a prior onto the
-  affine set ``{s >= 0 : R s = t}`` for a routing matrix with entries in
-  [0, 1], used by the entropy estimator when an exactly consistent solution
-  is wanted;
+* :func:`kruithof_scaling` / :func:`kruithof_scaling_batch` — the classical
+  biproportional (row/column sum) fit, used to make a gravity prior
+  consistent with edge-node totals;
 * :func:`kl_divergence` — the Kullback-Leibler distance ``D(s || prior)``
   used as the regulariser of the entropy approach.
+
+Krupp's generalisation to all link constraints ``R s = t`` is the
+``kl-projection`` estimator, solved by the link-space dual kernel
+(:mod:`repro.optimize.dual`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 
 from repro.errors import SolverError
 from repro.resilience.budget import budget_tick
@@ -33,19 +31,19 @@ __all__ = [
     "IPFResult",
     "kruithof_scaling",
     "kruithof_scaling_batch",
-    "generalized_iterative_scaling",
     "kl_divergence",
 ]
 
 
 @dataclass(frozen=True)
 class IPFResult:
-    """Result of an iterative scaling run.
+    """Result of a Kruithof scaling run.
 
     Attributes
     ----------
     values:
-        The fitted matrix (classical Kruithof) or vector (generalised form).
+        The fitted matrix (:func:`kruithof_scaling`) or ``(K, R, C)`` stack
+        (:func:`kruithof_scaling_batch`).
     iterations:
         Number of sweeps performed.
     max_violation:
@@ -250,73 +248,3 @@ def kruithof_scaling_batch(
         max_violation=final_violation,
         converged=not np.any(active),
     )
-
-
-def generalized_iterative_scaling(
-    prior: np.ndarray,
-    routing_matrix: np.ndarray,
-    link_loads: np.ndarray,
-    max_iterations: int = 2000,
-    tolerance: float = 1e-7,
-) -> IPFResult:
-    """I-projection of ``prior`` onto ``{s >= 0 : R s = t}`` by multiplicative updates.
-
-    Implements a Darroch-Ratcliff style generalised iterative scaling: at
-    every sweep each demand is multiplied by a geometric mean of the ratios
-    ``t_l / (R s)_l`` over the links it traverses, weighted by the routing
-    fractions.  For consistent data (``t`` in the cone of ``R`` applied to
-    the support of the prior) the iteration converges to the KL projection,
-    generalising Kruithof's method exactly as Krupp described.
-
-    Parameters
-    ----------
-    prior:
-        Strictly the starting point and regularisation centre; zero entries
-        remain zero.
-    routing_matrix:
-        Matrix with entries in [0, 1]; a SciPy sparse matrix is accepted
-        and used as-is (the iteration only needs products and column sums),
-        so a CSR routing matrix never has to densify.
-    link_loads:
-        Target loads ``t``.
-    """
-    prior = np.asarray(prior, dtype=float)
-    sparse = scipy.sparse.issparse(routing_matrix)
-    if sparse:
-        routing_matrix = scipy.sparse.csr_matrix(routing_matrix, dtype=float)
-    else:
-        routing_matrix = np.asarray(routing_matrix, dtype=float)
-    link_loads = np.asarray(link_loads, dtype=float)
-    if prior.ndim != 1:
-        raise SolverError("prior must be a vector")
-    if routing_matrix.shape != (len(link_loads), len(prior)):
-        raise SolverError("routing matrix shape inconsistent with prior and link loads")
-    if np.any(prior < 0) or np.any(link_loads < -1e-12):
-        raise SolverError("prior and link loads must be non-negative")
-    entries = routing_matrix.data if sparse else routing_matrix
-    if np.any(entries < 0) or np.any(entries > 1 + 1e-12):
-        raise SolverError("routing matrix entries must lie in [0, 1]")
-
-    values = prior.copy()
-    link_loads = np.maximum(link_loads, 0.0)
-    column_weight = np.asarray(routing_matrix.sum(axis=0)).ravel().copy()
-    column_weight[column_weight == 0] = 1.0
-    converged = False
-    iterations = 0
-    scale = max(float(link_loads.max(initial=0.0)), 1e-12)
-    for iterations in range(1, max_iterations + 1):
-        budget_tick()
-        predicted = routing_matrix @ values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(predicted > 0, link_loads / predicted, 1.0)
-        log_ratios = np.log(np.maximum(ratios, 1e-300))
-        exponents = (routing_matrix.T @ log_ratios) / column_weight
-        values = values * np.exp(exponents)
-        violation = float(np.max(np.abs(routing_matrix @ values - link_loads), initial=0.0))
-        if violation < tolerance * scale:
-            converged = True
-            break
-    violation = float(np.max(np.abs(routing_matrix @ values - link_loads), initial=0.0))
-    counter_inc("ipf.sweeps", iterations)
-    histogram_observe("ipf.max_violation", violation)
-    return IPFResult(values=values, iterations=iterations, max_violation=violation, converged=converged)

@@ -1,21 +1,24 @@
-"""Non-negative least squares (NNLS) solvers.
+"""Exact non-negative least squares (NNLS) solvers.
 
 Most estimators in the paper reduce to a least-squares problem with a
 non-negativity constraint on the demands:
 
     minimize ``|| A x - b ||_2^2``  subject to ``x >= 0``.
 
-Two solvers are provided:
+Every solver here is exact: it returns the minimiser, not an approximation
+of it (the batch flags any column it could not finish):
 
-* :func:`nnls_active_set` — a thin wrapper around SciPy's Lawson-Hanson
-  implementation, exact but cubic in the number of variables;
-* :func:`nnls_projected_gradient` — a projected-gradient (FISTA-accelerated)
-  solver that scales to the larger American-network problems and to the
-  stacked systems built by the regularised estimators.
+* :func:`nnls_active_set` — SciPy's Lawson-Hanson active-set algorithm,
+  cubic in the number of variables.  Vardi's moment fit runs it on the
+  Cholesky factor of its Hessian, and Cao's pseudo-EM takes its fallback
+  start from it;
+* :func:`nnls_normal_equations_batch` — many right-hand sides sharing one
+  positive-definite Gram, factored once (Bayesian's series path);
+* :func:`constrained_nnls` — the same problem with linear equality
+  constraints added as heavily weighted rows, which is the fanout fit of
+  paper Section 4.2.4; it reports the equality violation it leaves.
 
-:func:`nnls` picks a solver automatically based on problem size; all
-functions return a :class:`NNLSResult` carrying the solution, the residual
-norm and convergence diagnostics.
+:func:`kkt_residual` is the optimality certificate the callers report.
 """
 
 from __future__ import annotations
@@ -25,19 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-
-from repro.resilience.budget import budget_tick
 import scipy.sparse
 
 from repro.errors import SolverError
+from repro.resilience.budget import budget_tick
 
 __all__ = [
+    "KKT_TOLERANCE",
     "NNLSResult",
+    "ConstrainedLSResult",
+    "kkt_residual",
     "nnls_active_set",
-    "nnls_projected_gradient",
-    "nnls",
     "nnls_normal_equations_batch",
+    "constrained_nnls",
 ]
+
+#: Bound on :func:`kkt_residual` that counts as an exact, converged solve.
+KKT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,16 +57,43 @@ class NNLSResult:
         The non-negative minimiser.
     residual_norm:
         ``|| A x - b ||_2`` at the solution.
-    iterations:
-        Number of iterations used (0 for the active-set wrapper).
-    converged:
-        Whether the stopping tolerance was reached before the iteration cap.
     """
 
     x: np.ndarray
     residual_norm: float
-    iterations: int
-    converged: bool
+
+
+@dataclass(frozen=True)
+class ConstrainedLSResult:
+    """Solution of an equality-constrained NNLS problem.
+
+    Attributes
+    ----------
+    x:
+        The minimiser.
+    residual_norm:
+        ``||A x - b||_2`` at the solution.
+    equality_violation:
+        ``||E x - f||_inf`` at the solution.
+    """
+
+    x: np.ndarray
+    residual_norm: float
+    equality_violation: float
+
+
+def kkt_residual(x: np.ndarray, gradient: np.ndarray, scale: float) -> float:
+    """Relative optimality residual ``max|min(x, gradient)| / scale``.
+
+    At the minimiser of a convex function over ``x >= 0`` every entry has
+    either ``x = 0`` and a non-negative gradient, or ``x > 0`` and a zero
+    gradient, so ``min(x, gradient)`` vanishes entrywise; the residual
+    measures how far ``x`` is from that.  ``scale`` (the size of the linear
+    term, say) makes it relative; a zero scale counts as one.
+    """
+    if not x.size:
+        return 0.0
+    return float(np.max(np.abs(np.minimum(x, gradient)))) / (scale or 1.0)
 
 
 def _validate(A, b: np.ndarray):
@@ -88,72 +122,7 @@ def nnls_active_set(A: np.ndarray, b: np.ndarray) -> NNLSResult:
         x, residual = scipy.optimize.nnls(A, b)
     except Exception as exc:  # pragma: no cover - scipy failure is exceptional
         raise SolverError(f"active-set NNLS failed: {exc}") from exc
-    return NNLSResult(x=x, residual_norm=float(residual), iterations=0, converged=True)
-
-
-def nnls_projected_gradient(
-    A: np.ndarray,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    max_iterations: int = 5000,
-    tolerance: float = 1e-9,
-) -> NNLSResult:
-    """NNLS via FISTA (accelerated projected gradient).
-
-    Parameters
-    ----------
-    A, b:
-        Problem data.
-    x0:
-        Optional starting point (negative entries are clipped).
-    max_iterations:
-        Iteration cap.
-    tolerance:
-        Convergence is declared when the relative change of the objective
-        between iterations falls below this value.
-    """
-    A, b = _validate(A, b)
-    if max_iterations <= 0:
-        raise SolverError("max_iterations must be positive")
-    num_vars = A.shape[1]
-    x = np.zeros(num_vars) if x0 is None else np.maximum(np.asarray(x0, dtype=float), 0.0)
-    if x.shape != (num_vars,):
-        raise SolverError(f"x0 has shape {x.shape}, expected ({num_vars},)")
-
-    gram = A.T @ A
-    if scipy.sparse.issparse(gram):
-        gram = gram.toarray()
-    atb = A.T @ b
-    # Lipschitz constant of the gradient is the largest eigenvalue of A^T A.
-    lipschitz = float(np.linalg.norm(gram, 2)) if num_vars > 0 else 1.0
-    if lipschitz <= 0:
-        return NNLSResult(x=x, residual_norm=float(np.linalg.norm(b)), iterations=0, converged=True)
-    step = 1.0 / lipschitz
-
-    def objective(v: np.ndarray) -> float:
-        residual = A @ v - b
-        return 0.5 * float(residual @ residual)
-
-    y = x.copy()
-    momentum = 1.0
-    previous_objective = objective(x)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        budget_tick()
-        gradient = gram @ y - atb
-        x_next = np.maximum(y - step * gradient, 0.0)
-        momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
-        y = x_next + (momentum - 1.0) / momentum_next * (x_next - x)
-        x, momentum = x_next, momentum_next
-        current_objective = objective(x)
-        denominator = max(abs(previous_objective), 1e-12)
-        if abs(previous_objective - current_objective) / denominator < tolerance:
-            converged = True
-            break
-        previous_objective = current_objective
-    residual_norm = float(np.linalg.norm(A @ x - b))
-    return NNLSResult(x=x, residual_norm=residual_norm, iterations=iterations, converged=converged)
+    return NNLSResult(x=x, residual_norm=float(residual))
 
 
 def nnls_normal_equations_batch(
@@ -255,25 +224,47 @@ def nnls_normal_equations_batch(
     return solutions, converged
 
 
-def nnls(
-    A: np.ndarray,
-    b: np.ndarray,
-    prefer: str = "auto",
-    max_iterations: int = 5000,
-    tolerance: float = 1e-9,
-) -> NNLSResult:
-    """Solve NNLS with an automatically chosen solver.
+def _validate_problem(
+    A: np.ndarray, b: np.ndarray, E: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    E = np.asarray(E, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if A.ndim != 2 or E.ndim != 2:
+        raise SolverError("A and E must be two-dimensional")
+    if A.shape[1] != E.shape[1]:
+        raise SolverError(
+            f"A has {A.shape[1]} columns but E has {E.shape[1]}; they must match"
+        )
+    if b.shape != (A.shape[0],):
+        raise SolverError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
+    if f.shape != (E.shape[0],):
+        raise SolverError(f"f has shape {f.shape}, expected ({E.shape[0]},)")
+    return A, b, E, f
 
-    ``prefer`` may be ``"auto"`` (active set for small problems, projected
-    gradient otherwise), ``"active-set"`` or ``"projected-gradient"``.
+
+def constrained_nnls(
+    A: np.ndarray, b: np.ndarray, E: np.ndarray, f: np.ndarray
+) -> ConstrainedLSResult:
+    """Solve ``min ||A x - b||^2`` s.t. ``E x = f`` and ``x >= 0``.
+
+    The equality constraints enter the objective as heavily weighted rows:
+    the system ``[A; w E] x ~ [b; w f]`` is solved exactly by
+    :func:`nnls_active_set` with ``w = 1000 * max(1, ||A||_F / ||E||_F)``,
+    which keeps the equality residual several orders of magnitude below the
+    data residual.  The achieved equality violation is returned so callers
+    can check it (the fanout estimator also certifies optimality).
     """
-    A, b = _validate(A, b)
-    if prefer not in ("auto", "active-set", "projected-gradient"):
-        raise SolverError(f"unknown solver preference {prefer!r}")
-    if prefer == "active-set":
-        return nnls_active_set(A, b)
-    if prefer == "projected-gradient":
-        return nnls_projected_gradient(A, b, max_iterations=max_iterations, tolerance=tolerance)
-    if A.shape[1] <= 800:
-        return nnls_active_set(A, b)
-    return nnls_projected_gradient(A, b, max_iterations=max_iterations, tolerance=tolerance)
+    A, b, E, f = _validate_problem(A, b, E, f)
+    scale_a = float(np.linalg.norm(A)) or 1.0
+    scale_e = float(np.linalg.norm(E)) or 1.0
+    penalty_weight = 1000.0 * max(1.0, scale_a / scale_e)
+    stacked_matrix = np.vstack([A, penalty_weight * E])
+    stacked_rhs = np.concatenate([b, penalty_weight * f])
+    x = nnls_active_set(stacked_matrix, stacked_rhs).x
+    return ConstrainedLSResult(
+        x=x,
+        residual_norm=float(np.linalg.norm(A @ x - b)),
+        equality_violation=float(np.max(np.abs(E @ x - f))) if E.shape[0] else 0.0,
+    )

@@ -5,8 +5,9 @@ the failure policy a production deployment needs spelled out:
 
 * a cooperative :class:`~repro.resilience.budget.SolverBudget` bounding
   each attempt by wall-clock time and/or solver iterations (the
-  entropy/Bayesian dual Newton kernel, the projected-gradient QP and the
-  IPF scaling loops all tick the budget);
+  entropy/Bayesian dual Newton kernel, the Bayesian batch NNLS pivoting and
+  the IPF scaling loops all tick the budget; the single Lawson-Hanson
+  solves of Vardi and fanout do not);
 * bounded retry of the primary method with deterministically perturbed
   warm starts;
 * a declared fallback chain (e.g. ``entropy → tomogravity → gravity``)

@@ -113,8 +113,8 @@ class RoutingMatrix:
     def native(self) -> scipy.sparse.csr_matrix:
         """The canonical CSR storage (shared; do not mutate).
 
-        For sparse-aware consumers (LP assembly, iterative scaling, column
-        slicing) — unlike :attr:`matrix`, this never materialises a dense
+        For sparse-aware consumers (LP assembly, serialisation, rerouting,
+        column slicing) — unlike :attr:`matrix`, this never materialises a dense
         copy.
         """
         return self._csr

@@ -19,8 +19,10 @@ import warnings
 import pytest
 
 from repro.estimation.registry import available_estimators, get_estimator
+from repro.estimation.fanout import EQUALITY_TOLERANCE
 from repro.optimize.dual import GAP_TOLERANCE
 from repro.optimize.linear_program import _TIGHT_TOLERANCE
+from repro.optimize.nnls import KKT_TOLERANCE
 
 FORBIDDEN_ALIASES = ("solver_iterations", "solver_converged", "link_residual")
 
@@ -28,15 +30,19 @@ FORBIDDEN_ALIASES = ("solver_iterations", "solver_converged", "link_residual")
 #: ``converged`` flag is derived from the duality-gap certificate.
 CERTIFIED = {"iterations", "converged", "residual_norm", "duality_gap"}
 
+#: Keys of the exact active-set solves, whose ``converged`` flag is derived
+#: from the KKT residual.
+KKT_CERTIFIED = {"kkt_residual", "converged"}
+
 #: name -> (constructor params, problem kind, required canonical keys)
 CONVENTIONS = {
     "bayesian": ({}, "snapshot", CERTIFIED),
     "cao": ({}, "series", {"iterations"}),
     "entropy": ({}, "snapshot", CERTIFIED),
-    "fanout": ({}, "series", {"residual_norm"}),
+    "fanout": ({}, "series", {"residual_norm", "equality_violation"} | KKT_CERTIFIED),
     "generalized-gravity": ({"peering_nodes": set()}, "snapshot", set()),
     "gravity": ({}, "snapshot", set()),
-    "kl-projection": ({}, "snapshot", {"iterations", "converged"}),
+    "kl-projection": ({}, "snapshot", CERTIFIED),
     "kruithof": ({}, "snapshot", {"iterations", "converged"}),
     "supervised": (
         {"primary": "tomogravity"},
@@ -44,7 +50,7 @@ CONVENTIONS = {
         {"iterations", "converged", "residual_norm"},
     ),
     "tomogravity": ({}, "snapshot", CERTIFIED),
-    "vardi": ({}, "series", {"iterations", "converged"}),
+    "vardi": ({}, "series", KKT_CERTIFIED),
     "worst-case-bounds": ({}, "snapshot", {"iterations", "converged", "bound_gap"}),
 }
 
@@ -81,6 +87,15 @@ def test_canonical_diagnostics_keys(name, small_scenario_session):
         # converged is derived from the certificate, which must hold here.
         gap = diagnostics["duality_gap"]
         assert diagnostics["converged"] is (0.0 <= gap <= GAP_TOLERANCE)
+        assert diagnostics["converged"]
+    if "kkt_residual" in diagnostics:
+        # converged is derived from the KKT residual (and, for fanout, the
+        # violation of its equality constraints), which must hold here.
+        residual = diagnostics["kkt_residual"]
+        violation = diagnostics.get("equality_violation", 0.0)
+        assert diagnostics["converged"] is (
+            0.0 <= residual <= KKT_TOLERANCE and violation <= EQUALITY_TOLERANCE
+        )
         assert diagnostics["converged"]
     if "bound_gap" in diagnostics:
         # The worst-case bounds certify each bound by a witness and a dual.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,9 @@ from repro.estimation import (
     KLProjectionEstimator,
     KruithofEstimator,
     TomogravityEstimator,
-    sweep_regularization,
 )
 from repro.evaluation import mean_relative_error
-from repro.routing import build_routing_matrix
+from repro.routing import RoutingMatrix, build_routing_matrix
 from repro.topology import NodePair
 from repro.traffic import TrafficMatrix
 
@@ -142,12 +143,49 @@ class TestKruithof:
             KruithofEstimator().estimate(problem)
 
 
+def toy_problem(routing, loads):
+    """A problem on an explicit routing matrix (pairs and links are labels only)."""
+    routing = np.asarray(routing, dtype=float)
+    pairs = [NodePair("A", f"N{index}") for index in range(routing.shape[1])]
+    links = [f"L{index}" for index in range(routing.shape[0])]
+    return EstimationProblem(
+        routing=RoutingMatrix(routing, links, pairs), link_loads=np.asarray(loads, dtype=float)
+    )
+
+
 class TestKLProjection:
+    def test_projects_onto_consistent_constraints(self):
+        # Two demands sharing one link plus one individually measured demand.
+        problem = toy_problem([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [10.0, 3.0])
+        result = KLProjectionEstimator(prior=np.array([2.0, 2.0, 5.0])).estimate(problem)
+        assert result.diagnostics["converged"]
+        # The prior split was 50/50, so the projection keeps it.
+        np.testing.assert_allclose(result.vector, [5.0, 5.0, 3.0], rtol=1e-6)
+
+    def test_respects_prior_proportions(self):
+        problem = toy_problem([[1.0, 1.0]], [8.0])
+        result = KLProjectionEstimator(prior=np.array([3.0, 1.0])).estimate(problem)
+        np.testing.assert_allclose(result.vector, [6.0, 2.0], rtol=1e-6)
+
+    def test_zero_prior_entries_stay_zero(self):
+        problem = toy_problem([[1.0, 1.0]], [4.0])
+        result = KLProjectionEstimator(prior=np.array([0.0, 1.0])).estimate(problem)
+        assert result.vector[0] == 0.0
+        assert result.vector[1] == pytest.approx(4.0, rel=1e-6)
+
+    def test_prior_validation(self):
+        problem = toy_problem([[1.0, 1.0]], [4.0])
+        with pytest.raises(EstimationError):
+            KLProjectionEstimator(prior=np.ones(3)).estimate(problem)
+        with pytest.raises(EstimationError):
+            KLProjectionEstimator(prior=-np.ones(2)).estimate(problem)
+
     def test_satisfies_link_constraints(self, line_problem):
         truth, problem = line_problem
         result = KLProjectionEstimator(prior="gravity").estimate(problem)
+        assert result.diagnostics["converged"]
         assert np.allclose(
-            problem.routing.link_loads(result.vector), problem.snapshot, rtol=1e-3, atol=1e-3
+            problem.routing.link_loads(result.vector), problem.snapshot, rtol=1e-6, atol=1e-6
         )
 
     def test_exact_prior_is_fixed_point(self, line_problem):
@@ -155,50 +193,38 @@ class TestKLProjection:
         result = KLProjectionEstimator(prior=truth.vector).estimate(problem)
         assert np.allclose(result.vector, truth.vector, rtol=1e-6)
 
+    def test_is_the_entropy_fit_at_the_fixed_regularization(self, small_snapshot_problem):
+        from repro.estimation.entropy import KL_PROJECTION_REGULARIZATION
+
+        projection = KLProjectionEstimator().estimate(small_snapshot_problem)
+        entropy = EntropyEstimator(
+            regularization=KL_PROJECTION_REGULARIZATION, prior="gravity"
+        ).estimate(small_snapshot_problem)
+        np.testing.assert_array_equal(projection.vector, entropy.vector)
+        assert projection.method == "kl-projection"
+        assert projection.diagnostics["regularization"] == KL_PROJECTION_REGULARIZATION
+
 
 class TestTomogravity:
-    def test_flavours(self, small_snapshot_problem):
-        entropy = TomogravityEstimator(flavour="entropy").estimate(small_snapshot_problem)
-        bayes = TomogravityEstimator(flavour="bayesian").estimate(small_snapshot_problem)
-        assert entropy.method == "tomogravity"
-        assert bayes.diagnostics["flavour"] == "bayesian"
-        with pytest.raises(EstimationError):
-            TomogravityEstimator(flavour="magic")
-
-    def test_sweep_returns_one_result_per_value(self, small_snapshot_problem):
-        sweep = sweep_regularization(small_snapshot_problem, [0.1, 10.0, 1000.0])
-        assert [value for value, _ in sweep] == [0.1, 10.0, 1000.0]
-        with pytest.raises(EstimationError):
-            sweep_regularization(small_snapshot_problem, [])
-
     def test_matches_underlying_entropy_estimator(self, small_snapshot_problem):
-        tomo = TomogravityEstimator(flavour="entropy", regularization=500.0).estimate(
-            small_snapshot_problem
-        )
+        tomo = TomogravityEstimator(regularization=500.0).estimate(small_snapshot_problem)
         entropy = EntropyEstimator(regularization=500.0, prior="gravity").estimate(
             small_snapshot_problem
         )
+        assert tomo.method == "tomogravity"
         assert np.allclose(tomo.vector, entropy.vector)
 
-    @pytest.mark.parametrize("flavour", ["entropy", "bayesian"])
-    def test_warm_start_is_forwarded_to_inner_estimator(self, small_snapshot_problem, flavour):
-        # The registry-contracts audit found tomogravity advertised as
-        # warm-startable (README batched-series table) without forwarding
-        # set_warm_start to the wrapped estimator — the generic series
-        # loop's getattr probe found nothing and silently ran cold.  The
-        # forwarding must hand the exact vector to the inner estimator.
-        estimator = TomogravityEstimator(flavour=flavour)
-        vector = np.full(len(small_snapshot_problem.pairs), 3.0)
-        estimator.set_warm_start(vector)
-        inner_start = estimator._inner._warm_start
-        assert inner_start is not None
-        np.testing.assert_array_equal(inner_start, vector)
+    def test_options_are_regularization_and_prior(self):
+        parameters = inspect.signature(TomogravityEstimator).parameters
+        assert list(parameters) == ["regularization", "prior"]
+        with pytest.raises(TypeError):
+            TomogravityEstimator(max_iterations=5)
 
     def test_warm_start_does_not_change_the_estimate(self, small_snapshot_problem):
-        # Both flavours solve strictly convex programs: the warm start can
+        # Tomogravity solves a strictly convex program: the warm start can
         # only change the iteration count, never the minimiser.
-        cold = TomogravityEstimator(flavour="bayesian").estimate(small_snapshot_problem)
-        warm_estimator = TomogravityEstimator(flavour="bayesian")
+        cold = TomogravityEstimator().estimate(small_snapshot_problem)
+        warm_estimator = TomogravityEstimator()
         warm_estimator.set_warm_start(cold.vector)
         warm = warm_estimator.estimate(small_snapshot_problem)
         np.testing.assert_allclose(warm.vector, cold.vector, atol=1e-6)

@@ -13,7 +13,6 @@ from repro.estimation import (
     EstimationProblem,
     FanoutEstimator,
     SimpleGravityEstimator,
-    TomogravityEstimator,
     VardiEstimator,
     WorstCaseBoundsEstimator,
 )
@@ -121,7 +120,7 @@ class TestScenarioLevelComparisons:
         for estimator in (
             SimpleGravityEstimator(),
             EntropyEstimator(regularization=1000.0),
-            TomogravityEstimator(flavour="bayesian"),
+            BayesianEstimator(prior="gravity"),
         ):
             estimate = estimator.estimate(problem).estimate
             assert demand_ranking_correlation(estimate, truth) > 0.4

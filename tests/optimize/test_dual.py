@@ -1,4 +1,4 @@
-"""The link-space dual Newton kernel behind entropy, tomogravity and Bayesian.
+"""The link-space dual Newton kernel behind the entropy-family and Bayesian fits.
 
 The kernel must return the minimiser of the primal objective it claims to
 solve and prove it with its duality gap: Bayesian against the exact
@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from repro.datasets import abilene_scenario, large_scenario
 from repro.errors import BudgetExceededError, SolverError
 from repro.estimation import BayesianEstimator, EntropyEstimator, EstimationProblem
 from repro.estimation.priors import make_prior
 from repro.optimize import KLMap, L2Map, nnls_active_set, solve_dual
 from repro.optimize.ipf import kl_divergence
 from repro.resilience import SolverBudget
+from repro.routing import RoutingMatrix
+from repro.topology import NodePair
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +138,36 @@ class TestEntropyCertificate:
         assert np.all(result.vector[::7] == 0.0)
         assert np.all(result.vector[prior > 0] > 0.0)
         assert result.diagnostics["converged"] is True
+
+
+class TestRoundingFloor:
+    """Near the optimum of a heavily data-weighted fit, a Newton step's
+    predicted ascent drops below the rounding of the dual value long before
+    the gap meets its tolerance; the solve must still certify."""
+
+    def test_small_problem_with_a_tiny_kl_weight(self):
+        rng = np.random.default_rng(556)
+        dense = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
+        dense[0] = 1.0
+        truth = rng.uniform(0.5, 5.0, size=6)
+        prior = rng.uniform(0.5, 5.0, size=6)
+        routing = RoutingMatrix(
+            dense, ["L0", "L1", "L2"], [NodePair("A", f"N{i}") for i in range(6)]
+        )
+        result = solve_dual(routing, dense @ truth, KLMap(prior, prior.sum() / 1e8))
+        assert result.converged is True
+        assert result.iterations <= 10
+
+    @pytest.mark.parametrize(
+        "build,regularization",
+        [(lambda: abilene_scenario(4242), 1e12), (lambda: large_scenario(50, 2004), 1e8)],
+        ids=["abilene-4242", "n50-2004"],
+    )
+    def test_backbones_at_large_regularization(self, build, regularization):
+        problem = build().snapshot_problem()
+        result = EntropyEstimator(regularization=regularization).estimate(problem)
+        assert result.diagnostics["converged"] is True
+        assert result.diagnostics["iterations"] <= 10
 
 
 class TestWarmStarts:

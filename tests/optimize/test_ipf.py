@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.optimize import generalized_iterative_scaling, kl_divergence, kruithof_scaling
+from repro.optimize import kl_divergence, kruithof_scaling
 
 
 class TestKLDivergence:
@@ -69,42 +69,3 @@ class TestKruithofScaling:
             kruithof_scaling(-np.ones((2, 2)), np.ones(2), np.ones(2))
         with pytest.raises(SolverError):
             kruithof_scaling(np.ones((2, 2)), np.zeros(2), np.zeros(2))
-
-
-class TestGeneralizedIterativeScaling:
-    def test_projects_onto_consistent_constraints(self):
-        # Two demands sharing one link plus one individually measured demand.
-        routing = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        prior = np.array([2.0, 2.0, 5.0])
-        target = np.array([10.0, 3.0])
-        result = generalized_iterative_scaling(prior, routing, target)
-        assert result.converged
-        assert np.allclose(routing @ result.values, target, atol=1e-4)
-        # The prior split was 50/50, so the projection keeps it.
-        assert result.values[0] == pytest.approx(5.0, rel=1e-3)
-        assert result.values[1] == pytest.approx(5.0, rel=1e-3)
-
-    def test_respects_prior_proportions(self):
-        routing = np.array([[1.0, 1.0]])
-        prior = np.array([3.0, 1.0])
-        target = np.array([8.0])
-        result = generalized_iterative_scaling(prior, routing, target)
-        assert result.values[0] == pytest.approx(6.0, rel=1e-4)
-        assert result.values[1] == pytest.approx(2.0, rel=1e-4)
-
-    def test_zero_prior_entries_stay_zero(self):
-        routing = np.array([[1.0, 1.0]])
-        prior = np.array([0.0, 1.0])
-        result = generalized_iterative_scaling(prior, routing, np.array([4.0]))
-        assert result.values[0] == 0.0
-        assert result.values[1] == pytest.approx(4.0, rel=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(SolverError):
-            generalized_iterative_scaling(np.ones((2, 2)), np.ones((1, 2)), np.ones(1))
-        with pytest.raises(SolverError):
-            generalized_iterative_scaling(np.ones(2), np.ones((1, 3)), np.ones(1))
-        with pytest.raises(SolverError):
-            generalized_iterative_scaling(np.ones(2), 2 * np.ones((1, 2)), np.ones(1))
-        with pytest.raises(SolverError):
-            generalized_iterative_scaling(-np.ones(2), np.ones((1, 2)), np.ones(1))

@@ -1,4 +1,4 @@
-"""Tests for the NNLS solvers."""
+"""Tests for the exact NNLS solvers and their KKT certificate."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.optimize import nnls, nnls_active_set, nnls_projected_gradient
+from repro.optimize import constrained_nnls, kkt_residual, nnls_active_set
 
 
 def random_problem(rows, cols, seed=0):
@@ -24,60 +24,66 @@ class TestActiveSet:
         assert np.all(result.x >= 0)
         assert result.residual_norm < 1e-8
 
+    def test_enforces_nonnegativity_when_unconstrained_solution_is_negative(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        b = np.array([-1.0, 2.0, 1.0])
+        result = nnls_active_set(A, b)
+        assert np.all(result.x >= 0)
+        assert result.x[0] == 0.0
+
     def test_shape_validation(self):
         with pytest.raises(SolverError):
             nnls_active_set(np.ones((3, 2)), np.ones(4))
         with pytest.raises(SolverError):
             nnls_active_set(np.ones(3), np.ones(3))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solution_meets_its_kkt_certificate(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(25, 12))
+        b = rng.normal(size=25)
+        x = nnls_active_set(A, b).x
+        gradient = A.T @ (A @ x - b)
+        assert kkt_residual(x, gradient, float(np.abs(A.T @ b).max())) < 1e-12
 
-class TestProjectedGradient:
-    def test_matches_active_set_on_small_problem(self):
-        A, b, _ = random_problem(40, 15, seed=2)
-        exact = nnls_active_set(A, b)
-        approx = nnls_projected_gradient(A, b, max_iterations=20000, tolerance=1e-14)
-        assert approx.residual_norm == pytest.approx(exact.residual_norm, abs=1e-4)
-        assert np.allclose(approx.x, exact.x, atol=1e-3)
 
-    def test_enforces_nonnegativity_when_unconstrained_solution_is_negative(self):
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        b = np.array([-1.0, 2.0, 1.0])
-        result = nnls_projected_gradient(A, b)
-        assert np.all(result.x >= 0)
-        assert result.x[0] == pytest.approx(0.0, abs=1e-6)
+class TestKKTResidual:
+    def test_zero_at_a_minimiser_and_positive_away_from_it(self):
+        # min (x0 - 1)^2 + (x1 + 1)^2 over x >= 0 is x = (1, 0).
+        def gradient(x):
+            return np.array([x[0] - 1.0, x[1] + 1.0])
 
-    def test_warm_start_accepted(self):
-        A, b, x_true = random_problem(20, 8, seed=3)
-        result = nnls_projected_gradient(A, b, x0=x_true)
-        assert result.residual_norm < 1e-6
+        assert kkt_residual(np.array([1.0, 0.0]), gradient(np.array([1.0, 0.0])), 1.0) == 0.0
+        assert kkt_residual(np.array([0.5, 0.0]), gradient(np.array([0.5, 0.0])), 1.0) == 0.5
+        assert kkt_residual(np.array([1.0, 0.2]), gradient(np.array([1.0, 0.2])), 2.0) == 0.1
 
-    def test_invalid_inputs_rejected(self):
-        A, b, _ = random_problem(5, 3, seed=4)
+    def test_empty_and_zero_scale(self):
+        assert kkt_residual(np.zeros(0), np.zeros(0), 0.0) == 0.0
+        assert kkt_residual(np.array([2.0]), np.array([3.0]), 0.0) == 2.0
+
+
+class TestConstrainedNNLS:
+    def test_simplex_constraint_and_nonnegativity(self):
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(20, 5))
+        x_true = np.array([0.5, 0.3, 0.2, 0.0, 0.0])
+        b = A @ x_true
+        E = np.ones((1, 5))
+        f = np.array([1.0])
+        result = constrained_nnls(A, b, E, f)
+        assert np.all(result.x >= -1e-9)
+        assert result.x.sum() == pytest.approx(1.0, abs=1e-3)
+        assert np.allclose(result.x, x_true, atol=1e-2)
+
+    def test_binding_equality_is_met(self):
+        # The unconstrained minimiser (1, 2, 3) sums to 6; the constraint
+        # asks for 3, which shifts every coordinate down by one.
+        result = constrained_nnls(np.eye(3), np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.array([3.0]))
+        assert result.equality_violation < 1e-6
+        np.testing.assert_allclose(result.x, [0.0, 1.0, 2.0], atol=1e-6)
+
+    def test_shape_validation(self):
         with pytest.raises(SolverError):
-            nnls_projected_gradient(A, b, max_iterations=0)
+            constrained_nnls(np.ones((3, 2)), np.ones(3), np.ones((1, 3)), np.ones(1))
         with pytest.raises(SolverError):
-            nnls_projected_gradient(A, b, x0=np.ones(7))
-
-    def test_reports_iterations_and_convergence(self):
-        A, b, _ = random_problem(20, 8, seed=5)
-        result = nnls_projected_gradient(A, b)
-        assert result.iterations > 0
-        assert result.converged
-
-
-class TestDispatcher:
-    def test_auto_uses_active_set_for_small_problems(self):
-        A, b, _ = random_problem(30, 10, seed=6)
-        result = nnls(A, b)
-        assert result.residual_norm < 1e-8
-
-    def test_explicit_solver_selection(self):
-        A, b, _ = random_problem(30, 10, seed=7)
-        pg = nnls(A, b, prefer="projected-gradient")
-        act = nnls(A, b, prefer="active-set")
-        assert pg.residual_norm == pytest.approx(act.residual_norm, abs=1e-4)
-
-    def test_unknown_preference_rejected(self):
-        A, b, _ = random_problem(5, 3, seed=8)
-        with pytest.raises(SolverError):
-            nnls(A, b, prefer="magic")
+            constrained_nnls(np.ones((3, 2)), np.ones(2), np.ones((1, 2)), np.ones(1))

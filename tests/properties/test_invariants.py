@@ -8,14 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.optimize import (
-    generalized_iterative_scaling,
-    kl_divergence,
-    kruithof_scaling,
-    nnls_projected_gradient,
-    nonnegative_quadratic_program,
-)
-from repro.routing import ShortestPathRouter, build_routing_matrix
+from repro.estimation import EstimationProblem, KLProjectionEstimator
+from repro.optimize import kl_divergence, kruithof_scaling, nnls_active_set
+from repro.routing import RoutingMatrix, ShortestPathRouter, build_routing_matrix
 from repro.topology import NodePair, random_backbone
 from repro.traffic import ScalingLaw, TrafficMatrix, fit_scaling_law
 
@@ -118,22 +113,9 @@ class TestSolverProperties:
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(rows, cols))
         b = rng.normal(size=rows)
-        result = nnls_projected_gradient(A, b, max_iterations=3000)
+        result = nnls_active_set(A, b)
         assert np.all(result.x >= 0)
         assert result.residual_norm <= np.linalg.norm(b) + 1e-8
-
-    @SETTINGS
-    @given(seed=st.integers(min_value=0, max_value=10_000), size=st.integers(min_value=2, max_value=6))
-    def test_nonnegative_qp_never_beats_unconstrained_optimum(self, seed, size):
-        rng = np.random.default_rng(seed)
-        root = rng.normal(size=(size, size))
-        G = root.T @ root + 0.1 * np.eye(size)
-        h = rng.normal(size=size)
-        result = nonnegative_quadratic_program(G, h)
-        unconstrained = np.linalg.solve(G, h)
-        unconstrained_value = float(unconstrained @ G @ unconstrained - 2 * h @ unconstrained)
-        assert result.objective >= unconstrained_value - 1e-6
-        assert np.all(result.x >= 0)
 
     @SETTINGS
     @given(
@@ -165,16 +147,21 @@ class TestSolverProperties:
 
     @SETTINGS
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_gis_projection_reduces_constraint_violation(self, seed):
+    def test_kl_projection_reduces_constraint_violation(self, seed):
         rng = np.random.default_rng(seed)
         routing = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
         routing[0] = 1.0  # ensure no empty rows
         truth = rng.uniform(0.5, 5.0, size=6)
         target = routing @ truth
         prior = rng.uniform(0.5, 5.0, size=6)
+        problem = EstimationProblem(
+            routing=RoutingMatrix(routing, [f"L{i}" for i in range(3)], PAIRS[:6]),
+            link_loads=target,
+        )
         before = float(np.max(np.abs(routing @ prior - target)))
-        result = generalized_iterative_scaling(prior, routing, target)
-        assert result.max_violation <= before + 1e-9
+        result = KLProjectionEstimator(prior=prior).estimate(problem)
+        assert result.diagnostics["converged"]
+        assert float(np.max(np.abs(routing @ result.vector - target))) <= before + 1e-9
 
 
 class TestScalingLawProperties:

@@ -43,9 +43,12 @@ __all__ = ["RULE", "WARM_START_CONTRACTS"]
 
 #: Registry names whose warm-start support is advertised (README "Batched
 #: series estimation" / "Performance" sections): the generic series loop
-#: feeds each snapshot's solution to the next solve for these methods, and
-#: the BENCH_PR3 grid timings (~4x per cell) depend on it.
-WARM_START_CONTRACTS = {"bayesian", "entropy", "vardi", "tomogravity"}
+#: feeds each snapshot's solution to the next dual Newton solve for these
+#: methods, and the BENCH_PR3 grid timings (~4x per cell) depend on it.
+#: Tomogravity and KL projection inherit ``set_warm_start`` from the
+#: entropy estimator (KL projection is its dual solve at a fixed ``sigma^2``).
+#: Vardi is not listed: its exact active-set solve has no iterate to seed.
+WARM_START_CONTRACTS = {"bayesian", "entropy", "kl-projection", "tomogravity"}
 
 #: Methods whose overrides must stay call-compatible with the base class.
 SINGLE_ARGUMENT_METHODS = ("estimate", "estimate_series", "set_warm_start")

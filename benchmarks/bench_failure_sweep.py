@@ -1,11 +1,9 @@
-"""Acceptance benchmark: the what-if engine's failure sweep vs naive full rebuilds.
+"""Acceptance benchmark: the what-if engine's failure sweep on America.
 
 A single-link failure sweep asks, for every directed link of the backbone,
 how every demand re-routes and what the surviving links' utilisations
 become — for the true traffic matrix and for each estimation method's
-estimate.  The naive approach rebuilds the world per case: derive the
-surviving topology, re-signal the *entire* mesh from scratch, assemble a
-fresh routing matrix, then project.  The planning subsystem
+estimate.  The planning subsystem
 (:class:`repro.planning.whatif.WhatIfEngine` inside
 :func:`repro.planning.sweep.failure_sweep`) routes the base mesh once and,
 per case, routes again only the demands whose path traversed the failed
@@ -13,22 +11,24 @@ link (:func:`repro.routing.reroute`: the batched next-hop kernel with the
 failed link masked out), keeping every other column of the routing
 matrix — and fans independent cases over a process pool.
 
-This benchmark times the naive serial full-rebuild sweep against
-``failure_sweep(..., n_jobs=4)`` on the full America-like scenario (284
-directed links, 600 demands), verifies that
+This benchmark times ``failure_sweep`` serially and with ``n_jobs=4`` on
+the full America-like scenario (284 directed links, 600 demands), verifies
+that
 
-* the engine's post-failure routing matrices (``WhatIfEngine.routing_for``)
-  and infeasible pairs are *identical* to the from-scratch rebuilds on
-  every single-link case,
 * serial and parallel sweep records are identical, and
-* the naive and engine sweeps report the same utilisation numbers,
+* on every single-link case, the engine's post-failure routing matrix
+  (``WhatIfEngine.routing_for``) and infeasible pairs are *identical* to a
+  from-scratch rebuild (:func:`repro.planning.full_rebuild_routing`), and
+  the sweep's true and predicted maximum utilisations equal
+  ``project_load`` through that rebuild,
 
 and appends the measurement to ``BENCH_PR4.json`` at the repository root.
+``tests/planning/test_sweep.py`` makes the same utilisation comparison on
+link, link-pair and node cases of a small scenario.
 
-Run directly (CI uses a relaxed threshold for slower shared runners)::
+Run directly::
 
     PYTHONPATH=src python benchmarks/bench_failure_sweep.py
-    PYTHONPATH=src BENCH_PR4_MIN_SWEEP_SPEEDUP=2.0 python benchmarks/bench_failure_sweep.py
 """
 
 from __future__ import annotations
@@ -47,37 +47,6 @@ RECORD_PATH = REPO_ROOT / "BENCH_PR4.json"
 N_JOBS = 4
 
 
-def naive_full_rebuild_sweep(scenario, estimates, cases):
-    """The pre-subsystem sweep: per case, rebuild everything from scratch.
-
-    Re-signals the full mesh on a freshly derived surviving topology for
-    every case and projects truth and estimates through the new matrix.
-    Returns ``(case, method, true_max_util, predicted_max_util)`` tuples in
-    the same case-major order as ``failure_sweep``.
-    """
-    from repro.planning import full_rebuild_routing, project_load
-
-    rows = []
-    for case in cases:
-        routing, infeasible = full_rebuild_routing(scenario.network, case)
-        for result in estimates:
-            truth_projection = project_load(
-                routing, result.truth, case=case, infeasible_pairs=infeasible
-            )
-            estimate_projection = project_load(
-                routing, result.estimate, case=case, infeasible_pairs=infeasible
-            )
-            rows.append(
-                (
-                    case.name,
-                    result.label,
-                    truth_projection.max_utilisation,
-                    estimate_projection.max_utilisation,
-                )
-            )
-    return rows
-
-
 def main() -> dict:
     from repro.datasets import america_scenario
     from repro.evaluation import MethodSpec, estimate_method_specs
@@ -86,9 +55,8 @@ def main() -> dict:
         enumerate_failures,
         failure_sweep,
         full_rebuild_routing,
+        project_load,
     )
-
-    minimum_speedup = float(os.environ.get("BENCH_PR4_MIN_SWEEP_SPEEDUP", "3.0"))
 
     print("[failure sweep] building the America scenario ...")
     scenario = america_scenario()
@@ -101,16 +69,11 @@ def main() -> dict:
             params={"regularization": 1000.0, "prior": "gravity"},
         ),
     )
-    # The estimation phase is shared by both sweep engines; it is computed
-    # once up front so the timings isolate the sweep machinery itself.
+    # The estimation phase is shared by both sweeps; it is computed once up
+    # front so the timings isolate the sweep machinery itself.
     estimates = estimate_method_specs(scenario, specs)
 
-    print(f"[failure sweep] naive serial full-rebuild sweep ({len(cases)} cases) ...")
-    start = time.perf_counter()
-    naive_rows = naive_full_rebuild_sweep(scenario, estimates, cases)
-    naive_seconds = time.perf_counter() - start
-
-    print(f"[failure sweep] what-if engine, n_jobs={N_JOBS} ...")
+    print(f"[failure sweep] what-if engine, n_jobs={N_JOBS} ({len(cases)} cases) ...")
     start = time.perf_counter()
     parallel_records = failure_sweep(
         scenario, cases=cases, estimates=estimates, n_jobs=N_JOBS, include_baseline=False
@@ -127,54 +90,52 @@ def main() -> dict:
     # Acceptance: parallel records identical to the serial run.
     assert serial_records == parallel_records, "serial and parallel sweep records differ"
 
-    # Acceptance: naive and engine sweeps report the same utilisations.
-    assert len(naive_rows) == len(serial_records)
-    worst_drift = 0.0
-    for row, record in zip(naive_rows, serial_records):
-        assert row[0] == record.case and row[1] == record.method
-        worst_drift = max(
-            worst_drift,
-            abs(row[2] - record.true_max_utilisation),
-            abs(row[3] - record.predicted_max_utilisation),
-        )
-    assert worst_drift < 1e-12, f"naive/engine utilisation drift {worst_drift:.2e}"
-
-    # Acceptance: engine matrices identical to full rebuilds (untimed).
-    print("[failure sweep] verifying engine == full-rebuild matrices ...")
+    # Acceptance (untimed): engine matrices identical to full rebuilds, and
+    # the sweep's utilisations equal projections through those rebuilds.
+    print("[failure sweep] verifying the engine against full rebuilds ...")
+    assert len(serial_records) == len(cases) * len(estimates)
+    records = iter(serial_records)
     engine = WhatIfEngine(scenario.network)
+    worst_drift = 0.0
     for case in cases:
         routing, result = engine.routing_for(case)
         full, infeasible = full_rebuild_routing(scenario.network, case)
         assert np.array_equal(routing.matrix, full.matrix), case.name
         assert tuple(result.infeasible) == infeasible, case.name
+        for estimate in estimates:
+            record = next(records)
+            assert (record.case, record.method) == (case.name, estimate.label)
+            truth = project_load(full, estimate.truth, case=case, infeasible_pairs=infeasible)
+            predicted = project_load(
+                full, estimate.estimate, case=case, infeasible_pairs=infeasible
+            )
+            worst_drift = max(
+                worst_drift,
+                abs(truth.max_utilisation - record.true_max_utilisation),
+                abs(predicted.max_utilisation - record.predicted_max_utilisation),
+            )
+    assert worst_drift < 1e-12, f"engine/full-rebuild utilisation drift {worst_drift:.2e}"
 
-    speedup = naive_seconds / parallel_seconds
     payload = {
         "scenario": "america",
         "num_cases": len(cases),
         "methods": [spec.label for spec in specs],
-        "naive_serial_seconds": naive_seconds,
         "engine_serial_seconds": serial_seconds,
         "engine_parallel_seconds": parallel_seconds,
         "n_jobs": N_JOBS,
-        "speedup": speedup,
-        "minimum_speedup": minimum_speedup,
         "parallel_identical_to_serial": True,
         "engine_identical_to_full_rebuild": True,
-        "max_utilisation_drift_vs_naive": worst_drift,
+        "max_utilisation_drift_vs_full_rebuild": worst_drift,
         "cpu_count": os.cpu_count(),
     }
     merge_record(RECORD_PATH, "failure_sweep", payload)
 
     print(
-        f"[failure sweep] naive {naive_seconds:6.2f}s  "
-        f"engine serial {serial_seconds:6.2f}s  n_jobs={N_JOBS} {parallel_seconds:6.2f}s  "
-        f"speedup {speedup:5.2f}x"
+        f"[failure sweep] engine serial {serial_seconds:6.2f}s  "
+        f"n_jobs={N_JOBS} {parallel_seconds:6.2f}s  "
+        f"utilisation drift {worst_drift:.1e}"
     )
-    assert speedup >= minimum_speedup, (
-        f"failure sweep speedup {speedup:.2f}x below the required {minimum_speedup:.1f}x"
-    )
-    print(f"[failure sweep] OK (>= {minimum_speedup:.1f}x), recorded in {RECORD_PATH.name}")
+    print(f"[failure sweep] OK, recorded in {RECORD_PATH.name}")
     return payload
 
 

@@ -423,6 +423,10 @@ class MeasuredScenario(Scenario):
     link counters, and edge totals from the measured LSP matrix.  Jitter,
     UDP loss and the interval-length rate adjustment make the measured data
     inconsistent in exactly the way Section 5.1.2 of the paper describes.
+    The collection runs once, on first access to measured data: one
+    :meth:`~repro.measurement.collector.DistributedCollector.collect` over
+    the day, whose rate array the measured series and link loads are read
+    from.
 
     Attributes
     ----------

@@ -223,11 +223,6 @@ def _build_estimator(spec: MethodSpec, prior: Optional[np.ndarray]):
     return get_estimator(spec.estimator, **params)
 
 
-def _evaluate_spec(spec: MethodSpec, problem: Any, prior: Optional[np.ndarray]) -> np.ndarray:
-    """Instantiate and run one spec; module-level so the pool can pickle it."""
-    return _build_estimator(spec, prior).estimate(problem).vector
-
-
 @dataclass(frozen=True)
 class _SpecOutcome:
     """Internal result of one guarded spec evaluation (picklable).

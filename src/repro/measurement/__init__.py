@@ -3,15 +3,16 @@
 * :mod:`~repro.measurement.linkloads` — the consistent ``t = R s`` link-load
   computation the paper's evaluation data set is built on, plus optional
   measurement-noise models;
-* :mod:`~repro.measurement.snmp` — per-object counter simulation with polling
-  jitter, interval-length rate adjustment and UDP loss;
-* :mod:`~repro.measurement.collector` — distributed pollers feeding a central
-  archive, reconstructing the measured LSP traffic matrix and link loads;
+* :mod:`~repro.measurement.snmp` — array-valued counter polling with jitter
+  and UDP loss, and the interval-length rate adjustment;
+* :mod:`~repro.measurement.collector` — distributed pollers feeding one
+  object-major rate array, reconstructing the measured LSP traffic matrix
+  and link loads;
 * :mod:`~repro.measurement.netflow` — NetFlow-style flow aggregation used to
   demonstrate why flow-averaged data loses within-flow variance.
 """
 
-from repro.measurement.collector import DistributedCollector, MeasurementArchive
+from repro.measurement.collector import DistributedCollector
 from repro.measurement.linkloads import (
     GaussianNoiseModel,
     LinkLoadObservation,
@@ -26,13 +27,10 @@ from repro.measurement.netflow import (
     netflow_smoothed_series,
 )
 from repro.measurement.snmp import (
-    CounterState,
     PollMatrix,
-    PollResult,
     RateDiagnostics,
     SNMPPoller,
     rates_from_poll_matrix,
-    rates_from_polls,
 )
 
 __all__ = [
@@ -41,14 +39,10 @@ __all__ = [
     "link_load_series",
     "NoiselessModel",
     "GaussianNoiseModel",
-    "CounterState",
-    "PollResult",
     "PollMatrix",
     "RateDiagnostics",
     "SNMPPoller",
-    "rates_from_polls",
     "rates_from_poll_matrix",
-    "MeasurementArchive",
     "DistributedCollector",
     "FlowRecord",
     "flows_from_series",

@@ -3,24 +3,20 @@
 The paper's infrastructure uses a geographically distributed set of pollers,
 each responsible for the routers of its area and acting as a backup for its
 neighbours, with results shipped to a central database over TCP
-(Section 5.1.2).  This module models that architecture end-to-end:
+(Section 5.1.2).  :class:`DistributedCollector` models that architecture
+end-to-end: it assigns objects to regional
+:class:`~repro.measurement.snmp.SNMPPoller` instances, drives them from a
+traffic-matrix series via a routing matrix (so the polled counters see the
+true LSP/link rates), derives interval rates and keeps them as one
+object-major ``(objects, K)`` array.  The whole pipeline is array-valued:
+one ``(K, objects)`` rate matrix drives all counters, and each poller's
+rates land at its assigned rows.
 
-* :class:`MeasurementArchive` — the central database: a time-indexed store
-  of per-object rate samples.  Samples arrive in bulk blocks (one array per
-  collector run) or one at a time; queries sort by timestamp, so pollers can
-  ship their results in any order without misaligning the series;
-* :class:`DistributedCollector` — assigns objects to regional
-  :class:`~repro.measurement.snmp.SNMPPoller` instances, drives them from a
-  traffic-matrix series via a routing matrix (so the polled counters see the
-  true LSP/link rates), derives interval rates and stores them in the
-  archive.  The whole pipeline is array-valued: one ``(K, objects)`` rate
-  matrix drives all counters, and rates land in the archive as blocks.
-
-Timestamp convention: the rate of interval ``k`` is derived from the poll at
-the *end* of the interval, so the archive stamps it ``start + (k+1) * dt``.
-:meth:`DistributedCollector.measured_traffic_series` shifts the series start
-back by one interval so measured snapshot ``k`` carries the same timestamp
-as snapshot ``k`` of the driving :class:`~repro.traffic.matrix.TrafficMatrixSeries`.
+Timestamp convention: the rate of interval ``k`` is derived from the polls
+that open and close it, at ``start + k * dt`` and ``start + (k+1) * dt``.
+:meth:`DistributedCollector.measured_traffic_series` stamps snapshot ``k``
+with the start of its interval, so it carries the same timestamp as
+snapshot ``k`` of the driving :class:`~repro.traffic.matrix.TrafficMatrixSeries`.
 
 The collector is what turns a *demand process* into the *measured LSP
 matrix* and *measured link loads* the estimation benchmarks start from.
@@ -28,12 +24,10 @@ matrix* and *measured link loads* the estimation benchmarks start from.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro import telemetry
 from repro.errors import MeasurementError
 from repro.measurement.snmp import (
     PollMatrix,
@@ -44,182 +38,11 @@ from repro.measurement.snmp import (
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
-__all__ = ["MeasurementArchive", "DistributedCollector"]
-
-
-class MeasurementArchive:
-    """Central store of per-object rate samples.
-
-    Samples are stored per object as blocks of ``(timestamps, rates)``
-    arrays — one block per :meth:`record_block` call (bulk, the collector's
-    path) or per :meth:`record` call (single sample).  Queries merge the
-    blocks and sort by timestamp, so the order in which pollers ship their
-    results never affects the assembled series.
-
-    Parameters
-    ----------
-    max_samples:
-        Optional ring-buffer bound: keep at most this many of the *newest*
-        samples (by timestamp) per object, evicting older ones as new
-        blocks arrive.  A streamed day would otherwise grow the archive
-        without bound; a bounded archive holds the recent window the
-        streaming estimator actually consumes.  ``None`` (default) keeps
-        everything — the batch pipeline's historical behaviour.
-
-    With telemetry enabled the archive maintains two gauges,
-    ``archive.retained_samples`` and ``archive.retained_bytes``, updated on
-    every record/eviction so a dashboard can watch the ring stay bounded.
-    """
-
-    def __init__(self, max_samples: Optional[int] = None) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise MeasurementError("max_samples must be positive (or None for unbounded)")
-        self.max_samples = int(max_samples) if max_samples is not None else None
-        self._blocks: dict[str, list[tuple[np.ndarray, np.ndarray]]] = defaultdict(list)
-        # Single samples land in plain lists (O(1) per record) and are
-        # coalesced into one array block when the object is next queried.
-        self._pending: dict[str, list[tuple[float, float]]] = defaultdict(list)
-        #: Samples evicted by the ring-buffer bound since construction.
-        self.evicted_samples: int = 0
-
-    def record(self, object_name: str, timestamp: float, rate_mbps: float) -> None:
-        """Store one sample; rates must be non-negative."""
-        if rate_mbps < 0:
-            raise MeasurementError(f"negative rate recorded for {object_name!r}")
-        self._blocks[object_name]  # register the object in insertion order
-        self._pending[object_name].append((float(timestamp), float(rate_mbps)))
-        if self.max_samples is not None and (
-            len(self._pending[object_name])
-            + sum(len(block[0]) for block in self._blocks[object_name])
-            > self.max_samples
-        ):
-            self._evict(object_name)
-        self._update_gauges()
-
-    def record_block(
-        self,
-        object_names: Sequence[str],
-        timestamps: np.ndarray,
-        rates_mbps: np.ndarray,
-    ) -> None:
-        """Store a ``(K, objects)`` block of samples in one call.
-
-        ``rates_mbps[k, i]`` is the rate of ``object_names[i]`` at
-        ``timestamps[k]``.  This is the collector's bulk path: one call per
-        poller run instead of one :meth:`record` per (object, interval).
-        """
-        timestamps = np.asarray(timestamps, dtype=float)
-        rates = np.asarray(rates_mbps, dtype=float)
-        if timestamps.ndim != 1:
-            raise MeasurementError("timestamps must form a one-dimensional array")
-        if rates.shape != (len(timestamps), len(object_names)):
-            raise MeasurementError(
-                f"rates block has shape {rates.shape}, expected "
-                f"({len(timestamps)}, {len(object_names)})"
-            )
-        if np.any(rates < 0):
-            raise MeasurementError("negative rate recorded in block")
-        if len(set(object_names)) != len(tuple(object_names)):
-            raise MeasurementError("duplicate object names in block")
-        for col, name in enumerate(object_names):
-            self._blocks[name].append((timestamps, rates[:, col]))
-            if self.max_samples is not None and self.num_samples(name) > self.max_samples:
-                self._evict(name)
-        self._update_gauges()
-
-    # ------------------------------------------------------------------
-    def _evict(self, object_name: str) -> None:
-        """Trim ``object_name`` to the newest ``max_samples`` samples.
-
-        Coalesces the object's blocks into one timestamp-sorted block and
-        keeps the tail, so eviction is by measurement time regardless of
-        the order pollers shipped their results in.
-        """
-        assert self.max_samples is not None
-        timestamps, rates = self._merged(object_name)
-        dropped = len(timestamps) - self.max_samples
-        if dropped <= 0:
-            return
-        self.evicted_samples += dropped
-        self._blocks[object_name] = [
-            (timestamps[dropped:], rates[dropped:])
-        ]
-
-    def _update_gauges(self) -> None:
-        if not telemetry.is_enabled():
-            return
-        samples = 0
-        for name, blocks in self._blocks.items():
-            samples += sum(len(block[0]) for block in blocks)
-            samples += len(self._pending.get(name, ()))
-        # One float timestamp + one float rate per retained sample.
-        telemetry.gauge_set("archive.retained_samples", samples)
-        telemetry.gauge_set("archive.retained_bytes", samples * 16)
-
-    def _merged(self, object_name: str) -> tuple[np.ndarray, np.ndarray]:
-        """All samples of one object, sorted by timestamp."""
-        pending = self._pending.pop(object_name, None)
-        if pending:
-            samples = np.asarray(pending, dtype=float)
-            self._blocks[object_name].append((samples[:, 0], samples[:, 1]))
-        blocks = self._blocks.get(object_name)
-        if not blocks:
-            raise MeasurementError(f"no samples recorded for {object_name!r}")
-        timestamps = np.concatenate([block[0] for block in blocks])
-        rates = np.concatenate([block[1] for block in blocks])
-        order = np.argsort(timestamps, kind="stable")
-        return timestamps[order], rates[order]
-
-    def objects(self) -> tuple[str, ...]:
-        """Names of all objects with at least one sample."""
-        return tuple(self._blocks)
-
-    def samples(self, object_name: str) -> tuple[tuple[float, float], ...]:
-        """All ``(timestamp, rate)`` samples of one object, in time order."""
-        timestamps, rates = self._merged(object_name)
-        return tuple(zip(timestamps.tolist(), rates.tolist()))
-
-    def num_samples(self, object_name: str) -> int:
-        """Number of samples stored for ``object_name`` (0 if unknown)."""
-        return sum(
-            len(block[0]) for block in self._blocks.get(object_name, ())
-        ) + len(self._pending.get(object_name, ()))
-
-    def schedule(self, object_name: str) -> np.ndarray:
-        """Sorted sample timestamps of one object."""
-        return self._merged(object_name)[0]
-
-    def rates_matrix(self, object_names: Sequence[str]) -> np.ndarray:
-        """Dense ``(K, num_objects)`` rate array in the given object order.
-
-        Rows are ordered by timestamp; all requested objects must have been
-        sampled on the *same* schedule (identical timestamp sets, no
-        duplicates), which is what one collector run produces.  Mismatched
-        or ambiguous schedules raise instead of silently misaligning rows.
-        """
-        reference: Optional[np.ndarray] = None
-        columns = []
-        for name in object_names:
-            timestamps, rates = self._merged(name)
-            if len(np.unique(timestamps)) != len(timestamps):
-                raise MeasurementError(
-                    f"object {name!r} has duplicate sample timestamps"
-                )
-            if reference is None:
-                reference = timestamps
-            elif timestamps.shape != reference.shape or not np.array_equal(
-                timestamps, reference
-            ):
-                raise MeasurementError(
-                    f"object {name!r} was sampled on a different schedule "
-                    "than the other requested objects"
-                )
-            columns.append(rates)
-        return np.array(columns, dtype=float).T
+__all__ = ["DistributedCollector"]
 
 
 class DistributedCollector:
-    """A set of regional pollers feeding one central archive.
+    """A set of regional pollers feeding one central rate store.
 
     Parameters
     ----------
@@ -245,10 +68,6 @@ class DistributedCollector:
         plan resolved for its own index (``plan.for_poller(idx)``) with its
         index as fault salt, so collector outages hit the right poller and
         probabilistic faults draw reproducible per-poller streams.
-    archive_max_samples:
-        Optional per-object ring-buffer bound forwarded to the central
-        :class:`MeasurementArchive` (see its ``max_samples``); ``None``
-        keeps the archive unbounded.
     """
 
     def __init__(
@@ -262,16 +81,18 @@ class DistributedCollector:
         max_interpolated_fraction: float = 1.0,
         counter_bits: int = 64,
         fault_plan: Optional[object] = None,
-        archive_max_samples: Optional[int] = None,
     ) -> None:
         if num_pollers < 1:
             raise MeasurementError("need at least one poller")
         self.routing = routing
-        self.archive = MeasurementArchive(max_samples=archive_max_samples)
         self.interval_seconds = float(interval_seconds)
         self.max_interpolated_fraction = float(max_interpolated_fraction)
         #: Per-poller sample accounting of the most recent :meth:`collect` run.
         self.poll_diagnostics: tuple[RateDiagnostics, ...] = ()
+        # Object-major (objects, K) rates and series start of the most
+        # recent collect(); LSP rows first, in pair order, then link rows.
+        self._rates: Optional[np.ndarray] = None
+        self._start_time = 0.0
 
         lsp_names = [f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs]
         link_names = list(routing.link_names)
@@ -313,72 +134,25 @@ class DistributedCollector:
             self._assigned_columns.append(columns)
 
     # ------------------------------------------------------------------
-    def _object_rate_matrix(self, series: TrafficMatrixSeries) -> np.ndarray:
-        """True per-object rates for the whole series: ``(K, lsps + links)``.
-
-        LSPs carry the demands themselves; links carry ``R s`` — both
-        evaluated for all snapshots with one matrix product.
-        """
-        demands = series.as_array()  # (K, P)
-        loads = self.routing.matmat(demands.T).T  # (K, L)
-        return np.hstack([demands, loads])
-
-    def collect(
-        self, series: TrafficMatrixSeries, start_time: Optional[float] = None
-    ) -> MeasurementArchive:
-        """Run the full collection pipeline over a traffic series.
-
-        Every poller drives its counters with the true rates of each
-        interval, polls on the shared schedule, and the derived
-        interval-adjusted rates are stored in the central archive, stamped
-        with the poll time at the *end* of each interval (the rate of
-        interval ``k`` only exists once poll ``k + 1`` has answered).
-
-        ``start_time`` defaults to the series' own start time, so measured
-        timestamps line up with the driving series without any bookkeeping
-        by the caller.
-
-        Returns the archive (also available as :attr:`archive`).
-        """
-        if series.pairs != self.routing.pairs:
-            raise MeasurementError("series pair ordering does not match the routing matrix")
-        if not np.isclose(series.interval_seconds, self.interval_seconds):
-            raise MeasurementError(
-                f"series interval ({series.interval_seconds} s) does not match "
-                f"the polling interval ({self.interval_seconds} s)"
-            )
-        if start_time is None:
-            start_time = series.start_time_seconds
-        start_time = float(start_time)
-        rate_matrix = self._object_rate_matrix(series)
-        # Interval k's rate is derived at the poll closing the interval.
-        timestamps = start_time + self.interval_seconds * np.arange(1, len(series) + 1)
-        diagnostics = []
-        for poller, columns in zip(self.pollers, self._assigned_columns):
-            polls = poller.run_schedule_matrix(
-                rate_matrix[:, columns], start_time=start_time
-            )
-            rates, poller_diagnostics = rates_from_poll_matrix(
-                polls, max_interpolated_fraction=self.max_interpolated_fraction
-            )
-            diagnostics.append(poller_diagnostics)
-            self.archive.record_block(poller.object_names, timestamps, rates)
-        self.poll_diagnostics = tuple(diagnostics)
-        return self.archive
-
     def poll_matrices(
         self, series: TrafficMatrixSeries, start_time: Optional[float] = None
     ) -> list[PollMatrix]:
         """Run every poller's schedule and return the *raw* poll matrices.
 
-        This is the streaming layer's entry point: instead of deriving
-        rates and filling the archive in one batch (:meth:`collect`), the
-        caller receives each poller's ``(rounds, objects)``
-        :class:`~repro.measurement.snmp.PollMatrix` — faults applied — and
-        consumes the rounds one at a time (see
-        :class:`repro.streaming.PollStream`).  Counter state advances
-        exactly as in :meth:`collect`, so a collector is used for one mode
-        or the other, not both over the same series.
+        Every poller drives its counters with the true rates of each
+        interval — LSPs carry the demands themselves, links ``R s`` — and
+        polls on the shared schedule; fault plans are applied.  The result
+        is one ``(rounds, objects)``
+        :class:`~repro.measurement.snmp.PollMatrix` per poller, in
+        :attr:`pollers` order.  :meth:`collect` derives rates from them;
+        the streaming layer consumes their rounds one at a time (see
+        :class:`repro.streaming.PollStream`).  Counters carry over between
+        calls, so a collector is used for one mode or the other, not both
+        over the same series.
+
+        ``start_time`` defaults to the series' own start time, so measured
+        timestamps line up with the driving series without any bookkeeping
+        by the caller.
         """
         if series.pairs != self.routing.pairs:
             raise MeasurementError("series pair ordering does not match the routing matrix")
@@ -390,20 +164,44 @@ class DistributedCollector:
         if start_time is None:
             start_time = series.start_time_seconds
         start_time = float(start_time)
-        rate_matrix = self._object_rate_matrix(series)
+        demands = series.as_array()  # (K, P)
+        rate_matrix = np.hstack([demands, self.routing.matmat(demands.T).T])
         return [
             poller.run_schedule_matrix(rate_matrix[:, columns], start_time=start_time)
             for poller, columns in zip(self.pollers, self._assigned_columns)
         ]
 
+    def collect(
+        self, series: TrafficMatrixSeries, start_time: Optional[float] = None
+    ) -> None:
+        """Run the full collection pipeline over a traffic series.
+
+        Runs :meth:`poll_matrices` and converts each poller's matrix with
+        :func:`~repro.measurement.snmp.rates_from_poll_matrix`.  The measured
+        data and :attr:`poll_diagnostics` then describe this run; a later
+        call replaces them.
+        """
+        polls = self.poll_matrices(series, start_time)
+        rates = np.empty((len(self._lsp_names) + len(self._link_names), len(series)))
+        diagnostics = []
+        for matrix, columns in zip(polls, self._assigned_columns):
+            poller_rates, poller_diagnostics = rates_from_poll_matrix(
+                matrix, max_interpolated_fraction=self.max_interpolated_fraction
+            )
+            rates[columns] = poller_rates.T
+            diagnostics.append(poller_diagnostics)
+        self._rates = rates
+        self._start_time = float(polls[0].scheduled_times[0])
+        self.poll_diagnostics = tuple(diagnostics)
+
     @property
     def lsp_object_names(self) -> tuple[str, ...]:
-        """Archive object names of the LSP counters, in pair order."""
+        """SNMP object names of the LSP counters, in pair order."""
         return self._lsp_names
 
     @property
     def link_object_names(self) -> tuple[str, ...]:
-        """Archive object names of the link counters, in link order."""
+        """SNMP object names of the link counters, in link order."""
         return self._link_names
 
     def collection_diagnostics(self) -> RateDiagnostics:
@@ -416,28 +214,31 @@ class DistributedCollector:
         return merged
 
     # ------------------------------------------------------------------
+    def _collected_rates(self) -> np.ndarray:
+        if self._rates is None:
+            raise MeasurementError("no collection has run yet")
+        return self._rates
+
     def measured_traffic_series(self) -> TrafficMatrixSeries:
         """Reconstruct the measured traffic-matrix series from LSP counters.
 
         This is the paper's headline capability: because every demand is an
-        LSP with its own counter, the collected archive *is* a complete
+        LSP with its own counter, the collected rates *are* a complete
         traffic matrix per interval.  Snapshot ``k`` is stamped with the
-        *start* of its interval (archive timestamps are interval ends), so
-        the returned series carries the same timestamps as the driving
-        series.
+        *start* of its interval, so the returned series carries the same
+        timestamps as the driving series.
         """
-        rates = self.archive.rates_matrix(self._lsp_names)
+        lsp_rates = self._collected_rates()[: len(self._lsp_names)]
         snapshots = [
-            TrafficMatrix(self.routing.pairs, np.maximum(rates[k], 0.0))
-            for k in range(rates.shape[0])
+            TrafficMatrix(self.routing.pairs, np.maximum(lsp_rates[:, k], 0.0))
+            for k in range(lsp_rates.shape[1])
         ]
-        first_poll = float(self.archive.schedule(self._lsp_names[0])[0])
         return TrafficMatrixSeries(
             snapshots,
             interval_seconds=self.interval_seconds,
-            start_time_seconds=first_poll - self.interval_seconds,
+            start_time_seconds=self._start_time,
         )
 
     def measured_link_loads(self) -> np.ndarray:
         """Measured link-load series of shape ``(K, L)`` from link counters."""
-        return self.archive.rates_matrix(self._link_names)
+        return self._collected_rates()[len(self._lsp_names):].copy().T

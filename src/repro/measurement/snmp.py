@@ -7,130 +7,46 @@ exact response time of each router varies slightly, and the reported byte
 counts are converted to rates using the *actual* measurement interval (e.g.
 "5 minutes and 3 seconds") so that the time series stays uniform.
 
-This module models that pipeline for a single poller:
+This module models that pipeline for a single poller, as arrays:
 
-* :class:`CounterState` — a monotonically increasing 64-bit byte counter for
-  one measured object (link or LSP), advanced by the true traffic process;
-* :class:`SNMPPoller` — polls a set of counters on a fixed schedule with
-  per-poll jitter and optional UDP loss.  The counters are stored as one
-  ``uint64`` array and advanced/polled with array operations, so a poller
-  tracking hundreds of objects over a day of five-minute intervals costs a
-  handful of NumPy calls instead of a Python loop per (object, round);
-* :class:`PollMatrix` — the dense ``(rounds, objects)`` outcome of a polling
-  schedule (response times, counter values, loss mask), convertible to and
-  from per-round :class:`PollResult` lists;
-* :func:`rates_from_polls` / :func:`rates_from_poll_matrix` — turn
-  consecutive poll rounds into the rate samples the estimation pipeline
-  consumes, interpolating over lost polls and reporting
-  :class:`RateDiagnostics` (how many samples were lost to UDP, degenerate
-  because no time elapsed between responses, or filled by interpolation).
+* :class:`SNMPPoller` — polls a set of ``uint64`` byte counters on a fixed
+  schedule with per-poll jitter and optional UDP loss.  A whole
+  ``(intervals, objects)`` schedule is one cumulative sum plus one
+  jitter/loss draw per round;
+* :class:`PollMatrix` — the dense ``(rounds, objects)`` outcome of a
+  schedule: response times, counter values and the loss mask;
+* :func:`classify_counter_deltas` — the one counter-delta classifier
+  (wrap-aware deltas; valid, degenerate, reset and wrapped samples) shared
+  by the batch conversion below and the streaming
+  :class:`~repro.streaming.CounterTracker`;
+* :func:`rates_from_poll_matrix` — turns consecutive poll rounds into the
+  rate samples the estimation pipeline consumes, interpolating over lost
+  polls and reporting :class:`RateDiagnostics` (how many samples were lost
+  to UDP, degenerate because no time elapsed between responses, or filled
+  by interpolation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import MeasurementError
 
 __all__ = [
-    "CounterState",
-    "PollResult",
     "PollMatrix",
     "RateDiagnostics",
     "SNMPPoller",
-    "rates_from_polls",
+    "classify_counter_deltas",
     "rates_from_poll_matrix",
 ]
 
-_COUNTER64_WRAP = 2**64
 #: Bytes accumulated per second at 1 Mbit/s.
 _BYTES_PER_MBPS_SECOND = 1e6 / 8.0
-
-
-@dataclass
-class CounterState:
-    """A monotonically increasing byte counter for one measured object.
-
-    Parameters
-    ----------
-    name:
-        Object identifier (a link or LSP name).
-    value_bytes:
-        Current counter value; wraps modulo 2**64 like a Counter64 MIB object.
-    """
-
-    name: str
-    value_bytes: int = 0
-
-    def advance(self, rate_mbps: float, duration_seconds: float) -> None:
-        """Advance the counter by ``rate_mbps`` sustained for ``duration_seconds``."""
-        if rate_mbps < 0:
-            raise MeasurementError(f"counter {self.name!r} advanced with negative rate")
-        if duration_seconds < 0:
-            raise MeasurementError("duration must be non-negative")
-        added_bytes = int(round(rate_mbps * _BYTES_PER_MBPS_SECOND * duration_seconds))
-        self.value_bytes = (self.value_bytes + added_bytes) % _COUNTER64_WRAP
-
-
-class _CounterView:
-    """:class:`CounterState`-compatible live view into a poller's counter array."""
-
-    __slots__ = ("name", "_values", "_column")
-
-    def __init__(self, name: str, values: np.ndarray, column: int) -> None:
-        self.name = name
-        self._values = values
-        self._column = column
-
-    @property
-    def value_bytes(self) -> int:
-        return int(self._values[self._column])
-
-    @value_bytes.setter
-    def value_bytes(self, value: int) -> None:
-        self._values[self._column] = np.uint64(value % _COUNTER64_WRAP)
-
-    def advance(self, rate_mbps: float, duration_seconds: float) -> None:
-        """Advance the counter by ``rate_mbps`` sustained for ``duration_seconds``."""
-        if rate_mbps < 0:
-            raise MeasurementError(f"counter {self.name!r} advanced with negative rate")
-        if duration_seconds < 0:
-            raise MeasurementError("duration must be non-negative")
-        added = int(round(rate_mbps * _BYTES_PER_MBPS_SECOND * duration_seconds))
-        self.value_bytes = self.value_bytes + added
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CounterState(name={self.name!r}, value_bytes={self.value_bytes})"
-
-
-@dataclass(frozen=True)
-class PollResult:
-    """Outcome of polling one object at one scheduled timestamp.
-
-    Attributes
-    ----------
-    object_name:
-        The polled link/LSP.
-    scheduled_time:
-        Nominal poll timestamp (e.g. 09:05:00) in seconds.
-    response_time:
-        Actual response time including jitter, in seconds.
-    counter_bytes:
-        The counter value read, or ``None`` when the poll was lost (UDP).
-    """
-
-    object_name: str
-    scheduled_time: float
-    response_time: float
-    counter_bytes: Optional[int]
-
-    @property
-    def lost(self) -> bool:
-        """Whether this poll produced no data."""
-        return self.counter_bytes is None
+#: Mbit/s per byte per second.
+_RATE_PER_BYTE_SECOND = 8.0 / 1e6
 
 
 @dataclass(frozen=True)
@@ -147,13 +63,18 @@ class PollMatrix:
         Actual (jittered) response times, shape ``(rounds, objects)``.
     counters:
         Counter values read, shape ``(rounds, objects)``, ``uint64``; entries
-        where ``lost`` is true are undefined (stored as zero).
+        where ``lost`` is true are never read.
     lost:
         Boolean UDP-loss mask, shape ``(rounds, objects)``.
     counter_bits:
         Width of the underlying MIB counters (64 for Counter64, 32 for the
         legacy ifInOctets Counter32).  Rate derivation wraps deltas modulo
-        ``2**counter_bits``.
+        ``2**counter_bits``, so every counter must lie below it.
+
+    The constructor rejects arrays the rate derivation would misread: signed
+    counters turn a reboot into a wrap, an integer loss mask turns ``~lost``
+    into a bitwise NOT, and a reading beyond the counter space is no reading
+    of that counter.
     """
 
     object_names: tuple[str, ...]
@@ -176,6 +97,22 @@ class PollMatrix:
             raise MeasurementError(
                 f"counter_bits must lie in [1, 64], got {self.counter_bits}"
             )
+        if self.counters.dtype != np.uint64:
+            raise MeasurementError(
+                f"poll matrix counters must be uint64, got {self.counters.dtype}"
+            )
+        if self.lost.dtype != np.bool_:
+            raise MeasurementError(
+                f"poll matrix loss mask must be bool, got {self.lost.dtype}"
+            )
+        if (
+            self.counter_bits < 64
+            and self.counters.size
+            and int(self.counters.max()) >= 2**self.counter_bits
+        ):
+            raise MeasurementError(
+                f"a counter reading exceeds the {self.counter_bits}-bit counter space"
+            )
 
     @property
     def num_rounds(self) -> int:
@@ -186,65 +123,6 @@ class PollMatrix:
     def num_objects(self) -> int:
         """Number of polled objects."""
         return len(self.object_names)
-
-    @classmethod
-    def from_rounds(
-        cls,
-        poll_rounds: Sequence[Sequence[PollResult]],
-        object_names: Sequence[str],
-        counter_bits: int = 64,
-    ) -> "PollMatrix":
-        """Assemble a matrix from per-round :class:`PollResult` lists.
-
-        Every round must contain a result for every requested object.
-        """
-        names = tuple(object_names)
-        rounds = len(poll_rounds)
-        scheduled = np.empty(rounds)
-        response = np.empty((rounds, len(names)))
-        counters = np.zeros((rounds, len(names)), dtype=np.uint64)
-        lost = np.zeros((rounds, len(names)), dtype=bool)
-        for row, round_results in enumerate(poll_rounds):
-            indexed = {result.object_name: result for result in round_results}
-            missing = set(names) - set(indexed)
-            if missing:
-                raise MeasurementError(f"poll round missing objects: {sorted(missing)}")
-            scheduled[row] = indexed[names[0]].scheduled_time if names else 0.0
-            for col, name in enumerate(names):
-                result = indexed[name]
-                response[row, col] = result.response_time
-                if result.lost:
-                    lost[row, col] = True
-                else:
-                    counters[row, col] = np.uint64(result.counter_bytes % (2**counter_bits))
-        return cls(
-            object_names=names,
-            scheduled_times=scheduled,
-            response_times=response,
-            counters=counters,
-            lost=lost,
-            counter_bits=counter_bits,
-        )
-
-    def round_results(self, index: int) -> list[PollResult]:
-        """Round ``index`` as a list of :class:`PollResult` (compatibility view)."""
-        if not 0 <= index < self.num_rounds:
-            raise MeasurementError(
-                f"round index {index} out of range for {self.num_rounds} rounds"
-            )
-        return [
-            PollResult(
-                object_name=name,
-                scheduled_time=float(self.scheduled_times[index]),
-                response_time=float(self.response_times[index, col]),
-                counter_bytes=None if self.lost[index, col] else int(self.counters[index, col]),
-            )
-            for col, name in enumerate(self.object_names)
-        ]
-
-    def to_rounds(self) -> list[list[PollResult]]:
-        """The whole schedule as per-round :class:`PollResult` lists."""
-        return [self.round_results(index) for index in range(self.num_rounds)]
 
 
 @dataclass(frozen=True)
@@ -328,8 +206,7 @@ class SNMPPoller:
     """Simulates one SNMP poller and its polling schedule.
 
     Counters are held as a single ``uint64`` array (one entry per object) so
-    that advancing and polling the whole object set are array operations;
-    :meth:`counter` exposes a per-object view for tests and advanced use.
+    that advancing and polling the whole object set are array operations.
 
     Parameters
     ----------
@@ -388,7 +265,6 @@ class SNMPPoller:
         self.fault_salt = int(fault_salt)
         self._rng = np.random.default_rng(seed)
         self._values = np.zeros(len(self.object_names), dtype=np.uint64)
-        self._column = {name: col for col, name in enumerate(self.object_names)}
 
     # ------------------------------------------------------------------
     @property
@@ -396,75 +272,11 @@ class SNMPPoller:
         """Number of objects this poller tracks."""
         return len(self.object_names)
 
-    def counter(self, name: str) -> _CounterView:
-        """A live counter view of ``name`` (for tests and advanced use)."""
-        try:
-            return _CounterView(name, self._values, self._column[name])
-        except KeyError as exc:
-            raise MeasurementError(f"poller does not track object {name!r}") from exc
-
-    def counter_values(self) -> np.ndarray:
-        """Current counter values as a ``uint64`` array in object order."""
-        return self._values.copy()
-
-    def _rates_array(
-        self, rates_mbps: Union[Mapping[str, float], np.ndarray, Sequence[float]]
-    ) -> np.ndarray:
-        if isinstance(rates_mbps, Mapping):
-            rates = np.array(
-                [float(rates_mbps.get(name, 0.0)) for name in self.object_names]
-            )
-        else:
-            rates = np.asarray(rates_mbps, dtype=float)
-            if rates.shape != (self.num_objects,):
-                raise MeasurementError(
-                    f"rate vector has shape {rates.shape}, "
-                    f"expected ({self.num_objects},)"
-                )
-        if np.any(rates < 0):
-            raise MeasurementError("counters cannot be advanced with negative rates")
-        return rates
-
-    def advance_counters(
-        self,
-        rates_mbps: Union[Mapping[str, float], np.ndarray, Sequence[float]],
-        duration_seconds: float,
-    ) -> None:
-        """Advance every tracked counter with the given sustained rates.
-
-        ``rates_mbps`` may be a ``name -> rate`` mapping (missing names count
-        as zero) or an array aligned with :attr:`object_names`.
-        """
-        if duration_seconds < 0:
-            raise MeasurementError("duration must be non-negative")
-        rates = self._rates_array(rates_mbps)
-        added = np.rint(rates * (_BYTES_PER_MBPS_SECOND * duration_seconds))
-        self._values = self._values + added.astype(np.uint64)
-        if self.counter_bits < 64:
-            self._values %= np.uint64(2**self.counter_bits)
-
     def _poll_arrays(self, scheduled_time: float) -> tuple[np.ndarray, np.ndarray]:
         """One poll round: jittered response times and the loss mask."""
         jitter = np.abs(self._rng.normal(scale=self.jitter_std_seconds, size=self.num_objects))
         lost = self._rng.random(self.num_objects) < self.loss_probability
         return scheduled_time + jitter, lost
-
-    def poll(self, scheduled_time: float) -> list[PollResult]:
-        """Poll every object once at ``scheduled_time``.
-
-        Returns one :class:`PollResult` per object; lost polls have
-        ``counter_bytes = None``.
-        """
-        response_times, lost = self._poll_arrays(scheduled_time)
-        return [
-            PollResult(
-                object_name=name,
-                scheduled_time=scheduled_time,
-                response_time=float(response_times[col]),
-                counter_bytes=None if lost[col] else int(self._values[col]),
-            )
-            for col, name in enumerate(self.object_names)
-        ]
 
     def run_schedule_matrix(
         self,
@@ -478,8 +290,7 @@ class SNMPPoller:
         with :attr:`object_names`.  Counter trajectories are one cumulative
         sum and each round's jitter/loss one vectorised draw, so the whole
         schedule is O(K) NumPy calls instead of O(K * objects) Python steps.
-        The random stream is drawn in the same order as repeated
-        :meth:`poll` calls, so this is a faster path, not a different model.
+        Counters carry over between calls, like a real device's.
 
         Returns a :class:`PollMatrix` with ``K + 1`` rounds, *including* an
         initial poll at ``start_time`` so that rates can be derived from
@@ -520,27 +331,52 @@ class SNMPPoller:
             polls = self.fault_plan.apply_to_polls(polls, salt=self.fault_salt)
         return polls
 
-    def run_schedule(
-        self,
-        rate_series_mbps: Union[Sequence[Mapping[str, float]], np.ndarray],
-        start_time: float = 0.0,
-    ) -> list[list[PollResult]]:
-        """Drive the counters with a rate series and poll after every interval.
 
-        ``rate_series_mbps[k]`` is the sustained per-object rate during the
-        ``k``-th interval (a mapping per interval, or a ``(K, objects)``
-        array).  The returned list has one poll round per interval boundary,
-        *including* an initial poll at ``start_time``.  This is the
-        compatibility view of :meth:`run_schedule_matrix`; both consume the
-        random stream identically.
-        """
-        if isinstance(rate_series_mbps, np.ndarray):
-            rate_matrix = rate_series_mbps
-        else:
-            rate_matrix = np.array(
-                [self._rates_array(rates) for rates in rate_series_mbps]
-            ).reshape(len(rate_series_mbps), self.num_objects)
-        return self.run_schedule_matrix(rate_matrix, start_time=start_time).to_rounds()
+def classify_counter_deltas(
+    previous: np.ndarray,
+    current: np.ndarray,
+    elapsed: np.ndarray,
+    usable: np.ndarray,
+    counter_bits: Union[int, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Classify counter deltas between two polls and derive their rates.
+
+    ``previous`` and ``current`` are ``uint64`` counter readings, ``elapsed``
+    the seconds between their responses and ``usable`` the samples whose two
+    polls both answered.  ``counter_bits`` is one width for every sample or
+    an array broadcast against the last axis (one width per object).
+
+    A usable sample is *degenerate* when no time elapsed (``elapsed <= 0``).
+    A counter that went backwards either wrapped modulo
+    ``2**counter_bits`` — the modular delta stays below half the counter
+    space, the sample stays valid and counts as *wrapped* — or was *reset*
+    by a device reboot: the modular delta exceeds half the space, which no
+    plausible rate produces in one interval, so the sample is unusable.
+
+    Returns ``(rates, valid, degenerate, reset, wrapped)``: Mbit/s rates
+    (NaN where not valid) and four boolean masks.
+    """
+    # uint64 subtraction wraps modulo 2**64 exactly like the Counter64 MIB;
+    # narrower counters (Counter32) reduce the same difference modulo their
+    # own space, which recovers the true delta across a legitimate wrap.
+    bits = np.asarray(counter_bits, dtype=np.uint64)
+    deltas = current - previous
+    narrow = bits < np.uint64(64)
+    if narrow.any():
+        # 1 << 64 is undefined; wide counters keep their delta anyway.
+        space = np.uint64(1) << np.where(narrow, bits, np.uint64(63))
+        deltas = np.where(narrow, deltas % space, deltas)
+    half_space = np.uint64(1) << (bits - np.uint64(1))
+
+    backwards = current < previous
+    degenerate = usable & (elapsed <= 0)
+    reset = usable & ~degenerate & backwards & (deltas > half_space)
+    wrapped = usable & ~degenerate & backwards & ~reset
+    valid = usable & ~degenerate & ~reset
+
+    rates = np.full(deltas.shape, np.nan)
+    rates[valid] = deltas[valid].astype(float) * _RATE_PER_BYTE_SECOND / elapsed[valid]
+    return rates, valid, degenerate, reset, wrapped
 
 
 def rates_from_poll_matrix(
@@ -552,19 +388,12 @@ def rates_from_poll_matrix(
     The rate of object ``o`` during interval ``k`` is the counter difference
     between round ``k+1`` and round ``k`` divided by the *actual* elapsed
     time between the two responses — the interval-length adjustment the
-    paper describes.  Samples where either poll was lost (UDP) or where no
-    time elapsed between the responses (degenerate jitter) are linearly
+    paper describes.  Samples where either poll was lost (UDP), where no
+    time elapsed between the responses (degenerate jitter) or where the
+    counter was reset (see :func:`classify_counter_deltas`) are linearly
     interpolated from the nearest valid samples of the same object (constant
-    extrapolation at the boundaries), and both kinds are counted separately
-    in the returned :class:`RateDiagnostics`.
-
-    Counter deltas are wrap-aware: a counter that goes *backwards* between
-    two valid polls either wrapped modulo ``2**polls.counter_bits`` (the
-    modular delta stays below half the counter space — kept as a valid
-    sample, counted in ``wrap_samples``) or was reset by a device reboot
-    (the modular delta exceeds half the counter space, which no plausible
-    rate produces in one interval — the sample is invalidated, counted in
-    ``reset_samples`` and interpolated like a lost poll).
+    extrapolation at the boundaries), and each kind is counted in the
+    returned :class:`RateDiagnostics`.
 
     Parameters
     ----------
@@ -573,8 +402,8 @@ def rates_from_poll_matrix(
     max_interpolated_fraction:
         Raise :class:`~repro.errors.MeasurementError` when the fraction of
         interpolated samples exceeds this threshold (the default ``1.0``
-        never raises); archives built from heavily interpolated data are not
-        measurements any more.
+        never raises); heavily interpolated data are not measurements any
+        more.
 
     Returns ``(rates, diagnostics)`` with ``rates`` of shape
     ``(K, num_objects)``; ``diagnostics.validity`` carries the per-sample
@@ -588,27 +417,13 @@ def rates_from_poll_matrix(
         raise MeasurementError("max_interpolated_fraction must lie in [0, 1]")
     num_intervals = polls.num_rounds - 1
 
-    # uint64 subtraction wraps modulo 2**64 exactly like the Counter64 MIB;
-    # narrower counters (Counter32) reduce the same difference modulo their
-    # own space, which recovers the true delta across a legitimate wrap.
-    deltas = polls.counters[1:] - polls.counters[:-1]
-    if polls.counter_bits < 64:
-        deltas = deltas % np.uint64(2**polls.counter_bits)
-    backwards = polls.counters[1:] < polls.counters[:-1]
-    half_space = np.uint64(2 ** (polls.counter_bits - 1))
-
-    elapsed = polls.response_times[1:] - polls.response_times[:-1]
     pair_lost = polls.lost[1:] | polls.lost[:-1]
-    degenerate = ~pair_lost & (elapsed <= 0)
-    # A backwards counter whose modular delta exceeds half the counter
-    # space is a reset (reboot), not a wrap: the sample is unusable.
-    reset = ~pair_lost & ~degenerate & backwards & (deltas > half_space)
-    wrapped = ~pair_lost & ~degenerate & backwards & ~reset
-    valid = ~pair_lost & ~degenerate & ~reset
-
-    rates = np.full((num_intervals, polls.num_objects), np.nan)
-    rates[valid] = (
-        deltas[valid].astype(float) * (8.0 / 1e6) / elapsed[valid]
+    rates, valid, degenerate, reset, wrapped = classify_counter_deltas(
+        polls.counters[:-1],
+        polls.counters[1:],
+        polls.response_times[1:] - polls.response_times[:-1],
+        ~pair_lost,
+        polls.counter_bits,
     )
 
     valid_per_object = valid.any(axis=0)
@@ -616,8 +431,7 @@ def rates_from_poll_matrix(
         name = polls.object_names[int(np.argmin(valid_per_object))]
         raise MeasurementError(f"all polls lost for object {name!r}")
 
-    validity = valid.copy()
-    validity.setflags(write=False)
+    valid.setflags(write=False)
     diagnostics = RateDiagnostics(
         num_intervals=num_intervals,
         num_objects=polls.num_objects,
@@ -626,7 +440,7 @@ def rates_from_poll_matrix(
         interpolated_samples=int((~valid).sum()),
         reset_samples=int(reset.sum()),
         wrap_samples=int(wrapped.sum()),
-        validity=validity,
+        validity=valid,
     )
     if diagnostics.interpolated_fraction > max_interpolated_fraction:
         raise MeasurementError(
@@ -641,26 +455,3 @@ def rates_from_poll_matrix(
         known = ~np.isnan(column)
         column[~known] = np.interp(indices[~known], indices[known], column[known])
     return rates, diagnostics
-
-
-def rates_from_polls(
-    poll_rounds: Sequence[Sequence[PollResult]],
-    object_names: Sequence[str],
-    max_interpolated_fraction: float = 1.0,
-    return_diagnostics: bool = False,
-    counter_bits: int = 64,
-) -> Union[np.ndarray, tuple[np.ndarray, RateDiagnostics]]:
-    """Convert consecutive poll rounds into interval rates in Mbit/s.
-
-    Compatibility wrapper over :func:`rates_from_poll_matrix` for per-round
-    :class:`PollResult` lists.  Returns an array of shape
-    ``(K, num_objects)`` for ``K + 1`` poll rounds, or
-    ``(rates, diagnostics)`` when ``return_diagnostics`` is set.
-    """
-    matrix = PollMatrix.from_rounds(poll_rounds, object_names, counter_bits=counter_bits)
-    rates, diagnostics = rates_from_poll_matrix(
-        matrix, max_interpolated_fraction=max_interpolated_fraction
-    )
-    if return_diagnostics:
-        return rates, diagnostics
-    return rates

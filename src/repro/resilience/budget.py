@@ -88,11 +88,6 @@ class SolverBudget:
             return 0.0
         return time.monotonic() - self._started
 
-    def remaining_seconds(self) -> Optional[float]:
-        if self.max_seconds is None:
-            return None
-        return self.max_seconds - self.elapsed()
-
     def exhausted_reason(self) -> Optional[str]:
         """Why the budget is spent, or ``None`` while allowance remains."""
         if self.max_iterations is not None and self.ticks >= self.max_iterations:

@@ -5,7 +5,7 @@ measurement events rewrite a :class:`~repro.measurement.snmp.PollMatrix`
 *after* the clean schedule ran — exactly where the real failure modes live
 (the UDP datagram is lost, the router reboots, the 32-bit counter wraps,
 the collector's clock drifts) — so the same seeded plan reproduces the same
-corrupted archive on every run.  The optional :class:`WorkerFaultPlan`
+corrupted poll matrix on every run.  The optional :class:`WorkerFaultPlan`
 injects crash/hang behaviour into ``repro.parallel`` pool workers.
 
 The measurement layer *duck-types* plans (it calls ``apply_to_polls`` /
@@ -122,15 +122,17 @@ class CounterReset:
         cols = _columns(arrays.source, self.objects)
         if cols.size == 0:
             return
-        # uint64 subtraction wraps, reproducing the reboot-to-zero restart.
-        arrays.counters[row:, cols] = (
-            arrays.counters[row:, cols] - arrays.counters[row, cols]
-        )
+        # uint64 subtraction wraps, reproducing the reboot-to-zero restart;
+        # a narrower counter wraps in its own space.
+        restarted = arrays.counters[row:, cols] - arrays.counters[row, cols]
+        if arrays.counter_bits < 64:
+            restarted %= np.uint64(2**arrays.counter_bits)
+        arrays.counters[row:, cols] = restarted
 
 
 @dataclass(frozen=True)
 class Counter32Wrap:
-    """Downgrade the archive to 32-bit counters (legacy ifInOctets).
+    """Downgrade the poll matrix to 32-bit counters (legacy ifInOctets).
 
     Counter values are reduced modulo 2**32 and the matrix is tagged
     ``counter_bits = 32`` so :func:`~repro.measurement.snmp.rates_from_poll_matrix`

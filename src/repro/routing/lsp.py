@@ -212,13 +212,3 @@ class LSPMesh:
                 raise RoutingError(f"LSP for pair {pair} has not been signalled")
             paths[pair] = lsp.path
         return paths
-
-    def set_bandwidths(self, bandwidths: Mapping[NodePair, float]) -> None:
-        """Update LSP bandwidth values (e.g. from a measured traffic matrix)."""
-        for pair, bandwidth in bandwidths.items():
-            self.lsp(pair).bandwidth_mbps = float(bandwidth)
-
-    def tear_down_all(self) -> None:
-        """Unsignal every LSP (used before global re-optimisation)."""
-        for lsp in self._lsps.values():
-            lsp.tear_down()

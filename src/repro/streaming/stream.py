@@ -16,10 +16,11 @@ past.  This module provides the two primitives the
   Counter64 ones;
 * :class:`CounterTracker` — the causal counterpart of
   ``rates_from_poll_matrix``: O(objects) state that turns consecutive
-  polls into interval rates with the same wrap/reset/degenerate semantics,
-  but *holds the last derived rate* over holes instead of interpolating
-  (the future samples interpolation needs do not exist yet).  On a clean
-  schedule the two derivations agree bit for bit.
+  polls into interval rates through the same
+  :func:`~repro.measurement.snmp.classify_counter_deltas`, but *holds the
+  last derived rate* over holes instead of interpolating (the future
+  samples interpolation needs do not exist yet).  On a clean schedule the
+  two derivations agree bit for bit.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import StreamingError
-from repro.measurement.snmp import PollMatrix
+from repro.measurement.snmp import PollMatrix, classify_counter_deltas
 
 __all__ = ["PollRound", "PollStream", "CounterTracker"]
-
-_RATE_PER_BYTE_SECOND = 8.0 / 1e6
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,9 @@ class CounterTracker:
 
     Keeps the last *answered* poll of every object (counter value and
     response time) plus the last successfully derived rate.  Each call to
-    :meth:`observe` classifies the new poll exactly like the batch path —
-    uint64 deltas reduced modulo the per-object counter space, a backwards
-    counter within half the space is a recovered wrap, beyond half the
-    space a reset — and returns the current rate vector with a freshness
+    :meth:`observe` classifies the new poll with the batch path's
+    :func:`~repro.measurement.snmp.classify_counter_deltas` (per-object
+    counter widths) and returns the current rate vector with a freshness
     mask.  Objects without a fresh sample keep their held rate (zero until
     first derivation) and age their staleness counter.
 
@@ -193,29 +191,14 @@ class CounterTracker:
                     f"{name} has shape {array.shape}, expected {shape}"
                 )
         answered = ~lost
-        usable = answered & self.have_last
-
-        # uint64 subtraction wraps modulo 2**64; narrower counters reduce
-        # the same difference modulo their own space, recovering the true
-        # delta across a legitimate wrap (same arithmetic as the batch path).
-        deltas = counters - self.last_counter
-        narrow = counter_bits < np.uint64(64)
-        if narrow.any():
-            space = np.uint64(1) << counter_bits[narrow]
-            deltas = deltas.copy()
-            deltas[narrow] = deltas[narrow] % space
-        half_space = np.uint64(1) << (counter_bits - np.uint64(1))
-
-        elapsed = response_times - self.last_response
-        degenerate = usable & (elapsed <= 0)
-        backwards = usable & (counters < self.last_counter)
-        reset = usable & ~degenerate & backwards & (deltas > half_space)
-        fresh = usable & ~degenerate & ~reset
-
-        if fresh.any():
-            self.rate[fresh] = (
-                deltas[fresh].astype(float) * _RATE_PER_BYTE_SECOND / elapsed[fresh]
-            )
+        rates, fresh, degenerate, reset, wrapped = classify_counter_deltas(
+            self.last_counter,
+            counters,
+            response_times - self.last_response,
+            answered & self.have_last,
+            counter_bits,
+        )
+        self.rate[fresh] = rates[fresh]
         # Re-sync on every answered poll — including after a reset, so the
         # next interval is derived from the rebooted counter's new baseline.
         self.last_counter[answered] = counters[answered]
@@ -227,7 +210,7 @@ class CounterTracker:
         self.lost_samples += int((~answered).sum())
         self.degenerate_samples += int(degenerate.sum())
         self.reset_samples += int(reset.sum())
-        self.wrap_samples += int((usable & ~degenerate & backwards & ~reset).sum())
+        self.wrap_samples += int(wrapped.sum())
         return self.rate.copy(), fresh
 
     # ------------------------------------------------------------------

@@ -132,14 +132,6 @@ class TrafficMatrix:
         """Total network traffic ``s_tot`` (sum of all demands)."""
         return float(self._values.sum())
 
-    def origin_names(self) -> tuple[str, ...]:
-        """Origins appearing in the pair ordering, in first-seen order."""
-        return self.pairs.codes()[0]
-
-    def destination_names(self) -> tuple[str, ...]:
-        """Destinations appearing in the pair ordering, in first-seen order."""
-        return self.pairs.codes()[1]
-
     def _totals(self, labels: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
         # bincount adds the weights in pair order, exactly like a loop would.
         return np.bincount(codes, weights=self._values, minlength=len(labels))

@@ -1,4 +1,4 @@
-"""Tests for the distributed collector and measurement archive."""
+"""Tests for the distributed collector."""
 
 from __future__ import annotations
 
@@ -6,93 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
-from repro.measurement import DistributedCollector, MeasurementArchive
+from repro.measurement import DistributedCollector
 from repro.routing import build_routing_matrix
 from repro.topology import NodePair
 from repro.traffic import TrafficMatrix, TrafficMatrixSeries
-
-
-class TestArchive:
-    def test_record_and_query(self):
-        archive = MeasurementArchive()
-        archive.record("link", 0.0, 10.0)
-        archive.record("link", 300.0, 20.0)
-        assert archive.objects() == ("link",)
-        assert archive.num_samples("link") == 2
-        assert archive.samples("link")[1] == (300.0, 20.0)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(MeasurementError):
-            MeasurementArchive().record("link", 0.0, -5.0)
-
-    def test_unknown_object_rejected(self):
-        with pytest.raises(MeasurementError):
-            MeasurementArchive().samples("nope")
-
-    def test_rates_matrix_requires_equal_lengths(self):
-        archive = MeasurementArchive()
-        archive.record("a", 0.0, 1.0)
-        archive.record("a", 300.0, 2.0)
-        archive.record("b", 0.0, 3.0)
-        with pytest.raises(MeasurementError):
-            archive.rates_matrix(["a", "b"])
-        matrix = archive.rates_matrix(["a"])
-        assert matrix.shape == (2, 1)
-
-    def test_samples_and_rates_matrix_sort_by_timestamp(self):
-        # A backup poller may ship its results first; the assembled series
-        # must still be in time order, not insertion order.
-        archive = MeasurementArchive()
-        archive.record("a", 600.0, 3.0)
-        archive.record("a", 0.0, 1.0)
-        archive.record("a", 300.0, 2.0)
-        archive.record("b", 0.0, 10.0)
-        archive.record("b", 600.0, 30.0)
-        archive.record("b", 300.0, 20.0)
-        assert archive.samples("a") == ((0.0, 1.0), (300.0, 2.0), (600.0, 3.0))
-        assert np.allclose(archive.schedule("a"), [0.0, 300.0, 600.0])
-        matrix = archive.rates_matrix(["a", "b"])
-        assert np.allclose(matrix, [[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-
-    def test_rates_matrix_rejects_mismatched_schedules(self):
-        archive = MeasurementArchive()
-        archive.record("a", 0.0, 1.0)
-        archive.record("a", 300.0, 2.0)
-        archive.record("b", 0.0, 3.0)
-        archive.record("b", 600.0, 4.0)  # same count, different timestamps
-        with pytest.raises(MeasurementError, match="different schedule"):
-            archive.rates_matrix(["a", "b"])
-
-    def test_rates_matrix_rejects_duplicate_timestamps(self):
-        archive = MeasurementArchive()
-        archive.record("a", 0.0, 1.0)
-        archive.record("a", 0.0, 2.0)
-        with pytest.raises(MeasurementError, match="duplicate"):
-            archive.rates_matrix(["a"])
-
-    def test_record_block_bulk_matches_per_sample_records(self):
-        timestamps = np.array([300.0, 600.0, 900.0])
-        rates = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        bulk = MeasurementArchive()
-        bulk.record_block(["a", "b"], timestamps, rates)
-        single = MeasurementArchive()
-        for k, timestamp in enumerate(timestamps):
-            single.record("a", timestamp, rates[k, 0])
-            single.record("b", timestamp, rates[k, 1])
-        assert bulk.samples("a") == single.samples("a")
-        assert bulk.num_samples("b") == 3
-        assert np.allclose(
-            bulk.rates_matrix(["a", "b"]), single.rates_matrix(["a", "b"])
-        )
-
-    def test_record_block_validation(self):
-        archive = MeasurementArchive()
-        with pytest.raises(MeasurementError):
-            archive.record_block(["a"], np.array([0.0]), np.array([[-1.0]]))
-        with pytest.raises(MeasurementError):
-            archive.record_block(["a", "b"], np.array([0.0]), np.array([[1.0]]))
-        with pytest.raises(MeasurementError):
-            archive.record_block(["a", "a"], np.array([0.0]), np.array([[1.0, 2.0]]))
 
 
 @pytest.fixture
@@ -153,17 +70,25 @@ class TestDistributedCollector:
         assert sum(per_poller) == routing.num_pairs + routing.num_links
         assert max(per_poller) - min(per_poller) <= 1
 
-    def test_archive_timestamps_are_interval_ends(self, line_network, line_series):
+    def test_measured_timestamps_are_interval_starts(self, line_network, line_series):
         routing = build_routing_matrix(line_network)
-        collector = DistributedCollector(
-            routing, num_pollers=1, jitter_std_seconds=0.0, loss_probability=0.0, seed=1
-        )
+
+        def make_collector():
+            return DistributedCollector(
+                routing, num_pollers=1, jitter_std_seconds=0.0, loss_probability=0.0, seed=1
+            )
+
+        collector = make_collector()
         collector.collect(line_series)
-        name = collector.pollers[0].object_names[0]
-        # The rate of interval k is derived from the poll closing it, so
-        # samples are stamped start + (k+1) * interval.
-        expected = 300.0 * np.arange(1, len(line_series) + 1)
-        assert np.allclose(collector.archive.schedule(name), expected)
+        (polls,) = make_collector().poll_matrices(line_series)
+        # The rate of interval k is derived from the polls at
+        # start + k * interval and start + (k+1) * interval; its snapshot
+        # carries the first of the two.
+        expected = 300.0 * np.arange(len(line_series) + 1)
+        np.testing.assert_array_equal(polls.scheduled_times, expected)
+        np.testing.assert_array_equal(
+            collector.measured_traffic_series().timestamps(), expected[:-1]
+        )
 
     def test_measured_series_aligns_with_driving_series(self, line_network):
         routing = build_routing_matrix(line_network)
@@ -217,3 +142,69 @@ class TestDistributedCollector:
         )
         with pytest.raises(MeasurementError, match="interpolated"):
             collector.collect(line_series)
+
+    def test_explicit_start_time_overrides_the_series_start(self, line_network, line_series):
+        routing = build_routing_matrix(line_network)
+        collector = DistributedCollector(
+            routing, num_pollers=2, jitter_std_seconds=0.0, loss_probability=0.0, seed=1
+        )
+        collector.collect(line_series, start_time=3600.0)
+        measured = collector.measured_traffic_series()
+        np.testing.assert_array_equal(
+            measured.timestamps(), 3600.0 + 300.0 * np.arange(len(line_series))
+        )
+
+    def test_object_names_follow_pair_and_link_order(self, line_network):
+        routing = build_routing_matrix(line_network)
+        collector = DistributedCollector(routing, num_pollers=2, seed=1)
+        assert collector.lsp_object_names == tuple(
+            f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs
+        )
+        assert collector.link_object_names == tuple(routing.link_names)
+
+    def test_measured_link_loads_are_a_fresh_copy(self, line_network, line_series):
+        collector = DistributedCollector(build_routing_matrix(line_network), seed=1)
+        collector.collect(line_series)
+        loads = collector.measured_link_loads()
+        expected = loads.copy()
+        loads[:] = -1.0
+        np.testing.assert_array_equal(collector.measured_link_loads(), expected)
+
+    def test_measured_link_loads_are_column_major(self, line_network, line_series):
+        # The rates are stored object-major; busy-window means sum each
+        # link's column, and their last bits depend on this layout.
+        collector = DistributedCollector(build_routing_matrix(line_network), seed=1)
+        collector.collect(line_series)
+        loads = collector.measured_link_loads()
+        assert loads.shape == (len(line_series), collector.routing.num_links)
+        assert loads.flags.f_contiguous and not loads.flags.c_contiguous
+
+    def test_measured_data_need_a_collection(self, line_network):
+        collector = DistributedCollector(build_routing_matrix(line_network), seed=1)
+        with pytest.raises(MeasurementError, match="no collection"):
+            collector.measured_traffic_series()
+        with pytest.raises(MeasurementError, match="no collection"):
+            collector.measured_link_loads()
+
+    def test_second_collect_replaces_measured_data(self, line_network, line_series):
+        routing = build_routing_matrix(line_network)
+        collector = DistributedCollector(
+            routing, num_pollers=2, jitter_std_seconds=0.0, loss_probability=0.0, seed=1
+        )
+        collector.collect(line_series)
+        shorter = TrafficMatrixSeries(
+            [TrafficMatrix(s.pairs, 2.0 * s.vector) for s in line_series][:3],
+            start_time_seconds=line_series.start_time_seconds + 1200.0,
+        )
+        collector.collect(shorter)
+
+        measured = collector.measured_traffic_series()
+        assert len(measured) == 3
+        np.testing.assert_allclose(measured.as_array(), shorter.as_array(), rtol=1e-6, atol=1e-3)
+        np.testing.assert_array_equal(measured.timestamps(), shorter.timestamps())
+        loads = collector.measured_link_loads()
+        assert loads.shape == (3, routing.num_links)
+        np.testing.assert_allclose(
+            loads[0], routing.link_loads(shorter[0].vector), rtol=1e-6, atol=1e-3
+        )
+        assert collector.collection_diagnostics().num_intervals == 3

@@ -1,4 +1,5 @@
-"""Failure-sweep tests: record structure, partitions, serial == parallel."""
+"""Failure-sweep tests: record structure, partitions, serial == parallel,
+agreement with from-scratch rebuilds."""
 
 from __future__ import annotations
 
@@ -7,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.evaluation import MethodSpec
+from repro.evaluation import MethodSpec, estimate_method_specs
 from repro.planning import (
     FailureCase,
     enumerate_failures,
     failure_sweep,
+    full_rebuild_routing,
     planning_summary_table,
+    project_load,
     utilisation_error_profile,
 )
 
@@ -128,6 +131,35 @@ class TestFailureSweep:
                     isinstance(left, float) and math.isnan(left) and math.isnan(right)
                 ), field
 
+
+    def test_utilisations_equal_full_rebuild_projections(self, dumbbell_scenario):
+        # Every case routed again from scratch, the planning error of each
+        # method projected through that matrix: the engine's reroute must
+        # report the same utilisations on link, link-pair and node cases.
+        network = dumbbell_scenario.network
+        cases = enumerate_failures(network, kinds=("link", "link-pair", "node"))
+        assert len(cases) == 27
+        estimates = estimate_method_specs(dumbbell_scenario, SPECS)
+        records = failure_sweep(
+            dumbbell_scenario, cases=cases, estimates=estimates, include_baseline=False
+        )
+        assert len(records) == len(cases) * len(estimates)
+        records_by_case = iter(records)
+        for case in cases:
+            routing, infeasible = full_rebuild_routing(network, case)
+            for result in estimates:
+                record = next(records_by_case)
+                assert (record.case, record.method) == (case.name, result.label)
+                truth = project_load(routing, result.truth, case=case, infeasible_pairs=infeasible)
+                predicted = project_load(
+                    routing, result.estimate, case=case, infeasible_pairs=infeasible
+                )
+                assert record.true_max_utilisation == pytest.approx(
+                    truth.max_utilisation, rel=0, abs=1e-12
+                )
+                assert record.predicted_max_utilisation == pytest.approx(
+                    predicted.max_utilisation, rel=0, abs=1e-12
+                )
 
 class TestAggregation:
     @pytest.fixture

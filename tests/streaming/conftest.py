@@ -46,7 +46,7 @@ def collector_factory(stream_scenario):
 
     Calling the factory twice with the same arguments yields collectors
     whose poll matrices are bit-identical, which is how tests compare the
-    streaming path against the batch archive path.
+    streaming path against the batch ``collect()`` path.
     """
 
     def make(fault_plan=None, **kwargs):

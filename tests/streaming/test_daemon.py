@@ -15,7 +15,7 @@ from repro.streaming import PollStream, StreamingEstimator
 
 
 def batch_problem(routing, collector):
-    """Batch series problem from a collected archive (the reference path)."""
+    """Batch series problem from a collector's measured data (the reference path)."""
     loads = collector.measured_link_loads()
     demands = collector.measured_traffic_series().as_array()
     pairs = routing.pairs

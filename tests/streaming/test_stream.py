@@ -170,6 +170,23 @@ class TestCounterTrackerClassification:
         assert fresh[0, 0] and not fresh[1, 0]
         assert stream_rates[1, 0] == pytest.approx(100.0)
 
+    def test_counter_widths_classified_per_object(self):
+        # The same readings wrap a 32-bit counter but step a 64-bit one back
+        # by more than half its space: a reset.
+        per_interval = int(1e6 / 8.0 * 300.0)  # 1 Mbps for 300 s
+        start = np.full(2, 2**32 - 10, dtype=np.uint64)
+        bits = np.array([32, 64], dtype=np.uint64)
+        lost = np.zeros(2, dtype=bool)
+        tracker = CounterTracker(2)
+        tracker.observe(np.zeros(2), start, lost, bits)
+        rates, fresh = tracker.observe(
+            np.full(2, 300.0), np.full(2, per_interval - 10, dtype=np.uint64), lost, bits
+        )
+        assert fresh.tolist() == [True, False]
+        assert rates[0] == pytest.approx(1.0)
+        assert tracker.wrap_samples == 1
+        assert tracker.reset_samples == 1
+
     def test_shape_validation(self):
         tracker = CounterTracker(3)
         with pytest.raises(StreamingError):

@@ -8,19 +8,15 @@ even though the matrix was stored in CSR.  This benchmark measures the
 fast path on random backbones of growing size:
 
 * **routing build** — ``build_routing_matrix(network)`` (the csgraph
-  next-hop walk assembled straight to CSR) against a per-pair
-  ``shortest_path`` loop with the per-path assembly, with path-for-path
-  equality of ``route_all`` and an identical routing fingerprint asserted;
+  next-hop walk assembled straight to CSR) timed at every ``N``; its
+  path-for-path and fingerprint parity with per-pair ``shortest_path``
+  queries is a tier-1 test
+  (``tests/routing/test_batched_routing.py::TestBatchedEqualsPairwise``);
 * **estimators** — per-method ``estimate`` wall time on a
   ``large_scenario`` snapshot problem at every ``N``;
 * **memory** — a tracemalloc guard proving the sparse paths never
   materialise a dense routing-sized array (peak allocation stays under the
-  dense ``(L, P)`` footprint);
-* **routing parity** — batched routing pinned path for path to the
-  per-pair ``shortest_path`` queries on the named scenarios.  The routing
-  matrix has one storage format, CSR, so there is no dense-vs-sparse
-  estimate to compare; ``tests/estimation/test_link_order.py`` and the
-  Europe/Abilene estimator tests run every method on the CSR path instead.
+  dense ``(L, P)`` footprint).
 
 The continental-scale tier (default N=500; N=1000 via ``BENCH_PR6_NS``
 needs ~5 GB RSS) times the scenario build, checks the csgraph routing
@@ -29,16 +25,17 @@ kernel (``route_all``) route-for-route against per-origin python sweeps
 runs flat tomogravity on the CSR routing matrix: wall time, a tracemalloc
 peak that must stay under the dense ``(links, pairs)`` routing footprint,
 MRE against the synthetic truth, and the duality-gap certificate, which
-must be within ``repro.optimize.dual.GAP_TOLERANCE``.  The results land
+must be within ``repro.optimize.dual.GAP_TOLERANCE``.  The first solve
+also builds the routing matrix's link-Gram pattern, so a second solve on
+the same problem is timed too: the first is what a one-shot solve pays,
+the second what each later solve on that routing pays.  The results land
 in ``BENCH_PR6.json``.  The telemetry tier measures the disabled-telemetry
 overhead and exports the Chrome trace of a pooled method comparison.
 
-Run directly (CI uses a single small N and a relaxed speedup floor for
-shared runners)::
+Run directly (CI uses a single small N on shared runners)::
 
     PYTHONPATH=src python benchmarks/bench_large_scale.py
-    PYTHONPATH=src BENCH_PR5_NS=50 BENCH_PR5_MIN_ROUTING_SPEEDUP=3.0 \
-        python benchmarks/bench_large_scale.py
+    PYTHONPATH=src BENCH_PR5_NS=50 python benchmarks/bench_large_scale.py
     PYTHONPATH=src BENCH_PR6_ONLY=1 python benchmarks/bench_large_scale.py
     PYTHONPATH=src BENCH_PR9_ONLY=1 python benchmarks/bench_large_scale.py
 """
@@ -70,49 +67,21 @@ def parse_ns() -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-def assert_paths_equal(batched, legacy) -> None:
-    assert set(batched) == set(legacy)
-    for pair, path in batched.items():
-        other = legacy[pair]
-        assert path.nodes == other.nodes, f"node drift for {pair}"
-        assert path.link_names() == other.link_names(), f"link drift for {pair}"
-        assert abs(path.cost - other.cost) <= 1e-9, f"cost drift for {pair}"
-
-
-def per_pair_paths(router, pairs):
-    """The per-pair baseline: one truncated Dijkstra per pair."""
-    return {pair: router.shortest_path(pair) for pair in pairs}
-
-
 def routing_benchmark(n_nodes: int) -> dict:
     from repro.routing.routing_matrix import build_routing_matrix
-    from repro.routing.shortest_path import ShortestPathRouter
     from repro.topology.generators import random_backbone
 
     network = random_backbone(n_nodes, avg_degree=3.0, seed=SEED, name=f"bench-{n_nodes}")
-    router = ShortestPathRouter(network)
-    pairs = network.node_pairs()
-
-    start = time.perf_counter()
-    legacy_paths = per_pair_paths(router, pairs)
-    legacy_matrix = build_routing_matrix(network, paths=legacy_paths)
-    legacy_seconds = time.perf_counter() - start
-
+    network.node_pairs()  # the network's cached pair index is not routing work
     start = time.perf_counter()
     matrix = build_routing_matrix(network)
     batched_seconds = time.perf_counter() - start
-
-    assert_paths_equal(router.route_all(), legacy_paths)
-    assert matrix.fingerprint() == legacy_matrix.fingerprint(), "routing matrix drift"
     return {
         "num_nodes": n_nodes,
         "num_links": network.num_links,
         "num_pairs": network.num_pairs,
         "density": matrix.density,
-        "legacy_seconds": legacy_seconds,
         "batched_seconds": batched_seconds,
-        "speedup": legacy_seconds / batched_seconds,
-        "paths_identical": True,
     }
 
 
@@ -154,24 +123,6 @@ def estimator_benchmark(n_nodes: int, guard_memory: bool) -> dict:
         payload["peak_estimator_bytes"] = peak_bytes
         payload["no_densification"] = True
     return payload
-
-
-def named_scenario_routing_parity() -> list[str]:
-    """Pin batched routing to the legacy per-pair sweep on the named scenarios."""
-    from repro.datasets import abilene_scenario, america_scenario, europe_scenario
-    from repro.routing.shortest_path import ShortestPathRouter
-
-    checked = []
-    for name, builder in (
-        ("europe", europe_scenario),
-        ("america", america_scenario),
-        ("abilene", abilene_scenario),
-    ):
-        network = builder().network
-        router = ShortestPathRouter(network)
-        assert_paths_equal(router.route_all(), per_pair_paths(router, network.node_pairs()))
-        checked.append(name)
-    return checked
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +216,12 @@ def continental_benchmark(n_nodes: int) -> dict:
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     diagnostics = result.diagnostics
+    # The same solve again, untraced: it reuses the link-Gram pattern the
+    # first solve built, so it is what each later solve on this routing pays.
+    start = time.perf_counter()
+    repeat = get_estimator("tomogravity").estimate(problem)
+    repeat_seconds = time.perf_counter() - start
+    assert np.array_equal(repeat.vector, result.vector), "repeat solve drifted"
     record = {
         "num_nodes": n_nodes,
         "num_links": num_links,
@@ -275,6 +232,7 @@ def continental_benchmark(n_nodes: int) -> dict:
         "routing_csgraph_paths_identical": True,
         "dense_routing_bytes": allowance,
         "tomogravity_seconds": seconds,
+        "tomogravity_repeat_seconds": repeat_seconds,
         "tomogravity_peak_bytes": float(peak),
         "tomogravity_mre": _mre(result.vector, truth),
         "tomogravity_iterations": int(diagnostics["iterations"]),
@@ -282,7 +240,8 @@ def continental_benchmark(n_nodes: int) -> dict:
         "tomogravity_converged": bool(diagnostics["converged"]),
     }
     print(
-        f"[continental] N={n_nodes}: flat tomogravity {seconds:6.2f}s "
+        f"[continental] N={n_nodes}: flat tomogravity {seconds:6.2f}s, "
+        f"repeat {repeat_seconds:6.2f}s "
         f"(peak {peak / 1e6:.0f} MB, MRE {record['tomogravity_mre']:.3f}, "
         f"gap {record['tomogravity_duality_gap']:.1e})"
     )
@@ -316,20 +275,14 @@ def main_pr6() -> dict:
 
 def main() -> dict:
     ns = parse_ns()
-    minimum_speedup = float(os.environ.get("BENCH_PR5_MIN_ROUTING_SPEEDUP", "10.0"))
     max_n = max(ns)
 
     routing_records = []
     estimator_records = {}
     for n_nodes in ns:
-        print(f"[large scale] N={n_nodes}: routing build (legacy per-pair vs batched) ...")
         record = routing_benchmark(n_nodes)
         routing_records.append(record)
-        print(
-            f"[large scale] N={n_nodes}: legacy {record['legacy_seconds']:6.2f}s  "
-            f"batched {record['batched_seconds']:6.2f}s  "
-            f"speedup {record['speedup']:6.1f}x"
-        )
+        print(f"[large scale] N={n_nodes}: routing build {record['batched_seconds']:6.3f}s")
         print(f"[large scale] N={n_nodes}: estimators ...")
         estimator_records[str(n_nodes)] = estimator_benchmark(
             n_nodes, guard_memory=n_nodes == max_n
@@ -337,31 +290,15 @@ def main() -> dict:
         for method, seconds in estimator_records[str(n_nodes)]["estimate_seconds"].items():
             print(f"[large scale]     {method:12s} {seconds:6.2f}s")
 
-    print("[large scale] routing parity on the named scenarios ...")
-    routing_checked = named_scenario_routing_parity()
-    print(f"[large scale] batched routes identical on {', '.join(routing_checked)}")
-
-    headline = routing_records[-1]
     payload = {
         "seed": SEED,
         "ns": list(ns),
         "routing_build": routing_records,
         "estimators": estimator_records,
-        "routing_paths_identical_on": routing_checked,
-        "minimum_routing_speedup": minimum_speedup,
-        "headline_routing_speedup": headline["speedup"],
         "cpu_count": os.cpu_count(),
     }
     merge_record(RECORD_PATH, "large_scale", payload)
-
-    assert headline["speedup"] >= minimum_speedup, (
-        f"routing build speedup {headline['speedup']:.1f}x at N={headline['num_nodes']} "
-        f"below the required {minimum_speedup:.1f}x"
-    )
-    print(
-        f"[large scale] OK (>= {minimum_speedup:.1f}x at N={headline['num_nodes']}), "
-        f"recorded in {RECORD_PATH.name}"
-    )
+    print(f"[large scale] OK (no densification), recorded in {RECORD_PATH.name}")
     return payload
 
 

@@ -24,7 +24,11 @@ The dual gradient is ``R s(y) - t - y / 2`` and the negated (generalised)
 Hessian ``R diag(d) R' + I / 2`` is an ``L x L`` symmetric positive definite
 matrix (``d = s / c`` for KL, ``1[s > 0] / (2 w)`` for L2), so
 :func:`solve_dual` runs Newton steps with a dense Cholesky factorisation and
-Armijo backtracking; it needs a handful of steps whatever ``P`` is.  When
+Armijo backtracking; it needs a handful of steps whatever ``P`` is.  The
+routing matrix supplies ``R diag(d) R'`` through ``link_gram``:
+:class:`~repro.routing.RoutingMatrix` analyses its sparsity pattern once,
+on the first call, so each step pays one sparse mat-vec over that pattern
+and the ``L x L`` factorisation, not a sparse-sparse product.  When
 the data term dominates (KL projection, ``sigma^2 = 1e8``), a step's
 predicted ascent can drop below the rounding of the dual value before the
 gap meets its tolerance; from there a full step is taken when it shrinks

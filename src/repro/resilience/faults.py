@@ -134,18 +134,15 @@ class CounterReset:
 class Counter32Wrap:
     """Downgrade the poll matrix to 32-bit counters (legacy ifInOctets).
 
-    Counter values are reduced modulo 2**32 and the matrix is tagged
+    A poll matrix has one counter width, so the fault downgrades every
+    column: counter values are reduced modulo 2**32 and the matrix is tagged
     ``counter_bits = 32`` so :func:`~repro.measurement.snmp.rates_from_poll_matrix`
-    applies wrap-aware deltas.
+    applies wrap-aware deltas.  Under a distributed collector every
+    poller's matrix is downgraded.
     """
 
-    objects: Optional[tuple[str, ...]] = None
-
     def apply(self, arrays: _Arrays, rng: np.random.Generator) -> None:
-        cols = _columns(arrays.source, self.objects)
-        if cols.size == 0:
-            return
-        arrays.counters[:, cols] %= np.uint64(2**32)
+        arrays.counters %= np.uint64(2**32)
         arrays.counter_bits = 32
 
 

@@ -16,8 +16,17 @@ which network element.  It implements the
 :meth:`rmatmat`, :meth:`gram`, :meth:`link_gram`); :attr:`native` hands
 the CSR to sparse-aware consumers, and :attr:`matrix` is the one dense
 view, for the few algorithms that need one.  Expensive derived quantities
-(numerical rank, path lengths, the Gram matrix, the dense view itself) are
-computed once and cached.
+(numerical rank, path lengths, the Gram matrix, the link-Gram pattern, the
+dense view itself) are computed once, cached, and left out of pickles.
+
+The link Gram ``R diag(d) R'`` is what every Newton step of the dual
+solver factors.  Its sparsity pattern depends on ``R`` only, so it is
+analysed once per matrix (symbolic analysis once, numeric work per call,
+as in Davis, *Direct Methods for Sparse Linear Systems*, 2006): the
+pattern holds, for every structurally non-zero upper-triangle entry
+``(i, k)``, the products ``R[i, p] R[k, p]`` of the pairs through both
+links, and each :meth:`~RoutingMatrix.link_gram` call is one sparse
+mat-vec with ``d``.
 
 :func:`reroute` derives the matrix of a failure case from a base matrix:
 only the columns that cross a failed element are routed again.
@@ -71,7 +80,15 @@ class RoutingMatrix:
     network:
         The network the matrix was built from; :func:`reroute` routes over
         it.
+
+    The dense view, the pair Gram, the link-Gram pattern, the rank, the path
+    lengths and the fingerprint are derived on first use and cached; a
+    pickle carries none of them (a spawn-mode pool pickles the matrix once
+    per worker), so an unpickled matrix derives its own.
     """
+
+    #: Lazily derived caches: reset on construction, dropped from pickles.
+    _CACHES = ("_dense", "_gram", "_gram_pattern", "_rank", "_path_lengths", "_fingerprint")
 
     def __init__(
         self,
@@ -102,9 +119,15 @@ class RoutingMatrix:
         self._link_index = {name: idx for idx, name in enumerate(self.link_names)}
         self._dense: Optional[np.ndarray] = None
         self._gram: Optional[np.ndarray] = None
+        self._gram_pattern: Optional[_GramPattern] = None
         self._rank: Optional[int] = None
         self._path_lengths: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        state.update(dict.fromkeys(self._CACHES))
+        return state
 
     # ------------------------------------------------------------------
     # storage
@@ -232,12 +255,23 @@ class RoutingMatrix:
     def link_gram(self, weights: np.ndarray) -> np.ndarray:
         """The dense ``(num_links, num_links)`` matrix ``R @ diag(weights) @ R.T``.
 
-        Built from CSR products (the columns are scaled by ``weights``), so
-        the link-space solvers never touch the dense ``(links, pairs)`` view.
+        One sparse mat-vec of the cached Gram pattern (built on the first
+        call) with ``weights``, written into a zeroed array at each entry's
+        upper and mirrored position, so the result is exactly symmetric and
+        the link-space solvers never touch the dense ``(links, pairs)``
+        view.  Each entry sums ``(R[i, p] R[k, p]) weights[p]`` over the
+        pairs in ascending order, the order of a CSR product ``(R W) R'``:
+        on 0/1 routing and power-of-two ECMP shares the two agree bit for
+        bit.
         """
-        scaled = self._csr.copy()
-        scaled.data *= weights[scaled.indices]
-        return (scaled @ self._csr.T).toarray()
+        if self._gram_pattern is None:
+            self._gram_pattern = _GramPattern.of(self._csr)
+        pattern = self._gram_pattern
+        values = pattern.products @ weights
+        gram = np.zeros(self.num_links * self.num_links)
+        gram[pattern.lower] = values
+        gram[pattern.upper] = values
+        return gram.reshape(self.num_links, self.num_links)
 
     # ------------------------------------------------------------------
     # cached derived quantities
@@ -250,7 +284,8 @@ class RoutingMatrix:
         backbones (many more pairs than links).  The rank is read from the
         eigenvalues of the ``(num_links, num_links)`` link Gram ``R @ R.T``
         (see :func:`~repro.routing.backends.gram_rank`), so the matrix is
-        never densified.
+        never densified.  The first call builds the link-Gram pattern that
+        :meth:`link_gram` reuses.
         """
         if self._rank is None:
             link_gram = self.link_gram(np.ones(self.num_pairs))
@@ -302,6 +337,92 @@ class RoutingMatrix:
             f"RoutingMatrix(links={self.num_links}, pairs={self.num_pairs}, "
             f"rank={self.rank()}, density={self.density:.4f})"
         )
+
+
+@dataclass(frozen=True)
+class _GramPattern:
+    """The symbolic part of ``R diag(d) R'``, computed once per routing matrix.
+
+    Attributes
+    ----------
+    products:
+        CSR with one row per structurally non-zero upper-triangle entry
+        ``(i, k)``, ``i <= k``, of ``R R'`` (rows in row-major order) and one
+        column per pair; entry ``(u, p)`` is ``R[i, p] R[k, p]``, pairs
+        ascending within each row.  ``products @ d`` is the upper triangle.
+    upper, lower:
+        Flat positions ``i L + k`` and ``k L + i`` of each row in the
+        ``L x L`` Gram.
+    """
+
+    products: scipy.sparse.csr_matrix
+    upper: np.ndarray
+    lower: np.ndarray
+
+    @classmethod
+    def of(cls, csr: scipy.sparse.csr_matrix) -> "_GramPattern":
+        num_links, num_pairs = csr.shape
+        with telemetry.span(
+            "routing.link_gram_pattern", links=num_links, pairs=num_pairs
+        ) as span:
+            by_key = _pair_products(csr).T.tocsr()
+            # The transpose is a counting sort by key: stable, so the pairs
+            # stay ascending within each key.  Only the keys some pair hits
+            # are kept.
+            keys = np.flatnonzero(np.diff(by_key.indptr))
+            indptr = np.zeros(keys.size + 1, dtype=by_key.indptr.dtype)
+            indptr[1:] = by_key.indptr[keys + 1]
+            products = scipy.sparse.csr_matrix(
+                (by_key.data, by_key.indices, indptr), shape=(keys.size, num_pairs)
+            )
+            pattern = cls(products, keys, (keys % num_links) * num_links + keys // num_links)
+            span.set_attributes(entries=products.nnz, bytes=pattern.nbytes)
+        return pattern
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the pattern retains."""
+        arrays = (self.products.data, self.products.indices, self.products.indptr)
+        return sum(array.nbytes for array in arrays + (self.upper, self.lower))
+
+
+def _pair_products(csr: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """Pair-major CSR of every product ``R[i, p] R[k, p]``, ``i <= k``, keyed ``i L + k``.
+
+    Row ``p`` holds the ``m (m + 1) / 2`` products of pair ``p``'s ``m``-link
+    path.  The pairs are processed grouped by path length, so each group is
+    one vectorised triangle written to a contiguous block; one row gather
+    then puts the pairs back in order.
+    """
+    num_links, num_pairs = csr.shape
+    csc = csr.tocsc()  # from canonical CSR: rows ascending within each column
+    lengths = np.diff(csc.indptr)
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    offsets = np.zeros(num_pairs + 1, dtype=np.int64)
+    np.cumsum(sorted_lengths * (sorted_lengths + 1) // 2, out=offsets[1:])
+    fits = max(num_links * num_links, int(offsets[-1])) < 2**31
+    index_dtype = np.int32 if fits else np.int64
+    keys = np.empty(int(offsets[-1]), dtype=index_dtype)
+    products = np.empty(keys.size)
+    link_rows = csc.indices.astype(index_dtype, copy=False)
+    starts = np.flatnonzero(np.diff(sorted_lengths, prepend=-1))
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [num_pairs]):
+        length = int(sorted_lengths[start])
+        first, second = np.triu_indices(length)
+        slots = csc.indptr[order[start:stop], None] + np.arange(length)
+        rows, shares = link_rows[slots], csc.data[slots]
+        block = slice(offsets[start], offsets[stop])
+        shape = (stop - start, first.size)
+        np.add(rows[:, first] * num_links, rows[:, second], out=keys[block].reshape(shape))
+        np.multiply(shares[:, first], shares[:, second], out=products[block].reshape(shape))
+    by_length = scipy.sparse.csr_matrix(
+        (products, keys, offsets.astype(index_dtype)),
+        shape=(num_pairs, num_links * num_links),
+    )
+    position = np.empty(num_pairs, dtype=np.intp)
+    position[order] = np.arange(num_pairs)
+    return by_length[position]
 
 
 def build_routing_matrix(

@@ -109,6 +109,32 @@ def test_counter32_wrap_recovers_true_rates():
     assert diagnostics.reset_samples == 0
 
 
+def test_counter32_wrap_downgrades_every_poller_of_a_collector():
+    # A poll matrix has one counter width, so the fault reduces and tags
+    # every column of every poller's matrix; collection then reads the
+    # wraps instead of rejecting a counter past the 32-bit space.
+    from repro.datasets import small_scenario
+    from repro.measurement.collector import DistributedCollector
+
+    scenario = small_scenario(seed=5, num_nodes=5, num_samples=10)
+
+    def collector(plan):
+        return DistributedCollector(
+            scenario.routing, num_pollers=2, jitter_std_seconds=0.0, seed=4, fault_plan=plan
+        )
+
+    clean = collector(None).poll_matrices(scenario.day_series)
+    wrapped = collector(fault_plan(Counter32Wrap())).poll_matrices(scenario.day_series)
+    assert len(wrapped) == 2
+    for faulty, reference in zip(wrapped, clean):
+        assert faulty.counter_bits == 32
+        np.testing.assert_array_equal(faulty.counters, reference.counters % np.uint64(2**32))
+        assert (reference.counters >= 2**32).any()
+    faulty_collector = collector(fault_plan(Counter32Wrap()))
+    faulty_collector.collect(scenario.day_series)
+    assert faulty_collector.collection_diagnostics().wrap_samples > 0
+
+
 def test_clock_skew_shifts_responses_and_rates():
     plan = fault_plan(ClockSkew(offset_seconds=30.0, start_round=4, objects=("a",)))
     polls = plan.apply_to_polls(clean_polls())

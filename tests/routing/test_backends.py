@@ -4,22 +4,27 @@
 the :class:`~repro.routing.RoutingOperator` products itself.  Every product,
 the cached Gram matrices, the rank, the path lengths and the row/column
 slices are checked against NumPy on the dense view ``routing.matrix`` for
-the named scenarios and a fractional ECMP matrix; the constructor tests pin
-the canonical form (duplicates summed, explicit zeros dropped) and the
-input validation.
+the named scenarios and fractional ECMP matrices (half shares on Europe;
+halves, thirds, sixths and sums of them on a grid); the constructor tests
+pin the canonical form (duplicates summed, explicit zeros dropped) and the
+input validation.  ``TestLinkGramPattern`` covers the link-Gram pattern's
+degenerate inputs, its caching and its absence from pickles.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from repro import telemetry
 from repro.errors import RoutingError
-from repro.routing import RoutingMatrix, build_ecmp_routing_matrix
+from repro.routing import RoutingMatrix, build_ecmp_routing_matrix, reroute
 from repro.topology import Link, Network, Node
 
-ROUTINGS = ("europe", "abilene", "america", "ecmp-grid")
+ROUTINGS = ("europe", "abilene", "america", "ecmp-grid", "ecmp-europe")
 
 
 def grid_network(side: int) -> Network:
@@ -48,6 +53,9 @@ def routing(request):
 
     if request.param == "ecmp-grid":
         return build_ecmp_routing_matrix(grid_network(4))
+    if request.param.startswith("ecmp-"):
+        name = request.param.removeprefix("ecmp-")
+        return build_ecmp_routing_matrix(getattr(datasets, f"{name}_scenario")().network)
     return getattr(datasets, f"{request.param}_scenario")().routing
 
 
@@ -60,6 +68,27 @@ def test_ecmp_grid_is_fractional():
     routing = build_ecmp_routing_matrix(grid_network(4))
     fractions = routing.native.data
     assert np.any((fractions > 0.0) & (fractions < 1.0))
+    assert np.any(fractions == 1.0 / 3.0)  # products of thirds round
+
+
+def dyadic(routing) -> bool:
+    """Whether every routing entry is a power of two (0/1 or halved shares)."""
+    mantissas, _ = np.frexp(routing.native.data)
+    return bool(np.all(mantissas == 0.5))
+
+
+@pytest.fixture
+def pattern_builds():
+    """Telemetry on for the test; returns a count of link-Gram pattern builds."""
+    telemetry.disable()
+    telemetry.reset_telemetry()
+    telemetry.enable()
+    try:
+        with telemetry.capture() as spans:
+            yield lambda: sum(span.name == "routing.link_gram_pattern" for span in spans)
+    finally:
+        telemetry.disable()
+        telemetry.reset_telemetry()
 
 
 class TestProductsMatchNumpy:
@@ -99,10 +128,31 @@ class TestProductsMatchNumpy:
 
     def test_link_gram(self, routing, rng):
         dense = routing.matrix
+        # Multiples of 1/8 sum exactly in any order, so only the products of
+        # the routing entries can round: never on dyadic shares, within
+        # 1e-15 relative on thirds.
+        weights = rng.integers(1, 64, routing.num_pairs) / 8.0
+        link_gram = routing.link_gram(weights)
+        expected = (dense * weights) @ dense.T
+        if dyadic(routing):
+            np.testing.assert_array_equal(link_gram, expected)
+        else:
+            np.testing.assert_allclose(link_gram, expected, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(link_gram, link_gram.T)
+
+    def test_link_gram_sums_pairs_in_ascending_order(self, routing, rng):
+        # The CSR product (R W) R' sums each entry over the pairs in
+        # ascending order, and so does the pattern: on dyadic shares the two
+        # agree bit for bit whatever the weights.
         weights = rng.uniform(0.5, 2.0, routing.num_pairs)
-        np.testing.assert_allclose(
-            routing.link_gram(weights), (dense * weights) @ dense.T, rtol=1e-12, atol=1e-12
-        )
+        scaled = routing.native.copy()  # canonical: pairs ascending in each row
+        scaled.data *= weights[scaled.indices]
+        expected = (scaled @ routing.native.T).toarray()
+        link_gram = routing.link_gram(weights)
+        if dyadic(routing):
+            np.testing.assert_array_equal(link_gram, expected)
+        else:
+            np.testing.assert_allclose(link_gram, expected, rtol=1e-15, atol=0.0)
 
     def test_rank(self, routing):
         assert routing.rank() == np.linalg.matrix_rank(routing.matrix)
@@ -193,3 +243,63 @@ class TestConstructor:
             RoutingMatrix(np.zeros((2, 3)), ["a", "b", "c"], pairs)
         with pytest.raises(RoutingError, match="does not match"):
             RoutingMatrix(scipy.sparse.csr_matrix((2, 2)), self.LINKS, pairs)
+
+
+class TestLinkGramPattern:
+    LINKS = ("a", "b", "c")
+
+    def test_zero_column_and_one_link_path(self, triangle_network):
+        pairs = triangle_network.node_pairs()[:4]
+        dense = np.array(
+            [[1.0, 0.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.5], [1.0, 0.0, 0.0, 0.0]]
+        )  # pair 1 crosses no link, pair 2 one
+        routing = RoutingMatrix(dense, self.LINKS, pairs)
+        weights = np.array([3.0, 5.0, 7.0, 2.0])
+        np.testing.assert_array_equal(routing.link_gram(weights), (dense * weights) @ dense.T)
+        assert routing.rank() == np.linalg.matrix_rank(dense)
+
+    def test_no_pairs(self):
+        routing = RoutingMatrix(np.zeros((3, 0)), self.LINKS, [])
+        np.testing.assert_array_equal(routing.link_gram(np.zeros(0)), np.zeros((3, 3)))
+        assert routing.rank() == 0
+
+    def test_pattern_is_built_once(self, pattern_builds):
+        import repro.datasets as datasets
+
+        routing = datasets.europe_scenario().routing
+        weights = np.linspace(0.5, 2.0, routing.num_pairs)
+        first = routing.link_gram(weights)
+        assert pattern_builds() == 1
+        second = routing.link_gram(weights)
+        routing.rank()
+        assert pattern_builds() == 1
+        np.testing.assert_array_equal(first, second)
+        assert first is not second  # a fresh array the caller may modify
+
+    def test_reroute_builds_its_own_pattern(self, pattern_builds):
+        import repro.datasets as datasets
+
+        base = datasets.europe_scenario().routing
+        weights = np.linspace(0.5, 2.0, base.num_pairs)
+        before = base.link_gram(weights)
+        busiest = int(np.argmax(np.diff(base.native.indptr)))
+        failed, result = reroute(base, failed_links=[base.link_names[busiest]])
+        assert result.rerouted and failed is not base
+        rerouted = failed.link_gram(weights)
+        assert pattern_builds() == 2
+        dense = failed.matrix
+        np.testing.assert_allclose(rerouted, (dense * weights) @ dense.T, rtol=1e-15, atol=0.0)
+        assert not np.array_equal(rerouted, before)
+        np.testing.assert_array_equal(base.link_gram(weights), before)
+        assert pattern_builds() == 2
+
+    def test_pickle_carries_no_cache(self, routing):
+        fresh = RoutingMatrix(routing.native, routing.link_names, routing.pairs, routing.network)
+        size = len(pickle.dumps(fresh))
+        weights = np.ones(fresh.num_pairs)
+        link_gram = fresh.link_gram(weights)
+        fresh.matrix, fresh.gram(), fresh.rank(), fresh.path_lengths(), fresh.fingerprint()
+        assert len(pickle.dumps(fresh)) <= size
+        restored = pickle.loads(pickle.dumps(fresh))
+        assert restored.fingerprint() == fresh.fingerprint()
+        np.testing.assert_array_equal(restored.link_gram(weights), link_gram)

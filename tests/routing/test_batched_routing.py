@@ -59,12 +59,22 @@ class TestBatchedEqualsPairwise:
         assert_same_paths(router.route_all(), per_pair(router))
 
     def test_random_backbones_identical(self):
+        from repro.routing.routing_matrix import build_routing_matrix
         from repro.topology.generators import random_backbone
 
-        for seed in (0, 1, 2):
-            network = random_backbone(17, avg_degree=3.4, seed=seed)
+        networks = [random_backbone(17, avg_degree=3.4, seed=seed) for seed in (0, 1, 2)]
+        # The N=50 topology of benchmarks/bench_large_scale.py.
+        networks.append(random_backbone(50, avg_degree=3.0, seed=2004))
+        for network in networks:
             router = ShortestPathRouter(network)
-            assert_same_paths(router.route_all(), per_pair(router))
+            legacy = per_pair(router)
+            assert_same_paths(router.route_all(), legacy)
+            # The CSR assembled straight from the next-hop table equals the
+            # one assembled from the per-pair paths.
+            assert (
+                build_routing_matrix(network).fingerprint()
+                == build_routing_matrix(network, paths=legacy).fingerprint()
+            )
 
     def test_pair_subset_only_routes_requested(self, named_network):
         router = ShortestPathRouter(named_network)

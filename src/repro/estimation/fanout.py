@@ -16,9 +16,15 @@ overdetermined; the paper's Figure 11 shows the error dropping quickly with
 the first few snapshots and then levelling out.
 
 :class:`FanoutEstimator` solves this constrained least-squares problem with
-:func:`repro.optimize.nnls.constrained_nnls` and reports, as its point
-estimate, the window-average demands ``mean_k t_e(n)[k] * alpha_nm`` (the
-quantity the paper plots in Figure 10).  The fit is certified by its KKT
+:func:`repro.optimize.nnls.constrained_nnls`.  Its stacked system has
+``K * L + N`` rows (``L`` links, ``N`` origins) for ``P`` fanouts;
+``constrained_nnls`` factors it once by a Q-less QR and runs Lawson-Hanson
+on the triangle of at most ``P + 1`` rows.  The QR is orthogonal, so the
+triangle's fit differs from the stacked one by a constant and has the same
+minimisers: a longer window costs one more slab of the factorisation, not
+a larger active-set solve.  The estimator reports, as its point estimate,
+the window-average demands ``mean_k t_e(n)[k] * alpha_nm`` (the quantity
+the paper plots in Figure 10).  The fit is certified by its KKT
 residual: with ``g = A'(A alpha - b)`` the gradient of the stacked fit and
 ``mu_n = -min g`` over origin ``n``'s fanouts its equality multiplier, the
 minimiser has ``min(alpha, g + mu) = 0`` entrywise.  The gradient is

@@ -16,7 +16,12 @@ of it (the batch flags any column it could not finish):
   positive-definite Gram, factored once (Bayesian's series path);
 * :func:`constrained_nnls` — the same problem with linear equality
   constraints added as heavily weighted rows, which is the fanout fit of
-  paper Section 4.2.4; it reports the equality violation it leaves.
+  paper Section 4.2.4; it reports the equality violation it leaves.  It
+  runs Lawson-Hanson on the triangular factor of the stacked system
+  rather than on the system itself: if ``[M | c] = Q [R d; 0 rho]`` with
+  ``Q`` orthogonal, then ``||M x - c||^2 = ||R x - d||^2 + rho^2`` for
+  every ``x``, so both have the same minimisers over ``x >= 0``
+  (Lawson & Hanson 1974; Bjorck 1996).
 
 :func:`kkt_residual` is the optimality certificate the callers report.
 """
@@ -249,20 +254,37 @@ def constrained_nnls(
 ) -> ConstrainedLSResult:
     """Solve ``min ||A x - b||^2`` s.t. ``E x = f`` and ``x >= 0``.
 
-    The equality constraints enter the objective as heavily weighted rows:
-    the system ``[A; w E] x ~ [b; w f]`` is solved exactly by
-    :func:`nnls_active_set` with ``w = 1000 * max(1, ||A||_F / ||E||_F)``,
-    which keeps the equality residual several orders of magnitude below the
-    data residual.  The achieved equality violation is returned so callers
-    can check it (the fanout estimator also certifies optimality).
+    The equality constraints enter the objective as heavily weighted rows,
+    ``M = [A; w E]`` and ``c = [b; w f]`` with ``w = 1000 * max(1,
+    ||A||_F / ||E||_F)``, which keeps the equality residual several orders
+    of magnitude below the data residual.  ``min ||M x - c||^2`` over
+    ``x >= 0`` is then solved exactly by :func:`nnls_active_set` on a
+    triangular factor of the stacked system.
+
+    ``[M | c]`` is written once into a Fortran-ordered buffer that one
+    Householder QR factors in place, without forming ``Q``: the kept
+    triangle ``[R d; 0 rho]`` has at most ``n + 1`` rows, ``n`` the number
+    of unknowns, however many rows ``M`` has.  ``Q`` is orthogonal, so
+    ``||M x - c||^2 = ||R x - d||^2 + rho^2`` for every ``x``, and
+    Lawson-Hanson on the triangle finds the minimisers of the stacked
+    system.  The reduction is exact for any shape; with fewer rows than
+    ``n + 1`` (a wide system) the factor is a trapezoid with one row per
+    row of ``M`` and no ``rho``.  The achieved equality violation is
+    returned so callers can check it (the fanout estimator also certifies
+    optimality).
     """
     A, b, E, f = _validate_problem(A, b, E, f)
     scale_a = float(np.linalg.norm(A)) or 1.0
     scale_e = float(np.linalg.norm(E)) or 1.0
     penalty_weight = 1000.0 * max(1.0, scale_a / scale_e)
-    stacked_matrix = np.vstack([A, penalty_weight * E])
-    stacked_rhs = np.concatenate([b, penalty_weight * f])
-    x = nnls_active_set(stacked_matrix, stacked_rhs).x
+    rows, cols = A.shape
+    augmented = np.empty((rows + E.shape[0], cols + 1), order="F")
+    augmented[:rows, :cols] = A
+    np.multiply(E, penalty_weight, out=augmented[rows:, :cols])
+    augmented[:rows, cols] = b
+    np.multiply(f, penalty_weight, out=augmented[rows:, cols])
+    _, triangle = scipy.linalg.qr(augmented, mode="raw", overwrite_a=True, check_finite=False)
+    x = nnls_active_set(triangle[:, :cols], triangle[:, cols]).x
     return ConstrainedLSResult(
         x=x,
         residual_norm=float(np.linalg.norm(A @ x - b)),

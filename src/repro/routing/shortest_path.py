@@ -480,6 +480,7 @@ class ShortestPathRouter:
             )
         self.network = network
         self.metric_attribute = metric_attribute
+        self._distances: Optional[dict[str, dict[str, float]]] = None
 
     # ------------------------------------------------------------------
     def _link_cost(self, link: Link) -> float:
@@ -503,6 +504,14 @@ class ShortestPathRouter:
     def all_shortest_paths(self, pair: NodePair, tolerance: float = 1e-9) -> tuple[Path, ...]:
         """Return every equal-cost shortest path for ``pair`` (ECMP set).
 
+        A depth-first search over simple paths from the origin, pruned by
+        the router's table of shortest distances: a link is skipped when
+        the cost so far, its cost and the shortest distance from its head
+        to the destination exceed the optimum by more than ``tolerance``.
+        That sum is a lower bound on every path through the link, so the
+        pruning drops no equal-cost path; it keeps the search to the links
+        that start one.
+
         Parameters
         ----------
         pair:
@@ -512,29 +521,43 @@ class ShortestPathRouter:
             considered equal cost.
         """
         optimum = self.shortest_path(pair).cost
+        to_destination = {
+            node: costs.get(pair.destination, np.inf)
+            for node, costs in self._distance_table().items()
+        }
+        bound = optimum + tolerance
         paths: list[Path] = []
 
         def extend(node: str, nodes: tuple[str, ...], links: tuple[Link, ...], cost: float) -> None:
-            if cost > optimum + tolerance:
-                return
             if node == pair.destination:
                 paths.append(Path(pair=pair, nodes=nodes, links=links, cost=cost))
                 return
             for link in self.network.outgoing_links(node):
                 if link.target in nodes:
                     continue
-                extend(
-                    link.target,
-                    nodes + (link.target,),
-                    links + (link,),
-                    cost + self._link_cost(link),
-                )
+                next_cost = cost + self._link_cost(link)
+                if next_cost + to_destination[link.target] > bound:
+                    continue
+                extend(link.target, nodes + (link.target,), links + (link,), next_cost)
 
         extend(pair.origin, (pair.origin,), (), 0.0)
         if not paths:
             raise RoutingError(f"no path found for pair {pair}")
         paths.sort(key=lambda p: p.nodes)
         return tuple(paths)
+
+    def _distance_table(self) -> dict[str, dict[str, float]]:
+        """Shortest distances ``{source: {node: cost}}``, swept once per router.
+
+        One :func:`_dijkstra_sweep` per source over the network as it is at
+        the first call; unreachable nodes are absent.
+        """
+        if self._distances is None:
+            self._distances = {
+                source: _dijkstra_sweep(self.network, source, self._link_cost, None, None)[0]
+                for source in self.network.node_names
+            }
+        return self._distances
 
     def route_table(self, pairs: Optional[Sequence[NodePair]] = None) -> RouteTable:
         """Route every pair (default: all pairs of the network) into flat link rows.

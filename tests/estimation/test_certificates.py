@@ -154,21 +154,26 @@ def in_unit(problem, unit):
 
 class TestFanout:
     # 1e6 is the same traffic in bit/s instead of Mbit/s: the fanouts do not
-    # change, so neither may what certifies them.
+    # change, so neither may what certifies them.  Window 1 is the wide
+    # case (fewer stacked rows than fanouts: the fit interpolates the
+    # loads and the factor is a trapezoid); window 50 is tall (14,225 x 600
+    # on America).
+    @pytest.mark.parametrize("window", [1, 10, 50])
     @pytest.mark.parametrize("unit", [1.0, 1e6])
     @pytest.mark.parametrize("seed", [2004, 4242])
     @pytest.mark.parametrize("name", ["europe", "abilene", "america"])
-    def test_estimate_meets_and_perturbation_fails_the_certificate(self, name, seed, unit):
-        problem = in_unit(scenario(name, seed).series_problem(window_length=10), unit)
-        result = get_estimator("fanout", window_length=10).estimate(problem)
+    def test_estimate_meets_and_perturbation_fails_the_certificate(self, name, seed, unit, window):
+        problem = in_unit(scenario(name, seed).series_problem(window_length=window), unit)
+        result = get_estimator("fanout", window_length=window).estimate(problem)
         fanouts = np.asarray(result.diagnostics["fanouts"])
         reported = result.diagnostics["kkt_residual"]
-        assert reported == pytest.approx(fanout_residual(problem, 10, fanouts), rel=1e-6, abs=1e-15)
+        independent = fanout_residual(problem, window, fanouts)
+        assert reported == pytest.approx(independent, rel=1e-6, abs=1e-15)
         assert reported <= KKT_TOLERANCE
         assert result.diagnostics["equality_violation"] <= 1e-6
         assert result.diagnostics["converged"] is True
         for moved in moved_mass(problem, fanouts):
-            assert fanout_residual(problem, 10, moved) > 10 * KKT_TOLERANCE
+            assert fanout_residual(problem, window, moved) > 10 * KKT_TOLERANCE
 
     def test_above_800_pairs_meets_its_certificate(self):
         scenario_870 = large_scenario(30, 7)

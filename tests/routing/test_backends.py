@@ -5,7 +5,8 @@ the :class:`~repro.routing.RoutingOperator` products itself.  Every product,
 the cached Gram matrices, the rank, the path lengths and the row/column
 slices are checked against NumPy on the dense view ``routing.matrix`` for
 the named scenarios and fractional ECMP matrices (half shares on Europe;
-halves, thirds, sixths and sums of them on a grid); the constructor tests
+halves, thirds and two-thirds on America; halves, thirds, sixths and sums
+of them on a grid); the constructor tests
 pin the canonical form (duplicates summed, explicit zeros dropped) and the
 input validation.  ``TestLinkGramPattern`` covers the link-Gram pattern's
 degenerate inputs, its caching and its absence from pickles.
@@ -24,7 +25,7 @@ from repro.errors import RoutingError
 from repro.routing import RoutingMatrix, build_ecmp_routing_matrix, reroute
 from repro.topology import Link, Network, Node
 
-ROUTINGS = ("europe", "abilene", "america", "ecmp-grid", "ecmp-europe")
+ROUTINGS = ("europe", "abilene", "america", "ecmp-grid", "ecmp-europe", "ecmp-america")
 
 
 def grid_network(side: int) -> Network:

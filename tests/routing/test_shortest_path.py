@@ -7,6 +7,31 @@ import pytest
 from repro.errors import RoutingError
 from repro.routing import Path, ShortestPathRouter
 from repro.topology import Link, Network, Node, NodePair
+from repro.topology.generators import abilene_backbone, european_backbone
+
+
+def unpruned_ecmp(router, pair, tolerance=1e-9):
+    """Node sequences and costs of every simple path within ``tolerance`` of the optimum.
+
+    The search stops a path only once its own cost passes the bound, so it
+    visits every cheap enough prefix; the router prunes with its distance
+    table and must find the same set.
+    """
+    bound = router.shortest_path(pair).cost + tolerance
+    found = []
+
+    def extend(nodes, cost):
+        if cost > bound:
+            return
+        if nodes[-1] == pair.destination:
+            found.append((nodes, cost))
+            return
+        for link in router.network.outgoing_links(nodes[-1]):
+            if link.target not in nodes:
+                extend(nodes + (link.target,), cost + router._link_cost(link))
+
+    extend((pair.origin,), 0.0)
+    return sorted(found)
 
 
 class TestPathObject:
@@ -96,6 +121,26 @@ class TestECMPAndRouteAll:
         paths = ShortestPathRouter(network).all_shortest_paths(NodePair("A", "D"))
         assert len(paths) == 2
         assert {p.nodes for p in paths} == {("A", "B", "D"), ("A", "C", "D")}
+
+    @pytest.mark.parametrize("metric", ["metric", "hops"])
+    @pytest.mark.parametrize("build", [european_backbone, abilene_backbone])
+    def test_pruned_search_finds_every_equal_cost_path(self, build, metric):
+        router = ShortestPathRouter(build(), metric_attribute=metric)
+        for pair in router.network.node_pairs():
+            paths = router.all_shortest_paths(pair)
+            assert [(p.nodes, p.cost) for p in paths] == unpruned_ecmp(router, pair)
+
+    def test_tolerance_admits_near_ties_only(self):
+        network = Network("near-tie")
+        for name in ("A", "B", "C", "D"):
+            network.add_node(Node(name=name))
+        network.add_link(Link(source="A", target="B", metric=1.0))
+        network.add_link(Link(source="B", target="D", metric=1.0))
+        network.add_link(Link(source="A", target="C", metric=1.0))
+        network.add_link(Link(source="C", target="D", metric=1.0 + 5e-10))
+        router = ShortestPathRouter(network)
+        assert len(router.all_shortest_paths(NodePair("A", "D"))) == 2
+        assert len(router.all_shortest_paths(NodePair("A", "D"), tolerance=1e-10)) == 1
 
     def test_single_path_when_no_ties(self, line_network):
         paths = ShortestPathRouter(line_network).all_shortest_paths(NodePair("A", "C"))

@@ -14,9 +14,12 @@ and times every ``process_round`` call:
 * **tomogravity (recorded)** — the default daemon method, timed for
   reference but ungated: its per-poll cost is dominated by the regularised
   solve, not the streaming machinery;
-* **checkpoint round-trip (recorded)** — one ``checkpoint``/``restore``
-  cycle at full scale, since the crash-safety story is only practical if
-  saving state is much cheaper than a poll interval.
+* **checkpoint round-trip (recorded, checked)** — one ``checkpoint``/
+  ``restore`` cycle at full scale, since the crash-safety story is only
+  practical if saving state is much cheaper than a poll interval.  The
+  last poll round is held back from the timed rounds; after the cycle,
+  untimed, the live and the restored daemon each consume it, and their
+  records must be the same line (exit 1 otherwise).
 
 Results land under the ``streaming`` key of ``BENCH_PR10.json``.
 
@@ -76,7 +79,9 @@ def time_daemon(scenario, collector, stream, method: str, **kwargs) -> dict:
     per_poll_ms = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for poll_round in stream.rounds():
+        # The final round is held back for the restore check.
+        for index in range(stream.num_rounds - 1):
+            poll_round = stream.round(index)
             start = time.perf_counter()
             record = daemon.process_round(poll_round, stream)
             elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -91,7 +96,8 @@ def time_daemon(scenario, collector, stream, method: str, **kwargs) -> dict:
     }, daemon
 
 
-def time_checkpoint(daemon, routing) -> dict:
+def time_checkpoint(daemon, routing, stream) -> dict:
+    """Time one save/restore, then check the restored daemon's next record."""
     import tempfile
 
     from repro.streaming import StreamingEstimator
@@ -103,12 +109,18 @@ def time_checkpoint(daemon, routing) -> dict:
         save_ms = (time.perf_counter() - start) * 1e3
         size_bytes = os.path.getsize(path)
         start = time.perf_counter()
-        StreamingEstimator.restore(path, routing)
+        restored = StreamingEstimator.restore(path, routing)
         restore_ms = (time.perf_counter() - start) * 1e3
+    final = stream.round(stream.num_rounds - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        live_line = daemon.process_round(final, stream).payload_line()
+        restored_line = restored.process_round(final, stream).payload_line()
     return {
         "save_ms": float(save_ms),
         "restore_ms": float(restore_ms),
         "size_bytes": int(size_bytes),
+        "restore_identical": live_line == restored_line,
     }
 
 
@@ -135,11 +147,12 @@ def main() -> int:
         f"(max {reference['per_poll_ms_max']:.1f} ms)"
     )
 
-    checkpoint = time_checkpoint(warm_daemon, scenario.routing)
+    checkpoint = time_checkpoint(warm_daemon, scenario.routing, stream)
     print(
         f"checkpoint round-trip: save {checkpoint['save_ms']:.1f} ms, "
         f"restore {checkpoint['restore_ms']:.1f} ms "
-        f"({checkpoint['size_bytes'] / 1e6:.2f} MB)"
+        f"({checkpoint['size_bytes'] / 1e6:.2f} MB); next record "
+        + ("identical" if checkpoint["restore_identical"] else "DIFFERS")
     )
 
     payload = {
@@ -154,6 +167,9 @@ def main() -> int:
     merge_record(RECORD_PATH, "streaming", payload)
     print(f"record written to {RECORD_PATH}")
 
+    if not checkpoint["restore_identical"]:
+        print("FAIL: the restored daemon's next record differs from the live daemon's")
+        return 1
     if warm["per_poll_ms_median"] >= max_poll_ms:
         print(
             f"FAIL: warm per-poll median {warm['per_poll_ms_median']:.1f} ms "

@@ -118,8 +118,13 @@ class FanoutEstimator(Estimator):
         equality[pair_origin_col, np.arange(num_pairs)] = 1.0
         targets = np.ones(len(origins))
 
+        # Scaled in place: a second copy of the stack would outweigh the
+        # factorisation's buffer.  The certificate is unit-free, so it is
+        # computed on the scaled system too.
         scale = float(np.abs(blocks).max(initial=1.0))
-        solution = constrained_nnls(blocks / scale, rhs / scale, equality, targets)
+        blocks /= scale
+        rhs /= scale
+        solution = constrained_nnls(blocks, rhs, equality, targets)
         fanouts = np.maximum(solution.x, 0.0)
         certificate = _kkt_residual(
             blocks, rhs, fanouts, pair_origin_col, num_links, len(origins)

@@ -12,7 +12,7 @@
   demonstrate why flow-averaged data loses within-flow variance.
 """
 
-from repro.measurement.collector import DistributedCollector
+from repro.measurement.collector import DistributedCollector, counter_names
 from repro.measurement.linkloads import (
     GaussianNoiseModel,
     LinkLoadObservation,
@@ -44,6 +44,7 @@ __all__ = [
     "SNMPPoller",
     "rates_from_poll_matrix",
     "DistributedCollector",
+    "counter_names",
     "FlowRecord",
     "flows_from_series",
     "NetFlowAggregator",

@@ -38,7 +38,19 @@ from repro.measurement.snmp import (
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
-__all__ = ["DistributedCollector"]
+__all__ = ["DistributedCollector", "counter_names"]
+
+
+def counter_names(routing: RoutingMatrix) -> tuple[str, ...]:
+    """SNMP object names of the counters a collector polls on ``routing``.
+
+    One counter per LSP, named ``lsp:o->d``, in pair order, then one per
+    link under its link name (paper Section 5.1.2).  The collector, the
+    poll stream and the streaming daemon all take the counter order from
+    here, so it is fixed by the routing's pair and link orderings.
+    """
+    lsps = tuple(f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs)
+    return lsps + tuple(routing.link_names)
 
 
 class DistributedCollector:
@@ -94,11 +106,7 @@ class DistributedCollector:
         self._rates: Optional[np.ndarray] = None
         self._start_time = 0.0
 
-        lsp_names = [f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs]
-        link_names = list(routing.link_names)
-        self._lsp_names = tuple(lsp_names)
-        self._link_names = tuple(link_names)
-        all_objects = lsp_names + link_names
+        all_objects = counter_names(routing)
 
         # Round-robin assignment of objects to pollers approximates the
         # paper's geographic split while keeping per-poller load balanced.
@@ -182,7 +190,8 @@ class DistributedCollector:
         call replaces them.
         """
         polls = self.poll_matrices(series, start_time)
-        rates = np.empty((len(self._lsp_names) + len(self._link_names), len(series)))
+        routing = self.routing
+        rates = np.empty((routing.num_pairs + routing.num_links, len(series)))
         diagnostics = []
         for matrix, columns in zip(polls, self._assigned_columns):
             poller_rates, poller_diagnostics = rates_from_poll_matrix(
@@ -193,16 +202,6 @@ class DistributedCollector:
         self._rates = rates
         self._start_time = float(polls[0].scheduled_times[0])
         self.poll_diagnostics = tuple(diagnostics)
-
-    @property
-    def lsp_object_names(self) -> tuple[str, ...]:
-        """SNMP object names of the LSP counters, in pair order."""
-        return self._lsp_names
-
-    @property
-    def link_object_names(self) -> tuple[str, ...]:
-        """SNMP object names of the link counters, in link order."""
-        return self._link_names
 
     def collection_diagnostics(self) -> RateDiagnostics:
         """Sample accounting of the last :meth:`collect`, merged over pollers."""
@@ -228,7 +227,7 @@ class DistributedCollector:
         *start* of its interval, so the returned series carries the same
         timestamps as the driving series.
         """
-        lsp_rates = self._collected_rates()[: len(self._lsp_names)]
+        lsp_rates = self._collected_rates()[: self.routing.num_pairs]
         snapshots = [
             TrafficMatrix(self.routing.pairs, np.maximum(lsp_rates[:, k], 0.0))
             for k in range(lsp_rates.shape[1])
@@ -241,4 +240,4 @@ class DistributedCollector:
 
     def measured_link_loads(self) -> np.ndarray:
         """Measured link-load series of shape ``(K, L)`` from link counters."""
-        return self._collected_rates()[len(self._lsp_names):].copy().T
+        return self._collected_rates()[self.routing.num_pairs :].copy().T

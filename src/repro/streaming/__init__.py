@@ -2,22 +2,24 @@
 
 The batch pipeline answers "what were the demands yesterday?"; this
 package answers "what are they *now*, and keep answering while things
-break".  :class:`~repro.streaming.stream.PollStream` turns the per-poller
-poll matrices of a collector run into an ordered sequence of poll rounds;
-:class:`~repro.streaming.daemon.StreamingEstimator` consumes them one at a
-time, deriving rates causally and updating its estimate incrementally
-(warm-started solves / incremental IPF) while surviving poll loss,
-collector outages, solver failures, routing churn and process crashes.
-:mod:`~repro.streaming.checkpoint` provides the versioned serialization
-that makes a kill -9 followed by a restore reproduce the uninterrupted
-run's records bit for bit.
+break".  :class:`~repro.streaming.stream.PollStream` lays the per-poller
+poll matrices of a collector run out in counter order (the LSPs in pair
+order, then the links; see
+:func:`~repro.measurement.collector.counter_names`) and hands them out one
+poll round at a time; :class:`~repro.streaming.daemon.StreamingEstimator`
+consumes them, deriving rates causally and updating its estimate
+incrementally (warm-started solves / incremental IPF) while surviving poll
+loss, collector outages, solver failures, routing churn and process
+crashes.  :mod:`~repro.streaming.checkpoint` provides the versioned
+serialization of the daemon's state, written by atomic replace, that makes
+a kill -9 followed by a restore reproduce the uninterrupted run's records
+bit for bit.
 """
 
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
     restore_daemon,
-    routing_fingerprint,
     save_checkpoint,
 )
 from repro.streaming.daemon import StreamingEstimator, StreamRecord
@@ -32,6 +34,5 @@ __all__ = [
     "StreamingEstimator",
     "load_checkpoint",
     "restore_daemon",
-    "routing_fingerprint",
     "save_checkpoint",
 ]

@@ -6,9 +6,11 @@ derives interval rates causally through a
 :class:`~repro.streaming.stream.CounterTracker`, and updates its estimate
 incrementally through the first-class
 :meth:`~repro.estimation.base.Estimator.update` API (warm-started solves /
-incremental IPF).  A bounded ring buffer keeps the recent measurement
-window; everything older is forgotten, so memory is constant regardless of
-stream length.
+incremental IPF).  Its counters are the routing's
+(:func:`~repro.measurement.collector.counter_names`: one per LSP, then one
+per link), and it holds only the state an estimate reads: the tracker's
+arrays, the warm estimate, the pending invalidations and a few counts, so
+memory is constant regardless of stream length.
 
 The daemon is built to *survive* the faults the resilience layer injects:
 
@@ -30,8 +32,9 @@ The daemon is built to *survive* the faults the resilience layer injects:
   every record, and invalidates exactly the warm-start entries of the
   pairs the failure moved; a failure set that cannot be applied raises
   :class:`~repro.errors.StreamingError` and changes no state;
-* **crashes** — the whole daemon state checkpoints to one ``.npz`` file
-  (see :mod:`repro.streaming.checkpoint`); ``kill -9`` followed by
+* **crashes** — the whole daemon state checkpoints to one ``.npz`` file,
+  written to a temporary file and renamed over the last checkpoint (see
+  :mod:`repro.streaming.checkpoint`); ``kill -9`` followed by
   :meth:`restore` and resuming the stream reproduces the uninterrupted
   run's records bit for bit, because no daemon path consults wall-clock
   time or unseeded randomness.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -57,6 +61,7 @@ from repro.errors import (
 from repro.estimation.base import EstimationProblem
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import get_estimator
+from repro.measurement.collector import counter_names
 from repro.resilience.supervisor import SupervisedEstimator
 from repro.routing.routing_matrix import RerouteResult, RoutingMatrix, reroute
 from repro.streaming.stream import PollRound, PollStream, CounterTracker
@@ -152,18 +157,10 @@ class StreamingEstimator:
     ----------
     routing:
         The routing matrix of the measured mesh (its ``network`` must be
-        set for :meth:`apply_reroute` to work).
-    link_names:
-        Streamed object names carrying the per-link byte counters, in
-        ``routing.link_names`` order (what
-        :attr:`~repro.measurement.collector.DistributedCollector.link_object_names`
-        provides).
-    lsp_names:
-        Optional streamed object names carrying per-pair LSP counters in
-        ``routing.pairs`` order.  When present, per-poll origin/destination
-        totals are derived from them, enabling gravity-prior and Kruithof
-        methods; without them only methods that work from link loads alone
-        can run.
+        set for :meth:`apply_reroute` to work).  It fixes the streamed
+        counters: one per LSP in pair order, then one per link (see
+        :func:`~repro.measurement.collector.counter_names`), whose rates
+        give the link loads and the origin/destination totals.
     method / method_params:
         Registry name (and constructor kwargs) of the incremental method.
     fallbacks:
@@ -179,9 +176,6 @@ class StreamingEstimator:
     min_valid_fraction:
         Minimum fraction of freshly-measured links required to solve;
         below it the previous estimate is held and flagged stale.
-    ring_rounds:
-        Ring-buffer capacity, in poll rounds, of the retained measurement
-        window (timestamps, link rates, freshness masks).
     budget_iterations / retries:
         Supervision knobs for the full re-solve chain.  Only iteration
         budgets are offered: a wall-clock budget would make degradation
@@ -191,49 +185,31 @@ class StreamingEstimator:
     def __init__(
         self,
         routing: RoutingMatrix,
-        link_names: Sequence[str],
-        lsp_names: Optional[Sequence[str]] = None,
         method: str = "tomogravity",
         method_params: Optional[Mapping[str, object]] = None,
         fallbacks: Sequence[str] = ("gravity",),
         watchdog_every: int = 12,
         watchdog_threshold: float = 0.25,
         min_valid_fraction: float = 0.5,
-        ring_rounds: int = 64,
         budget_iterations: Optional[int] = None,
         retries: int = 1,
     ) -> None:
-        if len(link_names) != routing.num_links:
-            raise StreamingError(
-                f"{len(link_names)} link names for {routing.num_links} routing links"
-            )
-        if lsp_names is not None and len(lsp_names) != routing.num_pairs:
-            raise StreamingError(
-                f"{len(lsp_names)} LSP names for {routing.num_pairs} routing pairs"
-            )
         if watchdog_every < 0:
             raise StreamingError("watchdog_every must be non-negative")
         if not 0.0 <= float(min_valid_fraction) <= 1.0:
             raise StreamingError("min_valid_fraction must be within [0, 1]")
-        if ring_rounds < 1:
-            raise StreamingError("ring_rounds must be positive")
         self.routing = routing
         self.base_routing = routing
-        self.link_names = tuple(link_names)
-        self.lsp_names = None if lsp_names is None else tuple(lsp_names)
         self.method = str(method)
         self.method_params = dict(method_params or {})
         self.fallbacks = tuple(fallbacks)
         self.watchdog_every = int(watchdog_every)
         self.watchdog_threshold = float(watchdog_threshold)
         self.min_valid_fraction = float(min_valid_fraction)
-        self.ring_rounds = int(ring_rounds)
         self.budget_iterations = budget_iterations
         self.retries = int(retries)
 
-        self.object_names: tuple[str, ...] = (self.lsp_names or ()) + self.link_names
-        self._num_lsps = len(self.lsp_names or ())
-        self.tracker = CounterTracker(len(self.object_names))
+        self.tracker = CounterTracker(routing.num_pairs + routing.num_links)
         self._estimator = get_estimator(self.method, **self.method_params)
         self._supervisor = SupervisedEstimator(
             primary=self.method,
@@ -242,7 +218,8 @@ class StreamingEstimator:
             max_iterations=self.budget_iterations,
             retries=self.retries,
         )
-        self._perm_cache: Optional[tuple[tuple[str, ...], np.ndarray]] = None
+        # The last stream whose objects were checked against the counters.
+        self._checked_stream: Optional[weakref.ref] = None
 
         # Mutable daemon state (everything below is checkpointed).
         self.rounds_seen = 0
@@ -261,27 +238,15 @@ class StreamingEstimator:
         self.watchdog_resolves = 0
         self.invalidated_total = 0
 
-        num_links = routing.num_links
-        self._ring_times = np.zeros(self.ring_rounds, dtype=float)
-        self._ring_rates = np.zeros((self.ring_rounds, num_links), dtype=float)
-        self._ring_valid = np.zeros((self.ring_rounds, num_links), dtype=bool)
-        self._ring_count = 0
-        self._ring_pos = 0
-
     @classmethod
     def from_collector(cls, collector, **kwargs) -> "StreamingEstimator":
         """Daemon wired to a :class:`~repro.measurement.collector.DistributedCollector`.
 
-        Uses the collector's routing matrix and its LSP/link SNMP object
-        names, so ``daemon.run(PollStream.from_collector(collector, series))``
+        Uses the collector's routing matrix, whose counters the collector
+        polls, so ``daemon.run(PollStream.from_collector(collector, series))``
         works out of the box.
         """
-        return cls(
-            routing=collector.routing,
-            link_names=collector.link_object_names,
-            lsp_names=collector.lsp_object_names,
-            **kwargs,
-        )
+        return cls(routing=collector.routing, **kwargs)
 
     # ------------------------------------------------------------------
     # configuration echo (used by the checkpoint layer)
@@ -289,45 +254,15 @@ class StreamingEstimator:
     def config(self) -> dict:
         """JSON-safe constructor arguments (sans routing) of this daemon."""
         return {
-            "link_names": list(self.link_names),
-            "lsp_names": None if self.lsp_names is None else list(self.lsp_names),
             "method": self.method,
             "method_params": dict(self.method_params),
             "fallbacks": list(self.fallbacks),
             "watchdog_every": self.watchdog_every,
             "watchdog_threshold": self.watchdog_threshold,
             "min_valid_fraction": self.min_valid_fraction,
-            "ring_rounds": self.ring_rounds,
             "budget_iterations": self.budget_iterations,
             "retries": self.retries,
         }
-
-    # ------------------------------------------------------------------
-    # ring buffer
-    # ------------------------------------------------------------------
-    def _ring_append(self, timestamp: float, rates: np.ndarray, valid: np.ndarray) -> None:
-        pos = self._ring_pos
-        self._ring_times[pos] = timestamp
-        self._ring_rates[pos] = rates
-        self._ring_valid[pos] = valid
-        self._ring_pos = (pos + 1) % self.ring_rounds
-        self._ring_count = min(self._ring_count + 1, self.ring_rounds)
-
-    def window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Retained measurement window, oldest first.
-
-        Returns ``(timestamps, link_rates, valid)`` with shapes ``(W,)``,
-        ``(W, L)`` and ``(W, L)`` where ``W <= ring_rounds``.
-        """
-        if self._ring_count < self.ring_rounds:
-            order = np.arange(self._ring_count)
-        else:
-            order = (np.arange(self.ring_rounds) + self._ring_pos) % self.ring_rounds
-        return (
-            self._ring_times[order].copy(),
-            self._ring_rates[order].copy(),
-            self._ring_valid[order].copy(),
-        )
 
     # ------------------------------------------------------------------
     # routing churn
@@ -387,16 +322,12 @@ class StreamingEstimator:
     # ------------------------------------------------------------------
     # estimation
     # ------------------------------------------------------------------
-    def _problem(
-        self, link_rates: np.ndarray, lsp_rates: Optional[np.ndarray]
-    ) -> EstimationProblem:
-        origin_totals = destination_totals = None
-        if lsp_rates is not None:
-            origins, destinations, origin_codes, destination_codes = self.routing.pairs.codes()
-            origin_totals = np.bincount(origin_codes, weights=lsp_rates, minlength=len(origins))
-            destination_totals = np.bincount(
-                destination_codes, weights=lsp_rates, minlength=len(destinations)
-            )
+    def _problem(self, link_rates: np.ndarray, lsp_rates: np.ndarray) -> EstimationProblem:
+        origins, destinations, origin_codes, destination_codes = self.routing.pairs.codes()
+        origin_totals = np.bincount(origin_codes, weights=lsp_rates, minlength=len(origins))
+        destination_totals = np.bincount(
+            destination_codes, weights=lsp_rates, minlength=len(destinations)
+        )
         return EstimationProblem(
             routing=self.routing,
             link_loads=link_rates,
@@ -411,8 +342,7 @@ class StreamingEstimator:
             return None
         warm = self.estimate.copy()
         if self.pending_invalid.any():
-            kind = "gravity" if problem.origin_totals is not None else "uniform"
-            replacement = make_prior(problem, kind)
+            replacement = make_prior(problem, "gravity")
             count = int(self.pending_invalid.sum())
             warm[self.pending_invalid] = replacement[self.pending_invalid]
             self.pending_invalid[:] = False
@@ -448,16 +378,13 @@ class StreamingEstimator:
             # The first round only primes the counters; no interval exists yet.
             return None
 
-        num_lsps = self._num_lsps
-        link_rates = rates[num_lsps:]
-        fresh_links = fresh[num_lsps:]
-        lsp_rates = rates[:num_lsps] if num_lsps else None
-        valid_fraction = float(fresh_links.mean())
-        self._ring_append(timestamp, link_rates, fresh_links)
+        num_pairs = self.routing.num_pairs
+        link_rates = rates[num_pairs:]
+        lsp_rates = rates[:num_pairs]
+        valid_fraction = float(fresh[num_pairs:].mean())
 
         telemetry.counter_inc("stream.polls")
         telemetry.gauge_set("stream.valid_fraction", valid_fraction)
-        telemetry.gauge_set("stream.ring_rounds", float(self._ring_count))
         telemetry.gauge_set("stream.epoch", float(self.epoch))
 
         stale = valid_fraction < self.min_valid_fraction
@@ -588,19 +515,17 @@ class StreamingEstimator:
     # ------------------------------------------------------------------
     # stream consumption
     # ------------------------------------------------------------------
-    def _stream_permutation(self, stream: PollStream) -> np.ndarray:
-        if self._perm_cache is not None and self._perm_cache[0] == stream.object_names:
-            return self._perm_cache[1]
-        index = {name: pos for pos, name in enumerate(stream.object_names)}
-        missing = [name for name in self.object_names if name not in index]
-        if missing:
+    def _check_stream(self, stream: PollStream) -> None:
+        """Accept ``stream`` once its objects are this daemon's counters, in order."""
+        if self._checked_stream is not None and self._checked_stream() is stream:
+            return
+        if stream.object_names != counter_names(self.base_routing):
             raise StreamingError(
-                f"stream is missing {len(missing)} configured objects "
-                f"(first: {missing[0]!r})"
+                "stream objects are not the routing's counters in counter order "
+                "(LSPs in pair order, then links); build the stream with "
+                "PollStream.from_collector"
             )
-        perm = np.array([index[name] for name in self.object_names], dtype=np.int64)
-        self._perm_cache = (stream.object_names, perm)
-        return perm
+        self._checked_stream = weakref.ref(stream)
 
     def process_round(self, poll_round: PollRound, stream: PollStream) -> Optional[StreamRecord]:
         """Fold one :class:`~repro.streaming.stream.PollRound` into the daemon.
@@ -615,14 +540,14 @@ class StreamingEstimator:
                 "(streams must be consumed in order; resume from a checkpoint "
                 "re-enters at the recorded round)"
             )
-        perm = self._stream_permutation(stream)
+        self._check_stream(stream)
         with telemetry.span("stream.poll", round=poll_round.index, epoch=self.epoch):
             return self._step(
                 poll_round.scheduled_time,
-                poll_round.response_times[perm],
-                poll_round.counters[perm],
-                poll_round.lost[perm],
-                stream.object_bits[perm],
+                poll_round.response_times,
+                poll_round.counters,
+                poll_round.lost,
+                stream.object_bits,
             )
 
     def run(self, stream: PollStream) -> Iterator[StreamRecord]:

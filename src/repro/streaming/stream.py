@@ -11,9 +11,10 @@ past.  This module provides the two primitives the
 * :class:`PollStream` — a round-by-round view over one or more
   :class:`~repro.measurement.snmp.PollMatrix` objects sharing a schedule
   (e.g. the per-poller matrices of a
-  :class:`~repro.measurement.collector.DistributedCollector`), with
-  per-object counter widths so Counter32 pollers can coexist with
-  Counter64 ones;
+  :class:`~repro.measurement.collector.DistributedCollector`), held as one
+  read-only ``(rounds, objects)`` array each for response times, counters
+  and loss, with per-object counter widths so Counter32 pollers can
+  coexist with Counter64 ones;
 * :class:`CounterTracker` — the causal counterpart of
   ``rates_from_poll_matrix``: O(objects) state that turns consecutive
   polls into interval rates through the same
@@ -31,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import StreamingError
+from repro.measurement.collector import counter_names
 from repro.measurement.snmp import PollMatrix, classify_counter_deltas
 
 __all__ = ["PollRound", "PollStream", "CounterTracker"]
@@ -40,9 +42,9 @@ __all__ = ["PollRound", "PollStream", "CounterTracker"]
 class PollRound:
     """One scheduled poll round across every streamed object.
 
-    Arrays are aligned with the owning :class:`PollStream`'s
-    ``object_names``; ``counters`` entries where ``lost`` is true are
-    undefined.
+    Arrays are read-only row views of the owning :class:`PollStream`'s
+    arrays, aligned with its ``object_names``; ``counters`` entries where
+    ``lost`` is true are undefined.
     """
 
     index: int
@@ -55,36 +57,24 @@ class PollRound:
 class PollStream:
     """Round-by-round view over poll matrices sharing one schedule.
 
+    The matrices' columns are copied once into three read-only
+    ``(rounds, objects)`` arrays, :attr:`response_times`, :attr:`counters`
+    and :attr:`lost`, so :meth:`round` hands out row views.
+
     Parameters
     ----------
     matrices:
         One or more :class:`~repro.measurement.snmp.PollMatrix` objects
         with identical ``scheduled_times`` (what the pollers of one
         collector produce).  Object name sets must be disjoint; columns are
-        concatenated in matrix order.
+        concatenated in matrix order.  :meth:`from_collector` lays them out
+        in counter order instead, which is what the streaming daemon reads.
     """
 
     def __init__(self, matrices: Sequence[PollMatrix]) -> None:
-        if not matrices:
-            raise StreamingError("a poll stream needs at least one poll matrix")
-        reference = matrices[0].scheduled_times
-        names: list[str] = []
-        bits: list[int] = []
-        for matrix in matrices:
-            if matrix.scheduled_times.shape != reference.shape or not np.array_equal(
-                matrix.scheduled_times, reference
-            ):
-                raise StreamingError("poll matrices follow different schedules")
-            names.extend(matrix.object_names)
-            bits.extend([matrix.counter_bits] * matrix.num_objects)
-        if len(set(names)) != len(names):
-            raise StreamingError("duplicate object names across poll matrices")
-        self._matrices = tuple(matrices)
-        self.object_names: tuple[str, ...] = tuple(names)
-        #: Per-object counter width (pollers may mix Counter32 and Counter64).
-        self.object_bits: np.ndarray = np.asarray(bits, dtype=np.uint64)
-        self.scheduled_times: np.ndarray = reference
-        self.object_bits.setflags(write=False)
+        self._fill(
+            matrices, tuple(name for matrix in matrices for name in matrix.object_names)
+        )
 
     @classmethod
     def from_collector(cls, collector, series, start_time: Optional[float] = None) -> "PollStream":
@@ -92,9 +82,49 @@ class PollStream:
 
         Runs every poller's schedule over ``series`` (fault plans applied
         exactly as in :meth:`~repro.measurement.collector.DistributedCollector.collect`)
-        and wraps the resulting matrices.
+        and puts the columns in the order of
+        :func:`~repro.measurement.collector.counter_names`: the LSPs in pair
+        order, then the links.
         """
-        return cls(collector.poll_matrices(series, start_time=start_time))
+        stream = cls.__new__(cls)
+        stream._fill(
+            collector.poll_matrices(series, start_time=start_time),
+            counter_names(collector.routing),
+        )
+        return stream
+
+    def _fill(self, matrices: Sequence[PollMatrix], names: tuple[str, ...]) -> None:
+        """Copy every matrix's columns to the positions of their ``names``."""
+        if not matrices:
+            raise StreamingError("a poll stream needs at least one poll matrix")
+        reference = matrices[0].scheduled_times
+        for matrix in matrices:
+            if matrix.scheduled_times.shape != reference.shape or not np.array_equal(
+                matrix.scheduled_times, reference
+            ):
+                raise StreamingError("poll matrices follow different schedules")
+        position = dict(zip(names, range(len(names))))
+        columns = [
+            np.array([position[name] for name in matrix.object_names], dtype=np.intp)
+            for matrix in matrices
+        ]
+        if not np.all(np.bincount(np.concatenate(columns), minlength=len(names)) == 1):
+            raise StreamingError("duplicate object names across poll matrices")
+        shape = (len(reference), len(names))
+        self.response_times = np.empty(shape)
+        self.counters = np.empty(shape, dtype=np.uint64)
+        self.lost = np.empty(shape, dtype=bool)
+        #: Per-object counter width (pollers may mix Counter32 and Counter64).
+        self.object_bits = np.empty(len(names), dtype=np.uint64)
+        for matrix, cols in zip(matrices, columns):
+            self.response_times[:, cols] = matrix.response_times
+            self.counters[:, cols] = matrix.counters
+            self.lost[:, cols] = matrix.lost
+            self.object_bits[cols] = matrix.counter_bits
+        for array in (self.response_times, self.counters, self.lost, self.object_bits):
+            array.setflags(write=False)
+        self.object_names: tuple[str, ...] = names
+        self.scheduled_times: np.ndarray = reference
 
     # ------------------------------------------------------------------
     @property
@@ -108,7 +138,7 @@ class PollStream:
         return len(self.object_names)
 
     def round(self, index: int) -> PollRound:
-        """Poll round ``index`` with columns of every matrix concatenated."""
+        """Poll round ``index``: a row view of every array."""
         if not 0 <= index < self.num_rounds:
             raise StreamingError(
                 f"round index {index} out of range for {self.num_rounds} rounds"
@@ -116,13 +146,9 @@ class PollStream:
         return PollRound(
             index=index,
             scheduled_time=float(self.scheduled_times[index]),
-            response_times=np.concatenate(
-                [matrix.response_times[index] for matrix in self._matrices]
-            ),
-            counters=np.concatenate(
-                [matrix.counters[index] for matrix in self._matrices]
-            ),
-            lost=np.concatenate([matrix.lost[index] for matrix in self._matrices]),
+            response_times=self.response_times[index],
+            counters=self.counters[index],
+            lost=self.lost[index],
         )
 
     def rounds(self, start: int = 0):
@@ -140,15 +166,15 @@ class CounterTracker:
     :func:`~repro.measurement.snmp.classify_counter_deltas` (per-object
     counter widths) and returns the current rate vector with a freshness
     mask.  Objects without a fresh sample keep their held rate (zero until
-    first derivation) and age their staleness counter.
+    first derivation).
 
     Because the last answered poll is retained across lost rounds, the
     first poll after a loss burst yields the *gap-average* rate (the
     counter delta over the whole gap), which is what a production
     collector reports after an outage.
 
-    All state is five flat arrays, so the tracker checkpoints exactly and
-    cheaply (see :mod:`repro.streaming.checkpoint`).
+    All state is four flat arrays and four counts, so the tracker
+    checkpoints exactly and cheaply (see :mod:`repro.streaming.checkpoint`).
     """
 
     def __init__(self, num_objects: int) -> None:
@@ -159,7 +185,6 @@ class CounterTracker:
         self.last_counter = np.zeros(num_objects, dtype=np.uint64)
         self.last_response = np.zeros(num_objects, dtype=float)
         self.rate = np.zeros(num_objects, dtype=float)
-        self.stale_rounds = np.zeros(num_objects, dtype=np.int64)
         #: Cumulative classification counts (mirrors RateDiagnostics).
         self.wrap_samples = 0
         self.reset_samples = 0
@@ -205,8 +230,6 @@ class CounterTracker:
         self.last_response[answered] = response_times[answered]
         self.have_last |= answered
 
-        self.stale_rounds[fresh] = 0
-        self.stale_rounds[~fresh] += 1
         self.lost_samples += int((~answered).sum())
         self.degenerate_samples += int(degenerate.sum())
         self.reset_samples += int(reset.sum())
@@ -223,7 +246,6 @@ class CounterTracker:
             "tracker_last_counter": self.last_counter,
             "tracker_last_response": self.last_response,
             "tracker_rate": self.rate,
-            "tracker_stale_rounds": self.stale_rounds,
             "tracker_counts": np.array(
                 [
                     self.wrap_samples,
@@ -247,7 +269,6 @@ class CounterTracker:
         self.last_counter = np.asarray(arrays["tracker_last_counter"], dtype=np.uint64).copy()
         self.last_response = np.asarray(arrays["tracker_last_response"], dtype=float).copy()
         self.rate = np.asarray(arrays["tracker_rate"], dtype=float).copy()
-        self.stale_rounds = np.asarray(arrays["tracker_stale_rounds"], dtype=np.int64).copy()
         counts = np.asarray(arrays["tracker_counts"], dtype=np.int64)
         self.wrap_samples = int(counts[0])
         self.reset_samples = int(counts[1])

@@ -10,6 +10,7 @@ computation, and that a perturbed answer fails it.
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ class TestFanout:
         assert result.diagnostics["converged"] is True
         for moved in moved_mass(problem, fanouts):
             assert fanout_residual(problem, window, moved) > 10 * KKT_TOLERANCE
+
+    def test_peak_allocation_is_the_stack_and_one_factor_buffer(self):
+        # The stack is scaled in place, so the factorisation's buffer is the
+        # only other copy of it; a scaled copy would make three.
+        problem = scenario("america", 2004).series_problem(window_length=10)
+        routing = problem.routing
+        routing.matrix  # the cached dense view is not the estimate's
+        stack_bytes = 10 * routing.num_links * routing.num_pairs * 8
+        tracemalloc.start()
+        try:
+            result = get_estimator("fanout", window_length=10).estimate(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics["converged"] is True
+        assert peak <= 2.75 * stack_bytes
 
     def test_above_800_pairs_meets_its_certificate(self):
         scenario_870 = large_scenario(30, 7)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
-from repro.measurement import DistributedCollector
+from repro.measurement import DistributedCollector, counter_names
 from repro.routing import build_routing_matrix
 from repro.topology import NodePair
 from repro.traffic import TrafficMatrix, TrafficMatrixSeries
@@ -154,13 +154,15 @@ class TestDistributedCollector:
             measured.timestamps(), 3600.0 + 300.0 * np.arange(len(line_series))
         )
 
-    def test_object_names_follow_pair_and_link_order(self, line_network):
+    def test_counter_names_follow_pair_and_link_order(self, line_network):
         routing = build_routing_matrix(line_network)
-        collector = DistributedCollector(routing, num_pollers=2, seed=1)
-        assert collector.lsp_object_names == tuple(
+        names = counter_names(routing)
+        assert names == tuple(
             f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs
-        )
-        assert collector.link_object_names == tuple(routing.link_names)
+        ) + tuple(routing.link_names)
+        collector = DistributedCollector(routing, num_pollers=2, seed=1)
+        polled = [name for poller in collector.pollers for name in poller.object_names]
+        assert sorted(polled) == sorted(names)
 
     def test_measured_link_loads_are_a_fresh_copy(self, line_network, line_series):
         collector = DistributedCollector(build_routing_matrix(line_network), seed=1)

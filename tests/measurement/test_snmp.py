@@ -13,6 +13,7 @@ from repro.measurement import (
     DistributedCollector,
     PollMatrix,
     SNMPPoller,
+    counter_names,
     rates_from_poll_matrix,
 )
 from repro.measurement.snmp import classify_counter_deltas
@@ -424,8 +425,7 @@ class TestCollectAgainstReferenceLoop:
         measured = np.hstack(
             [collector.measured_traffic_series().as_array(), collector.measured_link_loads()]
         )
-        names = collector.lsp_object_names + collector.link_object_names
-        column = {name: col for col, name in enumerate(names)}
+        column = {name: col for col, name in enumerate(counter_names(scenario.routing))}
         polls = make_collector().poll_matrices(scenario.day_series)
         assert sum(matrix.lost.sum() for matrix in polls) > 0
         for matrix in polls:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -32,8 +33,8 @@ from repro.streaming import (
     PollStream,
     StreamingEstimator,
     load_checkpoint,
-    routing_fingerprint,
 )
+from repro.streaming import checkpoint as checkpoint_module
 
 FAULT_PLANS = {
     "clean": None,
@@ -141,8 +142,8 @@ class TestCheckpointRoundtrip:
             restored.tracker.last_response, daemon.tracker.last_response
         )
         np.testing.assert_array_equal(restored.tracker.rate, daemon.tracker.rate)
-        for restored_part, original_part in zip(restored.window(), daemon.window()):
-            np.testing.assert_array_equal(restored_part, original_part)
+        np.testing.assert_array_equal(restored.tracker.have_last, daemon.tracker.have_last)
+        np.testing.assert_array_equal(restored.pending_invalid, daemon.pending_invalid)
 
     def test_checkpoint_before_first_estimate(self, stream_scenario, collector_factory, tmp_path):
         daemon = make_daemon(collector_factory, None)
@@ -169,10 +170,8 @@ class TestCheckpointRoundtrip:
         restored = StreamingEstimator.restore(str(path), stream_scenario.routing)
         assert restored.epoch == 1
         assert restored.failed_links == {failed}
-        assert routing_fingerprint(restored.routing) == routing_fingerprint(daemon.routing)
-        assert routing_fingerprint(restored.routing) != routing_fingerprint(
-            stream_scenario.routing
-        )
+        assert restored.routing.fingerprint() == daemon.routing.fingerprint()
+        assert restored.routing.fingerprint() != stream_scenario.routing.fingerprint()
 
 
 class TestCheckpointValidation:
@@ -228,7 +227,138 @@ class TestCheckpointValidation:
         routing = stream_scenario.routing
         for source in (routing.matrix, scipy.sparse.coo_matrix(routing.matrix)):
             rebuilt = RoutingMatrix(source, routing.link_names, routing.pairs)
-            assert routing_fingerprint(rebuilt) == routing_fingerprint(routing)
+            assert rebuilt.fingerprint() == routing.fingerprint()
+
+
+class WriterDied(BaseException):
+    """Stands in for a process killed in the middle of a save."""
+
+
+class TestCheckpointContents:
+    def _checkpoint(self, stream_scenario, collector_factory, path, records=3):
+        daemon = make_daemon(collector_factory, None)
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        iterator = daemon.run(stream)
+        for _ in range(records):
+            next(iterator)
+        daemon.checkpoint(str(path))
+        return daemon, iterator
+
+    def test_holds_the_state_and_no_names(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "contents.ckpt"
+        daemon, _ = self._checkpoint(stream_scenario, collector_factory, path)
+        with np.load(path, allow_pickle=False) as data:
+            assert sorted(data.files) == sorted(
+                [
+                    "meta",
+                    "tracker_have_last",
+                    "tracker_last_counter",
+                    "tracker_last_response",
+                    "tracker_rate",
+                    "tracker_counts",
+                    "pending_invalid",
+                    "estimate",
+                ]
+            )
+        meta, _ = load_checkpoint(str(path))
+        assert meta["version"] == CHECKPOINT_VERSION == 2
+        options = set(inspect.signature(StreamingEstimator).parameters) - {"routing"}
+        assert set(meta["config"]) == options
+        assert set(daemon.config()) == options
+        assert "lsp:" not in json.dumps(meta)
+        for link in stream_scenario.routing.link_names:
+            assert link not in json.dumps(meta["config"])
+
+    def test_version_1_checkpoint_rejected(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        # The format-1 layout: object names and a ring buffer in the config
+        # and state, the ring and the staleness counters as arrays.
+        routing = stream_scenario.routing
+        meta["version"] = 1
+        meta["config"].update(
+            link_names=list(routing.link_names),
+            lsp_names=[f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs],
+            ring_rounds=64,
+        )
+        meta["state"].update(ring_count=3, ring_pos=3)
+        arrays.update(
+            tracker_stale_rounds=np.zeros(routing.num_pairs + routing.num_links, dtype=np.int64),
+            ring_times=np.zeros(64),
+            ring_rates=np.zeros((64, routing.num_links)),
+            ring_valid=np.zeros((64, routing.num_links), dtype=bool),
+        )
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(StreamingError, match="version 1.*version 2"):
+            StreamingEstimator.restore(str(path), routing)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    def test_truncated_checkpoint_rejected(
+        self, fraction, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "torn.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * fraction)])
+        with pytest.raises(StreamingError, match="cannot read checkpoint"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
+
+    def test_missing_member_rejected(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "short.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        del arrays["tracker_rate"]
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(StreamingError, match="tracker_rate"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
+
+    def test_unknown_option_rejected(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "options.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        meta["config"]["window_rounds"] = 5
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(StreamingError, match="window_rounds"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
+
+    def test_writer_dying_mid_save_keeps_the_previous_checkpoint(
+        self, stream_scenario, collector_factory, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "daemon.ckpt"
+        daemon, iterator = self._checkpoint(stream_scenario, collector_factory, path)
+        saved_rounds = daemon.rounds_seen
+        saved_estimate = daemon.estimate.copy()
+        next(iterator)
+
+        def dying_savez(handle, **arrays):
+            handle.write(b"PK\x03\x04\x14\x00")  # the start of a zip local header
+            raise WriterDied
+
+        monkeypatch.setattr(checkpoint_module.np, "savez", dying_savez)
+        with pytest.raises(WriterDied):
+            daemon.checkpoint(str(path))
+        monkeypatch.undo()
+
+        assert os.listdir(tmp_path) == ["daemon.ckpt"]
+        restored = StreamingEstimator.restore(str(path), stream_scenario.routing)
+        assert restored.rounds_seen == saved_rounds
+        np.testing.assert_array_equal(restored.estimate, saved_estimate)
+
+    def test_save_replaces_the_previous_checkpoint(
+        self, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "daemon.ckpt"
+        daemon, iterator = self._checkpoint(stream_scenario, collector_factory, path)
+        next(iterator)
+        daemon.checkpoint(str(path))
+        assert os.listdir(tmp_path) == ["daemon.ckpt"]
+        assert StreamingEstimator.restore(str(path), stream_scenario.routing).rounds_seen == (
+            daemon.rounds_seen
+        )
 
 
 def format_1_fingerprint(routing, storage=None) -> str:
@@ -274,8 +404,7 @@ def fingerprint_case(request):
 class TestFingerprint:
     def test_matches_format_1(self, fingerprint_case):
         routing, storage = fingerprint_case
-        assert CHECKPOINT_VERSION == 1
-        assert routing_fingerprint(routing) == format_1_fingerprint(routing, storage)
+        assert routing.fingerprint() == format_1_fingerprint(routing, storage)
 
     def test_computed_once_per_routing_matrix(self, stream_scenario, monkeypatch):
         calls = []
@@ -289,21 +418,21 @@ class TestFingerprint:
         monkeypatch.setattr(routing_matrix_module, "hashlib", CountingHashlib)
         base = stream_scenario.routing
         routing = RoutingMatrix(base.native, base.link_names, base.pairs)
-        first = routing_fingerprint(routing)
-        assert routing_fingerprint(routing) == first
+        first = routing.fingerprint()
+        assert routing.fingerprint() == first
         assert len(calls) == 1
-        routing_fingerprint(RoutingMatrix(base.matrix, base.link_names, base.pairs))
+        RoutingMatrix(base.matrix, base.link_names, base.pairs).fingerprint()
         assert len(calls) == 2
 
     def test_rerouted_matrix_gets_its_own_fingerprint(self, stream_scenario):
         base = stream_scenario.routing
-        base_fingerprint = routing_fingerprint(base)
+        base_fingerprint = base.fingerprint()
         rerouted, result = reroute(base, failed_links=[base.link_names[0]])
         assert result.rerouted
         assert rerouted.pairs is base.pairs
-        assert routing_fingerprint(rerouted) == format_1_fingerprint(rerouted)
-        assert routing_fingerprint(rerouted) != base_fingerprint
-        assert routing_fingerprint(base) == format_1_fingerprint(base)
+        assert rerouted.fingerprint() == format_1_fingerprint(rerouted)
+        assert rerouted.fingerprint() != base_fingerprint
+        assert base.fingerprint() == format_1_fingerprint(base)
 
 
 class TestKillDashNine:

@@ -10,6 +10,7 @@ from repro.errors import EstimationError, StreamingError
 from repro.estimation.base import EstimationProblem
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import get_estimator
+from repro.measurement.collector import counter_names
 from repro.resilience.faults import PollLossBurst, fault_plan
 from repro.streaming import PollStream, StreamingEstimator
 
@@ -312,9 +313,7 @@ class TestEpochChurn:
             "T->X",
         }
 
-        daemon = StreamingEstimator(
-            routing=base, link_names=[f"link:{name}" for name in base.link_names]
-        )
+        daemon = StreamingEstimator(routing=base)
         result = daemon.apply_reroute(failed_links=["T->U"])
         after = daemon.routing
         np.testing.assert_array_equal(after.pair_column(NodePair("S", "X")), s_to_x)
@@ -335,44 +334,18 @@ class TestEpochChurn:
 
         routing = stream_scenario.routing
         bare = RoutingMatrix(routing.native, routing.link_names, routing.pairs)
-        daemon = StreamingEstimator(
-            routing=bare,
-            link_names=[f"link:{name}" for name in routing.link_names],
-        )
+        daemon = StreamingEstimator(routing=bare)
         with pytest.raises(StreamingError):
             daemon.apply_reroute(failed_links=[routing.link_names[0]])
-
-
-class TestRingBuffer:
-    def test_window_is_bounded_and_ordered(self, stream_scenario, collector_factory):
-        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(), method="tomogravity", watchdog_every=0, ring_rounds=5
-        )
-        list(daemon.run(stream))
-        times, rates, valid = daemon.window()
-        assert times.shape == (5,)
-        assert rates.shape == (5, stream_scenario.routing.num_links)
-        assert valid.shape == rates.shape
-        assert np.all(np.diff(times) > 0)
-        # The window ends at the last poll round's scheduled time.
-        assert times[-1] == stream.scheduled_times[-1]
 
 
 class TestValidationAndTelemetry:
     def test_constructor_validation(self, stream_scenario):
         routing = stream_scenario.routing
-        names = [f"link:{name}" for name in routing.link_names]
         with pytest.raises(StreamingError):
-            StreamingEstimator(routing=routing, link_names=names[:-1])
+            StreamingEstimator(routing=routing, min_valid_fraction=1.5)
         with pytest.raises(StreamingError):
-            StreamingEstimator(routing=routing, link_names=names, lsp_names=["x"])
-        with pytest.raises(StreamingError):
-            StreamingEstimator(routing=routing, link_names=names, ring_rounds=0)
-        with pytest.raises(StreamingError):
-            StreamingEstimator(routing=routing, link_names=names, min_valid_fraction=1.5)
-        with pytest.raises(StreamingError):
-            StreamingEstimator(routing=routing, link_names=names, watchdog_every=-1)
+            StreamingEstimator(routing=routing, watchdog_every=-1)
 
     def test_out_of_order_rounds_rejected(self, stream_scenario, collector_factory):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
@@ -389,6 +362,36 @@ class TestValidationAndTelemetry:
         with pytest.raises(StreamingError):
             daemon.process_round(stream.round(0), stream)
 
+    def test_stream_in_poller_order_rejected(self, stream_scenario, collector_factory):
+        # Every counter is there, but the columns follow the pollers'
+        # round-robin split instead of the counter order the daemon reads.
+        stream = PollStream(collector_factory().poll_matrices(stream_scenario.day_series))
+        assert sorted(stream.object_names) == sorted(counter_names(stream_scenario.routing))
+        daemon = StreamingEstimator.from_collector(collector_factory())
+        with pytest.raises(StreamingError, match="counter order"):
+            daemon.process_round(stream.round(0), stream)
+        assert daemon.rounds_seen == 0
+
+    def test_stream_checked_once_per_stream(self, stream_scenario, collector_factory, monkeypatch):
+        from repro.streaming import daemon as daemon_module
+
+        calls = []
+        original = daemon_module.counter_names
+
+        def counting(routing):
+            calls.append(routing)
+            return original(routing)
+
+        monkeypatch.setattr(daemon_module, "counter_names", counting)
+        daemon = StreamingEstimator.from_collector(collector_factory(), watchdog_every=0)
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        for poll_round in list(stream.rounds())[:4]:
+            daemon.process_round(poll_round, stream)
+        assert len(calls) == 1
+        other = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon.process_round(other.round(4), other)
+        assert len(calls) == 2
+
     def test_stream_stage_telemetry(self, telemetry_on, stream_scenario, collector_factory):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
         daemon = StreamingEstimator.from_collector(
@@ -401,4 +404,3 @@ class TestValidationAndTelemetry:
         assert counters["stream.polls"] == len(stream_scenario.day_series)
         assert counters["stream.watchdog_checks"] == 3
         assert gauges["stream.valid_fraction"] == 1.0
-        assert gauges["stream.ring_rounds"] > 0

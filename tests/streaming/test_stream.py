@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StreamingError
+from repro.measurement.collector import counter_names
 from repro.measurement.snmp import PollMatrix, SNMPPoller, rates_from_poll_matrix
 from repro.streaming import CounterTracker, PollStream
 
@@ -129,7 +130,6 @@ class TestCounterTrackerAgainstBatch:
         assert observed[1][0][0] == pytest.approx(100.0)
         assert observed[2][0][0] == pytest.approx(100.0) and not observed[2][1][0]
         assert observed[3][0][0] == pytest.approx(100.0) and not observed[3][1][0]
-        assert tracker.stale_rounds[0] == 2
         assert tracker.lost_samples == 2
 
 
@@ -203,12 +203,40 @@ class TestPollStream:
         routing = stream_scenario.routing
         assert stream.num_objects == routing.num_pairs + routing.num_links
         assert stream.num_rounds == len(stream_scenario.day_series) + 1
-        assert set(stream.object_names) == set(
-            collector.lsp_object_names + collector.link_object_names
-        )
         first = stream.round(0)
         assert first.counters.shape == (stream.num_objects,)
         assert first.scheduled_time == 0.0
+
+    def test_from_collector_lays_columns_out_in_counter_order(
+        self, stream_scenario, collector_factory
+    ):
+        collector = collector_factory(num_pollers=3, jitter_std_seconds=1.0, loss_probability=0.2)
+        stream = PollStream.from_collector(collector, stream_scenario.day_series)
+        assert stream.object_names == counter_names(stream_scenario.routing)
+        matrices = collector_factory(
+            num_pollers=3, jitter_std_seconds=1.0, loss_probability=0.2
+        ).poll_matrices(stream_scenario.day_series)
+        assert any(matrix.lost.any() for matrix in matrices)
+        column = {name: col for col, name in enumerate(stream.object_names)}
+        for matrix in matrices:
+            cols = [column[name] for name in matrix.object_names]
+            np.testing.assert_array_equal(stream.response_times[:, cols], matrix.response_times)
+            np.testing.assert_array_equal(stream.counters[:, cols], matrix.counters)
+            np.testing.assert_array_equal(stream.lost[:, cols], matrix.lost)
+            assert np.all(stream.object_bits[cols] == matrix.counter_bits)
+
+    def test_rounds_are_read_only_row_views(self, stream_scenario, collector_factory):
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        poll_round = stream.round(3)
+        for row, array in (
+            (poll_round.response_times, stream.response_times),
+            (poll_round.counters, stream.counters),
+            (poll_round.lost, stream.lost),
+        ):
+            assert row.base is array
+            np.testing.assert_array_equal(row, array[3])
+            assert not row.flags.writeable and not array.flags.writeable
+        assert not stream.object_bits.flags.writeable
 
     def test_mixed_counter_bits_tracked_per_object(self):
         a = _poll_matrix(np.array([0, 10], dtype=np.uint64), names=("a",), bits=64)

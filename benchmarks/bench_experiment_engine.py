@@ -3,13 +3,13 @@
 A robustness grid evaluates every registered estimation method on measured
 (noisy) data for each ``(jitter, loss)`` combination.  The engine
 (``robustness_sweep(n_jobs=...)``) shares each cell's scenario problems
-across methods, runs every method's batched ``estimate_series`` (entropy
-and tomogravity warm-start each snapshot's link-space dual solve from the
-previous one), and fans independent grid cells out over a process pool.
+across methods, runs every method's batched ``estimate_series``, and fans
+independent grid cells out over a process pool.
 
-This benchmark times the grid serially and with ``n_jobs=2``, verifies that
-the two runs return identical records, and writes the measurement to
-``BENCH_PR3.json``.
+This benchmark times the grid serially, runs it again with ``n_jobs=2`` as
+a check, not a speed (on a 2-CPU host the pool costs more than the six
+cells it spreads), verifies that the two runs return identical records,
+and writes the measurement to ``BENCH_PR3.json``.
 
 Run directly::
 
@@ -65,10 +65,8 @@ def main() -> dict:
     serial_records = robustness_sweep(scenario, n_jobs=1, **kwargs)
     serial_seconds = time.perf_counter() - start
 
-    print("[experiment engine] n_jobs=2 ...")
-    start = time.perf_counter()
+    print("[experiment engine] n_jobs=2 (identity check, untimed) ...")
     parallel_records = robustness_sweep(scenario, n_jobs=2, **kwargs)
-    parallel_seconds = time.perf_counter() - start
 
     # Acceptance: parallel records identical to the serial run.
     assert len(parallel_records) == len(serial_records)
@@ -84,16 +82,12 @@ def main() -> dict:
         "grid_cells": num_cells,
         "methods": list(METHODS),
         "engine_serial_seconds": serial_seconds,
-        "engine_parallel_seconds": parallel_seconds,
         "parallel_identical_to_serial": True,
         "cpu_count": os.cpu_count(),
     }
     merge_record(RECORD_PATH, "experiment_engine", payload)
 
-    print(
-        f"[experiment engine] serial {serial_seconds:6.2f}s  "
-        f"n_jobs=2 {parallel_seconds:6.2f}s  (records identical)"
-    )
+    print(f"[experiment engine] serial {serial_seconds:6.2f}s  (n_jobs=2 records identical)")
     print(f"[experiment engine] OK, recorded in {RECORD_PATH.name}")
     return payload
 

@@ -309,23 +309,26 @@ def main() -> dict:
 PR9_RECORD_PATH = REPO_ROOT / "BENCH_PR9.json"
 
 
-def _min_seconds_paired(call_a, call_b, repeats: int) -> tuple[float, float]:
-    """Min wall time of two calls measured interleaved.
+def _min_seconds_paired(call_a, call_b, repeats: int) -> dict[str, tuple[float, float]]:
+    """Min wall times of two calls measured interleaved, in alternating order.
 
-    Alternating the measurements keeps slow drift on a shared runner
-    (thermal, cache, noisy neighbours) from biasing the A-vs-B ratio the
-    way two separate timing blocks would.
+    Interleaving keeps slow drift on a shared runner (thermal, cache, noisy
+    neighbours) from biasing the A-vs-B ratio the way two separate timing
+    blocks would.  The call timed first after a collection runs slower, so
+    the two take turns going first and every timing starts from its own
+    ``gc.collect()``.  Returns ``(min_a, min_b)`` per order: ``"a_first"``
+    over the even repeats, ``"b_first"`` over the odd ones.
     """
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        start = time.perf_counter()
-        call_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        call_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+    best = {"a_first": [float("inf")] * 2, "b_first": [float("inf")] * 2}
+    for repeat in range(repeats):
+        order = "a_first" if repeat % 2 == 0 else "b_first"
+        sides = ((0, call_a), (1, call_b)) if order == "a_first" else ((1, call_b), (0, call_a))
+        for side, call in sides:
+            gc.collect()
+            start = time.perf_counter()
+            call()
+            best[order][side] = min(best[order][side], time.perf_counter() - start)
+    return {order: (a, b) for order, (a, b) in best.items()}
 
 
 def telemetry_overhead_benchmark(n_nodes: int, repeats: int) -> dict:
@@ -351,15 +354,26 @@ def telemetry_overhead_benchmark(n_nodes: int, repeats: int) -> dict:
         wrapped = type(estimator).estimate
         unwrapped = wrapped.__wrapped__
         estimator.estimate(problem)  # warm the shared workspace for both paths
-        baseline, disabled = _min_seconds_paired(
+        by_order = _min_seconds_paired(
             lambda: unwrapped(estimator, problem),
             lambda: estimator.estimate(problem),
             repeats,
         )
+        baseline = min(a for a, _ in by_order.values())
+        disabled = min(b for _, b in by_order.values())
         methods[name] = {
             "baseline_seconds": baseline,
             "disabled_seconds": disabled,
             "overhead_ratio": (disabled - baseline) / baseline,
+            # Each order's repeats alone: how far timing one side first
+            # would move the reading.
+            "overhead_ratio_by_order": {
+                label: (b - a) / a
+                for label, (a, b) in (
+                    ("baseline_first", by_order["a_first"]),
+                    ("instrumented_first", by_order["b_first"]),
+                )
+            },
         }
 
     calls = 100_000
@@ -437,10 +451,13 @@ def main_pr9() -> dict:
     print(f"[telemetry] N={n_nodes}: disabled-telemetry overhead ({repeats} repeats) ...")
     overhead = telemetry_overhead_benchmark(n_nodes, repeats)
     for method, timing in overhead["methods"].items():
+        orders = timing["overhead_ratio_by_order"]
         print(
             f"[telemetry]     {method:12s} baseline {timing['baseline_seconds']:6.3f}s  "
             f"instrumented {timing['disabled_seconds']:6.3f}s  "
-            f"overhead {timing['overhead_ratio'] * 100:+5.2f}%"
+            f"overhead {timing['overhead_ratio'] * 100:+5.2f}% "
+            f"(baseline first {orders['baseline_first'] * 100:+.2f}%, "
+            f"instrumented first {orders['instrumented_first'] * 100:+.2f}%)"
         )
     print(
         f"[telemetry]     disabled span() {overhead['disabled_span_ns_per_call']:.0f} ns/call, "

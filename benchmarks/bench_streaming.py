@@ -67,15 +67,10 @@ def build_stream(num_nodes: int):
     return scenario, collector, stream
 
 
-def time_daemon(scenario, collector, stream, method: str, **kwargs) -> dict:
+def time_daemon(scenario, collector, stream, method: str) -> dict:
     from repro.streaming import StreamingEstimator
 
-    daemon = StreamingEstimator.from_collector(
-        collector,
-        method=method,
-        watchdog_every=10_000,  # keep cold re-solves out of the timed rounds
-        **kwargs,
-    )
+    daemon = StreamingEstimator.from_collector(collector, method=method)
     per_poll_ms = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

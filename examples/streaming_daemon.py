@@ -85,7 +85,6 @@ def run_daemon(args) -> None:
         daemon = StreamingEstimator.from_collector(
             make_collector(),
             method="tomogravity",
-            watchdog_every=4,
             min_valid_fraction=0.5,
         )
         mode = "fresh"
@@ -106,8 +105,6 @@ def run_daemon(args) -> None:
                         flags.append(f"STALE x{record.stale_intervals}")
                     if record.degraded:
                         flags.append("DEGRADED")
-                    if record.watchdog_checked:
-                        flags.append(f"watchdog drift={record.watchdog_drift:.2e}")
                     print(
                         f"  [{record.sequence:03d}] t={record.timestamp:7.0f}s "
                         f"epoch={record.epoch} method={record.method:<12} "
@@ -121,8 +118,8 @@ def run_daemon(args) -> None:
         print(
             f"done: {daemon.sequence} records, {daemon.stale_polls} stale, "
             f"{daemon.degraded_updates} degraded, "
-            f"{daemon.watchdog_checks} watchdog checks "
-            f"({daemon.watchdog_resolves} resolves)"
+            f"{daemon.watchdog_checks} certificates read "
+            f"({daemon.watchdog_resolves} breaches re-solved)"
         )
 
 

@@ -533,11 +533,11 @@ class Estimator(abc.ABC):
         problem (they are the fast path, not a different method).
 
         Estimators exposing a ``set_warm_start(vector)`` method receive the
-        previous snapshot's solution before each subsequent snapshot:
-        consecutive snapshots are highly correlated, so iterative solvers
-        (the dual Newton solve of entropy, tomogravity, KL projection and
-        Bayesian; Kruithof's IPF) converge in a fraction of their cold-start
-        iterations without changing the minimiser they converge to.
+        previous snapshot's solution before each subsequent snapshot.  Only
+        Kruithof has one: its incremental IPF converges from a previous fit
+        of the same prior to the same fit in a handful of sweeps.  The dual
+        kernel (entropy, tomogravity, KL projection, Bayesian) starts every
+        solve from ``y = 0``, so their loop is the cold loop.
         """
         series = problem.series
         num_snapshots = series.shape[0]
@@ -554,23 +554,19 @@ class Estimator(abc.ABC):
     def update(
         self, problem: EstimationProblem, previous: Optional[np.ndarray] = None
     ) -> EstimationResult:
-        """Incrementally estimate one new snapshot, seeded by ``previous``.
+        """Estimate one new snapshot, seeded by ``previous`` where that helps.
 
-        This is the first-class streaming form of the warm-start machinery
-        the series loop uses internally: ``previous`` (typically the last
-        poll's estimate) is handed to :meth:`set_warm_start` when the
-        estimator exposes one, then :meth:`estimate` runs on the new
-        snapshot.  For the strictly convex solvers (entropy, tomogravity,
-        KL projection, Bayesian) the warm start changes only the iteration
-        count, never the minimiser — so a stream of ``update`` calls
-        converges to exactly what per-snapshot cold solves would produce,
-        at a fraction of the cost.  Estimators without warm-start support
-        degrade to a plain cold :meth:`estimate`.
+        ``previous`` (typically the last poll's estimate) is handed to
+        :meth:`set_warm_start` when the estimator exposes one, then
+        :meth:`estimate` runs on the new snapshot.  Only Kruithof exposes
+        one (incremental IPF; see
+        :meth:`repro.estimation.kruithof.KruithofEstimator.set_warm_start`);
+        for every other method ``update`` is :meth:`estimate`, bit for bit.
 
         Calling ``update(problem, estimates[k - 1])`` for ``k = 0 .. K-1``
         reproduces the generic :meth:`estimate_series` loop poll by poll;
         :class:`repro.streaming.StreamingEstimator` drives exactly this
-        API from live poll rounds.
+        API from live poll rounds and reads each result's certificate.
         """
         if previous is not None:
             setter = getattr(self, "set_warm_start", None)

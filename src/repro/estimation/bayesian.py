@@ -43,7 +43,7 @@ __all__ = ["BayesianEstimator"]
 
 #: Above this many pairs the factor-once series path (a dense ``(P, P)``
 #: Gram: quadratic memory, cubic factorisation) gives way to the generic
-#: loop of warm-started link-space dual solves.
+#: loop of link-space dual solves.
 _GRAM_PAIR_LIMIT = 3000
 
 
@@ -73,16 +73,6 @@ class BayesianEstimator(Estimator):
             raise EstimationError("regularization (sigma^2) must be positive")
         self.regularization = float(regularization)
         self.prior = prior
-        self._warm_start: Optional[np.ndarray] = None
-
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Use ``vector`` as the next solve's starting point (one-shot).
-
-        The dual solve starts from it when it is a better dual point than
-        the cold start.  The program is strictly convex, so the warm start
-        can change the number of Newton steps but not the minimiser.
-        """
-        self._warm_start = np.asarray(vector, dtype=float).copy()
 
     # ------------------------------------------------------------------
     def _prior_vector(self, problem: EstimationProblem) -> np.ndarray:
@@ -107,13 +97,8 @@ class BayesianEstimator(Estimator):
         throughout, and the duality gap as the convergence certificate.
         """
         prior = self._prior_vector(problem)
-        warm_start = self._warm_start
-        self._warm_start = None
         solution = solve_dual(
-            problem.routing,
-            problem.snapshot,
-            L2Map(prior, 1.0 / self.regularization),
-            start=warm_start,
+            problem.routing, problem.snapshot, L2Map(prior, 1.0 / self.regularization)
         )
         values = solution.demands
         return self._result(
@@ -160,8 +145,8 @@ class BayesianEstimator(Estimator):
         """
         if problem.num_pairs > _GRAM_PAIR_LIMIT:
             # The factor-once path needs a dense (P, P) Gram; above the
-            # limit the generic loop of warm-started dual solves is both
-            # faster and O(nnz + L^2) in memory.
+            # limit the generic loop of dual solves is both faster and
+            # O(nnz + L^2) in memory.
             return super().estimate_series(problem)
         priors = self._prior_series(problem)
         if priors is None:

@@ -32,8 +32,6 @@ The same kernel serves two registered variants:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import EstimationError
@@ -88,18 +86,6 @@ class EntropyEstimator(Estimator):
         self.regularization = float(regularization)
         self.prior = prior
         self.max_iterations = int(max_iterations)
-        self._warm_start: Optional[np.ndarray] = None
-
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Use ``vector`` as the next solve's starting point.
-
-        Called by the generic :meth:`~repro.estimation.base.Estimator.estimate_series`
-        loop with the previous snapshot's solution.  The objective is
-        strictly convex on its support, so the warm start only changes how
-        many Newton steps the dual solve takes, not which minimiser it
-        reaches.  One-shot: it applies to the next :meth:`estimate` call only.
-        """
-        self._warm_start = np.asarray(vector, dtype=float).copy()
 
     # ------------------------------------------------------------------
     def _prior_vector(self, problem: EstimationProblem) -> np.ndarray:
@@ -117,8 +103,6 @@ class EntropyEstimator(Estimator):
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
         """Minimise the regularised objective by Newton steps on its link-space dual."""
         prior = self._prior_vector(problem)
-        warm_start = self._warm_start
-        self._warm_start = None
         if not np.any(prior > 0):
             # A zero prior forces a zero estimate (KL keeps zeros at zero).
             return self._result(problem, np.zeros(problem.num_pairs), prior_kind="zero")
@@ -128,7 +112,6 @@ class EntropyEstimator(Estimator):
             problem.routing,
             problem.snapshot,
             KLMap(prior, float(prior.sum()) / self.regularization),
-            start=warm_start,
             max_iterations=self.max_iterations,
         )
         values = solution.demands

@@ -77,16 +77,18 @@ class KruithofEstimator(Estimator):
     def set_warm_start(self, vector: np.ndarray) -> None:
         """Seed the next fit's IPF iteration with ``vector`` (one-shot).
 
-        This is *incremental IPF*: the iteration's fixed point depends on
-        the starting table only through its biproportional equivalence
-        class, so a previous fit of the same prior — which is exactly what
-        the series loop and the streaming
-        :meth:`~repro.estimation.base.Estimator.update` API pass — starts
-        the next solve already scaled to nearly the right totals and
-        converges in a handful of sweeps without changing the minimiser.
-        The seed is only used when it shares the prior's support (a
-        previous fit always does); otherwise the solve cold-starts from
-        the prior, keeping the projection target intact.
+        This is *incremental IPF*: the iteration converges to the KL
+        projection of its starting table onto the new totals, which
+        depends on the table only through its biproportional class
+        ``diag(a) X diag(b)``.  A previous fit of the same prior is in the
+        prior's class, so it starts the next solve already scaled to nearly
+        the right totals and converges in a handful of sweeps to the same
+        fit as a cold start; this is what the series loop and the streaming
+        :meth:`~repro.estimation.base.Estimator.update` API pass.  Any
+        other table is the caller's choice of target: a seed whose support
+        differs from the prior's is ignored (the solve starts from the
+        prior), but one that shares it and lies outside the prior's class
+        converges to the projection of that table, not of the prior.
         """
         self._warm_start = np.asarray(vector, dtype=float).copy()
 

@@ -37,14 +37,15 @@ the gradient, which is computed without cancellation.
 Every ``s(y)`` is primal feasible, and the duality gap ``f(s(y)) - g(y)``
 equals the squared dual gradient ``|| R s(y) - t - y / 2 ||^2`` exactly, so
 the certificate is computed without cancellation: the returned demands are
-within the gap of the true minimum.  At the optimum ``y = 2 (R s - t)``,
-which maps a primal warm start to a dual one.
+within the gap of the true minimum.  Every solve starts from ``y = 0``: the
+objective is strictly convex, so the certified minimiser does not depend on
+where the Newton iteration starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -161,7 +162,6 @@ def solve_dual(
     routing: RoutingOperator,
     loads: np.ndarray,
     link_map: LinkMap,
-    start: Optional[np.ndarray] = None,
     max_iterations: int = 100,
 ) -> DualResult:
     """Minimise ``|| R s - t ||^2 + D(s)`` over ``s >= 0`` through its link-space dual.
@@ -175,11 +175,6 @@ def solve_dual(
         The link loads ``t``.
     link_map:
         :class:`KLMap` or :class:`L2Map`, carrying the prior and weight.
-    start:
-        Optional primal warm start (e.g. the previous snapshot's estimate),
-        mapped to ``y = 2 (R start - t)``.  It is used only when it has one
-        entry per pair and is a better dual point than ``y = 0``, so a poor
-        start cannot hurt.
     max_iterations:
         Cap on Newton steps.
 
@@ -205,11 +200,6 @@ def solve_dual(
         return _Point(y, demands, residual, residual - 0.5 * y, value)
 
     point = evaluate(np.zeros(loads.shape))
-    if start is not None and np.shape(start) == (routing.shape[1],):
-        warm = evaluate(2.0 * (routing.matvec(np.asarray(start, dtype=float)) - loads))
-        if warm.value > point.value:
-            point = warm
-
     iterations = 0
     objective, gap = _certificate(point, link_map)
     while gap > GAP_TOLERANCE and iterations < max_iterations:

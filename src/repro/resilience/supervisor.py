@@ -8,8 +8,8 @@ the failure policy a production deployment needs spelled out:
   entropy/Bayesian dual Newton kernel, the Bayesian batch NNLS pivoting and
   the IPF scaling loops all tick the budget; the single Lawson-Hanson
   solves of Vardi and fanout do not);
-* bounded retry of the primary method with deterministically perturbed
-  warm starts;
+* bounded retry of the primary method, each retry a cold re-run that
+  returns exactly what an unsupervised run would;
 * a declared fallback chain (e.g. ``entropy → tomogravity → gravity``)
   walked until some method returns an estimate.
 
@@ -25,8 +25,6 @@ from __future__ import annotations
 import warnings
 from contextlib import nullcontext
 from typing import ContextManager, Mapping, Optional, Sequence
-
-import numpy as np
 
 from repro import telemetry
 from repro.errors import BudgetExceededError, EstimationError, SolverError
@@ -67,12 +65,8 @@ class SupervisedEstimator(Estimator):
         allowance; ``None`` leaves that axis unbounded (no budget at all
         when both are ``None``).
     retries:
-        Extra attempts of the *primary* after its first failure, each with
-        a deterministically perturbed warm start (methods without
-        ``set_warm_start`` simply retry unperturbed).
-    retry_seed:
-        Seeds the warm-start perturbations, so retry behaviour is
-        reproducible and identical across serial and parallel runs.
+        Extra attempts of the *primary* after its first failure, each a
+        cold re-run of the method.
     require_convergence:
         Treat a result whose diagnostics report ``converged: False``
         as a failure (retry, then fall back) instead of returning it.
@@ -93,7 +87,6 @@ class SupervisedEstimator(Estimator):
         max_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
         retries: int = 1,
-        retry_seed: int = 0,
         require_convergence: bool = False,
         inject_failures: int = 0,
     ) -> None:
@@ -110,7 +103,6 @@ class SupervisedEstimator(Estimator):
         self.max_seconds = max_seconds
         self.max_iterations = max_iterations
         self.retries = int(retries)
-        self.retry_seed = int(retry_seed)
         self.require_convergence = bool(require_convergence)
         self.inject_failures = int(inject_failures)
 
@@ -121,15 +113,6 @@ class SupervisedEstimator(Estimator):
         return SolverBudget(
             max_seconds=self.max_seconds, max_iterations=self.max_iterations
         )
-
-    def _perturbed_start(
-        self, problem: EstimationProblem, attempt: int
-    ) -> np.ndarray:
-        """A deterministic warm start for retry ``attempt`` (1-based)."""
-        rng = np.random.default_rng((self.retry_seed, attempt))
-        scale = float(np.sum(problem.snapshot)) / max(problem.num_pairs, 1)
-        scale = max(scale, 1e-9)
-        return rng.uniform(0.5, 1.5, size=problem.num_pairs) * scale
 
     def _run(
         self, problem: EstimationProblem, series: bool
@@ -168,15 +151,12 @@ class SupervisedEstimator(Estimator):
                 attempts += 1
                 telemetry.counter_inc("supervisor.attempts")
                 if attempt > 0:
-                    setter = getattr(estimator, "set_warm_start", None)
-                    if setter is not None:
-                        setter(self._perturbed_start(problem, attempt))
                     telemetry.counter_inc("supervisor.retries")
                     telemetry.add_event("supervisor.retry", method=name, attempt=attempt)
                     events.append(
                         DegradationEvent(
                             stage="retry",
-                            kind="perturbed-warm-start",
+                            kind="rerun",
                             detail=f"{name}: retry {attempt} of {retries}",
                         )
                     )

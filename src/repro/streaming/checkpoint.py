@@ -2,14 +2,13 @@
 
 A checkpoint is a single ``.npz`` file holding the mutable state of a
 :class:`~repro.streaming.daemon.StreamingEstimator` and nothing else: the
-counter tracker's four state arrays and its counts, the warm estimate and
-the pending invalidations, plus a JSON metadata blob carrying the format
-version, the daemon's constructor options, its scalar state and a
-fingerprint of the routing matrix the state was computed under.  It holds
-no object names: the fingerprint pins the link and pair orderings, and
-those fix the counter names (see
-:func:`~repro.measurement.collector.counter_names`).  At N=200 (39,800
-demands, 600 links) a checkpoint is about 1.4 MB.
+counter tracker's four state arrays and its counts, and the last
+estimate, plus a JSON metadata blob carrying the format version, the
+daemon's constructor options, its scalar state and a fingerprint of the
+routing matrix the state was computed under.  It holds no object names:
+the fingerprint pins the link and pair orderings, and those fix the
+counter names (see :func:`~repro.measurement.collector.counter_names`).
+At N=200 (39,800 demands, 600 links) a checkpoint is about 1.33 MB.
 
 Floats travel as raw binary inside the ``.npz`` arrays, so a restore is
 *exact*: a daemon killed mid-stream and restored from its last checkpoint
@@ -21,8 +20,8 @@ target, so a process killed mid-save leaves the previous checkpoint whole.
 
 Restores are defensive: a version the running code does not understand, a
 truncated or otherwise unreadable file, a routing matrix whose fingerprint
-differs from the checkpoint's, or a configuration that cannot be
-reconstructed all raise :class:`~repro.errors.StreamingError` instead of
+differs from the checkpoint's, an estimate with the wrong pair count, or a
+configuration that cannot be reconstructed all raise :class:`~repro.errors.StreamingError` instead of
 silently resuming on the wrong state.
 """
 
@@ -49,19 +48,17 @@ __all__ = [
     "restore_daemon",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _STATE_FIELDS = (
     "rounds_seen",
     "sequence",
     "epoch",
     "stale_streak",
-    "since_watchdog",
     "stale_polls",
     "degraded_updates",
     "watchdog_checks",
     "watchdog_resolves",
-    "invalidated_total",
 )
 
 #: The arrays of a checkpoint, besides ``meta``.
@@ -71,7 +68,6 @@ _ARRAYS = (
     "tracker_last_response",
     "tracker_rate",
     "tracker_counts",
-    "pending_invalid",
     "estimate",
 )
 
@@ -88,7 +84,6 @@ def save_checkpoint(daemon: "StreamingEstimator", path: str) -> None:
         "config": daemon.config(),
         "state": {
             **{name: int(getattr(daemon, name)) for name in _STATE_FIELDS},
-            "watchdog_forced": bool(daemon.watchdog_forced),
             "has_estimate": daemon.estimate is not None,
             "failed_links": sorted(daemon.failed_links),
             "failed_nodes": sorted(daemon.failed_nodes),
@@ -96,7 +91,6 @@ def save_checkpoint(daemon: "StreamingEstimator", path: str) -> None:
         "routing_fingerprint": daemon.routing.fingerprint(),
     }
     arrays = dict(daemon.tracker.state_arrays())
-    arrays["pending_invalid"] = daemon.pending_invalid
     arrays["estimate"] = (
         np.zeros(daemon.routing.num_pairs)
         if daemon.estimate is None
@@ -173,20 +167,14 @@ def restore_daemon(path: str, routing: RoutingMatrix) -> "StreamingEstimator":
             "(fingerprint mismatch); restore with the daemon's base routing"
         )
 
-    for name in _STATE_FIELDS:
-        setattr(daemon, name, int(state[name]))
-    daemon.watchdog_forced = bool(state["watchdog_forced"])
-    daemon.tracker.load_state_arrays(arrays)
-    pending = np.asarray(arrays["pending_invalid"], dtype=bool)
-    if pending.shape != (routing.num_pairs,):
+    estimate = np.asarray(arrays["estimate"], dtype=float)
+    if estimate.shape != (routing.num_pairs,):
         raise StreamingError(
-            f"checkpoint covers {pending.shape[0]} pairs, "
+            f"checkpoint covers {estimate.shape[0]} pairs, "
             f"routing has {routing.num_pairs}"
         )
-    daemon.pending_invalid = pending.copy()
-    daemon.estimate = (
-        np.asarray(arrays["estimate"], dtype=float).copy()
-        if state["has_estimate"]
-        else None
-    )
+    for name in _STATE_FIELDS:
+        setattr(daemon, name, int(state[name]))
+    daemon.tracker.load_state_arrays(arrays)
+    daemon.estimate = estimate.copy() if state["has_estimate"] else None
     return daemon

@@ -3,14 +3,14 @@
 :class:`StreamingEstimator` is the long-running counterpart of the batch
 ``estimate_series`` loop: it consumes SNMP poll rounds one at a time,
 derives interval rates causally through a
-:class:`~repro.streaming.stream.CounterTracker`, and updates its estimate
-incrementally through the first-class
-:meth:`~repro.estimation.base.Estimator.update` API (warm-started solves /
-incremental IPF).  Its counters are the routing's
+:class:`~repro.streaming.stream.CounterTracker`, and estimates each
+interval through :meth:`~repro.estimation.base.Estimator.update` with the
+previous estimate (incremental IPF for Kruithof; every other method solves
+cold).  Its counters are the routing's
 (:func:`~repro.measurement.collector.counter_names`: one per LSP, then one
 per link), and it holds only the state an estimate reads: the tracker's
-arrays, the warm estimate, the pending invalidations and a few counts, so
-memory is constant regardless of stream length.
+arrays, the last estimate and a few counts, so memory is constant
+regardless of stream length.
 
 The daemon is built to *survive* the faults the resilience layer injects:
 
@@ -20,18 +20,20 @@ The daemon is built to *survive* the faults the resilience layer injects:
   drops below ``min_valid_fraction`` the daemon holds its last estimate
   and emits a record explicitly flagged ``stale`` instead of solving on
   fabricated data;
-* **divergence** — every ``watchdog_every`` updates (and after every
-  degradation or topology change) a *divergence watchdog* re-solves the
-  current snapshot cold through a
-  :class:`~repro.resilience.SupervisedEstimator` chain and compares; if
-  the incremental estimate drifted beyond ``watchdog_threshold`` the full
-  re-solve is adopted and the record says so;
+* **solver failure** — every update carries its certificate (the
+  duality gap of the dual kernel, the marginal violation of Kruithof's
+  IPF) behind its ``converged`` flag.  An update that raises or reports
+  ``converged=False`` is replaced, on that poll, by a cold re-solve
+  through a :class:`~repro.resilience.SupervisedEstimator` chain built
+  with ``require_convergence=True``, and the record is flagged
+  ``degraded``;
 * **routing churn** — :meth:`apply_reroute` re-routes the base routing
   around the failed elements with :func:`~repro.routing.reroute` (only the
-  columns that crossed them change), bumps the routing *epoch* tagged on
-  every record, and invalidates exactly the warm-start entries of the
-  pairs the failure moved; a failure set that cannot be applied raises
-  :class:`~repro.errors.StreamingError` and changes no state;
+  columns that crossed them change) and bumps the routing *epoch* tagged
+  on every record; a failure set that cannot be applied raises
+  :class:`~repro.errors.StreamingError` and changes no state.  The next
+  update starts from the previous estimate as usual: Kruithof never reads
+  the routing, and the other methods ignore the start;
 * **crashes** — the whole daemon state checkpoints to one ``.npz`` file,
   written to a temporary file and renamed over the last checkpoint (see
   :mod:`repro.streaming.checkpoint`); ``kill -9`` followed by
@@ -59,7 +61,6 @@ from repro.errors import (
     TopologyError,
 )
 from repro.estimation.base import EstimationProblem
-from repro.estimation.priors import make_prior
 from repro.estimation.registry import get_estimator
 from repro.measurement.collector import counter_names
 from repro.resilience.supervisor import SupervisedEstimator
@@ -67,8 +68,6 @@ from repro.routing.routing_matrix import RerouteResult, RoutingMatrix, reroute
 from repro.streaming.stream import PollRound, PollStream, CounterTracker
 
 __all__ = ["StreamRecord", "StreamingEstimator"]
-
-_DRIFT_FLOOR = 1e-12
 
 
 def _hex(value: float) -> str:
@@ -101,12 +100,8 @@ class StreamRecord:
     valid_fraction:
         Fraction of links whose rate was derived from this round's polls.
     degraded:
-        True when the incremental update failed and the supervised
-        fallback chain produced the estimate instead.
-    watchdog_checked / watchdog_drift / watchdog_resolved:
-        Whether the divergence watchdog ran, the relative drift it
-        measured, and whether it replaced the incremental estimate with
-        the full re-solve.
+        True when the update raised or reported ``converged=False`` and
+        the supervised fallback chain produced the estimate instead.
     iterations / converged:
         Solver diagnostics of the producing method, when reported.
     """
@@ -120,9 +115,6 @@ class StreamRecord:
     stale_intervals: int
     valid_fraction: float
     degraded: bool
-    watchdog_checked: bool
-    watchdog_drift: Optional[float]
-    watchdog_resolved: bool
     iterations: Optional[int]
     converged: Optional[bool]
 
@@ -138,9 +130,6 @@ class StreamRecord:
             "stale_intervals": self.stale_intervals,
             "valid_fraction": _hex(self.valid_fraction),
             "degraded": self.degraded,
-            "watchdog_checked": self.watchdog_checked,
-            "watchdog_drift": None if self.watchdog_drift is None else _hex(self.watchdog_drift),
-            "watchdog_resolved": self.watchdog_resolved,
             "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -162,24 +151,22 @@ class StreamingEstimator:
         :func:`~repro.measurement.collector.counter_names`), whose rates
         give the link loads and the origin/destination totals.
     method / method_params:
-        Registry name (and constructor kwargs) of the incremental method.
+        Registry name (and constructor kwargs) of the estimation method.
     fallbacks:
-        Fallback chain for the supervised full re-solve (watchdog and
-        degradation paths).
-    watchdog_every:
-        Run the divergence watchdog every this many non-stale updates
-        (0 disables periodic checks; forced checks still run after
-        degradation or reroutes).
-    watchdog_threshold:
-        Relative L2 drift between incremental and full estimates above
-        which the full re-solve is adopted.
+        Fallback chain of the supervised re-solve that replaces a failed
+        or uncertified update.
     min_valid_fraction:
         Minimum fraction of freshly-measured links required to solve;
         below it the previous estimate is held and flagged stale.
     budget_iterations / retries:
-        Supervision knobs for the full re-solve chain.  Only iteration
+        Supervision knobs for the re-solve chain.  Only iteration
         budgets are offered: a wall-clock budget would make degradation
         depend on machine speed and break bit-identical crash recovery.
+
+    Four public counters tally the stream: ``watchdog_checks`` (update
+    certificates read), ``watchdog_resolves`` (certificate breaches
+    re-solved), ``degraded_updates`` (polls the chain answered, breaches
+    and raised updates alike) and ``stale_polls``.
     """
 
     def __init__(
@@ -188,14 +175,10 @@ class StreamingEstimator:
         method: str = "tomogravity",
         method_params: Optional[Mapping[str, object]] = None,
         fallbacks: Sequence[str] = ("gravity",),
-        watchdog_every: int = 12,
-        watchdog_threshold: float = 0.25,
         min_valid_fraction: float = 0.5,
         budget_iterations: Optional[int] = None,
         retries: int = 1,
     ) -> None:
-        if watchdog_every < 0:
-            raise StreamingError("watchdog_every must be non-negative")
         if not 0.0 <= float(min_valid_fraction) <= 1.0:
             raise StreamingError("min_valid_fraction must be within [0, 1]")
         self.routing = routing
@@ -203,8 +186,6 @@ class StreamingEstimator:
         self.method = str(method)
         self.method_params = dict(method_params or {})
         self.fallbacks = tuple(fallbacks)
-        self.watchdog_every = int(watchdog_every)
-        self.watchdog_threshold = float(watchdog_threshold)
         self.min_valid_fraction = float(min_valid_fraction)
         self.budget_iterations = budget_iterations
         self.retries = int(retries)
@@ -217,6 +198,7 @@ class StreamingEstimator:
             primary_params=self.method_params,
             max_iterations=self.budget_iterations,
             retries=self.retries,
+            require_convergence=True,
         )
         # The last stream whose objects were checked against the counters.
         self._checked_stream: Optional[weakref.ref] = None
@@ -228,15 +210,11 @@ class StreamingEstimator:
         self.failed_links: set[str] = set()
         self.failed_nodes: set[str] = set()
         self.estimate: Optional[np.ndarray] = None
-        self.pending_invalid = np.zeros(routing.num_pairs, dtype=bool)
         self.stale_streak = 0
-        self.since_watchdog = 0
-        self.watchdog_forced = False
         self.stale_polls = 0
         self.degraded_updates = 0
         self.watchdog_checks = 0
         self.watchdog_resolves = 0
-        self.invalidated_total = 0
 
     @classmethod
     def from_collector(cls, collector, **kwargs) -> "StreamingEstimator":
@@ -257,8 +235,6 @@ class StreamingEstimator:
             "method": self.method,
             "method_params": dict(self.method_params),
             "fallbacks": list(self.fallbacks),
-            "watchdog_every": self.watchdog_every,
-            "watchdog_threshold": self.watchdog_threshold,
             "min_valid_fraction": self.min_valid_fraction,
             "budget_iterations": self.budget_iterations,
             "retries": self.retries,
@@ -292,10 +268,9 @@ class StreamingEstimator:
         the union of every failure reported so far.  Columns that cross no
         failed element keep their base routes, whatever built the base;
         the affected pairs take IGP shortest paths (see
-        :func:`~repro.routing.reroute`).  The routing epoch is bumped, the
-        warm-start entries of precisely the pairs whose paths moved are
-        invalidated (they re-seed from the prior at the next update), and
-        the next update is forced through the divergence watchdog.  A
+        :func:`~repro.routing.reroute`).  The routing epoch is bumped and
+        nothing else changes: the next update starts from the previous
+        estimate and proves itself by its certificate like any other.  A
         failure set that cannot be applied raises
         :class:`~repro.errors.StreamingError` before any state changes.
         """
@@ -303,13 +278,7 @@ class StreamingEstimator:
         nodes = self.failed_nodes | set(failed_nodes)
         self.routing, result = self._reroute(links, nodes)
         self.failed_links, self.failed_nodes = links, nodes
-        pairs = self.routing.pairs
-        affected = np.zeros(self.routing.num_pairs, dtype=bool)
-        for pair in result.rerouted:
-            affected[pairs.position(pair)] = True
         self.epoch += 1
-        self.pending_invalid |= affected
-        self.watchdog_forced = True
         telemetry.counter_inc("stream.reroutes")
         telemetry.add_event(
             "stream.reroute",
@@ -335,25 +304,34 @@ class StreamingEstimator:
             destination_totals=destination_totals,
         )
 
-    def _prepare_warm(self, problem: EstimationProblem) -> Optional[np.ndarray]:
-        """Previous estimate as warm start, with churned pairs re-seeded."""
-        if self.estimate is None:
-            self.pending_invalid[:] = False
-            return None
-        warm = self.estimate.copy()
-        if self.pending_invalid.any():
-            replacement = make_prior(problem, "gravity")
-            count = int(self.pending_invalid.sum())
-            warm[self.pending_invalid] = replacement[self.pending_invalid]
-            self.pending_invalid[:] = False
-            self.invalidated_total += count
-            telemetry.counter_inc("stream.invalidated_pairs", count)
-        return warm
+    def _update(self, problem: EstimationProblem, sequence: int):
+        """The poll's estimate and whether the supervised chain produced it.
 
-    def _full_resolve(self, problem: EstimationProblem):
-        """Cold supervised re-solve of the current snapshot."""
+        The update is trusted on its certificate: one that raises or
+        reports ``converged=False`` is replaced by a cold re-solve through
+        the supervised chain.
+        """
+        try:
+            result = self._estimator.update(problem, previous=self.estimate)
+            self.watchdog_checks += 1
+            telemetry.counter_inc("stream.watchdog_checks")
+            if result.diagnostics.get("converged") is not False:
+                return result, False
+            self.watchdog_resolves += 1
+            telemetry.counter_inc("stream.watchdog_resolves")
+            raise EstimationError(f"method {self.method!r} reported converged=False")
+        except (EstimationError, SolverError) as exc:
+            self.degraded_updates += 1
+            telemetry.counter_inc("stream.degraded_updates")
+            warnings.warn(
+                f"incremental update failed at sequence {sequence} "
+                f"({type(exc).__name__}: {exc}); falling back to a "
+                "supervised full re-solve",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         with telemetry.span("stream.resolve", method=self.method):
-            return self._supervisor.estimate(problem)
+            return self._supervisor.estimate(problem), True
 
     @staticmethod
     def _diagnostic_ints(result) -> tuple[Optional[int], Optional[bool]]:
@@ -413,83 +391,27 @@ class StreamingEstimator:
                 stale_intervals=self.stale_streak,
                 valid_fraction=valid_fraction,
                 degraded=False,
-                watchdog_checked=False,
-                watchdog_drift=None,
-                watchdog_resolved=False,
                 iterations=None,
                 converged=None,
             )
 
         self.stale_streak = 0
         problem = self._problem(link_rates, lsp_rates)
-        warm = self._prepare_warm(problem)
-
-        degraded = False
         with telemetry.span("stream.update", sequence=sequence, epoch=self.epoch):
-            try:
-                result = self._estimator.update(problem, previous=warm)
-            except (EstimationError, SolverError) as exc:
-                degraded = True
-                self.degraded_updates += 1
-                telemetry.counter_inc("stream.degraded_updates")
-                warnings.warn(
-                    f"incremental update failed at sequence {sequence} "
-                    f"({type(exc).__name__}: {exc}); falling back to a "
-                    "supervised full re-solve",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                result = self._full_resolve(problem)
+            result, degraded = self._update(problem, sequence)
         estimate = np.maximum(np.asarray(result.vector, dtype=float), 0.0)
-        method = result.method
         iterations, converged = self._diagnostic_ints(result)
-
-        watchdog_checked = False
-        watchdog_resolved = False
-        drift: Optional[float] = None
-        self.since_watchdog += 1
-        due = self.watchdog_every > 0 and self.since_watchdog >= self.watchdog_every
-        if degraded:
-            # The supervised chain already produced a full re-solve.
-            self.since_watchdog = 0
-            self.watchdog_forced = False
-        elif due or self.watchdog_forced:
-            watchdog_checked = True
-            self.watchdog_checks += 1
-            self.since_watchdog = 0
-            self.watchdog_forced = False
-            with telemetry.span("stream.watchdog", sequence=sequence):
-                reference = self._full_resolve(problem)
-                full = np.maximum(np.asarray(reference.vector, dtype=float), 0.0)
-                scale = max(float(np.linalg.norm(full)), _DRIFT_FLOOR)
-                drift = float(np.linalg.norm(estimate - full) / scale)
-                telemetry.counter_inc("stream.watchdog_checks")
-                telemetry.gauge_set("stream.watchdog_drift", drift)
-                if drift > self.watchdog_threshold:
-                    watchdog_resolved = True
-                    self.watchdog_resolves += 1
-                    telemetry.counter_inc("stream.watchdog_resolves")
-                    telemetry.add_event(
-                        "stream.watchdog_resolve", sequence=sequence, drift=drift
-                    )
-                    estimate = full
-                    method = reference.method
-                    iterations, converged = self._diagnostic_ints(reference)
-
         self.estimate = estimate.copy()
         return StreamRecord(
             sequence=sequence,
             timestamp=timestamp,
             epoch=self.epoch,
-            method=method,
+            method=result.method,
             estimate=estimate,
             stale=False,
             stale_intervals=0,
             valid_fraction=valid_fraction,
             degraded=degraded,
-            watchdog_checked=watchdog_checked,
-            watchdog_drift=drift,
-            watchdog_resolved=watchdog_resolved,
             iterations=iterations,
             converged=converged,
         )

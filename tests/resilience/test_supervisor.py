@@ -140,13 +140,23 @@ def test_unknown_fallback_is_an_event_not_a_crash(problem):
     assert any(event.stage == "construct" for event in report.events)
 
 
-def test_retry_perturbations_are_deterministic(problem):
-    estimator = SupervisedEstimator(retry_seed=3)
-    first = estimator._perturbed_start(problem, attempt=1)
-    second = SupervisedEstimator(retry_seed=3)._perturbed_start(problem, attempt=1)
-    np.testing.assert_array_equal(first, second)
-    assert not np.array_equal(first, estimator._perturbed_start(problem, attempt=2))
-    assert (first > 0).all()
+@pytest.mark.parametrize("build", ["europe_scenario", "america_scenario"])
+def test_retry_reruns_the_method_cold(build):
+    # Kruithof's IPF converges to the projection of whatever table it
+    # starts from, so a retry must not seed it: it re-runs cold and
+    # returns exactly the unsupervised estimate.
+    import repro.datasets
+
+    snapshot = getattr(repro.datasets, build)().snapshot_problem()
+    estimator = SupervisedEstimator(primary="kruithof", inject_failures=1)
+    with pytest.warns(RuntimeWarning, match="supervised estimation degraded"):
+        result = estimator.estimate(snapshot)
+    report = degradation_from_diagnostics(result.diagnostics)
+    assert report.used == "kruithof" and report.attempts == 2
+    assert [event.kind for event in report.events if event.stage == "retry"] == ["rerun"]
+    assert result.diagnostics["converged"] is True
+    cold = get_estimator("kruithof").estimate(snapshot)
+    np.testing.assert_array_equal(result.vector, cold.vector)
 
 
 def test_estimate_series_walks_the_same_chain(series_problem):

@@ -62,7 +62,6 @@ def make_daemon(collector_factory, plan):
     return StreamingEstimator.from_collector(
         collector_factory(fault_plan=plan),
         method="tomogravity",
-        watchdog_every=4,
         min_valid_fraction=0.5,
     )
 
@@ -98,16 +97,14 @@ class TestResumeIdentity:
         daemon_kwargs = dict(fault_plan=plan, loss_probability=loss,
                              jitter_std_seconds=1.0)
         full_daemon = StreamingEstimator.from_collector(
-            collector_factory(**daemon_kwargs), method="tomogravity",
-            watchdog_every=4, min_valid_fraction=0.5,
+            collector_factory(**daemon_kwargs), method="tomogravity", min_valid_fraction=0.5
         )
         full = run_stream(full_daemon, stream_factory())
         assert len(full) == len(series)
 
         path = tmp_path / f"{plan_name}.ckpt"
         killed = StreamingEstimator.from_collector(
-            collector_factory(**daemon_kwargs), method="tomogravity",
-            watchdog_every=4, min_valid_fraction=0.5,
+            collector_factory(**daemon_kwargs), method="tomogravity", min_valid_fraction=0.5
         )
         head = run_stream(killed, stream_factory(), kill_after=6, checkpoint_path=str(path))
         resumed = StreamingEstimator.restore(str(path), stream_scenario.routing)
@@ -132,8 +129,8 @@ class TestCheckpointRoundtrip:
         assert restored.rounds_seen == daemon.rounds_seen
         assert restored.sequence == daemon.sequence
         assert restored.epoch == daemon.epoch
-        assert restored.since_watchdog == daemon.since_watchdog
         assert restored.stale_polls == daemon.stale_polls
+        assert restored.watchdog_checks == daemon.watchdog_checks == 7
         np.testing.assert_array_equal(restored.estimate, daemon.estimate)
         np.testing.assert_array_equal(
             restored.tracker.last_counter, daemon.tracker.last_counter
@@ -143,7 +140,6 @@ class TestCheckpointRoundtrip:
         )
         np.testing.assert_array_equal(restored.tracker.rate, daemon.tracker.rate)
         np.testing.assert_array_equal(restored.tracker.have_last, daemon.tracker.have_last)
-        np.testing.assert_array_equal(restored.pending_invalid, daemon.pending_invalid)
 
     def test_checkpoint_before_first_estimate(self, stream_scenario, collector_factory, tmp_path):
         daemon = make_daemon(collector_factory, None)
@@ -256,12 +252,24 @@ class TestCheckpointContents:
                     "tracker_last_response",
                     "tracker_rate",
                     "tracker_counts",
-                    "pending_invalid",
                     "estimate",
                 ]
             )
         meta, _ = load_checkpoint(str(path))
-        assert meta["version"] == CHECKPOINT_VERSION == 2
+        assert meta["version"] == CHECKPOINT_VERSION == 3
+        assert sorted(meta["state"]) == [
+            "degraded_updates",
+            "epoch",
+            "failed_links",
+            "failed_nodes",
+            "has_estimate",
+            "rounds_seen",
+            "sequence",
+            "stale_polls",
+            "stale_streak",
+            "watchdog_checks",
+            "watchdog_resolves",
+        ]
         options = set(inspect.signature(StreamingEstimator).parameters) - {"routing"}
         assert set(meta["config"]) == options
         assert set(daemon.config()) == options
@@ -291,8 +299,34 @@ class TestCheckpointContents:
         )
         with open(path, "wb") as handle:
             np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(StreamingError, match="version 1.*version 2"):
+        with pytest.raises(StreamingError, match="version 1.*version 3"):
             StreamingEstimator.restore(str(path), routing)
+
+    def test_version_2_checkpoint_rejected(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        # The format-2 layout: the watchdog options and scalars, and the
+        # per-pair mask of warm-start entries to re-seed after a reroute.
+        routing = stream_scenario.routing
+        meta["version"] = 2
+        meta["config"].update(watchdog_every=12, watchdog_threshold=0.25)
+        meta["state"].update(since_watchdog=3, invalidated_total=0, watchdog_forced=False)
+        arrays["pending_invalid"] = np.zeros(routing.num_pairs, dtype=bool)
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(StreamingError, match="version 2.*version 3"):
+            StreamingEstimator.restore(str(path), routing)
+
+    def test_wrong_pair_count_rejected(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "pairs.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        arrays["estimate"] = np.append(arrays["estimate"], 1.0)
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(StreamingError, match="covers 21 pairs, routing has 20"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
 
     @pytest.mark.parametrize("fraction", [0.5, 0.9])
     def test_truncated_checkpoint_rejected(

@@ -8,7 +8,6 @@ import pytest
 from repro import telemetry
 from repro.errors import EstimationError, StreamingError
 from repro.estimation.base import EstimationProblem
-from repro.estimation.priors import make_prior
 from repro.estimation.registry import get_estimator
 from repro.measurement.collector import counter_names
 from repro.resilience.faults import PollLossBurst, fault_plan
@@ -48,13 +47,15 @@ class TestBatchAgreement:
         series = stream_scenario.day_series
         routing = stream_scenario.routing
         stream = PollStream.from_collector(collector_factory(), series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(), method=method, watchdog_every=0
-        )
+        daemon = StreamingEstimator.from_collector(collector_factory(), method=method)
         records = list(daemon.run(stream))
         assert len(records) == len(series)
         assert not any(record.stale for record in records)
         assert all(record.method == method for record in records)
+        # Every update's certificate is read and none is breached.
+        assert all(record.converged and not record.degraded for record in records)
+        assert daemon.watchdog_checks == len(records)
+        assert daemon.watchdog_resolves == daemon.degraded_updates == 0
 
         reference_collector = collector_factory()
         reference_collector.collect(series)
@@ -70,14 +71,35 @@ class TestBatchAgreement:
     ):
         collector = collector_factory()
         collector.collect(stream_scenario.day_series)
-        problem = batch_problem(stream_scenario.routing, collector).at_snapshot(1)
-        previous = make_prior(problem, "gravity") * 1.1
+        problem = batch_problem(stream_scenario.routing, collector)
+        previous = get_estimator("kruithof").estimate(problem.at_snapshot(0)).vector
+        snapshot = problem.at_snapshot(1)
 
-        updated = get_estimator("entropy").update(problem, previous=previous)
-        manual = get_estimator("entropy")
+        updated = get_estimator("kruithof").update(snapshot, previous=previous)
+        manual = get_estimator("kruithof")
         manual.set_warm_start(previous)
-        expected = manual.estimate(problem)
+        expected = manual.estimate(snapshot)
         np.testing.assert_array_equal(updated.vector, expected.vector)
+        # Incremental IPF: fewer sweeps than a cold fit, to the same fit.
+        cold = get_estimator("kruithof").estimate(snapshot)
+        assert updated.diagnostics["iterations"] < cold.diagnostics["iterations"]
+        np.testing.assert_allclose(updated.vector, cold.vector, rtol=1e-7)
+
+    @pytest.mark.parametrize("method", ["tomogravity", "entropy", "kl-projection", "bayesian"])
+    def test_dual_kernel_update_is_a_plain_estimate(
+        self, method, stream_scenario, collector_factory
+    ):
+        collector = collector_factory()
+        collector.collect(stream_scenario.day_series)
+        problem = batch_problem(stream_scenario.routing, collector)
+        estimator = get_estimator(method)
+        assert not hasattr(estimator, "set_warm_start")
+        previous = estimator.estimate(problem.at_snapshot(0)).vector
+        snapshot = problem.at_snapshot(1)
+        updated = estimator.update(snapshot, previous=previous)
+        expected = get_estimator(method).estimate(snapshot)
+        np.testing.assert_array_equal(updated.vector, expected.vector)
+        assert updated.diagnostics["iterations"] == expected.diagnostics["iterations"]
 
     def test_update_without_previous_is_plain_estimate(
         self, stream_scenario, collector_factory
@@ -99,7 +121,7 @@ class TestStaleness:
             collector_factory(fault_plan=plan), stream_scenario.day_series
         )
         daemon = StreamingEstimator.from_collector(
-            collector_factory(fault_plan=plan), method="tomogravity", watchdog_every=0
+            collector_factory(fault_plan=plan), method="tomogravity"
         )
         records = list(daemon.run(stream))
         stale = [record for record in records if record.stale]
@@ -125,7 +147,6 @@ class TestStaleness:
         daemon = StreamingEstimator.from_collector(
             collector_factory(fault_plan=plan),
             method="tomogravity",
-            watchdog_every=0,
             min_valid_fraction=0.25,
         )
         records = list(daemon.run(stream))
@@ -141,7 +162,7 @@ class TestStaleness:
             collector_factory(fault_plan=plan), stream_scenario.day_series
         )
         daemon = StreamingEstimator.from_collector(
-            collector_factory(fault_plan=plan), method="tomogravity", watchdog_every=0
+            collector_factory(fault_plan=plan), method="tomogravity"
         )
         records = list(daemon.run(stream))
         assert records[0].stale
@@ -149,44 +170,13 @@ class TestStaleness:
 
 
 class TestWatchdog:
-    def test_periodic_checks_at_configured_cadence(
-        self, stream_scenario, collector_factory
-    ):
-        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(), method="tomogravity", watchdog_every=4
-        )
-        records = list(daemon.run(stream))
-        checked = [record.sequence for record in records if record.watchdog_checked]
-        assert checked == [3, 7, 11]
-        for record in records:
-            if record.watchdog_checked:
-                assert record.watchdog_drift is not None
-                assert record.watchdog_drift < 0.01  # clean day: no divergence
-                assert not record.watchdog_resolved
-
-    def test_trip_adopts_full_resolve(self, stream_scenario, collector_factory):
-        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(),
-            method="tomogravity",
-            watchdog_every=3,
-            watchdog_threshold=-1.0,  # any drift (even zero) trips
-        )
-        records = list(daemon.run(stream))
-        resolved = [record for record in records if record.watchdog_resolved]
-        assert resolved
-        assert daemon.watchdog_resolves == len(resolved)
-        for record in resolved:
-            assert record.method == "supervised"
+    """The certificate each update carries is the daemon's only trust rule."""
 
     def test_degraded_update_falls_back_to_supervised_chain(
         self, stream_scenario, collector_factory, monkeypatch
     ):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(), method="tomogravity", watchdog_every=0
-        )
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="tomogravity")
 
         original = daemon._estimator.update
         failures = {"left": 2}
@@ -203,28 +193,60 @@ class TestWatchdog:
         degraded = [record for record in records if record.degraded]
         assert [record.sequence for record in degraded] == [0, 1]
         assert daemon.degraded_updates == 2
+        # A raised update carries no certificate to read.
+        assert daemon.watchdog_resolves == 0
+        assert daemon.watchdog_checks == len(records) - 2
         for record in degraded:
             assert record.method == "supervised"
             assert not record.stale
 
+    def test_uncertified_update_falls_back_to_supervised_chain(
+        self, stream_scenario, collector_factory, monkeypatch
+    ):
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="tomogravity")
+        assert daemon._supervisor.require_convergence is True
+
+        original = daemon._estimator.update
+        problems = {}
+
+        def uncertified_at_sequence_4(problem, previous=None):
+            sequence = daemon.sequence - 1
+            problems[sequence] = problem
+            result = original(problem, previous=previous)
+            if sequence == 4:
+                result.diagnostics["converged"] = False
+            return result
+
+        monkeypatch.setattr(daemon._estimator, "update", uncertified_at_sequence_4)
+        with pytest.warns(RuntimeWarning, match="converged=False"):
+            records = list(daemon.run(stream))
+        assert [record.sequence for record in records if record.degraded] == [4]
+        assert daemon.watchdog_resolves == 1
+        assert daemon.degraded_updates == 1
+        assert daemon.watchdog_checks == len(records)
+        # The chain's cold tomogravity solve replaces the uncertified one.
+        replaced = records[4]
+        assert replaced.method == "supervised" and replaced.converged is True
+        cold = get_estimator("tomogravity").estimate(problems[4])
+        np.testing.assert_array_equal(replaced.estimate, cold.vector)
+
 
 class TestEpochChurn:
-    def test_reroute_bumps_epoch_and_invalidates_exactly_affected_pairs(
+    def test_reroute_bumps_epoch_and_keeps_the_warm_start(
         self, stream_scenario, collector_factory
     ):
         routing = stream_scenario.routing
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(), method="tomogravity", watchdog_every=0
-        )
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="kruithof")
 
         captured = {}
         original = daemon._estimator.update
 
         def capture_update(problem, previous=None):
-            if previous is not None and "warm" not in captured and daemon.epoch == 1:
+            if daemon.epoch == 1 and "warm" not in captured:
                 captured["warm"] = previous.copy()
-                captured["problem"] = problem
+                captured["routing"] = problem.routing
             return original(problem, previous=previous)
 
         daemon._estimator.update = capture_update
@@ -240,36 +262,52 @@ class TestEpochChurn:
                 result = daemon.apply_reroute(failed_links=[failed_link])
 
         assert result is not None and result.rerouted
-        affected = np.zeros(routing.num_pairs, dtype=bool)
-        position = {pair: idx for idx, pair in enumerate(routing.pairs)}
-        for pair in result.rerouted:
-            affected[position[pair]] = True
-
         # Epoch tagging: records before the reroute are epoch 0, after 1.
         assert [record.epoch for record in records] == [0] * 3 + [1] * (len(records) - 3)
-        # The reroute forces a watchdog pass on the next update.
-        assert records[3].watchdog_checked
+        # The first update after the reroute runs on the new routing and
+        # starts from the previous estimate, unchanged.
+        assert captured["routing"] is daemon.routing
+        np.testing.assert_array_equal(captured["warm"], previous_estimate)
+        assert not any(record.degraded for record in records)
 
-        # Exactly the affected pairs were re-seeded from the prior; the
-        # surviving pairs kept the previous estimate as their warm start.
-        warm = captured["warm"]
-        replacement = make_prior(captured["problem"], "gravity")
-        np.testing.assert_array_equal(warm[~affected], previous_estimate[~affected])
-        np.testing.assert_array_equal(warm[affected], replacement[affected])
-        assert daemon.invalidated_total == int(affected.sum())
+    def test_kruithof_after_reroute_returns_kruithofs_answer(
+        self, stream_scenario, collector_factory
+    ):
+        routing = stream_scenario.routing
+        loads = routing.link_loads(stream_scenario.day_series[0].vector)
+        busiest = routing.link_names[int(np.argmax(loads))]
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="kruithof")
+
+        problems = {}
+        original = daemon._estimator.update
+
+        def capture_update(problem, previous=None):
+            problems[daemon.sequence - 1] = problem
+            return original(problem, previous=previous)
+
+        daemon._estimator.update = capture_update
+        records = []
+        for record in daemon.run(stream):
+            records.append(record)
+            if record.sequence == 2:  # before round 4
+                assert daemon.apply_reroute(failed_links=[busiest]).rerouted
+        after = [record for record in records if record.epoch == 1]
+        assert len(after) == len(records) - 3
+        for record in after:
+            cold = get_estimator("kruithof").estimate(problems[record.sequence]).vector
+            distance = np.linalg.norm(record.estimate - cold) / np.linalg.norm(cold)
+            assert distance <= 1e-7, (record.sequence, distance)
 
     def test_unknown_element_changes_no_state(
         self, stream_scenario, collector_factory, tmp_path
     ):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(), method="tomogravity", watchdog_every=0
-        )
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="tomogravity")
         iterator = daemon.run(stream)
         for _ in range(3):
             next(iterator)
-        routing, forced = daemon.routing, daemon.watchdog_forced
-        pending = daemon.pending_invalid.copy()
+        routing, estimate = daemon.routing, daemon.estimate.copy()
         failed = stream_scenario.routing.link_names[0]
         with pytest.raises(StreamingError, match="no-such-link"):
             daemon.apply_reroute(failed_links=["no-such-link"])
@@ -277,8 +315,7 @@ class TestEpochChurn:
             daemon.apply_reroute(failed_links=[failed], failed_nodes=["no-such-node"])
         assert daemon.failed_links == set() and daemon.failed_nodes == set()
         assert daemon.epoch == 0 and daemon.routing is routing
-        assert daemon.watchdog_forced == forced
-        np.testing.assert_array_equal(daemon.pending_invalid, pending)
+        np.testing.assert_array_equal(daemon.estimate, estimate)
 
         # The daemon still reroutes, checkpoints and restores.
         result = daemon.apply_reroute(failed_links=[failed])
@@ -344,8 +381,6 @@ class TestValidationAndTelemetry:
         routing = stream_scenario.routing
         with pytest.raises(StreamingError):
             StreamingEstimator(routing=routing, min_valid_fraction=1.5)
-        with pytest.raises(StreamingError):
-            StreamingEstimator(routing=routing, watchdog_every=-1)
 
     def test_out_of_order_rounds_rejected(self, stream_scenario, collector_factory):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
@@ -383,7 +418,7 @@ class TestValidationAndTelemetry:
             return original(routing)
 
         monkeypatch.setattr(daemon_module, "counter_names", counting)
-        daemon = StreamingEstimator.from_collector(collector_factory(), watchdog_every=0)
+        daemon = StreamingEstimator.from_collector(collector_factory())
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
         for poll_round in list(stream.rounds())[:4]:
             daemon.process_round(poll_round, stream)
@@ -394,13 +429,12 @@ class TestValidationAndTelemetry:
 
     def test_stream_stage_telemetry(self, telemetry_on, stream_scenario, collector_factory):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
-        daemon = StreamingEstimator.from_collector(
-            collector_factory(), method="tomogravity", watchdog_every=4
-        )
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="tomogravity")
         list(daemon.run(stream))
         snapshot = telemetry.metrics_snapshot()
         counters = snapshot["counters"]
         gauges = snapshot["gauges"]
         assert counters["stream.polls"] == len(stream_scenario.day_series)
-        assert counters["stream.watchdog_checks"] == 3
+        assert counters["stream.watchdog_checks"] == len(stream_scenario.day_series)
+        assert "stream.watchdog_resolves" not in counters
         assert gauges["stream.valid_fraction"] == 1.0

@@ -1,9 +1,9 @@
 """The ``effective_jobs`` policy, shared payloads, and pool guarantees.
 
-BENCH_PR3 recorded ``engine_parallel_seconds > engine_serial_seconds`` at
-``cpu_count: 1``: asking for ``n_jobs=2`` on a single-core box spawned a
-process pool that paid interpreter start-up and pickling for zero
-concurrency.  The fix clamps the resolved job count to the CPU count, and
+The experiment-engine benchmark once timed its ``n_jobs=2`` grid slower
+than the serial one at ``cpu_count: 1``: asking for ``n_jobs=2`` on a
+single-core box spawned a process pool that paid interpreter start-up and
+pickling for zero concurrency.  The fix clamps the resolved job count to the CPU count, and
 every engine skips pool creation entirely when the resolved count is 1 —
 which these tests assert directly by making pool construction an error.
 

@@ -481,8 +481,8 @@ class TestRegistryContracts:
         found = lint_estimator(
             """
             @register()
-            class Tomogravity(Estimator):
-                name = "tomogravity"
+            class Kruithof(Estimator):
+                name = "kruithof"
 
                 def estimate(self, problem):
                     return problem
@@ -495,8 +495,8 @@ class TestRegistryContracts:
         assert lint_estimator(
             """
             @register()
-            class Tomogravity(Estimator):
-                name = "tomogravity"
+            class Kruithof(Estimator):
+                name = "kruithof"
 
                 def estimate(self, problem):
                     return problem

@@ -6,9 +6,9 @@ method sets by *name* — which also means a registered class that quietly
 drops part of the :class:`~repro.estimation.base.Estimator` surface fails
 at a distance: a missing ``estimate`` only explodes inside a sweep, an
 incompatible ``estimate_series`` override silently falls out of the
-batched path, and a removed ``set_warm_start`` turns the PR 3/5 warm-start
-speedups off without any test noticing (the generic series loop probes it
-with ``getattr``).
+batched path, and a removed ``set_warm_start`` turns incremental IPF off
+without any test noticing (the generic series loop and
+``Estimator.update`` probe it with ``getattr``).
 
 For every class decorated with ``@register(...)`` the rule checks, across
 all scanned files (inheritance is resolved project-wide by class name):
@@ -41,14 +41,13 @@ from reprolint.engine import Diagnostic, ProjectContext
 
 __all__ = ["RULE", "WARM_START_CONTRACTS"]
 
-#: Registry names whose warm-start support is advertised (README "Batched
-#: series estimation" / "Performance" sections): the generic series loop
-#: feeds each snapshot's solution to the next dual Newton solve for these
-#: methods, and the BENCH_PR3 grid timings (~4x per cell) depend on it.
-#: Tomogravity and KL projection inherit ``set_warm_start`` from the
-#: entropy estimator (KL projection is its dual solve at a fixed ``sigma^2``).
-#: Vardi is not listed: its exact active-set solve has no iterate to seed.
-WARM_START_CONTRACTS = {"bayesian", "entropy", "kl-projection", "tomogravity"}
+#: Registry names whose warm-start support is advertised (README "Streaming
+#: estimation"): Kruithof's incremental IPF, which the streaming daemon's
+#: ``update`` and the generic series loop seed with the previous fit.  The
+#: dual kernel (entropy, tomogravity, KL projection, Bayesian) starts every
+#: solve from ``y = 0`` and Vardi's exact active-set solve has no iterate,
+#: so none of them takes a start.
+WARM_START_CONTRACTS = {"kruithof"}
 
 #: Methods whose overrides must stay call-compatible with the base class.
 SINGLE_ARGUMENT_METHODS = ("estimate", "estimate_series", "set_warm_start")

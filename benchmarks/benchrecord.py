@@ -8,9 +8,10 @@ the merge logic in one place so record handling cannot drift between
 benchmarks: existing keys written by other benchmarks are preserved, and a
 corrupt record file is replaced rather than crashing the run.
 
-Every merge also (re)stamps a shared ``meta`` block — git SHA, python and
-numpy versions, CPU count, UTC timestamp — so the records are comparable
-across machines and checkouts without guessing where they came from.
+Every merge also (re)stamps a shared ``meta`` block — git SHA, whether
+the working tree differed from it, python and numpy versions, CPU count,
+UTC timestamp — so the records are comparable across machines and
+checkouts without guessing where they came from.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -30,27 +32,34 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 __all__ = ["REPO_ROOT", "merge_record", "record_meta"]
 
 
-def _git_sha() -> str:
+def _git(*args: str) -> Optional[str]:
+    """The output of ``git <args>`` in the repository, ``None`` when git fails."""
     try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=10,
-                check=True,
-            ).stdout.strip()
-            or "unknown"
-        )
+        return subprocess.run(
+            ["git", *args],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
+        return None
 
 
 def record_meta() -> dict:
-    """The environment block stamped into every record file."""
+    """The environment block stamped into every record file.
+
+    ``git_dirty`` says whether tracked files differed from ``git_sha``
+    when the record was written (``"unknown"`` when git fails), since a
+    record re-run before its commit measures a tree that hash does not
+    name.
+    """
+    sha = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
-        "git_sha": _git_sha(),
+        "git_sha": (sha or "").strip() or "unknown",
+        "git_dirty": "unknown" if status is None else bool(status.strip()),
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
         "platform": platform.platform(),

@@ -78,7 +78,6 @@ def main() -> None:
                         "primary_params": {"prior": "gravity"},
                         "fallbacks": ("tomogravity", "gravity"),
                         "max_iterations": 2,
-                        "retries": 0,
                     },
                 ),
             ],

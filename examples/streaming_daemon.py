@@ -119,7 +119,7 @@ def run_daemon(args) -> None:
             f"done: {daemon.sequence} records, {daemon.stale_polls} stale, "
             f"{daemon.degraded_updates} degraded, "
             f"{daemon.watchdog_checks} certificates read "
-            f"({daemon.watchdog_resolves} breaches re-solved)"
+            f"({daemon.watchdog_resolves} breaches answered by the fallbacks)"
         )
 
 

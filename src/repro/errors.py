@@ -95,7 +95,7 @@ class BudgetExceededError(SolverError):
     iteration; when the innermost active budget has exhausted its wall-clock
     or iteration allowance the tick raises this error, which the
     :class:`~repro.resilience.SupervisedEstimator` treats like any other
-    solver failure (retry, then fall back down the chain).
+    solver failure (it falls back down the chain).
 
     The structured accounting rides along so degradation records are
     actionable: ``elapsed_seconds`` and ``ticks`` say how much the attempt

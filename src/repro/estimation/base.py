@@ -530,49 +530,15 @@ class Estimator(abc.ABC):
         :meth:`EstimationProblem.at_snapshot`; subclasses override it where
         one factorisation or one vectorised expression serves all ``K``
         right-hand sides.  Overrides must agree with this loop on the same
-        problem (they are the fast path, not a different method).
-
-        Estimators exposing a ``set_warm_start(vector)`` method receive the
-        previous snapshot's solution before each subsequent snapshot.  Only
-        Kruithof has one: its incremental IPF converges from a previous fit
-        of the same prior to the same fit in a handful of sweeps.  The dual
-        kernel (entropy, tomogravity, KL projection, Bayesian) starts every
-        solve from ``y = 0``, so their loop is the cold loop.
+        problem (they are the fast path, not a different method).  Every
+        snapshot is a cold solve: no method is seeded with another
+        snapshot's estimate.
         """
-        series = problem.series
-        num_snapshots = series.shape[0]
+        num_snapshots = problem.series.shape[0]
         estimates = np.empty((num_snapshots, problem.num_pairs))
-        set_warm_start = getattr(self, "set_warm_start", None)
         for index in range(num_snapshots):
             estimates[index] = self.estimate(problem.at_snapshot(index)).vector
-            # Seed the next snapshot only — no trailing call, so the
-            # estimator carries no warm-start state out of this loop.
-            if set_warm_start is not None and index + 1 < num_snapshots:
-                set_warm_start(estimates[index])
         return self._series_result(problem, estimates, batched=False)
-
-    def update(
-        self, problem: EstimationProblem, previous: Optional[np.ndarray] = None
-    ) -> EstimationResult:
-        """Estimate one new snapshot, seeded by ``previous`` where that helps.
-
-        ``previous`` (typically the last poll's estimate) is handed to
-        :meth:`set_warm_start` when the estimator exposes one, then
-        :meth:`estimate` runs on the new snapshot.  Only Kruithof exposes
-        one (incremental IPF; see
-        :meth:`repro.estimation.kruithof.KruithofEstimator.set_warm_start`);
-        for every other method ``update`` is :meth:`estimate`, bit for bit.
-
-        Calling ``update(problem, estimates[k - 1])`` for ``k = 0 .. K-1``
-        reproduces the generic :meth:`estimate_series` loop poll by poll;
-        :class:`repro.streaming.StreamingEstimator` drives exactly this
-        API from live poll rounds and reads each result's certificate.
-        """
-        if previous is not None:
-            setter = getattr(self, "set_warm_start", None)
-            if setter is not None:
-                setter(np.asarray(previous, dtype=float))
-        return self.estimate(problem)
 
     def __call__(self, problem: EstimationProblem) -> EstimationResult:
         return self.estimate(problem)

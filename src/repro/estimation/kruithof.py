@@ -9,8 +9,13 @@ ancestor of today's entropy-regularised estimators.
 
 :class:`KruithofEstimator` is the classical biproportional fit of a prior
 matrix to the measured edge totals ``t_e(n)`` / ``t_x(m)``; it never looks
-at interior links.  Krupp's generalisation, which uses every link
-measurement, is :class:`~repro.estimation.entropy.KLProjectionEstimator`.
+at interior links.  The fit is ``diag(a) P diag(b)`` for the prior table
+``P``, so :func:`~repro.optimize.ipf.kruithof_scaling` iterates only the two
+scaling vectors and the estimate is ``a[origin] * p * b[destination]`` on
+the pair vector.  Every fit starts from the prior: ``estimate`` scales a
+stack of one, ``estimate_series`` a stack of every snapshot.  Krupp's
+generalisation, which uses every link measurement, is
+:class:`~repro.estimation.entropy.KLProjectionEstimator`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.estimation.base import (
 from repro.estimation.gravity import gravity_vector_series
 from repro.estimation.priors import make_prior
 from repro.estimation.registry import register
-from repro.optimize.ipf import kruithof_scaling, kruithof_scaling_batch
+from repro.optimize.ipf import kruithof_scaling
 
 __all__ = ["KruithofEstimator"]
 
@@ -72,25 +77,38 @@ class KruithofEstimator(Estimator):
         self.prior = prior
         self.max_iterations = int(max_iterations)
         self.tolerance = float(tolerance)
-        self._warm_start: Optional[np.ndarray] = None
 
-    def set_warm_start(self, vector: np.ndarray) -> None:
-        """Seed the next fit's IPF iteration with ``vector`` (one-shot).
+    def _fit(
+        self,
+        problem: EstimationProblem,
+        priors: np.ndarray,
+        row_targets: np.ndarray,
+        column_targets: np.ndarray,
+    ) -> tuple[np.ndarray, dict]:
+        """Scale each row of the ``(K, P)`` prior stack to its snapshot's totals.
 
-        This is *incremental IPF*: the iteration converges to the KL
-        projection of its starting table onto the new totals, which
-        depends on the table only through its biproportional class
-        ``diag(a) X diag(b)``.  A previous fit of the same prior is in the
-        prior's class, so it starts the next solve already scaled to nearly
-        the right totals and converges in a handful of sweeps to the same
-        fit as a cold start; this is what the series loop and the streaming
-        :meth:`~repro.estimation.base.Estimator.update` API pass.  Any
-        other table is the caller's choice of target: a seed whose support
-        differs from the prior's is ignored (the solve starts from the
-        prior), but one that shares it and lies outside the prior's class
-        converges to the projection of that table, not of the prior.
+        Returns the ``(K, P)`` fit ``a[origin] * p * b[destination]`` and
+        its diagnostics.
         """
-        self._warm_start = np.asarray(vector, dtype=float).copy()
+        origins, destinations, origin_cols, destination_cols = problem.pair_positions()
+        prior_stack = np.zeros((len(priors), len(origins), len(destinations)))
+        prior_stack[:, origin_cols, destination_cols] = priors
+        fit = kruithof_scaling(
+            prior_stack,
+            row_targets,
+            column_targets,
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+        )
+        values = (
+            fit.row_factors[:, origin_cols] * priors * fit.column_factors[:, destination_cols]
+        )
+        return values, dict(
+            iterations=fit.iterations,
+            converged=fit.converged,
+            max_violation=fit.max_violation,
+            prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
+        )
 
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
         """Fit the prior to the measured origin/destination totals."""
@@ -99,38 +117,13 @@ class KruithofEstimator(Estimator):
                 "Kruithof's method needs origin_totals and destination_totals"
             )
         prior = _resolve_prior(problem, self.prior)
-        origins, destinations, origin_cols, destination_cols = problem.pair_positions()
-
-        prior_matrix = np.zeros((len(origins), len(destinations)))
-        prior_matrix[origin_cols, destination_cols] = prior
-        warm = self._warm_start
-        self._warm_start = None
-        initial = None
-        if (
-            warm is not None
-            and warm.shape == prior.shape
-            and np.all(warm >= 0)
-            and np.array_equal(warm > 0, prior > 0)
-        ):
-            initial = np.zeros_like(prior_matrix)
-            initial[origin_cols, destination_cols] = warm
-        fit = kruithof_scaling(
-            prior_matrix,
-            problem.origin_totals,
-            problem.destination_totals,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            initial=initial,
-        )
-        values = fit.values[origin_cols, destination_cols]
-        return self._result(
+        values, diagnostics = self._fit(
             problem,
-            values,
-            iterations=fit.iterations,
-            converged=fit.converged,
-            max_violation=fit.max_violation,
-            prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
+            prior[None, :],
+            problem.origin_totals[None, :],
+            problem.destination_totals[None, :],
         )
+        return self._result(problem, values[0], **diagnostics)
 
     # ------------------------------------------------------------------
     # batched path
@@ -158,25 +151,5 @@ class KruithofEstimator(Estimator):
         priors = self._prior_series(problem)
         if priors is None:
             return super().estimate_series(problem)
-        num_snapshots = problem.series.shape[0]
-        origins, destinations, row_positions, column_positions = problem.pair_positions()
-
-        prior_stack = np.zeros((num_snapshots, len(origins), len(destinations)))
-        prior_stack[:, row_positions, column_positions] = priors
-        fit = kruithof_scaling_batch(
-            prior_stack,
-            row_targets,
-            column_targets,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-        )
-        estimates = fit.values[:, row_positions, column_positions]
-        return self._series_result(
-            problem,
-            estimates,
-            batched=True,
-            iterations=fit.iterations,
-            converged=fit.converged,
-            max_violation=fit.max_violation,
-            prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
-        )
+        values, diagnostics = self._fit(problem, priors, row_targets, column_targets)
+        return self._series_result(problem, values, batched=True, **diagnostics)

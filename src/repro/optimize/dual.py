@@ -31,8 +31,11 @@ on the first call, so each step pays one sparse mat-vec over that pattern
 and the ``L x L`` factorisation, not a sparse-sparse product.  When
 the data term dominates (KL projection, ``sigma^2 = 1e8``), a step's
 predicted ascent can drop below the rounding of the dual value before the
-gap meets its tolerance; from there a full step is taken when it shrinks
-the gradient, which is computed without cancellation.
+gap meets its tolerance.  That rounding is measured against the magnitude
+of the terms the value sums, not the value itself, which can be far
+smaller; below it a full step is taken when it shrinks the gradient, which
+is computed without cancellation.  A backtracking step too short to move
+``y`` ends the solve.
 
 Every ``s(y)`` is primal feasible, and the duality gap ``f(s(y)) - g(y)``
 equals the squared dual gradient ``|| R s(y) - t - y / 2 ||^2`` exactly, so
@@ -45,7 +48,7 @@ where the Newton iteration starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -64,8 +67,9 @@ GAP_TOLERANCE = 1e-10
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 50
 
-#: Predicted ascent, relative to the dual value, below which the value can
-#: no longer rank two points and the line search switches to the gradient.
+#: Predicted ascent, relative to the magnitude of the terms the dual value
+#: sums, below which the value can no longer rank two points and the line
+#: search switches to the gradient.
 _VALUE_FLOOR = 1e-14
 
 
@@ -85,9 +89,16 @@ class KLMap:
     def demands(self, z: np.ndarray) -> np.ndarray:
         return np.exp(self._log_prior - z / self.weight)
 
-    def dual_term(self, s: np.ndarray, z: np.ndarray) -> float:
-        """``D(s) + z's`` at ``s = s(y)``, which reduces to ``c sum(p - s)``."""
-        return self.weight * (self._prior_total - float(s.sum()))
+    def dual_term(self, s: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+        """``D(s) + z's`` at ``s = s(y)`` and the magnitude of the terms it sums.
+
+        The term reduces to ``c sum(p - s)``, its magnitude to
+        ``c (sum(p) + sum(s))``.
+        """
+        total = float(s.sum())
+        return self.weight * (self._prior_total - total), self.weight * (
+            self._prior_total + total
+        )
 
     def penalty(self, s: np.ndarray) -> float:
         return self.weight * kl_divergence(s, self.prior)
@@ -106,8 +117,10 @@ class L2Map:
     def demands(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(self.prior - z / (2.0 * self.weight), 0.0)
 
-    def dual_term(self, s: np.ndarray, z: np.ndarray) -> float:
-        return self.penalty(s) + float(z @ s)
+    def dual_term(self, s: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+        """``D(s) + z's`` and the magnitude of the terms it sums, ``D(s) + |z|'s``."""
+        penalty = self.penalty(s)
+        return penalty + float(z @ s), penalty + float(np.abs(z) @ s)
 
     def penalty(self, s: np.ndarray) -> float:
         offset = s - self.prior
@@ -156,6 +169,8 @@ class _Point:
     residual: np.ndarray
     gradient: np.ndarray
     value: float
+    #: Magnitude of the terms ``value`` sums, which bounds its rounding.
+    scale: float
 
 
 def solve_dual(
@@ -196,8 +211,12 @@ def solve_dual(
         with np.errstate(over="ignore", invalid="ignore"):
             demands = link_map.demands(z)
             residual = routing.matvec(demands) - loads
-            value = link_map.dual_term(demands, z) - float(y @ loads) - 0.25 * float(y @ y)
-        return _Point(y, demands, residual, residual - 0.5 * y, value)
+            term, term_scale = link_map.dual_term(demands, z)
+            load_term = float(y @ loads)
+            norm_term = 0.25 * float(y @ y)
+            value = term - load_term - norm_term
+            scale = term_scale + abs(load_term) + norm_term
+        return _Point(y, demands, residual, residual - 0.5 * y, value, scale)
 
     point = evaluate(np.zeros(loads.shape))
     iterations = 0
@@ -205,7 +224,7 @@ def solve_dual(
     while gap > GAP_TOLERANCE and iterations < max_iterations:
         step = _newton_step(routing, link_map, point)
         slope = float(point.gradient @ step)
-        if slope <= _VALUE_FLOOR * abs(point.value):
+        if slope <= _VALUE_FLOOR * point.scale:
             # The predicted ascent is below the dual value's rounding, so
             # the Armijo test would compare noise.  The gradient (whose
             # square is the gap) is computed without cancellation: take the
@@ -214,17 +233,13 @@ def solve_dual(
             if not float(trial.gradient @ trial.gradient) < float(point.gradient @ point.gradient):
                 break
         else:
-            size = 1.0
-            for _ in range(_MAX_BACKTRACKS):
-                trial = evaluate(point.y + size * step)
-                if trial.value >= point.value + _ARMIJO * size * slope:
-                    break
-                size *= 0.5
-            else:
+            found = _backtrack(evaluate, point, step, slope)
+            if found is None:
                 # No measurable ascent along the Newton direction: the dual
                 # value has reached its floating-point floor.  The
                 # certificate below says how good the point is.
                 break
+            trial = found
         point = trial
         iterations += 1
         objective, gap = _certificate(point, link_map)
@@ -236,6 +251,26 @@ def solve_dual(
         iterations=iterations,
         converged=bool(gap <= GAP_TOLERANCE),
     )
+
+
+def _backtrack(
+    evaluate: Callable[[np.ndarray], _Point], point: _Point, step: np.ndarray, slope: float
+) -> Optional[_Point]:
+    """The first point along ``step``, halving from a full step, that passes Armijo.
+
+    ``None`` when the backtracking depth runs out, or when a step becomes
+    too short to move ``y`` (every shorter one would be the same point).
+    """
+    size = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        y = point.y + size * step
+        if np.array_equal(y, point.y):
+            return None
+        trial = evaluate(y)
+        if trial.value >= point.value + _ARMIJO * size * slope:
+            return trial
+        size *= 0.5
+    return None
 
 
 def _certificate(point: _Point, link_map: LinkMap) -> tuple[float, float]:

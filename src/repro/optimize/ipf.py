@@ -5,9 +5,11 @@ column sums match measured totals of incoming and outgoing traffic; Krupp
 showed the iteration converges to the matrix that minimises the
 Kullback-Leibler distance to the prior subject to those constraints.
 
-* :func:`kruithof_scaling` / :func:`kruithof_scaling_batch` — the classical
-  biproportional (row/column sum) fit, used to make a gravity prior
-  consistent with edge-node totals;
+* :func:`kruithof_scaling` — the classical biproportional (row/column sum)
+  fit of a stack of priors, used to make a prior consistent with edge-node
+  totals.  The fit has the form ``diag(a) P diag(b)`` (Bishop, Fienberg &
+  Holland, *Discrete Multivariate Analysis*, 1975, ch. 3), so the iteration
+  updates the two scaling vectors and never rescales the table;
 * :func:`kl_divergence` — the Kullback-Leibler distance ``D(s || prior)``
   used as the regulariser of the entropy approach.
 
@@ -19,7 +21,6 @@ Krupp's generalisation to all link constraints ``R s = t`` is the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,29 +31,32 @@ from repro.telemetry.metrics import counter_inc, histogram_observe
 __all__ = [
     "IPFResult",
     "kruithof_scaling",
-    "kruithof_scaling_batch",
     "kl_divergence",
 ]
 
 
 @dataclass(frozen=True)
 class IPFResult:
-    """Result of a Kruithof scaling run.
+    """Result of a Kruithof scaling run over a ``(K, R, C)`` prior stack.
+
+    Slice ``k`` of the fit is
+    ``row_factors[k][:, None] * priors[k] * column_factors[k][None, :]``.
 
     Attributes
     ----------
-    values:
-        The fitted matrix (:func:`kruithof_scaling`) or ``(K, R, C)`` stack
-        (:func:`kruithof_scaling_batch`).
+    row_factors, column_factors:
+        The ``(K, R)`` and ``(K, C)`` scaling vectors ``a`` and ``b``.
     iterations:
-        Number of sweeps performed.
+        Number of sweeps performed (the most any slice took).
     max_violation:
-        Largest absolute constraint violation at termination.
+        Largest absolute constraint violation over the stack at termination
+        (``inf`` when no sweep ran).
     converged:
-        Whether the tolerance was met before the iteration cap.
+        Whether every slice met the tolerance before the iteration cap.
     """
 
-    values: np.ndarray
+    row_factors: np.ndarray
+    column_factors: np.ndarray
     iterations: int
     max_violation: float
     converged: bool
@@ -86,107 +90,41 @@ def kl_divergence(values: np.ndarray, prior: np.ndarray) -> float:
     return total
 
 
+def _ratio(targets: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """``targets / sums``, with a zero factor where a sum is zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sums > 0, targets / sums, 0.0)
+
+
 def kruithof_scaling(
-    prior: np.ndarray,
-    row_targets: np.ndarray,
-    column_targets: np.ndarray,
-    max_iterations: int = 500,
-    tolerance: float = 1e-9,
-    initial: Optional[np.ndarray] = None,
-) -> IPFResult:
-    """Classical Kruithof / biproportional fitting of a matrix.
-
-    Parameters
-    ----------
-    prior:
-        Non-negative prior matrix (zero rows/columns stay zero).
-    row_targets, column_targets:
-        Required row and column sums.  Their totals must agree to within the
-        tolerance (otherwise no feasible matrix exists); the column targets
-        are rescaled to match the row total exactly before iterating.
-    max_iterations, tolerance:
-        Iteration cap and maximum allowed absolute violation of the targets.
-    initial:
-        Optional starting table for *incremental* IPF.  The iteration's
-        fixed point depends on the start only through its biproportional
-        class, so seeding with a table of the form
-        ``prior * outer(a, b)`` — e.g. a previous fit of the *same* prior
-        to slightly different targets — reaches the same KL projection of
-        the prior in a handful of sweeps instead of hundreds.  The initial
-        table must share the prior's support (zero exactly where the prior
-        is zero); callers are responsible for that invariant (see
-        :meth:`repro.estimation.kruithof.KruithofEstimator.set_warm_start`).
-    """
-    prior = np.asarray(prior, dtype=float)
-    row_targets = np.asarray(row_targets, dtype=float)
-    column_targets = np.asarray(column_targets, dtype=float)
-    if prior.ndim != 2:
-        raise SolverError("prior must be a matrix")
-    if row_targets.shape != (prior.shape[0],) or column_targets.shape != (prior.shape[1],):
-        raise SolverError("target shapes do not match the prior matrix")
-    if np.any(prior < 0) or np.any(row_targets < 0) or np.any(column_targets < 0):
-        raise SolverError("Kruithof scaling requires non-negative inputs")
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.shape != prior.shape:
-            raise SolverError("initial table shape does not match the prior matrix")
-        if np.any(initial < 0):
-            raise SolverError("initial table must be non-negative")
-    row_total, column_total = row_targets.sum(), column_targets.sum()
-    if row_total <= 0 or column_total <= 0:
-        raise SolverError("targets must have positive totals")
-    if abs(row_total - column_total) / max(row_total, column_total) > 1e-6:
-        column_targets = column_targets * (row_total / column_total)
-
-    values = prior.copy() if initial is None else initial.copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        budget_tick()
-        row_sums = values.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row_factors = np.where(row_sums > 0, row_targets / row_sums, 0.0)
-        values = values * row_factors[:, None]
-        column_sums = values.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            column_factors = np.where(column_sums > 0, column_targets / column_sums, 0.0)
-        values = values * column_factors[None, :]
-        violation = max(
-            float(np.max(np.abs(values.sum(axis=1) - row_targets), initial=0.0)),
-            float(np.max(np.abs(values.sum(axis=0) - column_targets), initial=0.0)),
-        )
-        if violation < tolerance * max(1.0, row_total):
-            converged = True
-            break
-    violation = max(
-        float(np.max(np.abs(values.sum(axis=1) - row_targets), initial=0.0)),
-        float(np.max(np.abs(values.sum(axis=0) - column_targets), initial=0.0)),
-    )
-    counter_inc("ipf.sweeps", iterations)
-    histogram_observe("ipf.max_violation", violation)
-    return IPFResult(values=values, iterations=iterations, max_violation=violation, converged=converged)
-
-
-def kruithof_scaling_batch(
     priors: np.ndarray,
     row_targets: np.ndarray,
     column_targets: np.ndarray,
     max_iterations: int = 500,
     tolerance: float = 1e-9,
 ) -> IPFResult:
-    """Biproportional fitting of ``K`` matrices at once.
+    """Classical Kruithof / biproportional fitting of ``K`` matrices at once.
 
-    Vectorised counterpart of :func:`kruithof_scaling` for a batch of
-    problems sharing one shape: ``priors`` is ``(K, R, C)``, ``row_targets``
-    is ``(K, R)`` and ``column_targets`` is ``(K, C)``.  Every slice ``k``
-    follows exactly the same update sequence as an individual
-    :func:`kruithof_scaling` call — converged slices are frozen rather than
-    iterated further — so batch results match the one-at-a-time results
-    while the sweeps run as whole-array operations.
+    Parameters
+    ----------
+    priors:
+        Non-negative ``(K, R, C)`` prior stack; zero entries stay zero.
+    row_targets, column_targets:
+        Required ``(K, R)`` row and ``(K, C)`` column sums.  A slice's two
+        totals must agree (otherwise no feasible matrix exists): where they
+        differ by more than 1e-6 relative, its column targets are rescaled
+        to the row total before iterating.
+    max_iterations, tolerance:
+        Sweep cap and maximum allowed absolute violation of the targets,
+        relative to ``max(1, row total)``.
 
-    Returns an :class:`IPFResult` whose ``values`` is the fitted ``(K, R,
-    C)`` stack, ``max_violation`` is the worst violation over the batch and
-    ``converged`` reports whether *every* slice converged.
+    A sweep sets ``a = r / (P b)`` and then ``b = c / (P' a)`` from
+    ``b = 1`` (a zero sum gives a zero factor), so each sweep costs two
+    matrix-vector products per slice.  The fitted row sums are
+    ``a * (P b)`` and the column sums ``b * (P' a)``, and the violation is
+    read from them.  A slice that meets the tolerance is frozen while the
+    others iterate, so every slice takes exactly the sweeps it would take
+    alone.
     """
     priors = np.asarray(priors, dtype=float)
     row_targets = np.asarray(row_targets, dtype=float)
@@ -210,41 +148,38 @@ def kruithof_scaling_batch(
         column_targets = column_targets.copy()
         column_targets[rescale] *= (row_totals[rescale] / column_totals[rescale])[:, None]
 
-    values = priors.copy()
+    row_factors = np.ones((num_batch, num_rows))
+    column_factors = np.ones((num_batch, num_cols))
+    violations = np.full(num_batch, np.inf)
     scale = tolerance * np.maximum(1.0, row_totals)
-    active = np.ones(num_batch, dtype=bool)
+    # The unconverged slices, their priors and their current ``P b``.
+    active = np.arange(num_batch)
+    block = priors
+    row_sums = (block @ column_factors[:, :, None])[:, :, 0]
     iterations = 0
-    while iterations < max_iterations and np.any(active):
+    while iterations < max_iterations and active.size:
         budget_tick()
         iterations += 1
-        block = values[active]
-        row_sums = block.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row_factors = np.where(row_sums > 0, row_targets[active] / row_sums, 0.0)
-        block = block * row_factors[:, :, None]
-        column_sums = block.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            column_factors = np.where(column_sums > 0, column_targets[active] / column_sums, 0.0)
-        block = block * column_factors[:, None, :]
-        values[active] = block
-        violation = np.maximum(
-            np.abs(block.sum(axis=2) - row_targets[active]).max(axis=1, initial=0.0),
-            np.abs(block.sum(axis=1) - column_targets[active]).max(axis=1, initial=0.0),
+        rows, columns = row_targets[active], column_targets[active]
+        a = _ratio(rows, row_sums)
+        column_sums = (a[:, None, :] @ block)[:, 0, :]
+        b = _ratio(columns, column_sums)
+        row_sums = (block @ b[:, :, None])[:, :, 0]
+        row_factors[active], column_factors[active] = a, b
+        violations[active] = np.maximum(
+            np.abs(a * row_sums - rows).max(axis=1, initial=0.0),
+            np.abs(b * column_sums - columns).max(axis=1, initial=0.0),
         )
-        still_active = np.flatnonzero(active)[violation >= scale[active]]
-        active = np.zeros(num_batch, dtype=bool)
-        active[still_active] = True
-    final_violation = float(
-        max(
-            np.abs(values.sum(axis=2) - row_targets).max(initial=0.0),
-            np.abs(values.sum(axis=1) - column_targets).max(initial=0.0),
-        )
-    )
+        keep = violations[active] >= scale[active]
+        if not keep.all():
+            active, block, row_sums = active[keep], block[keep], row_sums[keep]
+    max_violation = float(violations.max(initial=0.0))
     counter_inc("ipf.sweeps", iterations)
-    histogram_observe("ipf.max_violation", final_violation)
+    histogram_observe("ipf.max_violation", max_violation)
     return IPFResult(
-        values=values,
+        row_factors=row_factors,
+        column_factors=column_factors,
         iterations=iterations,
-        max_violation=final_violation,
-        converged=not np.any(active),
+        max_violation=max_violation,
+        converged=not active.size,
     )

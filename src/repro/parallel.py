@@ -352,16 +352,30 @@ class PoolReport:
         )
 
 
+#: Seconds the executor gets to reap its terminated workers.
+_REAP_SECONDS = 5.0
+
+
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a broken or hung pool without waiting on its workers."""
+    """Tear down a broken, hung or failed pool without waiting on its tasks.
+
+    ``shutdown`` drops the executor's process table and its manager
+    thread, so both are read first.  Each worker is terminated; the
+    manager thread sees them die, reaps them and exits, and waiting for it
+    means no worker outlives the call or holds interpreter exit.  Joining
+    the workers here as well would race that thread for their exit
+    status.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None)
-    if processes:
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:
+            pass
+    if manager is not None:
+        manager.join(_REAP_SECONDS)
 
 
 def run_supervised_tasks(
@@ -449,75 +463,81 @@ def run_supervised_tasks(
                     )
                 )
             pool = payload_executor(min(jobs, len(pending)))
-            futures = {}
-            unsubmitted: list[int] = []
-            for position, index in enumerate(pending):
-                if with_telemetry:
-                    submit_walls[index] = telemetry.clock()
-                try:
-                    futures[index] = pool.submit(
-                        _run_supervised_task,
-                        worker,
-                        index,
-                        round_number,
-                        task_args[index],
-                        with_telemetry,
-                    )
-                except BrokenProcessPool as exc:
-                    # A worker died before every task was submitted: the
-                    # rest fail here and take the resubmit/serial path.
-                    unsubmitted = pending[position:]
-                    events.append(
-                        PoolTaskEvent(
-                            kind="broken-pool",
-                            round_number=round_number,
-                            task_indices=tuple(unsubmitted),
-                            detail=str(exc) or "worker process died",
+            clean = False
+            try:
+                futures = {}
+                unsubmitted: list[int] = []
+                for position, index in enumerate(pending):
+                    if with_telemetry:
+                        submit_walls[index] = telemetry.clock()
+                    try:
+                        futures[index] = pool.submit(
+                            _run_supervised_task,
+                            worker,
+                            index,
+                            round_number,
+                            task_args[index],
+                            with_telemetry,
                         )
-                    )
-                    break
-            failed: list[int] = []
-            pool_broken = False
-            for index in futures:
-                if pool_broken:
-                    # After a pool break every unfinished future fails fast;
-                    # harvest the ones that completed before the crash.
-                    future = futures[index]
-                    if future.done() and future.exception() is None:
-                        results[index] = _unwrap(index, future.result(), pool_span_id)
-                    else:
+                    except BrokenProcessPool as exc:
+                        # A worker died before every task was submitted: the
+                        # rest fail here and take the resubmit/serial path.
+                        unsubmitted = pending[position:]
+                        events.append(
+                            PoolTaskEvent(
+                                kind="broken-pool",
+                                round_number=round_number,
+                                task_indices=tuple(unsubmitted),
+                                detail=str(exc) or "worker process died",
+                            )
+                        )
+                        break
+                failed: list[int] = []
+                pool_broken = False
+                for index in futures:
+                    if pool_broken:
+                        # After a pool break every unfinished future fails fast;
+                        # harvest the ones that completed before the crash.
+                        future = futures[index]
+                        if future.done() and future.exception() is None:
+                            results[index] = _unwrap(index, future.result(), pool_span_id)
+                        else:
+                            failed.append(index)
+                        continue
+                    try:
+                        results[index] = _unwrap(
+                            index, futures[index].result(timeout=timeout), pool_span_id
+                        )
+                    except _FuturesTimeout:
                         failed.append(index)
-                    continue
-                try:
-                    results[index] = _unwrap(
-                        index, futures[index].result(timeout=timeout), pool_span_id
-                    )
-                except _FuturesTimeout:
-                    failed.append(index)
-                    events.append(
-                        PoolTaskEvent(
-                            kind="timeout",
-                            round_number=round_number,
-                            task_indices=(index,),
-                            detail=f"task exceeded {timeout}s",
+                        events.append(
+                            PoolTaskEvent(
+                                kind="timeout",
+                                round_number=round_number,
+                                task_indices=(index,),
+                                detail=f"task exceeded {timeout}s",
+                            )
                         )
-                    )
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    failed.append(index)
-                    events.append(
-                        PoolTaskEvent(
-                            kind="broken-pool",
-                            round_number=round_number,
-                            task_indices=(index,),
-                            detail=str(exc) or "worker process died",
+                    except BrokenProcessPool as exc:
+                        pool_broken = True
+                        failed.append(index)
+                        events.append(
+                            PoolTaskEvent(
+                                kind="broken-pool",
+                                round_number=round_number,
+                                task_indices=(index,),
+                                detail=str(exc) or "worker process died",
+                            )
                         )
-                    )
-            failed.extend(unsubmitted)
-            if failed or pool_broken:
-                _abandon_pool(pool)
-            else:
-                pool.shutdown(wait=True)
+                failed.extend(unsubmitted)
+                clean = not (failed or pool_broken)
+            finally:
+                # A clean round lets its workers exit; a broken, hung or
+                # raising one is torn down without waiting on its tasks.
+                if clean:
+                    pool.shutdown(wait=True)
+                else:
+                    _abandon_pool(pool)
             pending = failed
 
         if pending:

@@ -10,7 +10,7 @@ Three pieces, designed to compose:
 * :mod:`repro.resilience.budget` — cooperative :class:`SolverBudget`\\ s
   ticked inside the solver hot loops;
 * :mod:`repro.resilience.supervisor` — the registry-integrated
-  :class:`SupervisedEstimator` with retries, budgets and fallback chains,
+  :class:`SupervisedEstimator` with budgets and fallback chains,
   reporting every degradation through a :class:`DegradationReport`.
 
 The measurement and pool layers *duck-type* plans rather than importing

@@ -4,7 +4,7 @@ A :class:`SolverBudget` bounds how long an estimation attempt may run —
 wall-clock seconds, iterations, or both — without threads, signals or
 subprocess machinery.  The budget is *cooperative*: the inner solver loops
 (each dual evaluation of the entropy/Bayesian Newton kernel, the pivot
-rounds of the Bayesian batch NNLS, the IPF scaling loops) call
+rounds of the Bayesian batch NNLS, each IPF sweep) call
 :func:`budget_tick` once per iteration, and the tick raises
 :class:`~repro.errors.BudgetExceededError` when the innermost active budget
 is spent.  When no budget is active the tick is a cheap no-op, so the

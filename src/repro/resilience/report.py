@@ -70,7 +70,7 @@ class DegradationReport:
 
     ``requested`` names the primary method, ``used`` the method whose
     estimate was returned; they differ exactly when a fallback ran.
-    ``attempts`` counts every estimation attempt, including retries.
+    ``attempts`` counts every method the chain tried, one attempt each.
     ``events`` records each failure/fallback in order.
     """
 

@@ -1,4 +1,4 @@
-"""Supervised estimation: budgets, retries and declared fallback chains.
+"""Supervised estimation: budgets and declared fallback chains.
 
 :class:`SupervisedEstimator` wraps any registered estimation method with
 the failure policy a production deployment needs spelled out:
@@ -6,12 +6,12 @@ the failure policy a production deployment needs spelled out:
 * a cooperative :class:`~repro.resilience.budget.SolverBudget` bounding
   each attempt by wall-clock time and/or solver iterations (the
   entropy/Bayesian dual Newton kernel, the Bayesian batch NNLS pivoting and
-  the IPF scaling loops all tick the budget; the single Lawson-Hanson
+  the IPF scaling loop all tick the budget; the single Lawson-Hanson
   solves of Vardi and fanout do not);
-* bounded retry of the primary method, each retry a cold re-run that
-  returns exactly what an unsupervised run would;
 * a declared fallback chain (e.g. ``entropy → tomogravity → gravity``)
-  walked until some method returns an estimate.
+  walked until some method returns an estimate.  Each method runs once:
+  every solve is a deterministic cold solve of the same problem, so
+  running a failed method again would fail the same way.
 
 Whatever succeeds is returned under the supervisor's own method name with
 a structured :class:`~repro.resilience.report.DegradationReport` in the
@@ -54,9 +54,9 @@ class SupervisedEstimator(Estimator):
     primary:
         Registry name of the method whose estimate is wanted.
     fallbacks:
-        Registry names tried in order when the primary (and its retries)
-        fail.  The defaults end in ``"gravity"``, which needs no solver and
-        therefore cannot time out.
+        Registry names tried in order when the primary fails.  The
+        defaults end in ``"gravity"``, which needs no solver and therefore
+        cannot time out.
     primary_params / fallback_params:
         Constructor keyword arguments for the primary, and a
         ``name -> kwargs`` mapping for fallbacks.
@@ -64,12 +64,9 @@ class SupervisedEstimator(Estimator):
         Per-attempt :class:`~repro.resilience.budget.SolverBudget`
         allowance; ``None`` leaves that axis unbounded (no budget at all
         when both are ``None``).
-    retries:
-        Extra attempts of the *primary* after its first failure, each a
-        cold re-run of the method.
     require_convergence:
         Treat a result whose diagnostics report ``converged: False``
-        as a failure (retry, then fall back) instead of returning it.
+        as a failure (fall back) instead of returning it.
     inject_failures:
         Chaos knob: force the first N attempts to fail with a deterministic
         :class:`~repro.errors.EstimationError` before the method even runs.
@@ -86,12 +83,9 @@ class SupervisedEstimator(Estimator):
         fallback_params: Optional[Mapping[str, Mapping[str, object]]] = None,
         max_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
-        retries: int = 1,
         require_convergence: bool = False,
         inject_failures: int = 0,
     ) -> None:
-        if retries < 0:
-            raise EstimationError("retries must be non-negative")
         if inject_failures < 0:
             raise EstimationError("inject_failures must be non-negative")
         self.primary = str(primary)
@@ -102,7 +96,6 @@ class SupervisedEstimator(Estimator):
         }
         self.max_seconds = max_seconds
         self.max_iterations = max_iterations
-        self.retries = int(retries)
         self.require_convergence = bool(require_convergence)
         self.inject_failures = int(inject_failures)
 
@@ -117,16 +110,14 @@ class SupervisedEstimator(Estimator):
     def _run(
         self, problem: EstimationProblem, series: bool
     ) -> tuple[object, DegradationReport]:
-        steps: list[tuple[str, dict, int]] = [
-            (self.primary, self.primary_params, self.retries)
-        ]
-        steps.extend(
-            (name, self.fallback_params.get(name, {}), 0) for name in self.fallbacks
-        )
+        steps: list[tuple[str, dict]] = [(self.primary, self.primary_params)]
+        steps.extend((name, self.fallback_params.get(name, {})) for name in self.fallbacks)
 
         events: list[DegradationEvent] = []
         attempts = 0
-        for name, params, retries in steps:
+        for name, params in steps:
+            attempts += 1
+            telemetry.counter_inc("supervisor.attempts")
             if name != self.primary:
                 # Hop onto the next fallback of the declared chain.
                 telemetry.counter_inc("supervisor.chain_hops")
@@ -134,8 +125,6 @@ class SupervisedEstimator(Estimator):
             try:
                 estimator = get_estimator(name, **params)
             except (EstimationError, TypeError) as exc:
-                attempts += 1
-                telemetry.counter_inc("supervisor.attempts")
                 telemetry.counter_inc("supervisor.construct_failures")
                 telemetry.add_event("supervisor.construct_failure", method=name)
                 reason = FailureReason.from_exception(exc, spec=name, stage="construct")
@@ -147,76 +136,54 @@ class SupervisedEstimator(Estimator):
                     )
                 )
                 continue
-            for attempt in range(retries + 1):
-                attempts += 1
-                telemetry.counter_inc("supervisor.attempts")
-                if attempt > 0:
-                    telemetry.counter_inc("supervisor.retries")
-                    telemetry.add_event("supervisor.retry", method=name, attempt=attempt)
-                    events.append(
-                        DegradationEvent(
-                            stage="retry",
-                            kind="rerun",
-                            detail=f"{name}: retry {attempt} of {retries}",
-                        )
+            try:
+                if attempts <= self.inject_failures:
+                    raise EstimationError(f"injected failure on attempt {attempts}")
+                with self._budget():
+                    result = (
+                        estimator.estimate_series(problem)
+                        if series
+                        else estimator.estimate(problem)
                     )
-                try:
-                    if attempts <= self.inject_failures:
-                        raise EstimationError(
-                            f"injected failure on attempt {attempts}"
-                        )
-                    with self._budget():
-                        result = (
-                            estimator.estimate_series(problem)
-                            if series
-                            else estimator.estimate(problem)
-                        )
-                    converged = result.diagnostics.get(
-                        "converged", result.diagnostics.get("solver_converged")
-                    )
-                    if self.require_convergence and converged is False:
-                        raise EstimationError(
-                            f"method {name!r} reported converged=False"
-                        )
-                except (EstimationError, SolverError) as exc:
-                    stage = (
-                        "budget" if isinstance(exc, BudgetExceededError) else "estimate"
-                    )
-                    reason = FailureReason.from_exception(exc, spec=name, stage=stage)
-                    detail = reason.describe()
-                    if isinstance(exc, BudgetExceededError):
-                        # The exception message already carries the
-                        # structured accounting (ticks, limits, and elapsed
-                        # seconds for time trips); wall-clock is kept out of
-                        # iteration-trip details so serial and parallel
-                        # degradation records stay identical.
-                        telemetry.counter_inc("supervisor.budget_trips")
-                        telemetry.add_event(
-                            "supervisor.budget_trip",
-                            method=name,
-                            **{
-                                key: value
-                                for key, value in exc.budget_details().items()
-                                if value is not None
-                            },
-                        )
-                    events.append(
-                        DegradationEvent(
-                            stage=stage, kind=reason.exception, detail=detail
-                        )
-                    )
-                    continue
-                if name != self.primary:
-                    telemetry.counter_inc("supervisor.fallbacks")
-                    telemetry.add_event("supervisor.fallback", used=name)
-                telemetry.histogram_observe("supervisor.attempts_per_call", attempts)
-                report = DegradationReport(
-                    requested=self.primary,
-                    used=name,
-                    attempts=attempts,
-                    events=tuple(events),
+                converged = result.diagnostics.get(
+                    "converged", result.diagnostics.get("solver_converged")
                 )
-                return result, report
+                if self.require_convergence and converged is False:
+                    raise EstimationError(f"method {name!r} reported converged=False")
+            except (EstimationError, SolverError) as exc:
+                stage = "budget" if isinstance(exc, BudgetExceededError) else "estimate"
+                reason = FailureReason.from_exception(exc, spec=name, stage=stage)
+                if isinstance(exc, BudgetExceededError):
+                    # The exception message already carries the structured
+                    # accounting (ticks, limits, and elapsed seconds for
+                    # time trips); wall-clock is kept out of iteration-trip
+                    # details so serial and parallel degradation records
+                    # stay identical.
+                    telemetry.counter_inc("supervisor.budget_trips")
+                    telemetry.add_event(
+                        "supervisor.budget_trip",
+                        method=name,
+                        **{
+                            key: value
+                            for key, value in exc.budget_details().items()
+                            if value is not None
+                        },
+                    )
+                events.append(
+                    DegradationEvent(stage=stage, kind=reason.exception, detail=reason.describe())
+                )
+                continue
+            if name != self.primary:
+                telemetry.counter_inc("supervisor.fallbacks")
+                telemetry.add_event("supervisor.fallback", used=name)
+            telemetry.histogram_observe("supervisor.attempts_per_call", attempts)
+            report = DegradationReport(
+                requested=self.primary,
+                used=name,
+                attempts=attempts,
+                events=tuple(events),
+            )
+            return result, report
 
         summary = "; ".join(event.detail for event in events) or "no attempts ran"
         raise EstimationError(

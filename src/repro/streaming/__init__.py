@@ -7,11 +7,10 @@ poll matrices of a collector run out in counter order (the LSPs in pair
 order, then the links; see
 :func:`~repro.measurement.collector.counter_names`) and hands them out one
 poll round at a time; :class:`~repro.streaming.daemon.StreamingEstimator`
-consumes them, deriving rates causally and estimating each interval
-(incremental IPF for Kruithof, a certified cold solve for the other
-methods, a supervised re-solve when an update's certificate fails) while
-surviving poll loss, collector outages, solver failures, routing churn and
-process crashes.  :mod:`~repro.streaming.checkpoint` provides the versioned
+consumes them, deriving rates causally and estimating each interval with
+one certified cold solve (the fallback chain answers a poll whose
+certificate fails) while surviving poll loss, collector outages, solver
+failures, routing churn and process crashes.  :mod:`~repro.streaming.checkpoint` provides the versioned
 serialization of the daemon's state, written by atomic replace, that makes
 a kill -9 followed by a restore reproduce the uninterrupted run's records
 bit for bit.

@@ -1,13 +1,15 @@
 """Versioned checkpoint/restore for the streaming daemon.
 
-A checkpoint is a single ``.npz`` file holding the mutable state of a
-:class:`~repro.streaming.daemon.StreamingEstimator` and nothing else: the
-counter tracker's four state arrays and its counts, and the last
+A checkpoint (format 4) is a single ``.npz`` file holding the mutable
+state of a :class:`~repro.streaming.daemon.StreamingEstimator` and nothing
+else: the counter tracker's four state arrays and its counts, and the last
 estimate, plus a JSON metadata blob carrying the format version, the
-daemon's constructor options, its scalar state and a fingerprint of the
-routing matrix the state was computed under.  It holds no object names:
-the fingerprint pins the link and pair orderings, and those fix the
-counter names (see :func:`~repro.measurement.collector.counter_names`).
+daemon's four constructor options, its scalar state and a fingerprint of
+the routing matrix the state was computed under (format 3 also carried an
+iteration budget and a retry count for the re-solve chain).  It holds no
+object names: the fingerprint pins the link and pair orderings, and those
+fix the counter names (see
+:func:`~repro.measurement.collector.counter_names`).
 At N=200 (39,800 demands, 600 links) a checkpoint is about 1.33 MB.
 
 Floats travel as raw binary inside the ``.npz`` arrays, so a restore is
@@ -48,7 +50,7 @@ __all__ = [
     "restore_daemon",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _STATE_FIELDS = (
     "rounds_seen",

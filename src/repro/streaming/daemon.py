@@ -4,9 +4,9 @@
 ``estimate_series`` loop: it consumes SNMP poll rounds one at a time,
 derives interval rates causally through a
 :class:`~repro.streaming.stream.CounterTracker`, and estimates each
-interval through :meth:`~repro.estimation.base.Estimator.update` with the
-previous estimate (incremental IPF for Kruithof; every other method solves
-cold).  Its counters are the routing's
+interval with one cold :meth:`~repro.estimation.base.Estimator.estimate`
+of its problem, exactly what a batch run on the same data returns.  Its
+counters are the routing's
 (:func:`~repro.measurement.collector.counter_names`: one per LSP, then one
 per link), and it holds only the state an estimate reads: the tracker's
 arrays, the last estimate and a few counts, so memory is constant
@@ -14,26 +14,26 @@ regardless of stream length.
 
 The daemon is built to *survive* the faults the resilience layer injects:
 
-* **partial data** — polls lost for some links still produce an update;
+* **partial data** — polls lost for some links still produce an estimate;
   missing links use the tracker's held rates;
 * **collector outages** — when the fraction of freshly-measured links
   drops below ``min_valid_fraction`` the daemon holds its last estimate
   and emits a record explicitly flagged ``stale`` instead of solving on
   fabricated data;
-* **solver failure** — every update carries its certificate (the
+* **solver failure** — every estimate carries its certificate (the
   duality gap of the dual kernel, the marginal violation of Kruithof's
-  IPF) behind its ``converged`` flag.  An update that raises or reports
-  ``converged=False`` is replaced, on that poll, by a cold re-solve
-  through a :class:`~repro.resilience.SupervisedEstimator` chain built
-  with ``require_convergence=True``, and the record is flagged
-  ``degraded``;
+  IPF) behind its ``converged`` flag.  An estimate that raises or reports
+  ``converged=False`` is replaced, on that poll, by the answer of a
+  :class:`~repro.resilience.SupervisedEstimator` chain over the
+  ``fallbacks`` built with ``require_convergence=True``, and the record
+  is flagged ``degraded``.  The failed method is not run again: a cold
+  solve of the same problem would fail the same way;
 * **routing churn** — :meth:`apply_reroute` re-routes the base routing
   around the failed elements with :func:`~repro.routing.reroute` (only the
   columns that crossed them change) and bumps the routing *epoch* tagged
   on every record; a failure set that cannot be applied raises
   :class:`~repro.errors.StreamingError` and changes no state.  The next
-  update starts from the previous estimate as usual: Kruithof never reads
-  the routing, and the other methods ignore the start;
+  poll is a cold solve on the new routing like any other;
 * **crashes** — the whole daemon state checkpoints to one ``.npz`` file,
   written to a temporary file and renamed over the last checkpoint (see
   :mod:`repro.streaming.checkpoint`); ``kill -9`` followed by
@@ -100,8 +100,8 @@ class StreamRecord:
     valid_fraction:
         Fraction of links whose rate was derived from this round's polls.
     degraded:
-        True when the update raised or reported ``converged=False`` and
-        the supervised fallback chain produced the estimate instead.
+        True when the method's estimate raised or reported
+        ``converged=False`` and the fallback chain produced it instead.
     iterations / converged:
         Solver diagnostics of the producing method, when reported.
     """
@@ -140,7 +140,7 @@ class StreamRecord:
 
 
 class StreamingEstimator:
-    """Incremental estimation daemon over a live poll stream.
+    """Estimation daemon over a live poll stream.
 
     Parameters
     ----------
@@ -153,20 +153,16 @@ class StreamingEstimator:
     method / method_params:
         Registry name (and constructor kwargs) of the estimation method.
     fallbacks:
-        Fallback chain of the supervised re-solve that replaces a failed
-        or uncertified update.
+        The chain, tried in order, that answers a poll whose estimate
+        raised or was uncertified; it must name at least one method.
     min_valid_fraction:
         Minimum fraction of freshly-measured links required to solve;
         below it the previous estimate is held and flagged stale.
-    budget_iterations / retries:
-        Supervision knobs for the re-solve chain.  Only iteration
-        budgets are offered: a wall-clock budget would make degradation
-        depend on machine speed and break bit-identical crash recovery.
 
-    Four public counters tally the stream: ``watchdog_checks`` (update
-    certificates read), ``watchdog_resolves`` (certificate breaches
-    re-solved), ``degraded_updates`` (polls the chain answered, breaches
-    and raised updates alike) and ``stale_polls``.
+    Four public counters tally the stream: ``watchdog_checks`` (estimate
+    certificates read), ``watchdog_resolves`` (certificate breaches),
+    ``degraded_updates`` (polls the fallback chain answered, breaches and
+    raised estimates alike) and ``stale_polls``.
     """
 
     def __init__(
@@ -176,28 +172,23 @@ class StreamingEstimator:
         method_params: Optional[Mapping[str, object]] = None,
         fallbacks: Sequence[str] = ("gravity",),
         min_valid_fraction: float = 0.5,
-        budget_iterations: Optional[int] = None,
-        retries: int = 1,
     ) -> None:
         if not 0.0 <= float(min_valid_fraction) <= 1.0:
             raise StreamingError("min_valid_fraction must be within [0, 1]")
+        if not fallbacks:
+            raise StreamingError("fallbacks must name at least one method")
         self.routing = routing
         self.base_routing = routing
         self.method = str(method)
         self.method_params = dict(method_params or {})
         self.fallbacks = tuple(fallbacks)
         self.min_valid_fraction = float(min_valid_fraction)
-        self.budget_iterations = budget_iterations
-        self.retries = int(retries)
 
         self.tracker = CounterTracker(routing.num_pairs + routing.num_links)
         self._estimator = get_estimator(self.method, **self.method_params)
         self._supervisor = SupervisedEstimator(
-            primary=self.method,
-            fallbacks=self.fallbacks,
-            primary_params=self.method_params,
-            max_iterations=self.budget_iterations,
-            retries=self.retries,
+            primary=self.fallbacks[0],
+            fallbacks=self.fallbacks[1:],
             require_convergence=True,
         )
         # The last stream whose objects were checked against the counters.
@@ -209,6 +200,7 @@ class StreamingEstimator:
         self.epoch = 0
         self.failed_links: set[str] = set()
         self.failed_nodes: set[str] = set()
+        # The last estimate, held on stale polls; no solve reads it.
         self.estimate: Optional[np.ndarray] = None
         self.stale_streak = 0
         self.stale_polls = 0
@@ -236,8 +228,6 @@ class StreamingEstimator:
             "method_params": dict(self.method_params),
             "fallbacks": list(self.fallbacks),
             "min_valid_fraction": self.min_valid_fraction,
-            "budget_iterations": self.budget_iterations,
-            "retries": self.retries,
         }
 
     # ------------------------------------------------------------------
@@ -269,8 +259,8 @@ class StreamingEstimator:
         failed element keep their base routes, whatever built the base;
         the affected pairs take IGP shortest paths (see
         :func:`~repro.routing.reroute`).  The routing epoch is bumped and
-        nothing else changes: the next update starts from the previous
-        estimate and proves itself by its certificate like any other.  A
+        nothing else changes: the next poll is a cold solve on the new
+        routing and proves itself by its certificate like any other.  A
         failure set that cannot be applied raises
         :class:`~repro.errors.StreamingError` before any state changes.
         """
@@ -305,14 +295,14 @@ class StreamingEstimator:
         )
 
     def _update(self, problem: EstimationProblem, sequence: int):
-        """The poll's estimate and whether the supervised chain produced it.
+        """The poll's estimate and whether the fallback chain produced it.
 
-        The update is trusted on its certificate: one that raises or
-        reports ``converged=False`` is replaced by a cold re-solve through
-        the supervised chain.
+        The method's cold estimate is trusted on its certificate: one that
+        raises or reports ``converged=False`` is replaced by the fallback
+        chain's answer.
         """
         try:
-            result = self._estimator.update(problem, previous=self.estimate)
+            result = self._estimator.estimate(problem)
             self.watchdog_checks += 1
             telemetry.counter_inc("stream.watchdog_checks")
             if result.diagnostics.get("converged") is not False:
@@ -324,13 +314,13 @@ class StreamingEstimator:
             self.degraded_updates += 1
             telemetry.counter_inc("stream.degraded_updates")
             warnings.warn(
-                f"incremental update failed at sequence {sequence} "
-                f"({type(exc).__name__}: {exc}); falling back to a "
-                "supervised full re-solve",
+                f"{self.method} estimate failed at sequence {sequence} "
+                f"({type(exc).__name__}: {exc}); falling back to "
+                f"{list(self.fallbacks)}",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        with telemetry.span("stream.resolve", method=self.method):
+        with telemetry.span("stream.fallback", method=self.fallbacks[0]):
             return self._supervisor.estimate(problem), True
 
     @staticmethod

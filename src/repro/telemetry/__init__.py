@@ -11,7 +11,7 @@ any scale.  Three pieces:
   under the submitting span, see :mod:`repro.parallel`).
 * **metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and
   histograms for solver iterations, IPF sweeps, workspace cache hits,
-  pool queue-wait/execute time and supervisor retries/fallbacks.
+  pool queue-wait/execute time and supervisor fallbacks.
 * **exporters** (:mod:`repro.telemetry.export`) — JSONL span dumps,
   Chrome trace-event JSON loadable in Perfetto, and a per-stage
   ``summary_table()`` rollup.

@@ -3,7 +3,7 @@
 Metrics complement spans: a span tells *where time went* in one run, a
 metric aggregates *how often / how much* across the whole process —
 solver iterations, IPF sweeps, shared-workspace cache hits, pool
-queue-wait versus execute time, supervisor retries and fallbacks.
+queue-wait versus execute time, supervisor fallbacks.
 
 Every recording helper checks the shared enabled flag first and returns
 immediately when telemetry is off, so instrumented hot loops pay one

@@ -219,11 +219,3 @@ class TestTomogravity:
         assert list(parameters) == ["regularization", "prior"]
         with pytest.raises(TypeError):
             TomogravityEstimator(max_iterations=5)
-
-    def test_warm_start_does_not_change_the_estimate(self, small_snapshot_problem):
-        # Tomogravity has no warm start: an update from any previous
-        # estimate is the cold solve.
-        cold = TomogravityEstimator().estimate(small_snapshot_problem)
-        warm = TomogravityEstimator().update(small_snapshot_problem, previous=cold.vector * 2)
-        np.testing.assert_array_equal(warm.vector, cold.vector)
-        assert warm.diagnostics["iterations"] == cold.diagnostics["iterations"]

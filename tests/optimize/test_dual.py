@@ -18,6 +18,7 @@ from repro.errors import BudgetExceededError, SolverError
 from repro.estimation import BayesianEstimator, EntropyEstimator, EstimationProblem
 from repro.estimation.priors import make_prior
 from repro.optimize import KLMap, L2Map, nnls_active_set, solve_dual
+from repro.optimize import dual as dual_module
 from repro.optimize.ipf import kl_divergence
 from repro.resilience import SolverBudget
 from repro.routing import RoutingMatrix
@@ -133,23 +134,48 @@ class TestEntropyCertificate:
         assert result.diagnostics["converged"] is True
 
 
+def kl_projection_problem(seed):
+    """The routing, loads and prior that ``test_invariants`` draws for ``seed``."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
+    dense[0] = 1.0
+    truth = rng.uniform(0.5, 5.0, size=6)
+    prior = rng.uniform(0.5, 5.0, size=6)
+    routing = RoutingMatrix(dense, ["L0", "L1", "L2"], [NodePair("A", f"N{i}") for i in range(6)])
+    return routing, dense @ truth, prior
+
+
 class TestRoundingFloor:
     """Near the optimum of a heavily data-weighted fit, a Newton step's
     predicted ascent drops below the rounding of the dual value long before
     the gap meets its tolerance; the solve must still certify."""
 
     def test_small_problem_with_a_tiny_kl_weight(self):
-        rng = np.random.default_rng(556)
-        dense = (rng.uniform(size=(3, 6)) < 0.5).astype(float)
-        dense[0] = 1.0
-        truth = rng.uniform(0.5, 5.0, size=6)
-        prior = rng.uniform(0.5, 5.0, size=6)
-        routing = RoutingMatrix(
-            dense, ["L0", "L1", "L2"], [NodePair("A", f"N{i}") for i in range(6)]
-        )
-        result = solve_dual(routing, dense @ truth, KLMap(prior, prior.sum() / 1e8))
+        routing, loads, prior = kl_projection_problem(556)
+        result = solve_dual(routing, loads, KLMap(prior, prior.sum() / 1e8))
         assert result.converged is True
         assert result.iterations <= 10
+
+    @pytest.mark.parametrize("seed", [742, 2370, 4220, 4875, 5609, 5954, 7025, 8048, 9692])
+    def test_floor_counts_the_terms_the_value_sums(self, seed):
+        # On these KL-projection problems (the invariant property's seeds)
+        # g(y) is a difference of terms some 100x larger, so their rounding
+        # swamps a floor measured against |g(y)|; the solve then halved its
+        # step into null steps until the cap.
+        routing, loads, prior = kl_projection_problem(seed)
+        result = solve_dual(routing, loads, KLMap(prior, prior.sum() / 1e8))
+        assert result.converged is True
+        assert result.iterations <= 7
+
+    def test_null_step_ends_the_solve(self, monkeypatch):
+        # With the floor switched off, seed 742's backtracking halves the
+        # step until it no longer moves y; that ends the solve at once
+        # instead of accepting null steps up to the cap.
+        monkeypatch.setattr(dual_module, "_VALUE_FLOOR", -np.inf)
+        routing, loads, prior = kl_projection_problem(742)
+        result = solve_dual(routing, loads, KLMap(prior, prior.sum() / 1e8), max_iterations=100)
+        assert result.iterations < 10
+        assert result.converged is False
 
     @pytest.mark.parametrize(
         "build,regularization",

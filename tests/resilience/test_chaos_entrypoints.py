@@ -76,7 +76,6 @@ SPECS = (
             "primary_params": {"prior": "gravity"},
             "fallbacks": ("tomogravity", "gravity"),
             "max_iterations": 2,  # solver non-convergence: budget always fires
-            "retries": 0,
         },
     ),
 )
@@ -155,7 +154,6 @@ def test_failure_sweep_reports_fallbacks_per_case(scenario):
             params={
                 "primary": "tomogravity",
                 "fallbacks": ("gravity",),
-                "retries": 0,
                 "inject_failures": 1,
             },
         ),
@@ -190,7 +188,7 @@ def test_scenario_sweep_with_tomogravity_under_faults(scenario, fault_name):
                 "tomogravity",
                 (
                     "supervised",
-                    {"primary": "entropy", "max_iterations": 2, "retries": 0,
+                    {"primary": "entropy", "max_iterations": 2,
                      "primary_params": {"prior": "gravity"}},
                 ),
             ],

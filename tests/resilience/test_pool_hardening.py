@@ -12,6 +12,7 @@ unchanged.  Pool incidents surface as ``RuntimeWarning``s and
 
 from __future__ import annotations
 
+import multiprocessing
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -130,6 +131,26 @@ def test_task_exceptions_propagate_unchanged():
         run_supervised_tasks(failing, [(3,)], jobs=1)
     with pytest.raises(EstimationError, match="task 0 failed"):
         run_supervised_tasks(failing, [(i,) for i in range(4)], jobs=2)
+
+
+def test_timed_out_pool_leaves_no_worker_behind():
+    # The hung worker is terminated and reaped, so it cannot hold the
+    # interpreter's exit until its task ends.
+    install_worker_faults(
+        WorkerFaultPlan(hang_tasks=(0,), hang_seconds=60.0, hang_rounds=99)
+    )
+    with pytest.warns(RuntimeWarning):
+        results, _ = run_supervised_tasks(
+            square, TASKS, jobs=2, timeout=1.5, max_resubmissions=0
+        )
+    assert results == EXPECTED
+    assert multiprocessing.active_children() == []
+
+
+def test_raising_task_leaves_no_worker_behind():
+    with pytest.raises(EstimationError, match="task 0 failed"):
+        run_supervised_tasks(failing, [(i,) for i in range(4)], jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_faults_never_fire_in_the_parent():

@@ -256,7 +256,7 @@ class TestCheckpointContents:
                 ]
             )
         meta, _ = load_checkpoint(str(path))
-        assert meta["version"] == CHECKPOINT_VERSION == 3
+        assert meta["version"] == CHECKPOINT_VERSION == 4
         assert sorted(meta["state"]) == [
             "degraded_updates",
             "epoch",
@@ -271,6 +271,7 @@ class TestCheckpointContents:
             "watchdog_resolves",
         ]
         options = set(inspect.signature(StreamingEstimator).parameters) - {"routing"}
+        assert sorted(options) == ["fallbacks", "method", "method_params", "min_valid_fraction"]
         assert set(meta["config"]) == options
         assert set(daemon.config()) == options
         assert "lsp:" not in json.dumps(meta)
@@ -299,7 +300,7 @@ class TestCheckpointContents:
         )
         with open(path, "wb") as handle:
             np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(StreamingError, match="version 1.*version 3"):
+        with pytest.raises(StreamingError, match="version 1.*version 4"):
             StreamingEstimator.restore(str(path), routing)
 
     def test_version_2_checkpoint_rejected(self, stream_scenario, collector_factory, tmp_path):
@@ -315,8 +316,20 @@ class TestCheckpointContents:
         arrays["pending_invalid"] = np.zeros(routing.num_pairs, dtype=bool)
         with open(path, "wb") as handle:
             np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(StreamingError, match="version 2.*version 3"):
+        with pytest.raises(StreamingError, match="version 2.*version 4"):
             StreamingEstimator.restore(str(path), routing)
+
+    def test_version_3_checkpoint_rejected(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "v3.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        # The format-3 layout: the supervision options of the re-solve chain.
+        meta["version"] = 3
+        meta["config"].update(budget_iterations=None, retries=1)
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(StreamingError, match="version 3.*version 4"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
 
     def test_wrong_pair_count_rejected(self, stream_scenario, collector_factory, tmp_path):
         path = tmp_path / "pairs.ckpt"

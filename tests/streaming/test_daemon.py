@@ -39,6 +39,19 @@ def batch_problem(routing, collector):
     )
 
 
+def capture_problems(daemon):
+    """Record each poll's problem, by sequence, as the daemon estimates it."""
+    problems = {}
+    original = daemon._estimator.estimate
+
+    def capture(problem):
+        problems[daemon.sequence - 1] = problem
+        return original(problem)
+
+    daemon._estimator.estimate = capture
+    return problems
+
+
 class TestBatchAgreement:
     @pytest.mark.parametrize("method", ["tomogravity", "kruithof", "entropy"])
     def test_streaming_matches_estimate_series_on_clean_day(
@@ -66,50 +79,41 @@ class TestBatchAgreement:
             streamed, np.maximum(reference.estimates, 0.0), rtol=1e-3, atol=1e-2
         )
 
-    def test_incremental_update_equals_warm_started_estimate(
+    def test_every_kruithof_record_is_a_cold_estimate(self, stream_scenario, collector_factory):
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="kruithof")
+        problems = capture_problems(daemon)
+        records = list(daemon.run(stream))
+        assert len(problems) == len(records) == len(stream_scenario.day_series)
+        for record in records:
+            cold = get_estimator("kruithof").estimate(problems[record.sequence])
+            np.testing.assert_array_equal(record.estimate, cold.vector)
+            assert record.iterations == cold.diagnostics["iterations"]
+
+    def test_record_after_a_degraded_poll_is_a_cold_estimate(
         self, stream_scenario, collector_factory
     ):
-        collector = collector_factory()
-        collector.collect(stream_scenario.day_series)
-        problem = batch_problem(stream_scenario.routing, collector)
-        previous = get_estimator("kruithof").estimate(problem.at_snapshot(0)).vector
-        snapshot = problem.at_snapshot(1)
+        stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
+        daemon = StreamingEstimator.from_collector(collector_factory(), method="kruithof")
+        problems = capture_problems(daemon)
+        capture = daemon._estimator.estimate
 
-        updated = get_estimator("kruithof").update(snapshot, previous=previous)
-        manual = get_estimator("kruithof")
-        manual.set_warm_start(previous)
-        expected = manual.estimate(snapshot)
-        np.testing.assert_array_equal(updated.vector, expected.vector)
-        # Incremental IPF: fewer sweeps than a cold fit, to the same fit.
-        cold = get_estimator("kruithof").estimate(snapshot)
-        assert updated.diagnostics["iterations"] < cold.diagnostics["iterations"]
-        np.testing.assert_allclose(updated.vector, cold.vector, rtol=1e-7)
+        def uncertified_at_sequence_3(problem):
+            result = capture(problem)
+            if daemon.sequence - 1 == 3:
+                result.diagnostics["converged"] = False
+            return result
 
-    @pytest.mark.parametrize("method", ["tomogravity", "entropy", "kl-projection", "bayesian"])
-    def test_dual_kernel_update_is_a_plain_estimate(
-        self, method, stream_scenario, collector_factory
-    ):
-        collector = collector_factory()
-        collector.collect(stream_scenario.day_series)
-        problem = batch_problem(stream_scenario.routing, collector)
-        estimator = get_estimator(method)
-        assert not hasattr(estimator, "set_warm_start")
-        previous = estimator.estimate(problem.at_snapshot(0)).vector
-        snapshot = problem.at_snapshot(1)
-        updated = estimator.update(snapshot, previous=previous)
-        expected = get_estimator(method).estimate(snapshot)
-        np.testing.assert_array_equal(updated.vector, expected.vector)
-        assert updated.diagnostics["iterations"] == expected.diagnostics["iterations"]
-
-    def test_update_without_previous_is_plain_estimate(
-        self, stream_scenario, collector_factory
-    ):
-        collector = collector_factory()
-        collector.collect(stream_scenario.day_series)
-        problem = batch_problem(stream_scenario.routing, collector).at_snapshot(0)
-        updated = get_estimator("tomogravity").update(problem)
-        expected = get_estimator("tomogravity").estimate(problem)
-        np.testing.assert_array_equal(updated.vector, expected.vector)
+        daemon._estimator.estimate = uncertified_at_sequence_3
+        with pytest.warns(RuntimeWarning, match="converged=False"):
+            records = list(daemon.run(stream))
+        assert [record.sequence for record in records if record.degraded] == [3]
+        gravity = get_estimator("gravity").estimate(problems[3])
+        np.testing.assert_array_equal(records[3].estimate, gravity.vector)
+        # The gravity answer seeds nothing: the next poll is Kruithof's own fit.
+        for record in records[4:]:
+            cold = get_estimator("kruithof").estimate(problems[record.sequence])
+            np.testing.assert_array_equal(record.estimate, cold.vector)
 
 
 class TestStaleness:
@@ -178,22 +182,22 @@ class TestWatchdog:
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
         daemon = StreamingEstimator.from_collector(collector_factory(), method="tomogravity")
 
-        original = daemon._estimator.update
+        original = daemon._estimator.estimate
         failures = {"left": 2}
 
-        def flaky_update(problem, previous=None):
+        def flaky_estimate(problem):
             if failures["left"] > 0:
                 failures["left"] -= 1
-                raise EstimationError("injected incremental failure")
-            return original(problem, previous=previous)
+                raise EstimationError("injected estimate failure")
+            return original(problem)
 
-        monkeypatch.setattr(daemon._estimator, "update", flaky_update)
-        with pytest.warns(RuntimeWarning, match="incremental update failed"):
+        monkeypatch.setattr(daemon._estimator, "estimate", flaky_estimate)
+        with pytest.warns(RuntimeWarning, match="tomogravity estimate failed"):
             records = list(daemon.run(stream))
         degraded = [record for record in records if record.degraded]
         assert [record.sequence for record in degraded] == [0, 1]
         assert daemon.degraded_updates == 2
-        # A raised update carries no certificate to read.
+        # A raised estimate carries no certificate to read.
         assert daemon.watchdog_resolves == 0
         assert daemon.watchdog_checks == len(records) - 2
         for record in degraded:
@@ -207,67 +211,56 @@ class TestWatchdog:
         daemon = StreamingEstimator.from_collector(collector_factory(), method="tomogravity")
         assert daemon._supervisor.require_convergence is True
 
-        original = daemon._estimator.update
+        original = daemon._estimator.estimate
         problems = {}
 
-        def uncertified_at_sequence_4(problem, previous=None):
+        def uncertified_at_sequence_4(problem):
             sequence = daemon.sequence - 1
             problems[sequence] = problem
-            result = original(problem, previous=previous)
+            result = original(problem)
             if sequence == 4:
                 result.diagnostics["converged"] = False
             return result
 
-        monkeypatch.setattr(daemon._estimator, "update", uncertified_at_sequence_4)
+        monkeypatch.setattr(daemon._estimator, "estimate", uncertified_at_sequence_4)
         with pytest.warns(RuntimeWarning, match="converged=False"):
             records = list(daemon.run(stream))
         assert [record.sequence for record in records if record.degraded] == [4]
         assert daemon.watchdog_resolves == 1
         assert daemon.degraded_updates == 1
         assert daemon.watchdog_checks == len(records)
-        # The chain's cold tomogravity solve replaces the uncertified one.
+        # The fallback chain answers; tomogravity is not solved again.
         replaced = records[4]
-        assert replaced.method == "supervised" and replaced.converged is True
-        cold = get_estimator("tomogravity").estimate(problems[4])
-        np.testing.assert_array_equal(replaced.estimate, cold.vector)
+        assert replaced.method == "supervised"
+        gravity = get_estimator("gravity").estimate(problems[4])
+        np.testing.assert_array_equal(replaced.estimate, gravity.vector)
 
 
 class TestEpochChurn:
-    def test_reroute_bumps_epoch_and_keeps_the_warm_start(
+    def test_reroute_bumps_epoch_and_solves_cold_on_the_new_routing(
         self, stream_scenario, collector_factory
     ):
         routing = stream_scenario.routing
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
         daemon = StreamingEstimator.from_collector(collector_factory(), method="kruithof")
-
-        captured = {}
-        original = daemon._estimator.update
-
-        def capture_update(problem, previous=None):
-            if daemon.epoch == 1 and "warm" not in captured:
-                captured["warm"] = previous.copy()
-                captured["routing"] = problem.routing
-            return original(problem, previous=previous)
-
-        daemon._estimator.update = capture_update
+        problems = capture_problems(daemon)
 
         failed_link = routing.link_names[0]
         records = []
-        previous_estimate = None
         result = None
         for record in daemon.run(stream):
             records.append(record)
             if record.sequence == 2:
-                previous_estimate = record.estimate.copy()
                 result = daemon.apply_reroute(failed_links=[failed_link])
 
         assert result is not None and result.rerouted
         # Epoch tagging: records before the reroute are epoch 0, after 1.
         assert [record.epoch for record in records] == [0] * 3 + [1] * (len(records) - 3)
-        # The first update after the reroute runs on the new routing and
-        # starts from the previous estimate, unchanged.
-        assert captured["routing"] is daemon.routing
-        np.testing.assert_array_equal(captured["warm"], previous_estimate)
+        # The first record after the reroute is a cold estimate of a
+        # problem on the new routing.
+        assert problems[3].routing is daemon.routing
+        cold = get_estimator("kruithof").estimate(problems[3])
+        np.testing.assert_array_equal(records[3].estimate, cold.vector)
         assert not any(record.degraded for record in records)
 
     def test_kruithof_after_reroute_returns_kruithofs_answer(
@@ -278,15 +271,7 @@ class TestEpochChurn:
         busiest = routing.link_names[int(np.argmax(loads))]
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
         daemon = StreamingEstimator.from_collector(collector_factory(), method="kruithof")
-
-        problems = {}
-        original = daemon._estimator.update
-
-        def capture_update(problem, previous=None):
-            problems[daemon.sequence - 1] = problem
-            return original(problem, previous=previous)
-
-        daemon._estimator.update = capture_update
+        problems = capture_problems(daemon)
         records = []
         for record in daemon.run(stream):
             records.append(record)
@@ -295,9 +280,8 @@ class TestEpochChurn:
         after = [record for record in records if record.epoch == 1]
         assert len(after) == len(records) - 3
         for record in after:
-            cold = get_estimator("kruithof").estimate(problems[record.sequence]).vector
-            distance = np.linalg.norm(record.estimate - cold) / np.linalg.norm(cold)
-            assert distance <= 1e-7, (record.sequence, distance)
+            cold = get_estimator("kruithof").estimate(problems[record.sequence])
+            np.testing.assert_array_equal(record.estimate, cold.vector)
 
     def test_unknown_element_changes_no_state(
         self, stream_scenario, collector_factory, tmp_path
@@ -381,6 +365,10 @@ class TestValidationAndTelemetry:
         routing = stream_scenario.routing
         with pytest.raises(StreamingError):
             StreamingEstimator(routing=routing, min_valid_fraction=1.5)
+
+    def test_empty_fallbacks_rejected(self, stream_scenario):
+        with pytest.raises(StreamingError, match="fallbacks"):
+            StreamingEstimator(routing=stream_scenario.routing, fallbacks=())
 
     def test_out_of_order_rounds_rejected(self, stream_scenario, collector_factory):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)

@@ -125,20 +125,17 @@ class TestSupervisorCounters:
             primary_params={"prior": "gravity"},
             fallbacks=("gravity",),
             max_iterations=2,  # the budget always trips the primary
-            retries=1,
         )
         with pytest.warns(RuntimeWarning):
             result = estimator.estimate(small_snapshot_problem)
         assert result.diagnostics["degradation"]["used"] == "gravity"
         counters = telemetry.metrics_snapshot()["counters"]
-        assert counters.get("supervisor.retries", 0) >= 1
-        assert counters.get("supervisor.budget_trips", 0) >= 2  # primary + retry
+        assert counters.get("supervisor.budget_trips", 0) == 1  # the primary, once
         assert counters.get("supervisor.fallbacks", 0) == 1
         records = telemetry.drain_spans()
         event_names = {
             name for record in records for (_, name, _) in record.events
         }
-        assert "supervisor.retry" in event_names
         assert "supervisor.fallback" in event_names
 
     def test_attempts_hops_and_budget_trip_events(
@@ -150,14 +147,14 @@ class TestSupervisorCounters:
             primary_params={"prior": "gravity"},
             fallbacks=("gravity",),
             max_iterations=2,
-            retries=1,
         )
         with pytest.warns(RuntimeWarning):
             estimator.estimate(small_snapshot_problem)
         snapshot = telemetry.metrics_snapshot()
         counters = snapshot["counters"]
-        # Primary attempt + one retry + the fallback that succeeds.
-        assert counters["supervisor.attempts"] == 3
+        # The primary attempt and the fallback that succeeds.
+        assert counters["supervisor.attempts"] == 2
+        assert counters["supervisor.fallbacks"] == 1
         assert counters["supervisor.chain_hops"] == 1
         assert snapshot["histograms"]["supervisor.attempts_per_call"]["count"] == 1
         records = telemetry.drain_spans()
@@ -167,7 +164,7 @@ class TestSupervisorCounters:
             for (_, name, attributes) in record.events
         ]
         trips = [attributes for name, attributes in events if name == "supervisor.budget_trip"]
-        assert len(trips) == 2  # primary attempt and its retry
+        assert len(trips) == 1  # the primary attempt
         for attributes in trips:
             assert attributes["method"] == "entropy"
             assert attributes["ticks"] is not None
@@ -182,7 +179,6 @@ class TestSupervisorCounters:
             primary="entropy",
             primary_params={"no_such_option": 1.0},
             fallbacks=("gravity",),
-            retries=0,
         )
         with pytest.warns(RuntimeWarning):
             estimator.estimate(small_snapshot_problem)

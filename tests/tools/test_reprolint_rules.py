@@ -477,35 +477,6 @@ class TestRegistryContracts:
             """
         ) == []
 
-    def test_warm_start_contract_enforced(self, lint_estimator):
-        found = lint_estimator(
-            """
-            @register()
-            class Kruithof(Estimator):
-                name = "kruithof"
-
-                def estimate(self, problem):
-                    return problem
-            """
-        )
-        assert codes(found) == ["REPRO401"]
-        assert "warm-startable" in found[0].message
-
-    def test_warm_start_contract_satisfied(self, lint_estimator):
-        assert lint_estimator(
-            """
-            @register()
-            class Kruithof(Estimator):
-                name = "kruithof"
-
-                def estimate(self, problem):
-                    return problem
-
-                def set_warm_start(self, vector):
-                    self._start = vector
-            """
-        ) == []
-
     def test_unregistered_classes_are_ignored(self, lint):
         assert lint(
             """

@@ -4,11 +4,9 @@ The estimator registry (:mod:`repro.estimation.registry`) is what lets the
 experiment runners, ``Scenario.sweep()`` and the planning sweeps compose
 method sets by *name* — which also means a registered class that quietly
 drops part of the :class:`~repro.estimation.base.Estimator` surface fails
-at a distance: a missing ``estimate`` only explodes inside a sweep, an
+at a distance: a missing ``estimate`` only explodes inside a sweep, and an
 incompatible ``estimate_series`` override silently falls out of the
-batched path, and a removed ``set_warm_start`` turns incremental IPF off
-without any test noticing (the generic series loop and
-``Estimator.update`` probe it with ``getattr``).
+batched path.
 
 For every class decorated with ``@register(...)`` the rule checks, across
 all scanned files (inheritance is resolved project-wide by class name):
@@ -17,13 +15,8 @@ all scanned files (inheritance is resolved project-wide by class name):
   an ancestor, with an ``(self, problem)``-compatible signature;
 * ``estimate_series`` is either inherited from the generic batched
   fallback or overridden with a compatible ``(self, problem)`` signature;
-* ``set_warm_start``, where defined, takes exactly one required argument
-  (the previous snapshot's vector);
 * the class carries a registry ``name`` (a ``name = "..."`` class
-  attribute or an explicit ``@register("...")`` argument);
-* estimators registered under a name in :data:`WARM_START_CONTRACTS`
-  (the methods the README advertises as warm-started) define or inherit
-  ``set_warm_start``.
+  attribute or an explicit ``@register("...")`` argument).
 
 Signature compatibility means: exactly one required positional parameter
 besides ``self``; any extra parameters must carry defaults (so the
@@ -39,18 +32,10 @@ from typing import Iterator, Optional
 from reprolint.astutil import dotted_name
 from reprolint.engine import Diagnostic, ProjectContext
 
-__all__ = ["RULE", "WARM_START_CONTRACTS"]
-
-#: Registry names whose warm-start support is advertised (README "Streaming
-#: estimation"): Kruithof's incremental IPF, which the streaming daemon's
-#: ``update`` and the generic series loop seed with the previous fit.  The
-#: dual kernel (entropy, tomogravity, KL projection, Bayesian) starts every
-#: solve from ``y = 0`` and Vardi's exact active-set solve has no iterate,
-#: so none of them takes a start.
-WARM_START_CONTRACTS = {"kruithof"}
+__all__ = ["RULE"]
 
 #: Methods whose overrides must stay call-compatible with the base class.
-SINGLE_ARGUMENT_METHODS = ("estimate", "estimate_series", "set_warm_start")
+SINGLE_ARGUMENT_METHODS = ("estimate", "estimate_series")
 
 
 @dataclass
@@ -63,7 +48,6 @@ class _ClassInfo:
     methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
     abstract_methods: set[str] = field(default_factory=set)
     class_attributes: set[str] = field(default_factory=set)
-    name_literal: Optional[str] = None
     registered_name: Optional[str] = None
     is_registered: bool = False
 
@@ -73,7 +57,7 @@ class _RegistryContractsRule:
     code = "REPRO401"
     description = (
         "every @register()'d estimator defines the advertised API surface "
-        "(estimate / estimate_series / set_warm_start) with compatible signatures"
+        "(estimate / estimate_series) with compatible signatures"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
@@ -110,12 +94,6 @@ class _RegistryContractsRule:
                         for target in statement.targets:
                             if isinstance(target, ast.Name):
                                 info.class_attributes.add(target.id)
-                                if (
-                                    target.id == "name"
-                                    and isinstance(statement.value, ast.Constant)
-                                    and isinstance(statement.value.value, str)
-                                ):
-                                    info.name_literal = statement.value.value
                     elif isinstance(statement, ast.AnnAssign) and isinstance(
                         statement.target, ast.Name
                     ):
@@ -200,8 +178,7 @@ class _RegistryContractsRule:
                     column=info.methods[method_name].col_offset + 1,
                 )
 
-        registry_name = info.registered_name
-        if registry_name is None:
+        if info.registered_name is None:
             named = [c for c in chain if "name" in c.class_attributes]
             if not named:
                 yield self._diagnostic(
@@ -209,26 +186,6 @@ class _RegistryContractsRule:
                     f"registered estimator {info.name} has no registry name: add a "
                     "name = \"...\" class attribute or pass @register(\"...\")",
                 )
-
-        effective_name = registry_name or self._literal_name(chain)
-        if effective_name in WARM_START_CONTRACTS:
-            _, warm, _ = self._find_method(chain, "set_warm_start")
-            if warm is None:
-                yield self._diagnostic(
-                    info,
-                    f"estimator {effective_name!r} is advertised as warm-startable "
-                    "(README batched-series contract) but defines no "
-                    "set_warm_start(vector)",
-                )
-
-    @staticmethod
-    def _literal_name(chain: list[_ClassInfo]) -> Optional[str]:
-        # The registry reads the ``name`` class attribute; recover it when it
-        # is a plain string literal on the class (or an ancestor).
-        for info in chain:
-            if info.name_literal is not None:
-                return info.name_literal
-        return None
 
     def _signature_problem(self, method: ast.FunctionDef) -> Optional[str]:
         args = method.args

@@ -11,8 +11,10 @@ ancestor of today's entropy-regularised estimators.
 matrix to the measured edge totals ``t_e(n)`` / ``t_x(m)``; it never looks
 at interior links.  The fit is ``diag(a) P diag(b)`` for the prior table
 ``P``, so :func:`~repro.optimize.ipf.kruithof_scaling` iterates only the two
-scaling vectors and the estimate is ``a[origin] * p * b[destination]`` on
-the pair vector.  Every fit starts from the prior: ``estimate`` scales a
+scaling vectors and the estimate is ``a[origin] * p * b[destination]``.
+The priors enter the table, and the fit leaves it, through each pair's
+flat cell (:meth:`~repro.topology.elements.PairIndex.cells`), one 1-D
+scatter and one 1-D gather.  Every fit starts from the prior: ``estimate`` scales a
 stack of one, ``estimate_series`` a stack of every snapshot.  Krupp's
 generalisation, which uses every link measurement, is
 :class:`~repro.estimation.entropy.KLProjectionEstimator`.
@@ -64,6 +66,12 @@ class KruithofEstimator(Estimator):
         exists; use ``"gravity"`` to adjust a gravity estimate).
     max_iterations, tolerance:
         Forwarded to :func:`repro.optimize.ipf.kruithof_scaling`.
+
+    The diagnostics carry the fit's certificate, ``relative_violation``:
+    the largest violation of an edge total divided by ``max(1, total
+    traffic)``, over every fitted snapshot.  ``converged`` holds exactly
+    when it is below ``tolerance``; ``max_violation`` is the same
+    violation unscaled.
     """
 
     name = "kruithof"
@@ -90,9 +98,14 @@ class KruithofEstimator(Estimator):
         Returns the ``(K, P)`` fit ``a[origin] * p * b[destination]`` and
         its diagnostics.
         """
-        origins, destinations, origin_cols, destination_cols = problem.pair_positions()
-        prior_stack = np.zeros((len(priors), len(origins), len(destinations)))
-        prior_stack[:, origin_cols, destination_cols] = priors
+        origins, destinations, _, _ = problem.pair_positions()
+        cells = problem.routing.pairs.cells()
+        shape = (len(priors), len(origins), len(destinations))
+        # Each pair's prior lands in its cell of the flat table, and its fit
+        # is read back from the same cell of the scaled table.
+        table = np.zeros((shape[0], shape[1] * shape[2]))
+        table[:, cells] = priors
+        prior_stack = table.reshape(shape)
         fit = kruithof_scaling(
             prior_stack,
             row_targets,
@@ -100,13 +113,13 @@ class KruithofEstimator(Estimator):
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
         )
-        values = (
-            fit.row_factors[:, origin_cols] * priors * fit.column_factors[:, destination_cols]
-        )
-        return values, dict(
+        prior_stack *= fit.row_factors[:, :, None]
+        prior_stack *= fit.column_factors[:, None, :]
+        return table[:, cells], dict(
             iterations=fit.iterations,
             converged=fit.converged,
             max_violation=fit.max_violation,
+            relative_violation=fit.relative_violation,
             prior_kind=self.prior if isinstance(self.prior, str) else "explicit",
         )
 

@@ -47,10 +47,14 @@ def counter_names(routing: RoutingMatrix) -> tuple[str, ...]:
     One counter per LSP, named ``lsp:o->d``, in pair order, then one per
     link under its link name (paper Section 5.1.2).  The collector, the
     poll stream and the streaming daemon all take the counter order from
-    here, so it is fixed by the routing's pair and link orderings.
+    here, so it is fixed by the routing's pair and link orderings.  The
+    names are built once per routing matrix and cached with its other
+    lazily derived state, so every caller on one matrix shares one tuple.
     """
-    lsps = tuple(f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs)
-    return lsps + tuple(routing.link_names)
+    if routing._counter_names is None:
+        lsps = tuple(f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs)
+        routing._counter_names = lsps + tuple(routing.link_names)
+    return routing._counter_names
 
 
 class DistributedCollector:

@@ -374,8 +374,10 @@ def classify_counter_deltas(
     wrapped = usable & ~degenerate & backwards & ~reset
     valid = usable & ~degenerate & ~reset
 
-    rates = np.full(deltas.shape, np.nan)
-    rates[valid] = deltas[valid].astype(float) * _RATE_PER_BYTE_SECOND / elapsed[valid]
+    rates = deltas.astype(float)
+    rates *= _RATE_PER_BYTE_SECOND
+    np.divide(rates, elapsed, out=rates, where=valid)
+    np.copyto(rates, np.nan, where=~valid)
     return rates, valid, degenerate, reset, wrapped
 
 

@@ -51,14 +51,20 @@ class IPFResult:
     max_violation:
         Largest absolute constraint violation over the stack at termination
         (``inf`` when no sweep ran).
+    relative_violation:
+        The certificate: the largest over the slices of a slice's absolute
+        violation divided by ``max(1, row total)`` (``inf`` when no sweep
+        ran).
     converged:
-        Whether every slice met the tolerance before the iteration cap.
+        Whether every slice met the tolerance before the iteration cap,
+        which holds exactly when ``relative_violation < tolerance``.
     """
 
     row_factors: np.ndarray
     column_factors: np.ndarray
     iterations: int
     max_violation: float
+    relative_violation: float
     converged: bool
 
 
@@ -115,8 +121,9 @@ def kruithof_scaling(
         differ by more than 1e-6 relative, its column targets are rescaled
         to the row total before iterating.
     max_iterations, tolerance:
-        Sweep cap and maximum allowed absolute violation of the targets,
-        relative to ``max(1, row total)``.
+        Sweep cap and the bound on each slice's largest absolute violation
+        of its targets divided by ``max(1, row total)``; the largest such
+        ratio is returned as ``relative_violation``.
 
     A sweep sets ``a = r / (P b)`` and then ``b = c / (P' a)`` from
     ``b = 1`` (a zero sum gives a zero factor), so each sweep costs two
@@ -151,7 +158,7 @@ def kruithof_scaling(
     row_factors = np.ones((num_batch, num_rows))
     column_factors = np.ones((num_batch, num_cols))
     violations = np.full(num_batch, np.inf)
-    scale = tolerance * np.maximum(1.0, row_totals)
+    scale = np.maximum(1.0, row_totals)
     # The unconverged slices, their priors and their current ``P b``.
     active = np.arange(num_batch)
     block = priors
@@ -170,7 +177,7 @@ def kruithof_scaling(
             np.abs(a * row_sums - rows).max(axis=1, initial=0.0),
             np.abs(b * column_sums - columns).max(axis=1, initial=0.0),
         )
-        keep = violations[active] >= scale[active]
+        keep = violations[active] / scale[active] >= tolerance
         if not keep.all():
             active, block, row_sums = active[keep], block[keep], row_sums[keep]
     max_violation = float(violations.max(initial=0.0))
@@ -181,5 +188,6 @@ def kruithof_scaling(
         column_factors=column_factors,
         iterations=iterations,
         max_violation=max_violation,
+        relative_violation=float((violations / scale).max(initial=0.0)),
         converged=not active.size,
     )

@@ -82,13 +82,23 @@ class RoutingMatrix:
         it.
 
     The dense view, the pair Gram, the link-Gram pattern, the rank, the path
-    lengths and the fingerprint are derived on first use and cached; a
-    pickle carries none of them (a spawn-mode pool pickles the matrix once
-    per worker), so an unpickled matrix derives its own.
+    lengths, the fingerprint and the counter names
+    (:func:`~repro.measurement.collector.counter_names`) are derived on
+    first use and cached; a pickle carries none of them (a spawn-mode pool
+    pickles the matrix once per worker), so an unpickled matrix derives its
+    own.
     """
 
     #: Lazily derived caches: reset on construction, dropped from pickles.
-    _CACHES = ("_dense", "_gram", "_gram_pattern", "_rank", "_path_lengths", "_fingerprint")
+    _CACHES = (
+        "_dense",
+        "_gram",
+        "_gram_pattern",
+        "_rank",
+        "_path_lengths",
+        "_fingerprint",
+        "_counter_names",
+    )
 
     def __init__(
         self,
@@ -123,6 +133,7 @@ class RoutingMatrix:
         self._rank: Optional[int] = None
         self._path_lengths: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
+        self._counter_names: Optional[tuple[str, ...]] = None
 
     def __getstate__(self) -> dict[str, object]:
         state = self.__dict__.copy()

@@ -10,10 +10,11 @@ poll round at a time; :class:`~repro.streaming.daemon.StreamingEstimator`
 consumes them, deriving rates causally and estimating each interval with
 one certified cold solve (the fallback chain answers a poll whose
 certificate fails) while surviving poll loss, collector outages, solver
-failures, routing churn and process crashes.  :mod:`~repro.streaming.checkpoint` provides the versioned
-serialization of the daemon's state, written by atomic replace, that makes
-a kill -9 followed by a restore reproduce the uninterrupted run's records
-bit for bit.
+failures, routing churn and process crashes.  :mod:`~repro.streaming.checkpoint`
+provides the versioned serialization of the daemon's state (format 5: one
+file of a JSON header and the raw arrays, checked by CRC-32 on restore),
+written by atomic replace, that makes a kill -9 followed by a restore
+reproduce the uninterrupted run's records bit for bit.
 """
 
 from repro.streaming.checkpoint import (

@@ -21,9 +21,9 @@ The daemon is built to *survive* the faults the resilience layer injects:
   and emits a record explicitly flagged ``stale`` instead of solving on
   fabricated data;
 * **solver failure** — every estimate carries its certificate (the
-  duality gap of the dual kernel, the marginal violation of Kruithof's
-  IPF) behind its ``converged`` flag.  An estimate that raises or reports
-  ``converged=False`` is replaced, on that poll, by the answer of a
+  duality gap of the dual kernel, the relative marginal violation of
+  Kruithof's IPF) behind its ``converged`` flag.  An estimate that raises
+  or reports ``converged=False`` is replaced, on that poll, by the answer of a
   :class:`~repro.resilience.SupervisedEstimator` chain over the
   ``fallbacks`` built with ``require_convergence=True``, and the record
   is flagged ``degraded``.  The failed method is not run again: a cold
@@ -34,8 +34,9 @@ The daemon is built to *survive* the faults the resilience layer injects:
   on every record; a failure set that cannot be applied raises
   :class:`~repro.errors.StreamingError` and changes no state.  The next
   poll is a cold solve on the new routing like any other;
-* **crashes** — the whole daemon state checkpoints to one ``.npz`` file,
-  written to a temporary file and renamed over the last checkpoint (see
+* **crashes** — the whole daemon state checkpoints to one file (format
+  5: a JSON header, then the raw arrays under a CRC-32), written to a
+  temporary file and renamed over the last checkpoint (see
   :mod:`repro.streaming.checkpoint`); ``kill -9`` followed by
   :meth:`restore` and resuming the stream reproduces the uninterrupted
   run's records bit for bit, because no daemon path consults wall-clock
@@ -428,7 +429,12 @@ class StreamingEstimator:
     # stream consumption
     # ------------------------------------------------------------------
     def _check_stream(self, stream: PollStream) -> None:
-        """Accept ``stream`` once its objects are this daemon's counters, in order."""
+        """Accept ``stream`` once its objects are this daemon's counters, in order.
+
+        The routing caches its counter names, so a stream built by
+        :meth:`PollStream.from_collector` on it holds the very same strings
+        and the comparison costs no string work.
+        """
         if self._checked_stream is not None and self._checked_stream() is stream:
             return
         if stream.object_names != counter_names(self.base_routing):

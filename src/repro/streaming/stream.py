@@ -173,8 +173,9 @@ class CounterTracker:
     counter delta over the whole gap), which is what a production
     collector reports after an outage.
 
-    All state is four flat arrays and four counts, so the tracker
-    checkpoints exactly and cheaply (see :mod:`repro.streaming.checkpoint`).
+    All state is four flat arrays, which :meth:`observe` updates in place
+    under masks, and four counts, so the tracker checkpoints exactly and
+    cheaply (see :mod:`repro.streaming.checkpoint`).
     """
 
     def __init__(self, num_objects: int) -> None:
@@ -223,17 +224,17 @@ class CounterTracker:
             answered & self.have_last,
             counter_bits,
         )
-        self.rate[fresh] = rates[fresh]
+        np.copyto(self.rate, rates, where=fresh)
         # Re-sync on every answered poll — including after a reset, so the
         # next interval is derived from the rebooted counter's new baseline.
-        self.last_counter[answered] = counters[answered]
-        self.last_response[answered] = response_times[answered]
+        np.copyto(self.last_counter, counters, where=answered)
+        np.copyto(self.last_response, response_times, where=answered)
         self.have_last |= answered
 
-        self.lost_samples += int((~answered).sum())
-        self.degenerate_samples += int(degenerate.sum())
-        self.reset_samples += int(reset.sum())
-        self.wrap_samples += int(wrapped.sum())
+        self.lost_samples += int(np.count_nonzero(lost))
+        self.degenerate_samples += int(np.count_nonzero(degenerate))
+        self.reset_samples += int(np.count_nonzero(reset))
+        self.wrap_samples += int(np.count_nonzero(wrapped))
         return self.rate.copy(), fresh
 
     # ------------------------------------------------------------------
@@ -258,18 +259,24 @@ class CounterTracker:
         }
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore state previously produced by :meth:`state_arrays`."""
-        have = np.asarray(arrays["tracker_have_last"], dtype=bool)
-        if have.shape != (self.num_objects,):
-            raise StreamingError(
-                f"checkpointed tracker covers {have.shape[0]} objects, "
-                f"expected {self.num_objects}"
-            )
-        self.have_last = have.copy()
-        self.last_counter = np.asarray(arrays["tracker_last_counter"], dtype=np.uint64).copy()
-        self.last_response = np.asarray(arrays["tracker_last_response"], dtype=float).copy()
-        self.rate = np.asarray(arrays["tracker_rate"], dtype=float).copy()
-        counts = np.asarray(arrays["tracker_counts"], dtype=np.int64)
+        """Restore state previously produced by :meth:`state_arrays`.
+
+        Each array must have exactly the dtype and length
+        :meth:`state_arrays` gives it; any other raises
+        :class:`~repro.errors.StreamingError` naming the array.
+        """
+        for name, expected in self.state_arrays().items():
+            array = arrays[name]
+            if array.dtype != expected.dtype or array.shape != expected.shape:
+                raise StreamingError(
+                    f"checkpointed {name} is {array.dtype} of shape {array.shape}, "
+                    f"expected {expected.dtype} of shape {expected.shape}"
+                )
+        self.have_last = arrays["tracker_have_last"].copy()
+        self.last_counter = arrays["tracker_last_counter"].copy()
+        self.last_response = arrays["tracker_last_response"].copy()
+        self.rate = arrays["tracker_rate"].copy()
+        counts = arrays["tracker_counts"]
         self.wrap_samples = int(counts[0])
         self.reset_samples = int(counts[1])
         self.degenerate_samples = int(counts[2])

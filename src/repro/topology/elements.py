@@ -225,10 +225,11 @@ class PairIndex(tuple[NodePair, ...]):
 
     The index is a ``tuple`` subclass, so it iterates, indexes, measures and
     compares exactly like the tuple of pairs it holds.  On top of that it
-    caches the two lookups every pair-indexed object needs —
-    :meth:`position` (pair to vector position) and :meth:`codes` (integer
-    origin/destination codes per pair) — so objects that share one index
-    never rebuild them.  :meth:`repro.topology.network.Network.node_pairs`
+    caches the lookups every pair-indexed object needs — :meth:`position`
+    (pair to vector position), :meth:`codes` (integer origin/destination
+    codes per pair) and :meth:`cells` (each pair's cell in the flat
+    origin-by-destination table) — so objects that share one index never
+    rebuild them.  :meth:`repro.topology.network.Network.node_pairs`
     caches one index per network; the routing matrix, traffic matrices,
     estimation problems and results built from that network all share it,
     which makes wrapping a demand vector O(1).
@@ -239,6 +240,7 @@ class PairIndex(tuple[NodePair, ...]):
     """
 
     _codes: tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]
+    _cells: np.ndarray
     _positions: Optional[dict[NodePair, int]]
 
     def __new__(cls, pairs: Iterable[NodePair] = ()) -> "PairIndex":
@@ -256,12 +258,13 @@ class PairIndex(tuple[NodePair, ...]):
             count=len(self),
         )
         # A pair is its (origin, destination), so equal code pairs are duplicates.
-        keys = origin_codes * len(destination_of) + destination_codes
-        if np.unique(keys).size != len(self):
+        cells = origin_codes * len(destination_of) + destination_codes
+        if np.unique(cells).size != len(self):
             raise TopologyError("duplicate origin-destination pairs")
-        origin_codes.setflags(write=False)
-        destination_codes.setflags(write=False)
+        for array in (origin_codes, destination_codes, cells):
+            array.setflags(write=False)
         self._codes = (tuple(origin_of), tuple(destination_of), origin_codes, destination_codes)
+        self._cells = cells
         self._positions = None
         return self
 
@@ -279,6 +282,15 @@ class PairIndex(tuple[NodePair, ...]):
         arrays).
         """
         return self._codes
+
+    def cells(self) -> np.ndarray:
+        """Each pair's cell in the flat ``origins x destinations`` table.
+
+        ``cells[p] = origin_codes[p] * len(destinations) + destination_codes[p]``
+        (a read-only integer array), so a pair vector scatters into a
+        row-major table with ``table.reshape(-1)[cells] = vector``.
+        """
+        return self._cells
 
     def position(self, pair: NodePair) -> int:
         """Vector position of ``pair``, raising ``KeyError`` if it is absent."""

@@ -3,8 +3,9 @@
 Vardi's moment fit and the fanout fit are solved exactly by Lawson-Hanson
 and certified by a KKT residual; ``kl-projection`` is the I-projection of
 its prior, solved by the link-space dual kernel and certified by its
-duality gap.  Each test checks the certificate against an independent
-computation, and that a perturbed answer fails it.
+duality gap; Kruithof's IPF is certified by its relative violation of the
+edge totals.  Each test checks the certificate against an independent
+computation, and that a perturbed or capped answer fails it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import scipy.optimize
 
 from repro.datasets import abilene_scenario, america_scenario, europe_scenario, large_scenario
 from repro.errors import EstimationError, SolverError
-from repro.estimation import EstimationProblem, VardiEstimator, get_estimator
+from repro.estimation import EstimationProblem, KruithofEstimator, VardiEstimator, get_estimator
 from repro.estimation.vardi import link_load_moments
 from repro.optimize import kl_divergence
 from repro.optimize.nnls import KKT_TOLERANCE
@@ -259,3 +260,50 @@ class TestKLProjection:
         result = get_estimator("kl-projection", prior=prior).estimate(problem)
         assert np.all(result.vector[::7] == 0.0)
         assert_i_projection(problem, result, prior)
+
+
+def edge_total_violation(problem, estimates, rows, columns):
+    """Independent certificate: each snapshot's largest edge-total misfit
+    over ``max(1, total)``, the largest over the snapshots."""
+    _, _, origin_codes, destination_codes = problem.pair_positions()
+    worst = 0.0
+    for estimate, row_targets, column_targets in zip(estimates, rows, columns):
+        total = row_targets.sum()
+        column_targets = column_targets * (total / column_targets.sum())
+        misfit = max(
+            np.abs(np.bincount(origin_codes, estimate, len(row_targets)) - row_targets).max(),
+            np.abs(
+                np.bincount(destination_codes, estimate, len(column_targets)) - column_targets
+            ).max(),
+        )
+        worst = max(worst, misfit / max(1.0, total))
+    return worst
+
+
+class TestKruithof:
+    @pytest.mark.parametrize("max_iterations", [500, 2])
+    @pytest.mark.parametrize("kind", ["snapshot", "series"])
+    @pytest.mark.parametrize("prior", ["uniform", "gravity"])
+    @pytest.mark.parametrize("name", ["america", "europe", "abilene"])
+    def test_converged_is_the_relative_violation_certificate(
+        self, name, prior, kind, max_iterations
+    ):
+        backbone = scenario(name, 2004)
+        estimator = KruithofEstimator(prior=prior, max_iterations=max_iterations)
+        if kind == "snapshot":
+            problem = backbone.snapshot_problem()
+            result = estimator.estimate(problem)
+            estimates = result.vector[None, :]
+            rows, columns = problem.origin_totals[None, :], problem.destination_totals[None, :]
+        else:
+            problem = backbone.series_problem(window_length=10)
+            result = estimator.estimate_series(problem)
+            estimates = result.estimates
+            rows, columns = problem.totals_by_snapshot()
+        diagnostics = result.diagnostics
+        relative = diagnostics["relative_violation"]
+        assert diagnostics["converged"] is (relative < estimator.tolerance)
+        # Two sweeps fit no backbone; the default cap fits every one.
+        assert diagnostics["converged"] is (max_iterations == 500)
+        independent = edge_total_violation(problem, estimates, rows, columns)
+        assert independent == pytest.approx(relative, rel=1e-3, abs=1e-12)

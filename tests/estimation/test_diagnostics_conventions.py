@@ -43,7 +43,11 @@ CONVENTIONS = {
     "generalized-gravity": ({"peering_nodes": set()}, "snapshot", set()),
     "gravity": ({}, "snapshot", set()),
     "kl-projection": ({}, "snapshot", CERTIFIED),
-    "kruithof": ({}, "snapshot", {"iterations", "converged"}),
+    "kruithof": (
+        {},
+        "snapshot",
+        {"iterations", "converged", "max_violation", "relative_violation"},
+    ),
     "supervised": (
         {"primary": "tomogravity"},
         "snapshot",
@@ -96,6 +100,11 @@ def test_canonical_diagnostics_keys(name, small_scenario_session):
         assert diagnostics["converged"] is (
             0.0 <= residual <= KKT_TOLERANCE and violation <= EQUALITY_TOLERANCE
         )
+        assert diagnostics["converged"]
+    if "relative_violation" in diagnostics:
+        # Kruithof's IPF certifies the edge totals it was fitted to.
+        violation = diagnostics["relative_violation"]
+        assert diagnostics["converged"] is (0.0 <= violation < estimator.tolerance)
         assert diagnostics["converged"]
     if "bound_gap" in diagnostics:
         # The worst-case bounds certify each bound by a witness and a dual.

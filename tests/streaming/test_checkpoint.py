@@ -6,9 +6,11 @@ import hashlib
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.streaming import (
     load_checkpoint,
 )
 from repro.streaming import checkpoint as checkpoint_module
+from repro.streaming.checkpoint import write_checkpoint
 
 FAULT_PLANS = {
     "clean": None,
@@ -64,6 +67,12 @@ def make_daemon(collector_factory, plan):
         method="tomogravity",
         min_valid_fraction=0.5,
     )
+
+
+def rewrite(path, meta, arrays):
+    """Replace the checkpoint at ``path`` with a doctored ``(meta, arrays)``."""
+    with open(path, "wb") as handle:
+        write_checkpoint(handle, meta, arrays)
 
 
 def run_stream(daemon, stream, kill_after=None, checkpoint_path=None):
@@ -185,8 +194,7 @@ class TestCheckpointValidation:
         meta, arrays = load_checkpoint(str(path))
         assert meta["version"] == CHECKPOINT_VERSION
         meta["version"] = CHECKPOINT_VERSION + 1
-        with open(path, "wb") as handle:
-            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        rewrite(path, meta, arrays)
         with pytest.raises(StreamingError):
             StreamingEstimator.restore(str(path), stream_scenario.routing)
 
@@ -208,8 +216,7 @@ class TestCheckpointValidation:
         self._checkpoint(stream_scenario, collector_factory, path)
         meta, arrays = load_checkpoint(str(path))
         meta["state"]["failed_links"] = ["no-such-link"]
-        with open(path, "wb") as handle:
-            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        rewrite(path, meta, arrays)
         with pytest.raises(StreamingError, match="no-such-link"):
             StreamingEstimator.restore(str(path), stream_scenario.routing)
 
@@ -243,20 +250,19 @@ class TestCheckpointContents:
     def test_holds_the_state_and_no_names(self, stream_scenario, collector_factory, tmp_path):
         path = tmp_path / "contents.ckpt"
         daemon, _ = self._checkpoint(stream_scenario, collector_factory, path)
-        with np.load(path, allow_pickle=False) as data:
-            assert sorted(data.files) == sorted(
-                [
-                    "meta",
-                    "tracker_have_last",
-                    "tracker_last_counter",
-                    "tracker_last_response",
-                    "tracker_rate",
-                    "tracker_counts",
-                    "estimate",
-                ]
-            )
-        meta, _ = load_checkpoint(str(path))
-        assert meta["version"] == CHECKPOINT_VERSION == 4
+        meta, arrays = load_checkpoint(str(path))
+        assert sorted(arrays) == sorted(
+            [
+                "tracker_have_last",
+                "tracker_last_counter",
+                "tracker_last_response",
+                "tracker_rate",
+                "tracker_counts",
+                "estimate",
+            ]
+        )
+        assert sorted(meta) == ["config", "routing_fingerprint", "state", "version"]
+        assert meta["version"] == CHECKPOINT_VERSION == 5
         assert sorted(meta["state"]) == [
             "degraded_updates",
             "epoch",
@@ -278,57 +284,20 @@ class TestCheckpointContents:
         for link in stream_scenario.routing.link_names:
             assert link not in json.dumps(meta["config"])
 
-    def test_version_1_checkpoint_rejected(self, stream_scenario, collector_factory, tmp_path):
-        path = tmp_path / "v1.ckpt"
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_npz_checkpoint_of_an_older_format_rejected(
+        self, version, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / f"v{version}.ckpt"
         self._checkpoint(stream_scenario, collector_factory, path)
         meta, arrays = load_checkpoint(str(path))
-        # The format-1 layout: object names and a ring buffer in the config
-        # and state, the ring and the staleness counters as arrays.
-        routing = stream_scenario.routing
-        meta["version"] = 1
-        meta["config"].update(
-            link_names=list(routing.link_names),
-            lsp_names=[f"lsp:{pair.origin}->{pair.destination}" for pair in routing.pairs],
-            ring_rounds=64,
-        )
-        meta["state"].update(ring_count=3, ring_pos=3)
-        arrays.update(
-            tracker_stale_rounds=np.zeros(routing.num_pairs + routing.num_links, dtype=np.int64),
-            ring_times=np.zeros(64),
-            ring_rates=np.zeros((64, routing.num_links)),
-            ring_valid=np.zeros((64, routing.num_links), dtype=bool),
-        )
+        # Formats 1 to 4 were np.savez archives of the meta and the arrays.
+        meta["version"] = version
         with open(path, "wb") as handle:
             np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(StreamingError, match="version 1.*version 4"):
-            StreamingEstimator.restore(str(path), routing)
-
-    def test_version_2_checkpoint_rejected(self, stream_scenario, collector_factory, tmp_path):
-        path = tmp_path / "v2.ckpt"
-        self._checkpoint(stream_scenario, collector_factory, path)
-        meta, arrays = load_checkpoint(str(path))
-        # The format-2 layout: the watchdog options and scalars, and the
-        # per-pair mask of warm-start entries to re-seed after a reroute.
-        routing = stream_scenario.routing
-        meta["version"] = 2
-        meta["config"].update(watchdog_every=12, watchdog_threshold=0.25)
-        meta["state"].update(since_watchdog=3, invalidated_total=0, watchdog_forced=False)
-        arrays["pending_invalid"] = np.zeros(routing.num_pairs, dtype=bool)
-        with open(path, "wb") as handle:
-            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(StreamingError, match="version 2.*version 4"):
-            StreamingEstimator.restore(str(path), routing)
-
-    def test_version_3_checkpoint_rejected(self, stream_scenario, collector_factory, tmp_path):
-        path = tmp_path / "v3.ckpt"
-        self._checkpoint(stream_scenario, collector_factory, path)
-        meta, arrays = load_checkpoint(str(path))
-        # The format-3 layout: the supervision options of the re-solve chain.
-        meta["version"] = 3
-        meta["config"].update(budget_iterations=None, retries=1)
-        with open(path, "wb") as handle:
-            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(StreamingError, match="version 3.*version 4"):
+        with pytest.raises(
+            StreamingError, match="an .npz checkpoint of format 4 or older.*reads format 5"
+        ):
             StreamingEstimator.restore(str(path), stream_scenario.routing)
 
     def test_wrong_pair_count_rejected(self, stream_scenario, collector_factory, tmp_path):
@@ -336,8 +305,7 @@ class TestCheckpointContents:
         self._checkpoint(stream_scenario, collector_factory, path)
         meta, arrays = load_checkpoint(str(path))
         arrays["estimate"] = np.append(arrays["estimate"], 1.0)
-        with open(path, "wb") as handle:
-            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        rewrite(path, meta, arrays)
         with pytest.raises(StreamingError, match="covers 21 pairs, routing has 20"):
             StreamingEstimator.restore(str(path), stream_scenario.routing)
 
@@ -357,8 +325,7 @@ class TestCheckpointContents:
         self._checkpoint(stream_scenario, collector_factory, path)
         meta, arrays = load_checkpoint(str(path))
         del arrays["tracker_rate"]
-        with open(path, "wb") as handle:
-            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        rewrite(path, meta, arrays)
         with pytest.raises(StreamingError, match="tracker_rate"):
             StreamingEstimator.restore(str(path), stream_scenario.routing)
 
@@ -367,8 +334,7 @@ class TestCheckpointContents:
         self._checkpoint(stream_scenario, collector_factory, path)
         meta, arrays = load_checkpoint(str(path))
         meta["config"]["window_rounds"] = 5
-        with open(path, "wb") as handle:
-            np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
+        rewrite(path, meta, arrays)
         with pytest.raises(StreamingError, match="window_rounds"):
             StreamingEstimator.restore(str(path), stream_scenario.routing)
 
@@ -381,11 +347,11 @@ class TestCheckpointContents:
         saved_estimate = daemon.estimate.copy()
         next(iterator)
 
-        def dying_savez(handle, **arrays):
-            handle.write(b"PK\x03\x04\x14\x00")  # the start of a zip local header
+        def dying_writer(handle, meta, arrays):
+            handle.write(b"\x89RCKPT\r\n")  # the start of the fixed prefix
             raise WriterDied
 
-        monkeypatch.setattr(checkpoint_module.np, "savez", dying_savez)
+        monkeypatch.setattr(checkpoint_module, "write_checkpoint", dying_writer)
         with pytest.raises(WriterDied):
             daemon.checkpoint(str(path))
         monkeypatch.undo()
@@ -406,6 +372,150 @@ class TestCheckpointContents:
         assert StreamingEstimator.restore(str(path), stream_scenario.routing).rounds_seen == (
             daemon.rounds_seen
         )
+
+
+#: Format 5's fixed prefix: magic, header length, header CRC-32.
+PREFIX = struct.Struct("<8sII")
+
+
+class TestFormat5:
+    """The one-file layout: prefix, JSON header, raw arrays, two CRC-32s."""
+
+    _checkpoint = TestCheckpointContents._checkpoint
+
+    def test_every_array_survives_exactly(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "exact.ckpt"
+        daemon, _ = self._checkpoint(stream_scenario, collector_factory, path)
+        tracker = daemon.tracker
+        # Counters near the top of the uint64 space must not pass through a float.
+        tracker.last_counter[:3] = [2**64 - 1, 2**64 - 2**11 - 1, 2**63 + 1]
+        tracker.wrap_samples = 2**62 + 1
+        daemon.checkpoint(str(path))
+        expected = dict(tracker.state_arrays(), estimate=daemon.estimate)
+
+        _, arrays = load_checkpoint(str(path))
+        assert sorted(arrays) == sorted(expected)
+        restored = StreamingEstimator.restore(str(path), stream_scenario.routing)
+        restored_arrays = dict(restored.tracker.state_arrays(), estimate=restored.estimate)
+        for name, array in expected.items():
+            for loaded in (arrays[name], restored_arrays[name]):
+                assert loaded.dtype == array.dtype and loaded.shape == array.shape, name
+                assert loaded.tobytes() == array.tobytes(), name
+        assert int(restored.tracker.last_counter[0]) == 2**64 - 1
+        assert restored.tracker.wrap_samples == 2**62 + 1
+
+    def test_arrays_start_on_aligned_offsets(self, stream_scenario, collector_factory, tmp_path):
+        path = tmp_path / "aligned.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        data = path.read_bytes()
+        magic, header_length, header_crc = PREFIX.unpack_from(data)
+        assert magic == b"\x89RCKPT\r\n"
+        header_bytes = data[PREFIX.size : PREFIX.size + header_length]
+        assert zlib.crc32(header_bytes) == header_crc
+        header = json.loads(header_bytes)
+        body = data[PREFIX.size + header_length :]
+        assert (PREFIX.size + header_length) % 64 == 0
+        assert header["body_length"] == len(body)
+        assert header["body_crc32"] == zlib.crc32(body)
+        for entry in header["arrays"].values():
+            assert entry["offset"] % 64 == 0
+            assert entry["offset"] + entry["nbytes"] <= len(body)
+
+    def test_flipped_bit_inside_an_array_rejected(
+        self, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "flipped.ckpt"
+        daemon, _ = self._checkpoint(stream_scenario, collector_factory, path)
+        data = bytearray(path.read_bytes())
+        position = bytes(data).index(daemon.tracker.last_response.tobytes())
+        data[position + 3] ^= 0x10
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamingError, match="cannot read checkpoint"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
+
+    def test_header_length_past_the_end_rejected(
+        self, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "long-header.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        data = path.read_bytes()
+        magic, _, header_crc = PREFIX.unpack_from(data)
+        path.write_bytes(PREFIX.pack(magic, len(data), header_crc) + data[PREFIX.size :])
+        with pytest.raises(StreamingError, match="points past the end"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
+
+    def test_body_longer_than_the_header_says_rejected(
+        self, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "long-body.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        path.write_bytes(path.read_bytes() + bytes(64))
+        with pytest.raises(StreamingError, match="body is .* bytes, header says"):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
+
+    @pytest.mark.parametrize(
+        "damage", ["magic", "flipped-bit", "unparsable", "lacks-key", "state-lacks-key"]
+    )
+    def test_corrupt_header_rejected(
+        self, damage, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "header.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        data = bytearray(path.read_bytes())
+        if damage == "magic":
+            data[1] ^= 0x01
+            expected = "bad magic"
+        elif damage == "flipped-bit":
+            data[PREFIX.size + 5] ^= 0x01  # inside the JSON header
+            expected = "header CRC-32 mismatch"
+        elif damage == "unparsable":
+            header = b'{"version": 5, '
+            data = bytearray(PREFIX.pack(b"\x89RCKPT\r\n", len(header), zlib.crc32(header)))
+            data += header
+            expected = "header does not parse"
+        else:
+            meta, arrays = load_checkpoint(str(path))
+            if damage == "lacks-key":
+                del meta["routing_fingerprint"]
+                expected = "header lacks 'routing_fingerprint'"
+            else:
+                del meta["state"]["failed_links"]
+                expected = "state lacks failed_links"
+            rewrite(path, meta, arrays)
+            data = bytearray(path.read_bytes())
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamingError, match=expected):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
+
+    @pytest.mark.parametrize(
+        "name, doctor",
+        [
+            ("tracker_rate", lambda array: array[:-5]),
+            ("tracker_last_counter", lambda array: array.astype(np.float64)),
+            ("tracker_counts", lambda array: array[:3]),
+            ("tracker_have_last", lambda array: array.astype(np.uint8)),
+            ("tracker_last_response", lambda array: array.astype(np.float32)),
+            ("estimate", lambda array: array.astype(np.float32)),
+        ],
+        ids=[
+            "short-rate",
+            "float-counter",
+            "short-counts",
+            "uint8-mask",
+            "float32-response",
+            "float32-estimate",
+        ],
+    )
+    def test_array_of_the_wrong_dtype_or_length_rejected(
+        self, name, doctor, stream_scenario, collector_factory, tmp_path
+    ):
+        path = tmp_path / "layout.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        arrays[name] = doctor(arrays[name])
+        rewrite(path, meta, arrays)
+        with pytest.raises(StreamingError, match=name):
+            StreamingEstimator.restore(str(path), stream_scenario.routing)
 
 
 def format_1_fingerprint(routing, storage=None) -> str:

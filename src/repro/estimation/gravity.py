@@ -17,7 +17,9 @@ generalised form is implemented here for completeness.
 
 Gravity estimates ignore the interior link loads entirely and are generally
 *not* consistent with them; they are most useful as the prior of the
-regularised estimators (tomogravity).
+regularised estimators (tomogravity).  Both models are closed forms, not
+iterative solves, so their results carry ``closed_form: True`` in place of
+a certificate.
 """
 
 from __future__ import annotations
@@ -160,12 +162,14 @@ class SimpleGravityEstimator(Estimator):
     def estimate(self, problem: EstimationProblem) -> EstimationResult:
         """Estimate demands from edge totals only (interior links are ignored)."""
         values = gravity_vector(problem)
-        return self._result(problem, values, normalisation_total=float(values.sum()))
+        return self._result(
+            problem, values, closed_form=True, normalisation_total=float(values.sum())
+        )
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:
         """Vectorised batch: every snapshot's totals evaluated in one expression."""
         estimates = gravity_vector_series(problem)
-        return self._series_result(problem, estimates, batched=True)
+        return self._series_result(problem, estimates, batched=True, closed_form=True)
 
 
 @register()
@@ -215,6 +219,7 @@ class GeneralizedGravityEstimator(Estimator):
         return self._result(
             problem,
             values,
+            closed_form=True,
             excluded_pairs=len(excluded),
             normalisation_total=float(values.sum()),
         )
@@ -223,4 +228,6 @@ class GeneralizedGravityEstimator(Estimator):
         """Vectorised batch with the peer-to-peer exclusions applied."""
         excluded = self._excluded(problem)
         estimates = gravity_vector_series(problem, excluded_pairs=excluded)
-        return self._series_result(problem, estimates, batched=True, excluded_pairs=len(excluded))
+        return self._series_result(
+            problem, estimates, batched=True, closed_form=True, excluded_pairs=len(excluded)
+        )

@@ -114,17 +114,17 @@ class DistributedCollector:
 
         # Round-robin assignment of objects to pollers approximates the
         # paper's geographic split while keeping per-poller load balanced.
-        # Each poller remembers which columns of the full (K, objects) rate
-        # matrix it owns, so collection is pure array slicing.
-        assignments = [
-            np.arange(start, len(all_objects), num_pollers)
-            for start in range(num_pollers)
-        ]
+        # Poller i owns the strided columns slice(i, None, num_pollers) of
+        # the counter order, so collection is pure strided slicing.
         base_seed = seed if seed is not None else 0
         self.pollers: list[SNMPPoller] = []
-        self._assigned_columns: list[np.ndarray] = []
-        for poller_idx, columns in enumerate(assignments):
-            if not len(columns):
+        #: Each poller's columns of the counter order (:func:`counter_names`),
+        #: in :attr:`pollers` order: strided slices that partition it.
+        self.assignments: list[slice] = []
+        for poller_idx in range(num_pollers):
+            columns = slice(poller_idx, None, num_pollers)
+            object_names = all_objects[columns]
+            if not object_names:
                 continue
             poller_plan = (
                 fault_plan.for_poller(poller_idx)
@@ -133,7 +133,7 @@ class DistributedCollector:
             )
             self.pollers.append(
                 SNMPPoller(
-                    object_names=[all_objects[col] for col in columns],
+                    object_names=object_names,
                     interval_seconds=interval_seconds,
                     jitter_std_seconds=jitter_std_seconds,
                     loss_probability=loss_probability,
@@ -143,7 +143,7 @@ class DistributedCollector:
                     fault_salt=poller_idx,
                 )
             )
-            self._assigned_columns.append(columns)
+            self.assignments.append(columns)
 
     # ------------------------------------------------------------------
     def poll_matrices(
@@ -180,7 +180,7 @@ class DistributedCollector:
         rate_matrix = np.hstack([demands, self.routing.matmat(demands.T).T])
         return [
             poller.run_schedule_matrix(rate_matrix[:, columns], start_time=start_time)
-            for poller, columns in zip(self.pollers, self._assigned_columns)
+            for poller, columns in zip(self.pollers, self.assignments)
         ]
 
     def collect(
@@ -197,7 +197,7 @@ class DistributedCollector:
         routing = self.routing
         rates = np.empty((routing.num_pairs + routing.num_links, len(series)))
         diagnostics = []
-        for matrix, columns in zip(polls, self._assigned_columns):
+        for matrix, columns in zip(polls, self.assignments):
             poller_rates, poller_diagnostics = rates_from_poll_matrix(
                 matrix, max_interpolated_fraction=self.max_interpolated_fraction
             )

@@ -18,7 +18,8 @@ This module models that pipeline for a single poller, as arrays:
 * :func:`classify_counter_deltas` — the one counter-delta classifier
   (wrap-aware deltas; valid, degenerate, reset and wrapped samples) shared
   by the batch conversion below and the streaming
-  :class:`~repro.streaming.CounterTracker`;
+  :class:`~repro.streaming.CounterTracker`, reading the counter widths a
+  :class:`CounterWidths` derives once per matrix or stream;
 * :func:`rates_from_poll_matrix` — turns consecutive poll rounds into the
   rate samples the estimation pipeline consumes, interpolating over lost
   polls and reporting :class:`RateDiagnostics` (how many samples were lost
@@ -36,6 +37,7 @@ import numpy as np
 from repro.errors import MeasurementError
 
 __all__ = [
+    "CounterWidths",
     "PollMatrix",
     "RateDiagnostics",
     "SNMPPoller",
@@ -47,6 +49,42 @@ __all__ = [
 _BYTES_PER_MBPS_SECOND = 1e6 / 8.0
 #: Mbit/s per byte per second.
 _RATE_PER_BYTE_SECOND = 8.0 / 1e6
+
+
+class CounterWidths:
+    """Counter widths in the form :func:`classify_counter_deltas` reads them.
+
+    ``counter_bits`` is one width for every sample or an array of one width
+    per object (broadcast against the last axis).  The masks and counter
+    spaces the classifier needs are derived here once, so a poll matrix or
+    stream, whose widths never change, pays for them once and not on every
+    classified round.
+
+    Attributes
+    ----------
+    bits:
+        The widths as ``uint64``.
+    narrow:
+        ``bits < 64``: the counters that wrap inside the ``uint64`` space.
+    space:
+        ``2**bits`` where narrow (``2**63`` elsewhere, never used), or
+        ``None`` when no counter is narrow.
+    half_space:
+        ``2**(bits - 1)``, the largest delta a wrap may explain.
+    """
+
+    __slots__ = ("bits", "narrow", "space", "half_space")
+
+    def __init__(self, counter_bits: Union[int, np.ndarray]) -> None:
+        bits = np.asarray(counter_bits, dtype=np.uint64)
+        narrow = bits < np.uint64(64)
+        self.bits = bits
+        self.narrow = narrow
+        # 1 << 64 is undefined; wide counters keep their delta anyway.
+        self.space = (
+            np.uint64(1) << np.where(narrow, bits, np.uint64(63)) if narrow.any() else None
+        )
+        self.half_space = np.uint64(1) << (bits - np.uint64(1))
 
 
 @dataclass(frozen=True)
@@ -70,6 +108,8 @@ class PollMatrix:
         Width of the underlying MIB counters (64 for Counter64, 32 for the
         legacy ifInOctets Counter32).  Rate derivation wraps deltas modulo
         ``2**counter_bits``, so every counter must lie below it.
+    widths:
+        :class:`CounterWidths` of ``counter_bits``, derived on construction.
 
     The constructor rejects arrays the rate derivation would misread: signed
     counters turn a reboot into a wrap, an integer loss mask turns ``~lost``
@@ -83,6 +123,7 @@ class PollMatrix:
     counters: np.ndarray
     lost: np.ndarray
     counter_bits: int = 64
+    widths: CounterWidths = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rounds = len(self.scheduled_times)
@@ -113,6 +154,7 @@ class PollMatrix:
             raise MeasurementError(
                 f"a counter reading exceeds the {self.counter_bits}-bit counter space"
             )
+        object.__setattr__(self, "widths", CounterWidths(self.counter_bits))
 
     @property
     def num_rounds(self) -> int:
@@ -337,14 +379,15 @@ def classify_counter_deltas(
     current: np.ndarray,
     elapsed: np.ndarray,
     usable: np.ndarray,
-    counter_bits: Union[int, np.ndarray],
+    widths: CounterWidths,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Classify counter deltas between two polls and derive their rates.
 
     ``previous`` and ``current`` are ``uint64`` counter readings, ``elapsed``
     the seconds between their responses and ``usable`` the samples whose two
-    polls both answered.  ``counter_bits`` is one width for every sample or
-    an array broadcast against the last axis (one width per object).
+    polls both answered.  ``widths`` holds one counter width for every
+    sample or one per object, broadcast against the last axis (a
+    :attr:`PollMatrix.widths` or :attr:`~repro.streaming.PollStream.widths`).
 
     A usable sample is *degenerate* when no time elapsed (``elapsed <= 0``).
     A counter that went backwards either wrapped modulo
@@ -359,18 +402,13 @@ def classify_counter_deltas(
     # uint64 subtraction wraps modulo 2**64 exactly like the Counter64 MIB;
     # narrower counters (Counter32) reduce the same difference modulo their
     # own space, which recovers the true delta across a legitimate wrap.
-    bits = np.asarray(counter_bits, dtype=np.uint64)
     deltas = current - previous
-    narrow = bits < np.uint64(64)
-    if narrow.any():
-        # 1 << 64 is undefined; wide counters keep their delta anyway.
-        space = np.uint64(1) << np.where(narrow, bits, np.uint64(63))
-        deltas = np.where(narrow, deltas % space, deltas)
-    half_space = np.uint64(1) << (bits - np.uint64(1))
+    if widths.space is not None:
+        deltas = np.where(widths.narrow, deltas % widths.space, deltas)
 
     backwards = current < previous
     degenerate = usable & (elapsed <= 0)
-    reset = usable & ~degenerate & backwards & (deltas > half_space)
+    reset = usable & ~degenerate & backwards & (deltas > widths.half_space)
     wrapped = usable & ~degenerate & backwards & ~reset
     valid = usable & ~degenerate & ~reset
 
@@ -425,7 +463,7 @@ def rates_from_poll_matrix(
         polls.counters[1:],
         polls.response_times[1:] - polls.response_times[:-1],
         ~pair_lost,
-        polls.counter_bits,
+        polls.widths,
     )
 
     valid_per_object = valid.any(axis=0)

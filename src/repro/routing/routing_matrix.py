@@ -330,6 +330,9 @@ class RoutingMatrix:
         orderings, so identical routing state yields the same fingerprint
         however the matrix was passed in (dense, COO with duplicates, CSR),
         which is what lets a streaming checkpoint recognise its routing.
+        The pair names come from the pair index's cache
+        (:meth:`~repro.topology.elements.PairIndex.name_bytes`), which a
+        rerouted matrix shares with its base.
         """
         if self._fingerprint is None:
             csr = self._csr
@@ -339,7 +342,7 @@ class RoutingMatrix:
             digest.update(csr.indices.astype(np.int64).tobytes())
             digest.update(csr.data.astype(np.float64).tobytes())
             digest.update("\x00".join(self.link_names).encode())
-            digest.update("\x00".join(str(pair) for pair in self.pairs).encode())
+            digest.update(self.pairs.name_bytes())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 

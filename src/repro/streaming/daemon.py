@@ -64,6 +64,7 @@ from repro.errors import (
 from repro.estimation.base import EstimationProblem
 from repro.estimation.registry import get_estimator
 from repro.measurement.collector import counter_names
+from repro.measurement.snmp import CounterWidths
 from repro.resilience.supervisor import SupervisedEstimator
 from repro.routing.routing_matrix import RerouteResult, RoutingMatrix, reroute
 from repro.streaming.stream import PollRound, PollStream, CounterTracker
@@ -339,9 +340,9 @@ class StreamingEstimator:
         response_times: np.ndarray,
         counters: np.ndarray,
         lost: np.ndarray,
-        counter_bits: np.ndarray,
+        widths: CounterWidths,
     ) -> Optional[StreamRecord]:
-        rates, fresh = self.tracker.observe(response_times, counters, lost, counter_bits)
+        rates, fresh = self.tracker.observe(response_times, counters, lost, widths)
         self.rounds_seen += 1
         if self.rounds_seen == 1:
             # The first round only primes the counters; no interval exists yet.
@@ -465,7 +466,7 @@ class StreamingEstimator:
                 poll_round.response_times,
                 poll_round.counters,
                 poll_round.lost,
-                stream.object_bits,
+                stream.widths,
             )
 
     def run(self, stream: PollStream) -> Iterator[StreamRecord]:

@@ -13,7 +13,8 @@ past.  This module provides the two primitives the
   (e.g. the per-poller matrices of a
   :class:`~repro.measurement.collector.DistributedCollector`), held as one
   read-only ``(rounds, objects)`` array each for response times, counters
-  and loss, with per-object counter widths so Counter32 pollers can
+  and loss, with per-object counter widths (derived once into
+  :class:`~repro.measurement.snmp.CounterWidths`) so Counter32 pollers can
   coexist with Counter64 ones;
 * :class:`CounterTracker` — the causal counterpart of
   ``rates_from_poll_matrix``: O(objects) state that turns consecutive
@@ -27,13 +28,13 @@ past.  This module provides the two primitives the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import StreamingError
 from repro.measurement.collector import counter_names
-from repro.measurement.snmp import PollMatrix, classify_counter_deltas
+from repro.measurement.snmp import CounterWidths, PollMatrix, classify_counter_deltas
 
 __all__ = ["PollRound", "PollStream", "CounterTracker"]
 
@@ -59,7 +60,8 @@ class PollStream:
 
     The matrices' columns are copied once into three read-only
     ``(rounds, objects)`` arrays, :attr:`response_times`, :attr:`counters`
-    and :attr:`lost`, so :meth:`round` hands out row views.
+    and :attr:`lost`, so :meth:`round` hands out row views; :attr:`widths`
+    holds the per-object counter widths the tracker classifies them with.
 
     Parameters
     ----------
@@ -72,9 +74,17 @@ class PollStream:
     """
 
     def __init__(self, matrices: Sequence[PollMatrix]) -> None:
-        self._fill(
-            matrices, tuple(name for matrix in matrices for name in matrix.object_names)
-        )
+        if not matrices:
+            raise StreamingError("a poll stream needs at least one poll matrix")
+        names = tuple(name for matrix in matrices for name in matrix.object_names)
+        position = dict(zip(names, range(len(names))))
+        columns = [
+            np.array([position[name] for name in matrix.object_names], dtype=np.intp)
+            for matrix in matrices
+        ]
+        if not np.all(np.bincount(np.concatenate(columns), minlength=len(names)) == 1):
+            raise StreamingError("duplicate object names across poll matrices")
+        self._fill(matrices, names, columns)
 
     @classmethod
     def from_collector(cls, collector, series, start_time: Optional[float] = None) -> "PollStream":
@@ -84,32 +94,32 @@ class PollStream:
         exactly as in :meth:`~repro.measurement.collector.DistributedCollector.collect`)
         and puts the columns in the order of
         :func:`~repro.measurement.collector.counter_names`: the LSPs in pair
-        order, then the links.
+        order, then the links.  Each poller's columns are its strided slice
+        of that order (``collector.assignments``), checked once by comparing
+        its object names with the slice's names.
         """
+        matrices = collector.poll_matrices(series, start_time=start_time)
+        names = counter_names(collector.routing)
+        for matrix, columns in zip(matrices, collector.assignments):
+            if matrix.object_names != names[columns]:
+                raise StreamingError("a poller's objects are not its slice of the counters")
         stream = cls.__new__(cls)
-        stream._fill(
-            collector.poll_matrices(series, start_time=start_time),
-            counter_names(collector.routing),
-        )
+        stream._fill(matrices, names, collector.assignments)
         return stream
 
-    def _fill(self, matrices: Sequence[PollMatrix], names: tuple[str, ...]) -> None:
-        """Copy every matrix's columns to the positions of their ``names``."""
-        if not matrices:
-            raise StreamingError("a poll stream needs at least one poll matrix")
+    def _fill(
+        self,
+        matrices: Sequence[PollMatrix],
+        names: tuple[str, ...],
+        columns: Sequence[Union[np.ndarray, slice]],
+    ) -> None:
+        """Copy each matrix to its ``columns`` of ``names``, which they partition."""
         reference = matrices[0].scheduled_times
         for matrix in matrices:
             if matrix.scheduled_times.shape != reference.shape or not np.array_equal(
                 matrix.scheduled_times, reference
             ):
                 raise StreamingError("poll matrices follow different schedules")
-        position = dict(zip(names, range(len(names))))
-        columns = [
-            np.array([position[name] for name in matrix.object_names], dtype=np.intp)
-            for matrix in matrices
-        ]
-        if not np.all(np.bincount(np.concatenate(columns), minlength=len(names)) == 1):
-            raise StreamingError("duplicate object names across poll matrices")
         shape = (len(reference), len(names))
         self.response_times = np.empty(shape)
         self.counters = np.empty(shape, dtype=np.uint64)
@@ -123,6 +133,7 @@ class PollStream:
             self.object_bits[cols] = matrix.counter_bits
         for array in (self.response_times, self.counters, self.lost, self.object_bits):
             array.setflags(write=False)
+        self.widths = CounterWidths(self.object_bits)
         self.object_names: tuple[str, ...] = names
         self.scheduled_times: np.ndarray = reference
 
@@ -164,8 +175,8 @@ class CounterTracker:
     response time) plus the last successfully derived rate.  Each call to
     :meth:`observe` classifies the new poll with the batch path's
     :func:`~repro.measurement.snmp.classify_counter_deltas` (per-object
-    counter widths) and returns the current rate vector with a freshness
-    mask.  Objects without a fresh sample keep their held rate (zero until
+    counter widths, :attr:`PollStream.widths`) and returns the current rate
+    vector with a freshness mask.  Objects without a fresh sample keep their held rate (zero until
     first derivation).
 
     Because the last answered poll is retained across lost rounds, the
@@ -197,20 +208,22 @@ class CounterTracker:
         response_times: np.ndarray,
         counters: np.ndarray,
         lost: np.ndarray,
-        counter_bits: np.ndarray,
+        widths: CounterWidths,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fold one poll round into the tracker.
 
-        Returns ``(rates, fresh)``: the per-object rate vector (held values
-        where no fresh sample exists) and the boolean mask of objects whose
-        rate was derived from this round's poll.
+        ``widths`` holds one counter width per object (a stream's
+        :attr:`PollStream.widths`).  Returns ``(rates, fresh)``: the
+        per-object rate vector (held values where no fresh sample exists)
+        and the boolean mask of objects whose rate was derived from this
+        round's poll.
         """
         shape = (self.num_objects,)
         for name, array in (
             ("response_times", response_times),
             ("counters", counters),
             ("lost", lost),
-            ("counter_bits", counter_bits),
+            ("counter widths", widths.bits),
         ):
             if array.shape != shape:
                 raise StreamingError(
@@ -222,7 +235,7 @@ class CounterTracker:
             counters,
             response_times - self.last_response,
             answered & self.have_last,
-            counter_bits,
+            widths,
         )
         np.copyto(self.rate, rates, where=fresh)
         # Re-sync on every answered poll — including after a reset, so the

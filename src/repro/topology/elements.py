@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -227,12 +227,13 @@ class PairIndex(tuple[NodePair, ...]):
     compares exactly like the tuple of pairs it holds.  On top of that it
     caches the lookups every pair-indexed object needs — :meth:`position`
     (pair to vector position), :meth:`codes` (integer origin/destination
-    codes per pair) and :meth:`cells` (each pair's cell in the flat
-    origin-by-destination table) — so objects that share one index never
+    codes per pair), :meth:`cells` (each pair's cell in the flat
+    origin-by-destination table) and :meth:`name_bytes` (the pair names a
+    routing fingerprint hashes) — so objects that share one index never
     rebuild them.  :meth:`repro.topology.network.Network.node_pairs`
-    caches one index per network; the routing matrix, traffic matrices,
-    estimation problems and results built from that network all share it,
-    which makes wrapping a demand vector O(1).
+    caches one :meth:`mesh` per network; the routing matrix, traffic
+    matrices, estimation problems and results built from that network all
+    share it, which makes wrapping a demand vector O(1).
 
     Duplicates are rejected once, when the index is built.  ``tuple(index)``
     copies the pairs into a plain tuple and drops the caches; use
@@ -242,6 +243,7 @@ class PairIndex(tuple[NodePair, ...]):
     _codes: tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]
     _cells: np.ndarray
     _positions: Optional[dict[NodePair, int]]
+    _name_bytes: Optional[bytes]
 
     def __new__(cls, pairs: Iterable[NodePair] = ()) -> "PairIndex":
         self = super().__new__(cls, pairs)
@@ -261,12 +263,62 @@ class PairIndex(tuple[NodePair, ...]):
         cells = origin_codes * len(destination_of) + destination_codes
         if np.unique(cells).size != len(self):
             raise TopologyError("duplicate origin-destination pairs")
+        self._adopt(tuple(origin_of), tuple(destination_of), origin_codes, destination_codes, cells)
+        return self
+
+    @classmethod
+    def mesh(cls, names: Sequence[str]) -> "PairIndex":
+        """Every ordered pair of distinct ``names``, by origin and then destination.
+
+        Equal, pairs and caches alike, to ``PairIndex(NodePair(o, d) for o in
+        names for d in names if o != d)``, built in array passes: the names
+        are checked once (non-empty and unique, which implies every check
+        :class:`NodePair` makes per pair) and the codes and cells are
+        computed rather than looked up.  Raises
+        :class:`~repro.errors.TopologyError` for an empty or repeated name.
+        """
+        names = tuple(names)
+        if not all(names):
+            raise TopologyError("node pair endpoints must be non-empty strings")
+        if len(set(names)) != len(names):
+            raise TopologyError("duplicate names in a pair mesh")
+        count = len(names)
+        if count < 2:
+            return cls()
+        origin_codes = np.repeat(np.arange(count), count - 1)
+        # Row i skips the diagonal: its k-th destination is name k, or k + 1 from k = i on.
+        column = np.tile(np.arange(count - 1), count)
+        destinations = column + (column >= origin_codes)
+        # First appearance orders the destination labels names[1:] + names[:1]
+        # (row 0 lists names[1:], row 1 then adds names[0]).
+        destination_codes = (destinations - 1) % count
+        labels = np.array(names, dtype=object)
+        self = super().__new__(
+            cls, _checked_pairs(labels[origin_codes].tolist(), labels[destinations].tolist())
+        )
+        self._adopt(
+            names,
+            names[1:] + names[:1],
+            origin_codes,
+            destination_codes,
+            origin_codes * count + destination_codes,
+        )
+        return self
+
+    def _adopt(
+        self,
+        origins: tuple[str, ...],
+        destinations: tuple[str, ...],
+        origin_codes: np.ndarray,
+        destination_codes: np.ndarray,
+        cells: np.ndarray,
+    ) -> None:
         for array in (origin_codes, destination_codes, cells):
             array.setflags(write=False)
-        self._codes = (tuple(origin_of), tuple(destination_of), origin_codes, destination_codes)
+        self._codes = (origins, destinations, origin_codes, destination_codes)
         self._cells = cells
         self._positions = None
-        return self
+        self._name_bytes = None
 
     @classmethod
     def of(cls, pairs: Iterable[NodePair]) -> "PairIndex":
@@ -292,6 +344,17 @@ class PairIndex(tuple[NodePair, ...]):
         """
         return self._cells
 
+    def name_bytes(self) -> bytes:
+        """The pairs' names (``str(pair)``) joined by ``"\\x00"``, UTF-8 encoded.
+
+        Built on first use and cached, so every routing matrix on this index
+        (a :func:`~repro.routing.routing_matrix.reroute` keeps its base's)
+        hashes the names without rebuilding them.
+        """
+        if self._name_bytes is None:
+            self._name_bytes = "\x00".join(map(str, self)).encode()
+        return self._name_bytes
+
     def position(self, pair: NodePair) -> int:
         """Vector position of ``pair``, raising ``KeyError`` if it is absent."""
         return self.positions()[pair]
@@ -304,3 +367,23 @@ class PairIndex(tuple[NodePair, ...]):
 
     def __reduce__(self) -> tuple[type, tuple[tuple[NodePair, ...]]]:
         return (PairIndex, (tuple(self),))
+
+
+def _checked_pairs(origins: list[str], destinations: list[str]) -> list[NodePair]:
+    """Pairs of endpoints the caller has checked (non-empty and distinct).
+
+    Each pair's two fields are set as the frozen dataclass's ``__init__``
+    sets them, without the ``__post_init__`` checks the caller has already
+    made for every pair at once.  A pair gets its fields before the next
+    pair is created: CPython sizes a new instance's attribute storage by
+    the attributes its class has seen set so far, and instances created
+    before any was set would each fall back to a dict of their own.
+    """
+    new, set_field = object.__new__, object.__setattr__
+    pairs = []
+    for origin, destination in zip(origins, destinations):
+        pair = new(NodePair)
+        set_field(pair, "origin", origin)
+        set_field(pair, "destination", destination)
+        pairs.append(pair)
+    return pairs

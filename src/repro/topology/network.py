@@ -221,18 +221,13 @@ class Network:
         destination, skipping the diagonal.  Only edge nodes (access or
         peering) appear; transit nodes never source or sink demands.
 
-        The index is built once and cached (:meth:`add_node` resets it), so
-        every routing matrix, traffic matrix and estimation problem built
-        from this network shares one :class:`PairIndex`.
+        The index is a :meth:`PairIndex.mesh`, built once and cached
+        (:meth:`add_node` resets it), so every routing matrix, traffic
+        matrix and estimation problem built from this network shares one
+        :class:`PairIndex`.
         """
         if self._pairs is None:
-            edge_names = [node.name for node in self.edge_nodes]
-            self._pairs = PairIndex(
-                NodePair(origin, destination)
-                for origin in edge_names
-                for destination in edge_names
-                if origin != destination
-            )
+            self._pairs = PairIndex.mesh([node.name for node in self.edge_nodes])
         return self._pairs
 
     def pair_index(self) -> dict[NodePair, int]:

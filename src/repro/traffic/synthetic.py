@@ -253,11 +253,16 @@ class SyntheticTrafficModel:
 
         The snapshot equals the instantaneous mean plus a fluctuation whose
         variance follows the configured mean-variance scaling law, truncated
-        at zero.
+        at zero.  The fluctuation is ``mean + std * z`` for one standard
+        normal draw ``z`` per pair, scaled and shifted in place: the same
+        draws and arithmetic as ``Generator.normal(mean, std)``, bit for bit.
         """
         mean = self.mean_at(time_seconds)
         std = np.sqrt(self.config.scaling_law.variance(mean))
-        values = np.maximum(self._rng.normal(loc=mean, scale=std), 0.0)
+        values = self._rng.standard_normal(len(mean))
+        values *= std
+        values += mean
+        np.maximum(values, 0.0, out=values)
         return TrafficMatrix(self.base_matrix.pairs, values)
 
     def generate_day(

@@ -34,14 +34,18 @@ CERTIFIED = {"iterations", "converged", "residual_norm", "duality_gap"}
 #: from the KKT residual.
 KKT_CERTIFIED = {"kkt_residual", "converged"}
 
+#: The key of the closed-form models, which solve nothing iteratively and
+#: so carry no certificate.
+CLOSED_FORM = {"closed_form"}
+
 #: name -> (constructor params, problem kind, required canonical keys)
 CONVENTIONS = {
     "bayesian": ({}, "snapshot", CERTIFIED),
     "cao": ({}, "series", {"iterations"}),
     "entropy": ({}, "snapshot", CERTIFIED),
     "fanout": ({}, "series", {"residual_norm", "equality_violation"} | KKT_CERTIFIED),
-    "generalized-gravity": ({"peering_nodes": set()}, "snapshot", set()),
-    "gravity": ({}, "snapshot", set()),
+    "generalized-gravity": ({"peering_nodes": set()}, "snapshot", CLOSED_FORM),
+    "gravity": ({}, "snapshot", CLOSED_FORM),
     "kl-projection": ({}, "snapshot", CERTIFIED),
     "kruithof": (
         {},
@@ -61,6 +65,15 @@ CONVENTIONS = {
 
 def test_every_registered_estimator_has_a_declared_convention():
     assert set(available_estimators()) == set(CONVENTIONS)
+
+
+@pytest.mark.parametrize("name", ["generalized-gravity", "gravity"])
+def test_closed_form_series_results_declare_it(name, small_scenario_session):
+    params, _, _ = CONVENTIONS[name]
+    result = get_estimator(name, **params).estimate_series(
+        small_scenario_session.series_problem()
+    )
+    assert result.diagnostics["closed_form"] is True
 
 
 @pytest.mark.parametrize("name", sorted(CONVENTIONS))
@@ -106,6 +119,9 @@ def test_canonical_diagnostics_keys(name, small_scenario_session):
         violation = diagnostics["relative_violation"]
         assert diagnostics["converged"] is (0.0 <= violation < estimator.tolerance)
         assert diagnostics["converged"]
+    if "closed_form" in diagnostics:
+        assert diagnostics["closed_form"] is True
+        assert "converged" not in diagnostics and "iterations" not in diagnostics
     if "bound_gap" in diagnostics:
         # The worst-case bounds certify each bound by a witness and a dual.
         gap = diagnostics["bound_gap"]

@@ -16,7 +16,7 @@ from repro.measurement import (
     counter_names,
     rates_from_poll_matrix,
 )
-from repro.measurement.snmp import classify_counter_deltas
+from repro.measurement.snmp import CounterWidths, classify_counter_deltas
 
 #: Bytes one 300 s interval carries at 1 Mbit/s.
 MBPS_INTERVAL_BYTES = 300 * 125_000
@@ -297,7 +297,7 @@ def _classify(previous, current, elapsed=300.0, usable=True, counter_bits=64):
         np.asarray(current, dtype=np.uint64),
         np.broadcast_to(np.asarray(elapsed, dtype=float), shape).copy(),
         np.broadcast_to(np.asarray(usable, dtype=bool), shape).copy(),
-        counter_bits,
+        CounterWidths(counter_bits),
     )
 
 

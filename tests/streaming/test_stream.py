@@ -7,7 +7,15 @@ import pytest
 
 from repro.errors import StreamingError
 from repro.measurement.collector import counter_names
-from repro.measurement.snmp import PollMatrix, SNMPPoller, rates_from_poll_matrix
+from repro.measurement.snmp import CounterWidths, PollMatrix, SNMPPoller, rates_from_poll_matrix
+from repro.resilience.faults import (
+    ClockSkew,
+    CollectorOutage,
+    Counter32Wrap,
+    CounterReset,
+    PollLossBurst,
+    fault_plan,
+)
 from repro.streaming import CounterTracker, PollStream
 
 
@@ -18,11 +26,11 @@ def _drive_tracker(polls: PollMatrix) -> tuple[np.ndarray, np.ndarray]:
     round only primes the tracker, so there are ``rounds - 1`` rows).
     """
     tracker = CounterTracker(polls.num_objects)
-    bits = np.full(polls.num_objects, polls.counter_bits, dtype=np.uint64)
+    widths = CounterWidths(np.full(polls.num_objects, polls.counter_bits, dtype=np.uint64))
     rates, fresh = [], []
     for index in range(polls.num_rounds):
         row_rates, row_fresh = tracker.observe(
-            polls.response_times[index], polls.counters[index], polls.lost[index], bits
+            polls.response_times[index], polls.counters[index], polls.lost[index], widths
         )
         if index > 0:
             rates.append(row_rates)
@@ -99,13 +107,13 @@ class TestCounterTrackerAgainstBatch:
         counters = np.cumsum(bytes_per_interval).astype(np.uint64)
         matrix = _poll_matrix(counters, lost=[[False], [True], [False]])
         tracker = CounterTracker(1)
-        bits = np.array([64], dtype=np.uint64)
+        widths = CounterWidths(np.array([64], dtype=np.uint64))
         for index in range(3):
             rates, fresh = tracker.observe(
                 matrix.response_times[index],
                 matrix.counters[index],
                 matrix.lost[index],
-                bits,
+                widths,
             )
         assert fresh[0]
         assert rates[0] == pytest.approx(200.0)
@@ -115,7 +123,7 @@ class TestCounterTrackerAgainstBatch:
         counters = np.array([0, bytes_100, 2 * bytes_100, 3 * bytes_100], dtype=np.uint64)
         matrix = _poll_matrix(counters, lost=[[False], [False], [True], [True]])
         tracker = CounterTracker(1)
-        bits = np.array([64], dtype=np.uint64)
+        widths = CounterWidths(np.array([64], dtype=np.uint64))
         observed = []
         for index in range(4):
             observed.append(
@@ -123,7 +131,7 @@ class TestCounterTrackerAgainstBatch:
                     matrix.response_times[index],
                     matrix.counters[index],
                     matrix.lost[index],
-                    bits,
+                    widths,
                 )
             )
         # Interval 1 derived normally; intervals 2 and 3 hold it.
@@ -175,12 +183,12 @@ class TestCounterTrackerClassification:
         # by more than half its space: a reset.
         per_interval = int(1e6 / 8.0 * 300.0)  # 1 Mbps for 300 s
         start = np.full(2, 2**32 - 10, dtype=np.uint64)
-        bits = np.array([32, 64], dtype=np.uint64)
+        widths = CounterWidths(np.array([32, 64], dtype=np.uint64))
         lost = np.zeros(2, dtype=bool)
         tracker = CounterTracker(2)
-        tracker.observe(np.zeros(2), start, lost, bits)
+        tracker.observe(np.zeros(2), start, lost, widths)
         rates, fresh = tracker.observe(
-            np.full(2, 300.0), np.full(2, per_interval - 10, dtype=np.uint64), lost, bits
+            np.full(2, 300.0), np.full(2, per_interval - 10, dtype=np.uint64), lost, widths
         )
         assert fresh.tolist() == [True, False]
         assert rates[0] == pytest.approx(1.0)
@@ -192,7 +200,7 @@ class TestCounterTrackerClassification:
         with pytest.raises(StreamingError):
             tracker.observe(
                 np.zeros(2), np.zeros(3, dtype=np.uint64), np.zeros(3, dtype=bool),
-                np.full(3, 64, dtype=np.uint64),
+                CounterWidths(np.full(3, 64, dtype=np.uint64)),
             )
 
 
@@ -224,6 +232,48 @@ class TestPollStream:
             np.testing.assert_array_equal(stream.counters[:, cols], matrix.counters)
             np.testing.assert_array_equal(stream.lost[:, cols], matrix.lost)
             assert np.all(stream.object_bits[cols] == matrix.counter_bits)
+
+    @pytest.mark.parametrize("num_pollers", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["counter32", "fault-plan"])
+    def test_from_collector_is_the_generic_stream_in_counter_order(
+        self, stream_scenario, collector_factory, num_pollers, variant
+    ):
+        options = dict(num_pollers=num_pollers, jitter_std_seconds=1.0, loss_probability=0.2)
+        if variant == "counter32":
+            options["counter_bits"] = 32
+        else:
+            options["fault_plan"] = fault_plan(
+                PollLossBurst(start_round=2, num_rounds=2, fraction=0.5),
+                CollectorOutage(poller_index=0, start_round=5, num_rounds=3),
+                Counter32Wrap(),
+                ClockSkew(offset_seconds=8.0, start_round=6),
+                CounterReset(round_index=9),
+                seed=7,
+            )
+        series = stream_scenario.day_series
+        stream = PollStream.from_collector(collector_factory(**options), series)
+        generic = PollStream(collector_factory(**options).poll_matrices(series))
+        names = counter_names(stream_scenario.routing)
+        column = {name: col for col, name in enumerate(generic.object_names)}
+        order = [column[name] for name in names]
+        assert stream.object_names == names
+        # One poller's matrix is already in counter order; more interleave it.
+        assert (generic.object_names == names) == (num_pollers == 1)
+        for attribute in ("response_times", "counters", "lost"):
+            drawn, expected = getattr(stream, attribute), getattr(generic, attribute)[:, order]
+            assert drawn.dtype == expected.dtype
+            np.testing.assert_array_equal(drawn, expected)
+        np.testing.assert_array_equal(stream.object_bits, generic.object_bits[order])
+        np.testing.assert_array_equal(stream.widths.bits, generic.widths.bits[order])
+        np.testing.assert_array_equal(stream.scheduled_times, generic.scheduled_times)
+        assert stream.lost.any()
+        assert (stream.object_bits == 32).all()
+
+    def test_from_collector_checks_each_pollers_slice(self, stream_scenario, collector_factory):
+        collector = collector_factory(num_pollers=2)
+        collector.assignments.reverse()
+        with pytest.raises(StreamingError, match="slice"):
+            PollStream.from_collector(collector, stream_scenario.day_series)
 
     def test_rounds_are_read_only_row_views(self, stream_scenario, collector_factory):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)

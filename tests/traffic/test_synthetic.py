@@ -11,6 +11,8 @@ from repro.traffic import (
     ScalingLaw,
     SyntheticTrafficConfig,
     SyntheticTrafficModel,
+    TrafficMatrix,
+    american_profile,
     base_demand_matrix,
     european_profile,
     poisson_series,
@@ -136,6 +138,68 @@ class TestSyntheticModel:
             model.generate_series(0)
         with pytest.raises(TrafficError):
             model.generate_day(interval_seconds=0.0)
+
+
+class NormalDrawModel(SyntheticTrafficModel):
+    """The model drawing each snapshot with ``Generator.normal(loc, scale)``."""
+
+    def snapshot_at(self, time_seconds: float) -> TrafficMatrix:
+        mean = self.mean_at(time_seconds)
+        std = np.sqrt(self.config.scaling_law.variance(mean))
+        values = np.maximum(self._rng.normal(loc=mean, scale=std), 0.0)
+        return TrafficMatrix(self.base_matrix.pairs, values)
+
+
+class TestSnapshotDraws:
+    """``snapshot_at`` scales standard normal draws in place, bit for bit."""
+
+    CASES = {
+        "europe-like": (
+            12,
+            SyntheticTrafficConfig(
+                total_traffic_mbps=12_000.0,
+                gravity_distortion=0.45,
+                scaling_law=ScalingLaw(phi=0.8, c=1.6),
+            ),
+        ),
+        "america-like": (
+            25,
+            SyntheticTrafficConfig(
+                total_traffic_mbps=35_000.0,
+                gravity_distortion=1.3,
+                scaling_law=ScalingLaw(phi=2.4, c=1.5),
+                fanout_jitter=0.04,
+                origin_phase_spread_hours=1.5,
+            ),
+        ),
+        "large-60": (
+            60,
+            SyntheticTrafficConfig(
+                total_traffic_mbps=36_000.0,
+                gravity_distortion=0.7,
+                origin_phase_spread_hours=0.75,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("span", ["series", "day"])
+    def test_equal_to_normal_draws(self, case, span):
+        num_nodes, config = self.CASES[case]
+        network = random_backbone(num_nodes, avg_degree=3.0, seed=num_nodes)
+        base = base_demand_matrix(network, config, seed=1)
+        models = [
+            cls(network, base, profile=american_profile(), config=config, seed=2)
+            for cls in (SyntheticTrafficModel, NormalDrawModel)
+        ]
+        if span == "series":
+            days = [model.generate_series(48, start_time_seconds=16.0 * 3600) for model in models]
+        else:
+            days = [model.generate_day() for model in models]
+        drawn, expected = (day.as_array() for day in days)
+        assert drawn.tobytes() == expected.tobytes()
+        # Some draws were truncated at zero, so the comparison covers that too.
+        assert (drawn == 0.0).any()
 
 
 class TestPoissonSeries:

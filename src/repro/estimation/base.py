@@ -295,11 +295,7 @@ class EstimationProblem:
             (np.ones(self.num_pairs), (codes, columns)), shape=(num_labels, self.num_pairs)
         )
 
-    def augmented_system(
-        self,
-        include_origin_totals: bool = True,
-        include_destination_totals: bool = True,
-    ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    def augmented_system(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """Routing constraints augmented with edge-total rows.
 
         The paper's network view includes the access/peering links over
@@ -307,29 +303,24 @@ class EstimationProblem:
         the per-node totals ``t_e(n)`` and ``t_x(m)``.  Each total adds one
         linear constraint: the sum of demands originating at (terminating
         at) the node equals the measured total.  The worst-case-bound
-        estimator uses this augmented system; other methods may opt in.
+        estimator uses this augmented system.
 
         Returns ``(matrix, rhs)`` where ``matrix`` is the CSR stack of the
-        routing matrix and the requested total rows and ``rhs`` stacks the
-        link-load snapshot and the totals.  Results are cached in the shared
-        workspace per flag combination, so treat them as read-only.
+        routing matrix and the rows of whichever totals the problem carries
+        and ``rhs`` stacks the link-load snapshot and those totals.  The
+        result is cached in the shared workspace, so treat it as read-only.
         """
-        key = ("augmented_system", bool(include_origin_totals), bool(include_destination_totals))
-        return self.shared(
-            key, lambda: self._stack_totals(include_origin_totals, include_destination_totals)
-        )
+        return self.shared(("augmented_system",), self._stack_totals)
 
-    def _stack_totals(
-        self, include_origin_totals: bool, include_destination_totals: bool
-    ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    def _stack_totals(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """:meth:`augmented_system` without the cache."""
         rows = [self.routing.native]
         rhs = [self.snapshot]
         origins, destinations, origin_codes, destination_codes = self.pair_positions()
-        if include_origin_totals and self.origin_totals is not None:
+        if self.origin_totals is not None:
             rows.append(self._incidence_block(len(origins), origin_codes))
             rhs.append(self.origin_totals)
-        if include_destination_totals and self.destination_totals is not None:
+        if self.destination_totals is not None:
             rows.append(self._incidence_block(len(destinations), destination_codes))
             rhs.append(self.destination_totals)
         return scipy.sparse.vstack(rows, format="csr"), np.concatenate(rhs)

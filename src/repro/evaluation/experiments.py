@@ -237,14 +237,6 @@ class _SpecOutcome:
     degradation: Optional[dict] = None
 
 
-def _evaluate_spec_guarded(
-    spec: MethodSpec, problem: Any, prior: Optional[np.ndarray], skip_errors: bool
-) -> _SpecOutcome:
-    """One spec evaluation inside an ``experiment.spec`` stage span."""
-    with telemetry.span("experiment.spec", spec=spec.label):
-        return _evaluate_spec_impl(spec, problem, prior, skip_errors)
-
-
 def _evaluate_spec_impl(
     spec: MethodSpec, problem: Any, prior: Optional[np.ndarray], skip_errors: bool
 ) -> _SpecOutcome:
@@ -294,15 +286,17 @@ def _evaluate_spec_pooled(
     spec: MethodSpec, problems_ref: Any, problem_key: Any, prior: Optional[np.ndarray],
     skip_errors: bool,
 ) -> _SpecOutcome:
-    """Pool entry point: the shared problems arrive as a shared-payload ref.
+    """One spec evaluation inside an ``experiment.spec`` stage span.
 
-    The problems (each carrying its routing matrix) are registered once via
+    The shared problems (each carrying its routing matrix) arrive as a
+    shared-payload ref, registered once via
     :func:`repro.parallel.share_payload`: fork workers inherit them without
     pickling anything, spawn workers receive them once per worker through
     the executor initializer — never once per spec.
     """
     problems = resolve_payload(problems_ref)
-    return _evaluate_spec_guarded(spec, problems[problem_key], prior, skip_errors)
+    with telemetry.span("experiment.spec", spec=spec.label):
+        return _evaluate_spec_impl(spec, problems[problem_key], prior, skip_errors)
 
 
 @dataclass(frozen=True)
@@ -367,16 +361,16 @@ def estimate_method_specs(
     per distinct window, and ``prior_from`` references resolve against
     earlier specs in the list.
 
-    With ``n_jobs > 1`` (or ``None`` for all cores) the shared problems are
-    still built exactly once, and the specs are evaluated concurrently in
-    dependency waves: every spec whose ``prior_from`` estimate is already
+    The shared problems are built exactly once, and the specs are evaluated
+    in dependency waves: every spec whose ``prior_from`` estimate is already
     available runs in the current wave, so independent specs never wait on
     each other.  Each wave runs through
-    :func:`repro.parallel.run_supervised_tasks`, so a worker crash or a
-    task exceeding ``task_timeout`` seconds is resubmitted (up to
-    ``max_resubmissions`` times) and finally re-executed serially instead
-    of aborting the batch.  The results — values and order — are identical
-    to the serial run.
+    :func:`repro.parallel.run_supervised_tasks`: in this process with one
+    job, concurrently with ``n_jobs > 1`` (or ``None`` for all cores), where
+    a worker crash or a task exceeding ``task_timeout`` seconds is
+    resubmitted (up to ``max_resubmissions`` times) and finally re-executed
+    serially instead of aborting the batch.  The results — values and
+    order — do not depend on ``n_jobs``.
 
     With ``skip_errors`` a failing spec yields a ``SpecEstimate`` whose
     ``estimate`` is ``None`` and whose ``failure`` carries the structured
@@ -410,7 +404,7 @@ def _estimate_method_specs_impl(
                 f"spec {spec.label!r} references {spec.prior_from!r}, "
                 "which has not run yet"
             )
-        # The serial loop resolves a label to its most recent earlier run.
+        # A label resolves to its most recent earlier run.
         prior_source[position] = earlier[-1]
 
     snapshot_truth = scenario.busy_mean_matrix()
@@ -456,65 +450,54 @@ def _estimate_method_specs_impl(
 
     results: dict[int, _SpecOutcome] = {}
     jobs = effective_jobs(n_jobs, len(specs), error=EstimationError)
-    if jobs == 1:
-        for position, spec in enumerate(specs):
-            problem, _, _ = resolve_data(spec)
-            prior = None
-            if position in prior_source:
-                prior = results[prior_source[position]].vector
-                if prior is None:
-                    results[position] = skipped_prior(position)
-                    continue
-            results[position] = _evaluate_spec_guarded(spec, problem, prior, skip_errors)
-    else:
-        # The shared problems travel as one payload reference: fork workers
-        # inherit them copy-on-write, spawn workers receive them once per
-        # worker; waves then submit only the spec, a problem key and the
-        # prior vector.
-        shared_problems = {problem_key(spec): resolve_data(spec)[0] for spec in specs}
-        problems_ref = share_payload(shared_problems)
-        pending = list(range(len(specs)))
-        try:
-            while pending:
-                wave = [
-                    position
-                    for position in pending
-                    if prior_source.get(position, -1) in results
-                    or position not in prior_source
-                ]
-                runnable: list[int] = []
-                wave_priors: dict[int, Optional[np.ndarray]] = {}
-                for position in wave:
-                    prior = None
-                    if position in prior_source:
-                        prior = results[prior_source[position]].vector
-                        if prior is None:
-                            results[position] = skipped_prior(position)
-                            continue
-                    wave_priors[position] = prior
-                    runnable.append(position)
-                if runnable:
-                    wave_results, _pool_report = run_supervised_tasks(
-                        _evaluate_spec_pooled,
-                        [
-                            (
-                                specs[position],
-                                problems_ref,
-                                problem_key(specs[position]),
-                                wave_priors[position],
-                                skip_errors,
-                            )
-                            for position in runnable
-                        ],
-                        jobs=jobs,
-                        timeout=task_timeout,
-                        max_resubmissions=max_resubmissions,
-                    )
-                    for position, outcome in zip(runnable, wave_results):
-                        results[position] = outcome
-                pending = [position for position in pending if position not in wave]
-        finally:
-            release_payload(problems_ref)
+    # The shared problems travel as one payload reference: fork workers
+    # inherit them copy-on-write, spawn workers receive them once per
+    # worker; waves then submit only the spec, a problem key and the prior
+    # vector.  With one job every wave runs in this process.
+    shared_problems = {problem_key(spec): resolve_data(spec)[0] for spec in specs}
+    problems_ref = share_payload(shared_problems)
+    pending = list(range(len(specs)))
+    try:
+        while pending:
+            wave = [
+                position
+                for position in pending
+                if prior_source.get(position, -1) in results
+                or position not in prior_source
+            ]
+            runnable: list[int] = []
+            wave_priors: dict[int, Optional[np.ndarray]] = {}
+            for position in wave:
+                prior = None
+                if position in prior_source:
+                    prior = results[prior_source[position]].vector
+                    if prior is None:
+                        results[position] = skipped_prior(position)
+                        continue
+                wave_priors[position] = prior
+                runnable.append(position)
+            if runnable:
+                wave_results, _pool_report = run_supervised_tasks(
+                    _evaluate_spec_pooled,
+                    [
+                        (
+                            specs[position],
+                            problems_ref,
+                            problem_key(specs[position]),
+                            wave_priors[position],
+                            skip_errors,
+                        )
+                        for position in runnable
+                    ],
+                    jobs=jobs,
+                    timeout=task_timeout,
+                    max_resubmissions=max_resubmissions,
+                )
+                for position, outcome in zip(runnable, wave_results):
+                    results[position] = outcome
+            pending = [position for position in pending if position not in wave]
+    finally:
+        release_payload(problems_ref)
 
     estimates: list[SpecEstimate] = []
     for position, spec in enumerate(specs):

@@ -359,8 +359,14 @@ class SNMPPoller:
         scheduled = start_time + self.interval_seconds * np.arange(num_intervals + 1)
         response = np.empty((num_intervals + 1, self.num_objects))
         lost = np.empty((num_intervals + 1, self.num_objects), dtype=bool)
-        for row in range(num_intervals + 1):
-            response[row], lost[row] = self._poll_arrays(float(scheduled[row]))
+        if self.jitter_std_seconds == 0 and self.loss_probability == 0:
+            # Every draw would be |0 * z| jitter and a loss test against 0,
+            # and the generator feeds nothing else, so skip the draws.
+            response[:] = scheduled[:, None]
+            lost[:] = False
+        else:
+            for row in range(num_intervals + 1):
+                response[row], lost[row] = self._poll_arrays(float(scheduled[row]))
         polls = PollMatrix(
             object_names=self.object_names,
             scheduled_times=scheduled,

@@ -63,6 +63,9 @@ _TIGHT_TOLERANCE = 1e-9
 #: A coordinate is pinned when its leverage score is within this of one.
 _PIN_TOLERANCE = 1e-10
 
+#: Interval-propagation rounds of the presolve's lower bounds.
+_PROPAGATION_ROUNDS = 3
+
 #: Solution values below this certify "this coordinate can be zero".
 _ZERO_WITNESS_TOLERANCE = 1e-11
 
@@ -231,7 +234,6 @@ def _checked_system(
 def presolve_variable_bounds(
     matrix: Union[np.ndarray, scipy.sparse.spmatrix],
     rhs: np.ndarray,
-    propagation_rounds: int = 3,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Structural bounds on every coordinate of ``{x >= 0 : A x = b}``.
 
@@ -241,8 +243,8 @@ def presolve_variable_bounds(
       "minimum traversed link load" bound (``inf`` when no row covers the
       variable);
     * ``lower[p]`` from interval propagation: a row's load minus the upper
-      bounds of every competing variable on that row, iterated
-      ``propagation_rounds`` times;
+      bounds of every competing variable on that row, iterated up to
+      three times;
     * ``pinned`` marks coordinates whose leverage score is one; for those,
       ``lower == upper`` equals the unique value the equality system allows.
 
@@ -250,14 +252,14 @@ def presolve_variable_bounds(
     valid for any feasible system; infeasibility is *not* detected here.
     """
     csr, rhs = _checked_system(matrix, rhs)
-    lower, upper = _combinatorial_bounds(csr, rhs, propagation_rounds)
+    lower, upper = _combinatorial_bounds(csr, rhs)
     pinned, duals = _leverage_pins(csr)
     lower[pinned] = upper[pinned] = np.maximum(duals @ rhs, 0.0)
     return lower, upper, pinned
 
 
 def _combinatorial_bounds(
-    csr: scipy.sparse.csr_matrix, rhs: np.ndarray, propagation_rounds: int = 3
+    csr: scipy.sparse.csr_matrix, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The row-by-row ``(lower, upper)`` of :func:`presolve_variable_bounds`."""
     num_rows, num_vars = csr.shape
@@ -277,7 +279,7 @@ def _combinatorial_bounds(
     if combinatorial and len(vals):
         covered = np.zeros(num_vars, dtype=bool)
         covered[cols] = True
-        for _ in range(max(1, propagation_rounds)):
+        for _ in range(_PROPAGATION_ROUNDS):
             finite = np.isfinite(upper)
             capped = np.where(finite, upper, 0.0)
             row_cap = np.zeros(num_rows)

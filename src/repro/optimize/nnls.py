@@ -51,6 +51,9 @@ __all__ = [
 #: Bound on :func:`kkt_residual` that counts as an exact, converged solve.
 KKT_TOLERANCE = 1e-10
 
+#: Block-pivoting rounds per column in :func:`nnls_normal_equations_batch`.
+_MAX_PIVOT_ROUNDS = 100
+
 
 @dataclass(frozen=True)
 class NNLSResult:
@@ -131,9 +134,7 @@ def nnls_active_set(A: np.ndarray, b: np.ndarray) -> NNLSResult:
 
 
 def nnls_normal_equations_batch(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    max_pivot_rounds: int = 100,
+    gram: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact NNLS for many right-hand sides sharing one positive-definite Gram.
 
@@ -164,8 +165,6 @@ def nnls_normal_equations_batch(
         rhs = rhs[:, None]
     if rhs.ndim != 2 or rhs.shape[0] != gram.shape[0]:
         raise SolverError(f"rhs has shape {rhs.shape}, expected ({gram.shape[0]}, K)")
-    if max_pivot_rounds <= 0:
-        raise SolverError("max_pivot_rounds must be positive")
 
     num_vars, num_rhs = rhs.shape
     try:
@@ -188,7 +187,7 @@ def nnls_normal_equations_batch(
         best_violations = np.inf
         backup_budget = 3
         solved = False
-        for _ in range(max_pivot_rounds):
+        for _ in range(_MAX_PIVOT_ROUNDS):
             budget_tick()
             # Equality-constrained solve (x[active] = 0) from the cached inverse:
             # x = z - G^{-1}[:, A] lambda with G^{-1}[A, A] lambda = z[A]; the

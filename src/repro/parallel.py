@@ -11,11 +11,12 @@ as the caller's own exception type).
 
 The CPU clamp matters: spawning worker processes on a single-core box (or
 asking for more workers than cores for CPU-bound work) pays interpreter
-start-up and pickling for zero concurrency — the BENCH_PR3 record showed a
-parallel run *slower* than serial at ``cpu_count: 1`` for exactly this
-reason.  Every engine skips pool creation entirely whenever the resolved
-job count is 1, so tiny batches and single-core machines always take the
-plain serial loop.
+start-up and pickling for zero concurrency — the experiment-engine
+benchmark once read a parallel run *slower* than serial at
+``cpu_count: 1`` for exactly this reason.  Every engine skips pool
+creation entirely whenever the resolved job count is 1
+(:func:`run_supervised_tasks` then runs each task in the parent), so tiny
+batches and single-core machines always take the plain serial loop.
 
 The second half of this module is the **shared-payload** machinery: a way
 to hand large read-only objects (routing matrices, what-if engines, method

@@ -294,23 +294,17 @@ def failure_sweep(
 
     jobs = effective_jobs(n_jobs, len(cases), error=PlanningError)
     with telemetry.span("planning.failure_sweep", cases=len(cases), jobs=jobs):
-        if jobs == 1:
-            case_records = [
-                _evaluate_case(case, engine, scenario.name, estimates, growth)
-                for case in cases
-            ]
-        else:
-            state_ref = share_payload((engine, scenario.name, estimates, growth))
-            try:
-                case_records, _pool_report = run_supervised_tasks(
-                    _evaluate_case_pooled,
-                    [(case, state_ref) for case in cases],
-                    jobs=jobs,
-                    timeout=task_timeout,
-                    max_resubmissions=max_resubmissions,
-                )
-            finally:
-                release_payload(state_ref)
+        state_ref = share_payload((engine, scenario.name, estimates, growth))
+        try:
+            case_records, _pool_report = run_supervised_tasks(
+                _evaluate_case_pooled,
+                [(case, state_ref) for case in cases],
+                jobs=jobs,
+                timeout=task_timeout,
+                max_resubmissions=max_resubmissions,
+            )
+        finally:
+            release_payload(state_ref)
     return [record for case in case_records for record in case]
 
 

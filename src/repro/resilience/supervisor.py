@@ -57,9 +57,9 @@ class SupervisedEstimator(Estimator):
         Registry names tried in order when the primary fails.  The
         defaults end in ``"gravity"``, which needs no solver and therefore
         cannot time out.
-    primary_params / fallback_params:
-        Constructor keyword arguments for the primary, and a
-        ``name -> kwargs`` mapping for fallbacks.
+    primary_params:
+        Constructor keyword arguments for the primary; fallbacks run with
+        their defaults.
     max_seconds / max_iterations:
         Per-attempt :class:`~repro.resilience.budget.SolverBudget`
         allowance; ``None`` leaves that axis unbounded (no budget at all
@@ -80,7 +80,6 @@ class SupervisedEstimator(Estimator):
         primary: str = "tomogravity",
         fallbacks: Sequence[str] = ("gravity",),
         primary_params: Optional[Mapping[str, object]] = None,
-        fallback_params: Optional[Mapping[str, Mapping[str, object]]] = None,
         max_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
         require_convergence: bool = False,
@@ -91,9 +90,6 @@ class SupervisedEstimator(Estimator):
         self.primary = str(primary)
         self.fallbacks = tuple(fallbacks)
         self.primary_params = dict(primary_params or {})
-        self.fallback_params = {
-            name: dict(params) for name, params in (fallback_params or {}).items()
-        }
         self.max_seconds = max_seconds
         self.max_iterations = max_iterations
         self.require_convergence = bool(require_convergence)
@@ -111,7 +107,7 @@ class SupervisedEstimator(Estimator):
         self, problem: EstimationProblem, series: bool
     ) -> tuple[object, DegradationReport]:
         steps: list[tuple[str, dict]] = [(self.primary, self.primary_params)]
-        steps.extend((name, self.fallback_params.get(name, {})) for name in self.fallbacks)
+        steps.extend((name, {}) for name in self.fallbacks)
 
         events: list[DegradationEvent] = []
         attempts = 0

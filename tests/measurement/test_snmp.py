@@ -96,6 +96,21 @@ class TestPoller:
         assert polls.num_rounds == 3
         np.testing.assert_array_equal(polls.scheduled_times, [0.0, 300.0, 600.0])
 
+    def test_zero_noise_schedule_equals_the_per_round_draws(self):
+        # Without jitter or loss the schedule skips the generator; over two
+        # calls its polls must equal a same-seed twin's per-round draws.
+        names = [f"o{i}" for i in range(5)]
+        poller = SNMPPoller(names, jitter_std_seconds=0.0, seed=7)
+        twin = SNMPPoller(names, jitter_std_seconds=0.0, seed=7)
+        rates = np.random.default_rng(0).uniform(10.0, 500.0, size=(7, 5))
+        start = 0.0
+        for block in (rates[:4], rates[4:]):
+            polls = poller.run_schedule_matrix(block, start_time=start)
+            draws = [twin._poll_arrays(float(t)) for t in polls.scheduled_times]
+            np.testing.assert_array_equal(polls.response_times, [r for r, _ in draws])
+            np.testing.assert_array_equal(polls.lost, [lost for _, lost in draws])
+            start = float(polls.scheduled_times[-1])
+
     def test_counter_width_must_be_32_or_64(self):
         for bits in (16, 63, 128):
             with pytest.raises(MeasurementError, match="32 or 64"):

@@ -63,7 +63,7 @@ class TestBatchedEqualsPairwise:
         from repro.topology.generators import random_backbone
 
         networks = [random_backbone(17, avg_degree=3.4, seed=seed) for seed in (0, 1, 2)]
-        # The N=50 topology of benchmarks/bench_large_scale.py.
+        # The topology of large_scenario(50, seed=2004).
         networks.append(random_backbone(50, avg_degree=3.0, seed=2004))
         for network in networks:
             router = ShortestPathRouter(network)

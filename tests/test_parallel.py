@@ -65,7 +65,7 @@ class TestEffectiveJobs:
         assert effective_jobs(8, 3) == 3
 
     def test_clamped_to_cpu_count(self, single_cpu):
-        # The BENCH_PR3 regression: n_jobs=2 on one core must resolve to 1.
+        # The experiment-engine regression: n_jobs=2 on one core must resolve to 1.
         assert effective_jobs(2, 6) == 1
 
     def test_none_means_all_cores_up_to_tasks(self, monkeypatch):

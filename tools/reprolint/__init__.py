@@ -1,7 +1,7 @@
 """reprolint — the repository's AST-based invariant checker.
 
 Four rule families guard the invariants PRs 1-6 established and the
-benchmarks in BENCH_PR*.json depend on:
+benchmark ledger (``BENCH.json``) depends on:
 
 * ``sparse-safety`` — no dense materialisation of routing operators
   outside allowlisted sites;

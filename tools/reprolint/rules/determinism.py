@@ -2,10 +2,11 @@
 
 The repository's records are only comparable because runs are
 reproducible: generators must rebuild bit-identical topologies
-(``large_scenario(n, seed)`` backs the BENCH_PR5/PR6 timings), serial and
-parallel experiment runs must produce identical records, and benchmark
-MRE numbers are pinned in committed JSON records.  One unseeded ``default_rng()`` in any of those paths turns
-a regression signal into noise.
+(``large_scenario(n, seed)`` backs the ledger's large-scale timings),
+serial and parallel experiment runs must produce identical records, and
+benchmark MRE numbers are pinned in committed JSON records.  One unseeded
+``default_rng()`` in any of those paths turns a regression signal into
+noise.
 
 The rule flags, in every checked file:
 

@@ -4,8 +4,9 @@ The PR 6 shared-payload machinery (:mod:`repro.parallel`) made the pool
 engines fast by shipping a ~100-byte token per task instead of re-pickling
 routing matrices — and made them *correct* by ensuring workers operate on
 an exact copy of the parent's objects, so serial and parallel runs emit
-identical records (an invariant pinned by the serial==parallel tests since
-BENCH_PR3).  Three coding mistakes silently break that contract:
+identical records (an invariant pinned by the serial==parallel tests and
+the ledger's experiment-engine tier).  Three coding mistakes silently break
+that contract:
 
 1. submitting a lambda, a nested function or a bound method to a process
    pool — unpicklable under spawn, and a closure can capture a routing

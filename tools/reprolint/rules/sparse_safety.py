@@ -1,13 +1,13 @@
 """``sparse-safety``: no dense materialisation of routing operators.
 
-PR 5/6 bought their scale wins (BENCH_PR5.json, BENCH_PR6.json) by keeping
-the ``(links x pairs)`` routing matrix in CSR end to end: the N=200 tier
-runs in an 18 MB tracemalloc peak where the dense path needs 191 MB, and
-flat tomogravity at N=500 in ~65 MB against a 2.99 GB dense allowance.  A
-single careless ``.toarray()`` — or an ``np.asarray`` / ``np.linalg``
-call, which silently densifies operator objects — on a hot path reverts
-that.  The tracemalloc guards in the benchmarks only catch the regression
-at bench time; this rule catches it at lint time.
+The sparse paths owe their scale to keeping the ``(links x pairs)``
+routing matrix in CSR end to end: the ledger's ``large-scale`` tier runs
+five estimators at N=500 with tracemalloc peaks of at most ~250 MB
+against the 2,994 MB dense routing footprint.  A single careless
+``.toarray()`` — or an ``np.asarray`` / ``np.linalg`` call, which silently
+densifies operator objects — on a hot path reverts that.  The tracemalloc
+guard in the benchmark only catches the regression at bench time; this
+rule catches it at lint time.
 
 The rule runs a light per-scope taint analysis: expressions are
 *routing-typed* when they come from

@@ -2,9 +2,10 @@
 
 A robustness grid evaluates every registered estimation method on measured
 (noisy) data for each ``(jitter, loss)`` combination.  The engine
-(``robustness_sweep(n_jobs=...)``) shares each cell's scenario problems
-across methods, runs every method's batched ``estimate_series``, and fans
-independent grid cells out over a process pool.
+(``robustness_sweep(n_jobs=...)``) runs each cell's methods as
+``registry_specs`` rows through ``run_method_specs`` — one shared series
+problem, every method's batched ``estimate_series`` — and fans independent
+grid cells out over a process pool.
 
 The tier times the grid serially and runs it again with ``n_jobs=2`` as a
 check, not a speed (on a 2-CPU host the pool costs more than the six cells
@@ -35,10 +36,13 @@ N_JOBS = 2
 
 
 def _same_record(a, b) -> bool:
-    """Two robustness records agree field for field (NaN MREs match NaN)."""
+    """Two robustness records agree field for field (NaN MREs match NaN).
+
+    ``failure`` compares by value: exception type, message, spec and stage.
+    """
     return (
-        (a.scenario, a.method, a.jitter_std_seconds, a.loss_probability, a.error)
-        == (b.scenario, b.method, b.jitter_std_seconds, b.loss_probability, b.error)
+        (a.scenario, a.method, a.jitter_std_seconds, a.loss_probability, a.failure)
+        == (b.scenario, b.method, b.jitter_std_seconds, b.loss_probability, b.failure)
         and ((math.isnan(a.mre) and math.isnan(b.mre)) or a.mre == b.mre)
     )
 

@@ -10,9 +10,9 @@ degrade *and report* instead of crashing:
 1. build a synthetic scenario and a composable :class:`FaultPlan`;
 2. collect measurements through the faulted pollers and derive rates
    (wraps recovered, resets interpolated, diagnostics counted);
-3. sweep estimators over the damaged archive with the ``supervised``
-   wrapper — a deliberately starved iteration budget forces the entropy
-   solver to fail and fall back down the chain;
+3. run estimators over the damaged archive as registry rows, one with the
+   ``supervised`` wrapper — a deliberately starved iteration budget forces
+   the entropy solver to fail and fall back down the chain;
 4. print each record's structured :class:`DegradationReport`.
 
 Re-run with a different ``CHAOS_SEED`` environment value to draw a fresh
@@ -29,6 +29,7 @@ import os
 import warnings
 
 from repro.datasets import small_scenario
+from repro.evaluation import registry_specs, run_method_specs
 from repro.resilience import (
     ClockSkew,
     CollectorOutage,
@@ -67,8 +68,8 @@ def main() -> None:
     print("3. Sweeping estimators over the damaged archive (budget-starved entropy)...")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        records = measured.sweep(
-            methods=[
+        rows = registry_specs(
+            [
                 "gravity",
                 "tomogravity",
                 (
@@ -81,8 +82,9 @@ def main() -> None:
                     },
                 ),
             ],
-            window_length=4,
+            window=4,
         )
+        records = run_method_specs(measured, rows, skip_errors=True)
     for warning in caught:
         print(f"   warning: {warning.message}")
 

@@ -12,9 +12,11 @@ ties together
 From these it derives the observable quantities the estimators are allowed
 to see — link-load snapshots and series, edge-node totals — packaged as
 :class:`~repro.estimation.base.EstimationProblem` objects, and the ground
-truth they are scored against.  :meth:`Scenario.sweep` scores every
-registered estimation method (or a chosen subset) over the series using the
-batched ``estimate_series`` path.
+truth they are scored against.  The experiment runners of
+:mod:`repro.evaluation.experiments` score estimation methods on them; its
+:func:`~repro.evaluation.experiments.registry_specs` rows run every
+registered method (or a chosen subset) over the series through the batched
+``estimate_series`` path.
 
 Two data modes feed the estimators:
 
@@ -26,7 +28,7 @@ Two data modes feed the estimators:
   Section 5.1.2 — distributed pollers, response jitter, UDP loss,
   interval-adjusted rates — over the day series and builds the estimation
   problems from the *measured* LSP matrix and *measured* link loads, while
-  the sweep still scores against the true series.  With zero jitter and
+  the runners still score against the true series.  With zero jitter and
   zero loss the measured problems coincide with the consistent ones (up to
   counter byte quantisation), which the test suite pins.
 """
@@ -34,59 +36,21 @@ Two data modes feed the estimators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import EstimationError, SolverError, TrafficError
-from repro.estimation.base import EstimationProblem, SeriesEstimationResult
+from repro.errors import TrafficError
+from repro.estimation.base import EstimationProblem
 from repro.measurement.collector import DistributedCollector
 from repro.measurement.linkloads import link_load_series
 from repro.measurement.snmp import RateDiagnostics
-from repro.resilience.report import FailureReason
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.topology.network import Network
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
-__all__ = ["Scenario", "MeasuredScenario", "SweepRecord"]
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """Score of one estimation method over a scenario's series.
-
-    Attributes
-    ----------
-    method:
-        Registry name of the method.
-    mre:
-        Mean relative error of the mean estimate against the window-mean
-        truth (the paper's headline metric), or ``NaN`` when skipped.
-    per_snapshot_mre:
-        MRE of each snapshot's estimate against that snapshot's truth.
-    error:
-        Human-readable skip reason (empty when the method ran); kept
-        alongside ``failure`` for backward compatibility.
-    failure:
-        Structured :class:`~repro.resilience.report.FailureReason`
-        (exception type, message, method, stage), ``None`` when it ran.
-    degradation:
-        The degradation-report dict the method attached to its diagnostics
-        (supervised estimators), ``None`` for a clean run.
-    """
-
-    method: str
-    mre: float
-    per_snapshot_mre: np.ndarray
-    error: str = ""
-    failure: Optional[FailureReason] = None
-    degradation: Optional[dict] = None
-
-    @property
-    def skipped(self) -> bool:
-        """Whether the method could not run on this scenario's data."""
-        return bool(self.error)
+__all__ = ["Scenario", "MeasuredScenario"]
 
 
 @dataclass
@@ -239,9 +203,9 @@ class Scenario:
         problems are built from the *measured* LSP matrix and link loads
         produced by a :class:`~repro.measurement.collector.DistributedCollector`
         run with the given jitter, loss and poller count — while the ground
-        truth (``busy_series`` and friends) stays the true series, so sweeps
-        and method comparisons score estimators on inconsistent data against
-        the real demands.
+        truth (``busy_series`` and friends) stays the true series, so the
+        experiment runners score estimators on inconsistent data against the
+        real demands.
 
         ``fault_plan`` (a :class:`~repro.resilience.faults.FaultPlan`)
         injects deterministic collection failures — loss bursts, counter
@@ -286,109 +250,6 @@ class Scenario:
         return WhatIfEngine(self.network, utilisation_threshold=utilisation_threshold)
 
     # ------------------------------------------------------------------
-    # method sweeps
-    # ------------------------------------------------------------------
-    def sweep(
-        self,
-        methods: Optional[Sequence[Union[str, tuple[str, Mapping]]]] = None,
-        window_length: Optional[int] = None,
-        skip_errors: bool = True,
-    ) -> list[SweepRecord]:
-        """Score estimation methods over the busy-period series.
-
-        Every method runs through its batched
-        :meth:`~repro.estimation.base.Estimator.estimate_series` path on one
-        shared series problem and is scored against the per-snapshot ground
-        truth, so new methods added to the registry are picked up without
-        touching any runner code.
-
-        Parameters
-        ----------
-        methods:
-            Method names (or ``(name, params)`` tuples) to run; defaults to
-            every registered estimator.
-        window_length:
-            Truncate the busy-period series to this many snapshots.
-        skip_errors:
-            When ``True`` (default), methods that cannot run on this
-            scenario's observables (or need constructor arguments) are
-            reported as skipped records instead of raising.
-        """
-        from repro.estimation.registry import available_estimators, get_estimator
-        from repro.evaluation.metrics import mean_relative_error
-
-        if methods is None:
-            methods = available_estimators()
-        problem = self.series_problem(window_length=window_length)
-        truth_series = self.busy_series()
-        if window_length is not None:
-            truth_series = truth_series.window(0, window_length)
-        truth_snapshots = [truth_series[k] for k in range(len(truth_series))]
-        truth_mean = truth_series.mean_matrix()
-
-        def skip_record(name: str, exc: Exception, stage: str) -> SweepRecord:
-            failure = FailureReason.from_exception(exc, spec=name, stage=stage)
-            return SweepRecord(
-                method=name,
-                mre=float("nan"),
-                per_snapshot_mre=np.array([]),
-                error=str(exc),
-                failure=failure,
-            )
-
-        records: list[SweepRecord] = []
-        with telemetry.span("scenario.sweep", scenario=self.name, methods=len(methods)):
-            records.extend(
-                self._sweep_entry(
-                    entry, problem, truth_snapshots, truth_mean, skip_errors, skip_record
-                )
-                for entry in methods
-            )
-        return [record for record in records if record is not None]
-
-    def _sweep_entry(
-        self,
-        entry: "Union[str, tuple[str, Mapping]]",
-        problem: EstimationProblem,
-        truth_snapshots: "list[TrafficMatrix]",
-        truth_mean: TrafficMatrix,
-        skip_errors: bool,
-        skip_record: "Callable[[str, Exception, str], SweepRecord]",
-    ) -> Optional[SweepRecord]:
-        """Score one method entry of :meth:`sweep` (split out for tracing)."""
-        from repro.estimation.registry import get_estimator
-        from repro.evaluation.metrics import mean_relative_error
-
-        name, params = entry if isinstance(entry, tuple) else (entry, {})
-        try:
-            # TypeError here means the params do not fit the estimator's
-            # constructor signature; past this point it would be a bug.
-            estimator = get_estimator(name, **dict(params))
-        except (EstimationError, TypeError) as exc:
-            if not skip_errors:
-                raise
-            return skip_record(name, exc, stage="construct")
-        try:
-            result: SeriesEstimationResult = estimator.estimate_series(problem)
-            per_snapshot = np.array(
-                [
-                    mean_relative_error(result.matrix(k), truth_snapshots[k])
-                    for k in range(len(result))
-                ]
-            )
-            mre = mean_relative_error(result.mean_matrix(), truth_mean)
-        except (EstimationError, SolverError) as exc:
-            if not skip_errors:
-                raise
-            return skip_record(name, exc, stage="estimate")
-        return SweepRecord(
-            method=name,
-            mre=mre,
-            per_snapshot_mre=per_snapshot,
-            degradation=result.diagnostics.get("degradation"),
-        )
-
-    # ------------------------------------------------------------------
     # descriptive statistics used by the data-analysis figures
     # ------------------------------------------------------------------
     def total_traffic_profile(self) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +277,7 @@ class MeasuredScenario(Scenario):
     """A scenario whose observables come from the SNMP measurement pipeline.
 
     Built with :meth:`Scenario.measured`.  The true ``day_series`` remains
-    the ground truth (``busy_series``, ``busy_mean_matrix`` and the sweep
+    the ground truth (``busy_series``, ``busy_mean_matrix`` and the runners'
     scoring are untouched), but :meth:`snapshot_problem` and
     :meth:`series_problem` hand the estimators the *measured* data instead
     of the consistent ``t = R s`` loads: link loads come from the polled

@@ -5,18 +5,18 @@
 * :mod:`~repro.evaluation.figures` — one data-series generator per figure of
   the paper;
 * :mod:`~repro.evaluation.experiments` — Table 1 / Table 2 runners, the
-  measurement-noise robustness sweep, and the record containers used by the
-  benchmark harness.
+  registry rows, the measurement-noise robustness sweep, and the one
+  experiment record they all return.
 """
 
 from repro.evaluation.experiments import (
     ExperimentRecord,
     MethodSpec,
-    RobustnessRecord,
     SpecEstimate,
     default_method_specs,
     estimate_method_specs,
     method_comparison,
+    registry_specs,
     robustness_sweep,
     robustness_table,
     run_method_specs,
@@ -41,12 +41,12 @@ __all__ = [
     "MethodSpec",
     "SpecEstimate",
     "default_method_specs",
+    "registry_specs",
     "estimate_method_specs",
     "run_method_specs",
     "vardi_table",
     "method_comparison",
     "summary_table",
-    "RobustnessRecord",
     "robustness_sweep",
     "robustness_table",
 ]

@@ -4,21 +4,24 @@
   on the busy-period series (K = 50 samples);
 * :func:`method_comparison` / :func:`summary_table` — Table 2: the best MRE
   achieved by every method on a scenario;
+* :func:`registry_specs` — registered methods as ``"series-mean"`` rows:
+  each scores the mean of its batched ``estimate_series`` against the
+  window-mean truth;
 * :func:`robustness_sweep` / :func:`robustness_table` — noise-robustness
   study: the MRE of every registered method as a function of SNMP jitter
   and UDP loss, on measured-data scenarios built with
   :meth:`~repro.datasets.scenarios.Scenario.measured`;
-* :class:`ExperimentRecord` — a small result container used by the
-  benchmark harness and by EXPERIMENTS.md generation.
+* :class:`ExperimentRecord` — the one result record of every runner.
 
 The runners are data-driven: a :class:`MethodSpec` names an estimator from
 the registry (:mod:`repro.estimation.registry`), its constructor
-parameters, and the data it consumes (snapshot or series window), so a new
-estimation method — or a new experiment layout — composes by building a
-spec list instead of editing the runner.  :func:`default_method_specs`
-reproduces the paper's Table 2 configuration.  The runners consume the
-scenario's ``snapshot_problem()`` / ``series_problem()`` accessors, so they
-work unchanged on both consistent and measured scenarios.
+parameters, and the data it consumes (snapshot, series window, or the mean
+of a series window's per-snapshot estimates), so a new estimation method —
+or a new experiment layout — composes by building a spec list instead of
+editing the runner.  :func:`default_method_specs` reproduces the paper's
+Table 2 configuration.  The runners consume the scenario's
+``snapshot_problem()`` / ``series_problem()`` accessors, so they work
+unchanged on both consistent and measured scenarios.
 
 Every runner takes an ``n_jobs`` parameter: the scenario problems are
 built **once** in the parent process and the independent units of work —
@@ -31,7 +34,7 @@ same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 from repro import telemetry
 from repro.datasets.scenarios import Scenario
 from repro.errors import EstimationError, SolverError
-from repro.estimation.registry import get_estimator
+from repro.estimation.registry import available_estimators, get_estimator
 from repro.evaluation.metrics import mean_relative_error
 from repro.parallel import (
     effective_jobs,
@@ -56,12 +59,12 @@ __all__ = [
     "MethodSpec",
     "SpecEstimate",
     "default_method_specs",
+    "registry_specs",
     "estimate_method_specs",
     "run_method_specs",
     "vardi_table",
     "method_comparison",
     "summary_table",
-    "RobustnessRecord",
     "robustness_sweep",
     "robustness_table",
 ]
@@ -88,6 +91,9 @@ class ExperimentRecord:
         The :class:`~repro.resilience.report.DegradationReport` dict the
         estimator attached to its diagnostics (supervised methods),
         ``None`` for a clean run.
+    jitter_std_seconds, loss_probability:
+        SNMP jitter and UDP loss of the collection run that measured the
+        data (:func:`robustness_sweep` cells); ``0.0`` on consistent data.
     """
 
     scenario: str
@@ -96,6 +102,8 @@ class ExperimentRecord:
     parameters: dict[str, float] = field(default_factory=dict)
     failure: Optional[FailureReason] = None
     degradation: Optional[dict] = None
+    jitter_std_seconds: float = 0.0
+    loss_probability: float = 0.0
 
     @property
     def skipped(self) -> bool:
@@ -118,10 +126,12 @@ class MethodSpec:
         :func:`repro.estimation.registry.get_estimator`.
     data:
         ``"snapshot"`` — estimate the busy-period mean from one consistent
-        snapshot; ``"series"`` — estimate from a link-load series window.
+        snapshot; ``"series"`` — estimate from a link-load series window;
+        ``"series-mean"`` — estimate every snapshot of the window with the
+        batched ``estimate_series`` and score their mean.
     window:
-        Series window length (``data="series"`` only; clamped to the busy
-        period).
+        Series window length (series kinds only; clamped to the busy
+        period, which is also the default).
     prior_from:
         Label of an earlier spec whose estimate vector is passed as this
         estimator's ``prior`` parameter (e.g. the Bayesian method re-using
@@ -136,9 +146,9 @@ class MethodSpec:
     prior_from: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.data not in ("snapshot", "series"):
+        if self.data not in ("snapshot", "series", "series-mean"):
             raise EstimationError(f"unknown method-spec data kind {self.data!r}")
-        if self.data == "series" and self.window is not None and self.window < 1:
+        if self.data != "snapshot" and self.window is not None and self.window < 1:
             raise EstimationError("series window must be at least 1")
 
 
@@ -197,6 +207,36 @@ def default_method_specs(
     return tuple(specs)
 
 
+def registry_specs(
+    methods: Optional[Sequence[Union[str, tuple[str, Mapping]]]] = None,
+    window: Optional[int] = None,
+) -> tuple[MethodSpec, ...]:
+    """Registered methods as ``"series-mean"`` rows, labelled by name.
+
+    ``methods`` holds registry names or ``(name, params)`` tuples and
+    defaults to every registered estimator; ``window`` is the series window
+    (default: the whole busy period).  Run the rows with
+    ``run_method_specs(scenario, rows, skip_errors=True)`` to record the
+    methods that cannot run on the scenario's observables, or need
+    constructor arguments, as skipped instead of raising.
+    """
+    if methods is None:
+        methods = available_estimators()
+    rows = []
+    for entry in methods:
+        name, params = entry if isinstance(entry, tuple) else (entry, {})
+        rows.append(
+            MethodSpec(
+                label=name,
+                estimator=name,
+                params=dict(params),
+                data="series-mean",
+                window=window,
+            )
+        )
+    return tuple(rows)
+
+
 def _recorded_parameters(spec: MethodSpec, window: Optional[int]) -> dict[str, float]:
     """Numeric parameters worth keeping in the experiment record."""
     parameters = {
@@ -248,38 +288,35 @@ def _evaluate_spec_impl(
     record *why* the method was skipped; without it the exception passes
     through unchanged (the historical contract of
     :func:`run_method_specs`).  A ``TypeError`` is only absorbed at
-    construction time (params that do not fit the estimator's signature,
-    the same rule ``Scenario.sweep`` applies); one raised *during*
-    estimation is a bug and always propagates.
+    construction time (params that do not fit the estimator's signature);
+    one raised *during* estimation is a bug and always propagates.  A
+    ``"series-mean"`` spec runs ``estimate_series`` and yields the mean of
+    its per-snapshot estimates.
     """
-    if not skip_errors:
-        result = _build_estimator(spec, prior).estimate(problem)
-        return _SpecOutcome(
-            vector=result.vector,
-            degradation=result.diagnostics.get("degradation"),
-        )
     try:
         estimator = _build_estimator(spec, prior)
     except (EstimationError, TypeError) as exc:
+        if not skip_errors:
+            raise
         return _SpecOutcome(
             vector=None,
-            failure=FailureReason.from_exception(
-                exc, spec=spec.label, stage="construct"
-            ),
+            failure=FailureReason.from_exception(exc, spec=spec.label, stage="construct"),
         )
     try:
-        result = estimator.estimate(problem)
+        if spec.data == "series-mean":
+            series = estimator.estimate_series(problem)
+            vector, diagnostics = series.mean_matrix().vector, series.diagnostics
+        else:
+            result = estimator.estimate(problem)
+            vector, diagnostics = result.vector, result.diagnostics
     except (EstimationError, SolverError) as exc:
+        if not skip_errors:
+            raise
         return _SpecOutcome(
             vector=None,
-            failure=FailureReason.from_exception(
-                exc, spec=spec.label, stage="estimate"
-            ),
+            failure=FailureReason.from_exception(exc, spec=spec.label, stage="estimate"),
         )
-    return _SpecOutcome(
-        vector=result.vector,
-        degradation=result.diagnostics.get("degradation"),
-    )
+    return _SpecOutcome(vector=vector, degradation=diagnostics.get("degradation"))
 
 
 def _evaluate_spec_pooled(
@@ -314,9 +351,6 @@ class SpecEstimate:
         snapshot specs, window mean for series specs).
     window:
         Effective series window, ``None`` for snapshot specs.
-    error:
-        Human-readable reason the spec was skipped (empty when it ran);
-        kept alongside ``failure`` for backward compatibility.
     failure:
         Structured :class:`~repro.resilience.report.FailureReason`
         (exception type, message, spec label, pipeline stage), ``None``
@@ -330,7 +364,6 @@ class SpecEstimate:
     estimate: Optional[TrafficMatrix]
     truth: TrafficMatrix
     window: Optional[int]
-    error: str = ""
     failure: Optional[FailureReason] = None
     degradation: Optional[dict] = None
 
@@ -342,7 +375,7 @@ class SpecEstimate:
     @property
     def skipped(self) -> bool:
         """Whether the spec could not run."""
-        return self.estimate is None
+        return self.failure is not None
 
 
 def estimate_method_specs(
@@ -357,9 +390,9 @@ def estimate_method_specs(
 
     This is the machinery behind :func:`run_method_specs` and the planning
     layer's :func:`repro.planning.sweep.failure_sweep`: snapshot specs share
-    one consistent snapshot problem, series specs share one series problem
-    per distinct window, and ``prior_from`` references resolve against
-    earlier specs in the list.
+    one snapshot problem, series and series-mean specs share one series
+    problem per distinct window, and ``prior_from`` references resolve
+    against earlier specs in the list.
 
     The shared problems are built exactly once, and the specs are evaluated
     in dependency waves: every spec whose ``prior_from`` estimate is already
@@ -407,30 +440,24 @@ def _estimate_method_specs_impl(
         # A label resolves to its most recent earlier run.
         prior_source[position] = earlier[-1]
 
-    snapshot_truth = scenario.busy_mean_matrix()
-    snapshot_problem = None
-    series_cache: dict[int, tuple[Any, Any]] = {}
-
-    def resolve_data(spec: MethodSpec) -> tuple[Any, Any, Optional[int]]:
-        nonlocal snapshot_problem
-        if spec.data == "snapshot":
-            if snapshot_problem is None:
-                # The default problem is built from the scenario's busy-period
-                # data (measured scenarios substitute the polled counters);
-                # the truth stays the true busy-period mean either way.
-                snapshot_problem = scenario.snapshot_problem()
-            return snapshot_problem, snapshot_truth, None
-        window = _spec_window(spec, scenario)
-        if window not in series_cache:
-            series_cache[window] = (
+    # One problem and one truth per window (``None`` is the snapshot), shared
+    # by every spec that reads it: "series" and "series-mean" rows of one
+    # window see the same problem.
+    windows = [_spec_window(spec, scenario) for spec in specs]
+    data: dict[Optional[int], tuple[Any, TrafficMatrix]] = {}
+    for window in windows:
+        if window in data:
+            continue
+        if window is None:
+            # Built from the scenario's busy-period data (measured scenarios
+            # substitute the polled counters); the truth stays the true
+            # busy-period mean either way.
+            data[None] = (scenario.snapshot_problem(), scenario.busy_mean_matrix())
+        else:
+            data[window] = (
                 scenario.series_problem(window_length=window),
                 scenario.busy_series().window(0, window).mean_matrix(),
             )
-        problem, truth = series_cache[window]
-        return problem, truth, window
-
-    def problem_key(spec: MethodSpec) -> tuple[str, Optional[int]]:
-        return (spec.data, _spec_window(spec, scenario))
 
     def skipped_prior(position: int) -> _SpecOutcome:
         source = prior_source[position]
@@ -454,8 +481,7 @@ def _estimate_method_specs_impl(
     # inherit them copy-on-write, spawn workers receive them once per
     # worker; waves then submit only the spec, a problem key and the prior
     # vector.  With one job every wave runs in this process.
-    shared_problems = {problem_key(spec): resolve_data(spec)[0] for spec in specs}
-    problems_ref = share_payload(shared_problems)
+    problems_ref = share_payload({window: problem for window, (problem, _) in data.items()})
     pending = list(range(len(specs)))
     try:
         while pending:
@@ -483,7 +509,7 @@ def _estimate_method_specs_impl(
                         (
                             specs[position],
                             problems_ref,
-                            problem_key(specs[position]),
+                            windows[position],
                             wave_priors[position],
                             skip_errors,
                         )
@@ -501,7 +527,8 @@ def _estimate_method_specs_impl(
 
     estimates: list[SpecEstimate] = []
     for position, spec in enumerate(specs):
-        problem, truth, window = resolve_data(spec)
+        window = windows[position]
+        problem, truth = data[window]
         outcome = results[position]
         estimates.append(
             SpecEstimate(
@@ -513,7 +540,6 @@ def _estimate_method_specs_impl(
                 ),
                 truth=truth,
                 window=window,
-                error=outcome.failure.describe() if outcome.failure else "",
                 failure=outcome.failure,
                 degradation=outcome.degradation,
             )
@@ -618,118 +644,35 @@ def summary_table(records: Sequence[ExperimentRecord]) -> dict[str, dict[str, fl
     return table
 
 
-@dataclass(frozen=True)
-class RobustnessRecord:
-    """MRE of one method on one scenario at one measurement-noise level.
-
-    Attributes
-    ----------
-    scenario:
-        Scenario name.
-    method:
-        Registry name of the estimation method.
-    jitter_std_seconds:
-        SNMP response-jitter standard deviation of the collection run.
-    loss_probability:
-        Per-poll UDP loss probability of the collection run.
-    mre:
-        Mean relative error of the method's mean estimate against the true
-        busy-window mean (``NaN`` when the method was skipped).
-    error:
-        Why the method was skipped (empty when it ran).
-    failure:
-        Structured skip reason (``None`` when the method ran).
-    degradation:
-        Degradation-report dict from the method's diagnostics
-        (supervised methods), ``None`` for a clean run.
-    """
-
-    scenario: str
-    method: str
-    jitter_std_seconds: float
-    loss_probability: float
-    mre: float
-    error: str = ""
-    failure: Optional[FailureReason] = None
-    degradation: Optional[dict] = None
-
-    @property
-    def skipped(self) -> bool:
-        """Whether the method could not run at this noise level."""
-        return bool(self.error)
-
-
 def _robustness_cell(
     scenario: Scenario,
     jitter: float,
     loss: float,
-    methods: Optional[Sequence[Union[str, tuple[str, Mapping]]]],
-    window_length: Optional[int],
-    num_pollers: int,
-    seed: Optional[int],
-    skip_errors: bool,
-    fault_plan: Optional[Any] = None,
-    counter_bits: int = 64,
-) -> list[RobustnessRecord]:
-    """One ``(scenario, jitter, loss)`` grid cell, as its own unit of work.
-
-    Module-level so a process pool can pickle it; the serial loop calls it
-    directly, which is what makes parallel and serial runs byte-identical.
-    """
-    with telemetry.span(
-        "robustness.cell", scenario=scenario.name, jitter=float(jitter), loss=float(loss)
-    ):
-        return _robustness_cell_impl(
-            scenario,
-            jitter,
-            loss,
-            methods,
-            window_length,
-            num_pollers,
-            seed,
-            skip_errors,
-            fault_plan,
-            counter_bits,
-        )
-
-
-def _robustness_cell_impl(
-    scenario: Scenario,
-    jitter: float,
-    loss: float,
-    methods: Optional[Sequence[Union[str, tuple[str, Mapping]]]],
-    window_length: Optional[int],
+    rows: Sequence[MethodSpec],
     num_pollers: int,
     seed: Optional[int],
     skip_errors: bool,
     fault_plan: Optional[Any],
     counter_bits: int,
-) -> list[RobustnessRecord]:
-    measured = scenario.measured(
-        jitter_std_seconds=float(jitter),
-        loss_probability=float(loss),
-        num_pollers=num_pollers,
-        seed=seed,
-        fault_plan=fault_plan,
-        counter_bits=counter_bits,
-    )
-    return [
-        RobustnessRecord(
-            scenario=scenario.name,
-            method=sweep_record.method,
-            jitter_std_seconds=float(jitter),
-            loss_probability=float(loss),
-            mre=sweep_record.mre,
-            error=sweep_record.error,
-            failure=sweep_record.failure,
-            degradation=sweep_record.degradation,
+) -> list[ExperimentRecord]:
+    """One ``(scenario, jitter, loss)`` grid cell, as its own unit of work.
+
+    Module-level so a process pool can pickle it; the serial loop calls it
+    directly, which is what makes parallel and serial runs byte-identical.
+    """
+    with telemetry.span("robustness.cell", scenario=scenario.name, jitter=jitter, loss=loss):
+        measured = scenario.measured(
+            jitter_std_seconds=jitter,
+            loss_probability=loss,
+            num_pollers=num_pollers,
+            seed=seed,
+            fault_plan=fault_plan,
+            counter_bits=counter_bits,
         )
-        for sweep_record in measured.sweep(
-            methods=methods,
-            window_length=window_length,
-            skip_errors=skip_errors,
-        )
-    ]
+        return [
+            replace(record, jitter_std_seconds=jitter, loss_probability=loss)
+            for record in run_method_specs(measured, rows, skip_errors=skip_errors)
+        ]
 
 
 def robustness_sweep(
@@ -746,16 +689,18 @@ def robustness_sweep(
     counter_bits: int = 64,
     task_timeout: Optional[float] = None,
     max_resubmissions: int = 1,
-) -> list[RobustnessRecord]:
+) -> list[ExperimentRecord]:
     """Score estimation methods on measured data across noise levels.
 
     For every scenario and every ``(jitter, loss)`` combination this builds
     a measured-data view with :meth:`~repro.datasets.scenarios.Scenario.measured`
     — running the full SNMP collection pipeline over the day series — and
-    sweeps the requested methods (default: every registered estimator) over
-    the measured busy window, scoring each against the *true* series.  The
-    result quantifies how gracefully each method degrades as the link-load
-    data becomes inconsistent, the sensitivity study the paper leaves open.
+    runs the requested methods (default: every registered estimator) as
+    :func:`registry_specs` rows over the measured busy window, scoring each
+    against the *true* series; every record carries its cell's jitter and
+    loss.  The result quantifies how gracefully each method degrades as the
+    link-load data becomes inconsistent, the sensitivity study the paper
+    leaves open.
 
     Parameters
     ----------
@@ -765,8 +710,11 @@ def robustness_sweep(
         The measurement-noise grid (the full cross product is evaluated;
         jitter in seconds of response-time standard deviation, loss as the
         per-poll UDP loss probability).
-    methods, window_length, skip_errors:
-        Forwarded to :meth:`~repro.datasets.scenarios.Scenario.sweep`.
+    methods, window_length:
+        The rows' methods and series window (see :func:`registry_specs`).
+    skip_errors:
+        Forwarded to :func:`run_method_specs`: record a method that cannot
+        run as skipped instead of raising.
     num_pollers, seed:
         Forwarded to the collection pipeline; the same seed is reused at
         every noise level so that grid cells differ only in the noise knobs.
@@ -794,6 +742,7 @@ def robustness_sweep(
         for jitter in jitter_values
         for loss in loss_values
     ]
+    rows = registry_specs(methods, window_length)
     jobs = effective_jobs(n_jobs, len(cells), error=EstimationError)
     with telemetry.span("robustness.sweep", cells=len(cells), jobs=jobs):
         cell_records, _pool_report = run_supervised_tasks(
@@ -803,8 +752,7 @@ def robustness_sweep(
                     scenario,
                     jitter,
                     loss,
-                    methods,
-                    window_length,
+                    rows,
                     num_pollers,
                     seed,
                     skip_errors,
@@ -821,7 +769,7 @@ def robustness_sweep(
 
 
 def robustness_table(
-    records: Sequence[RobustnessRecord],
+    records: Sequence[ExperimentRecord],
 ) -> dict[str, dict[str, dict[tuple[float, float], float]]]:
     """Arrange robustness records as ``{scenario: {method: {(jitter, loss): mre}}}``."""
     table: dict[str, dict[str, dict[tuple[float, float], float]]] = {}

@@ -88,11 +88,9 @@ class PlanningRecord:
         Confusion counts of the congestion set (links above the threshold):
         truly congested links the estimate flags / misses, and links
         flagged without being congested.
-    error:
-        Why the method was skipped on this scenario (empty when it ran);
-        skipped records carry ``NaN`` utilisation numbers.
     failure:
-        Structured skip reason (``None`` when the method ran).
+        Structured reason the method was skipped on this scenario (``None``
+        when it ran); skipped records carry ``NaN`` utilisation numbers.
     degradation:
         Degradation-report dict from the method's diagnostics
         (supervised estimators), ``None`` for a clean run.
@@ -112,14 +110,13 @@ class PlanningRecord:
     congestion_hits: int
     congestion_misses: int
     congestion_false_alarms: int
-    error: str = ""
     failure: Optional[FailureReason] = None
     degradation: Optional[dict] = None
 
     @property
     def skipped(self) -> bool:
         """Whether the method could not run on this scenario's data."""
-        return bool(self.error)
+        return self.failure is not None
 
 
 def _case_record(
@@ -146,7 +143,6 @@ def _case_record(
             congestion_hits=0,
             congestion_misses=0,
             congestion_false_alarms=0,
-            error=result.error,
             failure=result.failure,
         )
     true_congested = set(truth_projection.congested_links)

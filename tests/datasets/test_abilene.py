@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import abilene_scenario
+from repro.evaluation.experiments import registry_specs, run_method_specs
 from repro.topology import ABILENE_CITIES, abilene_backbone
 
 
@@ -58,9 +59,8 @@ class TestAbileneScenario:
         assert problem.origin_totals == pytest.approx(list(truth.origin_totals().values()))
 
     def test_methods_run_on_the_third_scenario(self, scenario):
-        records = scenario.sweep(
-            methods=("gravity", "kruithof", "bayesian"), window_length=4
-        )
+        rows = registry_specs(("gravity", "kruithof", "bayesian"), window=4)
+        records = run_method_specs(scenario, rows, skip_errors=True)
         assert all(not record.skipped for record in records)
         assert all(np.isfinite(record.mre) for record in records)
         assert {record.method for record in records} == {"gravity", "kruithof", "bayesian"}

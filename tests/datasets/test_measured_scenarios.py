@@ -14,6 +14,7 @@ import pytest
 from repro.datasets import MeasuredScenario, Scenario
 from repro.errors import TrafficError
 from repro.estimation.registry import available_estimators
+from repro.evaluation.experiments import registry_specs, run_method_specs
 from repro.measurement.linkloads import link_load_series
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
 
@@ -145,19 +146,20 @@ class TestMeasuredProblems:
             noise_free.series_problem(window_length=10_000)
 
 
-class TestMeasuredSweepParity:
-    def test_noise_free_sweep_reproduces_consistent_mres(
+class TestMeasuredRowsParity:
+    def test_noise_free_rows_reproduce_consistent_mres(
         self, small_scenario_session, noise_free
     ):
         """End-to-end parity: every registered method scores identically."""
         methods = available_estimators()
+        rows = registry_specs(methods, window=10)
         consistent = {
             record.method: record
-            for record in small_scenario_session.sweep(methods=methods, window_length=10)
+            for record in run_method_specs(small_scenario_session, rows, skip_errors=True)
         }
         measured = {
             record.method: record
-            for record in noise_free.sweep(methods=methods, window_length=10)
+            for record in run_method_specs(noise_free, rows, skip_errors=True)
         }
         assert set(consistent) == set(measured) == set(methods)
         for name in methods:
@@ -168,10 +170,12 @@ class TestMeasuredSweepParity:
                 consistent[name].mre, rel=1e-4, abs=1e-6
             ), name
 
-    def test_noisy_sweep_still_runs_every_method(self, small_scenario_session):
+    def test_noisy_rows_still_run_every_method(self, small_scenario_session):
         noisy = small_scenario_session.measured(
             jitter_std_seconds=5.0, loss_probability=0.05, seed=2
         )
-        records = noisy.sweep(methods=["gravity", "kruithof", "fanout"], window_length=10)
+        records = run_method_specs(
+            noisy, registry_specs(["gravity", "kruithof", "fanout"], window=10), skip_errors=True
+        )
         assert all(not record.skipped for record in records)
         assert all(np.isfinite(record.mre) for record in records)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import EstimationError
-from repro.estimation import get_estimator
+from repro.estimation import available_estimators, get_estimator
+from repro.evaluation import mean_relative_error
+from repro.evaluation.experiments import MethodSpec, registry_specs, run_method_specs
 from repro.optimize.nnls import nnls_active_set, nnls_normal_equations_batch
 
 WINDOW = 8
@@ -138,10 +140,20 @@ class TestNormalEquationsBatchSolver:
         assert converged.shape == (1,)
 
 
-class TestScenarioSweep:
-    def test_sweep_scores_registered_methods(self, scenario):
-        records = scenario.sweep(
-            methods=("gravity", "kruithof", "bayesian", "fanout"), window_length=5
+#: Params the gravity constructor does not take: a TypeError at construction.
+MISFIT_PARAMS = ("gravity", {"no_such_param": 1.0})
+#: A supervisor with no fallbacks and a one-step budget: fails while estimating.
+STARVED_SUPERVISOR = ("supervised", {"primary": "entropy", "max_iterations": 1, "fallbacks": ()})
+
+
+class TestRegistryRows:
+    """Registry methods as ``"series-mean"`` rows through ``run_method_specs``."""
+
+    def test_rows_score_registered_methods(self, scenario):
+        records = run_method_specs(
+            scenario,
+            registry_specs(("gravity", "kruithof", "bayesian", "fanout"), window=5),
+            skip_errors=True,
         )
         assert [record.method for record in records] == [
             "gravity",
@@ -152,24 +164,92 @@ class TestScenarioSweep:
         for record in records:
             assert not record.skipped
             assert np.isfinite(record.mre)
-            assert record.per_snapshot_mre.shape == (5,)
+            assert record.parameters["window"] == 5.0
 
-    def test_sweep_default_covers_every_registered_method(self, scenario):
-        from repro.estimation import available_estimators
-
-        records = scenario.sweep(window_length=3)
+    def test_rows_default_to_every_registered_method(self, scenario):
+        records = run_method_specs(scenario, registry_specs(window=3), skip_errors=True)
         assert [record.method for record in records] == list(available_estimators())
         ran = {record.method for record in records if not record.skipped}
         assert {"gravity", "kruithof", "bayesian", "entropy", "vardi", "fanout"} <= ran
 
-    def test_sweep_reports_skips_instead_of_raising(self, scenario):
-        records = scenario.sweep(methods=("generalized-gravity",), window_length=3)
+    def test_rows_report_skips_instead_of_raising(self, scenario):
+        records = run_method_specs(
+            scenario, registry_specs(("generalized-gravity",), window=3), skip_errors=True
+        )
         assert records[0].skipped
-        assert "generalised gravity" in records[0].error
+        assert "generalised gravity" in records[0].failure.message
+        assert records[0].failure.stage == "construct"
 
-    def test_sweep_accepts_parameterised_methods(self, scenario):
-        records = scenario.sweep(
-            methods=(("bayesian", {"regularization": 10.0}),), window_length=3
+    def test_rows_accept_parameterised_methods(self, scenario):
+        records = run_method_specs(
+            scenario, registry_specs((("bayesian", {"regularization": 10.0}),), window=3)
         )
         assert records[0].method == "bayesian"
         assert not records[0].skipped
+        assert records[0].parameters["regularization"] == 10.0
+
+    @pytest.mark.parametrize(
+        "method",
+        [name for name in available_estimators() if name != "generalized-gravity"],
+    )
+    def test_series_mean_row_scores_the_mean_of_estimate_series(
+        self, scenario, series_problem, method
+    ):
+        [record] = run_method_specs(scenario, registry_specs((method,), window=WINDOW))
+        truth = scenario.busy_series().window(0, WINDOW).mean_matrix()
+        estimate = get_estimator(method).estimate_series(series_problem).mean_matrix()
+        assert record.mre == mean_relative_error(estimate, truth)
+
+    def test_series_mean_row_differs_from_series_row(self, scenario):
+        # A "series" row estimates once from the window; a "series-mean" row
+        # averages the per-snapshot estimates.  For gravity the mean of the
+        # per-snapshot products is not the product of the window means.
+        series, series_mean = run_method_specs(
+            scenario,
+            [
+                MethodSpec(label=kind, estimator="gravity", data=kind, window=WINDOW)
+                for kind in ("series", "series-mean")
+            ],
+        )
+        assert series.parameters == series_mean.parameters == {"window": float(WINDOW)}
+        assert series.mre != series_mean.mre
+
+    def test_series_and_series_mean_rows_share_one_problem(self, scenario, monkeypatch):
+        built = []
+        series_problem = scenario.series_problem
+
+        def counting_series_problem(window_length=None):
+            built.append(window_length)
+            return series_problem(window_length=window_length)
+
+        monkeypatch.setattr(scenario, "series_problem", counting_series_problem)
+        rows = [
+            MethodSpec(label=kind, estimator="gravity", data=kind, window=5)
+            for kind in ("series", "series-mean")
+        ]
+        run_method_specs(scenario, rows + list(registry_specs(("kruithof",), window=5)))
+        assert built == [5]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_skip_errors_records_the_failing_stage(self, scenario):
+        rows = registry_specs((MISFIT_PARAMS, STARVED_SUPERVISOR), window=4)
+        records = run_method_specs(scenario, rows, skip_errors=True)
+        assert [(r.failure.exception, r.failure.stage) for r in records] == [
+            ("TypeError", "construct"),
+            ("EstimationError", "estimate"),
+        ]
+        assert all(r.skipped and np.isnan(r.mre) for r in records)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "entry,error", [(MISFIT_PARAMS, TypeError), (STARVED_SUPERVISOR, EstimationError)]
+    )
+    def test_without_skip_errors_failures_propagate(self, scenario, entry, error):
+        with pytest.raises(error):
+            run_method_specs(scenario, registry_specs((entry,), window=4))
+
+    def test_unknown_data_kind_rejected(self):
+        with pytest.raises(EstimationError):
+            MethodSpec(label="gravity", estimator="gravity", data="series-median")
+        with pytest.raises(EstimationError):
+            MethodSpec(label="gravity", estimator="gravity", data="series-mean", window=0)

@@ -68,7 +68,7 @@ class TestFailureSweep:
         broken = [r for r in records if r.method == "broken"]
         assert len(broken) == len(cases)
         for record in broken:
-            assert record.skipped and record.error
+            assert record.skipped and record.failure.spec == "broken"
             assert math.isnan(record.predicted_max_utilisation)
             assert math.isnan(record.max_utilisation_error)
         # The healthy method is unaffected.
@@ -114,7 +114,7 @@ class TestFailureSweep:
                 b.case,
                 b.kind,
             )
-            assert a.feasible == b.feasible and a.error == b.error
+            assert a.feasible == b.feasible and a.failure == b.failure
             for field in (
                 "num_infeasible_pairs",
                 "lost_traffic",

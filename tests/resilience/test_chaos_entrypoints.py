@@ -1,12 +1,12 @@
 """Chaos drill: every experiment entry point survives every fault class.
 
-The PR's acceptance contract: under seeded fault plans — poll-loss bursts,
+The acceptance contract: under seeded fault plans — poll-loss bursts,
 counter resets, clock skew, stuck counters, collector outages, worker
-crashes, worker hangs, and solver non-convergence — all four entry points
-(:func:`~repro.evaluation.experiments.run_method_specs`,
-:func:`~repro.evaluation.experiments.robustness_sweep`,
-:func:`~repro.planning.sweep.failure_sweep`, and ``Scenario.sweep``)
-complete without an unhandled exception, every degraded result carries a
+crashes, worker hangs, and solver non-convergence — all three entry points
+(:func:`~repro.evaluation.experiments.run_method_specs`, also on
+``registry_specs`` rows, :func:`~repro.evaluation.experiments.robustness_sweep`
+and :func:`~repro.planning.sweep.failure_sweep`) complete without an
+unhandled exception, every degraded result carries a
 structured degradation report naming the fault and the fallback, and
 serial and parallel runs produce identical records *including* those
 reports.
@@ -27,6 +27,7 @@ import pytest
 from repro.datasets import small_scenario
 from repro.evaluation.experiments import (
     MethodSpec,
+    registry_specs,
     robustness_sweep,
     run_method_specs,
 )
@@ -142,7 +143,7 @@ def test_robustness_sweep_under_measurement_faults(scenario, fault_name):
     records_identical(serial, parallel)
     assert len(serial) == 4  # 2 jitter x 1 loss x 2 methods
     for record in serial:
-        assert record.error == "" and np.isfinite(record.mre)
+        assert record.failure is None and np.isfinite(record.mre)
 
 
 def test_failure_sweep_reports_fallbacks_per_case(scenario):
@@ -174,7 +175,7 @@ def test_failure_sweep_reports_fallbacks_per_case(scenario):
 
 
 @pytest.mark.parametrize("fault_name", ["poll-loss-burst", "collector-outage"])
-def test_scenario_sweep_with_tomogravity_under_faults(scenario, fault_name):
+def test_registry_rows_with_tomogravity_under_faults(scenario, fault_name):
     measured = scenario.measured(
         loss_probability=0.02,
         num_pollers=2,
@@ -183,8 +184,8 @@ def test_scenario_sweep_with_tomogravity_under_faults(scenario, fault_name):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        records = measured.sweep(
-            methods=[
+        rows = registry_specs(
+            [
                 "tomogravity",
                 (
                     "supervised",
@@ -192,8 +193,9 @@ def test_scenario_sweep_with_tomogravity_under_faults(scenario, fault_name):
                      "primary_params": {"prior": "gravity"}},
                 ),
             ],
-            window_length=4,
+            window=4,
         )
+        records = run_method_specs(measured, rows, skip_errors=True)
     assert [r.method for r in records] == ["tomogravity", "supervised"]
     for record in records:
         assert not record.skipped and np.isfinite(record.mre)

@@ -1,8 +1,8 @@
 """``registry-contracts``: registered estimators honour the advertised API.
 
 The estimator registry (:mod:`repro.estimation.registry`) is what lets the
-experiment runners, ``Scenario.sweep()`` and the planning sweeps compose
-method sets by *name* — which also means a registered class that quietly
+experiment runners, their ``registry_specs()`` rows and the planning
+sweeps compose method sets by *name* — which also means a registered class that quietly
 drops part of the :class:`~repro.estimation.base.Estimator` surface fails
 at a distance: a missing ``estimate`` only explodes inside a sweep, and an
 incompatible ``estimate_series`` override silently falls out of the

@@ -5,12 +5,11 @@ Two measurements on ``large_scenario(100, seed=2004)``:
 * **overhead** — the instrumented ``estimate`` entry points of tomogravity
   and entropy (auto-span wrapper and per-iteration flag checks, telemetry
   **disabled**) against their unwrapped implementations (``__wrapped__``),
-  the closest in-process stand-in for code without telemetry, timed
-  interleaved over 20 repeats.  The larger of the two overheads must stay
-  within ``BENCH_PR9_MAX_OVERHEAD`` (default 0.02; shared CI runners set
-  0.05, since on a shared 2-CPU host the reading swings by a few per cent
-  from run to run).  The disabled ``span()`` and ``counter_inc()``
-  primitives are timed too;
+  the closest in-process stand-in for code without telemetry.  Each
+  method's overhead is the median of the ratios of 60 interleaved timing
+  pairs.  The larger of the two overheads must stay within
+  ``BENCH_PR9_MAX_OVERHEAD`` (default 0.02; shared CI runners set 0.05).
+  The disabled ``span()`` and ``counter_inc()`` primitives are timed too;
 * **trace** — a pooled method comparison with telemetry enabled, exported
   as a Chrome trace to ``BENCH_TRACE.json`` at the repository root; every
   worker's ``pool.task`` span must be re-parented under the parent's
@@ -25,33 +24,36 @@ import gc
 import os
 import time
 from pathlib import Path
+from statistics import median
 
 N = 100
 SEED = 2004
-REPEATS = 20
+PAIRS = 60
 TRACE_PATH = Path(__file__).resolve().parent.parent / "BENCH_TRACE.json"
 
 
-def _min_seconds_paired(call_a, call_b, repeats: int) -> dict[str, tuple[float, float]]:
-    """Min wall times of two calls measured interleaved, in alternating order.
+def _paired_seconds(call_a, call_b, pairs: int) -> list[tuple[float, float]]:
+    """Wall times ``(a, b)`` of two calls timed back to back, ``pairs`` times.
 
-    Interleaving keeps slow drift on a shared runner (thermal, cache, noisy
-    neighbours) from biasing the A-vs-B ratio the way two separate timing
-    blocks would.  The call timed first after a collection runs slower, so
-    the two take turns going first and every timing starts from its own
-    ``gc.collect()``.  Returns ``(min_a, min_b)`` per order: ``"a_first"``
-    over the even repeats, ``"b_first"`` over the odd ones.
+    A pair's two timings see the same state of a shared host (thermal,
+    cache, noisy neighbours), so its ratio cancels the drift that moves
+    whole timings by more than the overhead being measured; a median of
+    many ratios then ignores the pairs a scheduler hiccup hit.  The call
+    timed first after a collection runs slower, so the two take turns
+    going first (``a`` in the even pairs) and every timing starts from its
+    own ``gc.collect()``.
     """
-    best = {"a_first": [float("inf")] * 2, "b_first": [float("inf")] * 2}
-    for repeat in range(repeats):
-        order = "a_first" if repeat % 2 == 0 else "b_first"
-        sides = ((0, call_a), (1, call_b)) if order == "a_first" else ((1, call_b), (0, call_a))
-        for side, call in sides:
+    seconds = []
+    for pair in range(pairs):
+        order = ((0, call_a), (1, call_b)) if pair % 2 == 0 else ((1, call_b), (0, call_a))
+        timed = [0.0, 0.0]
+        for side, call in order:
             gc.collect()
             start = time.perf_counter()
             call()
-            best[order][side] = min(best[order][side], time.perf_counter() - start)
-    return {order: (a, b) for order, (a, b) in best.items()}
+            timed[side] = time.perf_counter() - start
+        seconds.append((timed[0], timed[1]))
+    return seconds
 
 
 def overhead_metrics(problem) -> dict:
@@ -64,21 +66,17 @@ def overhead_metrics(problem) -> dict:
         estimator = get_estimator(name)
         unwrapped = type(estimator).estimate.__wrapped__
         estimator.estimate(problem)  # warm the shared workspace for both paths
-        by_order = _min_seconds_paired(
-            lambda: unwrapped(estimator, problem), lambda: estimator.estimate(problem), REPEATS
+        seconds = _paired_seconds(
+            lambda: unwrapped(estimator, problem), lambda: estimator.estimate(problem), PAIRS
         )
-        baseline = min(a for a, _ in by_order.values())
-        disabled = min(b for _, b in by_order.values())
-        metrics[f"{name}.baseline_s"] = (baseline, "s")
-        metrics[f"{name}.disabled_s"] = (disabled, "s")
-        metrics[f"{name}.overhead"] = ((disabled - baseline) / baseline, "ratio")
-        # Each order's repeats alone: how far timing one side first would
+        overheads = [disabled / baseline - 1.0 for baseline, disabled in seconds]
+        metrics[f"{name}.baseline_s"] = (median(a for a, _ in seconds), "s")
+        metrics[f"{name}.disabled_s"] = (median(b for _, b in seconds), "s")
+        metrics[f"{name}.overhead"] = (median(overheads), "ratio")
+        # Each order's pairs alone: how far timing one side first would
         # move the reading.
-        for label, (a, b) in (
-            ("baseline_first", by_order["a_first"]),
-            ("instrumented_first", by_order["b_first"]),
-        ):
-            metrics[f"{name}.overhead_{label}"] = ((b - a) / a, "ratio")
+        metrics[f"{name}.overhead_baseline_first"] = (median(overheads[0::2]), "ratio")
+        metrics[f"{name}.overhead_instrumented_first"] = (median(overheads[1::2]), "ratio")
 
     calls = 100_000
     start = time.perf_counter()
@@ -147,7 +145,7 @@ def measure() -> tuple[dict, dict, dict]:
 
     inputs = {
         "scenario": f"large_scenario({N}, seed={SEED})",
-        "repeats": REPEATS,
+        "pairs": PAIRS,
         "max_overhead": max_overhead,
         "trace_file": TRACE_PATH.name,
     }

@@ -430,29 +430,18 @@ class SeriesEstimationResult:
         return EstimationResult(estimate=self.matrix(index), method=self.method)
 
 
-#: Historic diagnostics spellings mapped to the canonical key names the
-#: telemetry layer exposes as span attributes.  The in-tree estimators all
-#: emit canonical keys; the aliases keep traces readable should an external
-#: estimator still use the old names.
-_DIAGNOSTIC_ALIASES = {
-    "solver_iterations": "iterations",
-    "solver_converged": "converged",
-    "link_residual": "residual_norm",
-}
-
-
 def _span_diagnostics(diagnostics: Mapping[str, Any]) -> dict[str, Any]:
-    """Scalar diagnostics under canonical names, for span attributes."""
+    """Scalar diagnostics as plain python values, for span attributes."""
     folded: dict[str, Any] = {}
     for key, value in diagnostics.items():
         if isinstance(value, (bool, np.bool_)):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = bool(value)
+            folded[key] = bool(value)
         elif isinstance(value, (int, np.integer)):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = int(value)
+            folded[key] = int(value)
         elif isinstance(value, (float, np.floating)):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = float(value)
+            folded[key] = float(value)
         elif isinstance(value, str):
-            folded[_DIAGNOSTIC_ALIASES.get(key, key)] = value
+            folded[key] = value
     return folded
 
 

@@ -1,8 +1,7 @@
 """Measurement substrate: link loads, SNMP polling, collection, NetFlow emulation.
 
 * :mod:`~repro.measurement.linkloads` — the consistent ``t = R s`` link-load
-  computation the paper's evaluation data set is built on, plus optional
-  measurement-noise models;
+  computation the paper's evaluation data set is built on;
 * :mod:`~repro.measurement.snmp` — array-valued counter polling with jitter
   and UDP loss, and the interval-length rate adjustment;
 * :mod:`~repro.measurement.collector` — distributed pollers feeding one
@@ -13,13 +12,7 @@
 """
 
 from repro.measurement.collector import DistributedCollector, counter_names
-from repro.measurement.linkloads import (
-    GaussianNoiseModel,
-    LinkLoadObservation,
-    NoiselessModel,
-    link_load_series,
-    link_loads_from_matrix,
-)
+from repro.measurement.linkloads import link_load_series
 from repro.measurement.netflow import (
     FlowRecord,
     NetFlowAggregator,
@@ -34,11 +27,7 @@ from repro.measurement.snmp import (
 )
 
 __all__ = [
-    "LinkLoadObservation",
-    "link_loads_from_matrix",
     "link_load_series",
-    "NoiselessModel",
-    "GaussianNoiseModel",
     "PollMatrix",
     "RateDiagnostics",
     "SNMPPoller",

@@ -1,174 +1,26 @@
-"""Link-load computation and measurement models.
+"""Consistent link loads: the ``t = R s`` product of every snapshot.
 
 The evaluation data set of the paper is constructed to be *consistent*: link
 loads are computed from the measured traffic matrix and the simulated
 routing via ``t = R s`` (Section 5.1.4), so that the estimation methods can
-be judged without confounding link-measurement errors.  This module provides
-exactly that computation, plus optional measurement-noise models for
-sensitivity studies (the paper lists measurement errors as future work).
-
-* :func:`link_loads_from_matrix` — the exact ``t = R s`` product;
-* :func:`link_load_series` — the same for a whole time series, returning a
-  ``(K, L)`` array;
-* :class:`LinkLoadObservation` — a time-stamped link-load vector with the
-  link labelling attached;
-* :class:`GaussianNoiseModel` / :class:`NoiselessModel` — measurement-error
-  models applied on top of the exact loads.
+be judged without confounding link-measurement errors.
+:func:`link_load_series` computes exactly that for a whole series.
+Measurement error is modelled by the SNMP pipeline
+(:meth:`repro.datasets.Scenario.measured`), not here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import MeasurementError
 from repro.routing.routing_matrix import RoutingMatrix
-from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
+from repro.traffic.matrix import TrafficMatrixSeries
 
-__all__ = [
-    "LinkLoadObservation",
-    "link_loads_from_matrix",
-    "link_load_series",
-    "NoiseModel",
-    "NoiselessModel",
-    "GaussianNoiseModel",
-]
+__all__ = ["link_load_series"]
 
 
-@dataclass(frozen=True)
-class LinkLoadObservation:
-    """A single snapshot of link loads.
-
-    Attributes
-    ----------
-    link_names:
-        Labels of the links, in the same order as ``loads``.
-    loads:
-        Load of each link (same unit as the demands, e.g. Mbit/s).
-    timestamp_seconds:
-        Time of the observation, seconds since midnight.
-    """
-
-    link_names: tuple[str, ...]
-    loads: np.ndarray
-    timestamp_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        loads = np.asarray(self.loads, dtype=float)
-        if loads.ndim != 1 or len(loads) != len(self.link_names):
-            raise MeasurementError(
-                f"loads shape {loads.shape} does not match {len(self.link_names)} links"
-            )
-        if np.any(loads < -1e-9):
-            raise MeasurementError("link loads must be non-negative")
-        object.__setattr__(self, "loads", np.maximum(loads, 0.0))
-
-    def load_of(self, link_name: str) -> float:
-        """Load of a single named link."""
-        try:
-            return float(self.loads[self.link_names.index(link_name)])
-        except ValueError as exc:
-            raise MeasurementError(f"unknown link {link_name!r}") from exc
-
-    def total(self) -> float:
-        """Sum of all link loads (counts transit traffic multiple times)."""
-        return float(self.loads.sum())
-
-
-class NoiseModel(Protocol):
-    """Protocol for measurement-noise models applied to exact link loads."""
-
-    def apply(self, loads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a noisy version of ``loads``."""
-        ...  # pragma: no cover - protocol definition
-
-
-class NoiselessModel:
-    """The identity noise model (the paper's consistent data set)."""
-
-    def apply(self, loads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return the loads unchanged."""
-        return np.asarray(loads, dtype=float).copy()
-
-
-class GaussianNoiseModel:
-    """Additive Gaussian measurement noise, relative or absolute.
-
-    Parameters
-    ----------
-    relative_std:
-        Standard deviation as a fraction of the true load (e.g. 0.01 for
-        1 % SNMP counter noise).
-    absolute_std:
-        Additional absolute noise floor, in load units.
-    """
-
-    def __init__(self, relative_std: float = 0.0, absolute_std: float = 0.0) -> None:
-        if relative_std < 0 or absolute_std < 0:
-            raise MeasurementError("noise standard deviations must be non-negative")
-        self.relative_std = relative_std
-        self.absolute_std = absolute_std
-
-    def apply(self, loads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return loads perturbed by the configured Gaussian noise, clipped at zero."""
-        loads = np.asarray(loads, dtype=float)
-        std = self.relative_std * loads + self.absolute_std
-        return np.maximum(loads + rng.normal(scale=1.0, size=loads.shape) * std, 0.0)
-
-
-#: Seed for the noise generator when the caller passes ``rng=None``.  A
-#: fixed fallback keeps no-argument calls reproducible run to run — the
-#: determinism contract the serial==parallel record tests rely on.  Pass an
-#: explicit generator to draw different noise per call.
-FALLBACK_NOISE_SEED = 0
-
-
-def _fallback_rng() -> np.random.Generator:
-    """Deterministic generator used when no ``rng`` is supplied."""
-    return np.random.default_rng(FALLBACK_NOISE_SEED)
-
-
-def link_loads_from_matrix(
-    routing: RoutingMatrix,
-    traffic: TrafficMatrix,
-    noise: Optional[NoiseModel] = None,
-    rng: Optional[np.random.Generator] = None,
-    timestamp_seconds: float = 0.0,
-) -> LinkLoadObservation:
-    """Compute ``t = R s`` for one traffic matrix snapshot.
-
-    Parameters
-    ----------
-    routing:
-        The routing matrix; its pair ordering must match the traffic matrix.
-    traffic:
-        The demand snapshot.
-    noise:
-        Optional measurement-noise model (defaults to noiseless).
-    rng:
-        Random generator for the noise model (defaults to a fixed-seed
-        generator, so no-argument calls are reproducible).
-    timestamp_seconds:
-        Timestamp to attach to the observation.
-    """
-    if routing.pairs != traffic.pairs:
-        raise MeasurementError("routing matrix and traffic matrix use different pair orderings")
-    loads = routing.link_loads(traffic.vector)
-    if noise is not None and not isinstance(noise, NoiselessModel):
-        loads = noise.apply(loads, rng if rng is not None else _fallback_rng())
-    return LinkLoadObservation(
-        link_names=routing.link_names, loads=loads, timestamp_seconds=timestamp_seconds
-    )
-
-
-def link_load_series(
-    routing: RoutingMatrix,
-    series: TrafficMatrixSeries,
-    noise: Optional[NoiseModel] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
+def link_load_series(routing: RoutingMatrix, series: TrafficMatrixSeries) -> np.ndarray:
     """Compute link loads for every snapshot of a series.
 
     Returns an array of shape ``(K, L)``: one row of link loads per
@@ -177,11 +29,4 @@ def link_load_series(
     """
     if routing.pairs != series.pairs:
         raise MeasurementError("routing matrix and series use different pair orderings")
-    rng = rng if rng is not None else _fallback_rng()
-    rows = []
-    for snapshot in series:
-        loads = routing.link_loads(snapshot.vector)
-        if noise is not None and not isinstance(noise, NoiselessModel):
-            loads = noise.apply(loads, rng)
-        rows.append(loads)
-    return np.stack(rows)
+    return np.stack([routing.link_loads(snapshot.vector) for snapshot in series])

@@ -1,7 +1,6 @@
 """Shared helpers for the process-pool execution layers.
 
-The parallel engines — the LP bounds batch
-(:mod:`repro.optimize.linear_program`), the experiment runners
+The parallel engines — the experiment runners
 (:mod:`repro.evaluation.experiments`) and the planning failure sweep
 (:mod:`repro.planning.sweep`) — resolve their ``n_jobs`` parameter with
 the same policy, kept here so the engines cannot drift: ``None`` means every

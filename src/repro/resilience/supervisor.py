@@ -141,9 +141,7 @@ class SupervisedEstimator(Estimator):
                         if series
                         else estimator.estimate(problem)
                     )
-                converged = result.diagnostics.get(
-                    "converged", result.diagnostics.get("solver_converged")
-                )
+                converged = result.diagnostics.get("converged")
                 if self.require_convergence and converged is False:
                     raise EstimationError(f"method {name!r} reported converged=False")
             except (EstimationError, SolverError) as exc:

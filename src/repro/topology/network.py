@@ -18,9 +18,11 @@ canonical order for links and pairs that every other module relies on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-import networkx as nx
+import numpy as np
+import scipy.sparse
+from scipy.sparse import csgraph
 
 from repro.errors import TopologyError
 from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
@@ -40,12 +42,6 @@ class Network:
     links:
         Iterable of directed links.  Order is preserved and defines the row
         order of routing matrices built for this network.
-
-    Notes
-    -----
-    The class intentionally exposes a small, explicit API rather than
-    subclassing :class:`networkx.DiGraph`; a NetworkX view is available via
-    :meth:`to_networkx` for algorithms that want it.
     """
 
     def __init__(
@@ -61,7 +57,6 @@ class Network:
         self._links: dict[str, Link] = {}
         self._link_index: dict[str, int] = {}
         self._adjacency: dict[str, list[Link]] = {}
-        self._graph: Optional[nx.DiGraph] = None
         self._pairs: Optional[PairIndex] = None
         for node in nodes:
             self.add_node(node)
@@ -77,7 +72,6 @@ class Network:
             raise TopologyError(f"duplicate node {node.name!r}")
         self._nodes[node.name] = node
         self._adjacency.setdefault(node.name, [])
-        self._graph = None
         self._pairs = None
 
     def add_link(self, link: Link) -> None:
@@ -91,7 +85,6 @@ class Network:
         self._link_index[link.name] = len(self._links)
         self._links[link.name] = link
         self._adjacency[link.source].append(link)
-        self._graph = None
 
     def add_bidirectional_link(self, link: Link) -> None:
         """Add ``link`` and its reverse in one call (common for backbones)."""
@@ -244,32 +237,38 @@ class Network:
         demands exist) and must be strongly connected over its edge nodes so
         that every demand is routable.
         """
-        if len(self.edge_nodes) < 2:
+        edge_names = [node.name for node in self.edge_nodes]
+        if len(edge_names) < 2:
             raise TopologyError(
                 f"network {self.name!r} needs at least two edge nodes, "
-                f"got {len(self.edge_nodes)}"
+                f"got {len(edge_names)}"
             )
         # The pair enumeration contains both directions of every edge-node
         # pair, so routability of all pairs is exactly "all edge nodes lie
-        # in one strongly connected component" — one SCC sweep instead of
-        # the quadratic per-pair has_path loop (which dominated topology
-        # generation beyond a few hundred nodes).
-        graph = self.to_networkx()
-        component_of: dict[str, int] = {}
-        for index, component in enumerate(nx.strongly_connected_components(graph)):
-            for node_name in component:
-                component_of[node_name] = index
-        edge_names = [node.name for node in self.edge_nodes]
-        anchor = edge_names[0]
-        for other in edge_names[1:]:
-            if component_of[other] != component_of[anchor]:
-                # Name one unroutable demand, matching the historical error.
-                pair = NodePair(anchor, other)
-                if nx.has_path(graph, anchor, other):
-                    pair = NodePair(other, anchor)
-                raise TopologyError(
-                    f"network {self.name!r} has no path for demand {pair}"
-                )
+        # in one strongly connected component": one csgraph SCC sweep over
+        # the node-index adjacency.
+        index = {name: position for position, name in enumerate(self._nodes)}
+        tail = [index[link.source] for link in self._links.values()]
+        head = [index[link.target] for link in self._links.values()]
+        adjacency = scipy.sparse.csr_matrix(
+            (np.ones(len(tail)), (tail, head)), shape=(len(index), len(index))
+        )
+        _, component = csgraph.connected_components(
+            adjacency, directed=True, connection="strong"
+        )
+        edge_component = component[[index[name] for name in edge_names]]
+        split = np.flatnonzero(edge_component != edge_component[0])
+        if split.size:
+            # Name the first unroutable demand from the first edge node: the
+            # one that leaves it, unless the other end is reachable from it.
+            anchor, other = edge_names[0], edge_names[split[0]]
+            reachable = csgraph.breadth_first_order(
+                adjacency, index[anchor], directed=True, return_predecessors=False
+            )
+            pair = NodePair(anchor, other)
+            if index[other] in reachable:
+                pair = NodePair(other, anchor)
+            raise TopologyError(f"network {self.name!r} has no path for demand {pair}")
 
     def is_connected(self) -> bool:
         """Return ``True`` if every origin-destination pair has a path."""
@@ -279,48 +278,6 @@ class Network:
         except TopologyError:  # reprolint: allow[fault-handling]
             return False
         return True
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a :class:`networkx.DiGraph` view of the topology.
-
-        Link attributes are attached to the edges (``capacity_mbps``,
-        ``metric``, ``kind`` and ``name``); node attributes carry the role,
-        region and population.  Parallel links collapse to the lowest-metric
-        one, which matches how the IGP would prefer them.
-
-        The view is built once and cached so that repeated
-        :meth:`validate` / :meth:`is_connected` calls (e.g. connectivity
-        probes of surviving topologies) and external NetworkX-based
-        consumers stop rebuilding it per call; the cache is invalidated by
-        :meth:`add_node` / :meth:`add_link`.  The returned graph is frozen
-        (mutating it would corrupt the shared cache); mutate a ``.copy()``
-        instead.
-        """
-        if self._graph is not None:
-            return self._graph
-        graph = nx.DiGraph(name=self.name)
-        for node in self._nodes.values():
-            graph.add_node(
-                node.name,
-                role=node.role,
-                region=node.region,
-                population=node.population,
-                city=node.city,
-            )
-        for link in self._links.values():
-            existing = graph.get_edge_data(link.source, link.target)
-            if existing is not None and existing["metric"] <= link.metric:
-                continue
-            graph.add_edge(
-                link.source,
-                link.target,
-                capacity_mbps=link.capacity_mbps,
-                metric=link.metric,
-                kind=link.kind,
-                name=link.name,
-            )
-        self._graph = nx.freeze(graph)
-        return self._graph
 
     def subnetwork(self, name: str, node_names: Sequence[str]) -> "Network":
         """Return the sub-network induced by ``node_names``.

@@ -1,12 +1,11 @@
 """Diagnostics naming conventions across every registered estimator.
 
-The telemetry layer folds scalar diagnostics into span attributes under
-canonical names — ``iterations``, ``converged``, ``residual_norm`` — so
-traces and summary rollups compare methods on one vocabulary.  The
-in-tree estimators must emit those canonical keys directly; the historic
-spellings (``solver_iterations``, ``solver_converged``,
-``link_residual``) are banned (they survive only as read-time aliases
-for external estimators, see ``_DIAGNOSTIC_ALIASES``).
+The telemetry layer folds scalar diagnostics into span attributes as they
+are given, so traces and summary rollups compare methods on one vocabulary
+only if every estimator emits the canonical names (``iterations``,
+``converged``, ``residual_norm``).  The historic spellings
+(``solver_iterations``, ``solver_converged``, ``link_residual``) are
+banned: nothing renames them, and the supervisor reads only ``converged``.
 
 The test is total over :func:`available_estimators`: registering a new
 method without declaring its diagnostics contract here fails the suite.

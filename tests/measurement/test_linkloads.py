@@ -1,4 +1,4 @@
-"""Tests for link-load computation and noise models."""
+"""Tests for the consistent link-load computation ``t = R s``."""
 
 from __future__ import annotations
 
@@ -6,54 +6,29 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
-from repro.measurement import (
-    GaussianNoiseModel,
-    LinkLoadObservation,
-    NoiselessModel,
-    link_load_series,
-    link_loads_from_matrix,
-)
+from repro.measurement import link_load_series
 from repro.routing import build_routing_matrix
 from repro.topology import NodePair
 from repro.traffic import TrafficMatrix, TrafficMatrixSeries
-
-
-class TestObservation:
-    def test_basic_access(self):
-        obs = LinkLoadObservation(link_names=("a", "b"), loads=np.array([1.0, 2.0]))
-        assert obs.load_of("b") == 2.0
-        assert obs.total() == 3.0
-
-    def test_unknown_link_rejected(self):
-        obs = LinkLoadObservation(link_names=("a",), loads=np.array([1.0]))
-        with pytest.raises(MeasurementError):
-            obs.load_of("z")
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(MeasurementError):
-            LinkLoadObservation(link_names=("a", "b"), loads=np.array([1.0]))
-
-    def test_negative_loads_rejected(self):
-        with pytest.raises(MeasurementError):
-            LinkLoadObservation(link_names=("a",), loads=np.array([-1.0]))
 
 
 class TestComputation:
     def test_consistent_with_routing_matrix(self, line_network):
         routing = build_routing_matrix(line_network)
         demands = {NodePair("A", "D"): 10.0, NodePair("B", "C"): 4.0}
-        traffic = TrafficMatrix.from_network(line_network, demands)
-        obs = link_loads_from_matrix(routing, traffic)
-        assert obs.load_of("A->B") == pytest.approx(10.0)
-        assert obs.load_of("B->C") == pytest.approx(14.0)
-        assert obs.load_of("C->D") == pytest.approx(10.0)
-        assert obs.load_of("D->C") == pytest.approx(0.0)
+        series = TrafficMatrixSeries([TrafficMatrix.from_network(line_network, demands)])
+        (loads,) = link_load_series(routing, series)
+        load_of = dict(zip(routing.link_names, loads))
+        assert load_of["A->B"] == pytest.approx(10.0)
+        assert load_of["B->C"] == pytest.approx(14.0)
+        assert load_of["C->D"] == pytest.approx(10.0)
+        assert load_of["D->C"] == pytest.approx(0.0)
 
-    def test_pair_order_mismatch_rejected(self, line_network, triangle_network):
+    def test_pair_order_mismatch_rejected(self, line_network):
         routing = build_routing_matrix(line_network)
-        traffic = TrafficMatrix.zeros(triangle_network.node_pairs())
+        reordered = TrafficMatrix.zeros(list(reversed(routing.pairs)))
         with pytest.raises(MeasurementError):
-            link_loads_from_matrix(routing, traffic)
+            link_load_series(routing, TrafficMatrixSeries([reordered]))
 
     def test_series_computation(self, line_network):
         routing = build_routing_matrix(line_network)
@@ -73,72 +48,9 @@ class TestComputation:
         with pytest.raises(MeasurementError):
             link_load_series(routing, series)
 
-
-class TestNoiseModels:
-    def test_noiseless_is_identity(self):
-        loads = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(NoiselessModel().apply(loads, np.random.default_rng(0)), loads)
-
-    def test_gaussian_noise_perturbs_but_stays_non_negative(self):
-        loads = np.full(1000, 10.0)
-        noisy = GaussianNoiseModel(relative_std=0.05).apply(loads, np.random.default_rng(1))
-        assert noisy.shape == loads.shape
-        assert np.all(noisy >= 0)
-        assert not np.allclose(noisy, loads)
-        assert abs(noisy.mean() - 10.0) < 0.2
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(MeasurementError):
-            GaussianNoiseModel(relative_std=-0.1)
-
-    def test_noise_applied_through_pipeline(self, line_network):
-        routing = build_routing_matrix(line_network)
-        traffic = TrafficMatrix.from_network(line_network, {NodePair("A", "D"): 100.0})
-        noisy = link_loads_from_matrix(
-            routing,
-            traffic,
-            noise=GaussianNoiseModel(relative_std=0.1),
-            rng=np.random.default_rng(2),
-        )
-        clean = link_loads_from_matrix(routing, traffic)
-        assert not np.allclose(noisy.loads, clean.loads)
-
-
-class TestDeterministicDefaults:
-    """No-argument noise draws must be reproducible run to run.
-
-    The reprolint ``determinism`` rule flagged the old ``rng or
-    np.random.default_rng()`` fallbacks here: two identical calls without
-    an explicit generator produced different noise, so any record built on
-    them could not be reproduced.  The fallback is now a fixed-seed
-    generator; callers that want fresh noise pass their own ``rng``.
-    """
-
-    def test_snapshot_fallback_rng_is_deterministic(self, line_network):
-        routing = build_routing_matrix(line_network)
-        traffic = TrafficMatrix.from_network(line_network, {NodePair("A", "D"): 100.0})
-        noise = GaussianNoiseModel(relative_std=0.1)
-        first = link_loads_from_matrix(routing, traffic, noise=noise)
-        second = link_loads_from_matrix(routing, traffic, noise=noise)
-        np.testing.assert_array_equal(first.loads, second.loads)
-
-    def test_series_fallback_rng_is_deterministic(self, line_network):
-        routing = build_routing_matrix(line_network)
-        snapshots = [
-            TrafficMatrix.from_network(line_network, {NodePair("A", "D"): value})
-            for value in (50.0, 75.0)
-        ]
-        series = TrafficMatrixSeries(snapshots)
-        noise = GaussianNoiseModel(relative_std=0.1)
-        first = link_load_series(routing, series, noise=noise)
-        second = link_load_series(routing, series, noise=noise)
-        np.testing.assert_array_equal(first, second)
-
-    def test_explicit_rng_still_draws_fresh_noise(self, line_network):
-        routing = build_routing_matrix(line_network)
-        traffic = TrafficMatrix.from_network(line_network, {NodePair("A", "D"): 100.0})
-        noise = GaussianNoiseModel(relative_std=0.1)
-        rng = np.random.default_rng(7)
-        first = link_loads_from_matrix(routing, traffic, noise=noise, rng=rng)
-        second = link_loads_from_matrix(routing, traffic, noise=noise, rng=rng)
-        assert not np.allclose(first.loads, second.loads)
+    def test_rows_are_the_per_snapshot_products(self, small_scenario_session):
+        routing, series = small_scenario_session.routing, small_scenario_session.day_series
+        loads = link_load_series(routing, series)
+        assert loads.shape == (len(series), routing.num_links)
+        for row, snapshot in zip(loads, series):
+            np.testing.assert_array_equal(row, routing.link_loads(snapshot.vector))

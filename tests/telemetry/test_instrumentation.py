@@ -11,9 +11,11 @@ checks when telemetry is disabled.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.estimation.base import Estimator
 from repro.estimation.registry import get_estimator
 from repro.optimize.dual import GAP_TOLERANCE
 from repro.routing.routing_matrix import build_routing_matrix
@@ -48,9 +50,33 @@ class TestEstimatorAutoSpans:
         root = [s for s in estimate_spans if s.attributes["method"] == "tomogravity"]
         (record,) = root
         assert record.attributes["n_pairs"] == small_snapshot_problem.num_pairs
-        # scalar diagnostics are folded in under their canonical names
+        # scalar diagnostics are folded in under their own names
         assert "residual_norm" in record.attributes
         assert record.label() == "estimate[tomogravity]"
+
+    def test_span_takes_scalar_diagnostics_as_given(self, telemetry_on, small_snapshot_problem):
+        # No key is renamed (a legacy spelling keeps its own name); numpy
+        # scalars become python values and non-scalars stay off the span.
+        class Stub(Estimator):
+            name = "stub"
+
+            def estimate(self, problem):
+                return self._result(
+                    problem,
+                    np.ones(problem.num_pairs),
+                    solver_iterations=np.int64(3),
+                    converged=np.bool_(True),
+                    gap=np.float64(0.5),
+                    note="cold",
+                    per_link=np.zeros(2),
+                )
+
+        Stub().estimate(small_snapshot_problem)
+        (record,) = spans_named(telemetry.drain_spans(), "estimate")
+        folded = {k: v for k, v in record.attributes.items() if k not in ("method", "n_pairs")}
+        assert folded == {"solver_iterations": 3, "converged": True, "gap": 0.5, "note": "cold"}
+        kinds = {key: type(value) for key, value in folded.items()}
+        assert kinds == {"solver_iterations": int, "converged": bool, "gap": float, "note": str}
 
     def test_estimate_series_opens_series_span(
         self, telemetry_on, small_scenario_session

@@ -16,6 +16,7 @@ BENCH_DIR = REPO_ROOT / "benchmarks"
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
+import bench_telemetry  # noqa: E402
 import ledger  # noqa: E402
 from ledger import BLAS_THREAD_VARS, TIERS, entry_meta, write_entry  # noqa: E402
 
@@ -157,3 +158,12 @@ def test_git_failure_is_unknown(monkeypatch):
     meta = entry_meta()
     assert meta["git_sha"] == "unknown"
     assert meta["git_dirty"] == "unknown"
+
+
+def test_telemetry_pairs_alternate_which_call_goes_first():
+    calls = []
+    seconds = bench_telemetry._paired_seconds(
+        lambda: calls.append("a"), lambda: calls.append("b"), pairs=4
+    )
+    assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
+    assert len(seconds) == 4 and all(a >= 0.0 and b >= 0.0 for a, b in seconds)

@@ -142,32 +142,61 @@ class TestValidationAndViews:
         with pytest.raises(TopologyError):
             network.validate()
 
-    def test_to_networkx_carries_attributes(self):
-        network = build_square()
-        graph = network.to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 8
-        assert graph.edges["A", "B"]["capacity_mbps"] == 10_000.0
+    @pytest.mark.parametrize(("source", "target", "demand"), [("A", "B", "B->A"), ("B", "A", "A->B")])
+    def test_one_way_link_error_names_the_missing_direction(self, source, target, demand):
+        network = Network("one-way", nodes=[Node(name="A"), Node(name="B")])
+        network.add_link(Link(source=source, target=target))
+        with pytest.raises(TopologyError) as raised:
+            network.validate()
+        assert str(raised.value) == f"network 'one-way' has no path for demand {demand}"
 
-    def test_to_networkx_is_cached(self):
-        network = build_square()
-        assert network.to_networkx() is network.to_networkx()
+    @pytest.mark.parametrize(("source", "target", "demand"), [("C", "T", "A->C"), ("T", "C", "C->A")])
+    def test_error_names_the_first_cut_off_edge_node(self, source, target, demand):
+        # T is a transit node inserted first, so A is the first edge node; B
+        # shares A's component, while C (one-way through T) and D (isolated)
+        # do not.  The error names C, the first of them in insertion order,
+        # in the direction that has no path (through T counts).
+        nodes = [Node(name="T", role=NodeRole.TRANSIT)] + [Node(name=n) for n in "ABCD"]
+        network = Network("transit", nodes=nodes)
+        network.add_bidirectional_link(Link(source="T", target="A"))
+        network.add_bidirectional_link(Link(source="A", target="B"))
+        network.add_link(Link(source=source, target=target))
+        with pytest.raises(TopologyError) as raised:
+            network.validate()
+        assert str(raised.value) == f"network 'transit' has no path for demand {demand}"
+        assert not network.is_connected()
 
-    def test_to_networkx_cache_invalidated_by_add_node(self):
+    def test_validate_reads_links_added_after_a_probe(self):
+        network = Network("grow", nodes=[Node(name="A"), Node(name="B")])
+        network.add_link(Link(source="A", target="B"))
+        assert not network.is_connected()
+        network.add_link(Link(source="B", target="A"))
+        network.validate()
+        assert network.is_connected()
+
+    def test_validate_reads_nodes_added_after_a_probe(self):
         network = build_square()
-        first = network.to_networkx()
+        network.validate()
         network.add_node(Node(name="E"))
-        second = network.to_networkx()
-        assert second is not first
-        assert second.has_node("E")
+        with pytest.raises(TopologyError) as raised:
+            network.validate()
+        assert str(raised.value) == "network 'square' has no path for demand A->E"
 
-    def test_to_networkx_cache_invalidated_by_add_link(self):
+    def test_cut_off_transit_node_passes_validation(self):
+        # Only edge nodes source or sink demands, so a transit node nothing
+        # can reach leaves every demand routable.
         network = build_square()
-        first = network.to_networkx()
-        network.add_link(Link(source="A", target="C"))
-        second = network.to_networkx()
-        assert second is not first
-        assert second.has_edge("A", "C")
+        network.add_node(Node(name="T", role=NodeRole.TRANSIT))
+        network.add_link(Link(source="T", target="A"))
+        network.validate()
+
+    def test_too_few_edge_nodes_error_counts_only_edge_nodes(self):
+        nodes = [Node(name="A"), Node(name="T", role=NodeRole.TRANSIT)]
+        network = Network("lonely", nodes=nodes)
+        network.add_bidirectional_link(Link(source="A", target="T"))
+        with pytest.raises(TopologyError) as raised:
+            network.validate()
+        assert str(raised.value) == "network 'lonely' needs at least two edge nodes, got 1"
 
     def test_subnetwork_drops_external_links(self):
         network = build_square()

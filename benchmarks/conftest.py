@@ -10,13 +10,23 @@ EXPERIMENTS.md can be regenerated from a benchmark run.
 Benchmarks use ``benchmark.pedantic(..., rounds=1, iterations=1)``: the
 quantities of interest are the reproduced numbers (and a single wall-clock
 measurement), not statistically tight timings of multi-second experiments.
+
+They run on one BLAS thread, the policy of the ledger and of perfbench: the
+variables are set here, before numpy loads.  With the default threads a
+small shared host adds thread wake-ups that swamp millisecond solves, and a
+single cold timing such as ``bench_series_estimation.py``'s batched
+Bayesian call then reads slower than the loop it must beat.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
 import numpy as np
 import pytest

@@ -45,7 +45,6 @@ from repro.errors import TrafficError
 from repro.estimation.base import EstimationProblem
 from repro.measurement.collector import DistributedCollector
 from repro.measurement.linkloads import link_load_series
-from repro.measurement.snmp import RateDiagnostics
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.topology.network import Network
 from repro.traffic.matrix import TrafficMatrix, TrafficMatrixSeries
@@ -347,10 +346,6 @@ class MeasuredScenario(Scenario):
         if self._measured_loads is None:
             self._measured_loads = self.collector.measured_link_loads()
         return self._measured_loads
-
-    def measurement_diagnostics(self) -> RateDiagnostics:
-        """Lost/degenerate/interpolated sample accounting of the collection."""
-        return self.collector.collection_diagnostics()
 
     def measured_busy_series(self) -> TrafficMatrixSeries:
         """The measured LSP series over the *true* busy window.

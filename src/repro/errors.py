@@ -18,8 +18,8 @@ class TopologyError(ReproError):
     """Raised when a network topology is malformed or inconsistent.
 
     Examples include duplicate node or link identifiers, links referencing
-    unknown nodes, non-positive capacities, or attempts to extract a region
-    that contains no nodes.
+    unknown nodes, non-positive capacities, or a network in which some
+    demand has no path.
     """
 
 

@@ -35,7 +35,8 @@ factor-once overrides where the mathematics allows).  The methods defined
 by a convex program solve it exactly and report a certificate in their
 diagnostics: the duality gap for the dual-kernel methods, the KKT residual
 for Vardi and fanout, the bound gap for the worst-case bounds.  Cao's
-pseudo-EM has no certificate yet.
+pseudo-EM reports its last sweep's relative change of ``lambda``
+(``fixed_point_change``) next to its first-moment residual.
 """
 
 from repro.estimation.base import (

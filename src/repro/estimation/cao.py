@@ -34,8 +34,6 @@ slowly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import EstimationError
@@ -72,7 +70,10 @@ class CaoEstimator(Estimator):
     max_iterations:
         Number of EM sweeps.
     tolerance:
-        Relative change of ``lambda`` below which the iteration stops.
+        Relative change of ``lambda`` below which the iteration stops.  The
+        result reports the last sweep's change as ``fixed_point_change``
+        and ``converged`` as whether it fell below ``tolerance``, so a run
+        that stops at ``max_iterations`` says so.
     prior:
         Prior used to initialise ``lambda`` (a vector or a prior name).
     """
@@ -131,7 +132,7 @@ class CaoEstimator(Estimator):
         lam = self._initial_lambda(problem, mean_loads)
         phi = self.phi
         floor = max(float(lam[lam > 0].min(initial=1.0)) * 1e-6, 1e-9)
-        iterations_used = 0
+        iterations_used, change = 0, np.inf
         for iterations_used in range(1, self.max_iterations + 1):
             variances = phi * np.power(np.maximum(lam, floor), self.c)
             sigma_rt = variances[:, None] * routing.T
@@ -163,6 +164,8 @@ class CaoEstimator(Estimator):
             iterations=iterations_used,
             num_snapshots=num_snapshots,
             first_moment_residual=float(np.linalg.norm(routing @ lam - mean_loads)),
+            fixed_point_change=change,
+            converged=bool(change < self.tolerance),
         )
 
     def estimate_series(self, problem: EstimationProblem) -> SeriesEstimationResult:

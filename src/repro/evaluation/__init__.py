@@ -1,7 +1,7 @@
 """Evaluation framework: metrics, figure data generators and table runners.
 
 * :mod:`~repro.evaluation.metrics` — the MRE (Equation 8), its demand
-  threshold rule, RMSE and ranking correlation;
+  threshold rule and ranking correlation;
 * :mod:`~repro.evaluation.figures` — one data-series generator per figure of
   the paper;
 * :mod:`~repro.evaluation.experiments` — Table 1 / Table 2 runners, the
@@ -26,15 +26,11 @@ from repro.evaluation.experiments import (
 from repro.evaluation.metrics import (
     demand_ranking_correlation,
     mean_relative_error,
-    relative_errors,
-    root_mean_square_error,
     top_demand_threshold,
 )
 
 __all__ = [
     "mean_relative_error",
-    "relative_errors",
-    "root_mean_square_error",
     "demand_ranking_correlation",
     "top_demand_threshold",
     "ExperimentRecord",

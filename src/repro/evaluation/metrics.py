@@ -8,28 +8,24 @@ rationale is traffic engineering: only the large demands matter for link
 utilisations, and relative accuracy on them is what load balancing and
 failure analysis need.
 
-Besides the MRE this module provides the threshold rule itself, per-demand
-relative errors, the root-mean-square error, and a rank-correlation metric
-backing the paper's remark that "most estimation methods are very accurate
-in ranking the size of demands".
+Besides the MRE this module provides the threshold rule itself and a
+rank-correlation metric backing the paper's remark that "most estimation
+methods are very accurate in ranking the size of demands".
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.stats
 
 from repro.errors import EstimationError
-from repro.topology.elements import NodePair
 from repro.traffic.matrix import TrafficMatrix
 
 __all__ = [
     "top_demand_threshold",
-    "relative_errors",
     "mean_relative_error",
-    "root_mean_square_error",
     "demand_ranking_correlation",
 ]
 
@@ -59,21 +55,6 @@ def top_demand_threshold(truth: TrafficMatrix, traffic_fraction: float = 0.9) ->
     American one).
     """
     return truth.threshold_for_traffic_fraction(traffic_fraction)
-
-
-def relative_errors(
-    estimate: TrafficMatrix,
-    truth: TrafficMatrix,
-    threshold: float = 0.0,
-) -> dict[NodePair, float]:
-    """Per-demand relative errors ``|s_hat - s| / s`` for demands above ``threshold``.
-
-    Demands whose true value is zero are skipped (their relative error is
-    undefined), matching the paper's restriction to large demands.
-    """
-    positions, errors = _relative_error_vector(estimate, truth, threshold)
-    pairs = truth.pairs
-    return {pairs[position]: error for position, error in zip(positions.tolist(), errors.tolist())}
 
 
 def mean_relative_error(
@@ -109,13 +90,6 @@ def mean_relative_error(
     if not errors.size:
         raise EstimationError("no demands exceed the MRE threshold")
     return float(np.mean(errors))
-
-
-def root_mean_square_error(estimate: TrafficMatrix, truth: TrafficMatrix) -> float:
-    """Plain RMSE over all demands (absolute, not relative)."""
-    _check_alignment(estimate, truth)
-    difference = estimate.vector - truth.vector
-    return float(np.sqrt(np.mean(difference**2)))
 
 
 def demand_ranking_correlation(estimate: TrafficMatrix, truth: TrafficMatrix) -> float:

@@ -73,11 +73,6 @@ class FlowRecord:
         """Flow lifetime in seconds."""
         return self.end_time - self.start_time
 
-    @property
-    def average_rate_mbps(self) -> float:
-        """The uniform rate the NetFlow collector assumes for the whole lifetime."""
-        return self.total_bytes * 8.0 / 1e6 / self.duration
-
     def bytes_in_window(self, window_start: float, window_end: float) -> float:
         """Bytes attributed to ``[window_start, window_end)`` under the uniform assumption."""
         overlap = min(self.end_time, window_end) - max(self.start_time, window_start)

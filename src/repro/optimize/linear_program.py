@@ -516,7 +516,6 @@ def bound_variables_batch(
     indices: Sequence[int],
     equality_matrix: Union[np.ndarray, scipy.sparse.spmatrix],
     equality_rhs: np.ndarray,
-    presolve: bool = True,
 ) -> BatchBoundsResult:
     """Lower and upper bounds of many coordinates over ``{x >= 0 : A x = b}``.
 
@@ -540,10 +539,6 @@ def bound_variables_batch(
         Variable indices to bound (request order is preserved).
     equality_matrix, equality_rhs:
         The constraint system; dense or SciPy sparse.
-    presolve:
-        Disable to force every requested coordinate through the LPs (used
-        by the parity tests): no pinning and no outer bounds; zero
-        witnesses still skip minimisations.
 
     Raises
     ------
@@ -562,12 +557,8 @@ def bound_variables_batch(
     requested = np.asarray(index_list)
     lower = np.empty(len(index_list))
     upper = np.empty(len(index_list))
-    if presolve:
-        outer_lower, outer_upper = _combinatorial_bounds(csr, rhs)
-        pinned, pin_duals = _leverage_pins(csr)
-    else:
-        outer_lower, outer_upper = np.zeros(num_vars), np.full(num_vars, np.inf)
-        pinned, pin_duals = np.zeros(num_vars, dtype=bool), np.empty((0, num_rows))
+    outer_lower, outer_upper = _combinatorial_bounds(csr, rhs)
+    pinned, pin_duals = _leverage_pins(csr)
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     certifier = _Certifier(csr, rhs, scale)
 

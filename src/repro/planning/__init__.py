@@ -15,7 +15,7 @@ tasks:
   kernel with the failed links masked out, the other columns kept);
 * :mod:`~repro.planning.projection` — link loads, utilisations, headroom
   and congestion sets for any traffic matrix pushed through a what-if
-  topology, plus the demand-growth scaler;
+  topology, scaled by a demand-growth factor;
 * :mod:`~repro.planning.sweep` — :func:`~repro.planning.sweep.failure_sweep`,
   which scores every estimation method by the planning error it induces
   across all failures, with ``summary_table``-style aggregation and figure
@@ -31,7 +31,7 @@ from repro.planning.failures import (
     enumerate_failures,
     surviving_network,
 )
-from repro.planning.projection import LoadProjection, project_load, scale_demands
+from repro.planning.projection import LoadProjection, project_load
 from repro.planning.sweep import (
     PlanningRecord,
     failure_sweep,
@@ -47,7 +47,6 @@ __all__ = [
     "surviving_network",
     "LoadProjection",
     "project_load",
-    "scale_demands",
     "WhatIfEngine",
     "full_rebuild_routing",
     "PlanningRecord",

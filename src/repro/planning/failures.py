@@ -13,8 +13,7 @@ planning cases:
   originating or terminating there are lost, not re-routed).
 
 :func:`surviving_network` derives the post-failure topology as a standalone
-:class:`~repro.topology.network.Network` — built the same way
-:meth:`Network.subnetwork` extracts regions, by dropping failed elements —
+:class:`~repro.topology.network.Network`, by dropping the failed elements,
 which the full-rebuild reference path and the parity tests use.  The
 what-if engine does not: :func:`~repro.routing.routing_matrix.reroute`
 masks the failed links out of the base topology instead.
@@ -66,11 +65,6 @@ class FailureCase:
             raise PlanningError("baseline case cannot fail any element")
         if self.kind != "baseline" and not (self.failed_links or self.failed_nodes):
             raise PlanningError(f"failure case {self.name!r} fails nothing")
-
-    @property
-    def is_baseline(self) -> bool:
-        """Whether this is the intact-topology case."""
-        return self.kind == "baseline"
 
 
 #: The intact topology, included first when ``include_baseline`` is set.
@@ -142,10 +136,8 @@ def surviving_network(network: Network, case: FailureCase) -> Network:
 
     Failed nodes are dropped with all their incident links; failed links
     are dropped individually.  The result keeps the base element order for
-    everything that survives (the same guarantee
-    :meth:`~repro.topology.network.Network.subnetwork` gives), so routing
-    matrices built on it stay comparable column-for-column with the base
-    pairs that survive.
+    everything that survives, so routing matrices built on it stay
+    comparable column-for-column with the base pairs that survive.
     """
     failed_nodes = set(case.failed_nodes)
     failed_links = set(case.failed_links)

@@ -14,9 +14,9 @@ reports the planning quantities:
 * for infeasible cases, the demands a partition disconnects and the traffic
   volume they carried.
 
-:func:`scale_demands` provides the "traffic grows 1.5x" knob: planning
-studies routinely project a uniformly scaled matrix through the same
-failure cases to find which link saturates first.
+:func:`project_load`'s ``growth`` factor is the "traffic grows 1.5x" knob:
+planning studies routinely project a uniformly scaled matrix through the
+same failure cases to find which link saturates first.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from repro.topology.elements import NodePair
 from repro.topology.network import Network
 from repro.traffic.matrix import TrafficMatrix
 
-__all__ = ["LoadProjection", "project_load", "scale_demands"]
-
-
-def scale_demands(matrix: TrafficMatrix, factor: float) -> TrafficMatrix:
-    """Uniformly scale every demand by ``factor`` (the demand-growth knob)."""
-    if factor < 0:
-        raise PlanningError("demand growth factor must be non-negative")
-    return TrafficMatrix(matrix.pairs, matrix.vector * factor)
+__all__ = ["LoadProjection", "project_load"]
 
 
 @dataclass(frozen=True)

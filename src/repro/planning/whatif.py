@@ -44,6 +44,11 @@ from repro.traffic.matrix import TrafficMatrix
 
 __all__ = ["WhatIfEngine", "full_rebuild_routing"]
 
+#: Per-case routing matrices a :class:`WhatIfEngine` keeps: a full
+#: single-link sweep of the America-like network holds 284 sparse matrices,
+#: so the bound is generous but finite.
+CASE_CACHE_SIZE = 1024
+
 
 class WhatIfEngine:
     """Failure what-if analysis over one base topology.
@@ -55,20 +60,9 @@ class WhatIfEngine:
         benchmarks' model).
     utilisation_threshold:
         Default congestion threshold of the projections.
-    cache_size:
-        Maximum number of per-case routing matrices kept; a full
-        single-link sweep of the America-like network holds 284 sparse
-        matrices, so the default is generous but bounded.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        utilisation_threshold: float = 0.9,
-        cache_size: int = 1024,
-    ) -> None:
-        if cache_size < 1:
-            raise PlanningError("cache_size must be at least 1")
+    def __init__(self, network: Network, utilisation_threshold: float = 0.9) -> None:
         self.network = network
         self.utilisation_threshold = float(utilisation_threshold)
         #: Routing matrix of the intact topology.
@@ -76,7 +70,6 @@ class WhatIfEngine:
         self._capacities = np.array(
             [link.capacity_mbps for link in network.links], dtype=float
         )
-        self._cache_size = cache_size
         self._case_cache: dict[
             tuple[tuple[str, ...], tuple[str, ...]], tuple[RoutingMatrix, RerouteResult]
         ] = {}
@@ -108,7 +101,7 @@ class WhatIfEngine:
             # Same contract as surviving_network: a case naming unknown
             # elements is a planning error, whichever path evaluates it.
             raise PlanningError(f"failure case {case.name!r}: {exc}") from exc
-        if len(self._case_cache) >= self._cache_size:
+        if len(self._case_cache) >= CASE_CACHE_SIZE:
             self._case_cache.pop(next(iter(self._case_cache)))
         self._case_cache[key] = result
         return result

@@ -19,7 +19,7 @@ This module models that machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from repro.errors import RoutingError
@@ -64,11 +64,6 @@ class LSP:
         """Canonical tunnel name, e.g. ``"lsp:LON->FRA"``."""
         return f"lsp:{self.pair.origin}->{self.pair.destination}"
 
-    @property
-    def is_signalled(self) -> bool:
-        """Whether a path has been established for the LSP."""
-        return self.path is not None
-
     def signal(self, path: Path) -> None:
         """Attach a signalled path, verifying it matches the LSP endpoints."""
         if path.pair != self.pair:
@@ -76,10 +71,6 @@ class LSP:
                 f"path endpoints {path.pair} do not match LSP {self.pair}"
             )
         self.path = path
-
-    def tear_down(self) -> None:
-        """Remove the signalled path (e.g. before re-optimisation)."""
-        self.path = None
 
 
 class ReservationState:
@@ -102,12 +93,6 @@ class ReservationState:
         self.oversubscription = oversubscription
         self._reserved: dict[str, float] = {name: 0.0 for name in network.link_names}
 
-    def reserved(self, link_name: str) -> float:
-        """Currently reserved bandwidth on ``link_name`` in Mbit/s."""
-        if link_name not in self._reserved:
-            raise RoutingError(f"unknown link {link_name!r}")
-        return self._reserved[link_name]
-
     def available(self, link_name: str) -> float:
         """Unreserved bandwidth on ``link_name`` in Mbit/s."""
         link = self.network.link(link_name)
@@ -128,16 +113,6 @@ class ReservationState:
             )
         for link in path.links:
             self._reserved[link.name] += bandwidth_mbps
-
-    def release(self, path: Path, bandwidth_mbps: float) -> None:
-        """Release a previous reservation along ``path``."""
-        for link in path.links:
-            new_value = self._reserved[link.name] - bandwidth_mbps
-            if new_value < -1e-6:
-                raise RoutingError(
-                    f"releasing more bandwidth than reserved on {link.name!r}"
-                )
-            self._reserved[link.name] = max(0.0, new_value)
 
     def utilisation(self, link_name: str) -> float:
         """Reserved fraction of the physical capacity of ``link_name``."""

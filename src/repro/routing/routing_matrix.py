@@ -45,7 +45,6 @@ import scipy.sparse
 from repro import telemetry
 from repro.errors import RoutingError
 from repro.routing.backends import gram_rank
-from repro.routing.cspf import CSPFRouter
 from repro.routing.shortest_path import Path, RouteTable, ShortestPathRouter, _route_pairs
 from repro.topology.elements import NodePair, PairIndex
 from repro.topology.network import Network
@@ -126,7 +125,6 @@ class RoutingMatrix:
         self.link_names = tuple(link_names)
         self.pairs = PairIndex.of(pairs)
         self.network = network
-        self._link_index = {name: idx for idx, name in enumerate(self.link_names)}
         self._dense: Optional[np.ndarray] = None
         self._gram: Optional[np.ndarray] = None
         self._gram_pattern: Optional[_GramPattern] = None
@@ -196,14 +194,6 @@ class RoutingMatrix:
             return self.pairs.position(pair)
         except KeyError as exc:
             raise RoutingError(f"pair {pair} not present in routing matrix") from exc
-
-    def link_row(self, link_name: str) -> np.ndarray:
-        """Row of the matrix for ``link_name`` (a dense copy)."""
-        try:
-            index = self._link_index[link_name]
-        except KeyError as exc:
-            raise RoutingError(f"link {link_name!r} not present in routing matrix") from exc
-        return self._csr.getrow(index).toarray().ravel()
 
     def pair_column(self, pair: NodePair) -> np.ndarray:
         """Column of the matrix for ``pair`` (the links it traverses)."""
@@ -303,14 +293,6 @@ class RoutingMatrix:
             self._rank = gram_rank(np.linalg.eigvalsh(link_gram))
         return self._rank
 
-    def nullity(self) -> int:
-        """Dimension of the null space, i.e. the degrees of freedom left free."""
-        return self.num_pairs - self.rank()
-
-    def is_underdetermined(self) -> bool:
-        """Whether ``R s = t`` has infinitely many non-negative candidates."""
-        return self.rank() < self.num_pairs
-
     def path_lengths(self) -> np.ndarray:
         """Per-pair path lengths (column sums; cached, read-only)."""
         if self._path_lengths is None:
@@ -318,10 +300,6 @@ class RoutingMatrix:
             lengths.setflags(write=False)
             self._path_lengths = lengths
         return self._path_lengths
-
-    def path_length(self, pair: NodePair) -> float:
-        """Number of links (possibly fractional for ECMP) used by ``pair``."""
-        return float(self.path_lengths()[self.pair_index(pair)])
 
     def fingerprint(self) -> str:
         """Content hash of the routing state (computed once, then cached).
@@ -442,8 +420,6 @@ def _pair_products(csr: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
 def build_routing_matrix(
     network: Network,
     paths: Optional[Mapping[NodePair, Path]] = None,
-    use_cspf: bool = False,
-    bandwidths: Optional[Mapping[NodePair, float]] = None,
 ) -> RoutingMatrix:
     """Build the 0/1 single-path routing matrix for ``network``.
 
@@ -453,33 +429,24 @@ def build_routing_matrix(
         The topology.  Its canonical link and pair orderings become the row
         and column orderings of the matrix.
     paths:
-        Pre-computed paths per pair.  When omitted, plain shortest-path
-        routing fills the CSR straight from
+        Pre-computed paths per pair, e.g. the CSPF routes of an LSP mesh
+        (``CSPFRouter(network).route_all(bandwidths=...)``).  When omitted,
+        plain shortest-path routing fills the CSR straight from
         :meth:`~repro.routing.shortest_path.ShortestPathRouter.route_table`
-        (no per-pair :class:`Path` objects) or, if ``use_cspf`` is set,
-        the CSPF simulator routes with the given ``bandwidths``.
-    use_cspf:
-        Route with :class:`~repro.routing.cspf.CSPFRouter` instead of plain
-        Dijkstra.
-    bandwidths:
-        LSP bandwidth values used by CSPF (ignored otherwise).
+        (no per-pair :class:`Path` objects).
     """
     pairs = network.node_pairs()
     with telemetry.span(
         "routing.build_matrix", links=network.num_links, pairs=len(pairs)
     ):
-        return _assemble_routing_matrix(network, pairs, paths, use_cspf, bandwidths)
+        return _assemble_routing_matrix(network, pairs, paths)
 
 
 def _assemble_routing_matrix(
     network: Network,
     pairs: PairIndex,
     paths: Optional[Mapping[NodePair, Path]],
-    use_cspf: bool,
-    bandwidths: Optional[Mapping[NodePair, float]],
 ) -> RoutingMatrix:
-    if paths is None and use_cspf:
-        paths = CSPFRouter(network).route_all(bandwidths=dict(bandwidths or {}))
     if paths is None:
         table = ShortestPathRouter(network).route_table(pairs)
     else:

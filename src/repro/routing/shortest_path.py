@@ -77,22 +77,9 @@ class Path:
         if self.nodes[0] != self.pair.origin or self.nodes[-1] != self.pair.destination:
             raise RoutingError(f"path endpoints do not match pair {self.pair}")
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links traversed."""
-        return len(self.links)
-
     def link_names(self) -> tuple[str, ...]:
         """Names of the traversed links, in order."""
         return tuple(link.name for link in self.links)
-
-    def uses_link(self, link_name: str) -> bool:
-        """Return whether the path traverses the named link."""
-        return any(link.name == link_name for link in self.links)
-
-    def bottleneck_capacity(self) -> float:
-        """Smallest capacity along the path in Mbit/s."""
-        return min(link.capacity_mbps for link in self.links)
 
     def __iter__(self) -> Iterator[Link]:
         return iter(self.links)

@@ -107,10 +107,6 @@ class SpanRecord:
     attributes: dict[str, Any] = field(default_factory=dict)
     events: list[tuple[float, str, dict[str, Any]]] = field(default_factory=list)
 
-    @property
-    def end_wall(self) -> float:
-        return self.start_wall + self.duration
-
     def label(self) -> str:
         """Stage label used by the summary rollup: ``name[method]`` when
         the span carries a ``method`` attribute, plain ``name`` otherwise."""

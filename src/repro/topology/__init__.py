@@ -9,13 +9,13 @@ This package provides the data model every other subsystem builds on:
   ordering every pair-indexed object reads;
 * :class:`~repro.topology.network.Network` — the ordered container defining
   canonical link and origin-destination-pair indices;
-* :mod:`~repro.topology.generators` — synthetic backbones matching the
-  paper's European (12 PoPs / 72 links) and American (25 PoPs / 284 links)
-  subnetworks;
-* :mod:`~repro.topology.regions` — region extraction and PoP aggregation.
+* :mod:`~repro.topology.generators` — synthetic PoP-level backbones
+  matching the paper's European (12 PoPs / 72 links) and American (25 PoPs
+  / 284 links) subnetworks, built directly rather than cut from a
+  router-level topology.
 """
 
-from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
+from repro.topology.elements import Link, Node, NodePair, NodeRole, PairIndex
 from repro.topology.generators import (
     ABILENE_CITIES,
     AMERICAN_CITIES,
@@ -28,17 +28,11 @@ from repro.topology.generators import (
     random_backbone,
 )
 from repro.topology.network import Network
-from repro.topology.regions import (
-    aggregate_demands_to_pops,
-    aggregate_to_pops,
-    extract_region,
-)
 
 __all__ = [
     "Node",
     "NodeRole",
     "Link",
-    "LinkKind",
     "NodePair",
     "PairIndex",
     "Network",
@@ -51,7 +45,4 @@ __all__ = [
     "abilene_backbone",
     "random_backbone",
     "great_circle_km",
-    "extract_region",
-    "aggregate_to_pops",
-    "aggregate_demands_to_pops",
 ]

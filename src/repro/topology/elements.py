@@ -1,19 +1,15 @@
-"""Basic network elements: nodes (PoPs / routers) and directed links.
+"""Basic network elements: PoPs and directed links.
 
 The paper studies PoP-to-PoP traffic matrices on Global Crossing's backbone,
 where core routers located in the same city are aggregated into a point of
-presence (PoP).  The data model therefore distinguishes three concepts:
+presence (PoP).  The generators build such PoP-level networks directly, and
+the data model has four concepts:
 
-* :class:`Node` — a PoP or a core router.  A node has a *role*
-  (:class:`NodeRole`) that records whether the node terminates traffic as an
-  access point, exchanges traffic with other carriers as a peering point, or
-  only transits traffic (some PoPs in the paper contain routers that only
-  carry transit traffic).
-* :class:`Link` — a directed link with a capacity, a propagation metric used
-  by the IGP/CSPF routing algorithms, and a *kind* (:class:`LinkKind`)
-  distinguishing interior backbone links from the access and peering links
-  over which demand enters and exits the network (the paper's ``e(n)`` and
-  ``x(m)`` links).
+* :class:`Node` — a PoP.  A node has a *role* (:class:`NodeRole`) that
+  records whether it terminates traffic as an access point, exchanges
+  traffic with other carriers as a peering point, or only transits traffic.
+* :class:`Link` — a directed link with a capacity and a propagation metric
+  used by the IGP/CSPF routing algorithms.
 * :class:`NodePair` — an ordered origin-destination pair, the unit at which
   demands are expressed.
 * :class:`PairIndex` — an immutable, duplicate-free ordering of node pairs
@@ -36,7 +32,6 @@ from repro.errors import TopologyError
 
 __all__ = [
     "NodeRole",
-    "LinkKind",
     "Node",
     "Link",
     "NodePair",
@@ -66,52 +61,25 @@ class NodeRole(enum.Enum):
         return self is not NodeRole.TRANSIT
 
 
-class LinkKind(enum.Enum):
-    """Classification of a directed link.
-
-    ``INTERIOR`` links connect core routers / PoPs inside the backbone;
-    ``ACCESS`` and ``PEERING`` links attach edge traffic.  Following the
-    paper's Section 3.1, the access/peering link of node *n* is the link over
-    which the total traffic entering (or exiting) the network at *n* is
-    observed.
-    """
-
-    INTERIOR = "interior"
-    ACCESS = "access"
-    PEERING = "peering"
-
-    def is_edge(self) -> bool:
-        """Return ``True`` for access or peering links."""
-        return self is not LinkKind.INTERIOR
-
-
 @dataclass(frozen=True, order=True)
 class Node:
-    """A PoP or core router.
+    """A PoP.
 
     Parameters
     ----------
     name:
-        Unique identifier, e.g. ``"LON"`` or ``"NYC-cr2"``.
+        Unique identifier, e.g. ``"LON"``.
     role:
         Functional role (access, peering or transit).
-    region:
-        Optional label used for sub-network extraction, e.g. ``"europe"``
-        or ``"america"``.
     population:
         Relative size of the user population served by the node.  The
         synthetic traffic generators use it to shape the spatial demand
         distribution; it has no meaning for estimation methods.
-    city:
-        Optional human-readable city name, used when aggregating routers
-        into PoPs.
     """
 
     name: str
     role: NodeRole = NodeRole.ACCESS
-    region: Optional[str] = None
     population: float = 1.0
-    city: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -120,11 +88,6 @@ class Node:
             raise TopologyError(
                 f"node {self.name!r} has negative population {self.population}"
             )
-
-    @property
-    def pop_name(self) -> str:
-        """Return the PoP this node belongs to (its city, or its own name)."""
-        return self.city if self.city is not None else self.name
 
     def is_edge(self) -> bool:
         """Return ``True`` if the node can originate or sink demands."""
@@ -146,8 +109,6 @@ class Link:
         for utilisation computation.
     metric:
         IGP metric / administrative weight used by shortest-path routing.
-    kind:
-        Interior, access or peering link.
     name:
         Optional explicit identifier.  When omitted a canonical
         ``"source->target"`` name is generated.
@@ -157,7 +118,6 @@ class Link:
     target: str
     capacity_mbps: float = 10_000.0
     metric: float = 1.0
-    kind: LinkKind = LinkKind.INTERIOR
     name: str = field(default="")
 
     def __post_init__(self) -> None:
@@ -176,11 +136,6 @@ class Link:
         if not self.name:
             object.__setattr__(self, "name", f"{self.source}->{self.target}")
 
-    @property
-    def endpoints(self) -> tuple[str, str]:
-        """Return the ``(source, target)`` node names."""
-        return (self.source, self.target)
-
     def reversed(self) -> "Link":
         """Return the link in the opposite direction with identical attributes."""
         return Link(
@@ -188,7 +143,6 @@ class Link:
             target=self.source,
             capacity_mbps=self.capacity_mbps,
             metric=self.metric,
-            kind=self.kind,
         )
 
 

@@ -22,12 +22,12 @@ arbitrary size for tests and scaling studies.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.topology.elements import Link, LinkKind, Node, NodeRole
+from repro.topology.elements import Link, Node, NodeRole
 from repro.topology.network import Network
 
 __all__ = [
@@ -187,7 +187,6 @@ def _geographic_backbone(
     name: str,
     cities: Sequence[CitySpec],
     num_directed_links: int,
-    region: str,
     seed: int,
     population_chord_fraction: float = 0.5,
 ) -> Network:
@@ -216,15 +215,7 @@ def _geographic_backbone(
     rng = np.random.default_rng(seed)
     network = Network(name)
     for city in cities:
-        network.add_node(
-            Node(
-                name=city.name,
-                role=NodeRole.ACCESS,
-                region=region,
-                population=city.population,
-                city=city.name,
-            )
-        )
+        network.add_node(Node(name=city.name, role=NodeRole.ACCESS, population=city.population))
 
     ordered = sorted(cities, key=lambda c: (c.longitude, c.latitude))
     by_name = {c.name: c for c in cities}
@@ -242,7 +233,6 @@ def _geographic_backbone(
             target=b.name,
             capacity_mbps=capacity,
             metric=_metric_from_distance(distance),
-            kind=LinkKind.INTERIOR,
         )
         network.add_bidirectional_link(link)
 
@@ -292,7 +282,7 @@ def european_backbone(seed: int = 2004) -> Network:
     The node and link counts match the paper's European subnetwork
     (12 PoPs, 132 demands, 72 links).
     """
-    return _geographic_backbone("europe", EUROPEAN_CITIES, 72, "europe", seed)
+    return _geographic_backbone("europe", EUROPEAN_CITIES, 72, seed)
 
 
 def american_backbone(seed: int = 2004) -> Network:
@@ -301,7 +291,7 @@ def american_backbone(seed: int = 2004) -> Network:
     The node and link counts match the paper's American subnetwork
     (25 PoPs, 600 demands, 284 links).
     """
-    return _geographic_backbone("america", AMERICAN_CITIES, 284, "america", seed)
+    return _geographic_backbone("america", AMERICAN_CITIES, 284, seed)
 
 
 def abilene_backbone() -> Network:
@@ -318,15 +308,7 @@ def abilene_backbone() -> Network:
     network = Network("abilene")
     by_name = {city.name: city for city in ABILENE_CITIES}
     for city in ABILENE_CITIES:
-        network.add_node(
-            Node(
-                name=city.name,
-                role=NodeRole.ACCESS,
-                region="us-research",
-                population=city.population,
-                city=city.name,
-            )
-        )
+        network.add_node(Node(name=city.name, role=NodeRole.ACCESS, population=city.population))
     for a_name, b_name in _ABILENE_TRUNKS:
         distance = great_circle_km(by_name[a_name], by_name[b_name])
         network.add_bidirectional_link(
@@ -335,7 +317,6 @@ def abilene_backbone() -> Network:
                 target=b_name,
                 capacity_mbps=10_000.0,
                 metric=_metric_from_distance(distance),
-                kind=LinkKind.INTERIOR,
             )
         )
     network.validate()
@@ -347,7 +328,6 @@ def random_backbone(
     avg_degree: float = 3.0,
     seed: Optional[int] = None,
     name: str = "random",
-    region: Optional[str] = None,
     populations: Optional[Sequence[float]] = None,
 ) -> Network:
     """Generate a random strongly connected backbone.
@@ -355,10 +335,7 @@ def random_backbone(
     Parameters
     ----------
     num_nodes:
-        Number of PoPs.  Node names are ``"P00"``, ``"P01"``, ...  Every
-        node is its own PoP (``city`` equals the node name), so the PoP
-        aggregation tooling works on generated topologies exactly like on
-        the hand-built paper networks.
+        Number of PoPs.  Node names are ``"P00"``, ``"P01"``, ...
     avg_degree:
         Target average (undirected) degree.  A ring is always present, so
         the effective minimum is 2.
@@ -367,8 +344,6 @@ def random_backbone(
         topology on every call.
     name:
         Network name.
-    region:
-        Region label applied to every node.
     populations:
         Optional explicit population weights; defaults to a Zipf-like
         distribution that concentrates traffic on a few PoPs, as observed
@@ -395,13 +370,7 @@ def random_backbone(
     names = [f"P{idx:02d}" for idx in range(num_nodes)]
     for node_name, population in zip(names, populations):
         network.add_node(
-            Node(
-                name=node_name,
-                role=NodeRole.ACCESS,
-                region=region,
-                population=float(population),
-                city=node_name,
-            )
+            Node(name=node_name, role=NodeRole.ACCESS, population=float(population))
         )
 
     added: set[tuple[str, str]] = set()

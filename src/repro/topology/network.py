@@ -18,14 +18,14 @@ canonical order for links and pairs that every other module relies on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse import csgraph
 
 from repro.errors import TopologyError
-from repro.topology.elements import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
+from repro.topology.elements import Link, Node, NodePair, PairIndex
 
 __all__ = ["Network"]
 
@@ -120,21 +120,6 @@ class Network:
         """Nodes that can originate or terminate demands (access or peering)."""
         return tuple(node for node in self._nodes.values() if node.is_edge())
 
-    @property
-    def access_nodes(self) -> tuple[Node, ...]:
-        """Nodes with the ``ACCESS`` role (the paper's set ``A``)."""
-        return tuple(n for n in self._nodes.values() if n.role is NodeRole.ACCESS)
-
-    @property
-    def peering_nodes(self) -> tuple[Node, ...]:
-        """Nodes with the ``PEERING`` role (the paper's set ``P``)."""
-        return tuple(n for n in self._nodes.values() if n.role is NodeRole.PEERING)
-
-    @property
-    def transit_nodes(self) -> tuple[Node, ...]:
-        """Nodes that only transit traffic."""
-        return tuple(n for n in self._nodes.values() if n.role is NodeRole.TRANSIT)
-
     # ------------------------------------------------------------------
     # link access
     # ------------------------------------------------------------------
@@ -155,23 +140,12 @@ class Network:
         except KeyError as exc:
             raise TopologyError(f"unknown link {name!r} in network {self.name!r}") from exc
 
-    def has_link(self, name: str) -> bool:
-        """Return whether a link called ``name`` exists."""
-        return name in self._links
-
     def link_index(self, name: str) -> int:
         """Return the canonical row index of the link called ``name``."""
         try:
             return self._link_index[name]
         except KeyError as exc:
             raise TopologyError(f"unknown link {name!r} in network {self.name!r}") from exc
-
-    def find_link(self, source: str, target: str) -> Link:
-        """Return the (first) directed link from ``source`` to ``target``."""
-        for link in self._adjacency.get(source, []):
-            if link.target == target:
-                return link
-        raise TopologyError(f"no link from {source!r} to {target!r} in {self.name!r}")
 
     def outgoing_links(self, node_name: str) -> tuple[Link, ...]:
         """Directed links leaving ``node_name``."""
@@ -182,11 +156,6 @@ class Network:
         """Directed links entering ``node_name``."""
         self.node(node_name)
         return tuple(link for link in self._links.values() if link.target == node_name)
-
-    @property
-    def interior_links(self) -> tuple[Link, ...]:
-        """Links connecting core nodes (excludes access/peering links)."""
-        return tuple(l for l in self._links.values() if l.kind is LinkKind.INTERIOR)
 
     # ------------------------------------------------------------------
     # sizes and pair enumeration
@@ -223,12 +192,8 @@ class Network:
             self._pairs = PairIndex.mesh([node.name for node in self.edge_nodes])
         return self._pairs
 
-    def pair_index(self) -> dict[NodePair, int]:
-        """Return the mapping from node pair to its canonical vector index."""
-        return dict(self.node_pairs().positions())
-
     # ------------------------------------------------------------------
-    # validation and views
+    # validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check structural invariants, raising ``TopologyError`` on failure.
@@ -269,46 +234,6 @@ class Network:
             if index[other] in reachable:
                 pair = NodePair(other, anchor)
             raise TopologyError(f"network {self.name!r} has no path for demand {pair}")
-
-    def is_connected(self) -> bool:
-        """Return ``True`` if every origin-destination pair has a path."""
-        try:
-            self.validate()
-        # Probe: the boolean *is* the answer; nothing is swallowed.
-        except TopologyError:  # reprolint: allow[fault-handling]
-            return False
-        return True
-
-    def subnetwork(self, name: str, node_names: Sequence[str]) -> "Network":
-        """Return the sub-network induced by ``node_names``.
-
-        Links with either endpoint outside the selection are dropped, which
-        is exactly how the paper extracts the European and American
-        subnetworks ("we simply exclude all links and demands that do not
-        have both source and destination inside the specific region").
-        """
-        selected = set(node_names)
-        unknown = selected - set(self._nodes)
-        if unknown:
-            raise TopologyError(f"unknown nodes in selection: {sorted(unknown)}")
-        if not selected:
-            raise TopologyError("cannot build an empty subnetwork")
-        sub = Network(name)
-        for node in self._nodes.values():
-            if node.name in selected:
-                sub.add_node(node)
-        for link in self._links.values():
-            if link.source in selected and link.target in selected:
-                sub.add_link(link)
-        return sub
-
-    def total_capacity(self) -> float:
-        """Aggregate capacity of all links in Mbit/s."""
-        return sum(link.capacity_mbps for link in self._links.values())
-
-    def degree(self, node_name: str) -> int:
-        """Out-degree of ``node_name`` (number of outgoing links)."""
-        return len(self.outgoing_links(node_name))
 
     # ------------------------------------------------------------------
     # dunder helpers

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -117,16 +116,6 @@ class DiurnalProfile:
         """Hour of the day at which the sampled profile is largest."""
         samples = self.sample_day(interval_seconds)
         return float(np.argmax(samples) * interval_seconds / 3600.0)
-
-    def shifted(self, hours: float) -> "DiurnalProfile":
-        """Return a copy whose peaks are shifted by ``hours`` (wrap-around)."""
-        return DiurnalProfile(
-            peak_hour=(self.peak_hour + hours) % 24.0,
-            trough_ratio=self.trough_ratio,
-            sharpness=self.sharpness,
-            morning_hour=None if self.morning_hour is None else (self.morning_hour + hours) % 24.0,
-            morning_ratio=self.morning_ratio,
-        )
 
 
 def european_profile() -> DiurnalProfile:

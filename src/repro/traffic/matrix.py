@@ -8,9 +8,10 @@ a network.  The paper manipulates it in three equivalent forms (Section 3):
 * the *fanout* form ``alpha_nm = s_nm / sum_m s_nm`` — the fraction of the
   traffic entering at ``n`` that exits at ``m``.
 
-:class:`TrafficMatrix` provides all three views plus the bookkeeping
-(origin / destination totals, top-demand selection, thresholds for the
-"demands carrying X % of traffic" rule used by the MRE metric).
+:class:`TrafficMatrix` provides the vector and fanout views (the
+distribution is the vector over :attr:`~TrafficMatrix.total`) plus the
+bookkeeping (origin / destination totals, top-demand selection, thresholds
+for the "demands carrying X % of traffic" rule used by the MRE metric).
 :class:`TrafficMatrixSeries` holds a time series of matrices sampled at a
 fixed interval — the paper's 24 hours of 5-minute samples — and exposes the
 per-demand statistics (mean, variance, fanout trajectories) the data
@@ -165,19 +166,6 @@ class TrafficMatrix:
     # ------------------------------------------------------------------
     # normalised views (paper Section 3.2)
     # ------------------------------------------------------------------
-    def as_distribution(self) -> np.ndarray:
-        """The demand distribution ``s / s_tot`` (sums to one).
-
-        Raises
-        ------
-        TrafficError
-            If the matrix is identically zero (the distribution is undefined).
-        """
-        total = self.total
-        if total <= 0:
-            raise TrafficError("cannot normalise an all-zero traffic matrix")
-        return self._values / total
-
     def fanouts(self) -> dict[NodePair, float]:
         """Fanout factors ``alpha_nm = s_nm / t_e(n)``.
 
@@ -226,12 +214,6 @@ class TrafficMatrix:
         idx = min(idx, len(sorted_values) - 1)
         return float(sorted_values[idx])
 
-    def demands_above(self, threshold: float) -> tuple[NodePair, ...]:
-        """Pairs whose demand strictly exceeds ``threshold``."""
-        return tuple(
-            pair for pair, value in zip(self.pairs, self._values) if value > threshold
-        )
-
     def cumulative_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Data behind the paper's Figure 2.
 
@@ -255,10 +237,6 @@ class TrafficMatrix:
         if factor < 0:
             raise TrafficError("scaling factor must be non-negative")
         return TrafficMatrix(self.pairs, self._values * factor)
-
-    def with_values(self, values: Union[Sequence[float], np.ndarray]) -> "TrafficMatrix":
-        """Return a matrix over the same pairs with new values."""
-        return TrafficMatrix(self.pairs, values)
 
     def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
         if not isinstance(other, TrafficMatrix):

@@ -58,24 +58,17 @@ class ScalingLaw:
         result = self.phi * np.power(mean, self.c)
         return float(result) if result.ndim == 0 else result
 
-    def standard_deviation(self, mean: float | np.ndarray) -> float | np.ndarray:
-        """Predicted standard deviation for the given mean demand(s)."""
-        variance = self.variance(mean)
-        return np.sqrt(variance)
-
     def sample(
         self,
         means: np.ndarray,
         size: int,
         rng: np.random.Generator,
-        truncate_at_zero: bool = True,
     ) -> np.ndarray:
         """Draw ``size`` demand snapshots consistent with the law.
 
         Each demand ``p`` is drawn i.i.d. from a normal distribution with
         mean ``means[p]`` and variance ``phi * means[p] ** c`` (the model of
-        Cao et al.), truncated at zero by default since demands cannot be
-        negative.
+        Cao et al.), clipped at zero since demands cannot be negative.
 
         Returns an array of shape ``(size, len(means))``.
         """
@@ -86,14 +79,7 @@ class ScalingLaw:
             raise TrafficError("sample size must be positive")
         std = np.sqrt(self.variance(means))
         draws = rng.normal(loc=means, scale=std, size=(size, len(means)))
-        if truncate_at_zero:
-            draws = np.maximum(draws, 0.0)
-        return draws
-
-    @classmethod
-    def poisson(cls) -> "ScalingLaw":
-        """The Poisson special case (``phi = 1, c = 1``)."""
-        return cls(phi=1.0, c=1.0)
+        return np.maximum(draws, 0.0)
 
 
 def fit_scaling_law(

@@ -11,12 +11,11 @@ The fixtures provide three classes of objects:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.datasets import large_scenario, small_scenario
 from repro.routing import build_routing_matrix
-from repro.topology import Link, LinkKind, Network, Node, NodePair, NodeRole
+from repro.topology import Link, Network, Node, NodePair, NodeRole
 from repro.traffic import TrafficMatrix
 
 

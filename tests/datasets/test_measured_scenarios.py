@@ -58,7 +58,7 @@ class TestMeasuredScenarioConstruction:
         assert measured.collector is first
 
     def test_noise_free_diagnostics_are_clean(self, noise_free):
-        diagnostics = noise_free.measurement_diagnostics()
+        diagnostics = noise_free.collector.collection_diagnostics()
         assert diagnostics.interpolated_samples == 0
         assert diagnostics.num_intervals == len(noise_free.day_series)
 
@@ -137,7 +137,7 @@ class TestMeasuredProblems:
             measured.link_load_series, consistent.link_load_series, rtol=1e-9, atol=1e-9
         )
         assert np.all(np.isfinite(measured.link_load_series))
-        assert noisy.measurement_diagnostics().interpolated_samples > 0
+        assert noisy.collector.collection_diagnostics().interpolated_samples > 0
 
     def test_window_length_validation(self, noise_free):
         with pytest.raises(TrafficError):

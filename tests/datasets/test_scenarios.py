@@ -98,7 +98,7 @@ class TestReferenceScenarios:
 
     def test_underdetermined_estimation_problem(self):
         scenario = europe_scenario()
-        assert scenario.routing.is_underdetermined()
+        assert scenario.routing.rank() < scenario.routing.num_pairs
 
 
 @pytest.fixture(scope="module")

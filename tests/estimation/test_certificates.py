@@ -4,8 +4,9 @@ Vardi's moment fit and the fanout fit are solved exactly by Lawson-Hanson
 and certified by a KKT residual; ``kl-projection`` is the I-projection of
 its prior, solved by the link-space dual kernel and certified by its
 duality gap; Kruithof's IPF is certified by its relative violation of the
-edge totals.  Each test checks the certificate against an independent
-computation, and that a perturbed or capped answer fails it.
+edge totals; Cao's pseudo-EM by the relative change of its last sweep.
+Each test checks the certificate against an independent computation, and
+that a perturbed or capped answer fails it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import scipy.optimize
 
 from repro.datasets import abilene_scenario, america_scenario, europe_scenario, large_scenario
 from repro.errors import EstimationError, SolverError
-from repro.estimation import EstimationProblem, KruithofEstimator, VardiEstimator, get_estimator
+from repro.estimation import (
+    CaoEstimator,
+    EstimationProblem,
+    KruithofEstimator,
+    VardiEstimator,
+    get_estimator,
+)
 from repro.estimation.vardi import link_load_moments
 from repro.optimize import kl_divergence
 from repro.optimize.nnls import KKT_TOLERANCE
@@ -307,3 +314,25 @@ class TestKruithof:
         assert diagnostics["converged"] is (max_iterations == 500)
         independent = edge_total_violation(problem, estimates, rows, columns)
         assert independent == pytest.approx(relative, rel=1e-3, abs=1e-12)
+
+
+class TestCao:
+    @pytest.mark.parametrize("window", [10, 50])
+    @pytest.mark.parametrize("seed", [2004, 4242])
+    @pytest.mark.parametrize("name", ["europe", "abilene", "america"])
+    def test_fixed_point_change_is_the_last_sweep(self, name, seed, window):
+        problem = scenario(name, seed).series_problem(window_length=window)
+        estimator = CaoEstimator()
+        result = estimator.estimate(problem)
+        diagnostics = result.diagnostics
+        sweeps = diagnostics["iterations"]
+        assert 1 < sweeps < estimator.max_iterations
+        # One sweep fewer returns the iterate the last sweep started from.
+        previous = CaoEstimator(max_iterations=sweeps - 1).estimate(problem)
+        change = np.linalg.norm(result.vector - previous.vector) / np.linalg.norm(previous.vector)
+        assert diagnostics["fixed_point_change"] == pytest.approx(change, rel=1e-9, abs=0.0)
+        assert diagnostics["converged"] is True
+        assert diagnostics["fixed_point_change"] < estimator.tolerance
+        # Capped one sweep short, the iteration had not settled.
+        assert previous.diagnostics["converged"] is False
+        assert previous.diagnostics["fixed_point_change"] >= estimator.tolerance

@@ -40,7 +40,11 @@ CLOSED_FORM = {"closed_form"}
 #: name -> (constructor params, problem kind, required canonical keys)
 CONVENTIONS = {
     "bayesian": ({}, "snapshot", CERTIFIED),
-    "cao": ({}, "series", {"iterations"}),
+    "cao": (
+        {},
+        "series",
+        {"iterations", "converged", "first_moment_residual", "fixed_point_change"},
+    ),
     "entropy": ({}, "snapshot", CERTIFIED),
     "fanout": ({}, "series", {"residual_norm", "equality_violation"} | KKT_CERTIFIED),
     "generalized-gravity": ({"peering_nodes": set()}, "snapshot", CLOSED_FORM),
@@ -117,6 +121,11 @@ def test_canonical_diagnostics_keys(name, small_scenario_session):
         # Kruithof's IPF certifies the edge totals it was fitted to.
         violation = diagnostics["relative_violation"]
         assert diagnostics["converged"] is (0.0 <= violation < estimator.tolerance)
+        assert diagnostics["converged"]
+    if "fixed_point_change" in diagnostics:
+        # Cao's pseudo-EM certifies its fixed point by the last sweep's change.
+        change = diagnostics["fixed_point_change"]
+        assert diagnostics["converged"] is (0.0 <= change < estimator.tolerance)
         assert diagnostics["converged"]
     if "closed_form" in diagnostics:
         assert diagnostics["closed_form"] is True

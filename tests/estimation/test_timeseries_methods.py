@@ -21,7 +21,6 @@ from repro.traffic import (
     ScalingLaw,
     SyntheticTrafficConfig,
     SyntheticTrafficModel,
-    TrafficMatrix,
     base_demand_matrix,
     flat_profile,
     poisson_series,
@@ -117,6 +116,15 @@ class TestCao:
         mean_loads = loads[:200].mean(axis=0)
         relative = result.diagnostics["first_moment_residual"] / np.linalg.norm(mean_loads)
         assert relative < 0.05
+
+    def test_iteration_cap_is_reported_as_not_converged(self, small_scenario_session):
+        problem = small_scenario_session.series_problem(window_length=10)
+        tolerance = CaoEstimator().tolerance
+        capped = CaoEstimator(max_iterations=1).estimate(problem).diagnostics
+        assert capped["iterations"] == 1
+        assert capped["converged"] is False and capped["fixed_point_change"] >= tolerance
+        default = CaoEstimator().estimate(problem).diagnostics
+        assert default["converged"] is True and 0.0 <= default["fixed_point_change"] < tolerance
 
 
 class TestFanout:

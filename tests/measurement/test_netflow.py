@@ -34,7 +34,6 @@ class TestFlowRecord:
     def test_rate_and_window_attribution(self):
         flow = FlowRecord(pair=PAIRS[0], start_time=0.0, end_time=600.0, total_bytes=600e6)
         assert flow.duration == 600.0
-        assert flow.average_rate_mbps == pytest.approx(8.0)
         assert flow.bytes_in_window(0.0, 300.0) == pytest.approx(300e6)
         assert flow.bytes_in_window(600.0, 900.0) == 0.0
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PlanningError
+from repro.errors import PlanningError, TopologyError
 from repro.planning import BASELINE, FailureCase, enumerate_failures, surviving_network
 
 
 class TestFailureCase:
     def test_baseline_fails_nothing(self):
-        assert BASELINE.is_baseline
+        assert BASELINE.kind == "baseline"
         assert BASELINE.failed_links == () and BASELINE.failed_nodes == ()
 
     def test_baseline_with_failures_rejected(self):
@@ -71,8 +71,8 @@ class TestSurvivingNetwork:
         survivor = surviving_network(dumbbell_network, case)
         assert survivor.num_nodes == dumbbell_network.num_nodes
         assert survivor.num_links == dumbbell_network.num_links - 1
-        assert not survivor.has_link("C->D")
-        assert survivor.has_link("D->C")
+        assert "C->D" not in survivor
+        assert "D->C" in survivor
 
     def test_node_failure_drops_incident_links(self, dumbbell_network):
         case = FailureCase(name="node:C", kind="node", failed_nodes=("C",))
@@ -103,4 +103,5 @@ class TestSurvivingNetwork:
             name="link-pair:C<->D", kind="link-pair", failed_links=("C->D", "D->C")
         )
         survivor = surviving_network(dumbbell_network, case)
-        assert not survivor.is_connected()
+        with pytest.raises(TopologyError):
+            survivor.validate()

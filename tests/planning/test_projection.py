@@ -9,9 +9,7 @@ from repro.errors import PlanningError
 from repro.planning import (
     BASELINE,
     FailureCase,
-    WhatIfEngine,
     project_load,
-    scale_demands,
 )
 from repro.routing import build_routing_matrix
 from repro.traffic import TrafficMatrix
@@ -60,17 +58,6 @@ class TestProjectLoad:
         routing = build_routing_matrix(triangle_network)
         with pytest.raises(PlanningError):
             project_load(routing, triangle_traffic).utilisation_of("Z->Q")
-
-
-class TestScaleDemands:
-    def test_uniform_scaling(self, triangle_traffic):
-        grown = scale_demands(triangle_traffic, 1.5)
-        np.testing.assert_allclose(grown.vector, 1.5 * triangle_traffic.vector)
-        assert grown.pairs == triangle_traffic.pairs
-
-    def test_negative_factor_rejected(self, triangle_traffic):
-        with pytest.raises(PlanningError):
-            scale_demands(triangle_traffic, -1.0)
 
 
 class TestInfeasibleProjection:

@@ -23,6 +23,7 @@ from repro.planning import (
     WhatIfEngine,
     enumerate_failures,
     full_rebuild_routing,
+    whatif,
 )
 from repro.routing import RoutingMatrix, build_routing_matrix, reroute
 from repro.topology.elements import NodePair
@@ -194,8 +195,9 @@ class TestWhatIfEngine:
         with pytest.raises(PlanningError):
             engine.routing_for(case)
 
-    def test_cache_is_bounded(self, dumbbell_network):
-        engine = WhatIfEngine(dumbbell_network, cache_size=2)
+    def test_cache_is_bounded(self, dumbbell_network, monkeypatch):
+        monkeypatch.setattr(whatif, "CASE_CACHE_SIZE", 2)
+        engine = WhatIfEngine(dumbbell_network)
         cases = enumerate_failures(dumbbell_network, kinds=("link",))[:4]
         for case in cases:
             engine.routing_for(case)

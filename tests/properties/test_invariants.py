@@ -51,7 +51,9 @@ class TestTrafficMatrixProperties:
     def test_distribution_normalisation(self, values):
         matrix = TrafficMatrix(PAIRS, values)
         if matrix.total > 0:
-            assert matrix.as_distribution().sum() == pytest.approx(1.0, abs=1e-9)
+            _, cumulative = matrix.cumulative_distribution()
+            assert cumulative[-1] == pytest.approx(1.0, abs=1e-9)
+            assert np.all(np.diff(cumulative) >= 0)
 
     @SETTINGS
     @given(values=demand_vectors, fraction=st.floats(min_value=0.05, max_value=1.0))

@@ -148,13 +148,17 @@ def test_uncertified_primary_runs_once_then_falls_back():
 
 
 def test_result_without_a_converged_flag_is_served(series_problem):
-    # ``converged`` is the one flag require_convergence reads; Cao reports
-    # none, so its result is served, not sent down the chain.
-    estimator = SupervisedEstimator(primary="cao", require_convergence=True)
+    # ``converged`` is the one flag require_convergence reads; the closed-form
+    # gravity model reports none, so its result is served, not sent down the
+    # chain.
+    estimator = SupervisedEstimator(
+        primary="gravity", fallbacks=("tomogravity",), require_convergence=True
+    )
     result = estimator.estimate_series(series_problem)
-    assert "converged" not in get_estimator("cao").estimate_series(series_problem).diagnostics
+    direct = get_estimator("gravity").estimate_series(series_problem)
+    assert "converged" not in direct.diagnostics
     report = degradation_from_diagnostics(result.diagnostics)
-    assert report.used == "cao" and not report.degraded and report.attempts == 1
+    assert report.used == "gravity" and not report.degraded and report.attempts == 1
 
 
 def test_estimate_series_walks_the_same_chain(series_problem):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
 from repro.routing import CSPFRouter, LSP, LSPMesh, ReservationState, ShortestPathRouter
 from repro.topology import Link, Network, Node, NodePair
 
@@ -25,12 +25,10 @@ class TestLSP:
     def test_name_and_signalling(self, two_path_network):
         lsp = LSP(pair=NodePair("A", "B"), bandwidth_mbps=10.0)
         assert lsp.name == "lsp:A->B"
-        assert not lsp.is_signalled
+        assert lsp.path is None
         path = ShortestPathRouter(two_path_network).shortest_path(NodePair("A", "B"))
         lsp.signal(path)
-        assert lsp.is_signalled
-        lsp.tear_down()
-        assert not lsp.is_signalled
+        assert lsp.path is path
 
     def test_signal_with_wrong_endpoints_rejected(self, two_path_network):
         lsp = LSP(pair=NodePair("A", "B"))
@@ -48,16 +46,14 @@ class TestLSP:
 
 
 class TestReservationState:
-    def test_reserve_and_release(self, two_path_network):
+    def test_reserve(self, two_path_network):
         state = ReservationState(two_path_network)
         path = ShortestPathRouter(two_path_network).shortest_path(NodePair("A", "B"))
         assert state.available("A->B") == pytest.approx(100.0)
         state.reserve(path, 60.0)
-        assert state.reserved("A->B") == pytest.approx(60.0)
+        assert state.snapshot()["A->B"] == pytest.approx(60.0)
         assert state.available("A->B") == pytest.approx(40.0)
         assert state.utilisation("A->B") == pytest.approx(0.6)
-        state.release(path, 60.0)
-        assert state.reserved("A->B") == pytest.approx(0.0)
 
     def test_admission_failure_raises(self, two_path_network):
         state = ReservationState(two_path_network)
@@ -66,21 +62,16 @@ class TestReservationState:
         with pytest.raises(RoutingError):
             state.reserve(path, 200.0)
 
-    def test_over_release_rejected(self, two_path_network):
-        state = ReservationState(two_path_network)
-        path = ShortestPathRouter(two_path_network).shortest_path(NodePair("A", "B"))
-        state.reserve(path, 10.0)
-        with pytest.raises(RoutingError):
-            state.release(path, 50.0)
-
     def test_oversubscription_scales_capacity(self, two_path_network):
         state = ReservationState(two_path_network, oversubscription=2.0)
         assert state.available("A->B") == pytest.approx(200.0)
 
     def test_unknown_link_rejected(self, two_path_network):
         state = ReservationState(two_path_network)
-        with pytest.raises(RoutingError):
-            state.reserved("Z->Z")
+        with pytest.raises(TopologyError):
+            state.available("Z->Z")
+        with pytest.raises(TopologyError):
+            state.utilisation("Z->Z")
 
 
 class TestLSPMesh:

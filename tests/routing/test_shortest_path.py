@@ -38,12 +38,8 @@ class TestPathObject:
     def test_consistency_checks(self, triangle_network):
         router = ShortestPathRouter(triangle_network)
         path = router.shortest_path(NodePair("A", "B"))
-        assert path.hop_count == 1
         assert path.nodes == ("A", "B")
         assert path.link_names() == ("A->B",)
-        assert path.uses_link("A->B")
-        assert not path.uses_link("B->C")
-        assert path.bottleneck_capacity() == 1000.0
         assert len(path) == 1
         assert [link.name for link in path] == ["A->B"]
 

@@ -314,7 +314,7 @@ class TestEpochChurn:
 
     def test_reroute_keeps_non_igp_base_columns(self):
         """A CSPF base keeps its columns; only the pairs crossing the failure move."""
-        from repro.routing import build_routing_matrix
+        from repro.routing import CSPFRouter, build_routing_matrix
         from repro.topology import Link, Network, Node, NodePair
 
         network = Network("cspf-diamond")
@@ -325,7 +325,9 @@ class TestEpochChurn:
                 Link(source=a, target=b, capacity_mbps=100.0, metric=1.0)
             )
         bandwidths = {NodePair("S", "T"): 90.0, NodePair("S", "X"): 50.0}
-        base = build_routing_matrix(network, use_cspf=True, bandwidths=bandwidths)
+        base = build_routing_matrix(
+            network, paths=CSPFRouter(network).route_all(bandwidths=bandwidths)
+        )
         s_to_x = base.pair_column(NodePair("S", "X"))
         # S->T fills S->X, so S->X detours around it (IGP would go direct).
         assert {base.link_names[row] for row in np.flatnonzero(s_to_x)} == {

@@ -1,12 +1,16 @@
 """``setup.py`` declares the package: its name, ``repro.__version__`` and
-every third-party package a module under ``repro`` imports."""
+every third-party package a module under ``repro`` imports; and every name
+a module under ``repro`` exports in ``__all__`` exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -65,12 +69,27 @@ def declared_requirements() -> list[str]:
     raise AssertionError("setup.py passes no install_requires to setup()")
 
 
+def module_name(path: Path) -> str:
+    """The dotted name of the module in ``path`` under ``src``."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 def repro_modules() -> list[str]:
     """Every module under ``src/repro``, found from the files (nothing imported)."""
+    return [module_name(path) for path in sorted((SRC / "repro").rglob("*.py"))]
+
+
+def exporting_modules() -> list[str]:
+    """The modules under ``src/repro`` whose source assigns ``__all__``."""
     names = []
     for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = path.relative_to(SRC).with_suffix("").parts
-        names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                names.append(module_name(path))
+                break
     return names
 
 
@@ -115,3 +134,14 @@ def test_an_undeclared_package_is_refused():
     completed = import_with_only(["repro.topology.network"], ["numpy"])
     assert completed.returncode != 0
     assert "undeclared dependency 'scipy'" in completed.stderr
+
+
+@pytest.mark.parametrize("name", exporting_modules())
+def test_every_export_resolves(name):
+    # ``from module import *`` raises on an ``__all__`` entry the module
+    # does not define, so a deleted name must leave every export list too.
+    # One case per module, so a failure names the module.
+    module = importlib.import_module(name)
+    exports = module.__all__
+    assert exports and len(set(exports)) == len(exports)
+    assert [export for export in exports if not hasattr(module, export)] == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Link, LinkKind, Node, NodePair, NodeRole, PairIndex
+from repro.topology import Link, Node, NodePair, NodeRole, PairIndex
 
 
 class TestNode:
@@ -16,12 +16,7 @@ class TestNode:
         node = Node(name="LON")
         assert node.role is NodeRole.ACCESS
         assert node.population == 1.0
-        assert node.pop_name == "LON"
         assert node.is_edge()
-
-    def test_city_defines_pop_name(self):
-        node = Node(name="NYC-cr2", city="NYC")
-        assert node.pop_name == "NYC"
 
     def test_transit_node_is_not_edge(self):
         node = Node(name="T1", role=NodeRole.TRANSIT)
@@ -49,19 +44,18 @@ class TestLink:
     def test_autogenerated_name(self):
         link = Link(source="A", target="B")
         assert link.name == "A->B"
-        assert link.endpoints == ("A", "B")
 
     def test_explicit_name_preserved(self):
         link = Link(source="A", target="B", name="core-1")
         assert link.name == "core-1"
 
     def test_reversed_swaps_endpoints_and_keeps_attributes(self):
-        link = Link(source="A", target="B", capacity_mbps=2500.0, metric=7.0, kind=LinkKind.PEERING)
+        link = Link(source="A", target="B", capacity_mbps=2500.0, metric=7.0)
         back = link.reversed()
         assert back.source == "B" and back.target == "A"
         assert back.capacity_mbps == 2500.0
         assert back.metric == 7.0
-        assert back.kind is LinkKind.PEERING
+        assert back.name == "B->A"
 
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError):
@@ -76,11 +70,6 @@ class TestLink:
     def test_non_positive_metric_rejected(self, metric):
         with pytest.raises(TopologyError):
             Link(source="A", target="B", metric=metric)
-
-    def test_edge_link_classification(self):
-        assert LinkKind.ACCESS.is_edge()
-        assert LinkKind.PEERING.is_edge()
-        assert not LinkKind.INTERIOR.is_edge()
 
     def test_empty_endpoint_rejected(self):
         with pytest.raises(TopologyError):

@@ -39,11 +39,6 @@ class TestDiurnalProfile:
         profile = american_profile()
         assert profile.level(1000.0) == pytest.approx(profile.level(1000.0 + SECONDS_PER_DAY))
 
-    def test_shifted_moves_peak(self):
-        profile = DiurnalProfile(peak_hour=10.0, trough_ratio=0.3, sharpness=3.0)
-        shifted = profile.shifted(5.0)
-        assert shifted.busy_hour() == pytest.approx(15.0, abs=0.5)
-
     def test_morning_bump_adds_secondary_plateau(self):
         base = DiurnalProfile(peak_hour=20.0, trough_ratio=0.2, sharpness=3.0)
         bumped = DiurnalProfile(

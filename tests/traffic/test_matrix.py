@@ -154,7 +154,8 @@ class TestVectorisedAggregatesMatchTheLoop:
         zeroed = day[0].vector.copy()
         origins, _, origin_codes, _ = day.pairs.codes()
         zeroed[origin_codes == 0] = 0.0  # one origin with no traffic
-        return [large_scenario_60.busy_mean_matrix(), day[0], day[-1], day[0].with_values(zeroed)]
+        unsent = TrafficMatrix(day[0].pairs, zeroed)
+        return [large_scenario_60.busy_mean_matrix(), day[0], day[-1], unsent]
 
     def test_totals_bit_identical(self, matrices):
         for tm in matrices:
@@ -193,13 +194,9 @@ class TestAggregates:
         assert dense[index["C"], index["A"]] == 0
         assert np.trace(dense) == 0.0
 
-    def test_distribution_sums_to_one(self):
-        tm = matrix([10, 20, 30, 0, 5, 5])
-        assert tm.as_distribution().sum() == pytest.approx(1.0)
-
     def test_distribution_of_zero_matrix_rejected(self):
         with pytest.raises(TrafficError):
-            TrafficMatrix.zeros(PAIRS).as_distribution()
+            TrafficMatrix.zeros(PAIRS).cumulative_distribution()
 
     def test_fanouts_sum_to_one_per_origin(self):
         tm = matrix([10, 20, 30, 0, 5, 5])
@@ -236,10 +233,6 @@ class TestRankingHelpers:
         with pytest.raises(TrafficError):
             tm.threshold_for_traffic_fraction(0.0)
 
-    def test_demands_above(self):
-        tm = matrix([50, 30, 10, 5, 3, 2])
-        assert set(tm.demands_above(9)) == {NodePair("A", "B"), NodePair("B", "A"), NodePair("A", "C")}
-
     def test_cumulative_distribution_is_monotone(self):
         tm = matrix([50, 30, 10, 5, 3, 2])
         ranks, cumulative = tm.cumulative_distribution()
@@ -262,10 +255,6 @@ class TestArithmetic:
         other = TrafficMatrix(PAIRS[:2], [1, 1])
         with pytest.raises(TrafficError):
             a + other
-
-    def test_with_values(self):
-        tm = matrix([1, 2, 3, 4, 5, 6]).with_values([0, 0, 0, 0, 0, 1])
-        assert tm.total == 1.0
 
 
 class TestSeries:

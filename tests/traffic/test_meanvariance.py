@@ -21,10 +21,9 @@ class TestScalingLaw:
         law = ScalingLaw(phi=2.0, c=1.5)
         assert law.variance(4.0) == pytest.approx(16.0)
         assert np.allclose(law.variance(np.array([1.0, 4.0])), [2.0, 16.0])
-        assert law.standard_deviation(4.0) == pytest.approx(4.0)
 
     def test_poisson_special_case(self):
-        law = ScalingLaw.poisson()
+        law = ScalingLaw(phi=1.0, c=1.0)
         assert law.variance(7.0) == pytest.approx(7.0)
 
     def test_invalid_parameters_rejected(self):

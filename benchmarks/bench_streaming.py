@@ -4,7 +4,8 @@ The batch pipeline gets a whole day of polls at once and can afford
 seconds per solve; the streaming daemon sits inside a five-minute poll
 loop and must finish each poll's estimate long before the next round
 arrives.  The tier drives :class:`~repro.streaming.StreamingEstimator`
-over ``large_scenario(200, seed=2010)`` (39,800 demands) and times every
+over ``large_scenario(200, seed=2010)`` (39,800 demands; the stream
+carries the 600 links and 400 edge counters) and times every
 ``process_round`` call:
 
 * **Kruithof (checked)** — one cold IPF on the two scaling vectors per
@@ -114,6 +115,7 @@ def measure() -> tuple[dict, dict, dict]:
         "scenario": f"large_scenario({N}, seed={SEED}, num_samples={TIMED_POLLS + 1})",
         "links": scenario.routing.num_links,
         "pairs": scenario.routing.num_pairs,
+        "counters": stream.num_objects,
         "pollers": 2,
         "timed_polls": TIMED_POLLS,
         "checkpoint_repeats": CHECKPOINT_REPEATS,

@@ -145,12 +145,7 @@ class Scenario:
         """
         if series.pairs is not self.routing.pairs and series.pairs != self.routing.pairs:
             raise TrafficError("routing matrix and traffic series use different pair orderings")
-        demands = series.as_array()  # (K, P)
-        origins, destinations, origin_cols, destination_cols = series.pairs.codes()
-        origin_series = np.zeros((len(series), len(origins)))
-        np.add.at(origin_series.T, origin_cols, demands.T)
-        destination_series = np.zeros((len(series), len(destinations)))
-        np.add.at(destination_series.T, destination_cols, demands.T)
+        origin_series, destination_series = series.pairs.edge_sums(series.as_array())
         mean_matrix = series.mean_matrix()
         origin_totals, destination_totals = self._edge_totals(mean_matrix)
         return EstimationProblem(

@@ -6,12 +6,17 @@
   and UDP loss, and the interval-length rate adjustment;
 * :mod:`~repro.measurement.collector` — distributed pollers feeding one
   object-major rate array, reconstructing the measured LSP traffic matrix
-  and link loads;
+  and link loads, and polling the link and per-PoP edge counters a stream
+  carries;
 * :mod:`~repro.measurement.netflow` — NetFlow-style flow aggregation used to
   demonstrate why flow-averaged data loses within-flow variance.
 """
 
-from repro.measurement.collector import DistributedCollector, counter_names
+from repro.measurement.collector import (
+    DistributedCollector,
+    counter_names,
+    edge_counter_names,
+)
 from repro.measurement.linkloads import link_load_series
 from repro.measurement.netflow import (
     FlowRecord,
@@ -34,6 +39,7 @@ __all__ = [
     "rates_from_poll_matrix",
     "DistributedCollector",
     "counter_names",
+    "edge_counter_names",
     "FlowRecord",
     "flows_from_series",
     "NetFlowAggregator",

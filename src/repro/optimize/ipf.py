@@ -118,8 +118,9 @@ def kruithof_scaling(
     row_targets, column_targets:
         Required ``(K, R)`` row and ``(K, C)`` column sums.  A slice's two
         totals must agree (otherwise no feasible matrix exists): where they
-        differ by more than 1e-6 relative, its column targets are rescaled
-        to the row total before iterating.
+        differ by more than ``tolerance`` relative, its column targets are
+        rescaled to the row total before iterating, since the fit could
+        not meet the tolerance otherwise.
     max_iterations, tolerance:
         Sweep cap and the bound on each slice's largest absolute violation
         of its targets divided by ``max(1, row total)``; the largest such
@@ -150,7 +151,7 @@ def kruithof_scaling(
     if np.any(row_totals <= 0) or np.any(column_totals <= 0):
         raise SolverError("targets must have positive totals")
     mismatch = np.abs(row_totals - column_totals) / np.maximum(row_totals, column_totals)
-    rescale = mismatch > 1e-6
+    rescale = mismatch > tolerance
     if np.any(rescale):
         column_targets = column_targets.copy()
         column_targets[rescale] *= (row_totals[rescale] / column_totals[rescale])[:, None]

@@ -129,6 +129,7 @@ class CSPFRouter:
 
     def route_all(
         self,
+        *,
         pairs: Optional[Sequence[NodePair]] = None,
         bandwidths: Optional[dict[NodePair, float]] = None,
     ) -> dict[NodePair, Path]:
@@ -136,7 +137,9 @@ class CSPFRouter:
 
         With no ``bandwidths`` every LSP has zero bandwidth and CSPF
         degenerates to plain IGP shortest-path routing, which is the routing
-        model the estimation benchmarks use.
+        model the estimation benchmarks use.  Both arguments are
+        keyword-only: a bandwidth mapping passed where ``pairs`` goes would
+        be read as the pair subset and signal zero-bandwidth LSPs.
         """
         mesh = LSPMesh(self.network, bandwidths=bandwidths)
         if pairs is not None:

@@ -81,9 +81,10 @@ class RoutingMatrix:
         it.
 
     The dense view, the pair Gram, the link-Gram pattern, the rank, the path
-    lengths, the fingerprint and the counter names
-    (:func:`~repro.measurement.collector.counter_names`) are derived on
-    first use and cached; a pickle carries none of them (a spawn-mode pool
+    lengths, the fingerprint and the two counter-name orders
+    (:func:`~repro.measurement.collector.counter_names` and
+    :func:`~repro.measurement.collector.edge_counter_names`) are derived
+    on first use and cached; a pickle carries none of them (a spawn-mode pool
     pickles the matrix once per worker), so an unpickled matrix derives its
     own.
     """
@@ -97,6 +98,7 @@ class RoutingMatrix:
         "_path_lengths",
         "_fingerprint",
         "_counter_names",
+        "_edge_counter_names",
     )
 
     def __init__(
@@ -132,6 +134,7 @@ class RoutingMatrix:
         self._path_lengths: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
         self._counter_names: Optional[tuple[str, ...]] = None
+        self._edge_counter_names: Optional[tuple[str, ...]] = None
 
     def __getstate__(self) -> dict[str, object]:
         state = self.__dict__.copy()

@@ -1,13 +1,14 @@
 """Versioned checkpoint/restore for the streaming daemon.
 
-A checkpoint (format 5) is one file holding the mutable state of a
+A checkpoint (format 6) is one file holding the mutable state of a
 :class:`~repro.streaming.daemon.StreamingEstimator` and nothing else: the
 counter tracker's four state arrays and its counts, and the last
 estimate, plus a JSON header carrying the format version, the daemon's
 four constructor options, its scalar state and a fingerprint of the
 routing matrix the state was computed under.  It holds no object names:
 the fingerprint pins the link and pair orderings, and those fix the
-counter names (see :func:`~repro.measurement.collector.counter_names`).
+counter names (see
+:func:`~repro.measurement.collector.edge_counter_names`).
 
 The layout is a fixed 16-byte prefix (an 8-byte magic, then the header's
 length and its CRC-32 as little-endian ``uint32``), the JSON header, and
@@ -15,8 +16,11 @@ the body: the six arrays raw, each starting on a 64-byte boundary.  The
 header lists each array's name, dtype, shape, offset in the body and byte
 count, the body's length and the body's CRC-32, so a restore reads the
 file once, checks both checksums and views every array in place with
-:func:`numpy.frombuffer`.  At N=200 (39,800 demands, 600 links) a
-checkpoint is about 1.33 MB.  Formats 1 to 4 were ``.npz`` archives.
+:func:`numpy.frombuffer`.  At N=200 (39,800 demands, 600 links, so 1,000
+tracked counters) a checkpoint is about 0.34 MB, most of it the estimate.
+Format 5 had the same layout, but its tracker arrays held one counter per
+LSP and per link (1.33 MB at N=200); formats 1 to 4 were ``.npz``
+archives.
 
 Floats travel as raw binary, so a restore is *exact*: a daemon killed
 mid-stream and restored from its last checkpoint continues producing
@@ -64,7 +68,7 @@ __all__ = [
     "write_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 _STATE_FIELDS = (
     "rounds_seen",
@@ -107,7 +111,7 @@ def _aligned(offset: int) -> int:
 
 
 def write_checkpoint(handle: BinaryIO, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``meta`` and ``arrays`` to the binary ``handle`` in format 5.
+    """Write ``meta`` and ``arrays`` to the binary ``handle`` in the layout above.
 
     ``meta`` is the JSON-safe daemon description (``version``, ``config``,
     ``state``, ``routing_fingerprint``); the header adds the array table,

@@ -6,16 +6,19 @@ derives interval rates causally through a
 :class:`~repro.streaming.stream.CounterTracker`, and estimates each
 interval with one cold :meth:`~repro.estimation.base.Estimator.estimate`
 of its problem, exactly what a batch run on the same data returns.  Its
-counters are the routing's
-(:func:`~repro.measurement.collector.counter_names`: one per LSP, then one
-per link), and it holds only the state an estimate reads: the tracker's
-arrays, the last estimate and a few counts, so memory is constant
-regardless of stream length.
+counters are the routing's edge counters
+(:func:`~repro.measurement.collector.edge_counter_names`: one per link,
+then one ingress counter per origin and one egress counter per
+destination), which are exactly the link loads and edge totals an
+estimation problem holds; the per-LSP counters, the paper's validation
+truth, never reach it.  It holds only the state an estimate reads: the
+tracker's arrays, the last estimate and a few counts, so memory is
+constant regardless of stream length.
 
 The daemon is built to *survive* the faults the resilience layer injects:
 
-* **partial data** — polls lost for some links still produce an estimate;
-  missing links use the tracker's held rates;
+* **partial data** — polls lost for some links or edge counters still
+  produce an estimate; missing counters use the tracker's held rates;
 * **collector outages** — when the fraction of freshly-measured links
   drops below ``min_valid_fraction`` the daemon holds its last estimate
   and emits a record explicitly flagged ``stale`` instead of solving on
@@ -35,7 +38,7 @@ The daemon is built to *survive* the faults the resilience layer injects:
   :class:`~repro.errors.StreamingError` and changes no state.  The next
   poll is a cold solve on the new routing like any other;
 * **crashes** — the whole daemon state checkpoints to one file (format
-  5: a JSON header, then the raw arrays under a CRC-32), written to a
+  6: a JSON header, then the raw arrays under a CRC-32), written to a
   temporary file and renamed over the last checkpoint (see
   :mod:`repro.streaming.checkpoint`); ``kill -9`` followed by
   :meth:`restore` and resuming the stream reproduces the uninterrupted
@@ -63,7 +66,7 @@ from repro.errors import (
 )
 from repro.estimation.base import EstimationProblem
 from repro.estimation.registry import get_estimator
-from repro.measurement.collector import counter_names
+from repro.measurement.collector import edge_counter_names
 from repro.measurement.snmp import CounterWidths
 from repro.resilience.supervisor import SupervisedEstimator
 from repro.routing.routing_matrix import RerouteResult, RoutingMatrix, reroute
@@ -149,9 +152,10 @@ class StreamingEstimator:
     routing:
         The routing matrix of the measured mesh (its ``network`` must be
         set for :meth:`apply_reroute` to work).  It fixes the streamed
-        counters: one per LSP in pair order, then one per link (see
-        :func:`~repro.measurement.collector.counter_names`), whose rates
-        give the link loads and the origin/destination totals.
+        counters: one per link, then one ingress counter per origin and one
+        egress counter per destination (see
+        :func:`~repro.measurement.collector.edge_counter_names`), whose
+        rates are the link loads and the origin/destination totals.
     method / method_params:
         Registry name (and constructor kwargs) of the estimation method.
     fallbacks:
@@ -186,7 +190,16 @@ class StreamingEstimator:
         self.fallbacks = tuple(fallbacks)
         self.min_valid_fraction = float(min_valid_fraction)
 
-        self.tracker = CounterTracker(routing.num_pairs + routing.num_links)
+        origins, destinations, _, _ = routing.pairs.codes()
+        # The tracker's counters: links, then origin totals, then destination
+        # totals.  A reroute keeps the pairs and links, so these never move.
+        first_origin = routing.num_links
+        first_destination = first_origin + len(origins)
+        num_counters = first_destination + len(destinations)
+        self._link_rates = slice(0, first_origin)
+        self._origin_rates = slice(first_origin, first_destination)
+        self._destination_rates = slice(first_destination, num_counters)
+        self.tracker = CounterTracker(num_counters)
         self._estimator = get_estimator(self.method, **self.method_params)
         self._supervisor = SupervisedEstimator(
             primary=self.fallbacks[0],
@@ -214,9 +227,10 @@ class StreamingEstimator:
     def from_collector(cls, collector, **kwargs) -> "StreamingEstimator":
         """Daemon wired to a :class:`~repro.measurement.collector.DistributedCollector`.
 
-        Uses the collector's routing matrix, whose counters the collector
-        polls, so ``daemon.run(PollStream.from_collector(collector, series))``
-        works out of the box.
+        Uses the collector's routing matrix, whose edge counters the
+        collector's edge pollers poll, so
+        ``daemon.run(PollStream.from_collector(collector, series))`` works
+        out of the box.
         """
         return cls(routing=collector.routing, **kwargs)
 
@@ -283,17 +297,12 @@ class StreamingEstimator:
     # ------------------------------------------------------------------
     # estimation
     # ------------------------------------------------------------------
-    def _problem(self, link_rates: np.ndarray, lsp_rates: np.ndarray) -> EstimationProblem:
-        origins, destinations, origin_codes, destination_codes = self.routing.pairs.codes()
-        origin_totals = np.bincount(origin_codes, weights=lsp_rates, minlength=len(origins))
-        destination_totals = np.bincount(
-            destination_codes, weights=lsp_rates, minlength=len(destinations)
-        )
+    def _problem(self, rates: np.ndarray) -> EstimationProblem:
         return EstimationProblem(
             routing=self.routing,
-            link_loads=link_rates,
-            origin_totals=origin_totals,
-            destination_totals=destination_totals,
+            link_loads=rates[self._link_rates],
+            origin_totals=rates[self._origin_rates],
+            destination_totals=rates[self._destination_rates],
         )
 
     def _update(self, problem: EstimationProblem, sequence: int):
@@ -348,10 +357,7 @@ class StreamingEstimator:
             # The first round only primes the counters; no interval exists yet.
             return None
 
-        num_pairs = self.routing.num_pairs
-        link_rates = rates[num_pairs:]
-        lsp_rates = rates[:num_pairs]
-        valid_fraction = float(fresh[num_pairs:].mean())
+        valid_fraction = float(fresh[self._link_rates].mean())
 
         telemetry.counter_inc("stream.polls")
         telemetry.gauge_set("stream.valid_fraction", valid_fraction)
@@ -388,7 +394,7 @@ class StreamingEstimator:
             )
 
         self.stale_streak = 0
-        problem = self._problem(link_rates, lsp_rates)
+        problem = self._problem(rates)
         with telemetry.span("stream.update", sequence=sequence, epoch=self.epoch):
             result, degraded = self._update(problem, sequence)
         estimate = np.maximum(np.asarray(result.vector, dtype=float), 0.0)
@@ -432,17 +438,17 @@ class StreamingEstimator:
     def _check_stream(self, stream: PollStream) -> None:
         """Accept ``stream`` once its objects are this daemon's counters, in order.
 
-        The routing caches its counter names, so a stream built by
+        The routing caches its edge counter names, so a stream built by
         :meth:`PollStream.from_collector` on it holds the very same strings
         and the comparison costs no string work.
         """
         if self._checked_stream is not None and self._checked_stream() is stream:
             return
-        if stream.object_names != counter_names(self.base_routing):
+        if stream.object_names != edge_counter_names(self.base_routing):
             raise StreamingError(
-                "stream objects are not the routing's counters in counter order "
-                "(LSPs in pair order, then links); build the stream with "
-                "PollStream.from_collector"
+                "stream objects are not the routing's edge counters in counter order "
+                "(links, then ingress per origin, then egress per destination); "
+                "build the stream with PollStream.from_collector"
             )
         self._checked_stream = weakref.ref(stream)
 

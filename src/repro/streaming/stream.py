@@ -10,7 +10,7 @@ past.  This module provides the two primitives the
 
 * :class:`PollStream` — a round-by-round view over one or more
   :class:`~repro.measurement.snmp.PollMatrix` objects sharing a schedule
-  (e.g. the per-poller matrices of a
+  (e.g. the per-poller edge-counter matrices of a
   :class:`~repro.measurement.collector.DistributedCollector`), held as one
   read-only ``(rounds, objects)`` array each for response times, counters
   and loss, with per-object counter widths (derived once into
@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import StreamingError
-from repro.measurement.collector import counter_names
+from repro.measurement.collector import edge_counter_names
 from repro.measurement.snmp import CounterWidths, PollMatrix, classify_counter_deltas
 
 __all__ = ["PollRound", "PollStream", "CounterTracker"]
@@ -69,8 +69,9 @@ class PollStream:
         One or more :class:`~repro.measurement.snmp.PollMatrix` objects
         with identical ``scheduled_times`` (what the pollers of one
         collector produce).  Object name sets must be disjoint; columns are
-        concatenated in matrix order.  :meth:`from_collector` lays them out
-        in counter order instead, which is what the streaming daemon reads.
+        concatenated in matrix order.  :meth:`from_collector` streams a
+        collector's edge counters in their counter order instead, which is
+        what the streaming daemon reads.
     """
 
     def __init__(self, matrices: Sequence[PollMatrix]) -> None:
@@ -88,23 +89,24 @@ class PollStream:
 
     @classmethod
     def from_collector(cls, collector, series, start_time: Optional[float] = None) -> "PollStream":
-        """Stream the faulted poll matrices of a distributed collector run.
+        """Stream the faulted edge-counter poll matrices of a distributed collector.
 
-        Runs every poller's schedule over ``series`` (fault plans applied
-        exactly as in :meth:`~repro.measurement.collector.DistributedCollector.collect`)
-        and puts the columns in the order of
-        :func:`~repro.measurement.collector.counter_names`: the LSPs in pair
-        order, then the links.  Each poller's columns are its strided slice
-        of that order (``collector.assignments``), checked once by comparing
-        its object names with the slice's names.
+        Runs every edge poller's schedule over ``series``
+        (:meth:`~repro.measurement.collector.DistributedCollector.poll_edge_matrices`,
+        fault plans applied exactly as in ``collect``) and puts the columns
+        in the order of :func:`~repro.measurement.collector.edge_counter_names`:
+        the links, then one ingress counter per origin and one egress
+        counter per destination.  Each poller's columns are its strided
+        slice of that order (``collector.edge_assignments``), checked once
+        by comparing its object names with the slice's names.
         """
-        matrices = collector.poll_matrices(series, start_time=start_time)
-        names = counter_names(collector.routing)
-        for matrix, columns in zip(matrices, collector.assignments):
+        matrices = collector.poll_edge_matrices(series, start_time=start_time)
+        names = edge_counter_names(collector.routing)
+        for matrix, columns in zip(matrices, collector.edge_assignments):
             if matrix.object_names != names[columns]:
                 raise StreamingError("a poller's objects are not its slice of the counters")
         stream = cls.__new__(cls)
-        stream._fill(matrices, names, collector.assignments)
+        stream._fill(matrices, names, collector.edge_assignments)
         return stream
 
     def _fill(

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from repro.errors import TopologyError
 
@@ -297,6 +298,34 @@ class PairIndex(tuple[NodePair, ...]):
         row-major table with ``table.reshape(-1)[cells] = vector``.
         """
         return self._cells
+
+    def edge_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-origin and per-destination sums of pair values on the last axis.
+
+        ``values`` is one value per pair, or a ``(K, P)`` stack of such
+        rows; the sums follow the label order of :meth:`codes`, and each
+        adds its pairs' values in pair order, exactly like a loop would.
+        One sparse product of the pairs' endpoint incidence with the value
+        columns gives both, returned as C-ordered arrays (a later reduction
+        over a row adds in the same order as over a loop-built array).
+        """
+        origins, destinations, origin_codes, destination_codes = self._codes
+        columns = np.arange(len(self))
+        incidence = scipy.sparse.csr_matrix(
+            (
+                np.ones(2 * len(self)),
+                (
+                    np.concatenate([origin_codes, len(origins) + destination_codes]),
+                    np.concatenate([columns, columns]),
+                ),
+            ),
+            shape=(len(origins) + len(destinations), len(self)),
+        )
+        sums = np.asarray(incidence @ np.asarray(values, dtype=float).T).T
+        return (
+            np.ascontiguousarray(sums[..., : len(origins)]),
+            np.ascontiguousarray(sums[..., len(origins) :]),
+        )
 
     def name_bytes(self) -> bytes:
         """The pairs' names (``str(pair)``) joined by ``"\\x00"``, UTF-8 encoded.

@@ -3,7 +3,8 @@
 Set-up builds the scenario, the collector, its poll stream and a daemon.
 The routing fingerprints are pinned, since a checkpoint recognises its
 routing by them, and set-up must not build the link-Gram pattern, which
-the first solve builds and pays for.
+the first solve builds and pays for, nor name the 39,800 LSP counters,
+which the stream does not carry.
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ def test_stream_setup_builds_no_link_gram_pattern(stream_setup):
     assert stream.num_rounds == len(scenario.day_series) + 1
     assert daemon.routing is scenario.routing
     assert scenario.routing._gram_pattern is None
+
+
+def test_stream_setup_names_no_lsp(stream_setup):
+    # The stream carries the links and edge counters; the LSP counters and
+    # their pollers are built only by a collect() or poll_matrices().
+    scenario, stream, daemon = stream_setup
+    assert stream.num_objects == 600 + 2 * 200
+    assert daemon.tracker.num_objects == stream.num_objects
+    assert scenario.routing._counter_names is None
 
 
 def test_cold_problem_setup_builds_no_link_gram_pattern():

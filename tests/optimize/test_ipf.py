@@ -88,6 +88,20 @@ class TestKruithofScaling:
         # Column targets are rescaled to the row total (20), so the fit succeeds.
         assert np.allclose(values.sum(axis=1), [10.0, 10.0], rtol=1e-6)
 
+    @pytest.mark.parametrize("mismatch", [1e-8, 1e-7, 1e-6])
+    def test_totals_a_little_apart_converge(self, mismatch):
+        # Row and column totals read from separate counters differ by more
+        # than the tolerance: the column targets are rescaled, so the fit
+        # certifies instead of running to the sweep cap.
+        rng = np.random.default_rng(20)
+        prior = rng.uniform(0.5, 2.0, size=(20, 20))
+        truth = prior * rng.uniform(0.5, 2.0, size=prior.shape)
+        rows, cols = truth.sum(axis=1), truth.sum(axis=0) * (1.0 + mismatch)
+        result = kruithof_scaling(prior[None], rows[None], cols[None])
+        assert result.converged
+        assert result.relative_violation < 1e-9
+        assert result.iterations < 50
+
     def test_preserves_prior_structure(self):
         """Kruithof keeps the cross-product ratios of the prior (KL projection)."""
         prior = np.array([[4.0, 1.0], [1.0, 4.0]])

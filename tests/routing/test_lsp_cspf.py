@@ -150,3 +150,16 @@ class TestCSPF:
     def test_route_all_returns_every_pair(self, two_path_network):
         paths = CSPFRouter(two_path_network).route_all()
         assert set(paths) == set(two_path_network.node_pairs())
+
+    def test_route_all_takes_its_arguments_by_keyword(self, two_path_network):
+        # A mapping passed positionally would be read as the pair subset.
+        bandwidths = {NodePair("A", "B"): 500.0}
+        with pytest.raises(TypeError):
+            CSPFRouter(two_path_network).route_all(bandwidths)
+        router = CSPFRouter(two_path_network)
+        paths = router.route_all(bandwidths=bandwidths)
+        assert set(paths) == set(two_path_network.node_pairs())
+        # 500 Mbit/s does not fit the 100 Mbit/s direct link: it is reserved
+        # along the longer fat path.
+        assert [link.name for link in paths[NodePair("A", "B")].links] == ["A->C", "C->B"]
+        assert router.reservations.snapshot()["A->C"] == 500.0

@@ -32,6 +32,7 @@ from repro.resilience.faults import (
 )
 from repro.streaming import (
     CHECKPOINT_VERSION,
+    CounterTracker,
     PollStream,
     StreamingEstimator,
     load_checkpoint,
@@ -262,7 +263,7 @@ class TestCheckpointContents:
             ]
         )
         assert sorted(meta) == ["config", "routing_fingerprint", "state", "version"]
-        assert meta["version"] == CHECKPOINT_VERSION == 5
+        assert meta["version"] == CHECKPOINT_VERSION == 6
         assert sorted(meta["state"]) == [
             "degraded_updates",
             "epoch",
@@ -284,6 +285,20 @@ class TestCheckpointContents:
         for link in stream_scenario.routing.link_names:
             assert link not in json.dumps(meta["config"])
 
+    def test_format_5_checkpoint_rejected_by_its_version(
+        self, stream_scenario, collector_factory, tmp_path
+    ):
+        # Format 5 had this layout, but its tracker held one counter per LSP
+        # and per link rather than the links and edge counters.
+        path = tmp_path / "v5.ckpt"
+        self._checkpoint(stream_scenario, collector_factory, path)
+        meta, arrays = load_checkpoint(str(path))
+        routing = stream_scenario.routing
+        lsp_tracker = CounterTracker(routing.num_pairs + routing.num_links).state_arrays()
+        rewrite(path, dict(meta, version=5), dict(arrays, **lsp_tracker))
+        with pytest.raises(StreamingError, match="has version 5; this build reads version 6"):
+            StreamingEstimator.restore(str(path), routing)
+
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_npz_checkpoint_of_an_older_format_rejected(
         self, version, stream_scenario, collector_factory, tmp_path
@@ -296,7 +311,7 @@ class TestCheckpointContents:
         with open(path, "wb") as handle:
             np.savez(handle, meta=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(
-            StreamingError, match="an .npz checkpoint of format 4 or older.*reads format 5"
+            StreamingError, match="an .npz checkpoint of format 4 or older.*reads format 6"
         ):
             StreamingEstimator.restore(str(path), stream_scenario.routing)
 

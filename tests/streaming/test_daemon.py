@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro import telemetry
 from repro.errors import EstimationError, StreamingError
 from repro.estimation.base import EstimationProblem
 from repro.estimation.registry import get_estimator
-from repro.measurement.collector import counter_names
+from repro.measurement.collector import edge_counter_names
 from repro.resilience.faults import PollLossBurst, fault_plan
 from repro.streaming import PollStream, StreamingEstimator
 
@@ -114,6 +116,65 @@ class TestBatchAgreement:
         for record in records[4:]:
             cold = get_estimator("kruithof").estimate(problems[record.sequence])
             np.testing.assert_array_equal(record.estimate, cold.vector)
+
+
+class TestEdgeCounters:
+    def test_kruithof_certifies_every_poll_under_jitter(
+        self, stream_scenario, collector_factory
+    ):
+        # With jitter the ingress and egress counters answer at different
+        # times, so the two totals' sums differ by a little more than
+        # Kruithof's tolerance; the fit rescales them and certifies.
+        options = dict(jitter_std_seconds=0.001, num_pollers=3)
+        stream = PollStream.from_collector(
+            collector_factory(**options), stream_scenario.day_series
+        )
+        daemon = StreamingEstimator.from_collector(
+            collector_factory(**options), method="kruithof"
+        )
+        problems = capture_problems(daemon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = list(daemon.run(stream))
+        assert len(records) == len(stream_scenario.day_series)
+        assert not any(record.degraded or record.stale for record in records)
+        assert all(record.method == "kruithof" and record.converged for record in records)
+        mismatch = [
+            abs(problem.origin_totals.sum() / problem.destination_totals.sum() - 1.0)
+            for problem in problems.values()
+        ]
+        assert max(mismatch) > 1e-9
+
+    def test_lost_ingress_counter_is_held_like_a_lost_link(
+        self, stream_scenario, collector_factory
+    ):
+        routing = stream_scenario.routing
+        origin = routing.pairs.codes()[0][0]
+        link = routing.link_names[0]
+        # Round 4 closes interval 3: one ingress counter and one link go dark.
+        plan = fault_plan(
+            PollLossBurst(start_round=4, num_rounds=1, objects=(f"ingress:{origin}", link)),
+            seed=0,
+        )
+        stream = PollStream.from_collector(
+            collector_factory(fault_plan=plan), stream_scenario.day_series
+        )
+        lost = np.flatnonzero(stream.lost[4])
+        assert [stream.object_names[column] for column in lost] == [link, f"ingress:{origin}"]
+        daemon = StreamingEstimator.from_collector(
+            collector_factory(fault_plan=plan), method="kruithof"
+        )
+        problems = capture_problems(daemon)
+        records = list(daemon.run(stream))
+        record = records[3]
+        assert not record.stale and not record.degraded and record.converged
+        assert record.valid_fraction == 1.0 - 1.0 / routing.num_links
+        before, during = problems[2], problems[3]
+        # The lost counters hold their last rates; every other counter is fresh.
+        assert during.origin_totals[0] == before.origin_totals[0]
+        assert during.link_loads[0] == before.link_loads[0]
+        assert np.all(during.origin_totals[1:] != before.origin_totals[1:])
+        assert np.all(during.destination_totals != before.destination_totals)
 
 
 class TestStaleness:
@@ -381,7 +442,7 @@ class TestValidationAndTelemetry:
 
     def test_stream_missing_objects_rejected(self, stream_scenario, collector_factory):
         collector = collector_factory()
-        matrices = collector.poll_matrices(stream_scenario.day_series)
+        matrices = collector.poll_edge_matrices(stream_scenario.day_series)
         stream = PollStream(matrices[:1])  # half the objects
         daemon = StreamingEstimator.from_collector(collector_factory())
         with pytest.raises(StreamingError):
@@ -390,8 +451,8 @@ class TestValidationAndTelemetry:
     def test_stream_in_poller_order_rejected(self, stream_scenario, collector_factory):
         # Every counter is there, but the columns follow the pollers'
         # round-robin split instead of the counter order the daemon reads.
-        stream = PollStream(collector_factory().poll_matrices(stream_scenario.day_series))
-        assert sorted(stream.object_names) == sorted(counter_names(stream_scenario.routing))
+        stream = PollStream(collector_factory().poll_edge_matrices(stream_scenario.day_series))
+        assert sorted(stream.object_names) == sorted(edge_counter_names(stream_scenario.routing))
         daemon = StreamingEstimator.from_collector(collector_factory())
         with pytest.raises(StreamingError, match="counter order"):
             daemon.process_round(stream.round(0), stream)
@@ -401,13 +462,13 @@ class TestValidationAndTelemetry:
         from repro.streaming import daemon as daemon_module
 
         calls = []
-        original = daemon_module.counter_names
+        original = daemon_module.edge_counter_names
 
         def counting(routing):
             calls.append(routing)
             return original(routing)
 
-        monkeypatch.setattr(daemon_module, "counter_names", counting)
+        monkeypatch.setattr(daemon_module, "edge_counter_names", counting)
         daemon = StreamingEstimator.from_collector(collector_factory())
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)
         for poll_round in list(stream.rounds())[:4]:

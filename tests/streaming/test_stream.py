@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StreamingError
-from repro.measurement.collector import counter_names
+from repro.measurement.collector import edge_counter_names
 from repro.measurement.snmp import CounterWidths, PollMatrix, SNMPPoller, rates_from_poll_matrix
 from repro.resilience.faults import (
     ClockSkew,
@@ -209,7 +209,8 @@ class TestPollStream:
         collector = collector_factory()
         stream = PollStream.from_collector(collector, stream_scenario.day_series)
         routing = stream_scenario.routing
-        assert stream.num_objects == routing.num_pairs + routing.num_links
+        origins, destinations, _, _ = routing.pairs.codes()
+        assert stream.num_objects == routing.num_links + len(origins) + len(destinations)
         assert stream.num_rounds == len(stream_scenario.day_series) + 1
         first = stream.round(0)
         assert first.counters.shape == (stream.num_objects,)
@@ -220,10 +221,10 @@ class TestPollStream:
     ):
         collector = collector_factory(num_pollers=3, jitter_std_seconds=1.0, loss_probability=0.2)
         stream = PollStream.from_collector(collector, stream_scenario.day_series)
-        assert stream.object_names == counter_names(stream_scenario.routing)
+        assert stream.object_names == edge_counter_names(stream_scenario.routing)
         matrices = collector_factory(
             num_pollers=3, jitter_std_seconds=1.0, loss_probability=0.2
-        ).poll_matrices(stream_scenario.day_series)
+        ).poll_edge_matrices(stream_scenario.day_series)
         assert any(matrix.lost.any() for matrix in matrices)
         column = {name: col for col, name in enumerate(stream.object_names)}
         for matrix in matrices:
@@ -252,8 +253,8 @@ class TestPollStream:
             )
         series = stream_scenario.day_series
         stream = PollStream.from_collector(collector_factory(**options), series)
-        generic = PollStream(collector_factory(**options).poll_matrices(series))
-        names = counter_names(stream_scenario.routing)
+        generic = PollStream(collector_factory(**options).poll_edge_matrices(series))
+        names = edge_counter_names(stream_scenario.routing)
         column = {name: col for col, name in enumerate(generic.object_names)}
         order = [column[name] for name in names]
         assert stream.object_names == names
@@ -271,9 +272,38 @@ class TestPollStream:
 
     def test_from_collector_checks_each_pollers_slice(self, stream_scenario, collector_factory):
         collector = collector_factory(num_pollers=2)
-        collector.assignments.reverse()
+        collector.edge_assignments.reverse()
         with pytest.raises(StreamingError, match="slice"):
             PollStream.from_collector(collector, stream_scenario.day_series)
+
+    def test_edge_totals_are_the_lsp_sums_on_a_clean_stream(
+        self, stream_scenario, collector_factory
+    ):
+        # An edge counter rounds its summed rate once per interval, while
+        # the LSP-summed total adds separately rounded LSP counters, so the
+        # two agree to counter rounding; the link counters are the same.
+        series = stream_scenario.day_series
+        routing = stream_scenario.routing
+        stream = PollStream.from_collector(collector_factory(), series)
+        tracker = CounterTracker(stream.num_objects)
+        rates = []
+        for poll_round in stream.rounds():
+            row, fresh = tracker.observe(
+                poll_round.response_times, poll_round.counters, poll_round.lost, stream.widths
+            )
+            if poll_round.index:
+                assert fresh.all()
+                rates.append(row)
+        rates = np.stack(rates)
+        reference = collector_factory()
+        reference.collect(series)
+        lsp_rates = reference.measured_traffic_series().as_array()
+        lsp_sums = np.hstack(routing.pairs.edge_sums(lsp_rates))
+        links = routing.num_links
+        np.testing.assert_array_equal(rates[:, :links], reference.measured_link_loads())
+        np.testing.assert_allclose(rates[:, links:], lsp_sums, rtol=1e-8, atol=0)
+        # The totals differ where the per-LSP rounding does: they are not copies.
+        assert not np.array_equal(rates[:, links:], lsp_sums)
 
     def test_rounds_are_read_only_row_views(self, stream_scenario, collector_factory):
         stream = PollStream.from_collector(collector_factory(), stream_scenario.day_series)

@@ -129,6 +129,23 @@ class TestPairIndex:
             assert np.issubdtype(codes.dtype, np.integer)
             assert not codes.flags.writeable
 
+    def test_edge_sums_add_each_label_in_pair_order(self):
+        index = PairIndex(PAIRS)
+        origins, destinations, _, _ = index.codes()
+        values = np.random.default_rng(3).uniform(0.0, 1e3, size=(4, len(PAIRS)))
+        expected_origins = np.zeros((4, len(origins)))
+        expected_destinations = np.zeros((4, len(destinations)))
+        for position, pair in enumerate(PAIRS):
+            expected_origins[:, origins.index(pair.origin)] += values[:, position]
+            expected_destinations[:, destinations.index(pair.destination)] += values[:, position]
+        origin_sums, destination_sums = index.edge_sums(values)
+        np.testing.assert_array_equal(origin_sums, expected_origins)
+        np.testing.assert_array_equal(destination_sums, expected_destinations)
+        assert origin_sums.flags.c_contiguous and destination_sums.flags.c_contiguous
+        origin_row, destination_row = index.edge_sums(values[1])
+        np.testing.assert_array_equal(origin_row, expected_origins[1])
+        np.testing.assert_array_equal(destination_row, expected_destinations[1])
+
     def test_codes_are_cached(self):
         index = PairIndex(PAIRS)
         assert index.codes() is index.codes()
